@@ -4,11 +4,11 @@
 //! (section 5.4: in a mobile setting DRAM is only ~25% of system power,
 //! so CPU-side savings matter more).
 //!
-//! Run with `cargo run --release --example energy_report`.
+//! Run with `cargo run --release -p enerj-apps --example energy_report`.
 
-use enerj::apps::{all_apps, harness};
-use enerj::hw::config::Level;
-use enerj::hw::energy::{normalized_energy_with_split, DRAM_MOBILE_FRACTION, DRAM_SYSTEM_FRACTION};
+use enerj_apps::{all_apps, harness};
+use enerj_hw::config::Level;
+use enerj_hw::energy::{normalized_energy_with_split, DRAM_MOBILE_FRACTION, DRAM_SYSTEM_FRACTION};
 
 fn main() {
     println!("Energy breakdown at the Medium configuration (normalized, 1.0 = precise)");

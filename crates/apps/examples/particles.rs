@@ -1,7 +1,7 @@
 //! Particle simulation: the section 4.1 object layout and `@Approximable`
 //! classes working together.
 //!
-//! Run with `cargo run --release --example particles`.
+//! Run with `cargo run --release -p enerj-apps --example particles`.
 //!
 //! Each particle is a DRAM-resident record with a precise identity and
 //! approximate kinematic state. The layout follows the paper's scheme —
@@ -10,10 +10,10 @@
 //! approximate (low-refresh) storage. Velocity updates run on approximable
 //! vectors, so the arithmetic rides the imprecise FPU too.
 
-use enerj::apps::approximable::{endorse_vector, Vector3};
-use enerj::core::context::ApproxMode;
-use enerj::core::{endorse, Approx, ApproxRecord, RecordSchema, Runtime};
-use enerj::hw::config::Level;
+use enerj_apps::approximable::{endorse_vector, Vector3};
+use enerj_core::context::ApproxMode;
+use enerj_core::{endorse, Approx, ApproxRecord, RecordSchema, Runtime};
+use enerj_hw::config::Level;
 
 const PARTICLES: usize = 64;
 const STEPS: usize = 50;

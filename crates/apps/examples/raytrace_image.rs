@@ -4,12 +4,12 @@
 //! resembling its precise output, but the amount of random pixel noise
 //! increases with the aggressiveness of approximation."
 //!
-//! Run with `cargo run --release --example raytrace_image`.
+//! Run with `cargo run --release -p enerj-apps --example raytrace_image`.
 
-use enerj::apps::qos::{output_error, Output};
-use enerj::apps::raytracer;
-use enerj::core::Runtime;
-use enerj::hw::config::{HwConfig, Level, StrategyMask};
+use enerj_apps::qos::{output_error, Output};
+use enerj_apps::raytracer;
+use enerj_core::Runtime;
+use enerj_hw::config::{HwConfig, Level, StrategyMask};
 
 const RAMP: &[u8] = b" .:-=+*#%@";
 

@@ -2,15 +2,15 @@
 //!
 //! Every figure in the paper's evaluation is a *campaign*: a batch of
 //! independent simulated runs, each fully determined by an application, a
-//! hardware configuration and a fault seed. This module runs such batches
-//! across worker threads ([`run_campaign`]) with two guarantees the naive
-//! serial loops could not give:
+//! hardware configuration and a fault seed. One engine runs every such
+//! batch ([`run_campaign_streamed`]) with two guarantees the naive serial
+//! loops could not give:
 //!
 //! * **Determinism.** Each trial's seed is fixed up front in its
 //!   [`TrialSpec`], every trial builds its own [`Runtime`](enerj_core::Runtime)
 //!   (fault PRNG state is per-run, never shared), and aggregation happens
-//!   in trial-index order after all workers finish. Results are therefore
-//!   bit-identical for any thread count, including the serial path.
+//!   in trial-index order at the drain point. Results are therefore
+//!   bit-identical for any thread count, one thread included.
 //! * **Crash isolation.** A fault-injected run can panic — an endorsed
 //!   index goes out of bounds, a corrupted loop bound overflows. The paper
 //!   treats a crashed run as producing worst-case output, so each trial
@@ -20,15 +20,14 @@
 //!   campaign.
 //!
 //! A spec may also carry a [`recovery::Policy`]: the trial then runs under
-//! the watchdog/check/retry protocol of the [`recovery`](crate::recovery)
-//! module, its energy and statistics summed over every attempt, with the
-//! attempt count, escalation outcome and failure causes recorded on the
+//! the watchdog/check/retry protocol of the [`recovery`] module, its
+//! energy and statistics summed over every attempt, with the attempt
+//! count, escalation outcome and failure causes recorded on the
 //! [`TrialResult`]. Recovery uses per-trial fixed retry seeds, so
 //! recovery-enabled campaigns keep the bit-identical-at-any-thread-count
 //! guarantee.
 //!
-//! Campaigns run on a *streaming throughput engine* built for
-//! million-trial scale:
+//! The engine is built for million-trial scale:
 //!
 //! * **Lazy specs.** A campaign's trials come from a [`SpecSource`] — an
 //!   indexed generator ([`SpecFn`]) or a plain slice — so protocol-level
@@ -39,27 +38,28 @@
 //!   default auto) instead of one per trial.
 //! * **Bounded-memory result streaming.** Completed [`TrialResult`]s pass
 //!   through a reorder buffer that drains them *in index order* to a
-//!   pluggable [`TrialSink`] — an in-memory vector for compatibility
-//!   ([`run_campaign`]), an NDJSON writer ([`NdjsonSink`]) or nothing at
-//!   all ([`NullSink`]) for campaign-scale runs — so peak result memory is
-//!   O(threads × chunk) instead of O(trials). Aggregates accumulate at the
-//!   drain point, in index order, which keeps every total bit-identical to
-//!   the serial loop; exact integer [`EnergyQuanta`] totals would be
-//!   order-independent anyway.
+//!   pluggable [`TrialSink`] — an in-memory vector ([`VecSink`], behind
+//!   [`CampaignReport::collect`]), an NDJSON writer ([`NdjsonSink`]) or
+//!   nothing at all ([`NullSink`]) for campaign-scale runs — so peak result
+//!   memory is O(threads × chunk) instead of O(trials). The
+//!   [`CampaignSummary`] aggregates accumulate at the drain point, in index
+//!   order, which keeps every total bit-identical at any thread count;
+//!   exact integer [`EnergyQuanta`] totals would be order-independent
+//!   anyway.
 //! * **Per-worker scratch reuse.** Each worker owns a
 //!   [`harness::Workspace`] threaded through the measurement, so apps stop
 //!   allocating fresh input buffers every trial.
 //!
-//! The resulting [`CampaignReport`] carries per-trial errors, merged
-//! [`Stats`], per-trial [`EnergyBreakdown`]s and exact
-//! [`EnergyQuantaBreakdown`]s, per-trial fault telemetry
-//! ([`FaultCounters`], plus opt-in structured [`FaultEvent`] logs) and
-//! wall-clock times, and serializes to JSON (`schema: "enerj-campaign/5"`)
-//! for the bench binaries' `results/BENCH_*.json` reports. The fault log
-//! exports as NDJSON via [`CampaignReport::write_fault_log`]. Campaigns run
-//! through [`CampaignOptions`] can also report live progress (trials done,
-//! panics, ETA) on stderr; progress updates are batched per chunk so the
-//! meter never contends in the trial hot path.
+//! A [`CampaignReport`] is the in-memory view: every [`TrialResult`] (errors,
+//! [`Stats`], [`EnergyBreakdown`]s and exact [`EnergyQuantaBreakdown`]s,
+//! fault telemetry — [`FaultCounters`] plus opt-in structured
+//! [`FaultEvent`] logs — and wall-clock times) next to the drain's
+//! [`CampaignSummary`]. It serializes to JSON (`schema: "enerj-campaign/5"`)
+//! for the bench binaries' `results/BENCH_*.json` reports, and its fault log
+//! exports as NDJSON via [`CampaignReport::write_fault_log`]. Campaigns can
+//! also report live progress (trials done, panics, ETA) on stderr; progress
+//! updates are batched per chunk so the meter never contends in the trial
+//! hot path.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -213,6 +213,34 @@ pub struct TrialResult {
 }
 
 impl TrialResult {
+    /// A crashed trial, scored by the paper's protocol: a crashed run
+    /// delivers worst-case quality (error 1.0) and claims no savings over
+    /// the precise baseline (energy 1.0). Its statistics, quanta and fault
+    /// telemetry are zeroed — the machine state is unrecoverable.
+    fn crashed(index: usize, spec: &TrialSpec, wall: Duration, msg: String) -> Self {
+        TrialResult {
+            index,
+            app: spec.app.meta.name,
+            label: spec.label.clone(),
+            seed: spec.seed,
+            error: 1.0,
+            output: None,
+            stats: Stats::new(),
+            energy: EnergyBreakdown { instructions: 1.0, sram: 1.0, dram: 1.0, total: 1.0 },
+            energy_quanta: EnergyQuantaBreakdown::ZERO,
+            wall,
+            failure_causes: vec![format!("panic: {msg}")],
+            panic: Some(msg),
+            fault_counts: FaultCounters::new(),
+            events: Vec::new(),
+            attempts: 1,
+            recovered_at_level: None,
+            recovery_energy_overhead: 0.0,
+            recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
+            scheduled_level: spec.scheduled_level.clone(),
+        }
+    }
+
     /// Whether the trial crashed (and was scored worst-case). For
     /// recovery-enabled trials this means the *final* attempt panicked;
     /// a panic the ladder recovered from is in
@@ -227,17 +255,14 @@ impl TrialResult {
     }
 }
 
-/// The aggregated outcome of a campaign.
+/// A campaign held in memory: every trial, in spec order, next to the
+/// engine's drain-folded [`CampaignSummary`].
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Per-trial results, in spec order.
     pub trials: Vec<TrialResult>,
-    /// Statistics of all non-panicked trials, merged in trial order.
-    pub merged_stats: Stats,
-    /// Wall-clock time of the whole campaign.
-    pub wall: Duration,
-    /// Worker threads used.
-    pub threads: usize,
+    /// The aggregates the engine folded at its drain point, in index order.
+    pub summary: CampaignSummary,
     /// The per-campaign energy budget an online scheduler held, in metered
     /// quanta (`None` for unscheduled campaigns).
     pub budget_quanta: Option<EnergyQuanta>,
@@ -248,16 +273,27 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Mean output error over all trials, summed in trial-index order
-    /// (bit-identical to the serial loop). Empty campaigns score 0.0.
-    pub fn mean_error(&self) -> f64 {
-        mean_in_order(self.trials.iter())
+    /// Runs every trial of `source` through [`run_campaign_streamed`] into a
+    /// [`VecSink`]. Campaigns too large to hold in memory should stream to
+    /// an [`NdjsonSink`] instead.
+    pub fn collect<S: SpecSource + ?Sized>(source: &S, opts: &CampaignOptions) -> Self {
+        let (trials, summary) = collect_in_memory(|sink| run_campaign_streamed(source, opts, sink));
+        CampaignReport { trials, summary, budget_quanta: None, budget_met: None }
     }
 
     /// Mean output error over the trials of one `(app, label)` group,
     /// summed in trial-index order. Empty groups score 0.0.
     pub fn mean_error_for(&self, app: &str, label: &str) -> f64 {
-        mean_in_order(self.trials.iter().filter(|t| t.app == app && t.label == label))
+        let (mut total, mut n) = (0.0, 0u64);
+        for t in self.trials_for(app, label) {
+            total += t.error;
+            n += 1;
+        }
+        if n == 0 {
+            0.0
+        } else {
+            total / n as f64
+        }
     }
 
     /// The trials of one `(app, label)` group, in trial-index order.
@@ -267,42 +303,6 @@ impl CampaignReport {
         label: &'a str,
     ) -> impl Iterator<Item = &'a TrialResult> {
         self.trials.iter().filter(move |t| t.app == app && t.label == label)
-    }
-
-    /// Number of trials that panicked.
-    pub fn panic_count(&self) -> usize {
-        self.trials.iter().filter(|t| t.panicked()).count()
-    }
-
-    /// Number of trials whose accepted output came from an escalation rung.
-    pub fn recovered_count(&self) -> usize {
-        self.trials.iter().filter(|t| t.recovered()).count()
-    }
-
-    /// Total energy charged to rejected attempts across the campaign, in
-    /// exact quanta. Pure integer summation: the total is independent of
-    /// trial iteration order (the old f64 sum was not).
-    pub fn recovery_energy_overhead(&self) -> EnergyQuanta {
-        self.trials.iter().map(|t| t.recovery_energy_overhead_quanta).sum()
-    }
-
-    /// Exact energy totals over every trial, merged in trial-index order —
-    /// though with quanta any order gives bit-identical results.
-    pub fn energy_quanta_totals(&self) -> EnergyQuantaBreakdown {
-        let mut totals = EnergyQuantaBreakdown::ZERO;
-        for t in &self.trials {
-            totals.merge(&t.energy_quanta);
-        }
-        totals
-    }
-
-    /// Per-kind fault counters merged over all trials.
-    pub fn fault_totals(&self) -> FaultCounters {
-        let mut totals = FaultCounters::new();
-        for t in &self.trials {
-            totals.merge(&t.fault_counts);
-        }
-        totals
     }
 
     /// Serializes the report as a JSON object (`schema: "enerj-campaign/5"`,
@@ -315,13 +315,14 @@ impl CampaignReport {
     /// byte-level comparison of those fields across reports is an exact
     /// comparison of the underlying `u128` totals.
     pub fn to_json(&self) -> String {
+        let sum = &self.summary;
         let mut out = String::with_capacity(256 + 256 * self.trials.len());
         out.push_str("{\"schema\":\"enerj-campaign/5\"");
-        out.push_str(&format!(",\"threads\":{}", self.threads));
-        out.push_str(&format!(",\"wall_seconds\":{:.6}", self.wall.as_secs_f64()));
-        out.push_str(&format!(",\"mean_error\":{}", json_f64(self.mean_error())));
-        out.push_str(&format!(",\"panics\":{}", self.panic_count()));
-        out.push_str(&format!(",\"recovered\":{}", self.recovered_count()));
+        out.push_str(&format!(",\"threads\":{}", sum.threads));
+        out.push_str(&format!(",\"wall_seconds\":{:.6}", sum.wall.as_secs_f64()));
+        out.push_str(&format!(",\"mean_error\":{}", json_f64(sum.mean_error)));
+        out.push_str(&format!(",\"panics\":{}", sum.panics));
+        out.push_str(&format!(",\"recovered\":{}", sum.recovered));
         out.push_str(&format!(
             ",\"budget_quanta\":{}",
             match self.budget_quanta {
@@ -338,14 +339,14 @@ impl CampaignReport {
         ));
         out.push_str(&format!(
             ",\"recovery_energy_overhead_quanta\":{}",
-            self.recovery_energy_overhead()
+            sum.recovery_energy_overhead_quanta
         ));
         out.push_str(",\"energy_quanta\":");
-        out.push_str(&energy_quanta_json(&self.energy_quanta_totals()));
+        out.push_str(&energy_quanta_json(&sum.energy_quanta));
         out.push_str(",\"merged_stats\":");
-        out.push_str(&stats_json(&self.merged_stats));
+        out.push_str(&stats_json(&sum.merged_stats));
         out.push_str(",\"fault_totals\":");
-        out.push_str(&counters_json(&self.fault_totals()));
+        out.push_str(&counters_json(&sum.fault_totals));
         out.push_str(",\"trials\":[");
         for (i, t) in self.trials.iter().enumerate() {
             if i > 0 {
@@ -442,21 +443,9 @@ pub fn trial_json(t: &TrialResult) -> String {
     )
 }
 
-fn mean_in_order<'a>(trials: impl Iterator<Item = &'a TrialResult>) -> f64 {
-    let mut total = 0.0;
-    let mut n = 0u64;
-    for t in trials {
-        total += t.error;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        total / n as f64
-    }
-}
-
-fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included: `"`, `\` and control
+/// characters escaped, everything else verbatim.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -636,105 +625,58 @@ impl Progress {
     }
 }
 
-/// Runs one trial, catching panics from fault-corrupted executions.
-/// Recovery-enabled specs go through [`run_recovered_trial`] instead.
-/// `ws` is the worker's reusable scratch workspace.
+/// Runs one trial, catching panics from fault-corrupted executions; `ws`
+/// is the worker's reusable scratch workspace. A recovery-enabled spec runs
+/// under its policy's protocol, which already contains app panics and
+/// watchdog trips per attempt — there the `catch_unwind` only guards
+/// against harness bugs (a panicking checker or QoS metric). Either way a
+/// caught panic scores as [`TrialResult::crashed`].
 fn run_trial(
     index: usize,
     spec: &TrialSpec,
     log_events: bool,
     ws: &mut harness::Workspace,
 ) -> TrialResult {
-    if let Some(policy) = &spec.recovery {
-        return run_recovered_trial(index, spec, policy, log_events, ws);
-    }
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let m = harness::measure_in(&spec.app, spec.cfg, spec.seed, log_events, ws);
-        let error = match &spec.reference {
-            Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
-            None => 0.0,
-        };
-        (m, error)
-    }));
-    let wall = start.elapsed();
-    match outcome {
-        Ok((m, error)) => TrialResult {
-            index,
-            app: spec.app.meta.name,
-            label: spec.label.clone(),
-            seed: spec.seed,
-            error,
-            output: spec.keep_output.then_some(m.output),
-            stats: m.stats,
-            energy: m.energy,
-            energy_quanta: m.energy_quanta,
-            wall,
-            panic: None,
-            fault_counts: m.fault_counts,
-            events: m.events,
-            attempts: 1,
-            recovered_at_level: None,
-            failure_causes: Vec::new(),
-            recovery_energy_overhead: 0.0,
-            recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-            scheduled_level: spec.scheduled_level.clone(),
-        },
-        Err(payload) => {
-            let msg = enerj_core::panic_message(payload.as_ref());
+    let outcome = catch_unwind(AssertUnwindSafe(|| match &spec.recovery {
+        None => {
+            let m = harness::measure_in(&spec.app, spec.cfg, spec.seed, log_events, ws);
+            let error = match &spec.reference {
+                Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
+                None => 0.0,
+            };
             TrialResult {
                 index,
                 app: spec.app.meta.name,
                 label: spec.label.clone(),
                 seed: spec.seed,
-                // The paper's protocol: a crashed run delivers worst-case
-                // quality and claims no savings over the precise baseline.
-                error: 1.0,
-                output: None,
-                stats: Stats::new(),
-                energy: EnergyBreakdown { instructions: 1.0, sram: 1.0, dram: 1.0, total: 1.0 },
-                energy_quanta: EnergyQuantaBreakdown::ZERO,
-                wall,
-                failure_causes: vec![format!("panic: {msg}")],
-                panic: Some(msg),
-                fault_counts: FaultCounters::new(),
-                events: Vec::new(),
+                error,
+                output: spec.keep_output.then_some(m.output),
+                stats: m.stats,
+                energy: m.energy,
+                energy_quanta: m.energy_quanta,
+                wall: Duration::ZERO,
+                panic: None,
+                fault_counts: m.fault_counts,
+                events: m.events,
                 attempts: 1,
                 recovered_at_level: None,
+                failure_causes: Vec::new(),
                 recovery_energy_overhead: 0.0,
                 recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
                 scheduled_level: spec.scheduled_level.clone(),
             }
         }
-    }
-}
-
-/// Runs one trial under its spec's recovery policy. The recovery runner
-/// already contains app panics and watchdog trips per attempt; the outer
-/// `catch_unwind` only guards against harness bugs (a panicking checker or
-/// QoS metric), scored like a plain crashed trial.
-fn run_recovered_trial(
-    index: usize,
-    spec: &TrialSpec,
-    policy: &recovery::Policy,
-    log_events: bool,
-    ws: &mut harness::Workspace,
-) -> TrialResult {
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        recovery::run_with_recovery_in(
-            &spec.app,
-            spec.cfg,
-            spec.seed,
-            policy,
-            spec.reference.as_deref(),
-            log_events,
-            ws,
-        )
-    }));
-    let wall = start.elapsed();
-    match outcome {
-        Ok(r) => {
+        Some(policy) => {
+            let r = recovery::run_with_recovery_in(
+                &spec.app,
+                spec.cfg,
+                spec.seed,
+                policy,
+                spec.reference.as_deref(),
+                log_events,
+                ws,
+            );
             // An unrecovered trial whose last attempt panicked keeps the
             // plain-trial contract: `panic` is set. Failures the ladder
             // recovered from live in `failure_causes` only.
@@ -752,7 +694,7 @@ fn run_recovered_trial(
                 stats: r.stats,
                 energy: r.energy,
                 energy_quanta: r.energy_quanta,
-                wall,
+                wall: Duration::ZERO,
                 panic,
                 fault_counts: r.fault_counts,
                 events: r.events,
@@ -764,29 +706,12 @@ fn run_recovered_trial(
                 scheduled_level: spec.scheduled_level.clone(),
             }
         }
+    }));
+    let wall = start.elapsed();
+    match outcome {
+        Ok(trial) => TrialResult { wall, ..trial },
         Err(payload) => {
-            let msg = enerj_core::panic_message(payload.as_ref());
-            TrialResult {
-                index,
-                app: spec.app.meta.name,
-                label: spec.label.clone(),
-                seed: spec.seed,
-                error: 1.0,
-                output: None,
-                stats: Stats::new(),
-                energy: EnergyBreakdown { instructions: 1.0, sram: 1.0, dram: 1.0, total: 1.0 },
-                energy_quanta: EnergyQuantaBreakdown::ZERO,
-                wall,
-                failure_causes: vec![format!("panic: {msg}")],
-                panic: Some(msg),
-                fault_counts: FaultCounters::new(),
-                events: Vec::new(),
-                attempts: 1,
-                recovered_at_level: None,
-                recovery_energy_overhead: 0.0,
-                recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-                scheduled_level: spec.scheduled_level.clone(),
-            }
+            TrialResult::crashed(index, spec, wall, enerj_core::panic_message(payload.as_ref()))
         }
     }
 }
@@ -875,8 +800,8 @@ pub trait TrialSink: Send {
     }
 }
 
-/// Collects every trial in memory — the compatibility sink behind
-/// [`run_campaign`], O(trials) memory by design.
+/// Collects every trial in memory — the sink behind
+/// [`CampaignReport::collect`], O(trials) memory by design.
 #[derive(Debug, Default)]
 pub struct VecSink {
     /// The collected trials, in index order.
@@ -931,10 +856,10 @@ impl<W: std::io::Write + Send> TrialSink for NdjsonSink<W> {
     }
 }
 
-/// A streamed campaign's aggregate outcome: everything a
-/// [`CampaignReport`] derives from its trial vector, accumulated at the
-/// reorder buffer's drain point in strict index order — bit-identical to
-/// post-hoc aggregation over an in-memory result vector, at O(1) memory.
+/// A campaign's aggregate outcome, accumulated at the reorder buffer's
+/// drain point in strict index order — bit-identical to post-hoc
+/// aggregation over the trial vector, at O(1) memory. This is the only
+/// place campaign totals are computed; a [`CampaignReport`] carries it.
 #[derive(Debug, Clone)]
 pub struct CampaignSummary {
     /// Trials run.
@@ -959,8 +884,10 @@ pub struct CampaignSummary {
     pub threads: usize,
     /// Chunk size used (after auto-resolution).
     pub chunk: usize,
-    /// High-water mark of results parked in the reorder buffer (0 on the
-    /// serial path, which streams directly). Always ≤ `buffer_capacity`.
+    /// High-water mark of results parked in the reorder buffer, counting
+    /// the one being inserted: 1 at one thread, where every push lands on
+    /// the drain cursor and drains at once (0 only for a campaign that ran
+    /// no trial). Always ≤ `buffer_capacity`.
     pub peak_buffered: usize,
     /// The reorder buffer's capacity bound: `2 × threads × chunk`.
     pub buffer_capacity: usize,
@@ -1186,38 +1113,15 @@ impl Drop for PoisonOnUnwind<'_, '_> {
     }
 }
 
-/// Runs every spec, fanning trials across `threads` workers (`0` means
-/// [`default_threads`]). Results and all aggregates are bit-identical for
-/// any thread count.
-pub fn run_campaign(specs: &[TrialSpec], threads: usize) -> CampaignReport {
-    run_campaign_with(specs, &CampaignOptions::with_threads(threads))
-}
-
-/// [`run_campaign`] with explicit [`CampaignOptions`]. Telemetry switches
-/// never change trial outcomes: errors, statistics and energy are
-/// bit-identical for any option combination, thread count and chunk size.
-pub fn run_campaign_with(specs: &[TrialSpec], opts: &CampaignOptions) -> CampaignReport {
-    run_campaign_from(specs, opts)
-}
-
-/// [`run_campaign_with`] over any [`SpecSource`], collecting every trial
-/// in memory. Campaigns too large to hold in memory should go through
-/// [`run_campaign_streamed`] with an [`NdjsonSink`] instead.
-pub fn run_campaign_from<S: SpecSource + ?Sized>(
-    source: &S,
-    opts: &CampaignOptions,
-) -> CampaignReport {
+/// Runs `campaign` into a [`VecSink`] and returns the collected trials with
+/// the campaign's own result — the one place the in-memory sink's
+/// infallibility is relied on.
+pub(crate) fn collect_in_memory<T>(
+    campaign: impl FnOnce(&mut dyn TrialSink) -> std::io::Result<T>,
+) -> (Vec<TrialResult>, T) {
     let mut sink = VecSink::default();
-    let summary =
-        run_campaign_streamed(source, opts, &mut sink).expect("the in-memory sink cannot fail");
-    CampaignReport {
-        trials: sink.trials,
-        merged_stats: summary.merged_stats,
-        wall: summary.wall,
-        threads: summary.threads,
-        budget_quanta: None,
-        budget_met: None,
-    }
+    let outcome = campaign(&mut sink).expect("the in-memory sink cannot fail");
+    (sink.trials, outcome)
 }
 
 /// The streaming campaign engine: runs every trial of `source`, drains
@@ -1249,16 +1153,24 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     let progress = Progress::new(len, opts.progress, start);
     let log_events = opts.log_events;
 
-    if threads <= 1 {
-        // Serial path: stream straight to the sink, no window needed.
+    let reorder = Reorder::new(sink, capacity);
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        // If this worker dies mid-chunk (harness bug), poison the window so
+        // the other workers fail fast instead of waiting forever on slots
+        // that will never fill.
+        let _poison_guard = PoisonOnUnwind(&reorder);
         let mut ws = harness::Workspace::new();
-        let mut totals = Totals::new();
-        let mut sink_error: Option<std::io::Error> = None;
-        let mut lo = 0usize;
-        while lo < len {
-            // Deadline is checked at chunk claim only, so truncation lands
-            // exactly on a chunk boundary.
+        loop {
+            // Deadline is checked before claiming, so a campaign out of time
+            // truncates at a chunk boundary; chunks already claimed always
+            // run to completion.
             if opts.deadline.is_some_and(|d| start.elapsed() >= d) {
+                break;
+            }
+            // One atomic op claims a whole chunk of indices.
+            let lo = next.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= len {
                 break;
             }
             let hi = (lo + chunk).min(len);
@@ -1268,73 +1180,22 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
                 if r.panicked() {
                     panics += 1;
                 }
-                totals.accept(&r);
-                if sink_error.is_none() {
-                    if let Err(e) = sink.accept(r) {
-                        sink_error = Some(e);
-                    }
-                }
+                reorder.push(i, r);
             }
             progress.tick_chunk(hi - lo, panics);
-            lo = hi;
         }
-        if sink_error.is_none() {
-            if let Err(e) = sink.flush() {
-                sink_error = Some(e);
+    };
+    if threads == 1 {
+        // A lone worker runs on the caller's thread. Its every push lands on
+        // the drain cursor, so it never blocks and drains at once.
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(worker);
             }
-        }
-        return match sink_error {
-            Some(e) => Err(e),
-            None => {
-                let deadline_exceeded = totals.count < len;
-                Ok(totals.into_summary(
-                    start.elapsed(),
-                    threads,
-                    chunk,
-                    0,
-                    capacity,
-                    deadline_exceeded,
-                ))
-            }
-        };
+        });
     }
-
-    let reorder = Reorder::new(sink, capacity);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // If this worker dies mid-chunk (harness bug), poison the
-                // window so the other workers fail fast instead of waiting
-                // forever on slots that will never fill.
-                let _poison_guard = PoisonOnUnwind(&reorder);
-                let mut ws = harness::Workspace::new();
-                loop {
-                    // Deadline is checked before claiming, so a campaign
-                    // out of time truncates at a chunk boundary; chunks
-                    // already claimed always run to completion.
-                    if opts.deadline.is_some_and(|d| start.elapsed() >= d) {
-                        break;
-                    }
-                    // One atomic op claims a whole chunk of indices.
-                    let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= len {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(len);
-                    let mut panics = 0usize;
-                    for i in lo..hi {
-                        let r = run_trial(i, &source.spec(i), log_events, &mut ws);
-                        if r.panicked() {
-                            panics += 1;
-                        }
-                        reorder.push(i, r);
-                    }
-                    progress.tick_chunk(hi - lo, panics);
-                }
-            });
-        }
-    });
     let mut inner = reorder.inner.into_inner().expect("unpoisoned reorder buffer");
     debug_assert!(
         opts.deadline.is_some() || inner.next_drain == len,
@@ -1364,29 +1225,20 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
 /// The Figure 5 protocol as one campaign: per app, a fault-free reference,
 /// then `runs` fault-injection trials at each level (seeds
 /// `FAULT_SEED_BASE ^ i`, labels the level names). References are
-/// themselves collected in a parallel campaign first.
-pub fn run_level_campaign(
-    apps: &[App],
-    levels: &[Level],
-    runs: u64,
-    threads: usize,
-) -> CampaignReport {
-    run_level_campaign_with(apps, levels, runs, &CampaignOptions::with_threads(threads))
-}
-
-/// [`run_level_campaign`] with explicit [`CampaignOptions`]; references are
-/// always collected without the fault log (they inject no faults).
+/// themselves collected in a campaign first, on `opts.threads` workers and
+/// without the fault log, progress meter or deadline.
 ///
 /// Specs are generated lazily per index ([`SpecFn`]) in the canonical
 /// app → level → run order; only the per-app reference outputs are held.
-pub fn run_level_campaign_with(
+pub fn run_level_campaign(
     apps: &[App],
     levels: &[Level],
     runs: u64,
     opts: &CampaignOptions,
 ) -> CampaignReport {
     let ref_specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
-    let references = run_campaign(&ref_specs, opts.threads);
+    let references =
+        CampaignReport::collect(ref_specs.as_slice(), &CampaignOptions::with_threads(opts.threads));
     let refs: Vec<Arc<Output>> = apps
         .iter()
         .zip(&references.trials)
@@ -1408,7 +1260,7 @@ pub fn run_level_campaign_with(
             Arc::clone(&refs[a]),
         )
     });
-    run_campaign_from(&source, opts)
+    CampaignReport::collect(&source, opts)
 }
 
 #[cfg(test)]
@@ -1420,18 +1272,65 @@ mod tests {
         all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
     }
 
+    fn run(specs: &[TrialSpec], threads: usize) -> CampaignReport {
+        CampaignReport::collect(specs, &CampaignOptions::with_threads(threads))
+    }
+
     #[test]
     fn empty_campaign_is_well_defined() {
-        let report = run_campaign(&[], 4);
+        let report = run(&[], 4);
         assert_eq!(report.trials.len(), 0);
-        assert_eq!(report.mean_error(), 0.0);
-        assert_eq!(report.merged_stats, Stats::new());
+        assert_eq!(report.summary.mean_error, 0.0);
+        assert_eq!(report.summary.merged_stats, Stats::new());
+    }
+
+    #[test]
+    fn one_worker_runs_inline_and_drains_each_push_at_once() {
+        let caller = std::thread::current().id();
+        let mc = app("MonteCarlo");
+        let source = SpecFn::new(5, |_| {
+            assert_eq!(std::thread::current().id(), caller, "a lone worker spawns no thread");
+            TrialSpec::reference(&mc)
+        });
+        let opts = CampaignOptions { threads: 1, chunk: 2, ..CampaignOptions::default() };
+        let summary = run_campaign_streamed(&source, &opts, &mut NullSink).unwrap();
+        assert_eq!(summary.trials, 5);
+        assert_eq!(summary.peak_buffered, 1, "every push lands on the drain cursor");
+        assert_eq!(summary.buffer_capacity, 4);
+    }
+
+    /// A harness panic inside a recovery-enabled trial (here: a checker
+    /// bug) is caught by the same guard as a plain trial's and scores as
+    /// the same crashed result.
+    #[test]
+    fn recovery_harness_panic_scores_as_a_crashed_trial() {
+        fn broken_check(_: &Output) -> Result<(), String> {
+            panic!("checker bug")
+        }
+        let mc = App { check: broken_check, ..app("MonteCarlo") };
+        let reference = Arc::new(harness::reference(&mc).output);
+        let spec = TrialSpec::scored(
+            &mc,
+            "Mild",
+            HwConfig::for_level(Level::Mild),
+            FAULT_SEED_BASE,
+            reference,
+        )
+        .with_recovery(recovery::Policy::standard());
+        let report = run(&[spec], 1);
+        let t = &report.trials[0];
+        assert_eq!(t.panic.as_deref(), Some("checker bug"));
+        assert_eq!(t.failure_causes, ["panic: checker bug"]);
+        assert_eq!((t.error, t.energy.total, t.attempts), (1.0, 1.0, 1));
+        assert_eq!(t.stats, Stats::new());
+        assert_eq!(t.energy_quanta, EnergyQuantaBreakdown::ZERO);
+        assert_eq!(report.summary.panics, 1);
     }
 
     #[test]
     fn reference_trials_score_zero_and_keep_output() {
         let specs: Vec<TrialSpec> = all_apps().iter().take(3).map(TrialSpec::reference).collect();
-        let report = run_campaign(&specs, 2);
+        let report = run(&specs, 2);
         for t in &report.trials {
             assert_eq!(t.error, 0.0, "{}", t.app);
             assert!(t.output.is_some(), "{}", t.app);
@@ -1454,7 +1353,7 @@ mod tests {
                 )
             })
             .collect();
-        let report = run_campaign(&specs, 4);
+        let report = run(&specs, 4);
         for (i, t) in report.trials.iter().enumerate() {
             assert_eq!(t.index, i);
             assert_eq!(t.seed, FAULT_SEED_BASE ^ i as u64);
@@ -1464,7 +1363,7 @@ mod tests {
     #[test]
     fn json_report_has_schema_and_trials() {
         let specs = vec![TrialSpec::reference(&app("MonteCarlo"))];
-        let report = run_campaign(&specs, 1);
+        let report = run(&specs, 1);
         let json = report.to_json();
         assert!(json.starts_with("{\"schema\":\"enerj-campaign/5\""));
         assert!(json.contains("\"app\":\"MonteCarlo\""));
@@ -1489,7 +1388,10 @@ mod tests {
         let field = json.split("\"sram_precise_quanta\":").nth(1).expect("field present");
         let value: String = field.chars().take_while(|c| c.is_ascii_digit()).collect();
         assert!(!value.is_empty());
-        assert_eq!(value.parse::<u128>().unwrap(), report.merged_stats.sram_precise_quanta.get());
+        assert_eq!(
+            value.parse::<u128>().unwrap(),
+            report.summary.merged_stats.sram_precise_quanta.get()
+        );
     }
 
     #[test]
@@ -1512,9 +1414,9 @@ mod tests {
                 .with_recovery(policy.clone())
             })
             .collect();
-        let report = run_campaign(&specs, 2);
-        assert!(report.recovered_count() > 0, "50x chaos at threshold 0 must escalate");
-        assert!(report.recovery_energy_overhead() > EnergyQuanta::ZERO);
+        let report = run(&specs, 2);
+        assert!(report.summary.recovered > 0, "50x chaos at threshold 0 must escalate");
+        assert!(report.summary.recovery_energy_overhead_quanta > EnergyQuanta::ZERO);
         for t in &report.trials {
             if t.recovered() {
                 assert!(t.attempts >= 2);
@@ -1575,13 +1477,17 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let base = digest(&run_campaign(&specs, 1));
+        let base = digest(&run(&specs, 1));
         for threads in [2, 4, 8] {
-            assert_eq!(digest(&run_campaign(&specs, threads)), base, "{threads} threads");
+            assert_eq!(digest(&run(&specs, threads)), base, "{threads} threads");
         }
         // Telemetry must not perturb recovery outcomes either.
         let opts = CampaignOptions { threads: 4, log_events: true, ..CampaignOptions::default() };
-        assert_eq!(digest(&run_campaign_with(&specs, &opts)), base, "with fault log");
+        assert_eq!(
+            digest(&CampaignReport::collect(specs.as_slice(), &opts)),
+            base,
+            "with fault log"
+        );
     }
 
     /// Satellite of the quanta refactor: the accounting identity
@@ -1603,8 +1509,8 @@ mod tests {
                     .with_recovery(policy.clone())
             })
             .collect();
-        let report = run_campaign(&specs, 4);
-        assert!(report.recovered_count() > 0, "50x chaos at threshold 0 must escalate");
+        let report = run(&specs, 4);
+        assert!(report.summary.recovered > 0, "50x chaos at threshold 0 must escalate");
         for t in &report.trials {
             // Exact decomposition: subtraction round-trips in u128.
             let accepted = t.energy_quanta.total - t.recovery_energy_overhead_quanta;
@@ -1642,7 +1548,7 @@ mod tests {
             .iter()
             .map(|t| t.energy_quanta.total - t.recovery_energy_overhead_quanta)
             .sum();
-        assert_eq!(accepted + report.recovery_energy_overhead(), total);
+        assert_eq!(accepted + report.summary.recovery_energy_overhead_quanta, total);
     }
 
     #[test]
@@ -1661,8 +1567,8 @@ mod tests {
             })
             .collect();
         let opts = CampaignOptions { threads: 2, log_events: true, ..CampaignOptions::default() };
-        let report = run_campaign_with(&specs, &opts);
-        let totals = report.fault_totals();
+        let report = CampaignReport::collect(specs.as_slice(), &opts);
+        let totals = &report.summary.fault_totals;
         assert!(totals.total_injections() > 0, "aggressive MonteCarlo injects faults");
         let ndjson = report.fault_log_ndjson();
         let lines: Vec<&str> = ndjson.lines().collect();
@@ -1687,7 +1593,8 @@ mod tests {
     #[test]
     fn level_campaign_matches_serial_mean_error() {
         let apps = [app("MonteCarlo")];
-        let report = run_level_campaign(&apps, &[Level::Mild], 3, 2);
+        let report =
+            run_level_campaign(&apps, &[Level::Mild], 3, &CampaignOptions::with_threads(2));
         let serial = harness::mean_output_error(&apps[0], Level::Mild, 3);
         let parallel = report.mean_error_for("MonteCarlo", "Mild");
         assert_eq!(serial.to_bits(), parallel.to_bits());
@@ -1715,7 +1622,7 @@ mod tests {
                     .with_recovery(policy.clone())
                 })
                 .collect();
-            [1usize, 2, 4, 8].iter().map(|&t| (t, run_campaign(&specs, t))).collect()
+            [1usize, 2, 4, 8].iter().map(|&t| (t, run(&specs, t))).collect()
         })
     }
 
@@ -1751,9 +1658,9 @@ mod tests {
                 &reports.iter().find(|(t, _)| *t == threads).expect("precomputed").1;
 
             // Thread count cannot perturb any total.
-            prop_assert_eq!(report.energy_quanta_totals(), base.energy_quanta_totals());
-            prop_assert_eq!(report.recovery_energy_overhead(), base.recovery_energy_overhead());
-            prop_assert_eq!(report.merged_stats, base.merged_stats);
+            prop_assert_eq!(report.summary.energy_quanta, base.summary.energy_quanta);
+            prop_assert_eq!(report.summary.recovery_energy_overhead_quanta, base.summary.recovery_energy_overhead_quanta);
+            prop_assert_eq!(report.summary.merged_stats, base.summary.merged_stats);
 
             // Neither can merge order: fold the trials in a shuffled order
             // and compare whole-struct equality against the in-order totals.
@@ -1767,9 +1674,9 @@ mod tests {
                 overhead += report.trials[i].recovery_energy_overhead_quanta;
                 stats.merge(&report.trials[i].stats);
             }
-            prop_assert_eq!(energy, base.energy_quanta_totals());
-            prop_assert_eq!(overhead, base.recovery_energy_overhead());
-            prop_assert_eq!(stats, base.merged_stats);
+            prop_assert_eq!(energy, base.summary.energy_quanta);
+            prop_assert_eq!(overhead, base.summary.recovery_energy_overhead_quanta);
+            prop_assert_eq!(stats, base.summary.merged_stats);
         }
     }
 }

@@ -15,9 +15,7 @@
 use std::sync::Arc;
 
 use crate::harness;
-use crate::trials::{
-    default_threads, run_campaign_with, CampaignOptions, CampaignReport, TrialSpec,
-};
+use crate::trials::{default_threads, CampaignOptions, CampaignReport, TrialSpec};
 use crate::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::EnergyQuantaBreakdown;
@@ -127,7 +125,7 @@ pub fn tune_campaign(
             })
         })
         .collect();
-    let report = run_campaign_with(&specs, opts);
+    let report = CampaignReport::collect(specs.as_slice(), opts);
     let mut errors = [0.0f64; 3];
     let mut energy = [1.0f64; 3];
     let mut energy_quanta = [EnergyQuantaBreakdown::ZERO; 3];

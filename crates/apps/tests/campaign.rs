@@ -8,13 +8,17 @@ use std::sync::Arc;
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::meta::AppMeta;
 use enerj_apps::qos::{output_error, Output, QosMetric};
-use enerj_apps::trials::{run_campaign, run_level_campaign, TrialSpec};
+use enerj_apps::trials::{run_level_campaign, CampaignOptions, CampaignReport, TrialSpec};
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::stats::Stats;
 
 fn app(name: &str) -> App {
     all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+}
+
+fn run(specs: &[TrialSpec], threads: usize) -> CampaignReport {
+    CampaignReport::collect(specs, &CampaignOptions::with_threads(threads))
 }
 
 /// The specs of the Figure 5 protocol for one app: `runs` seeds per level.
@@ -61,7 +65,7 @@ fn parallel_campaign_is_bit_identical_to_the_serial_loop() {
         let specs = level_specs(&app, &[Level::Mild, Level::Aggressive], 3);
         let (serial_errors, serial_stats, serial_merged) = serial_baseline(&specs);
         for threads in [1, 4] {
-            let report = run_campaign(&specs, threads);
+            let report = run(&specs, threads);
             assert_eq!(report.trials.len(), specs.len(), "{name}");
             for (t, (se, ss)) in report.trials.iter().zip(serial_errors.iter().zip(&serial_stats)) {
                 assert_eq!(
@@ -77,7 +81,7 @@ fn parallel_campaign_is_bit_identical_to_the_serial_loop() {
                 );
             }
             assert_eq!(
-                report.merged_stats, serial_merged,
+                report.summary.merged_stats, serial_merged,
                 "{name}: merged stats differ at {threads} threads"
             );
         }
@@ -91,16 +95,15 @@ fn parallel_campaign_is_bit_identical_to_the_serial_loop() {
 /// on or off, energy quanta included.
 #[test]
 fn batched_app_campaigns_are_bit_identical_across_threads_and_telemetry() {
-    use enerj_apps::trials::{run_campaign_with, CampaignOptions};
     let mut specs = Vec::new();
     for name in ["FFT", "SOR", "LU"] {
         specs.extend(level_specs(&app(name), &[Level::Mild, Level::Aggressive], 2));
     }
-    let baseline = run_campaign(&specs, 1);
+    let baseline = run(&specs, 1);
     for threads in [1, 2, 4, 8] {
         for log_events in [false, true] {
-            let report = run_campaign_with(
-                &specs,
+            let report = CampaignReport::collect(
+                specs.as_slice(),
                 &CampaignOptions { threads, log_events, ..CampaignOptions::default() },
             );
             assert_eq!(report.trials.len(), baseline.trials.len());
@@ -114,8 +117,8 @@ fn batched_app_campaigns_are_bit_identical_across_threads_and_telemetry() {
                 assert_eq!(t.energy_quanta, b.energy_quanta, "{what}: quanta");
                 assert_eq!(t.fault_counts, b.fault_counts, "{what}: fault counts");
             }
-            assert_eq!(report.merged_stats, baseline.merged_stats);
-            assert_eq!(report.energy_quanta_totals(), baseline.energy_quanta_totals());
+            assert_eq!(report.summary.merged_stats, baseline.summary.merged_stats);
+            assert_eq!(report.summary.energy_quanta, baseline.summary.energy_quanta);
         }
     }
 }
@@ -123,7 +126,7 @@ fn batched_app_campaigns_are_bit_identical_across_threads_and_telemetry() {
 #[test]
 fn level_campaign_matches_per_level_serial_means() {
     let apps = [app("SOR"), app("MonteCarlo")];
-    let report = run_level_campaign(&apps, &Level::ALL, 2, 4);
+    let report = run_level_campaign(&apps, &Level::ALL, 2, &CampaignOptions::with_threads(4));
     for a in &apps {
         let reference = harness::reference(a).output;
         for level in Level::ALL {
@@ -185,11 +188,11 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
             Arc::clone(&reference),
         ),
     ];
-    // The campaign must complete at every thread count, serial included.
+    // The campaign must complete at every thread count, one included.
     for threads in [1, 3] {
-        let report = run_campaign(&specs, threads);
+        let report = run(&specs, threads);
         assert_eq!(report.trials.len(), 3);
-        assert_eq!(report.panic_count(), 1);
+        assert_eq!(report.summary.panics, 1);
         let crashed = &report.trials[1];
         assert!(crashed.panicked());
         assert_eq!(crashed.error, 1.0, "crash scores worst-case QoS");
@@ -208,7 +211,7 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
             merged.merge(&report.trials[2].stats);
             merged
         };
-        assert_eq!(report.merged_stats, good_stats);
+        assert_eq!(report.summary.merged_stats, good_stats);
         // The healthy trials are unaffected by their crashed neighbor.
         assert!(!report.trials[0].panicked());
         assert!(!report.trials[2].panicked());
@@ -220,8 +223,8 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
     // Also contained when the panicking trial is last (a worker's final
     // pull) and when every trial panics.
     specs.rotate_left(1);
-    let report = run_campaign(&specs, 2);
-    assert_eq!(report.panic_count(), 1);
+    let report = run(&specs, 2);
+    assert_eq!(report.summary.panics, 1);
     let all_bad: Vec<TrialSpec> = (0..4)
         .map(|i| {
             TrialSpec::scored(
@@ -233,10 +236,10 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
             )
         })
         .collect();
-    let report = run_campaign(&all_bad, 2);
-    assert_eq!(report.panic_count(), 4);
-    assert_eq!(report.mean_error(), 1.0);
-    assert_eq!(report.merged_stats, Stats::new());
+    let report = run(&all_bad, 2);
+    assert_eq!(report.summary.panics, 4);
+    assert_eq!(report.summary.mean_error, 1.0);
+    assert_eq!(report.summary.merged_stats, Stats::new());
 }
 
 #[test]
@@ -247,4 +250,65 @@ fn mean_output_error_vs_survives_a_panicking_app() {
     let reference = Output::Values(vec![0.0]);
     let err = harness::mean_output_error_vs(&bad, &reference, Level::Medium, 3);
     assert_eq!(err, 1.0);
+}
+
+/// `Stats::faults_injected` and `FaultCounters::total_injections()` count
+/// the same events: on every trial of a 50x chaos recovery campaign —
+/// recovered trials summed over their attempts, partial work of panicked
+/// attempts, and a trial whose every rung crashed — the two agree exactly.
+#[test]
+fn stored_fault_count_equals_the_counter_total_on_every_trial() {
+    use enerj_apps::recovery::{chaos_config, Policy};
+    let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
+    let mut specs = Vec::new();
+    for name in ["MonteCarlo", "SOR", "FFT"] {
+        let app = app(name);
+        let reference = Arc::new(harness::reference(&app).output);
+        for i in 0..4 {
+            specs.push(
+                TrialSpec::scored(
+                    &app,
+                    "chaos",
+                    chaos_config(50.0),
+                    FAULT_SEED_BASE ^ i,
+                    Arc::clone(&reference),
+                )
+                .with_recovery(policy.clone()),
+            );
+        }
+    }
+    let bad_reference = Arc::new(Output::Values(vec![0.0]));
+    specs.push(
+        TrialSpec::scored(
+            &panicking_app(),
+            "chaos",
+            chaos_config(50.0),
+            FAULT_SEED_BASE,
+            bad_reference,
+        )
+        .with_recovery(policy),
+    );
+    let report = run(&specs, 2);
+    assert!(report.summary.recovered > 0, "50x chaos at threshold 0 must escalate");
+    assert!(report.summary.panics > 0, "the panicking app crashes on every rung");
+    for t in &report.trials {
+        assert_eq!(
+            t.stats.faults_injected,
+            t.fault_counts.total_injections(),
+            "{} trial {} (attempts {}, panicked {})",
+            t.app,
+            t.index,
+            t.attempts,
+            t.panicked()
+        );
+    }
+    assert_eq!(
+        report.summary.merged_stats.faults_injected,
+        report
+            .trials
+            .iter()
+            .filter(|t| !t.panicked())
+            .map(|t| t.fault_counts.total_injections())
+            .sum::<u64>()
+    );
 }

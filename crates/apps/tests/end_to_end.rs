@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: the full pipeline from annotated
 //! application code through the simulated hardware to QoS and energy.
 
-use enerj::apps::qos::output_error;
-use enerj::apps::{all_apps, harness};
-use enerj::core::{endorse, Approx, ApproxVec, Precise, Runtime};
-use enerj::hw::config::{HwConfig, Level, StrategyMask};
-use enerj::hw::{MemKind, OpKind};
+use enerj_apps::qos::output_error;
+use enerj_apps::{all_apps, harness};
+use enerj_core::{endorse, Approx, ApproxVec, Precise, Runtime};
+use enerj_hw::config::{HwConfig, Level, StrategyMask};
+use enerj_hw::{MemKind, OpKind};
 
 /// The headline result: every application saves energy at every level, in
 /// the paper's 10–50% band, and savings grow with aggressiveness.
@@ -48,7 +48,7 @@ fn output_error_grows_with_aggressiveness() {
 /// faulty run may legitimately contain NaNs, which `==` would reject).
 #[test]
 fn fault_injection_is_deterministic_per_seed() {
-    use enerj::apps::qos::Output;
+    use enerj_apps::qos::Output;
     for app in all_apps().into_iter().take(4) {
         let a = harness::approximate(&app, Level::Aggressive, 99).output;
         let b = harness::approximate(&app, Level::Aggressive, 99).output;

@@ -1,9 +1,9 @@
 //! Integration tests for the streaming campaign engine: a lazily-sourced,
-//! sink-streamed campaign must be bit-identical to the in-memory runner —
-//! trial by trial and in every aggregate — for any thread count, chunk
-//! size, sink, and telemetry setting, recovery ladders included. The
-//! engine is a throughput optimization; it is allowed to change nothing
-//! else.
+//! sink-streamed campaign must be bit-identical to a one-thread in-memory
+//! run — trial by trial and in every aggregate — for any thread count,
+//! chunk size, sink, and telemetry setting, recovery ladders included.
+//! The engine is a throughput optimization; it is allowed to change
+//! nothing else.
 
 use std::io;
 use std::sync::Arc;
@@ -12,12 +12,15 @@ use std::time::Duration;
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::recovery::{chaos_config, Policy};
 use enerj_apps::trials::{
-    run_campaign_streamed, run_campaign_with, trial_json, CampaignOptions, CampaignReport,
-    CampaignSummary, NdjsonSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
+    run_campaign_streamed, trial_json, CampaignOptions, CampaignReport, CampaignSummary,
+    NdjsonSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
 };
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::energy::EnergyQuantaBreakdown;
 use enerj_hw::quanta::EnergyQuanta;
+use enerj_hw::stats::Stats;
+use enerj_hw::FaultCounters;
 use proptest::prelude::*;
 
 fn app(name: &str) -> App {
@@ -73,20 +76,20 @@ fn assert_matches_report(
             "{where_}: recovery overhead"
         );
     }
-    assert_eq!(summary.trials, report.trials.len(), "{what}: summary count");
+    let base = &report.summary;
+    assert_eq!(summary.trials, base.trials, "{what}: summary count");
     assert_eq!(
         summary.mean_error.to_bits(),
-        report.mean_error().to_bits(),
+        base.mean_error.to_bits(),
         "{what}: summary mean error"
     );
-    assert_eq!(summary.panics, report.panic_count(), "{what}: summary panics");
-    assert_eq!(summary.recovered, report.recovered_count(), "{what}: summary recovered");
-    assert_eq!(summary.merged_stats, report.merged_stats, "{what}: summary stats");
-    assert_eq!(summary.energy_quanta, report.energy_quanta_totals(), "{what}: summary quanta");
-    assert_eq!(summary.fault_totals, report.fault_totals(), "{what}: summary faults");
+    assert_eq!(summary.panics, base.panics, "{what}: summary panics");
+    assert_eq!(summary.recovered, base.recovered, "{what}: summary recovered");
+    assert_eq!(summary.merged_stats, base.merged_stats, "{what}: summary stats");
+    assert_eq!(summary.energy_quanta, base.energy_quanta, "{what}: summary quanta");
+    assert_eq!(summary.fault_totals, base.fault_totals, "{what}: summary faults");
     assert_eq!(
-        summary.recovery_energy_overhead_quanta,
-        report.recovery_energy_overhead(),
+        summary.recovery_energy_overhead_quanta, base.recovery_energy_overhead_quanta,
         "{what}: summary overhead"
     );
     assert!(
@@ -97,10 +100,48 @@ fn assert_matches_report(
     );
 }
 
+/// The drain-folded summary equals a post-hoc fold of the report's own
+/// trials: the f64 error sum in index order, the stats of non-panicked
+/// trials merged in order, and the integer totals.
+fn assert_summary_folds_trials(report: &CampaignReport) {
+    let (mut error_sum, mut stats, mut quanta, mut faults, mut overhead) = (
+        0.0f64,
+        Stats::new(),
+        EnergyQuantaBreakdown::ZERO,
+        FaultCounters::new(),
+        EnergyQuanta::ZERO,
+    );
+    for t in &report.trials {
+        error_sum += t.error;
+        if !t.panicked() {
+            stats.merge(&t.stats);
+        }
+        quanta.merge(&t.energy_quanta);
+        faults.merge(&t.fault_counts);
+        overhead += t.recovery_energy_overhead_quanta;
+    }
+    let s = &report.summary;
+    let n = report.trials.len();
+    assert_eq!(s.trials, n);
+    assert_eq!(s.mean_error.to_bits(), (error_sum / n as f64).to_bits(), "mean error");
+    assert_eq!(s.panics, report.trials.iter().filter(|t| t.panicked()).count());
+    assert_eq!(s.recovered, report.trials.iter().filter(|t| t.recovered()).count());
+    assert_eq!(s.merged_stats, stats);
+    assert_eq!(s.energy_quanta, quanta);
+    assert_eq!(s.fault_totals, faults);
+    assert_eq!(s.recovery_energy_overhead_quanta, overhead);
+}
+
+fn run_serial(specs: &[TrialSpec]) -> CampaignReport {
+    let report = CampaignReport::collect(specs, &CampaignOptions::with_threads(1));
+    assert_summary_folds_trials(&report);
+    report
+}
+
 #[test]
 fn streamed_campaign_is_bit_identical_to_in_memory_runner() {
     let specs = mixed_specs();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
+    let baseline = run_serial(&specs);
     for threads in [1usize, 2, 4, 8] {
         for chunk in [1usize, 16, 256] {
             for log_events in [false, true] {
@@ -136,8 +177,8 @@ fn streamed_recovery_campaign_is_bit_identical() {
             .with_recovery(policy.clone())
         })
         .collect();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
-    assert!(baseline.recovered_count() > 0, "threshold 0 under chaos must escalate");
+    let baseline = run_serial(&specs);
+    assert!(baseline.summary.recovered > 0, "threshold 0 under chaos must escalate");
     for threads in [1usize, 4] {
         for chunk in [1usize, 256] {
             let source = SpecFn::new(specs.len(), |i| specs[i].clone());
@@ -165,7 +206,7 @@ fn mask_wall(line: &str) -> String {
 #[test]
 fn ndjson_sink_emits_trial_json_in_index_order() {
     let specs = mixed_specs();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
+    let baseline = run_serial(&specs);
     let source = SpecFn::new(specs.len(), |i| specs[i].clone());
     let opts = CampaignOptions { threads: 4, chunk: 2, ..CampaignOptions::default() };
     let mut sink = NdjsonSink::new(Vec::<u8>::new());
@@ -187,7 +228,7 @@ fn ndjson_sink_emits_trial_json_in_index_order() {
 #[test]
 fn deadline_truncates_at_a_chunk_boundary_bit_identically() {
     let specs = mixed_specs();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
+    let baseline = run_serial(&specs);
     let chunk = 4usize;
 
     // spec(0) stalls well past the deadline. The deadline is checked at
@@ -303,8 +344,8 @@ impl TrialSink for FailingSink {
 }
 
 /// Sink failures — on a mid-campaign `accept` or on the final `flush` —
-/// surface as the campaign's `io::Result` on both the serial and the
-/// parallel path. The engine never swallows a sink error, and an accept
+/// surface as the campaign's `io::Result` with one worker (inline) and
+/// with several. The engine never swallows a sink error, and an accept
 /// error stops deliveries without stopping the campaign.
 #[test]
 fn sink_errors_surface_as_the_campaign_result() {

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
 use enerj_apps::trials::{
-    run_campaign_with, CampaignOptions, CampaignReport, TrialResult, TrialSpec,
+    CampaignOptions, CampaignReport, CampaignSummary, TrialResult, TrialSpec,
 };
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
@@ -45,12 +45,12 @@ fn aggressive_specs(names: &[&str], runs: u64) -> Vec<TrialSpec> {
 #[test]
 fn telemetry_on_is_bit_identical_to_telemetry_off() {
     let specs = aggressive_specs(&["FFT", "MonteCarlo"], 3);
-    let off = run_campaign_with(
-        &specs,
+    let off = CampaignReport::collect(
+        specs.as_slice(),
         &CampaignOptions { threads: 2, log_events: false, ..CampaignOptions::default() },
     );
-    let on = run_campaign_with(
-        &specs,
+    let on = CampaignReport::collect(
+        specs.as_slice(),
         &CampaignOptions { threads: 2, log_events: true, ..CampaignOptions::default() },
     );
     assert_eq!(off.trials.len(), on.trials.len());
@@ -66,9 +66,9 @@ fn telemetry_on_is_bit_identical_to_telemetry_off() {
         let bits: u64 = b.events.iter().map(|e| u64::from(e.bits_flipped)).sum();
         assert_eq!(bits, b.fault_counts.total_bits_flipped());
     }
-    assert_eq!(off.merged_stats, on.merged_stats);
-    assert_eq!(off.fault_totals(), on.fault_totals());
-    assert!(on.fault_totals().total_injections() > 0, "aggressive trials inject faults");
+    assert_eq!(off.summary.merged_stats, on.summary.merged_stats);
+    assert_eq!(off.summary.fault_totals, on.summary.fault_totals);
+    assert!(on.summary.fault_totals.total_injections() > 0, "aggressive trials inject faults");
 }
 
 /// A fully synthetic report with fixed durations, exercising every branch
@@ -141,11 +141,27 @@ fn synthetic_report() -> CampaignReport {
         recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
         energy_quanta: EnergyQuantaBreakdown::ZERO,
     };
-    CampaignReport {
+    // The drain's fold of the two trials, written out: the crashed trial
+    // adds error 1.0 and its panic, the healthy one everything else.
+    let summary = CampaignSummary {
+        trials: 2,
+        mean_error: (0.125 + 1.0) / 2.0,
+        panics: 1,
+        recovered: 1,
         merged_stats: healthy.stats,
-        trials: vec![healthy, crashed],
+        energy_quanta: healthy.energy_quanta,
+        fault_totals: healthy.fault_counts,
+        recovery_energy_overhead_quanta: healthy.recovery_energy_overhead_quanta,
         wall: Duration::from_micros(1_250_000),
         threads: 3,
+        chunk: 1,
+        peak_buffered: 2,
+        buffer_capacity: 6,
+        deadline_exceeded: false,
+    };
+    CampaignReport {
+        trials: vec![healthy, crashed],
+        summary,
         budget_quanta: Some(EnergyQuanta::new(130_000_000_000)),
         budget_met: Some(true),
     }

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use enerj_apps::trials::{run_campaign, run_campaign_with, TrialSpec};
+use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialSpec};
 use enerj_apps::{all_apps, harness, App};
 use enerj_bench::cli::Options;
 use enerj_bench::{err3, finish_campaign, render_table};
@@ -35,7 +35,7 @@ fn main() {
 /// Collects each app's fault-free reference output, in parallel.
 fn references(apps: &[App], threads: usize) -> Vec<Arc<enerj_apps::qos::Output>> {
     let specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
-    run_campaign(&specs, threads)
+    CampaignReport::collect(specs.as_slice(), &CampaignOptions::with_threads(threads))
         .trials
         .into_iter()
         .map(|t| {
@@ -67,7 +67,7 @@ fn strategy_isolation(opts: &Options) {
             }
         }
     }
-    let report = run_campaign_with(&specs, &opts.campaign_options());
+    let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());
 
     for level in [Level::Medium, Level::Aggressive] {
         let mut rows = Vec::new();
@@ -132,7 +132,7 @@ fn error_modes(opts: &Options) {
             }
         }
     }
-    let report = run_campaign_with(&specs, &opts.campaign_options());
+    let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());
 
     let mut rows = Vec::new();
     let mut sums = [0.0f64; 3];

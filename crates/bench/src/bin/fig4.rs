@@ -8,7 +8,7 @@
 //! lands in `results/BENCH_fig4.json`.
 
 use enerj_apps::all_apps;
-use enerj_apps::trials::{run_campaign_with, TrialSpec};
+use enerj_apps::trials::{CampaignReport, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, render_table};
 use enerj_hw::config::{HwConfig, Level};
@@ -31,7 +31,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign_with(&specs, &opts.campaign_options());
+    let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());
 
     let mut rows = Vec::new();
     let mut savings_sum = [0.0f64; 3];

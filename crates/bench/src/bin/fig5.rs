@@ -7,7 +7,7 @@
 //! record is written to `results/BENCH_fig5.json`.
 
 use enerj_apps::all_apps;
-use enerj_apps::trials::run_level_campaign_with;
+use enerj_apps::trials::run_level_campaign;
 use enerj_bench::cli::Options;
 use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::Level;
@@ -15,7 +15,7 @@ use enerj_hw::config::Level;
 fn main() {
     let opts = Options::parse(std::env::args(), 20);
     let apps = all_apps();
-    let report = run_level_campaign_with(&apps, &Level::ALL, opts.runs, &opts.campaign_options());
+    let report = run_level_campaign(&apps, &Level::ALL, opts.runs, &opts.campaign_options());
 
     let mut rows = Vec::new();
     for app in &apps {
@@ -40,10 +40,10 @@ fn main() {
         println!();
         println!("{}", render_table(&["Application", "Mild", "Medium", "Aggressive"], &rows));
         println!("0 = identical to precise output, 1 = meaningless output.");
-        if report.panic_count() > 0 {
+        if report.summary.panics > 0 {
             println!(
                 "{} fault-injected runs crashed and were scored as worst-case (error 1).",
-                report.panic_count()
+                report.summary.panics
             );
         }
     }

@@ -1,15 +1,11 @@
 //! `hwbench` — throughput microbenchmarks for the hardware substrate.
 //!
-//! Measures the amortized fault scheduler (countdowns + bit-quanta
-//! accounting, see DESIGN.md "Amortized fault scheduling") against a
-//! faithful in-binary replica of the pre-amortization per-access hot path:
-//! one geometric-skip `flip_bits` draw (or `gen_bool`) plus f64
-//! byte-second accounting per access. Four microkernels (sram/dram/alu/fpu)
-//! run at each Table 2 level, plus a second grid comparing the scalar
-//! amortized entry points against the whole-slice batched API (DESIGN.md
-//! "Batched kernels"), plus a fig5-shaped macro loop over the real
+//! Compares the two live entry points of every unit — the scalar
+//! one-op-at-a-time calls and the whole-slice batched API (DESIGN.md
+//! "Batched kernels") — on four microkernels (sram/dram/alu/fpu) at each
+//! Table 2 level, plus a fig5-shaped macro loop over the real
 //! applications; results land in `results/BENCH_hwperf.json` (schema
-//! `enerj-hwperf/2`).
+//! `enerj-hwperf/3`).
 //!
 //! ```text
 //! hwbench [--quick] [--json]
@@ -17,7 +13,7 @@
 //!
 //! `--quick` shrinks the op counts ~10x for the CI perf-smoke job; the
 //! committed capture uses the full counts. Wall-clock throughput depends on
-//! the host, so the JSON records both samplers from the *same* process and
+//! the host, so the JSON records both paths from the *same* process and
 //! build — the speedup column is the meaningful number. Throughput
 //! denominators are clamped away from zero so a fast `--quick` run can
 //! never serialize `inf`/`NaN` into the report.
@@ -30,163 +26,6 @@ use enerj_bench::{bench_report_path, render_table};
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::stats::OpKind;
 use enerj_hw::{DramArray, Hardware};
-
-/// Faithful replica of the pre-amortization hot path, for the "before"
-/// column. Every access pays what `Hardware` used to pay: a per-access
-/// geometric-skip sampler draw (`fault::flip_bits`) or Bernoulli trial
-/// (`gen_bool`), per-access f64 byte-second accounting, and an accumulated
-/// f64 clock. Only the fault bookkeeping that fed telemetry is reduced to a
-/// counter — that side was O(faults) before and after, so it cancels.
-mod baseline {
-    use enerj_hw::clock::SimClock;
-    use enerj_hw::config::{ErrorMode, HwConfig};
-    use enerj_hw::fault;
-    use enerj_hw::fpu;
-    use enerj_hw::stats::{MemKind, OpKind, Stats};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    pub struct Baseline {
-        cfg: HwConfig,
-        rng: StdRng,
-        clock: SimClock,
-        stats: Stats,
-        last_int: u64,
-        last_fp: u64,
-        pub faults: u64,
-    }
-
-    impl Baseline {
-        pub fn new(cfg: HwConfig, seed: u64) -> Self {
-            Baseline {
-                cfg,
-                rng: StdRng::seed_from_u64(seed),
-                clock: SimClock::new(),
-                stats: Stats::new(),
-                last_int: 0,
-                last_fp: 0,
-                faults: 0,
-            }
-        }
-
-        pub fn now(&self) -> f64 {
-            self.clock.now()
-        }
-
-        pub fn stats(&self) -> &Stats {
-            &self.stats
-        }
-
-        /// Replica of the pre-change `Hardware::note_fault`: a real
-        /// (non-inlined) call in the fault branch, exactly as the old hot
-        /// path had, so both samplers pay the same register pressure.
-        #[cold]
-        #[inline(never)]
-        fn note_fault(&mut self) {
-            self.stats.record_fault();
-            self.faults += 1;
-        }
-
-        fn sram_access(&mut self, bits: u64, width: u32, enabled: bool, p: f64) -> u64 {
-            let bytes = f64::from(width) / 8.0;
-            self.stats.record_storage(MemKind::Sram, true, bytes, self.cfg.seconds_per_op);
-            if !enabled {
-                return bits;
-            }
-            let out = fault::flip_bits(bits, width, p, &mut self.rng);
-            if out != bits {
-                self.note_fault();
-            }
-            out
-        }
-
-        pub fn sram_read(&mut self, bits: u64, width: u32) -> u64 {
-            let p = self.cfg.params.sram_read_upset_prob;
-            self.sram_access(bits, width, self.cfg.mask.sram_read, p)
-        }
-
-        pub fn sram_write(&mut self, bits: u64, width: u32) -> u64 {
-            let p = self.cfg.params.sram_write_failure_prob;
-            self.sram_access(bits, width, self.cfg.mask.sram_write, p)
-        }
-
-        pub fn dram_read(&mut self, stored: u64, width: u32, last_access: &mut f64) -> u64 {
-            self.clock.advance(self.cfg.seconds_per_op);
-            let now = self.clock.now();
-            let dt = now - *last_access;
-            *last_access = now;
-            if !self.cfg.mask.dram {
-                return stored;
-            }
-            let p = fault::decay_probability(self.cfg.params.dram_flip_per_second, dt);
-            let out = fault::flip_bits(stored, width, p, &mut self.rng);
-            if out != stored {
-                self.note_fault();
-            }
-            out
-        }
-
-        pub fn approx_int_result(&mut self, raw: u64, width: u32) -> u64 {
-            self.clock.advance(self.cfg.seconds_per_op);
-            self.stats.record_op(OpKind::Int, true);
-            let p = self.cfg.params.timing_error_prob;
-            let out = if self.cfg.mask.fu_timing && self.rng.gen_bool(p) {
-                self.note_fault();
-                match self.cfg.error_mode {
-                    ErrorMode::SingleBitFlip => fault::flip_one_bit(raw, width, &mut self.rng),
-                    ErrorMode::LastValue => self.last_int & fault::low_mask(width),
-                    ErrorMode::RandomValue => fault::random_bits(width, &mut self.rng),
-                }
-            } else {
-                raw & fault::low_mask(width)
-            };
-            self.last_int = out;
-            out
-        }
-
-        pub fn approx_f64_result(&mut self, raw: f64) -> f64 {
-            self.clock.advance(self.cfg.seconds_per_op);
-            self.stats.record_op(OpKind::Fp, true);
-            let bits = raw.to_bits();
-            let p = self.cfg.params.timing_error_prob;
-            let out = if self.cfg.mask.fu_timing && self.rng.gen_bool(p) {
-                self.note_fault();
-                match self.cfg.error_mode {
-                    ErrorMode::SingleBitFlip => fault::flip_one_bit(bits, 64, &mut self.rng),
-                    ErrorMode::LastValue => self.last_fp,
-                    ErrorMode::RandomValue => fault::random_bits(64, &mut self.rng),
-                }
-            } else {
-                bits
-            };
-            self.last_fp = out;
-            f64::from_bits(out)
-        }
-
-        pub fn approx_f64_operand(&self, x: f64) -> f64 {
-            if self.cfg.mask.fp_width {
-                fpu::truncate_f64(x, self.cfg.params.double_mantissa_bits)
-            } else {
-                x
-            }
-        }
-    }
-}
-
-/// One microkernel row: ops/sec under both samplers.
-struct KernelRow {
-    kernel: &'static str,
-    level: Level,
-    ops: u64,
-    baseline_ops_per_sec: f64,
-    amortized_ops_per_sec: f64,
-}
-
-impl KernelRow {
-    fn speedup(&self) -> f64 {
-        self.amortized_ops_per_sec / self.baseline_ops_per_sec
-    }
-}
 
 /// One batched-API row: the same unit driven one op at a time versus
 /// through the whole-slice entry points, both on the amortized substrate.
@@ -231,139 +70,6 @@ fn time<F: FnMut() -> u64>(mut f: F) -> (u64, f64) {
     let wall = start.elapsed().as_secs_f64();
     std::hint::black_box(sink);
     (sink, wall)
-}
-
-/// SRAM kernel: alternating 32-bit read/write on a register-resident value.
-fn sram_kernel(level: Level, accesses: u64) -> KernelRow {
-    let cfg = HwConfig::for_level(level);
-    let mut base = baseline::Baseline::new(cfg, SEED);
-    let (_, base_wall) = time(|| {
-        let mut x = 0xDEAD_BEEFu64;
-        for _ in 0..accesses / 2 {
-            x = base.sram_read(x, 32);
-            x = base.sram_write(x.wrapping_add(1), 32);
-        }
-        x
-    });
-    let mut hw = Hardware::new(cfg, SEED);
-    let (_, amort_wall) = time(|| {
-        let mut x = 0xDEAD_BEEFu64;
-        for _ in 0..accesses / 2 {
-            x = hw.sram_read(x, 32, true);
-            x = hw.sram_write(x.wrapping_add(1), 32, true);
-        }
-        x
-    });
-    // Both samplers must have walked the same access count (sanity: the
-    // baseline's accounting is per-access, the amortized side's is lazy).
-    assert!(!base.stats().sram_approx_quanta.is_zero());
-    assert!(!hw.stats().sram_approx_quanta.is_zero());
-    KernelRow {
-        kernel: "sram",
-        level,
-        ops: accesses,
-        baseline_ops_per_sec: rate(accesses, base_wall),
-        amortized_ops_per_sec: rate(accesses, amort_wall),
-    }
-}
-
-/// DRAM kernel: strided reads over a decaying approximate array.
-fn dram_kernel(level: Level, accesses: u64) -> KernelRow {
-    let cfg = HwConfig::for_level(level);
-    let mut base = baseline::Baseline::new(cfg, SEED);
-    let (_, base_wall) = time(|| {
-        let mut words = vec![0xA5A5_A5A5u64; DRAM_LEN];
-        let mut last = vec![base.now(); DRAM_LEN];
-        let mut sink = 0u64;
-        for i in 0..accesses {
-            let j = (i.wrapping_mul(17) % DRAM_LEN as u64) as usize;
-            let v = base.dram_read(words[j], 32, &mut last[j]);
-            words[j] = v;
-            sink = sink.wrapping_add(v);
-        }
-        sink
-    });
-    let mut hw = Hardware::new(cfg, SEED);
-    let (_, amort_wall) = time(|| {
-        let mut arr = DramArray::new(&mut hw, DRAM_LEN, 32, true);
-        let mut sink = 0u64;
-        for i in 0..accesses {
-            let j = (i.wrapping_mul(17) % DRAM_LEN as u64) as usize;
-            sink = sink.wrapping_add(arr.read(&mut hw, j));
-        }
-        arr.retire(&mut hw);
-        sink
-    });
-    KernelRow {
-        kernel: "dram",
-        level,
-        ops: accesses,
-        baseline_ops_per_sec: rate(accesses, base_wall),
-        amortized_ops_per_sec: rate(accesses, amort_wall),
-    }
-}
-
-/// ALU kernel: 64-bit approximate integer result phases.
-fn alu_kernel(level: Level, ops: u64) -> KernelRow {
-    let cfg = HwConfig::for_level(level);
-    let mut base = baseline::Baseline::new(cfg, SEED);
-    let (_, base_wall) = time(|| {
-        let mut x = 1u64;
-        for i in 0..ops {
-            x = base.approx_int_result(x.wrapping_mul(3).wrapping_add(i), 64);
-        }
-        x
-    });
-    let mut hw = Hardware::new(cfg, SEED);
-    let (_, amort_wall) = time(|| {
-        let mut x = 1u64;
-        for i in 0..ops {
-            x = hw.approx_int_result(x.wrapping_mul(3).wrapping_add(i), 64);
-        }
-        x
-    });
-    assert_eq!(hw.stats().int_approx_ops, ops);
-    KernelRow {
-        kernel: "alu",
-        level,
-        ops,
-        baseline_ops_per_sec: rate(ops, base_wall),
-        amortized_ops_per_sec: rate(ops, amort_wall),
-    }
-}
-
-/// FPU kernel: operand truncation plus `f64` result phases.
-fn fpu_kernel(level: Level, ops: u64) -> KernelRow {
-    let cfg = HwConfig::for_level(level);
-    let mut base = baseline::Baseline::new(cfg, SEED);
-    let (_, base_wall) = time(|| {
-        let mut x = 1.000_1f64;
-        for _ in 0..ops {
-            x = base.approx_f64_result(base.approx_f64_operand(x) * 1.000_000_1);
-            if !x.is_finite() || x > 1e12 {
-                x = 1.000_1;
-            }
-        }
-        x.to_bits()
-    });
-    let mut hw = Hardware::new(cfg, SEED);
-    let (_, amort_wall) = time(|| {
-        let mut x = 1.000_1f64;
-        for _ in 0..ops {
-            x = hw.approx_f64_result(hw.approx_f64_operand(x) * 1.000_000_1);
-            if !x.is_finite() || x > 1e12 {
-                x = 1.000_1;
-            }
-        }
-        x.to_bits()
-    });
-    KernelRow {
-        kernel: "fpu",
-        level,
-        ops,
-        baseline_ops_per_sec: rate(ops, base_wall),
-        amortized_ops_per_sec: rate(ops, amort_wall),
-    }
 }
 
 /// Batched SRAM: whole-slice read/write passes versus the same accesses
@@ -482,8 +188,7 @@ fn alu_batched(level: Level, total_ops: u64) -> BatchedRow {
 }
 
 /// Batched FPU: whole-slice operand truncation plus `f64` result phases
-/// versus one op at a time. Unlike [`fpu_kernel`], no overflow guard:
-/// multiplying by `1 + 1e-7` for at most `rounds` passes keeps every value
+/// versus one op at a time. No overflow guard: multiplying by `1 + 1e-7` for at most `rounds` passes keeps every value
 /// near 1.0 by construction, and a rare timing fault producing inf/NaN
 /// costs neither arm anything (non-finite arithmetic runs at full speed).
 fn fpu_batched(level: Level, total_ops: u64) -> BatchedRow {
@@ -546,32 +251,11 @@ fn macro_rows(quick: bool) -> Vec<MacroRow> {
     rows
 }
 
-fn to_json(
-    quick: bool,
-    kernels: &[KernelRow],
-    batched: &[BatchedRow],
-    macros: &[MacroRow],
-) -> String {
+fn to_json(quick: bool, batched: &[BatchedRow], macros: &[MacroRow]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"enerj-hwperf/2\",");
+    let _ = writeln!(out, "  \"schema\": \"enerj-hwperf/3\",");
     let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"kernels\": [\n");
-    for (i, r) in kernels.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"kernel\": \"{}\", \"level\": \"{}\", \"ops\": {}, \
-             \"baseline_ops_per_sec\": {:.1}, \"amortized_ops_per_sec\": {:.1}, \
-             \"speedup\": {:.3}}}",
-            r.kernel,
-            r.level,
-            r.ops,
-            r.baseline_ops_per_sec,
-            r.amortized_ops_per_sec,
-            r.speedup()
-        );
-        out.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"batched\": [\n");
+    out.push_str("  \"batched\": [\n");
     for (i, r) in batched.iter().enumerate() {
         let _ = write!(
             out,
@@ -605,14 +289,6 @@ fn main() {
     let quick = opts.has_flag("--quick");
     let micro_ops: u64 = if quick { 400_000 } else { 4_000_000 };
 
-    let mut kernels = Vec::new();
-    for level in Level::ALL {
-        eprintln!("hwbench: {level} microkernels ({micro_ops} ops each)...");
-        kernels.push(sram_kernel(level, micro_ops));
-        kernels.push(dram_kernel(level, micro_ops));
-        kernels.push(alu_kernel(level, micro_ops));
-        kernels.push(fpu_kernel(level, micro_ops));
-    }
     let mut batched = Vec::new();
     for level in Level::ALL {
         eprintln!("hwbench: {level} batched microkernels ({micro_ops} ops each)...");
@@ -624,24 +300,10 @@ fn main() {
     eprintln!("hwbench: fig5-shaped macro loop...");
     let macros = macro_rows(quick);
 
-    let json = to_json(quick, &kernels, &batched, &macros);
+    let json = to_json(quick, &batched, &macros);
     if opts.json {
         print!("{json}");
     } else {
-        let rows: Vec<Vec<String>> = kernels
-            .iter()
-            .map(|r| {
-                vec![
-                    r.kernel.to_owned(),
-                    r.level.to_string(),
-                    format!("{:.2}M", r.baseline_ops_per_sec / 1e6),
-                    format!("{:.2}M", r.amortized_ops_per_sec / 1e6),
-                    format!("{:.2}x", r.speedup()),
-                ]
-            })
-            .collect();
-        println!("Hardware-substrate throughput (ops/sec; before = per-access sampler)");
-        println!("{}", render_table(&["kernel", "level", "before", "after", "speedup"], &rows));
         let rows: Vec<Vec<String>> = batched
             .iter()
             .map(|r| {

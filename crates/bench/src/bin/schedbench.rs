@@ -33,7 +33,7 @@ use enerj_apps::scheduler::{
     profile_workload, run_scheduled, AppProfile, SchedLevel, SchedOutcome, SchedulerConfig,
     Workload,
 };
-use enerj_apps::trials::{run_campaign_with, CampaignOptions, TrialResult};
+use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialResult};
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
 use enerj_bench::{bench_report_path, render_table, Options};
 use enerj_hw::energy::QuantaMeter;
@@ -121,9 +121,10 @@ fn main() -> ExitCode {
     // Static single-level baselines: same apps, same seeds, no scheduler.
     let mut baselines = Vec::new();
     for level in SchedLevel::ALL {
-        let report = run_campaign_with(&workload.static_specs(level), &campaign_opts);
-        let mean_error = report.mean_error();
-        baselines.push((level, meter.spent(&report.energy_quanta_totals()), mean_error));
+        let report =
+            CampaignReport::collect(workload.static_specs(level).as_slice(), &campaign_opts);
+        let mean_error = report.summary.mean_error;
+        baselines.push((level, meter.spent(&report.summary.energy_quanta), mean_error));
     }
     let precise_cost = baselines[0].1;
     let budget = EnergyQuanta::new(precise_cost.get() * u128::from(budget_pct) / 100);
@@ -235,7 +236,10 @@ fn main() -> ExitCode {
             ),
             _ => println!("No in-budget comparison available."),
         }
-        println!("Bit-identity across 1/2/{} thread(s): {}", report_main.threads, identical);
+        println!(
+            "Bit-identity across 1/2/{} thread(s): {}",
+            report_main.summary.threads, identical
+        );
     }
     if opts.trace {
         for (a, counts) in outcome.level_counts.iter().enumerate() {

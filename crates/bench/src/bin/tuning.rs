@@ -22,7 +22,7 @@ fn main() {
         let mut row = vec![app.meta.name.to_owned()];
         for &budget in &budgets {
             let (r, profile) = tune_campaign(&app, budget, opts.runs, &opts.campaign_options());
-            fault_totals.merge(&profile.fault_totals());
+            fault_totals.merge(&profile.summary.fault_totals);
             if opts.fault_log.is_some() {
                 fault_log.push_str(&profile.fault_log_ndjson());
             }

@@ -4,7 +4,6 @@
 //! ```text
 //! validate_schema [--report <BENCH_*.json>]... [--fault-log <log.ndjson>]...
 //!                 [--hwperf <BENCH_hwperf.json>]...
-//!                 [--campaignperf <BENCH_campaignperf.json>]...
 //!                 [--sched <BENCH_sched.json>]...
 //!                 [--serve <BENCH_serveperf.json>]...
 //!                 [--quanta-compare <a.json> <b.json>]...
@@ -12,29 +11,25 @@
 //!
 //! Validates each `--report` against `enerj-campaign/5`, each `--fault-log`
 //! against the NDJSON fault-event schema, each `--hwperf` against the
-//! `enerj-hwperf/2` throughput-report schema, each `--campaignperf`
-//! against the `enerj-campaignperf/1` campaign-engine report schema
-//! (including the engine bit-identity verdict and the bounded reorder
-//! window), each `--sched` against the `enerj-sched/1`
-//! budget-scheduling report schema (including the scheduler's own
-//! bit-identity verdict and the exact integer budget arithmetic), and
-//! each `--serve` against the `enerj-serveperf/1` campaign-service report
-//! schema (including the kill-resume byte-identity verdict).
-//! `--quanta-compare` checks
-//! that two campaign reports carry *identical* integer energy totals
-//! (`energy_quanta` and `recovery_energy_overhead_quanta`), compared as
-//! parsed 128-bit integers ([`Json::Int`] keeps literals lossless), so
-//! values above 2^53 cannot be blurred by f64 parsing — the CI quanta-smoke
-//! job runs the same campaign at two thread counts and requires the totals
-//! to match exactly. Exit code 0 when everything conforms, 1 on the first
-//! violation.
+//! `enerj-hwperf/3` throughput-report schema, each `--sched` against the
+//! `enerj-sched/1` budget-scheduling report schema (including the
+//! scheduler's own bit-identity verdict and the exact integer budget
+//! arithmetic), and each `--serve` against the `enerj-serveperf/1`
+//! campaign-service report schema (including the kill-resume byte-identity
+//! verdict). `--quanta-compare` checks that two campaign reports carry
+//! *identical* integer energy totals (`energy_quanta` and
+//! `recovery_energy_overhead_quanta`), compared as parsed 128-bit integers
+//! ([`Json::Int`] keeps literals lossless), so values above 2^53 cannot be
+//! blurred by f64 parsing — the CI quanta-smoke job runs the same campaign
+//! at two thread counts and requires the totals to match exactly. Exit
+//! code 0 when everything conforms, 1 on the first violation.
 
 use std::process::ExitCode;
 
 use enerj_bench::json::Json;
 use enerj_bench::validate::{
-    validate_campaign_report, validate_campaignperf_report, validate_fault_log,
-    validate_hwperf_report, validate_sched_report, validate_serveperf_report,
+    validate_campaign_report, validate_fault_log, validate_hwperf_report, validate_sched_report,
+    validate_serveperf_report,
 };
 
 fn main() -> ExitCode {
@@ -124,16 +119,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
                 let kernels =
                     validate_hwperf_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-hwperf/2, {kernels} kernel rows)");
-                checked += 1;
-            }
-            "--campaignperf" => {
-                let path = it.next().ok_or("--campaignperf needs a path")?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
-                let rows =
-                    validate_campaignperf_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-campaignperf/1, {rows} engine rows)");
+                println!("{path}: OK (enerj-hwperf/3, {kernels} kernel rows)");
                 checked += 1;
             }
             "--sched" => {
@@ -164,15 +150,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err(format!(
                     "unknown argument `{other}`\nusage: validate_schema \
                      [--report <path>]... [--fault-log <path>]... [--hwperf <path>]... \
-                     [--campaignperf <path>]... [--sched <path>]... [--serve <path>]... \
-                     [--quanta-compare <a> <b>]..."
+                     [--sched <path>]... [--serve <path>]... [--quanta-compare <a> <b>]..."
                 ))
             }
         }
     }
     if checked == 0 {
         return Err("nothing to validate; pass --report, --fault-log, --hwperf, \
-                    --campaignperf, --sched, --serve and/or --quanta-compare"
+                    --sched, --serve and/or --quanta-compare"
             .to_owned());
     }
     Ok(())

@@ -360,9 +360,12 @@ mod tests {
 
     #[test]
     fn round_trips_a_real_campaign_report() {
-        use enerj_apps::trials::{run_campaign, TrialSpec};
+        use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialSpec};
         let app = enerj_apps::all_apps().remove(2); // MonteCarlo
-        let report = run_campaign(&[TrialSpec::reference(&app)], 1);
+        let report = CampaignReport::collect(
+            &[TrialSpec::reference(&app)][..],
+            &CampaignOptions::with_threads(1),
+        );
         let v = Json::parse(&report.to_json()).expect("emitter output parses");
         assert_eq!(v.get("schema").and_then(Json::as_str), Some("enerj-campaign/5"));
         let trials = v.get("trials").and_then(Json::as_array).unwrap();

@@ -60,9 +60,9 @@ pub fn write_bench_report(name: &str, report: &CampaignReport) {
         Ok(()) => eprintln!(
             "campaign report: {} trials, {} panics, {:.2}s on {} threads -> {}",
             report.trials.len(),
-            report.panic_count(),
-            report.wall.as_secs_f64(),
-            report.threads,
+            report.summary.panics,
+            report.summary.wall.as_secs_f64(),
+            report.summary.threads,
             path.display()
         ),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
@@ -75,7 +75,7 @@ pub fn write_bench_report(name: &str, report: &CampaignReport) {
 pub fn finish_campaign(name: &str, report: &CampaignReport, opts: &Options) {
     write_bench_report(name, report);
     if opts.trace {
-        eprintln!("fault totals: {}", report.fault_totals());
+        eprintln!("fault totals: {}", report.summary.fault_totals);
     }
     if let Some(path) = &opts.fault_log {
         write_fault_log_to(path, report);

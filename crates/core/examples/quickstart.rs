@@ -1,14 +1,14 @@
 //! Quickstart: the EnerJ programming model in two minutes.
 //!
-//! Run with `cargo run --example quickstart`.
+//! Run with `cargo run -p enerj-core --example quickstart`.
 //!
 //! This walks through the paper's core ideas on a tiny computation:
 //! approximate data types, endorsement, approximate arrays, and the
 //! energy/statistics readout.
 
-use enerj::core::{endorse, Approx, ApproxVec, Precise, Runtime};
-use enerj::hw::config::Level;
-use enerj::hw::{MemKind, OpKind};
+use enerj_core::{endorse, Approx, ApproxVec, Precise, Runtime};
+use enerj_hw::config::Level;
+use enerj_hw::{MemKind, OpKind};
 
 fn main() {
     // A runtime is a simulated approximation-aware machine (section 4).

@@ -39,6 +39,21 @@
 //!     let _a2: Approx<i32> = p.into(); // precise -> approx is subtyping
 //! });
 //! ```
+//!
+//! ## Example: an approximate multiply, endorsed
+//!
+//! ```
+//! use enerj_core::{endorse, Approx, Runtime};
+//! use enerj_hw::config::Level;
+//!
+//! let rt = Runtime::new(Level::Medium, 42);
+//! let out = rt.run(|| {
+//!     let a = Approx::new(2.0f32);
+//!     let b = Approx::new(3.0f32);
+//!     endorse(a * b) // approximate multiply, explicit endorsement
+//! });
+//! assert!(out.is_finite());
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

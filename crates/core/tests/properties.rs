@@ -1,10 +1,11 @@
-//! Property-based tests over the core invariants of every layer.
+//! Property-based tests over the invariants of the programming model and
+//! the hardware substrate beneath it.
 
-use enerj::core::{endorse, Approx, ApproxPrim, ApproxVec, Runtime};
-use enerj::hw::config::{ApproxParams, HwConfig, Level, StrategyMask};
-use enerj::hw::energy::normalized_energy;
-use enerj::hw::stats::{MemKind, OpKind, Stats};
-use enerj::hw::{fault, layout};
+use enerj_core::{endorse, Approx, ApproxPrim, ApproxVec, Runtime};
+use enerj_hw::config::{ApproxParams, HwConfig, Level, StrategyMask};
+use enerj_hw::energy::normalized_energy;
+use enerj_hw::stats::{MemKind, OpKind, Stats};
+use enerj_hw::{fault, layout};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,26 +155,6 @@ proptest! {
                 prop_assert!(e.total <= last + 1e-12, "energy increased with level");
             }
             last = e.total;
-        }
-    }
-
-    /// QoS metrics stay within [0, 1] for arbitrary numeric outputs.
-    #[test]
-    fn qos_is_bounded(
-        r in prop::collection::vec(-1e12f64..1e12, 1..50),
-        o in prop::collection::vec(prop::num::f64::ANY, 1..50),
-    ) {
-        use enerj::apps::qos::{output_error, Output, QosMetric};
-        let n = r.len().min(o.len());
-        let rv = Output::Values(r[..n].to_vec());
-        let ov = Output::Values(o[..n].to_vec());
-        for metric in [
-            QosMetric::MeanEntryDiff,
-            QosMetric::MeanNormalizedDiff,
-            QosMetric::MeanPixelDiff { full_scale: 255.0 },
-        ] {
-            let e = output_error(metric, &rv, &ov);
-            prop_assert!((0.0..=1.0).contains(&e), "{metric:?} -> {e}");
         }
     }
 

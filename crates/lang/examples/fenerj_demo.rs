@@ -1,6 +1,6 @@
 //! FEnerJ tour: compile, check, reject, run and verify non-interference.
 //!
-//! Run with `cargo run --example fenerj_demo`.
+//! Run with `cargo run -p enerj-lang --example fenerj_demo`.
 //!
 //! FEnerJ is the paper's formal core language (section 3). This demo walks
 //! the full pipeline on the paper's own examples: legal and illegal flows,
@@ -8,11 +8,11 @@
 //! fault-injecting execution, and the non-interference theorem checked
 //! dynamically against an adversarial interpreter.
 
-use enerj::hw::config::{HwConfig, Level};
-use enerj::hw::Hardware;
-use enerj::lang::interp::{run, ExecMode};
-use enerj::lang::noninterference::check_non_interference;
-use enerj::lang::{compile, CompileError};
+use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::Hardware;
+use enerj_lang::interp::{run, ExecMode};
+use enerj_lang::noninterference::check_non_interference;
+use enerj_lang::{compile, CompileError};
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -3,14 +3,14 @@
 //! *generated* well-typed programs — the strongest dynamic evidence this
 //! reproduction offers for the paper's section 3.3 result.
 
-use enerj::hw::config::{HwConfig, Level};
-use enerj::hw::Hardware;
-use enerj::lang::error::EvalError;
-use enerj::lang::interp::{run, ExecMode};
-use enerj::lang::noninterference::check_non_interference;
-use enerj::lang::parser::parse_expr;
-use enerj::lang::pretty::{expr_structurally_eq, expr_to_display};
-use enerj::lang::{compile, typecheck};
+use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::Hardware;
+use enerj_lang::error::EvalError;
+use enerj_lang::interp::{run, ExecMode};
+use enerj_lang::noninterference::check_non_interference;
+use enerj_lang::parser::parse_expr;
+use enerj_lang::pretty::{expr_structurally_eq, expr_to_display};
+use enerj_lang::{compile, typecheck};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -97,7 +97,7 @@ proptest! {
         let program = compile(&src).expect("generated programs are well-typed");
         prop_assert_eq!(
             program.main_type(),
-            &enerj::lang::types::Type::precise_int()
+            &enerj_lang::types::Type::precise_int()
         );
         let reliable = run(&program, ExecMode::Reliable).expect("evaluates");
         let chaotic = run(&program, ExecMode::Chaos { seed }).expect("evaluates");
@@ -117,8 +117,8 @@ proptest! {
     #[test]
     fn checking_is_stable_under_printing(src in isolated_program()) {
         let first = compile(&src).expect("well-typed");
-        let printed = enerj::lang::pretty::program_to_string(&first.program);
-        let second = enerj::lang::parser::parse(&printed)
+        let printed = enerj_lang::pretty::program_to_string(&first.program);
+        let second = enerj_lang::parser::parse(&printed)
             .unwrap_or_else(|e| panic!("{printed}\n{e}"));
         typecheck::check(second).unwrap_or_else(|e| panic!("{printed}\n{e}"));
     }

@@ -1,12 +1,12 @@
 //! Integration tests for the FEnerJ pipeline against the embedded API:
 //! the two renderings of the programming model must agree on semantics.
 
-use enerj::core::{endorse, Approx, Runtime};
-use enerj::hw::config::{HwConfig, Level, StrategyMask};
-use enerj::hw::Hardware;
-use enerj::lang::interp::{run, ExecMode, Value};
-use enerj::lang::noninterference::check_non_interference;
-use enerj::lang::{compile, CompileError};
+use enerj_core::{endorse, Approx, Runtime};
+use enerj_hw::config::{HwConfig, Level, StrategyMask};
+use enerj_hw::Hardware;
+use enerj_lang::interp::{run, ExecMode, Value};
+use enerj_lang::noninterference::check_non_interference;
+use enerj_lang::{compile, CompileError};
 use std::cell::RefCell;
 use std::rc::Rc;
 

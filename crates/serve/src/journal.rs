@@ -30,7 +30,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::http::json_escape;
+use enerj_apps::trials::json_string;
 use enerj_bench::json::Json;
 use enerj_hw::quanta::EnergyQuanta;
 
@@ -188,7 +188,7 @@ impl Journal {
     pub fn append_verdict(&mut self, verdict: &str, trials_done: usize) -> io::Result<()> {
         let line = format!(
             "{{\"rec\":\"verdict\",\"verdict\":{},\"trials_done\":{}}}\n",
-            json_escape(verdict),
+            json_string(verdict),
             trials_done,
         );
         self.journal.write_all(line.as_bytes())?;

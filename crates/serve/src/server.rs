@@ -51,7 +51,7 @@ use crate::spec::{JobSpec, OverBudget};
 use crate::tenant::{TenantConfig, TenantState};
 use enerj_apps::scheduler::SchedLevel;
 use enerj_apps::trials::{
-    run_campaign_streamed, trial_json, CampaignOptions, SpecFn, TrialResult, TrialSink,
+    json_string, run_campaign_streamed, trial_json, CampaignOptions, SpecFn, TrialResult, TrialSink,
 };
 use enerj_hw::quanta::EnergyQuanta;
 
@@ -307,11 +307,21 @@ impl Server {
 
     /// Ticks even when every worker is wedged in compute: reclaims expired
     /// leases and fires job deadlines so a stalled pool cannot stall the
-    /// clock-driven transitions too.
+    /// clock-driven transitions too. Waits out each tick on the `work`
+    /// condvar rather than sleeping, so a drain (`/shutdown` notifies
+    /// `work`) ends the loop at once instead of up to a quarter lease later.
     fn supervisor_loop(&self) {
+        let tick = (self.cfg.lease / 4).max(Duration::from_millis(10));
         loop {
-            std::thread::sleep((self.cfg.lease / 4).max(Duration::from_millis(10)));
+            let due = Instant::now() + tick;
             let mut st = self.lock();
+            while !st.draining {
+                let now = Instant::now();
+                if now >= due {
+                    break;
+                }
+                st = self.work.wait_timeout(st, due - now).unwrap_or_else(|e| e.into_inner()).0;
+            }
             let draining = st.draining;
             self.reclaim_and_deadlines(&mut st, Instant::now());
             drop(st);
@@ -459,7 +469,7 @@ impl Server {
                         200,
                         &format!(
                             "{{\"job_id\":{},\"accepted\":true,\"trials\":{trials}}}",
-                            http::json_escape(&id)
+                            json_string(&id)
                         ),
                     ),
                     Err((status, body)) => http::write_json(stream, status, &body),
@@ -622,11 +632,11 @@ impl Server {
              \"trials_total\":{},\"trials_committed\":{},\"chunks_committed\":{},\
              \"committed_bytes\":{},\"mean_error\":{},\"panics\":{},\
              \"quanta_total\":{},\"quanta_baseline\":{},\"degrade\":{}}}",
-            http::json_escape(id),
-            http::json_escape(&job.spec.tenant),
-            http::json_escape(if job.verdict.is_some() { "done" } else { "running" }),
+            json_string(id),
+            json_string(&job.spec.tenant),
+            json_string(if job.verdict.is_some() { "done" } else { "running" }),
             match &job.verdict {
-                Some(v) => http::json_escape(v),
+                Some(v) => json_string(v),
                 None => "null".to_owned(),
             },
             job.spec.total_trials(),
@@ -656,9 +666,9 @@ impl Server {
             "{{\"schema\":\"enerj-serve-summary/1\",\"job_id\":{},\"tenant\":{},\
              \"verdict\":{},\"trials_total\":{},\"trials_done\":{},\"mean_error\":{},\
              \"panics\":{},\"quanta_total\":{},\"quanta_baseline\":{},\"degrade_final\":{}}}",
-            http::json_escape(id),
-            http::json_escape(&job.spec.tenant),
-            http::json_escape(verdict),
+            json_string(id),
+            json_string(&job.spec.tenant),
+            json_string(verdict),
             job.spec.total_trials(),
             job.trials_committed(),
             finite_json(job.mean_error()),
@@ -741,7 +751,7 @@ fn tenant_json(t: &TenantState) -> String {
     format!(
         "{{\"tenant\":{},\"quota\":{},\"spent\":{},\"remaining\":{},\
          \"active_jobs\":{},\"over_budget\":{}}}",
-        http::json_escape(&t.config.name),
+        json_string(&t.config.name),
         match t.config.quota {
             Some(q) => q.to_string(),
             None => "null".to_owned(),
@@ -752,7 +762,7 @@ fn tenant_json(t: &TenantState) -> String {
             None => "null".to_owned(),
         },
         t.active_jobs,
-        http::json_escape(t.config.over_budget.as_str()),
+        json_string(t.config.over_budget.as_str()),
     )
 }
 

@@ -36,11 +36,10 @@
 
 use std::sync::Arc;
 
-use crate::http::json_escape;
 use enerj_apps::qos::Output;
 use enerj_apps::recovery;
 use enerj_apps::scheduler::SchedLevel;
-use enerj_apps::trials::TrialSpec;
+use enerj_apps::trials::{json_string, TrialSpec};
 use enerj_apps::{all_apps, harness, App};
 use enerj_bench::json::Json;
 use enerj_hw::quanta::EnergyQuanta;
@@ -228,14 +227,14 @@ impl JobSpec {
     /// Re-serializes the spec canonically (the durable `spec.json` body,
     /// so a restarted server reconstructs the exact same job).
     pub fn to_json(&self) -> String {
-        let apps: Vec<String> = self.apps.iter().map(|a| json_escape(a)).collect();
-        let levels: Vec<String> = self.levels.iter().map(|l| json_escape(l)).collect();
+        let apps: Vec<String> = self.apps.iter().map(|a| json_string(a)).collect();
+        let levels: Vec<String> = self.levels.iter().map(|l| json_string(l)).collect();
         format!(
             "{{\"schema\":{},\"tenant\":{},\"apps\":[{}],\"levels\":[{}],\"runs\":{},\
              \"recovery\":{},\"budget_quanta\":{},\"over_budget\":{},\"deadline_secs\":{},\
              \"chunk\":{}}}",
-            json_escape(SCHEMA),
-            json_escape(&self.tenant),
+            json_string(SCHEMA),
+            json_string(&self.tenant),
             apps.join(","),
             levels.join(","),
             self.runs,
@@ -244,7 +243,7 @@ impl JobSpec {
                 Some(q) => q.to_string(),
                 None => "null".to_owned(),
             },
-            json_escape(self.over_budget.as_str()),
+            json_string(self.over_budget.as_str()),
             match self.deadline_secs {
                 Some(s) => format!("{s}"),
                 None => "null".to_owned(),

@@ -429,3 +429,27 @@ fn bad_specs_are_rejected_with_typed_errors() {
     }
     d.shutdown();
 }
+
+/// An idle daemon drains promptly on `POST /shutdown`: the supervisor waits
+/// on the work condvar, not a quarter-lease sleep, so even a 30 s lease
+/// does not hold the exit for 7.5 s.
+#[test]
+fn idle_daemon_exits_promptly_on_shutdown() {
+    let dir = tempdir("shutdown");
+    let mut d = Daemon::start(&dir, &["--workers", "2", "--lease-secs", "30"]);
+    // Let the supervisor settle into its first tick wait.
+    std::thread::sleep(Duration::from_millis(200));
+    let asked = std::time::Instant::now();
+    d.client().shutdown().expect("shutdown accepted");
+    loop {
+        if d.child.try_wait().expect("poll campaignd").is_some() {
+            break;
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "campaignd still running {:?} after /shutdown",
+            asked.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
