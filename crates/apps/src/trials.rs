@@ -463,8 +463,9 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// JSON has no NaN/Infinity literals; clamp them to the error scale's ends.
-fn json_f64(x: f64) -> String {
+/// Formats an f64 for JSON. JSON has no NaN/Infinity literals, so they are
+/// clamped to the error scale's ends.
+pub fn json_f64(x: f64) -> String {
     if x.is_nan() {
         "1.0".to_owned()
     } else if x.is_infinite() {

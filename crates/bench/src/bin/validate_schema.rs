@@ -3,34 +3,26 @@
 //!
 //! ```text
 //! validate_schema [--report <BENCH_*.json>]... [--fault-log <log.ndjson>]...
-//!                 [--hwperf <BENCH_hwperf.json>]...
 //!                 [--sched <BENCH_sched.json>]...
-//!                 [--serve <BENCH_serveperf.json>]...
 //!                 [--quanta-compare <a.json> <b.json>]...
 //! ```
 //!
 //! Validates each `--report` against `enerj-campaign/5`, each `--fault-log`
-//! against the NDJSON fault-event schema, each `--hwperf` against the
-//! `enerj-hwperf/3` throughput-report schema, each `--sched` against the
+//! against the NDJSON fault-event schema, and each `--sched` against the
 //! `enerj-sched/1` budget-scheduling report schema (including the
 //! scheduler's own bit-identity verdict and the exact integer budget
-//! arithmetic), and each `--serve` against the `enerj-serveperf/1`
-//! campaign-service report schema (including the kill-resume byte-identity
-//! verdict). `--quanta-compare` checks that two campaign reports carry
+//! arithmetic). `--quanta-compare` checks that two campaign reports carry
 //! *identical* integer energy totals (`energy_quanta` and
 //! `recovery_energy_overhead_quanta`), compared as parsed 128-bit integers
 //! ([`Json::Int`] keeps literals lossless), so values above 2^53 cannot be
-//! blurred by f64 parsing — the CI quanta-smoke job runs the same campaign
+//! blurred by f64 parsing — the CI smoke script runs the same campaign
 //! at two thread counts and requires the totals to match exactly. Exit
 //! code 0 when everything conforms, 1 on the first violation.
 
 use std::process::ExitCode;
 
 use enerj_bench::json::Json;
-use enerj_bench::validate::{
-    validate_campaign_report, validate_fault_log, validate_hwperf_report, validate_sched_report,
-    validate_serveperf_report,
-};
+use enerj_bench::validate::{validate_campaign_report, validate_fault_log, validate_sched_report};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -113,30 +105,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 println!("{path}: OK ({events} fault events)");
                 checked += 1;
             }
-            "--hwperf" => {
-                let path = it.next().ok_or("--hwperf needs a path")?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
-                let kernels =
-                    validate_hwperf_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-hwperf/3, {kernels} kernel rows)");
-                checked += 1;
-            }
             "--sched" => {
                 let path = it.next().ok_or("--sched needs a path")?;
                 let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                 let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
                 let rows = validate_sched_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
                 println!("{path}: OK (enerj-sched/1, {rows} baseline rows)");
-                checked += 1;
-            }
-            "--serve" => {
-                let path = it.next().ok_or("--serve needs a path")?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
-                let jobs =
-                    validate_serveperf_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-serveperf/1, {jobs} throughput jobs)");
                 checked += 1;
             }
             "--quanta-compare" => {
@@ -149,15 +123,15 @@ fn run(args: &[String]) -> Result<(), String> {
             other => {
                 return Err(format!(
                     "unknown argument `{other}`\nusage: validate_schema \
-                     [--report <path>]... [--fault-log <path>]... [--hwperf <path>]... \
-                     [--sched <path>]... [--serve <path>]... [--quanta-compare <a> <b>]..."
+                     [--report <path>]... [--fault-log <path>]... \
+                     [--sched <path>]... [--quanta-compare <a> <b>]..."
                 ))
             }
         }
     }
     if checked == 0 {
-        return Err("nothing to validate; pass --report, --fault-log, --hwperf, \
-                    --sched, --serve and/or --quanta-compare"
+        return Err("nothing to validate; pass --report, --fault-log, \
+                    --sched and/or --quanta-compare"
             .to_owned());
     }
     Ok(())

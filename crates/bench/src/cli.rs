@@ -3,7 +3,7 @@
 //! All binaries speak the same flag vocabulary — `--runs`, `--threads`,
 //! `--json`, `--trace`, `--fault-log`, plus free binary-specific mode flags
 //! collected in [`Options::flags`] — so the parser lives here once;
-//! fig3/fig4/fig5/table3/ablation/tuning and hwbench all use it rather
+//! fig3/fig4/fig5/table3/ablation/tuning/schedbench all use it rather
 //! than hand-rolling their own loops.
 
 use enerj_apps::trials::CampaignOptions;
@@ -31,7 +31,7 @@ pub struct Options {
     /// prefix). `None` = no deadline.
     pub deadline_secs: Option<f64>,
     /// Extra mode flags (e.g. `--error-modes` for the ablation binary,
-    /// `--quick` for hwbench).
+    /// `--quick` for schedbench).
     pub flags: Vec<String>,
 }
 

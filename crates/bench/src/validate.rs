@@ -4,7 +4,7 @@
 //! `enerj-campaign/5` schema, `enerj-sched/1` budget-scheduling reports,
 //! and NDJSON fault logs against the fault-event schema, all as documented
 //! in DESIGN.md. Used by the `validate_schema` binary (and the CI smoke
-//! jobs) to catch emitter drift.
+//! script) to catch emitter drift.
 
 use crate::json::Json;
 use enerj_hw::trace::FaultKind;
@@ -238,109 +238,6 @@ pub fn validate_campaign_report(report: &Json) -> Result<usize, String> {
     Ok(trials.len())
 }
 
-/// Keys every `enerj-hwperf/3` batched row must carry (scalar vs
-/// whole-slice entry points on the same substrate).
-const HWPERF_BATCHED_KEYS: [&str; 6] =
-    ["kernel", "level", "ops", "scalar_ops_per_sec", "batched_ops_per_sec", "speedup"];
-
-/// Keys every `enerj-hwperf/3` macro row must carry.
-const HWPERF_MACRO_KEYS: [&str; 4] = ["app", "level", "ops", "ops_per_sec"];
-
-/// The microkernel names an `enerj-hwperf/3` report may contain.
-const HWPERF_KERNELS: [&str; 4] = ["sram", "dram", "alu", "fpu"];
-
-fn require_positive(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    let v = require_number(obj, key, what)?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!("{what}: `{key}` must be finite and positive ({v})"));
-    }
-    Ok(v)
-}
-
-fn require_level(obj: &Json, what: &str) -> Result<(), String> {
-    let level = obj
-        .get("level")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: missing `level`"))?;
-    if !["Mild", "Medium", "Aggressive"].contains(&level) {
-        return Err(format!("{what}: unknown level `{level}`"));
-    }
-    Ok(())
-}
-
-/// Validates one batched-grid row: named keys present, every
-/// throughput/speedup figure finite and positive, and the recorded speedup
-/// consistent with the two rates it summarizes.
-fn validate_batched_row(row: &Json, what: &str) -> Result<(), String> {
-    for key in HWPERF_BATCHED_KEYS {
-        if row.get(key).is_none() {
-            return Err(format!("{what}: missing `{key}`"));
-        }
-    }
-    let kernel = row
-        .get("kernel")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: `kernel` must be a string"))?;
-    if !HWPERF_KERNELS.contains(&kernel) {
-        return Err(format!("{what}: unknown kernel `{kernel}`"));
-    }
-    require_level(row, what)?;
-    require_positive(row, "ops", what)?;
-    let scalar = require_positive(row, "scalar_ops_per_sec", what)?;
-    let batched = require_positive(row, "batched_ops_per_sec", what)?;
-    let speedup = require_positive(row, "speedup", what)?;
-    let implied = batched / scalar;
-    if (speedup - implied).abs() > 0.01 * implied.max(speedup) {
-        return Err(format!(
-            "{what}: speedup {speedup} inconsistent with {batched}/{scalar} = {implied:.3}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a parsed `enerj-hwperf/3` throughput report (the `hwbench`
-/// binary's output). Checks schema, key presence, and that every
-/// throughput/speedup figure is finite and positive — it does *not* gate on
-/// absolute speed, so the CI perf-smoke job catches emitter drift without
-/// flaking on slow runners. Returns the batched-row count.
-pub fn validate_hwperf_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-hwperf/3" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-hwperf/3`"));
-    }
-    if report.get("quick").is_none() {
-        return Err("report: missing top-level `quick`".to_owned());
-    }
-    let batched = report
-        .get("batched")
-        .and_then(Json::as_array)
-        .ok_or("report: `batched` must be an array")?;
-    if batched.is_empty() {
-        return Err("report: `batched` is empty".to_owned());
-    }
-    for (i, row) in batched.iter().enumerate() {
-        validate_batched_row(row, &format!("batched[{i}]"))?;
-    }
-    let macros =
-        report.get("macro").and_then(Json::as_array).ok_or("report: `macro` must be an array")?;
-    for (i, row) in macros.iter().enumerate() {
-        let what = format!("macro[{i}]");
-        for key in HWPERF_MACRO_KEYS {
-            if row.get(key).is_none() {
-                return Err(format!("{what}: missing `{key}`"));
-            }
-        }
-        if row.get("app").and_then(Json::as_str).is_none() {
-            return Err(format!("{what}: `app` must be a string"));
-        }
-        require_level(row, &what)?;
-        require_positive(row, "ops", &what)?;
-        require_positive(row, "ops_per_sec", &what)?;
-    }
-    Ok(batched.len())
-}
-
 /// Top-level keys every `enerj-sched/1` report must carry.
 const SCHED_REPORT_KEYS: [&str; 10] = [
     "schema",
@@ -383,7 +280,7 @@ fn require_error_and_qos(obj: &Json, what: &str) -> Result<(), String> {
 /// bit-identity verdict, exact integer-quanta budget arithmetic (the
 /// recorded verdict must equal `spent <= budget`), the scheduled level
 /// census, and every static baseline row — it does *not* gate on absolute
-/// QoS, so the CI sched-smoke job catches emitter drift without pinning
+/// QoS, so the CI smoke script catches emitter drift without pinning
 /// workload-dependent numbers. Returns the baseline-row count.
 pub fn validate_sched_report(report: &Json) -> Result<usize, String> {
     let schema =
@@ -499,107 +396,6 @@ pub fn validate_sched_report(report: &Json) -> Result<usize, String> {
         require_error_and_qos(row, &what)?;
     }
     Ok(baselines.len())
-}
-
-/// Top-level keys every `enerj-serveperf/1` report must carry.
-const SERVEPERF_KEYS: [&str; 6] =
-    ["schema", "kill_resume_identical", "identity", "throughput", "first_trial", "config"];
-
-/// Keys the `enerj-serveperf/1` identity section must carry.
-const SERVEPERF_IDENTITY_KEYS: [&str; 5] =
-    ["trials", "bytes", "kill_after_trials", "quanta_total", "quanta_baseline"];
-
-/// Keys the `enerj-serveperf/1` throughput section must carry.
-const SERVEPERF_THROUGHPUT_KEYS: [&str; 5] =
-    ["jobs", "trials_per_job", "wall_seconds", "jobs_per_sec", "trials_per_sec"];
-
-/// Validates a parsed `enerj-serveperf/1` campaign-service report (the
-/// `servebench` binary's output). Checks schema, the kill-resume identity
-/// verdict (servebench refuses to write a report unless the `kill -9` /
-/// restart stream was byte-identical to an uninterrupted run, so a report
-/// carrying `false` is corrupt by construction), the exact integer quanta
-/// in the identity section, and that every rate is finite, positive, and
-/// self-consistent — it does *not* gate on absolute throughput, so the CI
-/// serve-smoke job catches emitter drift without flaking on slow runners.
-/// Returns the throughput-phase job count.
-pub fn validate_serveperf_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-serveperf/1" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-serveperf/1`"));
-    }
-    for key in SERVEPERF_KEYS {
-        if report.get(key).is_none() {
-            return Err(format!("report: missing top-level `{key}`"));
-        }
-    }
-    match report.get("kill_resume_identical") {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => {
-            return Err("report: `kill_resume_identical` is false — the kill-resume \
-                        stream diverged from the uninterrupted run"
-                .to_owned())
-        }
-        _ => return Err("report: missing boolean `kill_resume_identical`".to_owned()),
-    }
-
-    let identity = report.get("identity").expect("checked above");
-    for key in SERVEPERF_IDENTITY_KEYS {
-        if identity.get(key).is_none() {
-            return Err(format!("identity: missing `{key}`"));
-        }
-    }
-    let trials = require_positive(identity, "trials", "identity")?;
-    require_positive(identity, "bytes", "identity")?;
-    let kill_after = require_positive(identity, "kill_after_trials", "identity")?;
-    if kill_after >= trials {
-        return Err(format!(
-            "identity: kill_after_trials {kill_after} >= trials {trials} — \
-             the kill landed after the campaign finished, so nothing was resumed"
-        ));
-    }
-    let total = require_quanta(identity, "quanta_total", "identity")?;
-    let baseline = require_quanta(identity, "quanta_baseline", "identity")?;
-    if total == 0 || baseline == 0 {
-        return Err(format!(
-            "identity: zero quanta (total {total}, baseline {baseline}) — no trials ran"
-        ));
-    }
-
-    let throughput = report.get("throughput").expect("checked above");
-    for key in SERVEPERF_THROUGHPUT_KEYS {
-        if throughput.get(key).is_none() {
-            return Err(format!("throughput: missing `{key}`"));
-        }
-    }
-    let jobs = require_positive(throughput, "jobs", "throughput")?;
-    let per_job = require_positive(throughput, "trials_per_job", "throughput")?;
-    let wall = require_positive(throughput, "wall_seconds", "throughput")?;
-    let jobs_per_sec = require_positive(throughput, "jobs_per_sec", "throughput")?;
-    let trials_per_sec = require_positive(throughput, "trials_per_sec", "throughput")?;
-    let implied_jobs = jobs / wall;
-    if (jobs_per_sec - implied_jobs).abs() > 0.01 * implied_jobs.max(jobs_per_sec) {
-        return Err(format!(
-            "throughput: jobs_per_sec {jobs_per_sec} inconsistent with \
-             {jobs}/{wall} = {implied_jobs:.3}"
-        ));
-    }
-    let implied_trials = jobs * per_job / wall;
-    if (trials_per_sec - implied_trials).abs() > 0.01 * implied_trials.max(trials_per_sec) {
-        return Err(format!(
-            "throughput: trials_per_sec {trials_per_sec} inconsistent with \
-             {jobs}*{per_job}/{wall} = {implied_trials:.3}"
-        ));
-    }
-
-    let first = report.get("first_trial").expect("checked above");
-    require_positive(first, "time_to_first_trial_ms", "first_trial")?;
-
-    let config = report.get("config").expect("checked above");
-    for key in ["workers", "chunk", "runs"] {
-        require_positive(config, key, "config")?;
-    }
-    Ok(jobs as usize)
 }
 
 /// Validates one NDJSON fault-log line (already parsed).
@@ -782,73 +578,6 @@ mod tests {
         assert_eq!(validate_campaign_report(&parsed), Ok(3));
     }
 
-    const HWPERF_OK: &str = r#"{
-        "schema": "enerj-hwperf/3",
-        "quick": true,
-        "batched": [
-            {"kernel": "sram", "level": "Mild", "ops": 401408,
-             "scalar_ops_per_sec": 50000000.0,
-             "batched_ops_per_sec": 1500000000.0, "speedup": 30.0},
-            {"kernel": "alu", "level": "Mild", "ops": 397312,
-             "scalar_ops_per_sec": 100000000.0,
-             "batched_ops_per_sec": 600000000.0, "speedup": 6.0}
-        ],
-        "macro": [
-            {"app": "FFT", "level": "Aggressive", "ops": 24576,
-             "ops_per_sec": 40000000.0}
-        ]
-    }"#;
-
-    #[test]
-    fn hwperf_report_validates() {
-        let v = Json::parse(HWPERF_OK).unwrap();
-        assert_eq!(validate_hwperf_report(&v), Ok(2));
-    }
-
-    #[test]
-    fn hwperf_rejects_drifted_reports() {
-        // The `/2` capture still carried the per-access `kernels` grid.
-        let wrong_schema = HWPERF_OK.replace("enerj-hwperf/3", "enerj-hwperf/2");
-        let v = Json::parse(&wrong_schema).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("schema"));
-
-        let no_kernels = HWPERF_OK.replace("\"kernel\": \"sram\"", "\"unit\": \"sram\"");
-        let v = Json::parse(&no_kernels).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("kernel"));
-
-        let bad_level = HWPERF_OK.replacen("\"Mild\"", "\"Extreme\"", 1);
-        let v = Json::parse(&bad_level).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("unknown level"));
-
-        let wrong_speedup = HWPERF_OK.replace("\"speedup\": 30.0", "\"speedup\": 2.0");
-        let v = Json::parse(&wrong_speedup).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("inconsistent"));
-    }
-
-    #[test]
-    fn hwperf_rejects_bad_batched_rows() {
-        let missing = HWPERF_OK.replace("\"batched\"", "\"sliced\"");
-        let v = Json::parse(&missing).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("batched"));
-
-        // A serialized `inf` (the unclamped `--quick` denominator bug)
-        // parses as a malformed number and must be rejected, as must a
-        // nonpositive rate drifting in.
-        let zero_rate =
-            HWPERF_OK.replace("\"scalar_ops_per_sec\": 50000000.0", "\"scalar_ops_per_sec\": 0.0");
-        let v = Json::parse(&zero_rate).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("positive"));
-
-        let negative_rate = HWPERF_OK
-            .replace("\"batched_ops_per_sec\": 600000000.0", "\"batched_ops_per_sec\": -1.0");
-        let v = Json::parse(&negative_rate).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("positive"));
-
-        let wrong_speedup = HWPERF_OK.replace("\"speedup\": 6.0", "\"speedup\": 60.0");
-        let v = Json::parse(&wrong_speedup).unwrap();
-        assert!(validate_hwperf_report(&v).unwrap_err().contains("inconsistent"));
-    }
-
     const SCHED_OK: &str = r#"{
         "schema": "enerj-sched/1", "quick": true, "meter": "sram",
         "budget_pct": 60, "trials": 24, "epoch_len": 3,
@@ -965,69 +694,6 @@ mod tests {
         if let Ok(text) = std::fs::read_to_string(path) {
             let v = Json::parse(&text).unwrap();
             assert!(validate_sched_report(&v).unwrap() >= 1);
-        }
-    }
-
-    /// A structurally valid `enerj-serveperf/1` report (matches the
-    /// `servebench` serializer, with quanta above 2^53 to exercise the
-    /// lossless integer path).
-    const SERVEPERF_OK: &str = r#"{
-      "schema": "enerj-serveperf/1",
-      "kill_resume_identical": true,
-      "identity": {"trials": 24, "bytes": 26715, "kill_after_trials": 2,
-                   "quanta_total": 9007199254740995, "quanta_baseline": 9007199254741997},
-      "throughput": {"jobs": 8, "trials_per_job": 24,
-                     "wall_seconds": 0.25, "jobs_per_sec": 32.0, "trials_per_sec": 768.0},
-      "first_trial": {"time_to_first_trial_ms": 20.7},
-      "config": {"workers": 2, "chunk": 2, "runs": 6}
-    }"#;
-
-    #[test]
-    fn serveperf_report_validates() {
-        let v = Json::parse(SERVEPERF_OK).unwrap();
-        assert_eq!(validate_serveperf_report(&v), Ok(8));
-    }
-
-    #[test]
-    fn serveperf_rejects_drifted_reports() {
-        let wrong_schema = SERVEPERF_OK.replace("serveperf/1", "serveperf/0");
-        let v = Json::parse(&wrong_schema).unwrap();
-        assert!(validate_serveperf_report(&v).unwrap_err().contains("schema"));
-
-        // servebench exits without writing a report when the identity gate
-        // fails, so `false` here can only mean a hand-edited or corrupt file.
-        let diverged = SERVEPERF_OK
-            .replace("\"kill_resume_identical\": true", "\"kill_resume_identical\": false");
-        let v = Json::parse(&diverged).unwrap();
-        assert!(validate_serveperf_report(&v).unwrap_err().contains("diverged"));
-
-        // A kill after the last trial means nothing was actually resumed.
-        let late_kill =
-            SERVEPERF_OK.replace("\"kill_after_trials\": 2", "\"kill_after_trials\": 24");
-        let v = Json::parse(&late_kill).unwrap();
-        assert!(validate_serveperf_report(&v).unwrap_err().contains("nothing was resumed"));
-
-        let wrong_rate = SERVEPERF_OK.replace("\"jobs_per_sec\": 32.0", "\"jobs_per_sec\": 99.0");
-        let v = Json::parse(&wrong_rate).unwrap();
-        assert!(validate_serveperf_report(&v).unwrap_err().contains("inconsistent"));
-
-        let fractional_quanta = SERVEPERF_OK
-            .replace("\"quanta_total\": 9007199254740995", "\"quanta_total\": 9007199254740995.5");
-        let v = Json::parse(&fractional_quanta).unwrap();
-        assert!(validate_serveperf_report(&v).unwrap_err().contains("quanta_total"));
-
-        let no_config = SERVEPERF_OK.replace("\"config\"", "\"settings\"");
-        let v = Json::parse(&no_config).unwrap();
-        assert!(validate_serveperf_report(&v).unwrap_err().contains("config"));
-    }
-
-    #[test]
-    fn serveperf_accepts_real_bench_output() {
-        // Shape-check the committed capture, when present.
-        let path = crate::bench_report_path("serveperf");
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let v = Json::parse(&text).unwrap();
-            assert!(validate_serveperf_report(&v).unwrap() >= 1);
         }
     }
 

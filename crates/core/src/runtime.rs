@@ -211,28 +211,13 @@ impl Runtime {
         self.hw.borrow_mut().reset_stats();
     }
 
-    /// Enables fault tracing: the machine retains the last `capacity`
-    /// injected faults for post-mortem inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_trace(&self, capacity: usize) {
-        self.hw.borrow_mut().enable_trace(capacity);
-    }
-
-    /// A snapshot of the retained fault events (empty if tracing is off).
-    pub fn fault_trace(&self) -> Vec<enerj_hw::trace::FaultEvent> {
-        self.hw.borrow().trace().map(|t| t.events().copied().collect()).unwrap_or_default()
-    }
-
     /// A snapshot of the always-on per-kind fault counters.
     pub fn fault_counters(&self) -> enerj_hw::FaultCounters {
         *self.hw.borrow().fault_counters()
     }
 
-    /// Enables the opt-in structured fault log (unbounded, unlike the
-    /// bounded trace ring buffer). Clears any previously collected events.
+    /// Enables the opt-in structured fault log: every injected fault, in
+    /// time order. Clears any previously collected events.
     pub fn enable_fault_log(&self) {
         self.hw.borrow_mut().enable_event_log();
     }
@@ -434,33 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_trace_records_injections_in_time_order() {
-        use crate::{endorse, Approx};
-        let rt = Runtime::new(Level::Aggressive, 3);
-        rt.enable_trace(64);
-        rt.run(|| {
-            let mut acc = Approx::new(0i64);
-            for i in 0..5_000 {
-                acc += i;
-            }
-            let _ = endorse(acc);
-        });
-        let trace = rt.fault_trace();
-        assert!(!trace.is_empty(), "aggressive run should record faults");
-        assert!(trace.len() as u64 <= rt.stats().faults_injected);
-        assert!(trace.windows(2).all(|w| w[0].time <= w[1].time), "events are time-ordered");
-    }
-
-    #[test]
-    fn trace_is_empty_when_disabled() {
-        let rt = Runtime::new(Level::Aggressive, 3);
-        rt.run(|| {
-            let _ = crate::endorse(crate::Approx::new(1i64) + 1);
-        });
-        assert!(rt.fault_trace().is_empty());
-    }
-
-    #[test]
     fn fault_counters_match_injected_total() {
         use crate::{endorse, Approx};
         let rt = Runtime::new(Level::Aggressive, 3);
@@ -474,6 +432,38 @@ mod tests {
         let counters = rt.fault_counters();
         assert_eq!(counters.total_injections(), rt.stats().faults_injected);
         assert!(!counters.is_empty());
+    }
+
+    #[test]
+    fn fault_trace_records_injections_in_time_order() {
+        use crate::{endorse, Approx};
+        let rt = Runtime::new(Level::Aggressive, 3);
+        rt.enable_fault_log();
+        rt.run(|| {
+            let mut acc = Approx::new(0i64);
+            for i in 0..5_000 {
+                acc += i;
+            }
+            let _ = endorse(acc);
+        });
+        let events = rt.take_fault_events();
+        assert!(!events.is_empty(), "aggressive run should record faults");
+        assert!(events.windows(2).all(|w| w[0].time <= w[1].time), "events are time-ordered");
+    }
+
+    #[test]
+    fn trace_is_empty_when_disabled() {
+        use crate::{endorse, Approx};
+        let rt = Runtime::new(Level::Aggressive, 3);
+        rt.run(|| {
+            let mut acc = Approx::new(0i64);
+            for i in 0..5_000 {
+                acc += i;
+            }
+            let _ = endorse(acc);
+        });
+        assert!(rt.stats().faults_injected > 0, "aggressive run should inject faults");
+        assert!(rt.take_fault_events().is_empty(), "log off: nothing collected");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use clock::{silence_watchdog_panics, WatchdogTrip};
 use fault::{GeomCountdown, HazardCountdown};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use trace::{FaultEvent, FaultKind, TraceBuffer};
+use trace::{FaultEvent, FaultKind};
 
 /// Snapshot of the `HwConfig` fields the per-access hot path reads, plus a
 /// few derived constants. `HwConfig` is immutable once a `Hardware` is
@@ -184,7 +184,6 @@ pub struct Hardware {
     pub(crate) last_int: u64,
     /// Last result of the floating-point unit (for [`ErrorMode::LastValue`]).
     pub(crate) last_fp: u64,
-    trace: Option<TraceBuffer>,
     counters: FaultCounters,
     event_log: Option<Vec<FaultEvent>>,
 }
@@ -207,29 +206,9 @@ impl Hardware {
             decay_cache: (0, 0.0),
             last_int: 0,
             last_fp: 0,
-            trace: None,
             counters: FaultCounters::new(),
             event_log: None,
         }
-    }
-
-    /// Enables fault tracing with a ring buffer of `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// Disables fault tracing and discards retained events.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-    }
-
-    /// The retained fault trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
     }
 
     /// The always-on per-kind fault counters.
@@ -258,8 +237,7 @@ impl Hardware {
     }
 
     /// Records one injected fault in the statistics, the always-on
-    /// counters, and — when enabled — the trace ring buffer and the
-    /// structured event log.
+    /// counters, and — when enabled — the structured event log.
     ///
     /// Never touches the fault PRNG, so recording cannot perturb the
     /// simulated outcome.
@@ -267,15 +245,9 @@ impl Hardware {
     pub(crate) fn note_fault(&mut self, kind: FaultKind, width: u32, bits_flipped: u32) {
         self.stats.record_fault();
         self.counters.record(kind, bits_flipped);
-        if self.trace.is_some() || self.event_log.is_some() {
-            let time = self.now();
-            let event = FaultEvent { kind, time, width, bits_flipped };
-            if let Some(trace) = &mut self.trace {
-                trace.push(event);
-            }
-            if let Some(log) = &mut self.event_log {
-                log.push(event);
-            }
+        let time = self.now();
+        if let Some(log) = &mut self.event_log {
+            log.push(FaultEvent { kind, time, width, bits_flipped });
         }
     }
 
@@ -517,7 +489,6 @@ mod tests {
         let mut plain = Hardware::new(cfg, 77);
         let mut logged = Hardware::new(cfg, 77);
         logged.enable_event_log();
-        logged.enable_trace(8);
         for i in 0..2000u64 {
             assert_eq!(plain.approx_int_result(i, 64), logged.approx_int_result(i, 64));
             assert_eq!(plain.sram_read(i, 64, true), logged.sram_read(i, 64, true));

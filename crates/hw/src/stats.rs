@@ -100,8 +100,8 @@ impl Stats {
 
     /// Records `bytes` of storage held for `seconds` simulated seconds.
     ///
-    /// Legacy float shim for callers that measure in byte-seconds (the
-    /// in-binary baseline replica in `hwbench`, hand-built test fixtures):
+    /// Legacy float shim for callers that measure in byte-seconds (hand-built
+    /// test fixtures):
     /// the product is converted to bit·op-tick quanta at the default time
     /// scale ([`crate::config::HwConfig::DEFAULT_SECONDS_PER_OP`]), rounding to
     /// nearest. The simulator itself charges quanta directly via

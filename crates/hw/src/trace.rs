@@ -1,14 +1,15 @@
-//! Fault-event tracing.
+//! Fault-event vocabulary.
 //!
-//! When enabled, the simulator records the last N injected faults — which
-//! unit faulted, when, and how many bits changed. This is the debugging
-//! facility the paper's authors would have wanted when an annotated
-//! application misbehaves: it answers "*which* approximation bit me?"
-//! without rerunning under a different mask.
+//! A [`FaultEvent`] says which unit faulted, when, and how many bits
+//! changed. The simulator keeps per-[`FaultKind`] counters always and, once
+//! [`Hardware::enable_event_log`](crate::Hardware::enable_event_log) is
+//! called, every event in time order. This is the debugging facility the
+//! paper's authors would have wanted when an annotated application
+//! misbehaves: it answers "*which* approximation bit me?" without rerunning
+//! under a different mask.
 //!
-//! Tracing is off by default and costs nothing when disabled.
+//! The event log is off by default and costs nothing when disabled.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Which fault model injected the event.
@@ -82,97 +83,4 @@ pub struct FaultEvent {
     /// model (value-replacement models included; a replacement that happens
     /// to reproduce the raw value counts as 0 flipped bits).
     pub bits_flipped: u32,
-}
-
-/// A bounded ring buffer of the most recent fault events.
-#[derive(Debug, Clone)]
-pub struct TraceBuffer {
-    events: VecDeque<FaultEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    /// Creates a buffer holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        TraceBuffer { events: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
-    }
-
-    /// Records an event, evicting the oldest when full.
-    pub fn push(&mut self, event: FaultEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Count of retained events by kind.
-    pub fn count_by_kind(&self, kind: FaultKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(kind: FaultKind, time: f64) -> FaultEvent {
-        FaultEvent { kind, time, width: 32, bits_flipped: 1 }
-    }
-
-    #[test]
-    fn retains_most_recent_and_counts_drops() {
-        let mut t = TraceBuffer::new(3);
-        for i in 0..5 {
-            t.push(ev(FaultKind::IntTiming, i as f64));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let times: Vec<f64> = t.events().map(|e| e.time).collect();
-        assert_eq!(times, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn counts_by_kind() {
-        let mut t = TraceBuffer::new(10);
-        t.push(ev(FaultKind::SramReadUpset, 0.0));
-        t.push(ev(FaultKind::SramReadUpset, 1.0));
-        t.push(ev(FaultKind::DramDecay, 2.0));
-        assert_eq!(t.count_by_kind(FaultKind::SramReadUpset), 2);
-        assert_eq!(t.count_by_kind(FaultKind::DramDecay), 1);
-        assert_eq!(t.count_by_kind(FaultKind::FpTiming), 0);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = TraceBuffer::new(0);
-    }
 }

@@ -259,12 +259,11 @@ fn batched_fu_timing_rate_matches_bernoulli_at_aggressive() {
 
 #[test]
 fn telemetry_does_not_perturb_the_batched_fault_prng() {
-    // Mirror of the scalar guarantee: enabling the trace ring and the
-    // event log must leave every batched observed value unchanged.
+    // Mirror of the scalar guarantee: enabling the event log must leave
+    // every batched observed value unchanged.
     let run = |telemetry: bool| -> (Vec<u64>, Vec<u64>) {
         let mut hw = Hardware::new(hot_cfg(ErrorMode::RandomValue), 0x7E1E);
         if telemetry {
-            hw.enable_trace(512);
             hw.enable_event_log();
         }
         let mut sram: Vec<u64> = (0..2048u64).collect();

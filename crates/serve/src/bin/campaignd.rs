@@ -13,8 +13,8 @@
 //! `POST /shutdown` drain completes. `--tenant` may repeat; `QUOTA` is an
 //! exact integer quanta count or `unlimited`.
 //!
-//! The two `--test-*` flags are chaos hooks for the integration tests and
-//! `servebench`: they stall or kill the worker making the nth chunk claim
+//! The two `--test-*` flags are chaos hooks for the integration tests:
+//! they stall or kill the worker making the nth chunk claim
 //! to exercise the lease-reclaim path. They are deliberately undocumented
 //! in `--help`-style summaries elsewhere; production runs never pass them.
 

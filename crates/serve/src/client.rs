@@ -1,5 +1,5 @@
 //! The client side of the campaign service: what `campaignctl`,
-//! `servebench` and the integration tests talk through.
+//! `stackbench` and the integration tests talk through.
 //!
 //! One request per connection (the server always answers
 //! `Connection: close`), so the client is a handful of blocking socket

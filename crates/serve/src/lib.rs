@@ -27,9 +27,8 @@
 //!   backpressures only its own socket; admission control rejects
 //!   overload with typed, retriable errors and backoff hints.
 //!
-//! Binaries: `campaignd` (the server), `campaignctl` (submit / status /
-//! stream / shutdown), `servebench` (throughput + time-to-first-trial,
-//! gated on kill-resume byte-identity).
+//! Binaries: `campaignd` (the server) and `campaignctl` (submit / status /
+//! stream / shutdown).
 
 pub mod client;
 pub mod http;

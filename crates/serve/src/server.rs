@@ -51,7 +51,8 @@ use crate::spec::{JobSpec, OverBudget};
 use crate::tenant::{TenantConfig, TenantState};
 use enerj_apps::scheduler::SchedLevel;
 use enerj_apps::trials::{
-    json_string, run_campaign_streamed, trial_json, CampaignOptions, SpecFn, TrialResult, TrialSink,
+    json_f64, json_string, run_campaign_streamed, trial_json, CampaignOptions, SpecFn, TrialResult,
+    TrialSink,
 };
 use enerj_hw::quanta::EnergyQuanta;
 
@@ -602,7 +603,7 @@ impl Server {
         };
         let trials = spec.total_trials();
         let total_chunks = spec.total_chunks();
-        let deadline_at = spec.deadline_secs.map(|s| Instant::now() + Duration::from_secs_f64(s));
+        let deadline_at = spec.deadline_from(Instant::now());
         let job = Job {
             spec,
             journal,
@@ -643,7 +644,7 @@ impl Server {
             job.trials_committed(),
             job.next_commit,
             job.committed_bytes,
-            finite_json(job.mean_error()),
+            json_f64(job.mean_error()),
             job.panics,
             job.quanta_total,
             job.quanta_baseline,
@@ -671,7 +672,7 @@ impl Server {
             json_string(verdict),
             job.spec.total_trials(),
             job.trials_committed(),
-            finite_json(job.mean_error()),
+            json_f64(job.mean_error()),
             job.panics,
             job.quanta_total,
             job.quanta_baseline,
@@ -728,22 +729,6 @@ impl Server {
                 std::thread::sleep(Duration::from_millis(15));
             }
         }
-    }
-}
-
-/// Formats an f64 for JSON, clamping non-finite values (mirrors the
-/// engine's own `json_f64` policy).
-fn finite_json(x: f64) -> String {
-    if x.is_nan() {
-        "1.0".to_owned()
-    } else if x.is_infinite() {
-        if x > 0.0 {
-            "1e308".to_owned()
-        } else {
-            "-1e308".to_owned()
-        }
-    } else {
-        format!("{x}")
     }
 }
 
@@ -1022,11 +1007,7 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
                 quanta_total: recovered_quanta,
                 quanta_baseline: rec.chunks.iter().map(|c| c.quanta_baseline).sum(),
                 verdict: rec.verdict.map(|v| v.verdict),
-                deadline_at: if done {
-                    None
-                } else {
-                    spec.deadline_secs.map(|s| Instant::now() + Duration::from_secs_f64(s))
-                },
+                deadline_at: if done { None } else { spec.deadline_from(Instant::now()) },
                 spec,
                 journal,
             };

@@ -35,6 +35,7 @@
 //! only at the Aggressive floor.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use enerj_apps::qos::Output;
 use enerj_apps::recovery;
@@ -172,8 +173,9 @@ impl JobSpec {
         let runs = doc
             .get("runs")
             .and_then(|r| r.as_i128())
+            .and_then(|r| u64::try_from(r).ok())
             .filter(|&r| r > 0)
-            .ok_or("spec needs a positive integer `runs` field")? as u64;
+            .ok_or("spec needs a positive 64-bit integer `runs` field")?;
         let recovery = match doc.get("recovery") {
             None => false,
             Some(Json::Bool(b)) => *b,
@@ -195,8 +197,11 @@ impl JobSpec {
             None | Some(Json::Null) => None,
             Some(v) => {
                 let secs = v.as_f64().ok_or("`deadline_secs` must be a number")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("`deadline_secs` must be a positive number".to_owned());
+                if secs <= 0.0 || deadline_after(Instant::now(), secs).is_none() {
+                    return Err(
+                        "`deadline_secs` must be a positive number of seconds the clock can hold"
+                            .to_owned(),
+                    );
                 }
                 Some(secs)
             }
@@ -222,6 +227,12 @@ impl JobSpec {
             deadline_secs,
             chunk,
         })
+    }
+
+    /// The instant `deadline_secs` after `start`: `None` without a deadline,
+    /// or if the clock cannot hold it (a deadline that could never fire).
+    pub(crate) fn deadline_from(&self, start: Instant) -> Option<Instant> {
+        self.deadline_secs.and_then(|secs| deadline_after(start, secs))
     }
 
     /// Re-serializes the spec canonically (the durable `spec.json` body,
@@ -297,6 +308,12 @@ impl JobSpec {
     }
 }
 
+/// `start + secs`, if both the [`Duration`] and the [`Instant`] can hold
+/// it (NaN, infinities and negatives never can).
+fn deadline_after(start: Instant, secs: f64) -> Option<Instant> {
+    Duration::try_from_secs_f64(secs).ok().and_then(|d| start.checked_add(d))
+}
+
 fn tenant_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')
 }
@@ -361,6 +378,8 @@ mod tests {
             ("\"apps\":[\"MonteCarlo\"]", "\"apps\":[\"NoSuchApp\"]"),
             ("\"levels\":[\"Mild\"]", "\"levels\":[\"Extreme\"]"),
             ("\"runs\":4", "\"runs\":0"),
+            ("\"runs\":4", "\"runs\":18446744073709551619"),
+            ("\"runs\":4", "\"runs\":1,\"deadline_secs\":1e300"),
             ("\"tenant\":\"t1\"", "\"tenant\":\"has space\""),
         ] {
             let bad = minimal().replace(mutation, needle);

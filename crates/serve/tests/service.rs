@@ -105,19 +105,21 @@ fn status_field(client: &Client, job: &str, field: &str) -> i128 {
         .unwrap_or(-1)
 }
 
-/// Acceptance criterion 1: kill -9 mid-campaign at a randomized committed
-/// boundary, restart, resume — the full NDJSON stream is byte-identical
-/// to an uninterrupted run on a separate server, the exact quanta agree,
-/// and a client resuming with `from_line` sees no duplicated or lost line.
+/// Durability: kill -9 mid-campaign at a randomized committed boundary,
+/// restart, resume — the full NDJSON stream of a two-app × two-level job
+/// is byte-identical to an uninterrupted run on a separate server, the
+/// exact quanta agree, and a client resuming with `from_line` sees no
+/// duplicated or lost line.
 #[test]
 fn kill_resume_stream_is_byte_identical() {
-    let two_levels = "\"Mild\",\"Aggressive\"";
-    let job_spec = spec("t1", two_levels, 3, 2, "");
-    let total_trials = 6;
+    let job_spec = "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t1\",\
+                    \"apps\":[\"MonteCarlo\",\"FFT\"],\"levels\":[\"Mild\",\"Aggressive\"],\
+                    \"runs\":3,\"chunk\":2}";
+    let total_trials = 12;
 
     let mut clean = Daemon::start(&tempdir("clean"), &["--workers", "2"]);
     let clean_client = clean.client();
-    let clean_job = submit_ok(&clean_client, &job_spec);
+    let clean_job = submit_ok(&clean_client, job_spec);
     assert_eq!(clean_client.wait(&clean_job, WAIT).expect("clean"), "complete");
     let clean_bytes = collect(&clean_client, &clean_job, 0);
     assert_eq!(clean_bytes.iter().filter(|&&b| b == b'\n').count(), total_trials);
@@ -130,7 +132,7 @@ fn kill_resume_stream_is_byte_identical() {
     let crash_dir = tempdir("crash");
     let mut crash = Daemon::start(&crash_dir, &["--workers", "2"]);
     let crash_client = crash.client();
-    let crash_job = submit_ok(&crash_client, &job_spec);
+    let crash_job = submit_ok(&crash_client, job_spec);
     // Collect the pre-kill prefix like a real client would: a live stream
     // that the kill below severs mid-flight.
     let prefix = std::sync::Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
@@ -181,7 +183,7 @@ fn kill_resume_stream_is_byte_identical() {
     resumed.shutdown();
 }
 
-/// Acceptance criterion 2 (stop policy): a tenant crossing its quota gets
+/// Quotas (stop policy): a tenant crossing its quota gets
 /// an `over_quota` verdict with partial results at a chunk boundary, and
 /// further submissions are rejected 403 non-retriable while an unrelated
 /// tenant on the same server is untouched.
@@ -282,7 +284,7 @@ fn queue_full_rejection_is_retriable_with_backoff() {
     d.shutdown();
 }
 
-/// Acceptance criterion 3a: a worker that dies mid-chunk (panic) loses its
+/// Supervision (dead worker): a worker that dies mid-chunk (panic) loses its
 /// lease; the chunk is reclaimed, re-run by a surviving worker, and the
 /// output is byte-identical to a run on a healthy server.
 #[test]
@@ -306,7 +308,7 @@ fn dead_worker_chunks_are_reclaimed_via_leases() {
     chaos.shutdown();
 }
 
-/// Acceptance criterion 3b: a *stalled* worker (alive but wedged past its
+/// Supervision (stalled worker): a *stalled* worker (alive but wedged past its
 /// lease) is treated the same — the chunk re-runs elsewhere and the
 /// stalled worker's late result is discarded by the generation check, so
 /// nothing is committed twice.
@@ -336,7 +338,7 @@ fn stalled_worker_chunks_are_reclaimed_and_not_double_committed() {
     chaos.shutdown();
 }
 
-/// Acceptance criterion 2 (chaos): a client that connects, reads a few
+/// Isolation (chaos): a client that connects, reads a few
 /// bytes and vanishes — and a slow reader that never drains its socket —
 /// disturb neither the campaign nor other tenants.
 #[test]
@@ -417,6 +419,8 @@ fn bad_specs_are_rejected_with_typed_errors() {
         "{\"schema\":\"enerj-serve/2\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":1}",
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"Nope\"],\"levels\":[\"Mild\"],\"runs\":1}",
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":0}",
+        "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":18446744073709551619}",
+        "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":1,\"deadline_secs\":1e300}",
     ] {
         match client.submit(bad).expect("submit") {
             Submitted::Rejected { status, error, retriable, .. } => {

@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# Smoke checks over the release binaries: one `cargo build --release`, then
+# telemetry, recovery, fuzz, quanta and sched runs at reduced sizes. Each
+# check exits nonzero on a violation; none gates on wall-clock speed.
+#
+#   bash scripts/smoke.sh
+#
+# The campaign binaries write their reports to results/BENCH_<name>.json;
+# the committed captures they overwrite are restored on exit.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+cargo build --release
+bin=target/release
+work=$(mktemp -d)
+reports=(fig5 recovery sched)
+for name in "${reports[@]}"; do
+    cp "results/BENCH_$name.json" "$work/"
+done
+restore() {
+    for name in "${reports[@]}"; do
+        cp "$work/BENCH_$name.json" results/
+    done
+    rm -rf "$work"
+}
+trap restore EXIT
+
+step() { printf '\n== %s\n' "$*"; }
+
+step "quanta: fig5 at one thread"
+"$bin/fig5" --runs 3 --threads 1
+mv results/BENCH_fig5.json "$work/fig5_t1.json"
+
+step "telemetry: fig5 at two threads with progress and the fault log"
+"$bin/fig5" --runs 3 --threads 2 --trace --fault-log "$work/fig5.ndjson"
+
+# Integer quanta make campaign energy order-independent: the totals must
+# be exactly equal across thread counts and with the fault log on, as
+# 128-bit integers, not within a float tolerance.
+step "telemetry + quanta: schemas, fault log, exact quanta equality"
+"$bin/validate_schema" \
+    --report "$work/fig5_t1.json" --report results/BENCH_fig5.json \
+    --fault-log "$work/fig5.ndjson" \
+    --quanta-compare "$work/fig5_t1.json" results/BENCH_fig5.json
+"$bin/faultscope" results/BENCH_fig5.json --bits
+
+# Shape only: the Precise rung makes full recovery structural, and the
+# binary itself reports the rescue rate.
+step "recovery: sweep under chaos"
+"$bin/recovery" --runs 3 --threads 2
+"$bin/validate_schema" --report results/BENCH_recovery.json
+"$bin/faultscope" --causes results/BENCH_recovery.json
+
+# fuzzgen exits nonzero on any oracle violation; counterexamples are shrunk
+# and printed.
+step "fuzz: conformance campaign (500 cases, all five oracles)"
+"$bin/fuzzgen" --cases 500 --seed 1 --shrink
+step "fuzz: deep noninterference sweep (endorse-free, 8 chaos seeds)"
+"$bin/fuzzgen" --cases 1000 --seed 2 --endorse-free --chaos-seeds 8 --shrink
+
+# schedbench re-runs the scheduled campaign at one and two worker threads
+# internally and exits nonzero unless every run is bit-identical. QoS
+# margins depend on trial counts, so nothing gates on scheduler-vs-static.
+step "sched: budget scheduler at one and two threads"
+"$bin/schedbench" --quick --threads 1
+"$bin/schedbench" --quick --threads 2
+"$bin/validate_schema" --sched results/BENCH_sched.json
+
+step "smoke: all checks passed"
