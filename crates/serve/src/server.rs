@@ -40,9 +40,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::http;
@@ -185,6 +186,9 @@ struct State {
     /// Round-robin cursor over jobs, for cross-tenant claim fairness.
     rr: usize,
     draining: bool,
+    /// The drain has finished: every worker and the supervisor are joined,
+    /// so no chunk can commit any more.
+    drained: bool,
     /// Global claim counter (drives the chaos test hooks).
     claims: u64,
 }
@@ -207,6 +211,9 @@ pub struct Server {
     cfg: ServerConfig,
     state: Mutex<State>,
     work: Condvar,
+    /// Notified, under the state lock, at every transition a stream can
+    /// observe: a chunk commit, a job's verdict, and the drain's end.
+    committed: Condvar,
 }
 
 impl Server {
@@ -220,47 +227,70 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local = listener.local_addr()?;
         fs::write(cfg.state_dir.join("campaignd.addr"), format!("{local}\n"))?;
-        let server = Arc::new(Server { cfg, state: Mutex::new(state), work: Condvar::new() });
+        let server = Arc::new(Server {
+            cfg,
+            state: Mutex::new(state),
+            work: Condvar::new(),
+            committed: Condvar::new(),
+        });
         println!("campaignd listening on {local}");
         io::stdout().flush()?;
 
-        let mut workers = Vec::new();
+        let mut pool = Vec::new();
         for w in 0..server.cfg.workers.max(1) {
             let srv = Arc::clone(&server);
             let handle = std::thread::Builder::new()
                 .name(format!("campaignd-worker-{w}"))
                 .spawn(move || srv.worker_loop())
                 .expect("spawn worker");
-            workers.push(handle);
+            pool.push(handle);
         }
-        let supervisor = {
-            let srv = Arc::clone(&server);
+        let srv = Arc::clone(&server);
+        pool.push(
             std::thread::Builder::new()
                 .name("campaignd-supervisor".to_owned())
                 .spawn(move || srv.supervisor_loop())
-                .expect("spawn supervisor")
+                .expect("spawn supervisor"),
+        );
+        // Once a drain has stopped the pool, nothing can commit any more:
+        // end the live streams, then wake the blocked `accept` below with
+        // one connection to the listener's own address.
+        let waker = {
+            let srv = Arc::clone(&server);
+            std::thread::Builder::new()
+                .name("campaignd-waker".to_owned())
+                .spawn(move || {
+                    for h in pool {
+                        let _ = h.join();
+                    }
+                    let mut st = srv.lock();
+                    st.drained = true;
+                    srv.committed.notify_all();
+                    drop(st);
+                    if let Err(e) = TcpStream::connect(wake_addr(local)) {
+                        eprintln!("campaignd: cannot wake the accept loop: {e}");
+                    }
+                })
+                .expect("spawn waker")
         };
 
-        listener.set_nonblocking(true)?;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let srv = Arc::clone(&server);
-                    std::thread::spawn(move || srv.handle_conn(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                    if server.lock().draining && workers.iter().all(|h| h.is_finished()) {
-                        break;
-                    }
-                }
-                Err(e) => return Err(e),
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+        for conn in listener.incoming() {
+            let stream = conn?;
+            if server.lock().drained {
+                break;
             }
+            let (finished, live): (Vec<_>, Vec<_>) =
+                handlers.into_iter().partition(|h| h.is_finished());
+            handlers = live;
+            finished.into_iter().for_each(join_handler);
+            let srv = Arc::clone(&server);
+            handlers.push(std::thread::spawn(move || srv.handle_conn(stream)));
         }
-        for h in workers {
-            let _ = h.join();
-        }
-        let _ = supervisor.join();
+        // What is still running ends within the socket timeouts: streams
+        // have seen `drained`, and the `/shutdown` answer may be mid-write.
+        handlers.into_iter().for_each(join_handler);
+        let _ = waker.join();
         Ok(())
     }
 
@@ -337,12 +367,14 @@ impl Server {
     /// results are discarded) and finalizes jobs past their deadline.
     fn reclaim_and_deadlines(&self, st: &mut State, now: Instant) {
         let State { jobs, tenants, .. } = &mut *st;
+        let mut finalized = false;
         for job in jobs.values_mut() {
             if job.verdict.is_some() {
                 continue;
             }
             if job.deadline_at.is_some_and(|d| now >= d) {
                 finalize(job, tenants, "deadline_exceeded");
+                finalized = true;
                 continue;
             }
             for (c, s) in job.states.iter_mut().enumerate() {
@@ -353,6 +385,9 @@ impl Server {
                     }
                 }
             }
+        }
+        if finalized {
+            self.committed.notify_all();
         }
     }
 
@@ -424,7 +459,11 @@ impl Server {
                 // are observable.
                 _ => return,
             }
+            let committed_before = job.committed_bytes;
             drain_commits(&self.cfg, job, tenants);
+            if job.committed_bytes != committed_before || job.verdict.is_some() {
+                self.committed.notify_all();
+            }
         }
         drop(st);
         self.work.notify_all();
@@ -685,7 +724,9 @@ impl Server {
     /// reader backpressures only its own socket (bounded by the write
     /// timeout) and holds no lock while blocked. Only journal-committed
     /// bytes are ever sent, which is what makes a re-collected stream
-    /// byte-identical across server crashes.
+    /// byte-identical across server crashes. Between commits the stream
+    /// waits on `committed`; it ends once the job has a verdict or the
+    /// drain has finished, always at a chunk (and so a line) boundary.
     fn stream_job(&self, stream: &mut TcpStream, id: &str, from_line: u64) -> io::Result<()> {
         let dir = {
             let st = self.lock();
@@ -699,36 +740,56 @@ impl Server {
         let mut offset = 0u64;
         let mut skip = from_line;
         loop {
-            let (committed, done) = {
-                let st = self.lock();
-                match st.jobs.get(id) {
-                    Some(j) => (j.committed_bytes, j.verdict.is_some()),
-                    None => return Ok(()),
+            let committed = {
+                let mut st = self.lock();
+                loop {
+                    let Some(j) = st.jobs.get(id) else { return Ok(()) };
+                    if offset < j.committed_bytes {
+                        break j.committed_bytes;
+                    }
+                    if j.verdict.is_some() || st.drained {
+                        drop(st);
+                        return stream.flush();
+                    }
+                    st = self.committed.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
             };
-            if offset < committed {
-                let len = ((committed - offset) as usize).min(256 * 1024);
-                let buf = journal::read_output(&dir, offset, len)?;
-                offset += buf.len() as u64;
-                let mut start = 0usize;
-                while skip > 0 && start < buf.len() {
-                    match buf[start..].iter().position(|&b| b == b'\n') {
-                        Some(nl) => {
-                            start += nl + 1;
-                            skip -= 1;
-                        }
-                        None => start = buf.len(),
+            let len = ((committed - offset) as usize).min(256 * 1024);
+            let buf = journal::read_output(&dir, offset, len)?;
+            offset += buf.len() as u64;
+            let mut start = 0usize;
+            while skip > 0 && start < buf.len() {
+                match buf[start..].iter().position(|&b| b == b'\n') {
+                    Some(nl) => {
+                        start += nl + 1;
+                        skip -= 1;
                     }
+                    None => start = buf.len(),
                 }
-                if start < buf.len() {
-                    stream.write_all(&buf[start..])?;
-                }
-            } else if done {
-                return stream.flush();
-            } else {
-                std::thread::sleep(Duration::from_millis(15));
+            }
+            if start < buf.len() {
+                stream.write_all(&buf[start..])?;
             }
         }
+    }
+}
+
+/// The address that reaches a listener bound to `local`: an unspecified
+/// bind address (`0.0.0.0`, `::`) accepts on loopback too.
+fn wake_addr(mut local: SocketAddr) -> SocketAddr {
+    if local.ip().is_unspecified() {
+        local.set_ip(match local.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    local
+}
+
+/// Joins a finished or finishing connection handler, reporting a panic.
+fn join_handler(handle: JoinHandle<()>) {
+    if handle.join().is_err() {
+        eprintln!("campaignd: a connection handler panicked");
     }
 }
 
@@ -954,6 +1015,7 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
         next_job_seq: 1,
         rr: 0,
         draining: false,
+        drained: false,
         claims: 0,
     };
     let mut dirs: Vec<PathBuf> = fs::read_dir(&jobs_dir)?
@@ -1024,4 +1086,17 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
         st.jobs.insert(id, job);
     }
     Ok(st)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:4100"), "127.0.0.1:4100");
+        assert_eq!(wake("[::]:4100"), "[::1]:4100");
+        assert_eq!(wake("10.1.2.3:4100"), "10.1.2.3:4100");
+    }
 }

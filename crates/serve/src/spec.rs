@@ -51,6 +51,11 @@ pub const SCHEMA: &str = "enerj-serve/1";
 /// Default trials per journal chunk when the spec does not say.
 pub const DEFAULT_CHUNK: usize = 8;
 
+/// Most trials one job may enumerate. Admission allocates a chunk state per
+/// chunk under the server's lock, so this bounds what one `POST /jobs` can
+/// make the server hold; a larger campaign is several jobs.
+pub const MAX_TRIALS: u64 = 1 << 16;
+
 /// What to do when a job or tenant exhausts its quota mid-campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverBudget {
@@ -106,7 +111,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Total trials this spec enumerates.
+    /// Total trials this spec enumerates ([`parse`](Self::parse) caps it at
+    /// [`MAX_TRIALS`]).
     pub fn total_trials(&self) -> usize {
         self.apps.len() * self.levels.len() * self.runs as usize
     }
@@ -176,6 +182,11 @@ impl JobSpec {
             .and_then(|r| u64::try_from(r).ok())
             .filter(|&r| r > 0)
             .ok_or("spec needs a positive 64-bit integer `runs` field")?;
+        (apps.len() as u64)
+            .checked_mul(levels.len() as u64)
+            .and_then(|n| n.checked_mul(runs))
+            .filter(|&n| n <= MAX_TRIALS)
+            .ok_or_else(|| format!("apps × levels × runs must be at most {MAX_TRIALS} trials"))?;
         let recovery = match doc.get("recovery") {
             None => false,
             Some(Json::Bool(b)) => *b,
@@ -379,6 +390,13 @@ mod tests {
             ("\"levels\":[\"Mild\"]", "\"levels\":[\"Extreme\"]"),
             ("\"runs\":4", "\"runs\":0"),
             ("\"runs\":4", "\"runs\":18446744073709551619"),
+            ("\"runs\":4", "\"runs\":1000000000000000"),
+            ("\"runs\":4", "\"runs\":65537"),
+            // apps × levels × runs = 2^64 overflows before the cap check.
+            (
+                "\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":4",
+                "\"apps\":[\"MonteCarlo\",\"FFT\"],\"levels\":[\"Mild\"],\"runs\":9223372036854775808",
+            ),
             ("\"runs\":4", "\"runs\":1,\"deadline_secs\":1e300"),
             ("\"tenant\":\"t1\"", "\"tenant\":\"has space\""),
         ] {
@@ -386,6 +404,9 @@ mod tests {
             assert!(JobSpec::parse(&bad).is_err(), "{needle} must be rejected");
         }
         assert!(JobSpec::parse("not json").is_err());
+        let at_cap = minimal().replace("\"runs\":4", &format!("\"runs\":{MAX_TRIALS}"));
+        let spec = JobSpec::parse(&at_cap).expect("the cap itself is allowed");
+        assert_eq!(spec.total_trials() as u64, MAX_TRIALS);
     }
 
     #[test]

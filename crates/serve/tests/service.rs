@@ -8,6 +8,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use enerj_serve::client::{Client, Submitted};
@@ -49,9 +50,12 @@ impl Daemon {
         self.child.wait().expect("reap");
     }
 
+    /// `POST /shutdown`: the drain must answer 200 and the process exit 0.
     fn shutdown(&mut self) {
-        let _ = self.client().shutdown();
-        let _ = self.child.wait();
+        let resp = self.client().shutdown().expect("shutdown request");
+        assert_eq!(resp.status, 200, "shutdown answer");
+        let status = self.child.wait().expect("reap campaignd");
+        assert!(status.success(), "campaignd exited with {status}");
     }
 }
 
@@ -421,6 +425,10 @@ fn bad_specs_are_rejected_with_typed_errors() {
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":0}",
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":18446744073709551619}",
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":1,\"deadline_secs\":1e300}",
+        // 2 × 1 × 2^63 trials overflow 64 bits.
+        "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\",\"FFT\"],\"levels\":[\"Mild\"],\"runs\":9223372036854775808}",
+        // Representable, but far above the per-job trial cap.
+        "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":1000000000000000}",
     ] {
         match client.submit(bad).expect("submit") {
             Submitted::Rejected { status, error, retriable, .. } => {
@@ -431,6 +439,114 @@ fn bad_specs_are_rejected_with_typed_errors() {
             Submitted::Accepted { .. } => panic!("must reject: {bad}"),
         }
     }
+    d.shutdown();
+}
+
+/// Twenty back-to-back start → `POST /shutdown` cycles: every drain
+/// answers 200 before the process exits 0, because the drain joins the
+/// handler still writing that answer.
+#[test]
+fn back_to_back_shutdowns_answer_and_exit_cleanly() {
+    let dir = tempdir("cycles");
+    for _ in 0..20 {
+        Daemon::start(&dir, &["--workers", "2"]).shutdown();
+    }
+}
+
+/// Streams `job` from line 0 on its own thread; the channel yields the
+/// outcome and the complete lines once the stream reaches EOF.
+fn stream_in_background(
+    client: &Client,
+    job: &str,
+) -> mpsc::Receiver<(Result<(), String>, Vec<u8>)> {
+    let (tx, rx) = mpsc::channel();
+    let (client, job) = (client.clone(), job.to_owned());
+    std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        let outcome = client.stream_lines(&job, 0, |line| {
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
+        });
+        let _ = tx.send((outcome.map_err(|e| e.to_string()), bytes));
+    });
+    rx
+}
+
+/// A stream left open across `POST /shutdown` ends cleanly once the drain
+/// has committed its last chunk, at a line boundary and with only
+/// committed bytes, so stitched to a `from_line` resumption after a
+/// restart it is byte-identical to an uninterrupted run.
+#[test]
+fn stream_open_across_shutdown_stitches_to_the_resumed_run() {
+    let job_spec = "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t1\",\
+                    \"apps\":[\"MonteCarlo\",\"FFT\"],\"levels\":[\"Mild\",\"Aggressive\"],\
+                    \"runs\":3,\"chunk\":2}";
+    let total_trials = 12;
+    let mut clean = Daemon::start(&tempdir("drain-clean"), &["--workers", "1"]);
+    let clean_client = clean.client();
+    let clean_job = submit_ok(&clean_client, job_spec);
+    assert_eq!(clean_client.wait(&clean_job, WAIT).expect("clean"), "complete");
+    let clean_bytes = collect(&clean_client, &clean_job, 0);
+    clean.shutdown();
+
+    // One worker, stalled on its second claim: chunk 0 is committed and
+    // chunk 1 is in flight when the drain starts.
+    let dir = tempdir("drain-stream");
+    let mut d = Daemon::start(
+        &dir,
+        &["--workers", "1", "--lease-secs", "30", "--test-stall-claim", "2:1000"],
+    );
+    let client = d.client();
+    let job = submit_ok(&client, job_spec);
+    let streamed = stream_in_background(&client, &job);
+    while status_field(&client, &job, "trials_committed") < 2 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(client.shutdown().expect("shutdown").status, 200);
+    let (outcome, prefix) = streamed.recv_timeout(WAIT).expect("the stream ends with the drain");
+    outcome.expect("the stream ends cleanly");
+    assert!(d.child.wait().expect("reap campaignd").success());
+    let lines = prefix.iter().filter(|&&b| b == b'\n').count();
+    assert!(
+        (2..total_trials).contains(&lines) && lines % 2 == 0,
+        "the drain must leave the job unfinished at a chunk boundary, streamed {lines} lines"
+    );
+
+    let mut resumed = Daemon::start(&dir, &["--workers", "1"]);
+    let resumed_client = resumed.client();
+    assert_eq!(resumed_client.wait(&job, WAIT).expect("resumed"), "complete");
+    let mut stitched = prefix;
+    stitched.extend_from_slice(&collect(&resumed_client, &job, lines as u64));
+    assert_eq!(clean_bytes, stitched, "drained prefix + from_line resume must stitch exactly");
+    resumed.shutdown();
+}
+
+/// A live stream of a job that the deadline check finalizes, not a commit
+/// (its only worker is stalled), reaches EOF with exactly the committed
+/// prefix.
+#[test]
+fn deadline_finalized_stream_ends_with_the_committed_prefix() {
+    let dir = tempdir("deadline-stream");
+    // The supervisor checks deadlines every lease/4 = 0.5 s; the worker
+    // stalls 2.5 s on its second claim, past the 1 s deadline.
+    let mut d = Daemon::start(
+        &dir,
+        &["--workers", "1", "--lease-secs", "2", "--test-stall-claim", "2:2500"],
+    );
+    let client = d.client();
+    let job = submit_ok(&client, &spec("t1", "\"Mild\"", 4, 2, ",\"deadline_secs\":1.0"));
+    let streamed = stream_in_background(&client, &job);
+    let (outcome, bytes) = streamed.recv_timeout(WAIT).expect("the stream ends at the verdict");
+    outcome.expect("the stream ends cleanly");
+    assert_eq!(client.wait(&job, WAIT).expect("job"), "deadline_exceeded");
+    let summary = client.summary(&job).expect("summary").json().expect("json");
+    let done = summary.get("trials_done").and_then(|v| v.as_i128()).unwrap_or(-1);
+    assert!((0..4).contains(&done), "the deadline must truncate, got {done}");
+    assert_eq!(
+        bytes.iter().filter(|&&b| b == b'\n').count() as i128,
+        done,
+        "the stream serves exactly the committed prefix"
+    );
     d.shutdown();
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks over the release binaries: one `cargo build --release`, then
-# telemetry, recovery, fuzz, quanta and sched runs at reduced sizes. Each
-# check exits nonzero on a violation; none gates on wall-clock speed.
+# telemetry, recovery, fuzz, quanta, sched and serve runs at reduced sizes.
+# Each check exits nonzero on a violation; none gates on wall-clock speed.
 #
 #   bash scripts/smoke.sh
 #
@@ -17,7 +17,9 @@ reports=(fig5 recovery sched)
 for name in "${reports[@]}"; do
     cp "results/BENCH_$name.json" "$work/"
 done
+daemon=
 restore() {
+    if [ -n "$daemon" ]; then kill "$daemon" 2>/dev/null || true; fi
     for name in "${reports[@]}"; do
         cp "$work/BENCH_$name.json" results/
     done
@@ -65,5 +67,26 @@ step "sched: budget scheduler at one and two threads"
 "$bin/schedbench" --quick --threads 1
 "$bin/schedbench" --quick --threads 2
 "$bin/validate_schema" --sched results/BENCH_sched.json
+
+# A real daemon on a temp state dir: a 2-app job streamed to the end, then
+# a drain that must answer and exit 0. Gates on the exit status and the
+# line count only.
+step "serve: campaignd submit --wait --stream, then shutdown"
+state="$work/serve"
+"$bin/campaignd" --addr 127.0.0.1:0 --state-dir "$state" --workers 2 > /dev/null &
+daemon=$!
+for _ in $(seq 1 100); do
+    [ -s "$state/campaignd.addr" ] && break
+    sleep 0.1
+done
+addr=$(cat "$state/campaignd.addr")
+"$bin/campaignctl" submit --addr "$addr" --wait --stream --spec \
+    '{"schema":"enerj-serve/1","tenant":"smoke","apps":["MonteCarlo","FFT"],"levels":["Mild","Aggressive"],"runs":3,"chunk":2}' \
+    > "$work/serve.ndjson"
+lines=$(wc -l < "$work/serve.ndjson")
+[ "$lines" -eq 12 ] || { echo "serve: streamed $lines lines, expected 12" >&2; exit 1; }
+"$bin/campaignctl" shutdown --addr "$addr"
+wait "$daemon"
+daemon=
 
 step "smoke: all checks passed"
