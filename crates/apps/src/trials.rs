@@ -63,6 +63,7 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -316,43 +317,37 @@ impl CampaignReport {
     /// comparison of the underlying `u128` totals.
     pub fn to_json(&self) -> String {
         let sum = &self.summary;
-        let mut out = String::with_capacity(256 + 256 * self.trials.len());
-        out.push_str("{\"schema\":\"enerj-campaign/5\"");
-        out.push_str(&format!(",\"threads\":{}", sum.threads));
-        out.push_str(&format!(",\"wall_seconds\":{:.6}", sum.wall.as_secs_f64()));
-        out.push_str(&format!(",\"mean_error\":{}", json_f64(sum.mean_error)));
-        out.push_str(&format!(",\"panics\":{}", sum.panics));
-        out.push_str(&format!(",\"recovered\":{}", sum.recovered));
-        out.push_str(&format!(
-            ",\"budget_quanta\":{}",
-            match self.budget_quanta {
-                Some(q) => q.to_string(),
-                None => "null".to_owned(),
-            }
-        ));
-        out.push_str(&format!(
-            ",\"budget_met\":{}",
-            match self.budget_met {
-                Some(met) => met.to_string(),
-                None => "null".to_owned(),
-            }
-        ));
-        out.push_str(&format!(
+        let mut out = String::with_capacity(256 + 1024 * self.trials.len());
+        let _ = write!(
+            out,
+            "{{\"schema\":\"enerj-campaign/5\",\"threads\":{},\"wall_seconds\":{:.6}",
+            sum.threads,
+            sum.wall.as_secs_f64()
+        );
+        push_json_f64(&mut out, ",\"mean_error\":", sum.mean_error);
+        let _ = write!(out, ",\"panics\":{},\"recovered\":{}", sum.panics, sum.recovered);
+        let _ = match self.budget_quanta {
+            Some(q) => write!(out, ",\"budget_quanta\":{q}"),
+            None => write!(out, ",\"budget_quanta\":null"),
+        };
+        let _ = match self.budget_met {
+            Some(met) => write!(out, ",\"budget_met\":{met}"),
+            None => write!(out, ",\"budget_met\":null"),
+        };
+        let _ = write!(
+            out,
             ",\"recovery_energy_overhead_quanta\":{}",
             sum.recovery_energy_overhead_quanta
-        ));
-        out.push_str(",\"energy_quanta\":");
-        out.push_str(&energy_quanta_json(&sum.energy_quanta));
-        out.push_str(",\"merged_stats\":");
-        out.push_str(&stats_json(&sum.merged_stats));
-        out.push_str(",\"fault_totals\":");
-        out.push_str(&counters_json(&sum.fault_totals));
+        );
+        push_energy_quanta(&mut out, ",\"energy_quanta\":", &sum.energy_quanta);
+        push_stats(&mut out, ",\"merged_stats\":", &sum.merged_stats);
+        push_counters(&mut out, ",\"fault_totals\":", &sum.fault_totals);
         out.push_str(",\"trials\":[");
         for (i, t) in self.trials.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&trial_json(t));
+            write_trial_json(&mut out, t);
         }
         out.push_str("]}");
         out
@@ -374,18 +369,17 @@ impl CampaignReport {
         let mut out = String::new();
         for t in &self.trials {
             for e in &t.events {
-                out.push_str(&format!(
-                    "{{\"trial\":{},\"app\":{},\"label\":{},\"seed\":{},\"time\":{},\
-                     \"unit\":{},\"width\":{},\"bits_flipped\":{}}}\n",
-                    t.index,
-                    json_string(t.app),
-                    json_string(&t.label),
-                    t.seed,
-                    json_f64(e.time),
-                    json_string(&e.kind.to_string()),
-                    e.width,
-                    e.bits_flipped,
-                ));
+                let _ = write!(out, "{{\"trial\":{}", t.index);
+                push_json_string(&mut out, ",\"app\":", t.app);
+                push_json_string(&mut out, ",\"label\":", &t.label);
+                let _ = write!(out, ",\"seed\":{}", t.seed);
+                push_json_f64(&mut out, ",\"time\":", e.time);
+                // Fault kind names are plain ASCII words: nothing to escape.
+                let _ = writeln!(
+                    out,
+                    ",\"unit\":\"{}\",\"width\":{},\"bits_flipped\":{}}}",
+                    e.kind, e.width, e.bits_flipped
+                );
             }
         }
         out
@@ -405,48 +399,63 @@ impl CampaignReport {
 /// array and the line format of [`NdjsonSink`] (one object per line, so a
 /// streamed campaign's output is the report's trial array, un-bracketed).
 pub fn trial_json(t: &TrialResult) -> String {
-    let causes: Vec<String> = t.failure_causes.iter().map(|c| json_string(c)).collect();
-    format!(
-        "{{\"index\":{},\"app\":{},\"label\":{},\"seed\":{},\"error\":{},\
-         \"wall_seconds\":{:.6},\"panic\":{},\"attempts\":{},\
-         \"recovered_at_level\":{},\"scheduled_level\":{},\
-         \"failure_causes\":[{}],\
-         \"recovery_energy_overhead\":{},\
-         \"recovery_energy_overhead_quanta\":{},\"stats\":{},\
-         \"energy\":{},\"energy_quanta\":{},\"fault_counts\":{}}}",
-        t.index,
-        json_string(t.app),
-        json_string(&t.label),
-        t.seed,
-        json_f64(t.error),
-        t.wall.as_secs_f64(),
-        match &t.panic {
-            Some(msg) => json_string(msg),
-            None => "null".to_owned(),
-        },
-        t.attempts,
-        match &t.recovered_at_level {
-            Some(level) => json_string(level),
-            None => "null".to_owned(),
-        },
-        match &t.scheduled_level {
-            Some(level) => json_string(level),
-            None => "null".to_owned(),
-        },
-        causes.join(","),
-        json_f64(t.recovery_energy_overhead),
-        t.recovery_energy_overhead_quanta,
-        stats_json(&t.stats),
-        energy_json(&t.energy),
-        energy_quanta_json(&t.energy_quanta),
-        counters_json(&t.fault_counts),
-    )
+    let mut out = String::with_capacity(1024);
+    write_trial_json(&mut out, t);
+    out
+}
+
+/// Appends [`trial_json`]'s bytes to `out`, allocating nothing but `out`'s growth.
+pub fn write_trial_json(out: &mut String, t: &TrialResult) {
+    let _ = write!(out, "{{\"index\":{}", t.index);
+    push_json_string(out, ",\"app\":", t.app);
+    push_json_string(out, ",\"label\":", &t.label);
+    let _ = write!(out, ",\"seed\":{}", t.seed);
+    push_json_f64(out, ",\"error\":", t.error);
+    let _ = write!(out, ",\"wall_seconds\":{:.6}", t.wall.as_secs_f64());
+    push_json_opt_string(out, ",\"panic\":", t.panic.as_deref());
+    let _ = write!(out, ",\"attempts\":{}", t.attempts);
+    push_json_opt_string(out, ",\"recovered_at_level\":", t.recovered_at_level.as_deref());
+    push_json_opt_string(out, ",\"scheduled_level\":", t.scheduled_level.as_deref());
+    out.push_str(",\"failure_causes\":[");
+    for (i, cause) in t.failure_causes.iter().enumerate() {
+        push_json_string(out, if i == 0 { "" } else { "," }, cause);
+    }
+    out.push(']');
+    push_json_f64(out, ",\"recovery_energy_overhead\":", t.recovery_energy_overhead);
+    let _ =
+        write!(out, ",\"recovery_energy_overhead_quanta\":{}", t.recovery_energy_overhead_quanta);
+    push_stats(out, ",\"stats\":", &t.stats);
+    push_json_f64(out, ",\"energy\":{\"instructions\":", t.energy.instructions);
+    push_json_f64(out, ",\"sram\":", t.energy.sram);
+    push_json_f64(out, ",\"dram\":", t.energy.dram);
+    push_json_f64(out, ",\"total\":", t.energy.total);
+    out.push('}');
+    push_energy_quanta(out, ",\"energy_quanta\":", &t.energy_quanta);
+    push_counters(out, ",\"fault_counts\":", &t.fault_counts);
+    out.push('}');
 }
 
 /// `s` as a JSON string literal, quotes included: `"`, `\` and control
 /// characters escaped, everything else verbatim.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, "", s);
+    out
+}
+
+/// Formats an f64 for JSON. JSON has no NaN/Infinity literals, so they are
+/// clamped to the error scale's ends.
+pub fn json_f64(x: f64) -> String {
+    let mut out = String::new();
+    push_json_f64(&mut out, "", x);
+    out
+}
+
+// Each `push_*` writer appends `key`, the literal text before the value
+// (such as `,"label":`), then the value's one JSON rendering.
+
+fn push_json_string(out: &mut String, key: &str, s: &str) {
+    out.push_str(key);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -455,33 +464,37 @@ pub fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
-/// Formats an f64 for JSON. JSON has no NaN/Infinity literals, so they are
-/// clamped to the error scale's ends.
-pub fn json_f64(x: f64) -> String {
-    if x.is_nan() {
-        "1.0".to_owned()
-    } else if x.is_infinite() {
-        if x > 0.0 {
-            "1e308".to_owned()
-        } else {
-            "-1e308".to_owned()
-        }
-    } else {
-        format!("{x}")
+fn push_json_opt_string(out: &mut String, key: &str, s: Option<&str>) {
+    match s {
+        Some(s) => push_json_string(out, key, s),
+        None => out.extend([key, "null"]),
     }
 }
 
-fn stats_json(s: &Stats) -> String {
-    format!(
-        "{{\"int_approx_ops\":{},\"int_precise_ops\":{},\"fp_approx_ops\":{},\
+fn push_json_f64(out: &mut String, key: &str, x: f64) {
+    out.push_str(key);
+    if x.is_nan() {
+        out.push_str("1.0");
+    } else if x.is_infinite() {
+        out.push_str(if x > 0.0 { "1e308" } else { "-1e308" });
+    } else {
+        let _ = write!(out, "{x}");
+    }
+}
+
+fn push_stats(out: &mut String, key: &str, s: &Stats) {
+    let _ = write!(
+        out,
+        "{key}{{\"int_approx_ops\":{},\"int_precise_ops\":{},\"fp_approx_ops\":{},\
          \"fp_precise_ops\":{},\"sram_approx_quanta\":{},\
          \"sram_precise_quanta\":{},\"dram_approx_quanta\":{},\
          \"dram_precise_quanta\":{},\"faults_injected\":{}}}",
@@ -494,12 +507,13 @@ fn stats_json(s: &Stats) -> String {
         s.dram_approx_quanta,
         s.dram_precise_quanta,
         s.faults_injected,
-    )
+    );
 }
 
-fn energy_quanta_json(q: &EnergyQuantaBreakdown) -> String {
-    format!(
-        "{{\"instructions\":{},\"baseline_instructions\":{},\"sram\":{},\
+fn push_energy_quanta(out: &mut String, key: &str, q: &EnergyQuantaBreakdown) {
+    let _ = write!(
+        out,
+        "{key}{{\"instructions\":{},\"baseline_instructions\":{},\"sram\":{},\
          \"baseline_sram\":{},\"dram\":{},\"baseline_dram\":{},\"total\":{},\
          \"baseline_total\":{}}}",
         q.instructions,
@@ -510,32 +524,21 @@ fn energy_quanta_json(q: &EnergyQuantaBreakdown) -> String {
         q.baseline_dram,
         q.total,
         q.baseline_total,
-    )
+    );
 }
 
-fn energy_json(e: &EnergyBreakdown) -> String {
-    format!(
-        "{{\"instructions\":{},\"sram\":{},\"dram\":{},\"total\":{}}}",
-        json_f64(e.instructions),
-        json_f64(e.sram),
-        json_f64(e.dram),
-        json_f64(e.total),
-    )
-}
-
-fn counters_json(c: &FaultCounters) -> String {
-    let mut out = String::from("{");
+fn push_counters(out: &mut String, key: &str, c: &FaultCounters) {
+    out.push_str(key);
+    out.push('{');
     for (i, (kind, kc)) in c.per_kind().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{kind}\":{{\"injections\":{},\"bits_flipped\":{}}}",
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(
+            out,
+            "{sep}\"{kind}\":{{\"injections\":{},\"bits_flipped\":{}}}",
             kc.injections, kc.bits_flipped
-        ));
+        );
     }
     out.push('}');
-    out
 }
 
 /// The default worker count: the machine's available parallelism.
@@ -832,12 +835,14 @@ impl TrialSink for NullSink {
 #[derive(Debug)]
 pub struct NdjsonSink<W: std::io::Write + Send> {
     out: W,
+    /// The line being rendered, reused so a record allocates nothing.
+    line: String,
 }
 
 impl<W: std::io::Write + Send> NdjsonSink<W> {
     /// Wraps a writer (buffer it — the engine writes one line per trial).
     pub fn new(out: W) -> Self {
-        NdjsonSink { out }
+        NdjsonSink { out, line: String::new() }
     }
 
     /// Unwraps the writer (flush it before reading the stream back).
@@ -848,8 +853,10 @@ impl<W: std::io::Write + Send> NdjsonSink<W> {
 
 impl<W: std::io::Write + Send> TrialSink for NdjsonSink<W> {
     fn accept(&mut self, trial: TrialResult) -> std::io::Result<()> {
-        self.out.write_all(trial_json(&trial).as_bytes())?;
-        self.out.write_all(b"\n")
+        self.line.clear();
+        write_trial_json(&mut self.line, &trial);
+        self.line.push('\n');
+        self.out.write_all(self.line.as_bytes())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {

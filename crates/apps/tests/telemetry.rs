@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
 use enerj_apps::trials::{
-    CampaignOptions, CampaignReport, CampaignSummary, TrialResult, TrialSpec,
+    trial_json, write_trial_json, CampaignOptions, CampaignReport, CampaignSummary, NdjsonSink,
+    TrialResult, TrialSink, TrialSpec,
 };
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
@@ -203,6 +204,65 @@ fn campaign_report_json_matches_the_v5_golden() {
 #[test]
 fn fault_log_ndjson_matches_the_v2_golden() {
     check_golden("fault_log_v2.ndjson", &synthetic_report().fault_log_ndjson());
+}
+
+/// `NdjsonSink` renders every record into one reused line buffer: a short
+/// record after a long one must not carry the long one's tail.
+#[test]
+fn ndjson_sink_reuses_its_line_buffer_without_stale_bytes() {
+    let [healthy, crashed] = <[TrialResult; 2]>::try_from(synthetic_report().trials).unwrap();
+    let long = TrialResult { label: "L".repeat(2_000), ..healthy };
+    let short = TrialResult { app: "A", label: String::new(), panic: None, ..crashed };
+    let trials = [long.clone(), short, TrialResult { index: 2, ..long }];
+    assert!(trial_json(&trials[1]).len() < trial_json(&trials[0]).len() / 2);
+
+    let mut sink = NdjsonSink::new(Vec::new());
+    for t in &trials {
+        sink.accept(t.clone()).expect("Vec<u8> writes cannot fail");
+    }
+    let expected: String = trials.iter().map(|t| trial_json(t) + "\n").collect();
+    assert_eq!(String::from_utf8(sink.into_inner()).expect("UTF-8"), expected);
+}
+
+#[test]
+fn write_trial_json_appends_after_the_existing_text() {
+    let t = &synthetic_report().trials[0];
+    let mut out = String::from("[\"prefix\",");
+    write_trial_json(&mut out, t);
+    assert_eq!(out, format!("[\"prefix\",{}", trial_json(t)));
+}
+
+/// The edge values the record writer special-cases, against literal text.
+#[test]
+fn trial_record_renders_edge_values_literally() {
+    let crashed = synthetic_report().trials.swap_remove(1);
+    let big = EnergyQuanta::new(u128::from(u64::MAX) + 1);
+    let t = TrialResult {
+        panic: Some("\u{1}".to_owned()),
+        error: f64::NAN,
+        energy: EnergyBreakdown {
+            instructions: f64::INFINITY,
+            sram: f64::NEG_INFINITY,
+            dram: 0.5,
+            total: f64::NAN,
+        },
+        energy_quanta: EnergyQuantaBreakdown { baseline_total: big, ..EnergyQuantaBreakdown::ZERO },
+        failure_causes: Vec::new(),
+        ..crashed
+    };
+    let line = trial_json(&t);
+    for fragment in [
+        "\"seed\":43,\"error\":1.0,\"wall_seconds\":0.001000,\"panic\":\"\\u0001\",",
+        "\"scheduled_level\":null,\"failure_causes\":[],\"recovery_energy_overhead\":0,",
+        "\"energy\":{\"instructions\":1e308,\"sram\":-1e308,\"dram\":0.5,\"total\":1.0},",
+        "\"total\":0,\"baseline_total\":18446744073709551616},\"fault_counts\":{",
+    ] {
+        assert!(line.contains(fragment), "{fragment} missing from {line}");
+    }
+
+    let causes = vec!["qos".to_owned(), "a \"b\"\n".to_owned(), String::new()];
+    let line = trial_json(&TrialResult { failure_causes: causes, ..t });
+    assert!(line.contains("\"failure_causes\":[\"qos\",\"a \\\"b\\\"\\n\",\"\"],"), "{line}");
 }
 
 #[test]

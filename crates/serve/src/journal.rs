@@ -147,7 +147,10 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates a fresh job directory with a durable `spec.json`.
+    /// Creates a fresh job directory with a durable `spec.json` and both
+    /// (empty) append files. The directory is fsync'd after all three
+    /// entries exist, then its parent, so the job itself survives a power
+    /// loss once this returns.
     pub fn create(dir: &Path, spec_text: &str) -> io::Result<Journal> {
         fs::create_dir_all(dir)?;
         let spec_path = dir.join("spec.json");
@@ -155,8 +158,12 @@ impl Journal {
         spec.write_all(spec_text.as_bytes())?;
         spec.write_all(b"\n")?;
         spec.sync_all()?;
+        let journal = Self::open(dir)?;
         sync_dir(dir);
-        Self::open(dir)
+        if let Some(parent) = dir.parent() {
+            sync_dir(parent);
+        }
+        Ok(journal)
     }
 
     /// Opens an existing job directory for appending.
@@ -196,8 +203,8 @@ impl Journal {
     }
 }
 
-/// Best-effort directory fsync so a freshly created job dir survives a
-/// crash (POSIX requires the parent sync for the entry itself).
+/// Best-effort directory fsync, which makes the entries created in `dir`
+/// durable (POSIX: a file's own fsync does not cover its directory entry).
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();

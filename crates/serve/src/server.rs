@@ -52,8 +52,8 @@ use crate::spec::{JobSpec, OverBudget};
 use crate::tenant::{TenantConfig, TenantState};
 use enerj_apps::scheduler::SchedLevel;
 use enerj_apps::trials::{
-    json_f64, json_string, run_campaign_streamed, trial_json, CampaignOptions, SpecFn, TrialResult,
-    TrialSink,
+    json_f64, json_string, run_campaign_streamed, write_trial_json, CampaignOptions, SpecFn,
+    TrialResult, TrialSink,
 };
 use enerj_hw::quanta::EnergyQuanta;
 
@@ -836,7 +836,7 @@ fn tenant_entry<'a>(
 fn run_chunk(claim: &Claim) -> ChunkPayload {
     struct ChunkSink {
         lo: usize,
-        bytes: Vec<u8>,
+        text: String,
         quanta_total: EnergyQuanta,
         quanta_baseline: EnergyQuanta,
         error_sum: f64,
@@ -852,8 +852,8 @@ fn run_chunk(claim: &Claim) -> ChunkPayload {
             }
             self.quanta_total += t.energy_quanta.total;
             self.quanta_baseline += t.energy_quanta.baseline_total;
-            self.bytes.extend_from_slice(trial_json(&t).as_bytes());
-            self.bytes.push(b'\n');
+            write_trial_json(&mut self.text, &t);
+            self.text.push('\n');
             Ok(())
         }
     }
@@ -868,7 +868,7 @@ fn run_chunk(claim: &Claim) -> ChunkPayload {
     };
     let mut sink = ChunkSink {
         lo: claim.lo,
-        bytes: Vec::new(),
+        text: String::new(),
         quanta_total: EnergyQuanta::ZERO,
         quanta_baseline: EnergyQuanta::ZERO,
         error_sum: 0.0,
@@ -876,7 +876,7 @@ fn run_chunk(claim: &Claim) -> ChunkPayload {
     };
     run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory chunk sink cannot fail");
     ChunkPayload {
-        bytes: sink.bytes,
+        bytes: sink.text.into_bytes(),
         quanta_total: sink.quanta_total,
         quanta_baseline: sink.quanta_baseline,
         error_sum: sink.error_sum,

@@ -68,10 +68,11 @@ step "sched: budget scheduler at one and two threads"
 "$bin/schedbench" --quick --threads 2
 "$bin/validate_schema" --sched results/BENCH_sched.json
 
-# A real daemon on a temp state dir: a 2-app job streamed to the end, then
-# a drain that must answer and exit 0. Gates on the exit status and the
-# line count only.
-step "serve: campaignd submit --wait --stream, then shutdown"
+# A real daemon on a temp state dir: a 2-app job streamed to the end, the
+# same spec again, then a drain that must answer and exit 0. Gates on the
+# exit status, the line count, every line's zeroed wall time and the two
+# streams being byte-identical (the service's determinism contract).
+step "serve: campaignd submit --wait --stream twice, then shutdown"
 state="$work/serve"
 "$bin/campaignd" --addr 127.0.0.1:0 --state-dir "$state" --workers 2 > /dev/null &
 daemon=$!
@@ -80,11 +81,15 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 addr=$(cat "$state/campaignd.addr")
-"$bin/campaignctl" submit --addr "$addr" --wait --stream --spec \
-    '{"schema":"enerj-serve/1","tenant":"smoke","apps":["MonteCarlo","FFT"],"levels":["Mild","Aggressive"],"runs":3,"chunk":2}' \
-    > "$work/serve.ndjson"
-lines=$(wc -l < "$work/serve.ndjson")
+spec='{"schema":"enerj-serve/1","tenant":"smoke","apps":["MonteCarlo","FFT"],"levels":["Mild","Aggressive"],"runs":3,"chunk":2}'
+for run in 1 2; do
+    "$bin/campaignctl" submit --addr "$addr" --wait --stream --spec "$spec" > "$work/serve$run.ndjson"
+done
+lines=$(wc -l < "$work/serve1.ndjson")
 [ "$lines" -eq 12 ] || { echo "serve: streamed $lines lines, expected 12" >&2; exit 1; }
+zeroed=$(grep -c '"wall_seconds":0.000000,' "$work/serve1.ndjson" || true)
+[ "$zeroed" -eq 12 ] || { echo "serve: $zeroed of 12 lines have a zeroed wall time" >&2; exit 1; }
+cmp "$work/serve1.ndjson" "$work/serve2.ndjson"
 "$bin/campaignctl" shutdown --addr "$addr"
 wait "$daemon"
 daemon=
