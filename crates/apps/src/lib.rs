@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod approximable;
-pub mod canary;
 pub mod estimator;
 pub mod imagej;
 pub mod jmonkey;
@@ -265,13 +264,6 @@ pub mod harness {
         let summary = trials::run_campaign_streamed(&source, &opts, &mut trials::NullSink)
             .expect("the null sink cannot fail");
         summary.mean_error
-    }
-
-    /// Mean output error over `runs` fault-injection runs at `level`,
-    /// computing the reference internally.
-    pub fn mean_output_error(app: &App, level: Level, runs: u64) -> f64 {
-        let reference = reference(app).output;
-        mean_output_error_vs(app, &reference, level, runs)
     }
 }
 

@@ -319,32 +319,11 @@ fn run_attempt(
 /// then — on a panic, watchdog trip, failed check or QoS breach — one
 /// attempt per ladder rung with retry seeds from [`retry_seed`], stopping
 /// at the first attempt that passes. Deterministic: the outcome is a pure
-/// function of the arguments.
-pub fn run_with_recovery(
-    app: &App,
-    cfg: HwConfig,
-    seed: u64,
-    policy: &Policy,
-    reference: Option<&Output>,
-    log_events: bool,
-) -> Recovered {
-    run_with_recovery_in(
-        app,
-        cfg,
-        seed,
-        policy,
-        reference,
-        log_events,
-        &mut crate::harness::Workspace::new(),
-    )
-}
-
-/// [`run_with_recovery`] with an explicit per-worker
-/// [`Workspace`](crate::harness::Workspace): every attempt of the ladder
-/// draws its input buffers from the same scratch cache, so a recovered
-/// trial regenerates nothing. Bit-identical to the workspace-free path.
+/// function of the arguments. Every attempt of the ladder draws its input
+/// buffers from the per-worker [`Workspace`](crate::harness::Workspace)
+/// `ws`, so a recovered trial regenerates nothing.
 #[allow(clippy::too_many_arguments)]
-pub fn run_with_recovery_in(
+pub fn run_with_recovery(
     app: &App,
     cfg: HwConfig,
     seed: u64,
@@ -411,7 +390,7 @@ pub fn run_with_recovery_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{self, TUNER_SEED_BASE};
+    use crate::harness::{self, Workspace, TUNER_SEED_BASE};
     use crate::{all_apps, no_check};
 
     fn app(name: &str) -> App {
@@ -471,6 +450,7 @@ mod tests {
             &Policy::standard(),
             Some(&reference),
             false,
+            &mut Workspace::new(),
         );
         assert_eq!(out.attempts, 1);
         assert!(!out.recovered());
@@ -494,7 +474,15 @@ mod tests {
         // rung reproduces the reference, so error 0.0 is guaranteed.
         let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
         let chaos = chaos_config(50.0);
-        let out = run_with_recovery(&mc, chaos, FAULT_SEED_BASE, &policy, Some(&reference), false);
+        let out = run_with_recovery(
+            &mc,
+            chaos,
+            FAULT_SEED_BASE,
+            &policy,
+            Some(&reference),
+            false,
+            &mut Workspace::new(),
+        );
         if out.recovered_at == Some(Rung::Precise) {
             assert_eq!(out.error, 0.0);
         }
@@ -523,6 +511,7 @@ mod tests {
                 &policy,
                 None,
                 false,
+                &mut Workspace::new(),
             );
             if let Some(FailureCause::OpBudgetExceeded { op_ticks, budget }) =
                 out.failure_causes.first()
@@ -551,6 +540,7 @@ mod tests {
                 &policy,
                 Some(&reference),
                 false,
+                &mut Workspace::new(),
             );
             (
                 out.error.to_bits(),

@@ -561,16 +561,6 @@ pub struct CampaignOptions {
     /// a throughput/memory knob — every trial is a pure function of its
     /// spec, so chunking can never change outcomes or aggregates.
     pub chunk: usize,
-    /// Optional wall-clock deadline, measured from campaign start and
-    /// checked at chunk *claim* time only. A campaign that runs out of time
-    /// truncates at a chunk boundary: every claimed chunk still runs to
-    /// completion and drains in index order, trials past the last claimed
-    /// chunk never run at all, and the summary reports an explicit
-    /// [`deadline_exceeded`](CampaignSummary::deadline_exceeded) verdict.
-    /// The trials that *did* run are bit-identical to the same-length
-    /// prefix of an undeadlined campaign — only how many chunks ran
-    /// depends on the clock, never any trial's outcome.
-    pub deadline: Option<Duration>,
 }
 
 impl CampaignOptions {
@@ -672,7 +662,7 @@ fn run_trial(
             }
         }
         Some(policy) => {
-            let r = recovery::run_with_recovery_in(
+            let r = recovery::run_with_recovery(
                 &spec.app,
                 spec.cfg,
                 spec.seed,
@@ -796,9 +786,9 @@ pub trait TrialSink: Send {
     fn accept(&mut self, trial: TrialResult) -> std::io::Result<()>;
 
     /// Flushes buffered output. The engine calls this exactly once per
-    /// campaign, after the last delivered trial (including campaigns that
-    /// truncated at a deadline); an error surfaces as the campaign's
-    /// `io::Result`, so a buffered sink can never silently lose its tail.
+    /// campaign, after the last delivered trial; an error surfaces as the
+    /// campaign's `io::Result`, so a buffered sink can never silently lose
+    /// its tail.
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
@@ -899,11 +889,6 @@ pub struct CampaignSummary {
     pub peak_buffered: usize,
     /// The reorder buffer's capacity bound: `2 × threads × chunk`.
     pub buffer_capacity: usize,
-    /// Whether the campaign truncated at its [`CampaignOptions::deadline`]:
-    /// `true` exactly when fewer than the source's trials ran. Truncation
-    /// happens at a chunk boundary, so [`trials`](Self::trials) counts a
-    /// contiguous, fully drained index prefix.
-    pub deadline_exceeded: bool,
 }
 
 /// Running totals, folded at the drain point in index order.
@@ -957,7 +942,6 @@ impl Totals {
         chunk: usize,
         peak_buffered: usize,
         buffer_capacity: usize,
-        deadline_exceeded: bool,
     ) -> CampaignSummary {
         CampaignSummary {
             trials: self.count,
@@ -973,7 +957,6 @@ impl Totals {
             chunk,
             peak_buffered,
             buffer_capacity,
-            deadline_exceeded,
         }
     }
 }
@@ -1170,12 +1153,6 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
         let _poison_guard = PoisonOnUnwind(&reorder);
         let mut ws = harness::Workspace::new();
         loop {
-            // Deadline is checked before claiming, so a campaign out of time
-            // truncates at a chunk boundary; chunks already claimed always
-            // run to completion.
-            if opts.deadline.is_some_and(|d| start.elapsed() >= d) {
-                break;
-            }
             // One atomic op claims a whole chunk of indices.
             let lo = next.fetch_add(chunk, Ordering::Relaxed);
             if lo >= len {
@@ -1205,10 +1182,7 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
         });
     }
     let mut inner = reorder.inner.into_inner().expect("unpoisoned reorder buffer");
-    debug_assert!(
-        opts.deadline.is_some() || inner.next_drain == len,
-        "every trial must have drained"
-    );
+    debug_assert!(inner.next_drain == len, "every trial must have drained");
     if inner.sink_error.is_none() {
         if let Err(e) = inner.sink.flush() {
             inner.sink_error = Some(e);
@@ -1217,15 +1191,7 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     match inner.sink_error {
         Some(e) => Err(e),
         None => {
-            let deadline_exceeded = inner.next_drain < len;
-            Ok(inner.totals.into_summary(
-                start.elapsed(),
-                threads,
-                chunk,
-                inner.peak,
-                capacity,
-                deadline_exceeded,
-            ))
+            Ok(inner.totals.into_summary(start.elapsed(), threads, chunk, inner.peak, capacity))
         }
     }
 }
@@ -1234,7 +1200,7 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
 /// then `runs` fault-injection trials at each level (seeds
 /// `FAULT_SEED_BASE ^ i`, labels the level names). References are
 /// themselves collected in a campaign first, on `opts.threads` workers and
-/// without the fault log, progress meter or deadline.
+/// without the fault log or progress meter.
 ///
 /// Specs are generated lazily per index ([`SpecFn`]) in the canonical
 /// app → level → run order; only the per-app reference outputs are held.
@@ -1603,7 +1569,8 @@ mod tests {
         let apps = [app("MonteCarlo")];
         let report =
             run_level_campaign(&apps, &[Level::Mild], 3, &CampaignOptions::with_threads(2));
-        let serial = harness::mean_output_error(&apps[0], Level::Mild, 3);
+        let reference = harness::reference(&apps[0]).output;
+        let serial = harness::mean_output_error_vs(&apps[0], &reference, Level::Mild, 3);
         let parallel = report.mean_error_for("MonteCarlo", "Mild");
         assert_eq!(serial.to_bits(), parallel.to_bits());
     }

@@ -6,16 +6,16 @@
 //! to the characteristics of each application, either offline via
 //! profiling or online via continuous QoS measurement as in Green."
 //!
-//! [`tune`] implements the offline variant: profile an application at each
-//! Table 2 level over a handful of fault seeds, and select the most
-//! aggressive level whose mean output error stays within a programmer-
-//! specified budget. The result pairs the chosen level with the energy it
-//! buys, making the accuracy-for-energy trade explicit.
+//! [`tune_campaign`] implements the offline variant: profile an
+//! application at each Table 2 level over a handful of fault seeds, and
+//! select the most aggressive level whose mean output error stays within a
+//! programmer-specified budget. The result pairs the chosen level with the
+//! energy it buys, making the accuracy-for-energy trade explicit.
 
 use std::sync::Arc;
 
 use crate::harness;
-use crate::trials::{default_threads, CampaignOptions, CampaignReport, TrialSpec};
+use crate::trials::{CampaignOptions, CampaignReport, TrialSpec};
 use crate::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::EnergyQuantaBreakdown;
@@ -70,28 +70,10 @@ impl TuningResult {
 }
 
 /// Profiles `app` over `runs` fault seeds per level and picks the most
-/// aggressive level with mean error at most `error_budget`.
-///
-/// # Panics
-///
-/// Panics if `error_budget` is negative or `runs` is zero.
-pub fn tune(app: &App, error_budget: f64, runs: u64) -> TuningResult {
-    tune_with_threads(app, error_budget, runs, default_threads())
-}
-
-/// [`tune`] with an explicit worker-thread count for the profiling
-/// campaign. The result is bit-identical for any thread count: seeds are
+/// aggressive level with mean error at most `error_budget`; also returns
+/// the profiling campaign's report (for telemetry export and JSON
+/// capture). The result is bit-identical for any thread count: seeds are
 /// fixed per `(level, run)` and errors are averaged in run order.
-///
-/// # Panics
-///
-/// Panics if `error_budget` is negative or `runs` is zero.
-pub fn tune_with_threads(app: &App, error_budget: f64, runs: u64, threads: usize) -> TuningResult {
-    tune_campaign(app, error_budget, runs, &CampaignOptions::with_threads(threads)).0
-}
-
-/// [`tune`] with full [`CampaignOptions`], also returning the profiling
-/// campaign's report (for telemetry export and JSON capture).
 ///
 /// Profiling seeds are `TUNER_SEED_BASE ^ r` — a stream provably disjoint
 /// from the evaluation seeds `FAULT_SEED_BASE ^ i` (the bases differ in
@@ -161,7 +143,7 @@ mod tests {
     fn robust_apps_tune_to_aggressive() {
         // MonteCarlo barely degrades at any level (Figure 5): a 5% budget
         // admits the most aggressive configuration.
-        let r = tune(&app("MonteCarlo"), 0.05, 3);
+        let r = tune_campaign(&app("MonteCarlo"), 0.05, 3, &CampaignOptions::default()).0;
         assert_eq!(r.chosen, Some(Level::Aggressive));
         assert!(r.chosen_energy() < 0.95);
     }
@@ -173,7 +155,7 @@ mod tests {
         // heavy-tailed (a rare random-value FP fault can dominate a small
         // profiling sample), so profile with 10 runs for a stable mean;
         // even then the tuner may legitimately fall back to precise.
-        let r = tune(&app("SOR"), 0.10, 10);
+        let r = tune_campaign(&app("SOR"), 0.10, 10, &CampaignOptions::default()).0;
         assert!(
             matches!(r.chosen, None | Some(Level::Mild)),
             "fragile app must not tune past Mild, chose {:?}",
@@ -186,7 +168,7 @@ mod tests {
     fn zero_budget_can_force_precise_execution() {
         // With a literally-zero budget, any measured error disqualifies a
         // level; FFT almost always shows some error at Medium+.
-        let r = tune(&app("FFT"), 0.0, 3);
+        let r = tune_campaign(&app("FFT"), 0.0, 3, &CampaignOptions::default()).0;
         assert!(r.chosen.is_none() || r.chosen == Some(Level::Mild));
         if r.chosen.is_none() {
             assert_eq!(r.chosen_energy(), 1.0);
@@ -197,7 +179,7 @@ mod tests {
 
     #[test]
     fn errors_reported_per_level_are_monotone_enough() {
-        let r = tune(&app("LU"), 1.0, 3);
+        let r = tune_campaign(&app("LU"), 1.0, 3, &CampaignOptions::default()).0;
         assert_eq!(r.chosen, Some(Level::Aggressive), "budget 1.0 admits everything");
         assert!(r.errors[0] <= r.errors[2] + 1e-9);
         assert!(r.energy[0] >= r.energy[2]);
@@ -213,14 +195,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one run")]
     fn zero_runs_rejected() {
-        let _ = tune(&app("MonteCarlo"), 0.1, 0);
+        let _ = tune_campaign(&app("MonteCarlo"), 0.1, 0, &CampaignOptions::default());
     }
 
     #[test]
     fn thread_count_does_not_change_the_result() {
         let a = app("FFT");
-        let serial = tune_with_threads(&a, 0.05, 3, 1);
-        let parallel = tune_with_threads(&a, 0.05, 3, 4);
+        let serial = tune_campaign(&a, 0.05, 3, &CampaignOptions::with_threads(1)).0;
+        let parallel = tune_campaign(&a, 0.05, 3, &CampaignOptions::with_threads(4)).0;
         assert_eq!(serial.chosen, parallel.chosen);
         for i in 0..3 {
             assert_eq!(serial.errors[i].to_bits(), parallel.errors[i].to_bits());

@@ -221,73 +221,6 @@ fn ndjson_sink_emits_trial_json_in_index_order() {
     }
 }
 
-/// Deadline truncation lands exactly on a chunk boundary, flies the
-/// `deadline_exceeded` flag, and the committed prefix is bit-identical to
-/// the same prefix of an undeadlined run — a deadline changes how *many*
-/// chunks run, never what any trial computes.
-#[test]
-fn deadline_truncates_at_a_chunk_boundary_bit_identically() {
-    let specs = mixed_specs();
-    let baseline = run_serial(&specs);
-    let chunk = 4usize;
-
-    // spec(0) stalls well past the deadline. The deadline is checked at
-    // claim time and claimed chunks always run to completion, so exactly
-    // the first chunk commits — deterministically, however slow the box.
-    let source = SpecFn::new(specs.len(), |i| {
-        if i == 0 {
-            std::thread::sleep(Duration::from_millis(300));
-        }
-        specs[i].clone()
-    });
-    let opts = CampaignOptions {
-        threads: 1,
-        chunk,
-        deadline: Some(Duration::from_millis(100)),
-        ..CampaignOptions::default()
-    };
-    let mut sink = VecSink::default();
-    let summary =
-        run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory sink cannot fail");
-    assert!(summary.deadline_exceeded, "the stalled first chunk must overrun the deadline");
-    assert_eq!(sink.trials.len(), chunk, "truncation lands on a chunk boundary");
-    assert_eq!(summary.trials, chunk);
-    for (s, b) in sink.trials.iter().zip(&baseline.trials) {
-        assert_eq!(s.index, b.index, "prefix order");
-        assert_eq!(s.error.to_bits(), b.error.to_bits(), "trial {}: error", b.index);
-        assert_eq!(s.energy_quanta, b.energy_quanta, "trial {}: quanta", b.index);
-        assert_eq!(s.stats, b.stats, "trial {}: stats", b.index);
-    }
-
-    // An already-expired deadline truncates before the first claim.
-    let source = SpecFn::new(specs.len(), |i| specs[i].clone());
-    let opts = CampaignOptions {
-        threads: 1,
-        chunk,
-        deadline: Some(Duration::ZERO),
-        ..CampaignOptions::default()
-    };
-    let mut sink = VecSink::default();
-    let summary =
-        run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory sink cannot fail");
-    assert!(summary.deadline_exceeded);
-    assert_eq!(sink.trials.len(), 0, "no chunk may be claimed after expiry");
-
-    // A deadline with hours of slack changes nothing at all.
-    let source = SpecFn::new(specs.len(), |i| specs[i].clone());
-    let opts = CampaignOptions {
-        threads: 2,
-        chunk,
-        deadline: Some(Duration::from_secs(3600)),
-        ..CampaignOptions::default()
-    };
-    let mut sink = VecSink::default();
-    let summary =
-        run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory sink cannot fail");
-    assert!(!summary.deadline_exceeded);
-    assert_matches_report(&baseline, &sink.trials, &summary, "slack deadline");
-}
-
 /// A worker that dies mid-chunk (a panicking [`SpecFn`] — a harness bug,
 /// not an app fault; app panics are contained per trial) must poison the
 /// reorder window so the campaign panics promptly. Before the poison flag

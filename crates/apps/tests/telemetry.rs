@@ -158,7 +158,6 @@ fn synthetic_report() -> CampaignReport {
         chunk: 1,
         peak_buffered: 2,
         buffer_capacity: 6,
-        deadline_exceeded: false,
     };
     CampaignReport {
         trials: vec![healthy, crashed],

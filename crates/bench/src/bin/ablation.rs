@@ -24,8 +24,8 @@ use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::{ErrorMode, HwConfig, Level, StrategyMask};
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 5);
-    if opts.flags.iter().any(|f| f == "--error-modes") {
+    let opts = Options::from_env(5, &["--error-modes"]);
+    if opts.has_flag("--error-modes") {
         error_modes(&opts);
     } else {
         strategy_isolation(&opts);

@@ -5,19 +5,19 @@
 //! faultscope <results/BENCH_*.json | faults.ndjson> [--label L] [--bits] [--causes]
 //! ```
 //!
-//! Reads either a campaign report (`enerj-campaign/2` through `/5` JSON,
-//! aggregating each trial's `fault_counts`) or an NDJSON fault log
+//! Reads either a campaign report (`enerj-campaign/5` JSON, aggregating
+//! each trial's `fault_counts`) or an NDJSON fault log
 //! (counting events), auto-detected, and prints one row per application
 //! with a column per fault kind. Cells are injection counts with each
 //! unit's share of the app's total; `--bits` switches to flipped-bit
 //! totals — the honest "where did my error come from" measure. `--label L`
 //! restricts to one campaign label (a level or strategy name).
 //!
-//! `--causes` switches to the recovery view (`/3`+ reports): one row per
+//! `--causes` switches to the recovery view (reports only): one row per
 //! app × label with the trial count, how many trials needed recovery, how
 //! many stayed degraded, the failure-cause mix (panics, watchdog
-//! op-budget trips, failed output checks, QoS threshold breaches), and —
-//! for `/4` reports — the exact retry energy overhead in integer quanta.
+//! op-budget trips, failed output checks, QoS threshold breaches), and the
+//! exact retry energy overhead in integer quanta.
 //!
 //! This is the observability counterpart to `fig5`: instead of "FFT
 //! degrades at Medium", it answers "FFT's faults are 90% SRAM read
@@ -73,11 +73,11 @@ fn run(args: &[String]) -> Result<(), String> {
                         recovery telemetry)"
                 .to_owned());
         }
-        return print_causes(&text, label.as_deref());
+        return print_causes(&parse_report(&text)?, label.as_deref());
     }
 
     let (breakdown, source) = if looks_like_report(&text) {
-        (from_report(&text, label.as_deref())?, "campaign report")
+        (from_report(&parse_report(&text)?, label.as_deref())?, "campaign report")
     } else {
         (from_ndjson(&text, label.as_deref())?, "fault log")
     };
@@ -135,17 +135,22 @@ fn looks_like_report(text: &str) -> bool {
             .is_some_and(|v| v.get("schema").and_then(Json::as_str).is_some())
 }
 
-fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
+/// The one report schema every bench binary writes.
+const SCHEMA: &str = "enerj-campaign/5";
+
+/// Parses a campaign report, accepting exactly [`SCHEMA`].
+fn parse_report(text: &str) -> Result<Json, String> {
     let report = Json::parse(text.trim()).map_err(|e| format!("report: {e}"))?;
     let schema = report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema`")?;
-    if !schema.starts_with("enerj-campaign/") {
-        return Err(format!("unsupported schema `{schema}`"));
+    if schema != SCHEMA {
+        return Err(format!(
+            "unsupported schema `{schema}`; re-run the bench binary to produce an {SCHEMA} report"
+        ));
     }
-    if schema == "enerj-campaign/1" {
-        return Err("schema enerj-campaign/1 predates fault telemetry; re-run the bench \
-                    binary to produce an enerj-campaign/2 report"
-            .to_owned());
-    }
+    Ok(report)
+}
+
+fn from_report(report: &Json, label: Option<&str>) -> Result<Breakdown, String> {
     let trials = report.get("trials").and_then(Json::as_array).ok_or("report: missing `trials`")?;
     let mut breakdown = Breakdown::new();
     for trial in trials {
@@ -155,8 +160,7 @@ fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
                 continue;
             }
         }
-        let counts =
-            trial.get("fault_counts").ok_or("trial: missing `fault_counts` (schema /2)")?;
+        let counts = trial.get("fault_counts").ok_or("trial: missing `fault_counts`")?;
         let entry = breakdown.entry(app.to_owned()).or_default();
         for (i, kind) in FaultKind::ALL.iter().enumerate() {
             if let Some(kc) = counts.get(&kind.to_string()) {
@@ -170,17 +174,17 @@ fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
     Ok(breakdown)
 }
 
-/// The stable failure-cause categories `enerj-campaign/3`+ reports use as
-/// `failure_causes` prefixes (see `enerj_apps::recovery::FailureCause`).
+/// The stable failure-cause categories reports use as `failure_causes`
+/// prefixes (see `enerj_apps::recovery::FailureCause`).
 const CAUSE_CATEGORIES: [&str; 4] = ["panic", "op-budget", "check", "qos"];
 
 /// Per app × label: `[trials, recovered, degraded, per-category counts...]`.
 type CauseRows = BTreeMap<(String, String), [u64; 3 + CAUSE_CATEGORIES.len()]>;
 
-/// Per app × label: summed retry overhead quanta (absent in `/3` reports).
+/// Per app × label: summed retry overhead quanta.
 type OverheadQuanta = BTreeMap<(String, String), u128>;
 
-/// Accumulates the recovery view from a parsed `/3`+ report.
+/// Accumulates the recovery view from a parsed report.
 ///
 /// Outcomes come from the authoritative recorded fields, not inference:
 /// `recovered_at_level` marks a trial recovered, and a trial is *degraded*
@@ -238,15 +242,10 @@ fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, Overhea
                 }
             }
         }
-        let q = match trial.get("recovery_energy_overhead_quanta") {
-            None => 0, // `/3` reports predate the exact-quanta ledger.
-            Some(v) => v.as_u128().ok_or_else(|| {
-                format!(
-                    "trial {i}: `recovery_energy_overhead_quanta` must be a \
-                     non-negative integer ({v:?})"
-                )
-            })?,
-        };
+        let q = trial.get("recovery_energy_overhead_quanta").and_then(Json::as_u128);
+        let q = q.ok_or_else(|| {
+            format!("trial {i}: `recovery_energy_overhead_quanta` must be a non-negative integer")
+        })?;
         *overhead_quanta.entry((app.to_owned(), trial_label.to_owned())).or_default() += q;
     }
     Ok((rows, overhead_quanta))
@@ -254,17 +253,9 @@ fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, Overhea
 
 /// Prints the recovery view: per app × label, the trial count, recovery
 /// outcomes, the failure-cause mix, and the exact retry energy overhead
-/// (integer quanta, `enerj-campaign/4`+).
-fn print_causes(text: &str, label: Option<&str>) -> Result<(), String> {
-    let report = Json::parse(text.trim()).map_err(|e| format!("report: {e}"))?;
-    let schema = report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema`")?;
-    if !["enerj-campaign/3", "enerj-campaign/4", "enerj-campaign/5"].contains(&schema) {
-        return Err(format!(
-            "schema `{schema}` carries no recovery telemetry; re-run the bench \
-             binary to produce an enerj-campaign/5 report"
-        ));
-    }
-    let (rows, overhead_quanta) = causes_rows(&report, label)?;
+/// (integer quanta).
+fn print_causes(report: &Json, label: Option<&str>) -> Result<(), String> {
+    let (rows, overhead_quanta) = causes_rows(report, label)?;
     if rows.is_empty() {
         println!(
             "no trials{}",
@@ -328,14 +319,24 @@ fn from_ndjson(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{causes_rows, Json};
+    use super::{causes_rows, parse_report, Json};
 
-    /// A minimal `/4` trial list exercising every recovery outcome: a
+    #[test]
+    fn both_views_accept_exactly_the_current_schema() {
+        assert!(parse_report(r#"{"schema":"enerj-campaign/5","trials":[]}"#).is_ok());
+        for old in ["enerj-campaign/1", "enerj-campaign/4", "enerj-campaign/6", "other"] {
+            let text = format!(r#"{{"schema":"{old}","trials":[]}}"#);
+            let err = parse_report(&text).unwrap_err();
+            assert!(err.contains(&format!("unsupported schema `{old}`")), "{err}");
+        }
+    }
+
+    /// A minimal `/5` trial list exercising every recovery outcome: a
     /// clean first-try pass, a trial recovered at a rung, and a degraded
     /// trial whose final attempt also failed.
     fn golden_report() -> Json {
         Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":1,"recovered_at_level":null,
                "failure_causes":[],"recovery_energy_overhead_quanta":0},
               {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":"Precise",
@@ -369,7 +370,7 @@ mod tests {
         // two attempts means the final attempt failed, which contradicts
         // recovered_at_level being set.
         let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":"Precise",
                "failure_causes":["qos: a","qos: b"],
                "recovery_energy_overhead_quanta":0}
@@ -381,7 +382,7 @@ mod tests {
         // The converse: a degraded trial (no recovery) claiming more
         // attempts than it has causes lost an attempt's record somewhere.
         let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":3,"recovered_at_level":null,
                "failure_causes":["qos: a","qos: b"],
                "recovery_energy_overhead_quanta":0}
@@ -394,7 +395,7 @@ mod tests {
     #[test]
     fn fractional_overhead_quanta_are_rejected() {
         let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":1,"recovered_at_level":null,
                "failure_causes":[],"recovery_energy_overhead_quanta":1.5}
             ]}"#,

@@ -14,7 +14,7 @@ use enerj_bench::{finish_campaign, render_table};
 use enerj_hw::config::{HwConfig, Level};
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 1);
+    let opts = Options::from_env(1, &[]);
     let apps = all_apps();
     let specs: Vec<TrialSpec> = apps
         .iter()

@@ -13,7 +13,7 @@ use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::Level;
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 20);
+    let opts = Options::from_env(20, &[]);
     let apps = all_apps();
     let report = run_level_campaign(&apps, &Level::ALL, opts.runs, &opts.campaign_options());
 

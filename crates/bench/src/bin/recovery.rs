@@ -33,8 +33,9 @@ use enerj_hw::config::HwConfig;
 const ACCEPTABLE_ERROR: f64 = 0.1;
 
 fn main() {
-    let mut opts = Options::parse(std::env::args(), 10);
-    let amplify = take_amplify(&mut opts).unwrap_or(40.0);
+    let opts = Options::from_env(10, &["--amplify X"]);
+    let amplify =
+        opts.value("--amplify").map_or(40.0, |v| v.parse().expect("--amplify needs a number"));
     let chaos: HwConfig = chaos_config(amplify);
     let apps = all_apps();
 
@@ -141,12 +142,4 @@ fn main() {
         );
     }
     finish_campaign("recovery", &report, &opts);
-}
-
-/// Pulls `--amplify X` out of the free mode flags.
-fn take_amplify(opts: &mut Options) -> Option<f64> {
-    let i = opts.flags.iter().position(|f| f == "--amplify")?;
-    let value = opts.flags.get(i + 1).expect("--amplify needs a value").clone();
-    opts.flags.drain(i..=i + 1);
-    Some(value.parse().expect("--amplify needs a number"))
 }

@@ -4,7 +4,7 @@
 //! baseline on the same workload and seeds.
 //!
 //! ```text
-//! schedbench [--runs N] [--threads N] [--chunk N] [--json] [--quick]
+//! schedbench [--runs N] [--threads N] [--json] [--quick]
 //!            [--budget-pct P] [--meter sram|total]
 //! ```
 //!
@@ -38,15 +38,6 @@ use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
 use enerj_bench::{bench_report_path, render_table, Options};
 use enerj_hw::energy::QuantaMeter;
 use enerj_hw::quanta::EnergyQuanta;
-
-/// Pulls a `--flag value` pair out of the free-flag list.
-fn take_value(flags: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = flags.iter().position(|f| f == flag)?;
-    assert!(i + 1 < flags.len(), "{flag} needs a value");
-    let value = flags.remove(i + 1);
-    flags.remove(i);
-    Some(value)
-}
 
 /// Two scheduled runs must agree on every bit that matters; returns a
 /// human-readable description of the first divergence.
@@ -89,19 +80,19 @@ fn first_divergence(
 }
 
 fn main() -> ExitCode {
-    let mut opts = Options::parse(std::env::args(), 20);
+    let mut opts = Options::from_env(20, &["--quick", "--budget-pct N", "--meter M"]);
     let quick = opts.has_flag("--quick");
     if quick {
-        opts.flags.retain(|f| f != "--quick");
         opts.runs = opts.runs.min(6);
     }
-    let budget_pct: u32 = take_value(&mut opts.flags, "--budget-pct")
+    let budget_pct: u32 = opts
+        .value("--budget-pct")
         .map(|v| v.parse().expect("--budget-pct needs an integer"))
         .unwrap_or(60);
-    let meter = take_value(&mut opts.flags, "--meter")
-        .map(|v| QuantaMeter::parse(&v).expect("--meter needs `sram` or `total`"))
+    let meter = opts
+        .value("--meter")
+        .map(|v| QuantaMeter::parse(v).expect("--meter needs `sram` or `total`"))
         .unwrap_or(QuantaMeter::Sram);
-    assert!(opts.flags.is_empty(), "unknown flags: {:?}", opts.flags);
 
     let campaign_opts = opts.campaign_options();
     let workload = Workload::new(all_apps(), opts.runs);

@@ -7,7 +7,7 @@ use enerj_bench::cli::Options;
 use enerj_bench::render_table;
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 0);
+    let opts = Options::from_env(0, &[]);
     let rows = vec![
         vec![
             "@Approx, @Precise, @Top".to_owned(),

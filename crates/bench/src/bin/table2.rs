@@ -8,7 +8,7 @@ use enerj_bench::render_table;
 use enerj_hw::config::Level;
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 0);
+    let opts = Options::from_env(0, &[]);
     let [mild, medium, aggressive] =
         [Level::Mild.params(), Level::Medium.params(), Level::Aggressive.params()];
 

@@ -14,7 +14,7 @@ use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, pct, render_table};
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 1);
+    let opts = Options::from_env(1, &[]);
     let apps = all_apps();
     let specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
     let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());

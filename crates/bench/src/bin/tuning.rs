@@ -13,7 +13,7 @@ use enerj_bench::render_table;
 use enerj_hw::FaultCounters;
 
 fn main() {
-    let opts = Options::parse(std::env::args(), 5);
+    let opts = Options::from_env(5, &[]);
     let budgets = [0.01, 0.05, 0.10];
     let mut rows = Vec::new();
     let mut fault_totals = FaultCounters::new();

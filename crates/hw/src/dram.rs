@@ -170,11 +170,6 @@ impl DramArray {
         self.elem_width
     }
 
-    /// Whether elements are stored approximately.
-    pub fn is_approx(&self) -> bool {
-        self.approx
-    }
-
     /// The cache-line layout computed at allocation.
     pub fn layout(&self) -> Layout {
         self.layout

@@ -5,11 +5,13 @@
 //! `Connection: close`), so the client is a handful of blocking socket
 //! round-trips — no connection pooling, no state.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use enerj_bench::json::Json;
+
+use crate::http::{self, Head};
 
 /// A parsed response: status code plus body.
 #[derive(Debug)]
@@ -91,7 +93,7 @@ impl Client {
         stream.write_all(head.as_bytes())?;
         stream.write_all(body)?;
         stream.flush()?;
-        read_response(&mut stream)
+        read_response(stream)
     }
 
     /// Submits a campaign spec (`enerj-serve/1` JSON).
@@ -162,26 +164,24 @@ impl Client {
         );
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
-        let (status, mut body_prefix) = read_head(&mut stream)?;
+        let mut r = BufReader::with_capacity(16 * 1024, stream);
+        let (status, _) = read_status(&mut r)?;
         if status != 200 {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("stream request failed with status {status}"),
             ));
         }
-        let mut buf = [0u8; 16 * 1024];
+        let mut line = Vec::new();
         loop {
-            // Deliver complete lines; keep the partial tail buffered.
-            while let Some(nl) = body_prefix.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = body_prefix.drain(..=nl).collect();
-                if let Ok(text) = std::str::from_utf8(&line[..line.len() - 1]) {
-                    on_line(text);
-                }
+            line.clear();
+            // `read_until` stops short of a newline only at EOF, where a
+            // torn trailing fragment is dropped.
+            if r.read_until(b'\n', &mut line)? == 0 || line.pop() != Some(b'\n') {
+                return Ok(());
             }
-            match stream.read(&mut buf) {
-                Ok(0) => return Ok(()),
-                Ok(n) => body_prefix.extend_from_slice(&buf[..n]),
-                Err(e) => return Err(e),
+            if let Ok(text) = std::str::from_utf8(&line) {
+                on_line(text);
             }
         }
     }
@@ -209,80 +209,33 @@ impl Client {
     }
 }
 
-/// Reads the response head; returns the status and any body bytes that
-/// arrived in the same reads.
-fn read_head(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "response truncated"))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > 64 * 1024 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "response head too large"));
-        }
-    }
-    let text = String::from_utf8_lossy(&head);
-    let status = text
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
+/// Reads a response head and the status code on its status line.
+fn read_status(r: &mut impl BufRead) -> io::Result<(u16, Head)> {
+    let head = http::read_head(r)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "response truncated"))?;
+    let status = head
+        .start
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, Vec::new()))
+    Ok((status, head))
 }
 
 /// Reads a whole bounded response (head + `Content-Length` body, or body
 /// to EOF when no length was sent).
-fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "response truncated"))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > 64 * 1024 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "response head too large"));
-        }
-    }
-    let text = String::from_utf8_lossy(&head).into_owned();
-    let status = text
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let content_length = text.lines().skip(1).find_map(|l| {
-        let (name, value) = l.split_once(':')?;
-        name.trim()
-            .eq_ignore_ascii_case("content-length")
-            .then(|| value.trim().parse::<usize>().ok())?
-    });
-    let body = match content_length {
+fn read_response(stream: TcpStream) -> io::Result<Response> {
+    let mut r = BufReader::new(stream);
+    let (status, head) = read_status(&mut r)?;
+    let mut body = Vec::new();
+    match head.content_length()? {
         Some(len) => {
-            let mut body = vec![0u8; len];
-            stream.read_exact(&mut body)?;
-            body
+            body.resize(len, 0);
+            r.read_exact(&mut body)?;
         }
         None => {
-            let mut body = Vec::new();
-            stream.read_to_end(&mut body)?;
-            body
+            r.read_to_end(&mut body)?;
         }
-    };
+    }
     Ok(Response { status, body })
 }

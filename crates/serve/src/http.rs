@@ -9,16 +9,85 @@
 //! balloon server memory, and all socket reads sit under the caller's
 //! per-connection read timeout.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 
 use enerj_apps::trials::json_string;
 
-/// Upper bound on the request head (request line + headers).
+/// Upper bound on a message head (start line + headers), on either side.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Upper bound on a request body (campaign specs are small JSON objects).
+/// Upper bound on a message body (campaign specs are small JSON objects).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+
+/// One message head: the request or status line, then the headers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Head {
+    /// The request line (`GET /healthz HTTP/1.1`) or status line.
+    pub start: String,
+    /// Header name/value pairs; names lower-cased.
+    pub headers: Vec<(String, String)>,
+}
+
+impl Head {
+    /// The body length the head announces; `None` without a
+    /// `Content-Length` header.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a malformed length or one over
+    /// [`MAX_BODY_BYTES`].
+    pub fn content_length(&self) -> io::Result<Option<usize>> {
+        let Some((_, value)) = self.headers.iter().find(|(name, _)| name == "content-length")
+        else {
+            return Ok(None);
+        };
+        let len = value.parse().map_err(|_| invalid("bad Content-Length"))?;
+        if len > MAX_BODY_BYTES {
+            return Err(invalid("body too large"));
+        }
+        Ok(Some(len))
+    }
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Reads one message head, through the blank line that ends it; any bytes
+/// after it stay buffered in `r` for the body. `Ok(None)` means the peer
+/// closed the connection before sending anything. At most
+/// [`MAX_HEAD_BYTES`] are read, so a peer that never sends a newline
+/// cannot balloon memory.
+///
+/// # Errors
+///
+/// Propagates read errors (including timeouts); `UnexpectedEof` for a
+/// head cut short; `InvalidData` for an oversized, non-UTF-8 or malformed
+/// head.
+pub(crate) fn read_head(r: &mut impl BufRead) -> io::Result<Option<Head>> {
+    let mut raw = Vec::with_capacity(512);
+    let mut limited = r.by_ref().take(MAX_HEAD_BYTES as u64);
+    while !raw.ends_with(b"\r\n\r\n") {
+        if limited.read_until(b'\n', &mut raw)? == 0 {
+            return match (raw.is_empty(), limited.limit()) {
+                (true, _) => Ok(None),
+                (false, 0) => Err(invalid("head too large")),
+                (false, _) => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "head truncated")),
+            };
+        }
+    }
+    let text = String::from_utf8(raw).map_err(|_| invalid("head is not UTF-8"))?;
+    let mut lines = text.split("\r\n");
+    let start = lines.next().unwrap_or_default().to_owned();
+    let mut headers = Vec::new();
+    for line in lines.filter(|l| !l.is_empty()) {
+        let (name, value) =
+            line.split_once(':').ok_or_else(|| invalid(format!("malformed header `{line}`")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+    }
+    Ok(Some(Head { start, headers }))
+}
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -42,78 +111,28 @@ impl Request {
     }
 }
 
-/// Reads one request from `stream`. `Ok(None)` means the peer closed the
+/// Reads one request from `r`. `Ok(None)` means the peer closed the
 /// connection before sending anything (a clean keep-alive end).
 ///
 /// # Errors
 ///
-/// Propagates socket errors (including read timeouts) and rejects oversized
-/// or malformed heads/bodies with `InvalidData`.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Read byte-at-a-time until CRLFCRLF: simple and safe (the head is
-    // tiny and reads are buffered by the kernel socket buffer).
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if head.is_empty() {
-                    return Ok(None);
-                }
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "request head truncated"));
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "request head too large"));
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-    }
-    let head = String::from_utf8(head)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let request_line =
-        lines.next().ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty request"))?;
-    let mut parts = request_line.split(' ');
-    let method = parts
-        .next()
-        .filter(|m| !m.is_empty())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing method"))?
-        .to_owned();
-    let target = parts
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing request target"))?;
+/// As `read_head`, plus `InvalidData` for a malformed request line or
+/// body length and `UnexpectedEof` for a body cut short.
+pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
+    let Some(head) = read_head(r)? else {
+        return Ok(None);
+    };
+    let mut parts = head.start.split(' ');
+    let method =
+        parts.next().filter(|m| !m.is_empty()).ok_or_else(|| invalid("missing method"))?.to_owned();
+    let target = parts.next().ok_or_else(|| invalid("missing request target"))?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_owned(), parse_query(q)),
         None => (target.to_owned(), Vec::new()),
     };
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("malformed header `{line}`"))
-        })?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_owned();
-        if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))?;
-        }
-        headers.push((name, value));
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "request body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    Ok(Some(Request { method, path, query, headers, body }))
+    let mut body = vec![0u8; head.content_length()?.unwrap_or(0)];
+    r.read_exact(&mut body)?;
+    Ok(Some(Request { method, path, query, headers: head.headers, body }))
 }
 
 fn parse_query(q: &str) -> Vec<(String, String)> {
@@ -194,6 +213,60 @@ pub fn error_body(error: &str, detail: &str, retriable: bool, backoff_ms: Option
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn request(bytes: &[u8]) -> io::Result<Option<Request>> {
+        read_request(&mut &bytes[..])
+    }
+
+    fn kind(bytes: &[u8]) -> io::ErrorKind {
+        request(bytes).expect_err("a rejected request").kind()
+    }
+
+    #[test]
+    fn head_reader_parses_a_request_and_leaves_the_body() {
+        let req = request(
+            b"POST /jobs?from_line=3 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody+",
+        )
+        .expect("well-formed")
+        .expect("not EOF");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/jobs"));
+        assert_eq!(req.query("from_line"), Some("3"));
+        assert_eq!(req.headers[1], ("content-length".to_owned(), "4".to_owned()));
+        assert_eq!(req.body, b"body");
+        let mut rest: &[u8] = b"HTTP/1.1 200 OK\r\n\r\nline\n";
+        let head = read_head(&mut rest).expect("well-formed").expect("not EOF");
+        assert_eq!(head.start, "HTTP/1.1 200 OK");
+        assert_eq!(head.content_length().expect("no length"), None);
+        assert_eq!(rest, b"line\n", "the body stays in the reader");
+    }
+
+    #[test]
+    fn head_reader_types_every_failure() {
+        assert!(request(b"").expect("clean EOF").is_none());
+        assert_eq!(kind(b"GET / HTTP/1.1\r\nHost: x\r\n"), io::ErrorKind::UnexpectedEof);
+        assert_eq!(kind(b"GET / HTTP/1.1"), io::ErrorKind::UnexpectedEof);
+        let long = vec![b'a'; MAX_HEAD_BYTES + 1];
+        assert_eq!(kind(&long), io::ErrorKind::InvalidData, "no newline ever arrives");
+        let mut many = b"GET / HTTP/1.1\r\n".to_vec();
+        while many.len() <= MAX_HEAD_BYTES {
+            many.extend_from_slice(b"X-Pad: 0123456789\r\n");
+        }
+        many.extend_from_slice(b"\r\n");
+        assert_eq!(kind(&many), io::ErrorKind::InvalidData, "oversize head");
+        assert_eq!(kind(b"GET /\xff HTTP/1.1\r\n\r\n"), io::ErrorKind::InvalidData);
+        assert_eq!(kind(b"GET / HTTP/1.1\r\nno colon\r\n\r\n"), io::ErrorKind::InvalidData);
+        for bad in ["-1", "x", "1 2"] {
+            let text = format!("POST / HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
+            assert_eq!(kind(text.as_bytes()), io::ErrorKind::InvalidData, "length {bad}");
+        }
+        let over = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        assert_eq!(kind(over.as_bytes()), io::ErrorKind::InvalidData);
+        assert_eq!(
+            kind(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert_eq!(kind(b"\r\n\r\n"), io::ErrorKind::InvalidData, "missing method");
+    }
 
     #[test]
     fn query_parsing() {

@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -476,7 +476,8 @@ impl Server {
     fn handle_conn(&self, mut stream: TcpStream) {
         let _ = stream.set_read_timeout(Some(self.cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(self.cfg.write_timeout));
-        let req = match http::read_request(&mut stream) {
+        let parsed = http::read_request(&mut BufReader::new(&stream));
+        let req = match parsed {
             Ok(Some(r)) => r,
             Ok(None) => return,
             Err(_) => {
@@ -859,13 +860,7 @@ fn run_chunk(claim: &Claim) -> ChunkPayload {
     }
     let len = claim.hi - claim.lo;
     let source = SpecFn::new(len, |i| claim.spec.trial_spec(claim.lo + i, claim.degrade));
-    let opts = CampaignOptions {
-        threads: 1,
-        log_events: false,
-        progress: false,
-        chunk: len,
-        deadline: None,
-    };
+    let opts = CampaignOptions { threads: 1, chunk: len, ..CampaignOptions::default() };
     let mut sink = ChunkSink {
         lo: claim.lo,
         text: String::new(),

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke checks over the release binaries: one `cargo build --release`, then
-# telemetry, recovery, fuzz, quanta, sched and serve runs at reduced sizes.
+# CLI, telemetry, recovery, fuzz, quanta, sched and serve runs at reduced sizes.
 # Each check exits nonzero on a violation; none gates on wall-clock speed.
 #
 #   bash scripts/smoke.sh
@@ -28,6 +28,20 @@ restore() {
 trap restore EXIT
 
 step() { printf '\n== %s\n' "$*"; }
+
+# Fails the script if the command succeeds.
+reject() {
+    if "$@" > /dev/null 2>&1; then
+        echo "expected a usage error: $*" >&2
+        exit 1
+    fi
+}
+
+# The bench CLI refuses what it does not know instead of running with a
+# default: an unknown flag and a zero run count must both exit nonzero.
+step "cli: unknown flags and --runs 0 are usage errors"
+reject "$bin/fig5" --runs 1 --deadline-secs 1
+reject "$bin/fig5" --runs 0
 
 step "quanta: fig5 at one thread"
 "$bin/fig5" --runs 3 --threads 1
