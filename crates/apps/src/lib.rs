@@ -159,61 +159,19 @@ pub mod harness {
         measure_with_telemetry(app, cfg, seed, false)
     }
 
-    /// Reusable per-worker measurement state: the workload scratch cache
-    /// ([`workload::Scratch`](crate::workload::Scratch)) that lets apps
-    /// reuse generated input buffers across trials instead of allocating
-    /// fresh ones every run. A campaign worker owns one `Workspace` for its
-    /// whole lifetime and threads it through [`measure_in`]; caching is a
-    /// pure wall-clock optimization and never changes a measurement (input
-    /// generation is deterministic and unsimulated).
-    #[derive(Debug, Default)]
-    pub struct Workspace {
-        scratch: crate::workload::Scratch,
-    }
-
-    impl Workspace {
-        /// An empty workspace; buffers populate lazily on first use.
-        pub fn new() -> Self {
-            Workspace::default()
-        }
-
-        /// Makes this workspace's scratch cache active on the current
-        /// thread until the guard drops. Used by the measurement entry
-        /// points; exposed so the recovery runner can keep one installation
-        /// alive across a whole retry ladder.
-        pub fn activate(&mut self) -> crate::workload::ActiveScratch<'_> {
-            crate::workload::install(&mut self.scratch)
-        }
-    }
-
     /// [`measure_with`], optionally collecting the structured fault log.
     ///
     /// Neither the always-on counters nor the log touch the fault PRNG, so
-    /// output, statistics and energy are bit-identical either way.
-    ///
-    /// Allocates a throwaway [`Workspace`]; hot campaign loops should hold
-    /// one per worker and call [`measure_in`] instead.
+    /// output, statistics and energy are bit-identical either way. The app's
+    /// input buffers come from the thread's workload cache
+    /// ([`workload`](crate::workload)), so repeated trials on one thread
+    /// generate each input once.
     pub fn measure_with_telemetry(
         app: &App,
         cfg: HwConfig,
         seed: u64,
         log_events: bool,
     ) -> Measurement {
-        measure_in(app, cfg, seed, log_events, &mut Workspace::new())
-    }
-
-    /// [`measure_with_telemetry`] with an explicit per-worker [`Workspace`]:
-    /// the app's input buffers come from (and are returned to) `ws`'s
-    /// scratch cache. Bit-identical to the workspace-free path — caching
-    /// only skips regeneration of deterministic inputs.
-    pub fn measure_in(
-        app: &App,
-        cfg: HwConfig,
-        seed: u64,
-        log_events: bool,
-        ws: &mut Workspace,
-    ) -> Measurement {
-        let _scratch = ws.activate();
         let rt = Runtime::with_config(cfg, seed);
         if log_events {
             rt.enable_fault_log();

@@ -320,9 +320,8 @@ fn run_attempt(
 /// attempt per ladder rung with retry seeds from [`retry_seed`], stopping
 /// at the first attempt that passes. Deterministic: the outcome is a pure
 /// function of the arguments. Every attempt of the ladder draws its input
-/// buffers from the per-worker [`Workspace`](crate::harness::Workspace)
-/// `ws`, so a recovered trial regenerates nothing.
-#[allow(clippy::too_many_arguments)]
+/// buffers from the thread's [`workload`](crate::workload) cache, so a
+/// recovered trial regenerates nothing.
 pub fn run_with_recovery(
     app: &App,
     cfg: HwConfig,
@@ -330,9 +329,7 @@ pub fn run_with_recovery(
     policy: &Policy,
     reference: Option<&Output>,
     log_events: bool,
-    ws: &mut crate::harness::Workspace,
 ) -> Recovered {
-    let _scratch = ws.activate();
     let mut acc = Recovered {
         output: None,
         error: 1.0,
@@ -390,7 +387,7 @@ pub fn run_with_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{self, Workspace, TUNER_SEED_BASE};
+    use crate::harness::{self, TUNER_SEED_BASE};
     use crate::{all_apps, no_check};
 
     fn app(name: &str) -> App {
@@ -450,7 +447,6 @@ mod tests {
             &Policy::standard(),
             Some(&reference),
             false,
-            &mut Workspace::new(),
         );
         assert_eq!(out.attempts, 1);
         assert!(!out.recovered());
@@ -474,15 +470,7 @@ mod tests {
         // rung reproduces the reference, so error 0.0 is guaranteed.
         let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
         let chaos = chaos_config(50.0);
-        let out = run_with_recovery(
-            &mc,
-            chaos,
-            FAULT_SEED_BASE,
-            &policy,
-            Some(&reference),
-            false,
-            &mut Workspace::new(),
-        );
+        let out = run_with_recovery(&mc, chaos, FAULT_SEED_BASE, &policy, Some(&reference), false);
         if out.recovered_at == Some(Rung::Precise) {
             assert_eq!(out.error, 0.0);
         }
@@ -511,7 +499,6 @@ mod tests {
                 &policy,
                 None,
                 false,
-                &mut Workspace::new(),
             );
             if let Some(FailureCause::OpBudgetExceeded { op_ticks, budget }) =
                 out.failure_causes.first()
@@ -540,7 +527,6 @@ mod tests {
                 &policy,
                 Some(&reference),
                 false,
-                &mut Workspace::new(),
             );
             (
                 out.error.to_bits(),

@@ -46,9 +46,6 @@
 //!   order, which keeps every total bit-identical at any thread count;
 //!   exact integer [`EnergyQuanta`] totals would be order-independent
 //!   anyway.
-//! * **Per-worker scratch reuse.** Each worker owns a
-//!   [`harness::Workspace`] threaded through the measurement, so apps stop
-//!   allocating fresh input buffers every trial.
 //!
 //! A [`CampaignReport`] is the in-memory view: every [`TrialResult`] (errors,
 //! [`Stats`], [`EnergyBreakdown`]s and exact [`EnergyQuantaBreakdown`]s,
@@ -619,22 +616,16 @@ impl Progress {
     }
 }
 
-/// Runs one trial, catching panics from fault-corrupted executions; `ws`
-/// is the worker's reusable scratch workspace. A recovery-enabled spec runs
-/// under its policy's protocol, which already contains app panics and
-/// watchdog trips per attempt — there the `catch_unwind` only guards
-/// against harness bugs (a panicking checker or QoS metric). Either way a
-/// caught panic scores as [`TrialResult::crashed`].
-fn run_trial(
-    index: usize,
-    spec: &TrialSpec,
-    log_events: bool,
-    ws: &mut harness::Workspace,
-) -> TrialResult {
+/// Runs one trial, catching panics from fault-corrupted executions. A
+/// recovery-enabled spec runs under its policy's protocol, which already
+/// contains app panics and watchdog trips per attempt — there the
+/// `catch_unwind` only guards against harness bugs (a panicking checker or
+/// QoS metric). Either way a caught panic scores as [`TrialResult::crashed`].
+fn run_trial(index: usize, spec: &TrialSpec, log_events: bool) -> TrialResult {
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| match &spec.recovery {
         None => {
-            let m = harness::measure_in(&spec.app, spec.cfg, spec.seed, log_events, ws);
+            let m = harness::measure_with_telemetry(&spec.app, spec.cfg, spec.seed, log_events);
             let error = match &spec.reference {
                 Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
                 None => 0.0,
@@ -669,7 +660,6 @@ fn run_trial(
                 policy,
                 spec.reference.as_deref(),
                 log_events,
-                ws,
             );
             // An unrecovered trial whose last attempt panicked keeps the
             // plain-trial contract: `panic` is set. Failures the ladder
@@ -751,7 +741,7 @@ impl SpecSource for [TrialSpec] {
 
 /// A lazy [`SpecSource`]: `len` trials whose specs are generated per index
 /// by a pure function. This is how protocol campaigns
-/// ([`run_level_campaign`], [`harness::mean_output_error_vs`](crate::harness::mean_output_error_vs),
+/// ([`run_level_campaign`], [`harness::mean_output_error_vs`],
 /// the tuner) avoid materializing million-entry spec vectors.
 pub struct SpecFn<F: Fn(usize) -> TrialSpec + Sync> {
     len: usize,
@@ -1151,7 +1141,6 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
         // the other workers fail fast instead of waiting forever on slots
         // that will never fill.
         let _poison_guard = PoisonOnUnwind(&reorder);
-        let mut ws = harness::Workspace::new();
         loop {
             // One atomic op claims a whole chunk of indices.
             let lo = next.fetch_add(chunk, Ordering::Relaxed);
@@ -1161,7 +1150,7 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
             let hi = (lo + chunk).min(len);
             let mut panics = 0usize;
             for i in lo..hi {
-                let r = run_trial(i, &source.spec(i), log_events, &mut ws);
+                let r = run_trial(i, &source.spec(i), log_events);
                 if r.panicked() {
                     panics += 1;
                 }

@@ -4,10 +4,11 @@
 //! reference (precise) output is identical across runs; the 20 runs of
 //! Figure 5 vary only the fault-injection seed of the simulated hardware.
 //!
-//! Generators return [`Arc`]-shared values and consult a per-thread
-//! [`Scratch`] cache when one is installed (see [`install`]): a campaign
-//! worker that runs the same app thousands of times generates each input
-//! once and reuses the buffer for every subsequent trial. Generation is a
+//! Generators return [`Arc`]-shared values from a per-thread cache that
+//! lives as long as the thread: a campaign worker that runs the same app
+//! thousands of times generates each input once and reuses the buffer for
+//! every subsequent trial. Its size is bounded by the distinct shapes the
+//! thread asks for (each app uses fixed shapes of a few KB). Generation is a
 //! pure function of the (seed, shape) key, so a cached input is exactly the
 //! value a fresh generation would produce — caching can never perturb a
 //! trial. Input generation is plain host computation (no simulated ops), so
@@ -35,11 +36,9 @@ pub fn input_rng(salt: u64) -> StdRng {
     StdRng::seed_from_u64(INPUT_SEED ^ salt)
 }
 
-/// Per-thread cache of generated workload inputs, keyed by shape. Owned by
-/// a campaign worker's [`Workspace`](crate::harness::Workspace) and made
-/// active for the duration of a measurement via [`install`].
-#[derive(Debug, Default)]
-pub struct Scratch {
+/// Per-thread cache of generated workload inputs, keyed by shape.
+#[derive(Default)]
+struct Scratch {
     signals: HashMap<usize, Arc<ComplexSignal>>,
     grids: HashMap<usize, Arc<Vec<f64>>>,
     sparse: HashMap<(usize, usize), Arc<SparseSystem>>,
@@ -49,51 +48,21 @@ pub struct Scratch {
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<Scratch>> = const { RefCell::new(None) };
+    static CACHE: RefCell<Scratch> = RefCell::default();
 }
 
-/// Makes `scratch` the thread's active workload cache until the returned
-/// guard drops, then moves it (with anything generated meanwhile) back.
-/// Nested installs stack: the inner guard restores the outer cache.
-pub fn install(scratch: &mut Scratch) -> ActiveScratch<'_> {
-    let prev = ACTIVE.with(|a| a.borrow_mut().replace(std::mem::take(scratch)));
-    ActiveScratch { home: scratch, prev }
-}
-
-/// Guard of an [`install`]ed scratch cache; restores on drop (panic-safe).
-#[derive(Debug)]
-pub struct ActiveScratch<'a> {
-    home: &'a mut Scratch,
-    prev: Option<Scratch>,
-}
-
-impl Drop for ActiveScratch<'_> {
-    fn drop(&mut self) {
-        let mine = ACTIVE.with(|a| std::mem::replace(&mut *a.borrow_mut(), self.prev.take()));
-        if let Some(s) = mine {
-            *self.home = s;
-        }
-    }
-}
-
-/// Cache-or-generate: hits the active scratch when one is installed,
-/// otherwise generates fresh. The generator runs outside the cache borrow,
-/// so a generator may itself call other workload functions.
+/// Cache-or-generate on the thread's cache. The generator runs outside the
+/// cache borrow, so a generator may itself call other workload functions.
 fn cached<K: Hash + Eq + Copy, V>(
     key: K,
     table: impl Fn(&mut Scratch) -> &mut HashMap<K, Arc<V>>,
     generate: impl FnOnce() -> V,
 ) -> Arc<V> {
-    let hit = ACTIVE.with(|a| a.borrow_mut().as_mut().and_then(|s| table(s).get(&key).cloned()));
-    if let Some(v) = hit {
+    if let Some(v) = CACHE.with(|c| table(&mut c.borrow_mut()).get(&key).cloned()) {
         return v;
     }
     let v = Arc::new(generate());
-    ACTIVE.with(|a| {
-        if let Some(s) = a.borrow_mut().as_mut() {
-            table(s).insert(key, Arc::clone(&v));
-        }
-    });
+    CACHE.with(|c| table(&mut c.borrow_mut()).insert(key, Arc::clone(&v)));
     v
 }
 
@@ -267,53 +236,17 @@ mod tests {
 
     #[test]
     fn scratch_cache_returns_the_generated_values() {
-        // Fresh generation (no scratch installed) is the ground truth.
-        let fresh_signal = complex_signal(64);
-        let fresh_sparse = sparse_system(50, 3);
-        let mut scratch = Scratch::default();
-        {
-            let _active = install(&mut scratch);
-            // First call populates; second call must hit the same buffer.
-            let a = complex_signal(64);
-            let b = complex_signal(64);
-            assert!(Arc::ptr_eq(&a, &b), "second call must reuse the cached buffer");
-            assert_eq!(a, fresh_signal, "cached input equals fresh generation");
-            assert_eq!(sparse_system(50, 3), fresh_sparse);
-        }
-        // The guard moved the populated cache back into `scratch`; a
-        // re-install serves the very same buffers.
-        let first = {
-            let _active = install(&mut scratch);
-            complex_signal(64)
-        };
-        let second = {
-            let _active = install(&mut scratch);
-            complex_signal(64)
-        };
-        assert!(Arc::ptr_eq(&first, &second), "cache survives across installs");
-    }
-
-    #[test]
-    fn nested_installs_restore_the_outer_cache() {
-        let mut outer = Scratch::default();
-        let mut inner = Scratch::default();
-        let outer_buf = {
-            let _o = install(&mut outer);
-            let buf = sor_grid(8);
-            {
-                let _i = install(&mut inner);
-                // The inner cache starts cold: this populates `inner`.
-                let _ = sor_grid(8);
-            }
-            // Back on the outer cache: same buffer as before the nesting.
-            let again = sor_grid(8);
-            assert!(Arc::ptr_eq(&buf, &again));
-            buf
-        };
-        assert!(!Arc::ptr_eq(&outer_buf, &{
-            let _i = install(&mut inner);
-            sor_grid(8)
-        }));
+        // First call populates; a second call hits the very same buffer.
+        let a = complex_signal(64);
+        let b = complex_signal(64);
+        assert!(Arc::ptr_eq(&a, &b), "second call must reuse the cached buffer");
+        let sparse = sparse_system(50, 3);
+        // A fresh thread starts cold and generates its own, equal values.
+        let (fresh_signal, fresh_sparse) =
+            std::thread::spawn(|| (complex_signal(64), sparse_system(50, 3))).join().unwrap();
+        assert!(!Arc::ptr_eq(&a, &fresh_signal), "caches are per thread");
+        assert_eq!(a, fresh_signal, "cached input equals fresh generation");
+        assert_eq!(sparse, fresh_sparse);
     }
 
     #[test]

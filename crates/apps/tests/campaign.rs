@@ -93,13 +93,19 @@ fn parallel_campaign_is_bit_identical_to_the_serial_loop() {
 /// must stay a deterministic function of `(config, seed, program)` — the
 /// same trial-by-trial bits at every thread count and with fault telemetry
 /// on or off, energy quanta included.
+///
+/// Workload inputs come from a per-thread cache that outlives a campaign,
+/// so the baseline runs on a fresh thread whose cache starts cold. The
+/// 1-thread runs below reuse the caller thread's cache, warmed by
+/// `harness::reference` and by every run before them; the multi-thread
+/// runs start cold workers.
 #[test]
 fn batched_app_campaigns_are_bit_identical_across_threads_and_telemetry() {
     let mut specs = Vec::new();
     for name in ["FFT", "SOR", "LU"] {
         specs.extend(level_specs(&app(name), &[Level::Mild, Level::Aggressive], 2));
     }
-    let baseline = run(&specs, 1);
+    let baseline = std::thread::scope(|s| s.spawn(|| run(&specs, 1)).join().expect("baseline"));
     for threads in [1, 2, 4, 8] {
         for log_events in [false, true] {
             let report = CampaignReport::collect(

@@ -8,7 +8,7 @@
 //! higher precision; this module supplies the checking half:
 //! [`endorse_checked`] performs the ordinary endorsement (including its
 //! final approximate SRAM read — the hardware cost is identical to
-//! [`endorse`](crate::endorse)) and then applies an application-supplied
+//! [`endorse`]) and then applies an application-supplied
 //! [`Guard`], returning `Err(EndorseError)` instead of admitting a value
 //! that fails its sanity check. Recovery layers (`enerj_apps::recovery`)
 //! treat that rejection as a retryable failure.
@@ -181,7 +181,7 @@ impl<T, F: Fn(&T) -> bool> Guard<T> for Predicate<F> {
 
 /// Endorses an approximate value, then applies `guard` to the result.
 ///
-/// The endorsement itself is exactly [`endorse`](crate::endorse): one final
+/// The endorsement itself is exactly [`endorse`]: one final
 /// approximate SRAM read under an installed runtime. The guard runs on the
 /// precise side of the cast and touches no simulated hardware, so
 /// `endorse_checked` has the same fault/energy footprint as a blind

@@ -7,7 +7,7 @@
 //! dominates. The batched entry points in this module amortize all of it
 //! over a slice:
 //!
-//! * one clock advance ([`Hardware::tick_batch`]) and one op-count addition
+//! * one clock advance (`Hardware::tick_batch`) and one op-count addition
 //!   per batch instead of per element;
 //! * one countdown subtraction per batch on the fast path — the fault site,
 //!   when a countdown lands inside the batch, is resolved *by index*

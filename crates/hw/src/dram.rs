@@ -225,7 +225,7 @@ impl DramArray {
     /// amortization is in the borrow, bounds and accounting overhead — and
     /// in decay dispatch: elements whose refresh gaps are equal (the common
     /// case, when the slice was last touched by another slice op, which
-    /// stamps consecutive ticks) are handed to [`Hardware::dram_decay_run`]
+    /// stamps consecutive ticks) are handed to `Hardware::dram_decay_run`
     /// as one maximal run, hoisting the per-read guards, hazard lookup and
     /// exposure multiply while keeping the per-element countdown walk. The
     /// fault model is untouched either way.

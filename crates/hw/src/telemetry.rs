@@ -9,7 +9,7 @@
 //! additions per fault and nothing per non-faulting operation), never touch
 //! the fault PRNG, and therefore cannot perturb simulation results.
 //!
-//! The opt-in event *log* (an unbounded [`FaultEvent`] stream, exported as
+//! The opt-in event *log* (an unbounded [`FaultEvent`](crate::trace::FaultEvent) stream, exported as
 //! NDJSON by the campaign runner) lives on [`Hardware`](crate::Hardware);
 //! this module only defines the cheap summary layer.
 

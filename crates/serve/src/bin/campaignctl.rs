@@ -117,8 +117,14 @@ fn main() -> ExitCode {
                 eprintln!("campaignctl: stream needs a job id");
                 return ExitCode::from(2);
             };
-            let from_line =
-                flag_value("--from-line").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+            let from_line = match flag_value("--from-line").map(|v| v.parse::<u64>()) {
+                None if !has_flag("--from-line") => 0,
+                Some(Ok(n)) => n,
+                _ => {
+                    eprintln!("campaignctl: --from-line needs a non-negative integer");
+                    return ExitCode::from(2);
+                }
+            };
             client.stream_lines(&job, from_line, |line| println!("{line}")).map(|()| true)
         }
         "shutdown" => client.shutdown().map(|r| r.status == 200),

@@ -18,7 +18,7 @@
 //! # Why `kill -9` is survivable at any instant
 //!
 //! All mutable service state is derivable from the journals (see
-//! [`journal`](crate::journal)): the committed output prefix, the exact
+//! [`journal`]): the committed output prefix, the exact
 //! integer energy ledgers (per job and per tenant — integer addition is
 //! associative, so re-summing on restart reproduces them exactly), the
 //! error-sum fold (chunk sums folded in chunk order, journaled as IEEE-754
@@ -109,27 +109,15 @@ enum ChunkState {
     Pending,
     /// Claimed by a worker holding generation `gen` until `expires`.
     Leased { gen: u64, expires: Instant },
-    /// Computed, parked until every earlier chunk has committed.
-    Parked(ChunkPayload),
+    /// Computed, parked until every earlier chunk has committed: the
+    /// rendered NDJSON lines (`wall` zeroed, indices global) and their
+    /// journal record. Until the commit decides the rung *after* the chunk,
+    /// the record's `degrade_after` holds the rung it was computed under; a
+    /// mismatch with the job's rung at commit time means the work is stale
+    /// and re-runs.
+    Parked(Vec<u8>, ChunkRecord),
     /// Durably in the journal.
     Committed,
-}
-
-/// A computed chunk awaiting in-order commit.
-struct ChunkPayload {
-    /// Rendered NDJSON lines (`wall` zeroed, indices global).
-    bytes: Vec<u8>,
-    /// Exact scaled energy of the chunk's trials.
-    quanta_total: EnergyQuanta,
-    /// Exact precise-baseline energy.
-    quanta_baseline: EnergyQuanta,
-    /// Trial-order error sum within the chunk.
-    error_sum: f64,
-    /// Panicked trials.
-    panics: usize,
-    /// The degrade rung the chunk was computed under; a mismatch with the
-    /// job's rung at commit time means the work is stale and re-runs.
-    degrade_used: u32,
 }
 
 /// One job's live state.
@@ -158,6 +146,40 @@ struct Job {
 }
 
 impl Job {
+    /// A job with nothing committed yet.
+    fn new(spec: JobSpec, journal: Journal, deadline_at: Option<Instant>) -> Job {
+        let total_chunks = spec.total_chunks();
+        Job {
+            states: (0..total_chunks).map(|_| ChunkState::Pending).collect(),
+            gens: vec![0; total_chunks],
+            next_commit: 0,
+            committed_bytes: 0,
+            degrade: 0,
+            error_sum: 0.0,
+            panics: 0,
+            quanta_total: EnergyQuanta::ZERO,
+            quanta_baseline: EnergyQuanta::ZERO,
+            verdict: None,
+            deadline_at,
+            spec,
+            journal,
+        }
+    }
+
+    /// Folds one journaled chunk into the job's and its tenant's ledgers.
+    /// The commit path and boot recovery both go through here, so a
+    /// restarted job's totals are the uninterrupted run's by construction.
+    fn apply(&mut self, rec: &ChunkRecord, tenant: &mut TenantState) {
+        self.next_commit = rec.chunk + 1;
+        self.committed_bytes += rec.bytes;
+        self.quanta_total += rec.quanta_total;
+        self.quanta_baseline += rec.quanta_baseline;
+        self.error_sum += f64::from_bits(rec.error_sum_bits);
+        self.panics += rec.panics;
+        self.degrade = rec.degrade_after;
+        tenant.spent += rec.quanta_total;
+    }
+
     /// Trials durably committed (always a prefix `0..n`).
     fn trials_committed(&self) -> usize {
         if self.next_commit == 0 {
@@ -331,8 +353,8 @@ impl Server {
                 // computed here is discarded by the generation check.
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            let payload = run_chunk(&claim);
-            self.commit(claim, payload);
+            let (bytes, rec) = run_chunk(&claim);
+            self.commit(claim, bytes, rec);
         }
     }
 
@@ -444,14 +466,14 @@ impl Server {
 
     /// Parks a computed chunk (if its claim is still current) and drains
     /// every in-order commit that is now possible.
-    fn commit(&self, claim: Claim, payload: ChunkPayload) {
+    fn commit(&self, claim: Claim, bytes: Vec<u8>, rec: ChunkRecord) {
         let mut st = self.lock();
         let State { jobs, tenants, .. } = &mut *st;
         let Some(job) = jobs.get_mut(&claim.job_id) else { return };
         if job.verdict.is_none() {
             match job.states[claim.chunk] {
                 ChunkState::Leased { gen, .. } if gen == claim.gen => {
-                    job.states[claim.chunk] = ChunkState::Parked(payload);
+                    job.states[claim.chunk] = ChunkState::Parked(bytes, rec);
                 }
                 // Stale: the lease was reclaimed (or the rung moved) and
                 // someone else owns this chunk now. Discard silently —
@@ -526,9 +548,14 @@ impl Server {
                 None => self.not_found(stream),
             },
             ("GET", ["jobs", id, "stream"]) => {
-                let from_line =
-                    req.query("from_line").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-                self.stream_job(stream, id, from_line)
+                match req.query("from_line").map_or(Ok(0), str::parse::<u64>) {
+                    Ok(from_line) => self.stream_job(stream, id, from_line),
+                    Err(_) => {
+                        let detail = "from_line must be a non-negative integer";
+                        let body = http::error_body("bad_request", detail, false, None);
+                        http::write_json(stream, 400, &body)
+                    }
+                }
             }
             ("GET", ["tenants", name]) => {
                 let st = self.lock();
@@ -642,23 +669,8 @@ impl Server {
             }
         };
         let trials = spec.total_trials();
-        let total_chunks = spec.total_chunks();
         let deadline_at = spec.deadline_from(Instant::now());
-        let job = Job {
-            spec,
-            journal,
-            states: (0..total_chunks).map(|_| ChunkState::Pending).collect(),
-            gens: vec![0; total_chunks],
-            next_commit: 0,
-            committed_bytes: 0,
-            degrade: 0,
-            error_sum: 0.0,
-            panics: 0,
-            quanta_total: EnergyQuanta::ZERO,
-            quanta_baseline: EnergyQuanta::ZERO,
-            verdict: None,
-            deadline_at,
-        };
+        let job = Job::new(spec, journal, deadline_at);
         st.jobs.insert(id.clone(), job);
         drop(st);
         self.work.notify_all();
@@ -830,11 +842,13 @@ fn tenant_entry<'a>(
 }
 
 /// Executes one claimed chunk through the streaming engine (serially —
-/// parallelism in this service comes from the pool, not from nesting).
-/// Trial indices are remapped chunk-local → global and `wall` is zeroed:
-/// wall time is the one nondeterministic field of `trial_json`, and the
-/// service's contract is byte-determinism.
-fn run_chunk(claim: &Claim) -> ChunkPayload {
+/// parallelism in this service comes from the pool, not from nesting) and
+/// returns its NDJSON bytes with their journal record, hashed here so the
+/// commit under the state lock only decides `degrade_after`. Trial indices
+/// are remapped chunk-local → global and `wall` is zeroed: wall time is the
+/// one nondeterministic field of `trial_json`, and the service's contract
+/// is byte-determinism.
+fn run_chunk(claim: &Claim) -> (Vec<u8>, ChunkRecord) {
     struct ChunkSink {
         lo: usize,
         text: String,
@@ -870,14 +884,20 @@ fn run_chunk(claim: &Claim) -> ChunkPayload {
         panics: 0,
     };
     run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory chunk sink cannot fail");
-    ChunkPayload {
-        bytes: sink.text.into_bytes(),
+    let bytes = sink.text.into_bytes();
+    let rec = ChunkRecord {
+        chunk: claim.chunk,
+        lo: claim.lo,
+        hi: claim.hi,
+        bytes: bytes.len() as u64,
+        hash: fnv1a(&bytes),
         quanta_total: sink.quanta_total,
         quanta_baseline: sink.quanta_baseline,
-        error_sum: sink.error_sum,
+        error_sum_bits: sink.error_sum.to_bits(),
         panics: sink.panics,
-        degrade_used: claim.degrade,
-    }
+        degrade_after: claim.degrade,
+    };
+    (bytes, rec)
 }
 
 /// Commits every chunk that is parked, in order, with the budget check at
@@ -890,14 +910,14 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
             finalize(job, tenants, "complete");
             return;
         }
-        let payload = match &job.states[c] {
-            ChunkState::Parked(p) if p.degrade_used == job.degrade => {
+        let (bytes, mut rec) = match &job.states[c] {
+            ChunkState::Parked(_, rec) if rec.degrade_after == job.degrade => {
                 match std::mem::replace(&mut job.states[c], ChunkState::Committed) {
-                    ChunkState::Parked(p) => p,
+                    ChunkState::Parked(bytes, rec) => (bytes, rec),
                     _ => unreachable!("state checked above"),
                 }
             }
-            ChunkState::Parked(_) => {
+            ChunkState::Parked(..) => {
                 // Computed under a stale degrade rung (an over-budget
                 // degradation landed between claim and commit): re-run.
                 job.gens[c] += 1;
@@ -908,9 +928,9 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
         };
 
         // Ledger candidates (exact integer additions).
-        let job_total = job.quanta_total + payload.quanta_total;
+        let job_total = job.quanta_total + rec.quanta_total;
         let ts = tenant_entry(tenants, &cfg.tenants, &job.spec.tenant);
-        let tenant_spent = ts.spent + payload.quanta_total;
+        let tenant_spent = ts.spent + rec.quanta_total;
 
         // Over-budget resolution: Stop wins over Degrade when both a job
         // budget and a tenant quota trip at once, and Degrade at the
@@ -930,41 +950,20 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
             }
         }
         let floor = (SchedLevel::ALL.len() - 1) as u32;
-        let mut degrade_after = job.degrade;
         if bump && !stop {
             if job.degrade >= floor {
                 stop = true;
             } else {
-                degrade_after += 1;
+                rec.degrade_after += 1;
             }
         }
 
-        let (lo, hi) = job.spec.chunk_range(c);
-        let rec = ChunkRecord {
-            chunk: c,
-            lo,
-            hi,
-            bytes: payload.bytes.len() as u64,
-            hash: fnv1a(&payload.bytes),
-            quanta_total: payload.quanta_total,
-            quanta_baseline: payload.quanta_baseline,
-            error_sum_bits: payload.error_sum.to_bits(),
-            panics: payload.panics,
-            degrade_after,
-        };
-        if let Err(e) = job.journal.append_chunk(&payload.bytes, &rec) {
+        if let Err(e) = job.journal.append_chunk(&bytes, &rec) {
             eprintln!("campaignd: journal append failed for chunk {c}: {e}");
             finalize(job, tenants, "failed");
             return;
         }
-        job.next_commit = c + 1;
-        job.committed_bytes += rec.bytes;
-        job.quanta_total = job_total;
-        job.quanta_baseline += payload.quanta_baseline;
-        job.error_sum += payload.error_sum;
-        job.panics += payload.panics;
-        job.degrade = degrade_after;
-        tenant_entry(tenants, &cfg.tenants, &job.spec.tenant).spent = tenant_spent;
+        job.apply(&rec, ts);
         if stop {
             finalize(job, tenants, "over_quota");
             return;
@@ -1038,43 +1037,23 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
                 continue;
             }
         };
-        let recovered_quanta: EnergyQuanta = rec.chunks.iter().map(|c| c.quanta_total).sum();
-        let State { tenants, .. } = &mut st;
-        tenant_entry(tenants, &cfg.tenants, &spec.tenant).spent += recovered_quanta;
         let journal = Journal::open(&dir)?;
-        let total_chunks = spec.total_chunks();
-        let done = rec.verdict.is_some();
-        let mut job =
-            Job {
-                states: (0..total_chunks)
-                    .map(|c| {
-                        if c < rec.chunks.len() {
-                            ChunkState::Committed
-                        } else {
-                            ChunkState::Pending
-                        }
-                    })
-                    .collect(),
-                gens: vec![0; total_chunks],
-                next_commit: rec.chunks.len(),
-                committed_bytes: rec.committed_bytes,
-                degrade: rec.chunks.last().map(|c| c.degrade_after).unwrap_or(0),
-                error_sum: rec.chunks.iter().map(|c| f64::from_bits(c.error_sum_bits)).sum(),
-                panics: rec.chunks.iter().map(|c| c.panics).sum(),
-                quanta_total: recovered_quanta,
-                quanta_baseline: rec.chunks.iter().map(|c| c.quanta_baseline).sum(),
-                verdict: rec.verdict.map(|v| v.verdict),
-                deadline_at: if done { None } else { spec.deadline_from(Instant::now()) },
-                spec,
-                journal,
-            };
+        let deadline_at =
+            if rec.verdict.is_some() { None } else { spec.deadline_from(Instant::now()) };
+        let mut job = Job::new(spec, journal, deadline_at);
+        let State { tenants, .. } = &mut st;
+        let ts = tenant_entry(tenants, &cfg.tenants, &job.spec.tenant);
+        for chunk in &rec.chunks {
+            job.apply(chunk, ts);
+        }
+        debug_assert_eq!(job.committed_bytes, rec.committed_bytes);
+        job.states.iter_mut().take(job.next_commit).for_each(|s| *s = ChunkState::Committed);
+        job.verdict = rec.verdict.map(|v| v.verdict);
         if job.verdict.is_none() {
-            let State { tenants, .. } = &mut st;
-            tenant_entry(tenants, &cfg.tenants, &job.spec.tenant).active_jobs += 1;
+            ts.active_jobs += 1;
             if job.next_commit >= job.spec.total_chunks() {
                 // Crashed after the last chunk commit but before the
                 // verdict: finish the paperwork now.
-                let State { tenants, .. } = &mut st;
                 finalize(&mut job, tenants, "complete");
             }
         }

@@ -521,6 +521,35 @@ fn stream_open_across_shutdown_stitches_to_the_resumed_run() {
     resumed.shutdown();
 }
 
+/// A malformed `from_line` is a typed 400, never a silent replay from line
+/// 0, on the server and in `campaignctl stream` (usage error, exit 2).
+#[test]
+fn malformed_from_line_is_a_bad_request() {
+    let mut d = Daemon::start(&tempdir("from-line"), &["--workers", "1"]);
+    let client = d.client();
+    let job = submit_ok(&client, &spec("t1", "\"Mild\"", 2, 1, ""));
+    assert_eq!(client.wait(&job, WAIT).expect("job"), "complete");
+    for bad in ["abc", "-1", "", "1.5"] {
+        let resp = client
+            .request("GET", &format!("/jobs/{job}/stream?from_line={bad}"), b"")
+            .expect("stream request");
+        assert_eq!(resp.status, 400, "from_line={bad:?}");
+        let doc = resp.json().expect("error json");
+        assert_eq!(doc.get("error").and_then(|e| e.as_str()), Some("bad_request"));
+    }
+    assert_eq!(collect(&client, &job, 1).iter().filter(|&&b| b == b'\n').count(), 1);
+    for args in [&["--from-line", "abc"][..], &["--from-line"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_campaignctl"))
+            .args(["stream", "--addr", &d.addr, &job])
+            .args(args)
+            .output()
+            .expect("run campaignctl");
+        assert_eq!(out.status.code(), Some(2), "campaignctl stream {args:?}");
+        assert!(out.stdout.is_empty(), "no replay on a usage error");
+    }
+    d.shutdown();
+}
+
 /// A live stream of a job that the deadline check finalizes, not a commit
 /// (its only worker is stalled), reaches EOF with exactly the committed
 /// prefix.
