@@ -7,9 +7,9 @@
 //! Run with `cargo run --release -p enerj-apps --example raytrace_image`.
 
 use enerj_apps::qos::{output_error, Output};
-use enerj_apps::raytracer;
+use enerj_apps::{harness, raytracer};
 use enerj_core::Runtime;
-use enerj_hw::config::{HwConfig, Level, StrategyMask};
+use enerj_hw::config::{HwConfig, Level};
 
 const RAMP: &[u8] = b" .:-=+*#%@";
 
@@ -30,7 +30,7 @@ fn render(cfg: HwConfig, seed: u64) -> Vec<f64> {
 }
 
 fn main() {
-    let precise_cfg = HwConfig::for_level(Level::Medium).with_mask(StrategyMask::NONE);
+    let precise_cfg = harness::reference_config();
     let precise = render(precise_cfg, 0);
 
     let mut images = vec![("precise".to_owned(), precise.clone())];

@@ -141,12 +141,18 @@ pub mod harness {
         pub events: Vec<FaultEvent>,
     }
 
+    /// The reference configuration: Medium parameters with every fault
+    /// strategy masked off. Unlike `SchedLevel::Precise` it still books the
+    /// Medium energy savings; only the faults are gone.
+    pub fn reference_config() -> HwConfig {
+        HwConfig::for_level(Level::Medium).with_mask(StrategyMask::NONE)
+    }
+
     /// Runs the app with all fault strategies masked off: the precise
     /// reference execution (and the source of the Figure 3 fractions,
     /// which depend only on the annotation, not on injected faults).
     pub fn reference(app: &App) -> Measurement {
-        let cfg = HwConfig::for_level(Level::Medium).with_mask(StrategyMask::NONE);
-        measure_with(app, cfg, 0)
+        measure_with(app, reference_config(), 0)
     }
 
     /// Runs the app under full fault injection at `level` with `seed`.

@@ -30,11 +30,11 @@
 
 use std::fmt;
 
-use crate::harness::FAULT_SEED_BASE;
+use crate::harness::{self, FAULT_SEED_BASE};
 use crate::qos::{output_error, Output};
 use crate::App;
 use enerj_core::{Degraded, Runtime};
-use enerj_hw::config::{HwConfig, Level, StrategyMask};
+use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
@@ -83,7 +83,7 @@ impl Rung {
     pub fn config(self) -> HwConfig {
         match self {
             Rung::Level(level) => HwConfig::for_level(level),
-            Rung::Precise => HwConfig::for_level(Level::Medium).with_mask(StrategyMask::NONE),
+            Rung::Precise => harness::reference_config(),
         }
     }
 }

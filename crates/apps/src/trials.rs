@@ -70,7 +70,7 @@ use crate::harness::{self, FAULT_SEED_BASE};
 use crate::qos::{output_error, Output};
 use crate::recovery;
 use crate::App;
-use enerj_hw::config::{HwConfig, Level, StrategyMask};
+use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
@@ -132,7 +132,7 @@ impl TrialSpec {
         TrialSpec {
             app: app.clone(),
             label: "reference".to_owned(),
-            cfg: HwConfig::for_level(Level::Medium).with_mask(StrategyMask::NONE),
+            cfg: harness::reference_config(),
             seed: 0,
             reference: None,
             keep_output: true,

@@ -82,7 +82,6 @@ thread_local! {
 
 /// A handle to a simulated approximation-aware machine.
 ///
-/// Cloning a `Runtime` clones the *handle*; both refer to the same machine.
 /// Runtimes are single-threaded (the simulated machine is not `Sync`).
 ///
 /// # Examples
@@ -100,7 +99,7 @@ thread_local! {
 /// assert_eq!(rt.stats().int_approx_ops, 1);
 /// let _ = y;
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Runtime {
     hw: Rc<RefCell<Hardware>>,
 }
@@ -227,11 +226,6 @@ impl Runtime {
     pub fn take_fault_events(&self) -> Vec<enerj_hw::trace::FaultEvent> {
         self.hw.borrow_mut().take_event_log()
     }
-
-    /// The shared hardware handle, for substrate-level extensions.
-    pub fn hardware(&self) -> Rc<RefCell<Hardware>> {
-        Rc::clone(&self.hw)
-    }
 }
 
 /// Runs `f` with the ambient hardware, if a runtime is installed.
@@ -301,18 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_shared_across_clones() {
-        let rt = Runtime::new(Level::Mild, 0);
-        let rt2 = rt.clone();
-        rt.run(|| {
-            with_hw(|hw| hw.unwrap().precise_op(OpKind::Int));
-        });
-        assert_eq!(rt2.stats().int_precise_ops, 1);
-        rt2.reset_stats();
-        assert_eq!(rt.stats().int_precise_ops, 0);
-    }
-
-    #[test]
     fn installations_are_per_thread() {
         // The trial-campaign runner (enerj-apps' `trials` module) relies on
         // `CURRENT` being thread-local: workers install and pop their own
@@ -342,16 +324,20 @@ mod tests {
 
     #[test]
     fn run_guarded_completes_within_budget() {
-        let rt = Runtime::new(Level::Mild, 0);
-        let out = rt.run_guarded(1_000_000, || {
+        let sum = |n: i64| {
             let mut acc = crate::Approx::new(0i64);
-            for i in 0..100 {
+            for i in 0..n {
                 acc += i;
             }
             crate::endorse(acc)
-        });
-        assert_eq!(out, Ok(4950));
-        assert!(!rt.hardware().borrow().watchdog_armed(), "budget cleared on success");
+        };
+        let rt = Runtime::new(Level::Mild, 0);
+        assert_eq!(rt.run_guarded(1_000, || sum(100)), Ok(4950));
+        // The budget is cleared on success: unguarded work well past it
+        // completes without a trip (its value is left to Mild faults).
+        let ops = rt.stats().int_approx_ops;
+        rt.run(|| sum(10_000));
+        assert!(rt.stats().int_approx_ops - ops >= 10_000);
     }
 
     #[test]

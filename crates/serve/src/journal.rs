@@ -98,21 +98,26 @@ impl ChunkRecord {
     }
 
     fn from_json(doc: &Json) -> Option<ChunkRecord> {
-        let usize_of = |key: &str| doc.get(key)?.as_i128().filter(|&v| v >= 0).map(|v| v as usize);
-        let u64_of = |key: &str| doc.get(key)?.as_u128().map(|v| v as u64);
         Some(ChunkRecord {
-            chunk: usize_of("chunk")?,
-            lo: usize_of("lo")?,
-            hi: usize_of("hi")?,
-            bytes: u64_of("bytes")?,
-            hash: u64_of("hash")?,
-            quanta_total: EnergyQuanta::new(doc.get("quanta_total")?.as_u128()?),
-            quanta_baseline: EnergyQuanta::new(doc.get("quanta_baseline")?.as_u128()?),
-            error_sum_bits: u64_of("error_sum_bits")?,
-            panics: usize_of("panics")?,
-            degrade_after: u64_of("degrade_after")? as u32,
+            chunk: int_of(doc, "chunk")?,
+            lo: int_of(doc, "lo")?,
+            hi: int_of(doc, "hi")?,
+            bytes: int_of(doc, "bytes")?,
+            hash: int_of(doc, "hash")?,
+            quanta_total: EnergyQuanta::new(int_of(doc, "quanta_total")?),
+            quanta_baseline: EnergyQuanta::new(int_of(doc, "quanta_baseline")?),
+            error_sum_bits: int_of(doc, "error_sum_bits")?,
+            panics: int_of(doc, "panics")?,
+            degrade_after: int_of(doc, "degrade_after")?,
         })
     }
+}
+
+/// The integer field `key` of a journal record, if it holds a non-negative
+/// integer that fits `T`. A value that does not fit is corruption, never
+/// wrapped: it ends the verified prefix like a torn line.
+fn int_of<T: TryFrom<u128>>(doc: &Json, key: &str) -> Option<T> {
+    T::try_from(doc.get(key)?.as_u128()?).ok()
 }
 
 /// The terminal verdict record.
@@ -264,14 +269,12 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
                 chunks.push(rec);
             }
             Some("verdict") => {
-                let (Some(v), Some(n)) = (
-                    doc.get("verdict").and_then(|v| v.as_str()),
-                    doc.get("trials_done").and_then(|n| n.as_i128()),
-                ) else {
+                let (Some(v), Some(trials_done)) =
+                    (doc.get("verdict").and_then(|v| v.as_str()), int_of(&doc, "trials_done"))
+                else {
                     break;
                 };
-                verdict =
-                    Some(VerdictRecord { verdict: v.to_owned(), trials_done: n.max(0) as usize });
+                verdict = Some(VerdictRecord { verdict: v.to_owned(), trials_done });
             }
             _ => break,
         }
@@ -407,6 +410,30 @@ mod tests {
         assert_eq!(r.chunks.len(), 1, "phantom record must be dropped");
         assert_eq!(r.committed_bytes, a.len() as u64);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_rejects_out_of_range_integers() {
+        // The second record's output hashes correctly, but one integer field
+        // is too wide for its type: that ends the verified prefix instead of
+        // being wrapped into range.
+        let (a, b) = (b"good\n".as_slice(), b"wide\n".as_slice());
+        let line = rec(1, b, 0).to_line();
+        let bits = format!("\"error_sum_bits\":{}", rec(1, b, 0).error_sum_bits);
+        for corrupt in [
+            line.replace("\"degrade_after\":0", "\"degrade_after\":4294967297"),
+            line.replace(&bits, "\"error_sum_bits\":18446744073709551616"),
+        ] {
+            let dir = tempdir("range");
+            let mut j = Journal::create(&dir, "{}").expect("create");
+            j.append_chunk(a, &rec(0, a, 0)).expect("chunk 0");
+            j.output.write_all(b).unwrap();
+            j.journal.write_all(corrupt.as_bytes()).unwrap();
+            let r = recover(&dir).expect("recover");
+            assert_eq!(r.chunks, [rec(0, a, 0)], "`{corrupt}` must end the verified prefix");
+            assert_eq!(fs::read(dir.join("output.ndjson")).unwrap(), a);
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -107,8 +107,9 @@ impl Default for ServerConfig {
 enum ChunkState {
     /// Not yet claimed (or reclaimed after a lease expiry).
     Pending,
-    /// Claimed by a worker holding generation `gen` until `expires`.
-    Leased { gen: u64, expires: Instant },
+    /// Claimed until `expires` by the worker holding the job's current
+    /// generation for this chunk.
+    Leased { expires: Instant },
     /// Computed, parked until every earlier chunk has committed: the
     /// rendered NDJSON lines (`wall` zeroed, indices global) and their
     /// journal record. Until the commit decides the rung *after* the chunk,
@@ -215,13 +216,21 @@ struct State {
     claims: u64,
 }
 
+impl State {
+    /// Jobs queued or running (no verdict yet), for every tenant or one.
+    fn active_jobs(&self, tenant: Option<&str>) -> usize {
+        self.jobs
+            .values()
+            .filter(|j| j.verdict.is_none() && tenant.is_none_or(|t| j.spec.tenant == t))
+            .count()
+    }
+}
+
 /// A worker's claim on one chunk.
 struct Claim {
     job_id: String,
     chunk: usize,
     gen: u64,
-    lo: usize,
-    hi: usize,
     degrade: u32,
     spec: JobSpec,
     stall_ms: Option<u64>,
@@ -388,14 +397,13 @@ impl Server {
     /// Returns expired leases to `Pending` (bumping generations so late
     /// results are discarded) and finalizes jobs past their deadline.
     fn reclaim_and_deadlines(&self, st: &mut State, now: Instant) {
-        let State { jobs, tenants, .. } = &mut *st;
         let mut finalized = false;
-        for job in jobs.values_mut() {
+        for job in st.jobs.values_mut() {
             if job.verdict.is_some() {
                 continue;
             }
             if job.deadline_at.is_some_and(|d| now >= d) {
-                finalize(job, tenants, "deadline_exceeded");
+                finalize(job, "deadline_exceeded");
                 finalized = true;
                 continue;
             }
@@ -433,30 +441,23 @@ impl Server {
             for c in job.next_commit..end {
                 if matches!(job.states[c], ChunkState::Pending) {
                     job.gens[c] += 1;
-                    let gen = job.gens[c];
-                    job.states[c] = ChunkState::Leased { gen, expires: now + self.cfg.lease };
-                    let (lo, hi) = job.spec.chunk_range(c);
+                    job.states[c] = ChunkState::Leased { expires: now + self.cfg.lease };
+                    let claims = st.claims + 1;
                     let claim = Claim {
                         job_id: keys[idx].clone(),
                         chunk: c,
-                        gen,
-                        lo,
-                        hi,
+                        gen: job.gens[c],
                         degrade: job.degrade,
                         spec: job.spec.clone(),
-                        stall_ms: None,
-                        panic_now: false,
+                        stall_ms: self
+                            .cfg
+                            .test_stall_claim
+                            .filter(|&(nth, _)| nth == claims)
+                            .map(|(_, ms)| ms),
+                        panic_now: self.cfg.test_panic_claim == Some(claims),
                     };
                     st.rr = (idx + 1) % n;
-                    st.claims += 1;
-                    let claims = st.claims;
-                    let mut claim = claim;
-                    claim.stall_ms = self
-                        .cfg
-                        .test_stall_claim
-                        .filter(|&(nth, _)| nth == claims)
-                        .map(|(_, ms)| ms);
-                    claim.panic_now = self.cfg.test_panic_claim == Some(claims);
+                    st.claims = claims;
                     return Some(claim);
                 }
             }
@@ -472,7 +473,7 @@ impl Server {
         let Some(job) = jobs.get_mut(&claim.job_id) else { return };
         if job.verdict.is_none() {
             match job.states[claim.chunk] {
-                ChunkState::Leased { gen, .. } if gen == claim.gen => {
+                ChunkState::Leased { .. } if job.gens[claim.chunk] == claim.gen => {
                     job.states[claim.chunk] = ChunkState::Parked(bytes, rec);
                 }
                 // Stale: the lease was reclaimed (or the rung moved) and
@@ -516,9 +517,9 @@ impl Server {
         match (req.method.as_str(), segments.as_slice()) {
             ("GET", ["healthz"]) => {
                 let st = self.lock();
-                let active = st.jobs.values().filter(|j| j.verdict.is_none()).count();
                 let body = format!(
-                    "{{\"ok\":true,\"jobs_active\":{active},\"draining\":{}}}",
+                    "{{\"ok\":true,\"jobs_active\":{},\"draining\":{}}}",
+                    st.active_jobs(None),
                     st.draining
                 );
                 drop(st);
@@ -559,19 +560,11 @@ impl Server {
             }
             ("GET", ["tenants", name]) => {
                 let st = self.lock();
+                let active = st.active_jobs(Some(name));
                 let body = match st.tenants.get(*name) {
-                    Some(t) => tenant_json(t),
-                    None => {
-                        // Never-seen tenants report their would-be config.
-                        let cfg = self
-                            .cfg
-                            .tenants
-                            .iter()
-                            .find(|t| t.name == *name)
-                            .cloned()
-                            .unwrap_or_else(|| TenantConfig::unlimited(name));
-                        tenant_json(&TenantState::new(cfg))
-                    }
+                    Some(t) => tenant_json(t, active),
+                    // Never-seen tenants report their would-be config.
+                    None => tenant_json(&TenantState::new(tenant_config(&self.cfg, name)), active),
                 };
                 drop(st);
                 http::write_json(stream, 200, &body)
@@ -604,7 +597,7 @@ impl Server {
                 http::error_body("draining", "server is draining", true, Some(1000)),
             ));
         }
-        let active = st.jobs.values().filter(|j| j.verdict.is_none()).count();
+        let active = st.active_jobs(None);
         if active >= self.cfg.queue_cap {
             return Err((
                 429,
@@ -616,8 +609,7 @@ impl Server {
                 ),
             ));
         }
-        let State { tenants, .. } = &mut *st;
-        let ts = tenant_entry(tenants, &self.cfg.tenants, &spec.tenant);
+        let ts = tenant_entry(&mut st.tenants, &self.cfg, &spec.tenant);
         if ts.exhausted() {
             return Err((
                 403,
@@ -634,40 +626,28 @@ impl Server {
                 ),
             ));
         }
-        if ts.active_jobs >= self.cfg.max_jobs_per_tenant {
+        let tenant_active = st.active_jobs(Some(&spec.tenant));
+        if tenant_active >= self.cfg.max_jobs_per_tenant {
             return Err((
                 429,
                 http::error_body(
                     "tenant_busy",
                     &format!(
-                        "tenant `{}` already has {} active jobs (cap {})",
-                        spec.tenant, ts.active_jobs, self.cfg.max_jobs_per_tenant
+                        "tenant `{}` already has {tenant_active} active jobs (cap {})",
+                        spec.tenant, self.cfg.max_jobs_per_tenant
                     ),
                     true,
                     Some(500),
                 ),
             ));
         }
-        ts.active_jobs += 1;
         let id = format!("j{:06}", st.next_job_seq);
         st.next_job_seq += 1;
         let dir = self.cfg.state_dir.join("jobs").join(&id);
-        let journal = match Journal::create(&dir, &spec.to_json()) {
-            Ok(j) => j,
-            Err(e) => {
-                let State { tenants, .. } = &mut *st;
-                tenant_entry(tenants, &self.cfg.tenants, &spec.tenant).active_jobs -= 1;
-                return Err((
-                    500,
-                    http::error_body(
-                        "internal",
-                        &format!("cannot create job dir: {e}"),
-                        true,
-                        Some(1000),
-                    ),
-                ));
-            }
-        };
+        let journal = Journal::create(&dir, &spec.to_json()).map_err(|e| {
+            let detail = format!("cannot create job dir: {e}");
+            (500, http::error_body("internal", &detail, true, Some(1000)))
+        })?;
         let trials = spec.total_trials();
         let deadline_at = spec.deadline_from(Instant::now());
         let job = Job::new(spec, journal, deadline_at);
@@ -806,7 +786,7 @@ fn join_handler(handle: JoinHandle<()>) {
     }
 }
 
-fn tenant_json(t: &TenantState) -> String {
+fn tenant_json(t: &TenantState, active_jobs: usize) -> String {
     format!(
         "{{\"tenant\":{},\"quota\":{},\"spent\":{},\"remaining\":{},\
          \"active_jobs\":{},\"over_budget\":{}}}",
@@ -820,25 +800,27 @@ fn tenant_json(t: &TenantState) -> String {
             Some(r) => r.to_string(),
             None => "null".to_owned(),
         },
-        t.active_jobs,
+        active_jobs,
         json_string(t.config.over_budget.as_str()),
     )
+}
+
+/// The tenant's configuration; tenants never configured run unlimited.
+fn tenant_config(cfg: &ServerConfig, name: &str) -> TenantConfig {
+    cfg.tenants
+        .iter()
+        .find(|t| t.name == name)
+        .cloned()
+        .unwrap_or_else(|| TenantConfig::unlimited(name))
 }
 
 /// The tenant's live state, created from configuration on first sight.
 fn tenant_entry<'a>(
     tenants: &'a mut HashMap<String, TenantState>,
-    configured: &[TenantConfig],
+    cfg: &ServerConfig,
     name: &str,
 ) -> &'a mut TenantState {
-    tenants.entry(name.to_owned()).or_insert_with(|| {
-        let cfg = configured
-            .iter()
-            .find(|t| t.name == name)
-            .cloned()
-            .unwrap_or_else(|| TenantConfig::unlimited(name));
-        TenantState::new(cfg)
-    })
+    tenants.entry(name.to_owned()).or_insert_with(|| TenantState::new(tenant_config(cfg, name)))
 }
 
 /// Executes one claimed chunk through the streaming engine (serially —
@@ -849,52 +831,41 @@ fn tenant_entry<'a>(
 /// one nondeterministic field of `trial_json`, and the service's contract
 /// is byte-determinism.
 fn run_chunk(claim: &Claim) -> (Vec<u8>, ChunkRecord) {
+    /// Renders the lines and folds the error sum in trial order: the
+    /// summary carries only the mean, and a mean times a count is not the
+    /// bit-exact sum the journal records.
     struct ChunkSink {
         lo: usize,
         text: String,
-        quanta_total: EnergyQuanta,
-        quanta_baseline: EnergyQuanta,
         error_sum: f64,
-        panics: usize,
     }
     impl TrialSink for ChunkSink {
         fn accept(&mut self, mut t: TrialResult) -> io::Result<()> {
             t.index += self.lo;
             t.wall = Duration::ZERO;
             self.error_sum += t.error;
-            if t.panicked() {
-                self.panics += 1;
-            }
-            self.quanta_total += t.energy_quanta.total;
-            self.quanta_baseline += t.energy_quanta.baseline_total;
             write_trial_json(&mut self.text, &t);
             self.text.push('\n');
             Ok(())
         }
     }
-    let len = claim.hi - claim.lo;
-    let source = SpecFn::new(len, |i| claim.spec.trial_spec(claim.lo + i, claim.degrade));
-    let opts = CampaignOptions { threads: 1, chunk: len, ..CampaignOptions::default() };
-    let mut sink = ChunkSink {
-        lo: claim.lo,
-        text: String::new(),
-        quanta_total: EnergyQuanta::ZERO,
-        quanta_baseline: EnergyQuanta::ZERO,
-        error_sum: 0.0,
-        panics: 0,
-    };
-    run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory chunk sink cannot fail");
+    let (lo, hi) = claim.spec.chunk_range(claim.chunk);
+    let source = SpecFn::new(hi - lo, |i| claim.spec.trial_spec(lo + i, claim.degrade));
+    let opts = CampaignOptions { threads: 1, chunk: hi - lo, ..CampaignOptions::default() };
+    let mut sink = ChunkSink { lo, text: String::new(), error_sum: 0.0 };
+    let summary = run_campaign_streamed(&source, &opts, &mut sink)
+        .expect("the in-memory chunk sink cannot fail");
     let bytes = sink.text.into_bytes();
     let rec = ChunkRecord {
         chunk: claim.chunk,
-        lo: claim.lo,
-        hi: claim.hi,
+        lo,
+        hi,
         bytes: bytes.len() as u64,
         hash: fnv1a(&bytes),
-        quanta_total: sink.quanta_total,
-        quanta_baseline: sink.quanta_baseline,
+        quanta_total: summary.energy_quanta.total,
+        quanta_baseline: summary.energy_quanta.baseline_total,
         error_sum_bits: sink.error_sum.to_bits(),
-        panics: sink.panics,
+        panics: summary.panics,
         degrade_after: claim.degrade,
     };
     (bytes, rec)
@@ -907,7 +878,7 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
     while job.verdict.is_none() {
         let c = job.next_commit;
         if c >= job.spec.total_chunks() {
-            finalize(job, tenants, "complete");
+            finalize(job, "complete");
             return;
         }
         let (bytes, mut rec) = match &job.states[c] {
@@ -929,7 +900,7 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
 
         // Ledger candidates (exact integer additions).
         let job_total = job.quanta_total + rec.quanta_total;
-        let ts = tenant_entry(tenants, &cfg.tenants, &job.spec.tenant);
+        let ts = tenant_entry(tenants, cfg, &job.spec.tenant);
         let tenant_spent = ts.spent + rec.quanta_total;
 
         // Over-budget resolution: Stop wins over Degrade when both a job
@@ -960,20 +931,20 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
 
         if let Err(e) = job.journal.append_chunk(&bytes, &rec) {
             eprintln!("campaignd: journal append failed for chunk {c}: {e}");
-            finalize(job, tenants, "failed");
+            finalize(job, "failed");
             return;
         }
         job.apply(&rec, ts);
         if stop {
-            finalize(job, tenants, "over_quota");
+            finalize(job, "over_quota");
             return;
         }
     }
 }
 
-/// Journals the terminal verdict, frees parked memory, and releases the
-/// tenant's admission slot.
-fn finalize(job: &mut Job, tenants: &mut HashMap<String, TenantState>, verdict: &str) {
+/// Journals the terminal verdict and frees parked memory. The verdict is
+/// what releases the job's admission slots: both caps count jobs without one.
+fn finalize(job: &mut Job, verdict: &str) {
     if job.verdict.is_some() {
         return;
     }
@@ -992,9 +963,6 @@ fn finalize(job: &mut Job, tenants: &mut HashMap<String, TenantState>, verdict: 
             job.gens[c] += 1;
             *s = ChunkState::Pending;
         }
-    }
-    if let Some(t) = tenants.get_mut(&job.spec.tenant) {
-        t.active_jobs = t.active_jobs.saturating_sub(1);
     }
 }
 
@@ -1041,21 +1009,17 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
         let deadline_at =
             if rec.verdict.is_some() { None } else { spec.deadline_from(Instant::now()) };
         let mut job = Job::new(spec, journal, deadline_at);
-        let State { tenants, .. } = &mut st;
-        let ts = tenant_entry(tenants, &cfg.tenants, &job.spec.tenant);
+        let ts = tenant_entry(&mut st.tenants, cfg, &job.spec.tenant);
         for chunk in &rec.chunks {
             job.apply(chunk, ts);
         }
         debug_assert_eq!(job.committed_bytes, rec.committed_bytes);
         job.states.iter_mut().take(job.next_commit).for_each(|s| *s = ChunkState::Committed);
         job.verdict = rec.verdict.map(|v| v.verdict);
-        if job.verdict.is_none() {
-            ts.active_jobs += 1;
-            if job.next_commit >= job.spec.total_chunks() {
-                // Crashed after the last chunk commit but before the
-                // verdict: finish the paperwork now.
-                finalize(&mut job, tenants, "complete");
-            }
+        if job.verdict.is_none() && job.next_commit >= job.spec.total_chunks() {
+            // Crashed after the last chunk commit but before the verdict:
+            // finish the paperwork now.
+            finalize(&mut job, "complete");
         }
         st.jobs.insert(id, job);
     }

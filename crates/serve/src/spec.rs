@@ -167,7 +167,7 @@ impl JobSpec {
                 let mut names = Vec::with_capacity(list.len());
                 for l in list {
                     let name = l.as_str().ok_or("`levels` entries must be strings")?;
-                    rung_by_name(name).ok_or_else(|| {
+                    SchedLevel::from_name(name).ok_or_else(|| {
                         format!("unknown level `{name}` (Precise|Mild|Medium|Aggressive)")
                     })?;
                     names.push(name.to_owned());
@@ -290,7 +290,7 @@ impl JobSpec {
     pub fn trial_spec(&self, index: usize, degrade: u32) -> TrialSpec {
         let (a, l, run) = self.coordinates(index);
         let app = registry_app(&self.apps[a]);
-        let requested = rung_by_name(&self.levels[l]).expect("validated at parse");
+        let requested = SchedLevel::from_name(&self.levels[l]).expect("validated at parse");
         let effective_idx = (requested.index() + degrade as usize).min(SchedLevel::ALL.len() - 1);
         let effective = SchedLevel::ALL[effective_idx];
         let reference = reference_output(&self.apps[a]);
@@ -327,11 +327,6 @@ fn deadline_after(start: Instant, secs: f64) -> Option<Instant> {
 
 fn tenant_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')
-}
-
-/// The scheduler rung named `name`, if any.
-pub fn rung_by_name(name: &str) -> Option<SchedLevel> {
-    SchedLevel::ALL.into_iter().find(|r| r.to_string() == name)
 }
 
 fn registry_app(name: &str) -> App {

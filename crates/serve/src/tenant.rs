@@ -58,15 +58,12 @@ pub struct TenantState {
     pub config: TenantConfig,
     /// Exact energy committed so far across all of this tenant's jobs.
     pub spent: EnergyQuanta,
-    /// Jobs this tenant currently has queued or running (admission uses
-    /// this for the per-tenant cap).
-    pub active_jobs: usize,
 }
 
 impl TenantState {
     /// Fresh state for `config` with nothing spent.
     pub fn new(config: TenantConfig) -> TenantState {
-        TenantState { config, spent: EnergyQuanta::ZERO, active_jobs: 0 }
+        TenantState { config, spent: EnergyQuanta::ZERO }
     }
 
     /// Whether the ledger has crossed the quota.

@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use enerj_serve::client::{Client, Submitted};
+use enerj_serve::client::{Client, Response, Submitted};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -98,15 +98,13 @@ fn collect(client: &Client, job: &str, from_line: u64) -> Vec<u8> {
     bytes
 }
 
+/// An integer field of a JSON answer, or -1 when it has none.
+fn int_field(resp: std::io::Result<Response>, field: &str) -> i128 {
+    resp.expect("request").json().expect("json").get(field).and_then(|v| v.as_i128()).unwrap_or(-1)
+}
+
 fn status_field(client: &Client, job: &str, field: &str) -> i128 {
-    client
-        .status(job)
-        .expect("status")
-        .json()
-        .expect("status json")
-        .get(field)
-        .and_then(|v| v.as_i128())
-        .unwrap_or(-1)
+    int_field(client.status(job), field)
 }
 
 /// Durability: kill -9 mid-campaign at a randomized committed boundary,
@@ -157,9 +155,21 @@ fn kill_resume_stream_is_byte_identical() {
     streamer.join().expect("streamer thread");
     let prefix_lines: Vec<String> = prefix.lock().expect("prefix").clone();
 
-    let mut resumed = Daemon::start(&crash_dir, &["--workers", "2"]);
+    // The first claim after the restart stalls, so a job the kill left
+    // unfinished stays unfinished while the admission counts are read:
+    // both are derived from the recovered verdicts.
+    let mut resumed =
+        Daemon::start(&crash_dir, &["--workers", "2", "--test-stall-claim", "1:1000"]);
     let resumed_client = resumed.client();
+    let active = || {
+        let tenant = int_field(resumed_client.tenant("t1"), "active_jobs");
+        (tenant, int_field(resumed_client.healthz(), "jobs_active"))
+    };
+    let status = resumed_client.status(&crash_job).expect("status").json().expect("json");
+    let unfinished = i128::from(status.get("verdict").and_then(|v| v.as_str()).is_none());
+    assert_eq!(active(), (unfinished, unfinished));
     assert_eq!(resumed_client.wait(&crash_job, WAIT).expect("resumed"), "complete");
+    assert_eq!(active(), (0, 0), "a verdict frees both slots");
     let crash_bytes = collect(&resumed_client, &crash_job, 0);
     assert_eq!(
         clean_bytes, crash_bytes,
@@ -251,9 +261,10 @@ fn degrade_policy_walks_the_ladder_then_stops() {
     d.shutdown();
 }
 
-/// Admission control: with the queue full, submissions are rejected 429
-/// `queue_full`, retriable, with a backoff hint — and succeed after the
-/// queue drains.
+/// Admission control: a tenant at its job cap is rejected 429
+/// `tenant_busy` while another tenant is admitted; with the queue full,
+/// submissions are rejected 429 `queue_full`. Both are retriable with a
+/// backoff hint, and a retry succeeds once the first job completes.
 #[test]
 fn queue_full_rejection_is_retriable_with_backoff() {
     let dir = tempdir("queue");
@@ -264,6 +275,8 @@ fn queue_full_rejection_is_retriable_with_backoff() {
             "--workers",
             "1",
             "--queue-cap",
+            "2",
+            "--max-jobs-per-tenant",
             "1",
             "--test-stall-claim",
             "1:1500",
@@ -272,19 +285,26 @@ fn queue_full_rejection_is_retriable_with_backoff() {
         ],
     );
     let client = d.client();
-    let first = submit_ok(&client, &spec("t1", "\"Mild\"", 1, 1, ""));
-    match client.submit(&spec("t1", "\"Mild\"", 1, 1, "")).expect("submit") {
+    let rejected = |tenant: &str, expected: &str| match client
+        .submit(&spec(tenant, "\"Mild\"", 1, 1, ""))
+        .expect("submit")
+    {
         Submitted::Rejected { status, error, retriable, backoff_ms, .. } => {
             assert_eq!(status, 429);
-            assert_eq!(error, "queue_full");
-            assert!(retriable, "queue pressure is transient");
+            assert_eq!(error, expected);
+            assert!(retriable, "{expected} is transient");
             assert!(backoff_ms.is_some(), "server must hint a backoff");
         }
-        Submitted::Accepted { .. } => panic!("over-capacity submit must be rejected"),
-    }
+        Submitted::Accepted { .. } => panic!("{tenant} must be rejected with {expected}"),
+    };
+    let first = submit_ok(&client, &spec("t1", "\"Mild\"", 1, 1, ""));
+    rejected("t1", "tenant_busy");
+    let other = submit_ok(&client, &spec("t2", "\"Mild\"", 1, 1, ""));
+    rejected("t3", "queue_full");
     assert_eq!(client.wait(&first, WAIT).expect("first"), "complete");
     let retry = submit_ok(&client, &spec("t1", "\"Mild\"", 1, 1, ""));
     assert_eq!(client.wait(&retry, WAIT).expect("retry"), "complete");
+    assert_eq!(client.wait(&other, WAIT).expect("other tenant"), "complete");
     d.shutdown();
 }
 
