@@ -44,15 +44,15 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
-            "--cases" => args.cases = num(&value("--cases")?)?,
-            "--seed" => args.seed = num(&value("--seed")?)?,
-            "--chaos-seeds" => args.chaos_seeds = num(&value("--chaos-seeds")?)?,
-            "--max-classes" => args.max_classes = num(&value("--max-classes")?)? as usize,
+            "--cases" => args.cases = positive(&flag, &value()?)?,
+            "--seed" => args.seed = num(&value()?)?,
+            "--chaos-seeds" => args.chaos_seeds = positive(&flag, &value()?)?,
+            "--max-classes" => args.max_classes = num(&value()?)? as usize,
             "--endorse-free" => args.endorse_free = true,
             "--shrink" => args.shrink = true,
-            "--corpus" => args.corpus = Some(value("--corpus")?),
+            "--corpus" => args.corpus = Some(value()?),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
@@ -69,6 +69,15 @@ fn parse_args() -> Result<Args, String> {
 
 fn num(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("not a number: {s}"))
+}
+
+/// A count that must be nonzero: a campaign with no cases, or an oracle 4
+/// with no chaos seeds, would check nothing and still report a pass.
+fn positive(flag: &str, s: &str) -> Result<u64, String> {
+    s.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} needs a positive integer, got `{s}`"))
 }
 
 fn main() -> ExitCode {

@@ -76,49 +76,9 @@ pub fn mutants(tp: &TypedProgram) -> Vec<Mutant> {
 
 /// Applies `f` to every expression in every method body and `main`.
 pub(crate) fn for_each_expr(p: &Program, f: &mut impl FnMut(&Expr)) {
-    fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
-        f(e);
-        match &e.kind {
-            ExprKind::Null
-            | ExprKind::IntLit(_)
-            | ExprKind::FloatLit(_)
-            | ExprKind::Var(_)
-            | ExprKind::This
-            | ExprKind::New(_) => {}
-            ExprKind::NewArray(_, a)
-            | ExprKind::Length(a)
-            | ExprKind::FieldGet(a, _)
-            | ExprKind::Cast(_, a)
-            | ExprKind::VarSet(_, a)
-            | ExprKind::Endorse(a) => walk(a, f),
-            ExprKind::Index(a, b)
-            | ExprKind::FieldSet(a, _, b)
-            | ExprKind::Binary(_, a, b)
-            | ExprKind::Let(_, a, b)
-            | ExprKind::While(a, b)
-            | ExprKind::Seq(a, b) => {
-                walk(a, f);
-                walk(b, f);
-            }
-            ExprKind::IndexSet(a, b, c) | ExprKind::If(a, b, c) => {
-                walk(a, f);
-                walk(b, f);
-                walk(c, f);
-            }
-            ExprKind::Call(r, _, args) => {
-                walk(r, f);
-                for a in args {
-                    walk(a, f);
-                }
-            }
-        }
+    for body in p.bodies() {
+        body.for_each(f);
     }
-    for c in &p.classes {
-        for m in &c.methods {
-            walk(&m.body, f);
-        }
-    }
-    walk(&p.main, f);
 }
 
 /// Rebuilds the program, replacing the node with id `target` by
@@ -128,83 +88,22 @@ pub(crate) fn replace_node(
     target: NodeId,
     replacement: &impl Fn(&Expr) -> Expr,
 ) -> Program {
-    fn rewrite(e: &Expr, target: NodeId, replacement: &impl Fn(&Expr) -> Expr) -> Expr {
+    fn rewrite(e: &mut Expr, target: NodeId, replacement: &impl Fn(&Expr) -> Expr) {
         if e.id == target {
-            return replacement(e);
+            *e = replacement(e);
+            return;
         }
-        let kind = match &e.kind {
-            k @ (ExprKind::Null
-            | ExprKind::IntLit(_)
-            | ExprKind::FloatLit(_)
-            | ExprKind::Var(_)
-            | ExprKind::This
-            | ExprKind::New(_)) => k.clone(),
-            ExprKind::NewArray(t, a) => {
-                ExprKind::NewArray(t.clone(), Box::new(rewrite(a, target, replacement)))
-            }
-            ExprKind::Length(a) => ExprKind::Length(Box::new(rewrite(a, target, replacement))),
-            ExprKind::FieldGet(a, f) => {
-                ExprKind::FieldGet(Box::new(rewrite(a, target, replacement)), f.clone())
-            }
-            ExprKind::Cast(t, a) => {
-                ExprKind::Cast(t.clone(), Box::new(rewrite(a, target, replacement)))
-            }
-            ExprKind::VarSet(x, a) => {
-                ExprKind::VarSet(x.clone(), Box::new(rewrite(a, target, replacement)))
-            }
-            ExprKind::Endorse(a) => ExprKind::Endorse(Box::new(rewrite(a, target, replacement))),
-            ExprKind::Index(a, b) => ExprKind::Index(
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-            ),
-            ExprKind::FieldSet(a, f, b) => ExprKind::FieldSet(
-                Box::new(rewrite(a, target, replacement)),
-                f.clone(),
-                Box::new(rewrite(b, target, replacement)),
-            ),
-            ExprKind::Binary(op, a, b) => ExprKind::Binary(
-                *op,
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-            ),
-            ExprKind::Let(x, a, b) => ExprKind::Let(
-                x.clone(),
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-            ),
-            ExprKind::While(a, b) => ExprKind::While(
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-            ),
-            ExprKind::Seq(a, b) => ExprKind::Seq(
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-            ),
-            ExprKind::IndexSet(a, b, c) => ExprKind::IndexSet(
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-                Box::new(rewrite(c, target, replacement)),
-            ),
-            ExprKind::If(a, b, c) => ExprKind::If(
-                Box::new(rewrite(a, target, replacement)),
-                Box::new(rewrite(b, target, replacement)),
-                Box::new(rewrite(c, target, replacement)),
-            ),
-            ExprKind::Call(r, m, args) => ExprKind::Call(
-                Box::new(rewrite(r, target, replacement)),
-                m.clone(),
-                args.iter().map(|a| rewrite(a, target, replacement)).collect(),
-            ),
-        };
-        Expr { id: e.id, span: e.span, kind }
+        for child in e.children_mut() {
+            rewrite(child, target, replacement);
+        }
     }
     let mut p = p.clone();
     for c in &mut p.classes {
         for m in &mut c.methods {
-            m.body = rewrite(&m.body, target, replacement);
+            rewrite(&mut m.body, target, replacement);
         }
     }
-    p.main = rewrite(&p.main, target, replacement);
+    rewrite(&mut p.main, target, replacement);
     p
 }
 
@@ -544,19 +443,11 @@ fn build_context_swap_mutant(
     let label = format!("swap-context-inst {var}: new {old_q} {class} -> new {new_q} {class}");
     let program = || {
         replace_node(&tp.program, let_id, &|old| {
-            let ExprKind::Let(x, v, b) = &old.kind else { unreachable!() };
-            let ExprKind::New(t) = &v.kind else { unreachable!() };
-            let mut t = t.clone();
+            let mut new = old.clone();
+            let ExprKind::Let(_, v, _) = &mut new.kind else { unreachable!() };
+            let ExprKind::New(t) = &mut v.kind else { unreachable!() };
             t.qual = new_q;
-            Expr {
-                id: old.id,
-                span: old.span,
-                kind: ExprKind::Let(
-                    x.clone(),
-                    Box::new(Expr { id: v.id, span: v.span, kind: ExprKind::New(t) }),
-                    b.clone(),
-                ),
-            }
+            new
         })
     };
 
@@ -685,9 +576,11 @@ fn declared_ret(tp: &TypedProgram, class: &str, name: &str) -> Option<Type> {
 fn context_in_main_mutants(tp: &TypedProgram, out: &mut Vec<Mutant>) {
     let mut news: Vec<(NodeId, Span)> = Vec::new();
     // Only `main` — inside class bodies `new context` is legal.
-    let mut in_main = Vec::new();
-    collect_news(&tp.program.main, &mut in_main);
-    news.extend(in_main);
+    tp.program.main.for_each(&mut |e| {
+        if let ExprKind::New(_) = e.kind {
+            news.push((e.id, e.span));
+        }
+    });
     for (id, span) in news {
         let program = replace_node(&tp.program, id, &|old| {
             let ExprKind::New(t) = &old.kind else { unreachable!() };
@@ -701,46 +594,6 @@ fn context_in_main_mutants(tp: &TypedProgram, out: &mut Vec<Mutant>) {
             kinds: vec![TypeErrorKind::ContextOutsideClass],
             spans: vec![span],
         });
-    }
-}
-
-fn collect_news(e: &Expr, out: &mut Vec<(NodeId, Span)>) {
-    if matches!(&e.kind, ExprKind::New(_)) {
-        out.push((e.id, e.span));
-    }
-    match &e.kind {
-        ExprKind::Null
-        | ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::Var(_)
-        | ExprKind::This
-        | ExprKind::New(_) => {}
-        ExprKind::NewArray(_, a)
-        | ExprKind::Length(a)
-        | ExprKind::FieldGet(a, _)
-        | ExprKind::Cast(_, a)
-        | ExprKind::VarSet(_, a)
-        | ExprKind::Endorse(a) => collect_news(a, out),
-        ExprKind::Index(a, b)
-        | ExprKind::FieldSet(a, _, b)
-        | ExprKind::Binary(_, a, b)
-        | ExprKind::Let(_, a, b)
-        | ExprKind::While(a, b)
-        | ExprKind::Seq(a, b) => {
-            collect_news(a, out);
-            collect_news(b, out);
-        }
-        ExprKind::IndexSet(a, b, c) | ExprKind::If(a, b, c) => {
-            collect_news(a, out);
-            collect_news(b, out);
-            collect_news(c, out);
-        }
-        ExprKind::Call(r, _, args) => {
-            collect_news(r, out);
-            for a in args {
-                collect_news(a, out);
-            }
-        }
     }
 }
 
@@ -1157,49 +1010,12 @@ impl TightenWalker<'_> {
 /// has `var` as its receiver.
 fn contains_access_through(e: &Expr, var: &str) -> bool {
     let mut found = false;
-    let mut stack = vec![e];
-    while let Some(e) = stack.pop() {
-        match &e.kind {
-            ExprKind::FieldGet(r, _) | ExprKind::FieldSet(r, _, _) | ExprKind::Call(r, _, _) => {
-                if matches!(&r.kind, ExprKind::Var(x) if x == var) {
-                    found = true;
-                    break;
-                }
-            }
-            _ => {}
+    e.for_each(&mut |e| {
+        if let ExprKind::FieldGet(r, _) | ExprKind::FieldSet(r, _, _) | ExprKind::Call(r, _, _) =
+            &e.kind
+        {
+            found |= matches!(&r.kind, ExprKind::Var(x) if x == var);
         }
-        match &e.kind {
-            ExprKind::Null
-            | ExprKind::IntLit(_)
-            | ExprKind::FloatLit(_)
-            | ExprKind::Var(_)
-            | ExprKind::This
-            | ExprKind::New(_) => {}
-            ExprKind::NewArray(_, a)
-            | ExprKind::Length(a)
-            | ExprKind::FieldGet(a, _)
-            | ExprKind::Cast(_, a)
-            | ExprKind::VarSet(_, a)
-            | ExprKind::Endorse(a) => stack.push(a),
-            ExprKind::Index(a, b)
-            | ExprKind::FieldSet(a, _, b)
-            | ExprKind::Binary(_, a, b)
-            | ExprKind::Let(_, a, b)
-            | ExprKind::While(a, b)
-            | ExprKind::Seq(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            ExprKind::IndexSet(a, b, c) | ExprKind::If(a, b, c) => {
-                stack.push(a);
-                stack.push(b);
-                stack.push(c);
-            }
-            ExprKind::Call(r, _, args) => {
-                stack.push(r);
-                stack.extend(args.iter());
-            }
-        }
-    }
+    });
     found
 }

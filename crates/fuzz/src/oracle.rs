@@ -25,7 +25,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use enerj_hw::{Hardware, HwConfig, Level, StrategyMask};
-use enerj_lang::interp::{run, ExecMode, HeapEntry, RunOutcome, Value};
+use enerj_lang::interp::{run, ExecMode, HeapEntry, RunOutcome};
 use enerj_lang::noninterference::check_non_interference;
 use enerj_lang::parser::parse;
 use enerj_lang::pretty::program_to_string;
@@ -262,7 +262,7 @@ pub fn determinism_divergence(tp: &TypedProgram, seed: u64) -> Option<String> {
 /// Structural, bit-exact comparison of two run outcomes (floats compare by
 /// bit pattern, so NaNs and signed zeros must match exactly too).
 fn outcome_divergence(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
-    if !value_eq(&a.value, &b.value) {
+    if !a.value.bit_eq(&b.value) {
         return Some(format!("main value {} != {}", a.value.describe(), b.value.describe()));
     }
     if a.heap.len() != b.heap.len() {
@@ -279,7 +279,7 @@ fn outcome_divergence(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
                 }
                 for (name, va) in &oa.fields {
                     match ob.fields.get(name) {
-                        Some(vb) if value_eq(va, vb) => {}
+                        Some(vb) if va.bit_eq(vb) => {}
                         Some(vb) => {
                             return Some(format!(
                                 "heap[{i}].{name}: {} != {}",
@@ -296,7 +296,7 @@ fn outcome_divergence(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
                     return Some(format!("heap[{i}] array shape differs"));
                 }
                 for (j, (va, vb)) in aa.values.iter().zip(&ab.values).enumerate() {
-                    if !value_eq(va, vb) {
+                    if !va.bit_eq(vb) {
                         return Some(format!(
                             "heap[{i}][{j}]: {} != {}",
                             va.describe(),
@@ -309,13 +309,6 @@ fn outcome_divergence(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
         }
     }
     None
-}
-
-fn value_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
 }
 
 /// Rebuilds the failure predicate for a violation, for use with

@@ -84,7 +84,7 @@ fn edits(p: &Program) -> Vec<Edit> {
         }
     }
     for_each_expr(p, &mut |e| {
-        for (i, _) in children(e).iter().enumerate() {
+        for i in 0..e.children().len() {
             out.push(Edit::Hoist(e.id, i));
         }
         match &e.kind {
@@ -98,35 +98,6 @@ fn edits(p: &Program) -> Vec<Edit> {
         }
     });
     out
-}
-
-fn children(e: &Expr) -> Vec<&Expr> {
-    match &e.kind {
-        ExprKind::Null
-        | ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::Var(_)
-        | ExprKind::This
-        | ExprKind::New(_) => vec![],
-        ExprKind::NewArray(_, a)
-        | ExprKind::Length(a)
-        | ExprKind::FieldGet(a, _)
-        | ExprKind::Cast(_, a)
-        | ExprKind::VarSet(_, a)
-        | ExprKind::Endorse(a) => vec![a],
-        ExprKind::Index(a, b)
-        | ExprKind::FieldSet(a, _, b)
-        | ExprKind::Binary(_, a, b)
-        | ExprKind::Let(_, a, b)
-        | ExprKind::While(a, b)
-        | ExprKind::Seq(a, b) => vec![a, b],
-        ExprKind::IndexSet(a, b, c) | ExprKind::If(a, b, c) => vec![a, b, c],
-        ExprKind::Call(r, _, args) => {
-            let mut v = vec![&**r];
-            v.extend(args.iter());
-            v
-        }
-    }
 }
 
 fn apply(p: &Program, edit: &Edit) -> Program {
@@ -146,7 +117,7 @@ fn apply(p: &Program, edit: &Edit) -> Program {
             p.classes[*ci].fields.remove(*fi);
             p
         }
-        Edit::Hoist(id, i) => replace_node(p, *id, &|old| children(old)[*i].clone()),
+        Edit::Hoist(id, i) => replace_node(p, *id, &|old| old.children()[*i].clone()),
         Edit::Lit(id, kind) => {
             replace_node(p, *id, &|old| Expr { id: old.id, span: old.span, kind: kind.clone() })
         }

@@ -1,9 +1,8 @@
 //! Seeded conformance-fuzzing suite: the five differential oracles over a
 //! deterministic batch of generated programs.
 //!
-//! The batch size is tunable with `ENERJ_FUZZ_CASES` (default 120), so CI
-//! smoke stays fast while a deep run (`ENERJ_FUZZ_CASES=1000 cargo test`)
-//! scales the same tests up without code changes.
+//! The batch is a fixed 120 seeds; deeper runs go through `fuzzgen --cases N`,
+//! which drives the same `run_case` oracles.
 
 use enerj_fuzz::gen::GenConfig;
 use enerj_fuzz::mutate::mutants;
@@ -11,9 +10,7 @@ use enerj_fuzz::oracle::{run_case, OracleOpts};
 use enerj_fuzz::shrink::shrink_source;
 use enerj_lang::pretty::program_to_string;
 
-fn cases() -> u64 {
-    std::env::var("ENERJ_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(120)
-}
+const CASES: u64 = 120;
 
 /// Oracles 1–5 hold over the default-configuration batch, and the
 /// mutation kill rate clears the 95% bar (it is in fact 100%: every
@@ -23,7 +20,7 @@ fn all_oracles_hold_over_seeded_batch() {
     let opts = OracleOpts::default();
     let mut total = 0usize;
     let mut killed = 0usize;
-    for seed in 0..cases() {
+    for seed in 0..CASES {
         let report = run_case(seed, &opts);
         if let Some(v) = report.violations.first() {
             panic!("seed {seed}: {} oracle violated: {}\n{}", v.oracle, v.detail, v.source);
@@ -45,7 +42,7 @@ fn endorse_free_batch_satisfies_noninterference() {
         chaos_seeds: vec![1, 2, 3, 0xdead_beef, u64::MAX | 1],
     };
     let mut endorse_free = 0u64;
-    for seed in 0..cases() {
+    for seed in 0..CASES {
         let report = run_case(seed, &opts);
         if let Some(v) = report.violations.first() {
             panic!("seed {seed}: {} oracle violated: {}\n{}", v.oracle, v.detail, v.source);
@@ -53,7 +50,7 @@ fn endorse_free_batch_satisfies_noninterference() {
         assert!(report.endorse_free, "seed {seed}: endorse-free mode emitted endorse");
         endorse_free += 1;
     }
-    assert_eq!(endorse_free, cases());
+    assert_eq!(endorse_free, CASES);
 }
 
 /// The shrinker minimizes a failing program while preserving the failure:

@@ -204,38 +204,94 @@ pub struct Program {
     pub main: Expr,
 }
 
+impl Expr {
+    /// The direct sub-expressions, in evaluation order: a call's receiver
+    /// before its arguments, `IndexSet` as array, index, value, and `If` as
+    /// condition, then, else.
+    ///
+    /// This is the one definition of the tree's shape; structural walks
+    /// (visiting, erasing, rewriting) go through it, while walks that give
+    /// each form its own meaning match on [`ExprKind`] exhaustively.
+    pub fn children(&self) -> Vec<&Expr> {
+        match &self.kind {
+            ExprKind::Null
+            | ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::Var(_)
+            | ExprKind::This
+            | ExprKind::New(_) => vec![],
+            ExprKind::NewArray(_, a)
+            | ExprKind::Length(a)
+            | ExprKind::FieldGet(a, _)
+            | ExprKind::Cast(_, a)
+            | ExprKind::VarSet(_, a)
+            | ExprKind::Endorse(a) => vec![a],
+            ExprKind::Index(a, b)
+            | ExprKind::FieldSet(a, _, b)
+            | ExprKind::Binary(_, a, b)
+            | ExprKind::Let(_, a, b)
+            | ExprKind::While(a, b)
+            | ExprKind::Seq(a, b) => vec![a, b],
+            ExprKind::IndexSet(a, b, c) | ExprKind::If(a, b, c) => vec![a, b, c],
+            ExprKind::Call(r, _, args) => std::iter::once(&**r).chain(args).collect(),
+        }
+    }
+
+    /// The direct sub-expressions, mutably, in the order of [`Expr::children`].
+    pub fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match &mut self.kind {
+            ExprKind::Null
+            | ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::Var(_)
+            | ExprKind::This
+            | ExprKind::New(_) => vec![],
+            ExprKind::NewArray(_, a)
+            | ExprKind::Length(a)
+            | ExprKind::FieldGet(a, _)
+            | ExprKind::Cast(_, a)
+            | ExprKind::VarSet(_, a)
+            | ExprKind::Endorse(a) => vec![a],
+            ExprKind::Index(a, b)
+            | ExprKind::FieldSet(a, _, b)
+            | ExprKind::Binary(_, a, b)
+            | ExprKind::Let(_, a, b)
+            | ExprKind::While(a, b)
+            | ExprKind::Seq(a, b) => vec![a, b],
+            ExprKind::IndexSet(a, b, c) | ExprKind::If(a, b, c) => vec![a, b, c],
+            ExprKind::Call(r, _, args) => std::iter::once(&mut **r).chain(args).collect(),
+        }
+    }
+
+    /// Applies `f` to this expression and every sub-expression, in pre-order.
+    pub fn for_each(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        for child in self.children() {
+            child.for_each(f);
+        }
+    }
+}
+
 impl Program {
+    /// Every method body in declaration order, then `main`.
+    pub fn bodies(&self) -> impl Iterator<Item = &Expr> {
+        self.classes
+            .iter()
+            .flat_map(|c| &c.methods)
+            .map(|m| &m.body)
+            .chain(std::iter::once(&self.main))
+    }
+
     /// Whether any expression in the program uses `endorse`.
     ///
     /// The non-interference theorem (section 3.3) is stated for
     /// endorsement-free programs.
     pub fn uses_endorse(&self) -> bool {
-        fn walk(e: &Expr) -> bool {
-            match &e.kind {
-                ExprKind::Endorse(_) => true,
-                ExprKind::Null
-                | ExprKind::IntLit(_)
-                | ExprKind::FloatLit(_)
-                | ExprKind::Var(_)
-                | ExprKind::This
-                | ExprKind::New(_) => false,
-                ExprKind::FieldGet(e0, _)
-                | ExprKind::Cast(_, e0)
-                | ExprKind::NewArray(_, e0)
-                | ExprKind::Length(e0) => walk(e0),
-                ExprKind::VarSet(_, e0) => walk(e0),
-                ExprKind::FieldSet(e0, _, e1)
-                | ExprKind::Binary(_, e0, e1)
-                | ExprKind::Let(_, e0, e1)
-                | ExprKind::Index(e0, e1)
-                | ExprKind::While(e0, e1)
-                | ExprKind::Seq(e0, e1) => walk(e0) || walk(e1),
-                ExprKind::Call(e0, _, args) => walk(e0) || args.iter().any(walk),
-                ExprKind::IndexSet(a, i, v) => walk(a) || walk(i) || walk(v),
-                ExprKind::If(c, t, f) => walk(c) || walk(t) || walk(f),
-            }
+        let mut found = false;
+        for body in self.bodies() {
+            body.for_each(&mut |e| found |= matches!(e.kind, ExprKind::Endorse(_)));
         }
-        self.classes.iter().flat_map(|c| &c.methods).any(|m| walk(&m.body)) || walk(&self.main)
+        found
     }
 }
 
@@ -301,6 +357,32 @@ mod tests {
             main: lit(2, 0),
         };
         assert!(prog.uses_endorse());
+    }
+
+    /// Pins the evaluation order of every multi-child form; shrinking's
+    /// `Hoist(id, i)` indexes `children()`, and rewrites go through
+    /// `children_mut()`, so both must list the same nodes in the same order.
+    #[test]
+    fn children_follow_evaluation_order() {
+        use crate::parser::parse_expr;
+        use crate::pretty::expr_to_display;
+        let cases: [(&str, &str, &[&str]); 5] = [
+            ("o.m(x, 2, y)", "Call", &["o", "x", "2", "y"]),
+            ("a[i] := v", "IndexSet", &["a", "i", "v"]),
+            ("if (c) { t } else { f }", "If", &["c", "t", "f"]),
+            ("o.g := v", "FieldSet", &["o", "v"]),
+            ("let x = v in b", "Let", &["v", "b"]),
+        ];
+        for (src, form, expected) in cases {
+            let mut e = parse_expr(src).unwrap();
+            let kind = format!("{:?}", e.kind);
+            assert!(kind.starts_with(&format!("{form}(")), "{src} parsed as {kind}");
+            let shown: Vec<String> = e.children().into_iter().map(expr_to_display).collect();
+            assert_eq!(shown, expected, "children of {src}");
+            let ids: Vec<NodeId> = e.children().iter().map(|c| c.id).collect();
+            let ids_mut: Vec<NodeId> = e.children_mut().iter().map(|c| c.id).collect();
+            assert_eq!(ids, ids_mut, "children_mut of {src}");
+        }
     }
 
     #[test]

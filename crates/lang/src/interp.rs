@@ -51,6 +51,15 @@ pub enum Value {
 }
 
 impl Value {
+    /// Bit-exact equality: floats compare by their bits (so a `NaN` equals
+    /// itself and `0.0` differs from `-0.0`), everything else by `==`.
+    pub fn bit_eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Renders the value for output.
     pub fn describe(&self) -> String {
         match self {
@@ -684,6 +693,13 @@ mod tests {
     fn eval_reliable(src: &str) -> Value {
         let tp = check(parse(src).unwrap()).unwrap();
         run(&tp, ExecMode::Reliable).unwrap().value
+    }
+
+    #[test]
+    fn bit_eq_compares_floats_by_bits() {
+        assert!(Value::Float(f64::NAN).bit_eq(&Value::Float(f64::NAN)));
+        assert!(!Value::Float(0.0).bit_eq(&Value::Float(-0.0)));
+        assert!(Value::Int(3).bit_eq(&Value::Int(3)) && !Value::Int(3).bit_eq(&Value::Null));
     }
 
     fn faulty_hw(level: Level, seed: u64) -> Rc<RefCell<Hardware>> {

@@ -15,7 +15,7 @@
 //! allocation order because allocation is driven by precise control flow).
 
 use crate::error::EvalError;
-use crate::interp::{ExecMode, RunOutcome, Value};
+use crate::interp::{ExecMode, RunOutcome};
 use crate::typecheck::TypedProgram;
 use crate::types::Qual;
 
@@ -85,7 +85,7 @@ pub fn check_non_interference_with_fuel(
     let main_is_precise = program.main_type().qual == Qual::Precise;
     for seed in seeds {
         let chaotic = eval(program, ExecMode::Chaos { seed }, fuel)?;
-        if main_is_precise && !values_agree(&reference.value, &chaotic.value) {
+        if main_is_precise && !reference.value.bit_eq(&chaotic.value) {
             return Err(NonInterferenceError::Violation {
                 seed,
                 detail: format!(
@@ -107,14 +107,6 @@ fn eval(
 ) -> Result<RunOutcome, NonInterferenceError> {
     crate::interp::run_with_fuel(program, mode, fuel)
         .map_err(|e: EvalError| NonInterferenceError::Eval(e.to_string()))
-}
-
-fn values_agree(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        // NaN-tolerant float equality: precise floats are bit-stable.
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
 }
 
 /// Compares the precise primitive fields of positionally-matched objects.
@@ -156,10 +148,8 @@ fn compare_heaps(
                     if effective != Qual::Precise || !declared.is_prim() {
                         continue;
                     }
-                    let rv = r.fields.get(&field);
-                    let cv = c.fields.get(&field);
-                    let same = match (rv, cv) {
-                        (Some(a), Some(b)) => values_agree(a, b),
+                    let same = match (r.fields.get(&field), c.fields.get(&field)) {
+                        (Some(a), Some(b)) => a.bit_eq(b),
                         (None, None) => true,
                         _ => false,
                     };
@@ -185,7 +175,7 @@ fn compare_heaps(
                     continue; // approximate elements make no promises
                 }
                 for (i, (a, b)) in r.values.iter().zip(&c.values).enumerate() {
-                    if !values_agree(a, b) {
+                    if !a.bit_eq(b) {
                         return Err(NonInterferenceError::Violation {
                             seed,
                             detail: format!("precise array element {addr}[{i}] differs"),

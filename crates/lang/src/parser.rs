@@ -643,16 +643,32 @@ mod tests {
 
     #[test]
     fn node_ids_are_unique() {
-        let e = parse_expr("1 + 2 * 3 - 4").unwrap();
-        let mut ids = Vec::new();
-        fn collect(e: &Expr, ids: &mut Vec<u32>) {
-            ids.push(e.id.0);
-            if let ExprKind::Binary(_, a, b) = &e.kind {
-                collect(a, ids);
-                collect(b, ids);
+        let prog = parse(
+            "class Acc extends Object {
+                approx int[] xs;
+                int total;
+                int sum(int n) {
+                    let i = 0 in
+                    while (i < n) {
+                        this.total := this.total + endorse(this.xs[i]);
+                        i := i + 1
+                    };
+                    if (this.total > 0) { this.total } else { 0 - this.xs.length }
+                }
             }
+            main {
+                let a = new Acc() in
+                a.xs := new approx int[4];
+                a.xs[1] := (approx int) 3;
+                a.sum(4)
+            }",
+        )
+        .unwrap();
+        let mut ids = Vec::new();
+        for body in prog.bodies() {
+            body.for_each(&mut |e| ids.push(e.id.0));
         }
-        collect(&e, &mut ids);
+        assert!(ids.len() > 40, "walk missed nodes: {}", ids.len());
         let n = ids.len();
         ids.sort_unstable();
         ids.dedup();

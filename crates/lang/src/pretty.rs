@@ -3,7 +3,8 @@
 //! The printer produces text that re-parses to an equal AST (modulo node
 //! ids and spans), which the property tests use as a round-trip check.
 
-use crate::ast::{ClassDecl, Expr, ExprKind, MethodQual, Program};
+use crate::ast::{ClassDecl, Expr, ExprKind, MethodQual, NodeId, Program};
+use crate::error::Span;
 use crate::types::{Qual, Type};
 use std::fmt::Write as _;
 
@@ -239,62 +240,17 @@ fn receiver(expr: &Expr, out: &mut String) {
 
 /// Structural equality of expressions ignoring node ids and spans.
 pub fn expr_structurally_eq(a: &Expr, b: &Expr) -> bool {
-    match (&a.kind, &b.kind) {
-        (ExprKind::Null, ExprKind::Null) | (ExprKind::This, ExprKind::This) => true,
-        (ExprKind::IntLit(x), ExprKind::IntLit(y)) => x == y,
-        (ExprKind::FloatLit(x), ExprKind::FloatLit(y)) => x == y,
-        (ExprKind::Var(x), ExprKind::Var(y)) => x == y,
-        (ExprKind::New(x), ExprKind::New(y)) => x == y,
-        (ExprKind::NewArray(t1, l1), ExprKind::NewArray(t2, l2)) => {
-            t1 == t2 && expr_structurally_eq(l1, l2)
+    fn erase(e: &mut Expr) {
+        e.id = NodeId(0);
+        e.span = Span::default();
+        for child in e.children_mut() {
+            erase(child);
         }
-        (ExprKind::Index(a1, i1), ExprKind::Index(a2, i2)) => {
-            expr_structurally_eq(a1, a2) && expr_structurally_eq(i1, i2)
-        }
-        (ExprKind::IndexSet(a1, i1, v1), ExprKind::IndexSet(a2, i2, v2)) => {
-            expr_structurally_eq(a1, a2)
-                && expr_structurally_eq(i1, i2)
-                && expr_structurally_eq(v1, v2)
-        }
-        (ExprKind::Length(a1), ExprKind::Length(a2)) => expr_structurally_eq(a1, a2),
-        (ExprKind::FieldGet(r1, f1), ExprKind::FieldGet(r2, f2)) => {
-            f1 == f2 && expr_structurally_eq(r1, r2)
-        }
-        (ExprKind::FieldSet(r1, f1, v1), ExprKind::FieldSet(r2, f2, v2)) => {
-            f1 == f2 && expr_structurally_eq(r1, r2) && expr_structurally_eq(v1, v2)
-        }
-        (ExprKind::Call(r1, n1, a1), ExprKind::Call(r2, n2, a2)) => {
-            n1 == n2
-                && expr_structurally_eq(r1, r2)
-                && a1.len() == a2.len()
-                && a1.iter().zip(a2).all(|(x, y)| expr_structurally_eq(x, y))
-        }
-        (ExprKind::Cast(t1, e1), ExprKind::Cast(t2, e2)) => {
-            t1 == t2 && expr_structurally_eq(e1, e2)
-        }
-        (ExprKind::Binary(o1, l1, r1), ExprKind::Binary(o2, l2, r2)) => {
-            o1 == o2 && expr_structurally_eq(l1, l2) && expr_structurally_eq(r1, r2)
-        }
-        (ExprKind::If(c1, t1, e1), ExprKind::If(c2, t2, e2)) => {
-            expr_structurally_eq(c1, c2)
-                && expr_structurally_eq(t1, t2)
-                && expr_structurally_eq(e1, e2)
-        }
-        (ExprKind::Let(n1, v1, b1), ExprKind::Let(n2, v2, b2)) => {
-            n1 == n2 && expr_structurally_eq(v1, v2) && expr_structurally_eq(b1, b2)
-        }
-        (ExprKind::VarSet(n1, v1), ExprKind::VarSet(n2, v2)) => {
-            n1 == n2 && expr_structurally_eq(v1, v2)
-        }
-        (ExprKind::While(c1, b1), ExprKind::While(c2, b2)) => {
-            expr_structurally_eq(c1, c2) && expr_structurally_eq(b1, b2)
-        }
-        (ExprKind::Seq(f1, r1), ExprKind::Seq(f2, r2)) => {
-            expr_structurally_eq(f1, f2) && expr_structurally_eq(r1, r2)
-        }
-        (ExprKind::Endorse(e1), ExprKind::Endorse(e2)) => expr_structurally_eq(e1, e2),
-        _ => false,
     }
+    let (mut a, mut b) = (a.clone(), b.clone());
+    erase(&mut a);
+    erase(&mut b);
+    a == b
 }
 
 #[cfg(test)]

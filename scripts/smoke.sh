@@ -37,11 +37,16 @@ reject() {
     fi
 }
 
-# The bench CLI refuses what it does not know instead of running with a
-# default: an unknown flag and a zero run count must both exit nonzero.
-step "cli: unknown flags and --runs 0 are usage errors"
+# The bench CLI and fuzzgen refuse what they do not know instead of running
+# with a default: an unknown flag, a zero run count and a fuzz campaign that
+# would check nothing (no cases, or oracle 4 with no chaos seeds) must all
+# exit nonzero.
+step "cli: unknown flags and zero counts are usage errors"
 reject "$bin/fig5" --runs 1 --deadline-secs 1
 reject "$bin/fig5" --runs 0
+reject "$bin/fuzzgen" --cases 0
+reject "$bin/fuzzgen" --chaos-seeds 0
+reject "$bin/fuzzgen" --no-such-flag
 
 step "quanta: fig5 at one thread"
 "$bin/fig5" --runs 3 --threads 1
