@@ -77,34 +77,34 @@ impl<T: ApproxPrim> Approx<T> {
 
     /// Approximate equality test, yielding an approximate boolean.
     pub fn eq_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        cmp_op(self, rhs.into(), |a, b| a == b)
+        binary(self, rhs.into(), |a, b| a == b, cmp_result::<T>)
     }
 
     /// Approximate inequality test, yielding an approximate boolean.
     pub fn ne_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        cmp_op(self, rhs.into(), |a, b| a != b)
+        binary(self, rhs.into(), |a, b| a != b, cmp_result::<T>)
     }
 }
 
 impl<T: ApproxPrim + PartialOrd> Approx<T> {
     /// Approximate less-than test, yielding an approximate boolean.
     pub fn lt_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        cmp_op(self, rhs.into(), |a, b| a < b)
+        binary(self, rhs.into(), |a, b| a < b, cmp_result::<T>)
     }
 
     /// Approximate less-or-equal test, yielding an approximate boolean.
     pub fn le_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        cmp_op(self, rhs.into(), |a, b| a <= b)
+        binary(self, rhs.into(), |a, b| a <= b, cmp_result::<T>)
     }
 
     /// Approximate greater-than test, yielding an approximate boolean.
     pub fn gt_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        cmp_op(self, rhs.into(), |a, b| a > b)
+        binary(self, rhs.into(), |a, b| a > b, cmp_result::<T>)
     }
 
     /// Approximate greater-or-equal test, yielding an approximate boolean.
     pub fn ge_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        cmp_op(self, rhs.into(), |a, b| a >= b)
+        binary(self, rhs.into(), |a, b| a >= b, cmp_result::<T>)
     }
 }
 
@@ -165,37 +165,54 @@ fn sram_store<T: ApproxPrim>(x: T) -> T {
     })
 }
 
-/// The common path of every approximate binary operation.
-fn binop<T: ApproxPrim>(lhs: Approx<T>, rhs: Approx<T>, f: fn(T, T) -> T) -> Approx<T> {
+/// The operand phase of every approximate operation: an SRAM read, then
+/// operand conditioning (mantissa truncation for floats; the identity for
+/// integers and `bool`).
+#[inline]
+fn operand<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
+    let x = sram_load(hw, x);
+    T::condition_operand(hw, x)
+}
+
+/// An approximate unary operation: operand phase, compute, then the unit's
+/// result phase. Exact without an installed runtime.
+#[inline]
+pub(crate) fn unary<T: ApproxPrim>(x: Approx<T>, f: impl FnOnce(T) -> T) -> Approx<T> {
     with_hw(|hw| match hw {
         Some(hw) => {
-            let a = sram_load(hw, lhs.0);
-            let a = T::condition_operand(hw, a);
-            let b = sram_load(hw, rhs.0);
-            let b = T::condition_operand(hw, b);
-            let raw = f(a, b);
+            let a = operand(hw, x.0);
+            Approx(T::unit_result(hw, f(a)))
+        }
+        None => Approx(f(x.0)),
+    })
+}
+
+/// An approximate binary operation: both operand phases, compute, then
+/// `result` — the unit's result phase ([`ApproxPrim::unit_result`], or
+/// [`cmp_result`] for comparisons). Exact without an installed runtime.
+#[inline]
+pub(crate) fn binary<T: ApproxPrim, R: ApproxPrim>(
+    lhs: Approx<T>,
+    rhs: Approx<T>,
+    f: impl FnOnce(T, T) -> R,
+    result: impl FnOnce(&mut Hardware, R) -> R,
+) -> Approx<R> {
+    with_hw(|hw| match hw {
+        Some(hw) => {
+            let a = operand(hw, lhs.0);
+            let b = operand(hw, rhs.0);
             // Results are forwarded to their consumer without a register-
             // file round trip; write failures apply at explicit stores
             // (`Approx::new`), matching the paper's negligible Mild error.
-            Approx(T::unit_result(hw, raw))
+            Approx(result(hw, f(a, b)))
         }
         None => Approx(f(lhs.0, rhs.0)),
     })
 }
 
-/// The common path of approximate comparisons.
-fn cmp_op<T: ApproxPrim>(lhs: Approx<T>, rhs: Approx<T>, pred: fn(T, T) -> bool) -> Approx<bool> {
-    with_hw(|hw| match hw {
-        Some(hw) => {
-            let a = sram_load(hw, lhs.0);
-            let a = T::condition_operand(hw, a);
-            let b = sram_load(hw, rhs.0);
-            let b = T::condition_operand(hw, b);
-            let raw = pred(a, b);
-            Approx(hw.approx_cmp_result(raw, T::OP_KIND))
-        }
-        None => Approx(pred(lhs.0, rhs.0)),
-    })
+/// The result phase of a comparison: one bit from `T`'s unit.
+fn cmp_result<T: ApproxPrim>(hw: &mut Hardware, raw: bool) -> bool {
+    hw.approx_cmp_result(raw, T::OP_KIND)
 }
 
 macro_rules! impl_binop {
@@ -203,7 +220,7 @@ macro_rules! impl_binop {
         impl<T: ApproxArith> $trait for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: Approx<T>) -> Approx<T> {
-                binop(self, rhs, T::$arith)
+                binary(self, rhs, T::$arith, T::unit_result)
             }
         }
 
@@ -213,7 +230,7 @@ macro_rules! impl_binop {
         impl<T: ApproxArith> $trait<T> for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: T) -> Approx<T> {
-                binop(self, Approx::new(rhs), T::$arith)
+                binary(self, Approx::new(rhs), T::$arith, T::unit_result)
             }
         }
     };
@@ -230,13 +247,13 @@ macro_rules! impl_bitop {
         impl<T: ApproxBits> $trait for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: Approx<T>) -> Approx<T> {
-                binop(self, rhs, T::$arith)
+                binary(self, rhs, T::$arith, T::unit_result)
             }
         }
         impl<T: ApproxBits> $trait<T> for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: T) -> Approx<T> {
-                binop(self, Approx::new(rhs), T::$arith)
+                binary(self, Approx::new(rhs), T::$arith, T::unit_result)
             }
         }
     };
@@ -251,25 +268,15 @@ impl_bitop!(BitXor, bitxor, approx_xor);
 impl<T: ApproxBits> Shl<u32> for Approx<T> {
     type Output = Approx<T>;
     fn shl(self, amount: u32) -> Approx<T> {
-        shift(self, amount, T::approx_shl)
+        unary(self, |a| T::approx_shl(a, amount))
     }
 }
 
 impl<T: ApproxBits> Shr<u32> for Approx<T> {
     type Output = Approx<T>;
     fn shr(self, amount: u32) -> Approx<T> {
-        shift(self, amount, T::approx_shr)
+        unary(self, |a| T::approx_shr(a, amount))
     }
-}
-
-fn shift<T: ApproxBits>(lhs: Approx<T>, amount: u32, f: fn(T, u32) -> T) -> Approx<T> {
-    with_hw(|hw| match hw {
-        Some(hw) => {
-            let a = sram_load(hw, lhs.0);
-            Approx(T::unit_result(hw, f(a, amount)))
-        }
-        None => Approx(f(lhs.0, amount)),
-    })
 }
 
 macro_rules! impl_binop_lhs_precise {
@@ -333,14 +340,7 @@ impl_assign!(RemAssign, rem_assign, %);
 impl<T: ApproxArith> Neg for Approx<T> {
     type Output = Approx<T>;
     fn neg(self) -> Approx<T> {
-        with_hw(|hw| match hw {
-            Some(hw) => {
-                let a = sram_load(hw, self.0);
-                let a = T::condition_operand(hw, a);
-                Approx(T::unit_result(hw, T::approx_neg(a)))
-            }
-            None => Approx(T::approx_neg(self.0)),
-        })
+        unary(self, T::approx_neg)
     }
 }
 

@@ -12,37 +12,35 @@
 //! integer unit and keep the result approximate, so compound conditions
 //! still need a single explicit [`endorse`](crate::endorse) at the end.
 
-use crate::approx::Approx;
+use crate::approx::{binary, unary, Approx};
 use crate::prim::ApproxPrim;
-use crate::runtime::with_hw;
-use enerj_hw::Hardware;
 
 macro_rules! impl_fp_intrinsics {
     ($t:ty) => {
         impl Approx<$t> {
             /// Approximate square root (one approximate FP operation).
             pub fn sqrt_approx(self) -> Self {
-                fp_unary(self, <$t>::sqrt)
+                unary(self, <$t>::sqrt)
             }
 
             /// Approximate absolute value (one approximate FP operation).
             pub fn abs_approx(self) -> Self {
-                fp_unary(self, <$t>::abs)
+                unary(self, <$t>::abs)
             }
 
             /// Approximate floor (one approximate FP operation).
             pub fn floor_approx(self) -> Self {
-                fp_unary(self, <$t>::floor)
+                unary(self, <$t>::floor)
             }
 
             /// Approximate minimum (one approximate FP operation).
             pub fn min_approx(self, other: impl Into<Approx<$t>>) -> Self {
-                fp_binary(self, other.into(), <$t>::min)
+                binary(self, other.into(), <$t>::min, <$t>::unit_result)
             }
 
             /// Approximate maximum (one approximate FP operation).
             pub fn max_approx(self, other: impl Into<Approx<$t>>) -> Self {
-                fp_binary(self, other.into(), <$t>::max)
+                binary(self, other.into(), <$t>::max, <$t>::unit_result)
             }
         }
     };
@@ -51,71 +49,22 @@ macro_rules! impl_fp_intrinsics {
 impl_fp_intrinsics!(f32);
 impl_fp_intrinsics!(f64);
 
-fn fp_unary<T: ApproxPrim>(x: Approx<T>, f: fn(T) -> T) -> Approx<T> {
-    with_hw(|hw| match hw {
-        Some(hw) => {
-            let a = load(hw, x);
-            let a = T::condition_operand(hw, a);
-            Approx::from_raw(T::unit_result(hw, f(a)))
-        }
-        None => Approx::from_raw(f(raw(x))),
-    })
-}
-
-fn fp_binary<T: ApproxPrim>(x: Approx<T>, y: Approx<T>, f: fn(T, T) -> T) -> Approx<T> {
-    with_hw(|hw| match hw {
-        Some(hw) => {
-            let a = load(hw, x);
-            let a = T::condition_operand(hw, a);
-            let b = load(hw, y);
-            let b = T::condition_operand(hw, b);
-            Approx::from_raw(T::unit_result(hw, f(a, b)))
-        }
-        None => Approx::from_raw(f(raw(x), raw(y))),
-    })
-}
-
-fn load<T: ApproxPrim>(hw: &mut Hardware, x: Approx<T>) -> T {
-    T::from_bits64(hw.sram_read(x.raw().to_bits64(), T::WIDTH, true))
-}
-
-fn raw<T: ApproxPrim>(x: Approx<T>) -> T {
-    x.raw()
-}
-
 impl Approx<bool> {
     /// Approximate conjunction (non-short-circuit, like Java's `&` on
     /// booleans): one approximate integer operation.
     pub fn and_approx(self, other: impl Into<Approx<bool>>) -> Approx<bool> {
-        bool_binary(self, other.into(), |a, b| a && b)
+        binary(self, other.into(), |a, b| a && b, bool::unit_result)
     }
 
     /// Approximate disjunction: one approximate integer operation.
     pub fn or_approx(self, other: impl Into<Approx<bool>>) -> Approx<bool> {
-        bool_binary(self, other.into(), |a, b| a || b)
+        binary(self, other.into(), |a, b| a || b, bool::unit_result)
     }
 
     /// Approximate negation: one approximate integer operation.
     pub fn not_approx(self) -> Approx<bool> {
-        with_hw(|hw| match hw {
-            Some(hw) => {
-                let a = load(hw, self);
-                Approx::from_raw(bool::unit_result(hw, !a))
-            }
-            None => Approx::from_raw(!self.raw()),
-        })
+        unary(self, |a| !a)
     }
-}
-
-fn bool_binary(x: Approx<bool>, y: Approx<bool>, f: fn(bool, bool) -> bool) -> Approx<bool> {
-    with_hw(|hw| match hw {
-        Some(hw) => {
-            let a = load(hw, x);
-            let b = load(hw, y);
-            Approx::from_raw(bool::unit_result(hw, f(a, b)))
-        }
-        None => Approx::from_raw(f(x.raw(), y.raw())),
-    })
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use std::rc::Rc;
 
 use crate::approx::Approx;
 use crate::prim::ApproxPrim;
-use crate::runtime::current_hw;
+use crate::runtime::require_hw;
 use enerj_hw::dram::DramRecord;
 use enerj_hw::layout::FieldSpec;
 use enerj_hw::Hardware;
@@ -155,9 +155,7 @@ impl ApproxRecord {
     ///
     /// Panics if no [`Runtime`](crate::Runtime) is installed.
     pub fn new(schema: &RecordSchema) -> Self {
-        let hw = current_hw().unwrap_or_else(|| {
-            panic!("ApproxRecord requires an installed Runtime; wrap the code in Runtime::run")
-        });
+        let hw = require_hw("ApproxRecord");
         let rec = DramRecord::new(&mut hw.borrow_mut(), &schema.specs());
         ApproxRecord { schema: schema.clone(), rec, hw, _not_send: PhantomData }
     }

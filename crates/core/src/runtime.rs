@@ -77,7 +77,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 pub const PANIC_MESSAGE_LIMIT: usize = 120;
 
 thread_local! {
-    static CURRENT: RefCell<Vec<Rc<RefCell<Hardware>>>> = const { RefCell::new(Vec::new()) };
+    /// The installed machine: one slot per thread. Nesting saves and
+    /// restores it (see [`Runtime::run`]).
+    static CURRENT: RefCell<Option<Rc<RefCell<Hardware>>>> = const { RefCell::new(None) };
 }
 
 /// A handle to a simulated approximation-aware machine.
@@ -118,19 +120,16 @@ impl Runtime {
 
     /// Runs `f` with this runtime installed as the ambient substrate.
     ///
-    /// Calls may nest (the innermost runtime wins), and the installation is
-    /// popped even if `f` panics.
+    /// Calls may nest (the innermost runtime wins), and the previous
+    /// installation is restored even if `f` panics.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Guard;
-        impl Drop for Guard {
+        struct Restore(Option<Rc<RefCell<Hardware>>>);
+        impl Drop for Restore {
             fn drop(&mut self) {
-                CURRENT.with(|c| {
-                    c.borrow_mut().pop();
-                });
+                CURRENT.with(|c| *c.borrow_mut() = self.0.take());
             }
         }
-        CURRENT.with(|c| c.borrow_mut().push(Rc::clone(&self.hw)));
-        let _guard = Guard;
+        let _restore = Restore(CURRENT.with(|c| c.replace(Some(Rc::clone(&self.hw)))));
         f()
     }
 
@@ -205,11 +204,6 @@ impl Runtime {
         *self.hw.borrow().config()
     }
 
-    /// Resets statistics and the virtual clock (RNG state is kept).
-    pub fn reset_stats(&self) {
-        self.hw.borrow_mut().reset_stats();
-    }
-
     /// A snapshot of the always-on per-kind fault counters.
     pub fn fault_counters(&self) -> enerj_hw::FaultCounters {
         *self.hw.borrow().fault_counters()
@@ -230,19 +224,28 @@ impl Runtime {
 
 /// Runs `f` with the ambient hardware, if a runtime is installed.
 pub(crate) fn with_hw<R>(f: impl FnOnce(Option<&mut Hardware>) -> R) -> R {
-    CURRENT.with(|c| {
-        let top = c.borrow().last().cloned();
-        match top {
-            Some(hw) => f(Some(&mut hw.borrow_mut())),
-            None => f(None),
-        }
+    CURRENT.with(|c| match &*c.borrow() {
+        Some(hw) => f(Some(&mut hw.borrow_mut())),
+        None => f(None),
     })
 }
 
-/// The ambient hardware handle, if a runtime is installed. Used by heap
-/// structures that must outlive individual operations.
-pub(crate) fn current_hw() -> Option<Rc<RefCell<Hardware>>> {
-    CURRENT.with(|c| c.borrow().last().cloned())
+/// The ambient hardware handle, if a runtime is installed.
+fn current_hw() -> Option<Rc<RefCell<Hardware>>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// The ambient hardware handle for a heap object, which keeps it for its
+/// whole life: reads, writes and the storage charge at drop go to the
+/// machine that allocated the object, whatever runtime is installed later.
+///
+/// # Panics
+///
+/// Panics if no runtime is installed.
+pub(crate) fn require_hw(what: &str) -> Rc<RefCell<Hardware>> {
+    current_hw().unwrap_or_else(|| {
+        panic!("{what} requires an installed Runtime; wrap the code in Runtime::run")
+    })
 }
 
 #[cfg(test)]
@@ -370,7 +373,7 @@ mod tests {
         let rt = Runtime::new(Level::Mild, 0);
         let out: Result<(), Degraded> = rt.run_guarded(1_000, || panic!("boom at {}", 42));
         assert_eq!(out, Err(Degraded::Panicked("boom at 42".to_string())));
-        assert!(current_hw().is_none(), "installation popped on panic");
+        assert!(current_hw().is_none(), "installation restored on panic");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use crate::approx::Approx;
 use crate::precise::Precise;
 use crate::prim::ApproxPrim;
-use crate::runtime::current_hw;
+use crate::runtime::require_hw;
 use enerj_hw::{DramArray, Hardware};
 
 /// A heap array of approximate elements with a precise length.
@@ -55,13 +55,6 @@ pub struct PreciseVec<T: ApproxPrim> {
     dram: DramArray,
     hw: Rc<RefCell<Hardware>>,
     _elem: PhantomData<T>,
-}
-
-/// Fetches the ambient hardware handle or panics with a helpful message.
-fn require_hw(what: &str) -> Rc<RefCell<Hardware>> {
-    current_hw().unwrap_or_else(|| {
-        panic!("{what} requires an installed Runtime; wrap the code in Runtime::run")
-    })
 }
 
 impl<T: ApproxPrim> ApproxVec<T> {

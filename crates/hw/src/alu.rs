@@ -17,6 +17,7 @@
 use crate::config::ErrorMode;
 use crate::fault;
 use crate::stats::OpKind;
+use crate::trace::FaultKind;
 use crate::Hardware;
 use rand::Rng;
 
@@ -50,7 +51,7 @@ impl Hardware {
         self.tick();
         self.stats.record_op(OpKind::Int, true);
         let out = if self.sched.int_timing.fire(&mut self.rng) {
-            self.int_timing_fault(raw, width)
+            self.timing_fault(OpKind::Int, raw, width)
         } else {
             raw & fault::low_mask(width)
         };
@@ -58,22 +59,32 @@ impl Hardware {
         out
     }
 
-    /// Fault payload of an integer timing error. Out of line so the
-    /// (overwhelmingly common) fault-free iteration carries none of the
-    /// error-mode machinery in its hot loop. Shared with the batched entry
-    /// point ([`Hardware::approx_int_result_slice`]), which pre-stages
-    /// `last_int` so the `LastValue` mode sees the in-batch predecessor.
+    /// Fault payload of a timing error on `kind`'s unit (the integer ALU
+    /// or the FPU). Out of line so the (overwhelmingly common) fault-free
+    /// result phase carries none of the error-mode machinery. Shared with
+    /// the batched entry points, which pre-stage `last_int` / `last_fp` so
+    /// the `LastValue` mode sees the in-batch predecessor.
     #[cold]
     #[inline(never)]
-    pub(crate) fn int_timing_fault(&mut self, raw: u64, width: u32) -> u64 {
+    pub(crate) fn timing_fault(&mut self, kind: OpKind, raw: u64, width: u32) -> u64 {
+        let (last, fault_kind) = self.timing_unit(kind);
         let out = match self.hot.error_mode {
             ErrorMode::SingleBitFlip => fault::flip_one_bit(raw, width, &mut self.rng),
-            ErrorMode::LastValue => self.last_int & fault::low_mask(width),
+            ErrorMode::LastValue => last & fault::low_mask(width),
             ErrorMode::RandomValue => fault::random_bits(width, &mut self.rng),
         };
         let flipped = ((out ^ raw) & fault::low_mask(width)).count_ones();
-        self.note_fault(crate::trace::FaultKind::IntTiming, width, flipped);
+        self.note_fault(fault_kind, width, flipped);
         out
+    }
+
+    /// The last result of `kind`'s unit and the fault kind of its timing
+    /// errors.
+    fn timing_unit(&self, kind: OpKind) -> (u64, FaultKind) {
+        match kind {
+            OpKind::Int => (self.last_int, FaultKind::IntTiming),
+            OpKind::Fp => (self.last_fp, FaultKind::FpTiming),
+        }
     }
 
     /// Executes the result phase of an approximate comparison.
@@ -97,20 +108,14 @@ impl Hardware {
     }
 
     /// Fault payload of a comparison timing error; out of line like
-    /// [`Hardware::int_timing_fault`].
+    /// [`Hardware::timing_fault`].
     #[cold]
     #[inline(never)]
     fn cmp_timing_fault(&mut self, raw: bool, kind: OpKind) -> bool {
-        let fault_kind = match kind {
-            OpKind::Int => crate::trace::FaultKind::IntTiming,
-            OpKind::Fp => crate::trace::FaultKind::FpTiming,
-        };
+        let (last, fault_kind) = self.timing_unit(kind);
         let observed = match self.hot.error_mode {
             ErrorMode::SingleBitFlip => !raw,
-            ErrorMode::LastValue => match kind {
-                OpKind::Int => self.last_int & 1 == 1,
-                OpKind::Fp => self.last_fp & 1 == 1,
-            },
+            ErrorMode::LastValue => last & 1 == 1,
             ErrorMode::RandomValue => self.rng.gen_bool(0.5),
         };
         self.note_fault(fault_kind, 1, u32::from(observed != raw));

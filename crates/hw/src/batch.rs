@@ -163,7 +163,7 @@ impl Hardware {
                     // Stage the in-batch predecessor so the shared payload
                     // helper's LastValue mode sees what a scalar loop would.
                     self.last_int = if i == 0 { self.last_int } else { raws[i - 1] };
-                    raws[i] = self.int_timing_fault(raws[i], width);
+                    raws[i] = self.timing_fault(OpKind::Int, raws[i], width);
                     idx += 1;
                 }
             }
@@ -191,7 +191,7 @@ impl Hardware {
                     idx += k;
                     let i = idx as usize;
                     self.last_fp = if i == 0 { self.last_fp } else { xs[i - 1].to_bits() };
-                    let out = self.fp_timing_fault(xs[i].to_bits(), 64);
+                    let out = self.timing_fault(OpKind::Fp, xs[i].to_bits(), 64);
                     xs[i] = f64::from_bits(out);
                     idx += 1;
                 }
@@ -220,7 +220,7 @@ impl Hardware {
                     let i = idx as usize;
                     self.last_fp =
                         if i == 0 { self.last_fp } else { u64::from(xs[i - 1].to_bits()) };
-                    let out = self.fp_timing_fault(u64::from(xs[i].to_bits()), 32);
+                    let out = self.timing_fault(OpKind::Fp, u64::from(xs[i].to_bits()), 32);
                     xs[i] = f32::from_bits(out as u32);
                     idx += 1;
                 }

@@ -84,6 +84,81 @@ impl Hardware {
     }
 }
 
+/// The cell store behind [`DramArray`] and [`DramRecord`]: one word and
+/// one refresh stamp per slot, the cache-line layout, the allocation tick
+/// and whether the storage charge has been made.
+#[derive(Debug, Clone)]
+struct Cells {
+    words: Vec<u64>,
+    /// Op-tick of each slot's last access (its refresh point). Integer
+    /// ticks make the refresh gap an exact integer, which is what the
+    /// memoized decay lookup keys on.
+    last_access: Vec<u64>,
+    layout: Layout,
+    alloc_tick: u64,
+    retired: bool,
+}
+
+impl Cells {
+    fn new(hw: &Hardware, len: usize, layout: Layout) -> Self {
+        let now = hw.op_ticks();
+        Cells {
+            words: vec![0; len],
+            last_access: vec![now; len],
+            layout,
+            alloc_tick: now,
+            retired: false,
+        }
+    }
+
+    /// Reads slot `i` as `width` bits, applying refresh decay if the slot
+    /// `decays`. The read refreshes the slot.
+    fn read(&mut self, hw: &mut Hardware, i: usize, width: u32, decays: bool) -> u64 {
+        hw.tick();
+        let now = hw.op_ticks();
+        let stored = self.words[i];
+        let out =
+            if decays { hw.dram_decay(stored, width, now - self.last_access[i]) } else { stored };
+        self.words[i] = out;
+        self.last_access[i] = now;
+        out
+    }
+
+    /// Writes the low `width` bits of `bits` to slot `i`, refreshing it.
+    /// DRAM writes store reliably; transient corruption enters via the SRAM
+    /// and FU models.
+    fn write(&mut self, hw: &mut Hardware, i: usize, bits: u64, width: u32) {
+        hw.tick();
+        self.words[i] = bits & fault::low_mask(width);
+        self.last_access[i] = hw.op_ticks();
+    }
+
+    /// Charges the storage quanta once. The charge is an exact widening
+    /// multiply of bits held by op-ticks held — no floats, so retire order
+    /// cannot perturb the totals.
+    fn retire(&mut self, hw: &mut Hardware) {
+        if self.retired {
+            return;
+        }
+        self.retired = true;
+        let held_ticks = hw.op_ticks() - self.alloc_tick;
+        let precise_bits =
+            8 * (self.layout.precise_bytes + self.layout.approx_bytes_on_precise_lines) as u64;
+        let approx_bits = 8 * self.layout.approx_bytes_on_approx_lines as u64;
+        let stats = hw.stats_mut();
+        stats.record_storage_quanta(
+            MemKind::Dram,
+            false,
+            EnergyQuanta::from_bits_quanta(precise_bits, held_ticks),
+        );
+        stats.record_storage_quanta(
+            MemKind::Dram,
+            true,
+            EnergyQuanta::from_bits_quanta(approx_bits, held_ticks),
+        );
+    }
+}
+
 /// A simulated DRAM-resident array of fixed-width elements.
 ///
 /// Elements are bit patterns of `elem_width` bits (at most 64). Approximate
@@ -107,18 +182,11 @@ impl Hardware {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DramArray {
-    words: Vec<u64>,
-    /// Op-tick of each element's last access (its refresh point). Integer
-    /// ticks make the refresh gap an exact integer, which is what the
-    /// memoized decay lookup keys on.
-    last_access: Vec<u64>,
+    cells: Cells,
     elem_width: u32,
-    approx: bool,
-    alloc_tick: u64,
-    layout: Layout,
-    /// Index of the first element stored on an approximate line.
+    /// Index of the first element stored on an approximate line (`len`
+    /// for a precise array).
     first_approx_elem: usize,
-    retired: bool,
 }
 
 impl DramArray {
@@ -142,27 +210,17 @@ impl DramArray {
         );
         let first_approx_elem =
             if approx { l.approx_bytes_on_precise_lines.div_ceil(elem_bytes.max(1)) } else { len };
-        let now = hw.op_ticks();
-        DramArray {
-            words: vec![0; len],
-            last_access: vec![now; len],
-            elem_width,
-            approx,
-            alloc_tick: now,
-            layout: l,
-            first_approx_elem,
-            retired: false,
-        }
+        DramArray { cells: Cells::new(hw, len, l), elem_width, first_approx_elem }
     }
 
     /// Number of elements. Array lengths are always precise (section 2.6).
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.cells.words.len()
     }
 
     /// Whether the array is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.cells.words.is_empty()
     }
 
     /// Element width in bits.
@@ -172,7 +230,7 @@ impl DramArray {
 
     /// The cache-line layout computed at allocation.
     pub fn layout(&self) -> Layout {
-        self.layout
+        self.cells.layout
     }
 
     /// Index of the first element whose storage is approximate. Elements
@@ -190,17 +248,7 @@ impl DramArray {
     /// Panics if `i` is out of bounds — array indices must be precise, and
     /// bounds are always enforced (section 2.6).
     pub fn read(&mut self, hw: &mut Hardware, i: usize) -> u64 {
-        hw.tick();
-        let now = hw.op_ticks();
-        let stored = self.words[i];
-        let out = if self.approx && i >= self.first_approx_elem {
-            hw.dram_decay(stored, self.elem_width, now - self.last_access[i])
-        } else {
-            stored
-        };
-        self.words[i] = out;
-        self.last_access[i] = now;
-        out
+        self.cells.read(hw, i, self.elem_width, i >= self.first_approx_elem)
     }
 
     /// Writes element `i`, refreshing its decay clock. DRAM writes store
@@ -210,9 +258,7 @@ impl DramArray {
     ///
     /// Panics if `i` is out of bounds.
     pub fn write(&mut self, hw: &mut Hardware, i: usize, bits: u64) {
-        hw.tick();
-        self.words[i] = bits & fault::low_mask(self.elem_width);
-        self.last_access[i] = hw.op_ticks();
+        self.cells.write(hw, i, bits, self.elem_width);
     }
 
     /// Batched [`DramArray::read`]: reads `out.len()` consecutive elements
@@ -236,33 +282,34 @@ impl DramArray {
     pub fn read_slice(&mut self, hw: &mut Hardware, start: usize, out: &mut [u64]) {
         let base = hw.op_ticks();
         hw.tick_batch(out.len() as u64);
+        let Cells { words, last_access, .. } = &mut self.cells;
         let n = out.len();
         let mut j = 0;
         while j < n {
             let i = start + j;
             let now = base + j as u64 + 1;
-            if !(self.approx && i >= self.first_approx_elem) {
+            if i < self.first_approx_elem {
                 // Precise storage: no decay, just the refresh stamp.
-                out[j] = self.words[i];
-                self.last_access[i] = now;
+                out[j] = words[i];
+                last_access[i] = now;
                 j += 1;
                 continue;
             }
             // Maximal run of equal refresh gaps: element `j + k` reads at
             // tick `now + k`, so its gap equals `dt` iff its last access
             // was exactly `k` ticks after element `j`'s.
-            let dt = now - self.last_access[i];
+            let dt = now - last_access[i];
             let mut end = j + 1;
             while end < n
-                && base + end as u64 + 1 >= self.last_access[start + end]
-                && base + end as u64 + 1 - self.last_access[start + end] == dt
+                && base + end as u64 + 1 >= last_access[start + end]
+                && base + end as u64 + 1 - last_access[start + end] == dt
             {
                 end += 1;
             }
-            hw.dram_decay_run(&mut self.words[start + j..start + end], self.elem_width, dt);
+            hw.dram_decay_run(&mut words[start + j..start + end], self.elem_width, dt);
             for (k, slot) in out.iter_mut().enumerate().take(end).skip(j) {
-                self.last_access[start + k] = base + k as u64 + 1;
-                *slot = self.words[start + k];
+                last_access[start + k] = base + k as u64 + 1;
+                *slot = words[start + k];
             }
             j = end;
         }
@@ -281,37 +328,18 @@ impl DramArray {
         let mask = fault::low_mask(self.elem_width);
         for (j, &v) in vals.iter().enumerate() {
             let i = start + j;
-            self.words[i] = v & mask;
-            self.last_access[i] = base + j as u64 + 1;
+            self.cells.words[i] = v & mask;
+            self.cells.last_access[i] = base + j as u64 + 1;
         }
     }
 
-    /// Accounts this array's storage quanta and marks it retired.
+    /// Accounts this array's storage quanta (bits held × op-ticks held,
+    /// exact) and marks it retired.
     ///
     /// Idempotent: a second call does nothing. Higher layers call this from
     /// `Drop`; benchmarks may call it eagerly before reading statistics.
-    /// The charge is an exact widening multiply of bits held by op-ticks
-    /// held — no floats, so retire order cannot perturb the totals.
     pub fn retire(&mut self, hw: &mut Hardware) {
-        if self.retired {
-            return;
-        }
-        self.retired = true;
-        let held_ticks = hw.op_ticks() - self.alloc_tick;
-        let precise_bits =
-            8 * (self.layout.precise_bytes + self.layout.approx_bytes_on_precise_lines) as u64;
-        let approx_bits = 8 * self.layout.approx_bytes_on_approx_lines as u64;
-        let stats = hw.stats_mut();
-        stats.record_storage_quanta(
-            MemKind::Dram,
-            false,
-            EnergyQuanta::from_bits_quanta(precise_bits, held_ticks),
-        );
-        stats.record_storage_quanta(
-            MemKind::Dram,
-            true,
-            EnergyQuanta::from_bits_quanta(approx_bits, held_ticks),
-        );
+        self.cells.retire(hw);
     }
 }
 
@@ -464,15 +492,10 @@ mod tests {
 /// declared byte sizes.
 #[derive(Debug, Clone)]
 pub struct DramRecord {
-    words: Vec<u64>,
-    /// Op-tick of each field's last access (its refresh point).
-    last_access: Vec<u64>,
+    cells: Cells,
     widths: Vec<u32>,
     /// Whether each field's *storage* is approximate after layout.
     effective_approx: Vec<bool>,
-    layout: Layout,
-    alloc_tick: u64,
-    retired: bool,
 }
 
 impl DramRecord {
@@ -509,21 +532,16 @@ impl DramRecord {
                 effective_approx.push(false);
             }
         }
-        let now = hw.op_ticks();
         DramRecord {
-            words: vec![0; fields.len()],
-            last_access: vec![now; fields.len()],
+            cells: Cells::new(hw, fields.len(), l),
             widths: fields.iter().map(|f| (f.size * 8) as u32).collect(),
             effective_approx,
-            layout: l,
-            alloc_tick: now,
-            retired: false,
         }
     }
 
     /// Number of fields.
     pub fn field_count(&self) -> usize {
-        self.words.len()
+        self.cells.words.len()
     }
 
     /// Whether field `i`'s storage ended up approximate after layout.
@@ -537,7 +555,7 @@ impl DramRecord {
 
     /// The computed cache-line layout.
     pub fn layout(&self) -> Layout {
-        self.layout
+        self.cells.layout
     }
 
     /// Reads field `i`, applying refresh decay if its storage is
@@ -547,17 +565,7 @@ impl DramRecord {
     ///
     /// Panics if `i` is out of range.
     pub fn read(&mut self, hw: &mut Hardware, i: usize) -> u64 {
-        hw.tick();
-        let now = hw.op_ticks();
-        let stored = self.words[i];
-        let out = if self.effective_approx[i] {
-            hw.dram_decay(stored, self.widths[i], now - self.last_access[i])
-        } else {
-            stored
-        };
-        self.words[i] = out;
-        self.last_access[i] = now;
-        out
+        self.cells.read(hw, i, self.widths[i], self.effective_approx[i])
     }
 
     /// Writes field `i`, refreshing its decay clock.
@@ -566,33 +574,13 @@ impl DramRecord {
     ///
     /// Panics if `i` is out of range.
     pub fn write(&mut self, hw: &mut Hardware, i: usize, bits: u64) {
-        hw.tick();
-        self.words[i] = bits & fault::low_mask(self.widths[i]);
-        self.last_access[i] = hw.op_ticks();
+        self.cells.write(hw, i, bits, self.widths[i]);
     }
 
     /// Accounts the record's storage quanta once (exact integer charge,
     /// like [`DramArray::retire`]).
     pub fn retire(&mut self, hw: &mut Hardware) {
-        if self.retired {
-            return;
-        }
-        self.retired = true;
-        let held_ticks = hw.op_ticks() - self.alloc_tick;
-        let precise_bits =
-            8 * (self.layout.precise_bytes + self.layout.approx_bytes_on_precise_lines) as u64;
-        let approx_bits = 8 * self.layout.approx_bytes_on_approx_lines as u64;
-        let stats = hw.stats_mut();
-        stats.record_storage_quanta(
-            MemKind::Dram,
-            false,
-            EnergyQuanta::from_bits_quanta(precise_bits, held_ticks),
-        );
-        stats.record_storage_quanta(
-            MemKind::Dram,
-            true,
-            EnergyQuanta::from_bits_quanta(approx_bits, held_ticks),
-        );
+        self.cells.retire(hw);
     }
 }
 

@@ -8,7 +8,6 @@
 //! as the integer ALU. Approximate floating-point division by zero returns
 //! NaN rather than trapping (section 5.2).
 
-use crate::config::ErrorMode;
 use crate::fault;
 use crate::stats::OpKind;
 use crate::Hardware;
@@ -101,28 +100,11 @@ impl Hardware {
         self.tick();
         self.stats.record_op(OpKind::Fp, true);
         let out = if self.sched.fp_timing.fire(&mut self.rng) {
-            self.fp_timing_fault(raw, width)
+            self.timing_fault(OpKind::Fp, raw, width)
         } else {
             raw & fault::low_mask(width)
         };
         self.last_fp = out;
-        out
-    }
-
-    /// Fault payload of a floating-point timing error; out of line to keep
-    /// the fault-free result phase free of the error-mode machinery. Shared
-    /// with the batched entry points, which pre-stage `last_fp` so the
-    /// `LastValue` mode sees the in-batch predecessor.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn fp_timing_fault(&mut self, raw: u64, width: u32) -> u64 {
-        let out = match self.hot.error_mode {
-            ErrorMode::SingleBitFlip => fault::flip_one_bit(raw, width, &mut self.rng),
-            ErrorMode::LastValue => self.last_fp & fault::low_mask(width),
-            ErrorMode::RandomValue => fault::random_bits(width, &mut self.rng),
-        };
-        let flipped = ((out ^ raw) & fault::low_mask(width)).count_ones();
-        self.note_fault(crate::trace::FaultKind::FpTiming, width, flipped);
         out
     }
 }

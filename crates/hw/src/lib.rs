@@ -338,21 +338,6 @@ impl Hardware {
         self.watchdog_deadline = u64::MAX;
         std::panic::panic_any(trip);
     }
-
-    /// Resets statistics, fault counters, the event log and the clock,
-    /// keeping configuration, RNG state and the fault countdowns. Any armed
-    /// watchdog is disarmed (its deadline is an absolute clock reading and
-    /// would be meaningless after the clock rewinds).
-    pub fn reset_stats(&mut self) {
-        self.stats = Stats::new();
-        self.pending_sram_bits = [0; 2];
-        self.op_ticks = 0;
-        self.watchdog_deadline = u64::MAX;
-        self.counters = FaultCounters::new();
-        if let Some(log) = &mut self.event_log {
-            log.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -392,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_stats_and_clock() {
-        let mut hw = Hardware::new(HwConfig::default(), 0);
-        hw.precise_op(OpKind::Int);
-        hw.reset_stats();
-        assert_eq!(hw.stats().total_ops(OpKind::Int), 0);
-        assert_eq!(hw.now(), 0.0);
-    }
-
-    #[test]
     fn counters_track_every_injected_fault() {
         let mut cfg = HwConfig::for_level(Level::Aggressive);
         cfg.params.timing_error_prob = 1.0;
@@ -412,8 +388,6 @@ mod tests {
         assert_eq!(c.count(trace::FaultKind::IntTiming).injections, 50);
         assert_eq!(c.total_injections(), hw.stats().faults_injected);
         assert_eq!(hw.event_log(), None, "event log is opt-in");
-        hw.reset_stats();
-        assert!(hw.fault_counters().is_empty());
     }
 
     #[test]
@@ -469,14 +443,6 @@ mod tests {
             let _ = hw.approx_int_result(i, 64);
         }
         assert!(hw.op_ticks() >= 1000);
-    }
-
-    #[test]
-    fn reset_stats_disarms_the_watchdog() {
-        let mut hw = Hardware::new(HwConfig::default(), 0);
-        hw.arm_watchdog(5);
-        hw.reset_stats();
-        assert!(!hw.watchdog_armed());
     }
 
     #[test]

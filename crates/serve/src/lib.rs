@@ -30,6 +30,9 @@
 //! Binaries: `campaignd` (the server) and `campaignctl` (submit / status /
 //! stream / shutdown).
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod client;
 pub mod http;
 pub mod journal;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks over the release binaries: one `cargo build --release`, then
-# CLI, telemetry, recovery, fuzz, quanta, sched and serve runs at reduced sizes.
+# CLI, capture, telemetry, recovery, fuzz, quanta, sched and serve runs at
+# reduced sizes.
 # Each check exits nonzero on a violation; none gates on wall-clock speed.
 #
 #   bash scripts/smoke.sh
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 bin=target/release
 work=$(mktemp -d)
-reports=(fig5 recovery sched)
+reports=(fig4 fig5 ablation_error_modes recovery sched)
 for name in "${reports[@]}"; do
     cp "results/BENCH_$name.json" "$work/"
 done
@@ -47,6 +48,20 @@ reject "$bin/fig5" --runs 0
 reject "$bin/fuzzgen" --cases 0
 reject "$bin/fuzzgen" --chaos-seeds 0
 reject "$bin/fuzzgen" --no-such-flag
+
+# The committed text captures under results/ back the paper's figures; each
+# of these regenerates from its command byte for byte, so a change that
+# moves a figure fails here.
+step "captures: fig4, fig5, error-mode ablation and recovery match results/"
+capture() {
+    local file=$1 cmd=$2
+    shift 2
+    "$bin/$cmd" "$@" | cmp - "results/$file.txt"
+}
+capture fig4 fig4
+capture fig5 fig5 --runs 20
+capture ablation_modes ablation --error-modes --runs 10
+capture recovery recovery --runs 10 --amplify 40
 
 step "quanta: fig5 at one thread"
 "$bin/fig5" --runs 3 --threads 1
