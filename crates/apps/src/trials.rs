@@ -713,8 +713,9 @@ fn run_trial(index: usize, spec: &TrialSpec, log_events: bool) -> TrialResult {
 /// additionally consult controller state derived from the drained trial
 /// prefix, and may *block* until that prefix is long enough, provided it
 /// only ever waits on trials with indices strictly below `i` (the engine
-/// guarantees all lower indices are already claimed, so such a wait cannot
-/// deadlock).
+/// guarantees all lower indices are already claimed, and that an inserted
+/// trial reaches the sink without waiting on any `spec` call, so such a
+/// wait cannot deadlock).
 pub trait SpecSource: Sync {
     /// Number of trials in the campaign.
     fn len(&self) -> usize;
@@ -766,8 +767,11 @@ impl<F: Fn(usize) -> TrialSpec + Sync> SpecSource for SpecFn<F> {
 }
 
 /// Where completed trials go. The engine calls `accept` exactly once per
-/// trial, in strict index order, from whichever worker drained the reorder
-/// buffer (hence `Send`). A sink that errors does not abort the campaign —
+/// trial, in strict index order, from the one worker currently serving the
+/// reorder window's drain (hence `Send`): calls never overlap, but
+/// successive batches may come from different worker threads, and no
+/// engine lock is held during a call, so a slow sink costs the serving
+/// worker only. A sink that errors does not abort the campaign —
 /// remaining trials still run and aggregate — but the error is returned
 /// from [`run_campaign_streamed`] and later trials are dropped instead of
 /// delivered.
@@ -872,10 +876,12 @@ pub struct CampaignSummary {
     pub threads: usize,
     /// Chunk size used (after auto-resolution).
     pub chunk: usize,
-    /// High-water mark of results parked in the reorder buffer, counting
-    /// the one being inserted: 1 at one thread, where every push lands on
-    /// the drain cursor and drains at once (0 only for a campaign that ran
-    /// no trial). Always ≤ `buffer_capacity`.
+    /// High-water mark of undelivered results — parked in the reorder
+    /// window or in the serving worker's batch — counting the one being
+    /// inserted: 1 at one thread, where every push lands on the drain
+    /// cursor and is delivered at once (0 only for a campaign that ran no
+    /// trial). Always ≤ `buffer_capacity`, since backpressure admits only
+    /// indices below `delivered + buffer_capacity`.
     pub peak_buffered: usize,
     /// The reorder buffer's capacity bound: `2 × threads × chunk`.
     pub buffer_capacity: usize,
@@ -965,65 +971,110 @@ fn resolve_chunk(requested: usize, len: usize, threads: usize) -> usize {
 
 /// The bounded reorder window between workers and the sink.
 ///
-/// Workers insert completed trials at their index; whichever insert fills
-/// the gap at the drain cursor drains the ready prefix — folding totals and
-/// feeding the sink *in index order* — while holding the lock. An insert
-/// whose index is at least `capacity` ahead of the cursor blocks
-/// (backpressure), which is what bounds peak result memory to O(threads ×
-/// chunk).
+/// Workers insert completed trials at their index. The sink is fed *in
+/// index order* by one worker at a time, the **server**, and never under
+/// the window lock, so the other workers keep inserting and running trials
+/// while it serializes and writes:
 ///
-/// Deadlock-free: the worker owning the cursor's chunk inserts its indices
-/// in order, so its next insert is never ahead of the cursor and therefore
-/// never blocks; every drain wakes all waiters.
+/// * An insert that extends the filled prefix (the ready results at the
+///   front of the window) while nobody serves becomes the server. An
+///   insert that finds a server running returns at once; the server picks
+///   its result up on its next pass.
+/// * The server loops: it takes at most `chunk` ready results out of the
+///   window, releases the window lock, folds [`Totals`] and calls the sink
+///   for each in index order (under the drain lock, which only the server
+///   takes), then re-locks the window, advances `delivered` and wakes any
+///   blocked inserter. It stops when the prefix is empty.
+/// * An insert whose index is at least `capacity` ahead of `delivered`
+///   blocks (backpressure), which is what bounds peak result memory to
+///   O(threads × chunk).
+///
+/// Deadlock-free because of one invariant, kept under the window lock:
+/// *a non-empty filled prefix (ready slots, or results the server has taken
+/// but not yet delivered) implies someone is serving.* The server waits on
+/// nothing but the two locks, and never holds one while taking the other.
+/// Consider the lowest index not yet inserted, `g`. Everything below it is
+/// in the filled prefix or delivered, so the server delivers up to `g` and
+/// wakes `g`'s owner if backpressure blocked it. The owner inserts its
+/// chunk in order, so `g` is its next index; if it is the server, it stops
+/// serving once the prefix up to its own gap `g` is delivered; and a
+/// [`ScheduledSource`](crate::scheduler::ScheduledSource) may block its
+/// `spec(g)` only until trials strictly below `g` reach the sink — which
+/// the server guarantees. So `g` is always inserted, and by induction every
+/// trial is.
 ///
 /// That argument assumes every worker survives to publish its claimed
 /// slots. A worker that dies *between* claiming a chunk and pushing all of
-/// its indices (a panicking [`SpecSource`], a harness bug — app panics are
-/// already contained per trial) would leave a permanent gap at the drain
-/// cursor, wedging every other worker in [`push`](Self::push) forever. Each
-/// worker therefore holds a [`PoisonOnUnwind`] guard that flags the window
-/// dead ([`poison`](Self::poison)) as the dying thread unwinds: blocked
+/// its indices (a panicking [`SpecSource`], a panicking sink, a harness bug
+/// — app panics are already contained per trial) would leave a permanent
+/// gap or a server that never returns, wedging every other worker in
+/// [`push`](Self::push) forever. Each worker therefore holds a
+/// [`PoisonOnUnwind`] guard that flags the window dead
+/// ([`poison`](Self::poison)) as the dying thread unwinds: blocked
 /// inserters wake, observe the flag, and panic with a diagnostic instead of
 /// blocking — the campaign fails fast and the original panic propagates
 /// through the thread scope.
 struct Reorder<'a> {
-    inner: Mutex<ReorderInner<'a>>,
+    window: Mutex<Window>,
     space: Condvar,
+    drain: Mutex<Drain<'a>>,
     capacity: usize,
+    chunk: usize,
 }
 
-struct ReorderInner<'a> {
-    /// Window slots for indices `next_drain ..`; `None` = still running.
-    window: VecDeque<Option<TrialResult>>,
-    /// Index the sink expects next.
-    next_drain: usize,
-    /// Occupied window slots, and the campaign-wide high-water mark.
+/// The reorder window's shared state: everything workers touch on insert.
+struct Window {
+    /// Slots for indices `head ..`; `None` = still running.
+    slots: VecDeque<Option<TrialResult>>,
+    /// Index of `slots[0]`; `head - delivered` results are with the server.
+    head: usize,
+    /// Ready results at the front of `slots`: the end of the filled prefix
+    /// is `head + ready`.
+    ready: usize,
+    /// Trials the sink has received; backpressure counts from here.
+    delivered: usize,
+    /// A worker is feeding the sink (the invariant above).
+    serving: bool,
+    /// The server's batch, parked here between passes so it is allocated
+    /// once per campaign.
+    batch: Vec<TrialResult>,
+    /// Workers blocked on backpressure; the server notifies only if any.
+    waiting: usize,
+    /// Undelivered results, and the campaign-wide high-water mark.
     buffered: usize,
     peak: usize,
-    totals: Totals,
-    sink: &'a mut dyn TrialSink,
-    sink_error: Option<std::io::Error>,
     /// A worker died before publishing its claimed slots; the drain can
     /// never complete. Set via [`Reorder::poison`], observed by every
     /// blocked or arriving [`Reorder::push`].
     poisoned: bool,
 }
 
+/// The drain side, taken only by the serving worker.
+struct Drain<'a> {
+    totals: Totals,
+    sink: &'a mut dyn TrialSink,
+    sink_error: Option<std::io::Error>,
+}
+
 impl Reorder<'_> {
-    fn new(sink: &mut dyn TrialSink, capacity: usize) -> Reorder<'_> {
+    fn new(sink: &mut dyn TrialSink, capacity: usize, chunk: usize) -> Reorder<'_> {
         Reorder {
-            inner: Mutex::new(ReorderInner {
-                window: VecDeque::new(),
-                next_drain: 0,
+            window: Mutex::new(Window {
+                slots: VecDeque::new(),
+                head: 0,
+                ready: 0,
+                delivered: 0,
+                serving: false,
+                batch: Vec::new(),
+                waiting: 0,
                 buffered: 0,
                 peak: 0,
-                totals: Totals::new(),
-                sink,
-                sink_error: None,
                 poisoned: false,
             }),
             space: Condvar::new(),
+            drain: Mutex::new(Drain { totals: Totals::new(), sink, sink_error: None }),
             capacity,
+            chunk,
         }
     }
 
@@ -1033,7 +1084,7 @@ impl Reorder<'_> {
     /// a poisoned mutex: the flag must get through even when the dying
     /// worker panicked while another thread held the lock.
     fn poison(&self) {
-        match self.inner.lock() {
+        match self.window.lock() {
             Ok(mut g) => g.poisoned = true,
             Err(mut e) => e.get_mut().poisoned = true,
         }
@@ -1041,40 +1092,69 @@ impl Reorder<'_> {
     }
 
     fn push(&self, index: usize, result: TrialResult) {
-        let mut g = self.inner.lock().expect("unpoisoned reorder buffer");
-        while !g.poisoned && index >= g.next_drain + self.capacity {
-            g = self.space.wait(g).expect("unpoisoned reorder buffer");
+        let mut w = self.window.lock().expect("unpoisoned reorder window");
+        while !w.poisoned && index >= w.delivered + self.capacity {
+            w.waiting += 1;
+            w = self.space.wait(w).expect("unpoisoned reorder window");
+            w.waiting -= 1;
         }
         assert!(
-            !g.poisoned,
+            !w.poisoned,
             "campaign worker died before completing its chunk; \
              reorder window poisoned to unblock the drain"
         );
-        let offset = index - g.next_drain;
-        if g.window.len() <= offset {
-            g.window.resize_with(offset + 1, || None);
+        let offset = index - w.head;
+        if w.slots.len() <= offset {
+            w.slots.resize_with(offset + 1, || None);
         }
-        debug_assert!(g.window[offset].is_none(), "trial {index} inserted twice");
-        g.window[offset] = Some(result);
-        g.buffered += 1;
-        if g.buffered > g.peak {
-            g.peak = g.buffered;
+        debug_assert!(w.slots[offset].is_none(), "trial {index} inserted twice");
+        w.slots[offset] = Some(result);
+        w.buffered += 1;
+        w.peak = w.peak.max(w.buffered);
+        if offset != w.ready {
+            return;
         }
-        let mut drained = false;
-        while matches!(g.window.front(), Some(Some(_))) {
-            let t = g.window.pop_front().flatten().expect("front checked ready");
-            g.next_drain += 1;
-            g.buffered -= 1;
-            g.totals.accept(&t);
-            if g.sink_error.is_none() {
-                if let Err(e) = g.sink.accept(t) {
-                    g.sink_error = Some(e);
+        while matches!(w.slots.get(w.ready), Some(Some(_))) {
+            w.ready += 1;
+        }
+        if w.serving {
+            return;
+        }
+        w.serving = true;
+        loop {
+            let n = w.ready.min(self.chunk);
+            let mut batch = std::mem::take(&mut w.batch);
+            batch.extend(w.slots.drain(..n).map(|s| s.expect("prefix slots are ready")));
+            w.ready -= n;
+            w.head += n;
+            drop(w);
+            self.deliver(&mut batch);
+            w = self.window.lock().expect("unpoisoned reorder window");
+            w.batch = batch;
+            w.delivered += n;
+            w.buffered -= n;
+            if w.waiting > 0 {
+                self.space.notify_all();
+            }
+            if w.ready == 0 {
+                w.serving = false;
+                return;
+            }
+        }
+    }
+
+    /// Folds and sinks `batch` in index order, leaving it empty. Only the
+    /// server calls this, outside the window lock.
+    fn deliver(&self, batch: &mut Vec<TrialResult>) {
+        let mut d = self.drain.lock().expect("unpoisoned reorder drain");
+        let d = &mut *d;
+        for t in batch.drain(..) {
+            d.totals.accept(&t);
+            if d.sink_error.is_none() {
+                if let Err(e) = d.sink.accept(t) {
+                    d.sink_error = Some(e);
                 }
             }
-            drained = true;
-        }
-        if drained {
-            self.space.notify_all();
         }
     }
 }
@@ -1109,11 +1189,17 @@ pub(crate) fn collect_in_memory<T>(
 /// completed results in index order to `sink`, and returns the aggregate
 /// [`CampaignSummary`].
 ///
+/// The sink is called by one worker at a time — whichever worker found the
+/// drain idle when it completed the next trial in line — in batches of at
+/// most `chunk` results and outside the reorder window's lock, so the other
+/// workers keep running trials while it serializes and writes. With one
+/// thread every call happens on the caller's thread.
+///
 /// Peak result memory is bounded by the reorder window (`2 × threads ×
-/// chunk` results), independent of campaign length. All outcomes and
-/// aggregates are bit-identical for any thread count, chunk size and sink —
-/// each trial is a pure function of its spec, and aggregation happens in
-/// index order at the drain point.
+/// chunk` undelivered results), independent of campaign length. All
+/// outcomes and aggregates are bit-identical for any thread count, chunk
+/// size and sink — each trial is a pure function of its spec, and
+/// aggregation happens in index order at the drain point.
 ///
 /// # Errors
 ///
@@ -1134,7 +1220,7 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     let progress = Progress::new(len, opts.progress, start);
     let log_events = opts.log_events;
 
-    let reorder = Reorder::new(sink, capacity);
+    let reorder = Reorder::new(sink, capacity, chunk);
     let next = AtomicUsize::new(0);
     let worker = || {
         // If this worker dies mid-chunk (harness bug), poison the window so
@@ -1161,7 +1247,7 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     };
     if threads == 1 {
         // A lone worker runs on the caller's thread. Its every push lands on
-        // the drain cursor, so it never blocks and drains at once.
+        // the drain cursor, so it never blocks and serves its own result.
         worker();
     } else {
         std::thread::scope(|scope| {
@@ -1170,17 +1256,18 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
             }
         });
     }
-    let mut inner = reorder.inner.into_inner().expect("unpoisoned reorder buffer");
-    debug_assert!(inner.next_drain == len, "every trial must have drained");
-    if inner.sink_error.is_none() {
-        if let Err(e) = inner.sink.flush() {
-            inner.sink_error = Some(e);
+    let window = reorder.window.into_inner().expect("unpoisoned reorder window");
+    debug_assert!(window.delivered == len, "every trial must have drained");
+    let mut drain = reorder.drain.into_inner().expect("unpoisoned reorder drain");
+    if drain.sink_error.is_none() {
+        if let Err(e) = drain.sink.flush() {
+            drain.sink_error = Some(e);
         }
     }
-    match inner.sink_error {
+    match drain.sink_error {
         Some(e) => Err(e),
         None => {
-            Ok(inner.totals.into_summary(start.elapsed(), threads, chunk, inner.peak, capacity))
+            Ok(drain.totals.into_summary(start.elapsed(), threads, chunk, window.peak, capacity))
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::recovery::{chaos_config, Policy};
@@ -249,6 +249,157 @@ fn dying_worker_poisons_the_reorder_window_instead_of_hanging() {
         .recv_timeout(Duration::from_secs(60))
         .expect("campaign hung: the reorder window was never poisoned");
     assert!(panicked, "a dying worker must propagate as a campaign panic, not a clean return");
+}
+
+/// On trial 0's `accept`, waits (up to 10 s) for two more `spec` requests
+/// than had been made when the call began, and records how many it saw.
+struct WaitingSink {
+    requested: std::sync::mpsc::Receiver<usize>,
+    seen_during_accept: Option<usize>,
+}
+
+impl TrialSink for WaitingSink {
+    fn accept(&mut self, trial: TrialResult) -> io::Result<()> {
+        if trial.index == 0 {
+            while self.requested.try_recv().is_ok() {}
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut seen = 0;
+            while seen < 2 {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.requested.recv_timeout(left) {
+                    Ok(_) => seen += 1,
+                    Err(_) => break,
+                }
+            }
+            self.seen_during_accept = Some(seen);
+        }
+        Ok(())
+    }
+}
+
+/// The sink runs outside the reorder window's lock: while one worker is
+/// inside `accept`, the other keeps requesting specs and running trials.
+/// With the sink called under the lock, the other worker could request at
+/// most one more spec before its `push` blocked on the held lock.
+#[test]
+fn sink_work_does_not_block_other_workers() {
+    let specs = mixed_specs();
+    let (tx, rx) = std::sync::mpsc::channel();
+    // 2 threads × chunk 4: the window holds 16, so the worker that is not
+    // serving can run well past trial 0 before backpressure stops it.
+    let source = SpecFn::new(32, |i| {
+        let _ = tx.send(i);
+        specs[i % specs.len()].clone()
+    });
+    let opts = CampaignOptions { threads: 2, chunk: 4, ..CampaignOptions::default() };
+    let mut sink = WaitingSink { requested: rx, seen_during_accept: None };
+    let summary = run_campaign_streamed(&source, &opts, &mut sink).expect("sink never fails");
+    assert_eq!(summary.trials, 32);
+    assert_eq!(
+        sink.seen_during_accept,
+        Some(2),
+        "the other worker stalled while trial 0 was being sunk"
+    );
+}
+
+/// Panics in `accept` of trial `panic_at`.
+struct PanickingSink {
+    panic_at: usize,
+}
+
+impl TrialSink for PanickingSink {
+    fn accept(&mut self, trial: TrialResult) -> io::Result<()> {
+        assert!(trial.index != self.panic_at, "synthetic sink failure");
+        Ok(())
+    }
+}
+
+/// A sink that panics kills the worker serving the drain while it holds
+/// the drain: the campaign must panic promptly instead of leaving the other
+/// workers waiting for a server that never returns.
+#[test]
+fn panicking_sink_ends_the_campaign_promptly() {
+    for threads in [2usize, 4] {
+        let specs = mixed_specs();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // 64 trials, chunk 1: the window holds 2 × threads, so the
+            // survivors run into backpressure soon after trial 5.
+            let source = SpecFn::new(64, |i| specs[i % specs.len()].clone());
+            let opts = CampaignOptions { threads, chunk: 1, ..CampaignOptions::default() };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = run_campaign_streamed(&source, &opts, &mut PanickingSink { panic_at: 5 });
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{threads} threads: campaign hung after the sink panicked"));
+        assert!(panicked, "{threads} threads: a sink panic must propagate as a campaign panic");
+    }
+}
+
+/// An [`NdjsonSink`] that yields the thread in every `accept`, so the
+/// serving worker loses the CPU mid-batch and the hand-off between servers
+/// happens under contention.
+struct YieldingSink(NdjsonSink<Vec<u8>>);
+
+impl TrialSink for YieldingSink {
+    fn accept(&mut self, trial: TrialResult) -> io::Result<()> {
+        std::thread::yield_now();
+        self.0.accept(trial)
+    }
+}
+
+/// Runs `specs` into a [`YieldingSink`]; returns the wall-masked NDJSON
+/// lines and the summary.
+fn yielding_run(
+    specs: &[TrialSpec],
+    threads: usize,
+    chunk: usize,
+) -> (Vec<String>, CampaignSummary) {
+    let source = SpecFn::new(specs.len(), |i| specs[i].clone());
+    let opts = CampaignOptions { threads, chunk, ..CampaignOptions::default() };
+    let mut sink = YieldingSink(NdjsonSink::new(Vec::new()));
+    let summary =
+        run_campaign_streamed(&source, &opts, &mut sink).expect("Vec<u8> writes cannot fail");
+    let text = String::from_utf8(sink.0.into_inner()).expect("NDJSON is UTF-8");
+    (text.lines().map(mask_wall).collect(), summary)
+}
+
+/// Serving hand-offs under contention change nothing: the NDJSON stream,
+/// the mean-error bits and the quanta equal the one-thread run at every
+/// thread count and chunk size, and the window stays within its bound.
+#[test]
+fn streams_are_bit_identical_under_hand_off_contention() {
+    let specs: Vec<TrialSpec> = mixed_specs().into_iter().cycle().take(40).collect();
+    let (base_lines, base) = yielding_run(&specs, 1, 1);
+    assert_eq!(base_lines.len(), specs.len());
+    for threads in [1usize, 2, 4, 8] {
+        for chunk in [1usize, 3, 64] {
+            let what = format!("{threads} threads, chunk {chunk}");
+            let (lines, summary) = yielding_run(&specs, threads, chunk);
+            assert_eq!(lines, base_lines, "{what}: NDJSON stream");
+            assert_eq!(
+                summary.mean_error.to_bits(),
+                base.mean_error.to_bits(),
+                "{what}: mean error"
+            );
+            assert_eq!(summary.energy_quanta, base.energy_quanta, "{what}: quanta");
+            assert!(
+                summary.peak_buffered <= summary.buffer_capacity,
+                "{what}: window {}/{} leaked past its bound",
+                summary.peak_buffered,
+                summary.buffer_capacity
+            );
+            if threads == 1 {
+                assert_eq!(
+                    summary.peak_buffered, 1,
+                    "{what}: one worker delivers each push at once"
+                );
+            }
+        }
+    }
 }
 
 /// A sink that can fail on `accept` (after `fail_accept_at` successes) or

@@ -167,9 +167,17 @@ fn kill_resume_stream_is_byte_identical() {
     };
     let status = resumed_client.status(&crash_job).expect("status").json().expect("json");
     let unfinished = i128::from(status.get("verdict").and_then(|v| v.as_str()).is_none());
-    assert_eq!(active(), (unfinished, unfinished));
-    assert_eq!(resumed_client.wait(&crash_job, WAIT).expect("resumed"), "complete");
-    assert_eq!(active(), (0, 0), "a verdict frees both slots");
+    assert_eq!(
+        active(),
+        (unfinished, unfinished),
+        "kill -9 after {kill_after} trials: admission counts after the restart"
+    );
+    assert_eq!(
+        resumed_client.wait(&crash_job, WAIT).expect("resumed"),
+        "complete",
+        "kill -9 after {kill_after} trials: resumed verdict"
+    );
+    assert_eq!(active(), (0, 0), "kill -9 after {kill_after} trials: a verdict frees both slots");
     let crash_bytes = collect(&resumed_client, &crash_job, 0);
     assert_eq!(
         clean_bytes, crash_bytes,
@@ -181,7 +189,7 @@ fn kill_resume_stream_is_byte_identical() {
         assert_eq!(
             clean_summary.get(field),
             resumed_summary.get(field),
-            "summary field `{field}` diverged across kill-resume"
+            "kill -9 after {kill_after} trials: summary field `{field}` diverged across kill-resume"
         );
     }
     // Client-side resume: prefix collected before the kill + `from_line`
@@ -193,7 +201,10 @@ fn kill_resume_stream_is_byte_identical() {
         stitched.push(b'\n');
     }
     stitched.extend_from_slice(&suffix);
-    assert_eq!(clean_bytes, stitched, "from_line resume must stitch exactly");
+    assert_eq!(
+        clean_bytes, stitched,
+        "kill -9 after {kill_after} trials: from_line resume must stitch exactly"
+    );
     resumed.shutdown();
 }
 

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 bin=target/release
 work=$(mktemp -d)
-reports=(fig4 fig5 ablation_error_modes recovery sched)
+reports=(fig3 fig4 fig5 table3 ablation ablation_error_modes recovery sched)
 for name in "${reports[@]}"; do
     cp "results/BENCH_$name.json" "$work/"
 done
@@ -52,15 +52,20 @@ reject "$bin/fuzzgen" --no-such-flag
 # The committed text captures under results/ back the paper's figures; each
 # of these regenerates from its command byte for byte, so a change that
 # moves a figure fails here.
-step "captures: fig4, fig5, error-mode ablation and recovery match results/"
+step "captures: all nine text captures match results/"
 capture() {
     local file=$1 cmd=$2
     shift 2
     "$bin/$cmd" "$@" | cmp - "results/$file.txt"
 }
+capture table2 table2
+capture table3 table3
+capture fig3 fig3
 capture fig4 fig4
 capture fig5 fig5 --runs 20
+capture ablation ablation --runs 10
 capture ablation_modes ablation --error-modes --runs 10
+capture tuning tuning
 capture recovery recovery --runs 10 --amplify 40
 
 step "quanta: fig5 at one thread"
