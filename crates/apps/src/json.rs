@@ -1,8 +1,9 @@
-//! A minimal JSON reader for the bench tooling.
+//! A minimal JSON reader.
 //!
 //! The workspace serializes its reports with a hand-rolled emitter (no
-//! serde — the build is offline); `faultscope` and `validate_schema` need
-//! the inverse. This is a small recursive-descent parser covering exactly
+//! serde — the build is offline); the readers beside the writers in
+//! [`trials`](crate::trials), and `campaignd`'s spec and journal parsers,
+//! need the inverse. This is a small recursive-descent parser covering exactly
 //! the JSON the emitters produce: objects, arrays, strings with the
 //! standard escapes, numbers (including exponents), booleans and null.
 
@@ -247,6 +248,10 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b.is_ascii() => {
+                    out.push(char::from(b));
+                    self.pos += 1;
+                }
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is a &str, so the
                     // byte stream is valid UTF-8).
@@ -360,8 +365,8 @@ mod tests {
 
     #[test]
     fn round_trips_a_real_campaign_report() {
-        use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialSpec};
-        let app = enerj_apps::all_apps().remove(2); // MonteCarlo
+        use crate::trials::{CampaignOptions, CampaignReport, TrialSpec};
+        let app = crate::all_apps().remove(2); // MonteCarlo
         let report = CampaignReport::collect(
             &[TrialSpec::reference(&app)][..],
             &CampaignOptions::with_threads(1),

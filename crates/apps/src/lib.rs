@@ -28,6 +28,7 @@ pub mod approximable;
 pub mod estimator;
 pub mod imagej;
 pub mod jmonkey;
+pub mod json;
 pub mod meta;
 pub mod qos;
 pub mod raytracer;
@@ -93,6 +94,11 @@ pub fn all_apps() -> Vec<App> {
         App { meta: imagej::meta(), run: imagej::run, check: imagej::check },
         App { meta: raytracer::meta(), run: raytracer::run, check: raytracer::check },
     ]
+}
+
+/// The registered benchmark called `name` (its Table 3 name), if any.
+pub fn app(name: &str) -> Option<App> {
+    all_apps().into_iter().find(|a| a.meta.name == name)
 }
 
 /// The standard measurement protocol used by every table and figure.

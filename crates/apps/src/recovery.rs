@@ -391,7 +391,7 @@ mod tests {
     use crate::{all_apps, no_check};
 
     fn app(name: &str) -> App {
-        all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+        crate::app(name).expect("registered")
     }
 
     /// A test app whose loop bound is an endorsed approximate value: under

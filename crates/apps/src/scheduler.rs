@@ -829,7 +829,7 @@ mod tests {
 
     #[test]
     fn precise_rung_reproduces_reference_at_baseline_cost() {
-        let mc = all_apps().into_iter().find(|a| a.meta.name == "MonteCarlo").unwrap();
+        let mc = crate::app("MonteCarlo").unwrap();
         let reference = harness::reference(&mc);
         let precise = harness::measure_with(&mc, SchedLevel::Precise.config(), 1234);
         assert_eq!(precise.output, reference.output, "precise rung is bit-exact");

@@ -60,21 +60,24 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::harness::{self, FAULT_SEED_BASE};
+use crate::json::Json;
 use crate::qos::{output_error, Output};
 use crate::recovery;
+use crate::scheduler::SchedLevel;
 use crate::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
-use enerj_hw::trace::FaultEvent;
+use enerj_hw::telemetry::KindCount;
+use enerj_hw::trace::{FaultEvent, FaultKind};
 use enerj_hw::FaultCounters;
 
 /// One fully determined trial: an app, a hardware configuration, a seed.
@@ -162,7 +165,8 @@ pub struct TrialResult {
     /// Output error in `[0, 1]` against the spec's reference (0.0 when the
     /// spec had none; 1.0 when the trial panicked).
     pub error: f64,
-    /// The trial's output, when the spec asked to keep it.
+    /// The trial's output, when the spec asked to keep it. A report does
+    /// not carry it: [`CampaignReport::from_json`] reads `None`.
     pub output: Option<Output>,
     /// Operation and storage statistics (zeroed for panicked trials).
     pub stats: Stats,
@@ -183,7 +187,8 @@ pub struct TrialResult {
     pub fault_counts: FaultCounters,
     /// Structured fault events, when the campaign ran with
     /// [`CampaignOptions::log_events`] (empty otherwise, and for panicked
-    /// trials).
+    /// trials). They go to the fault log, not the report:
+    /// [`CampaignReport::from_json`] reads them as empty.
     pub events: Vec<FaultEvent>,
     /// Executions this trial took: 1 without recovery (or when the first
     /// attempt passed), one extra per escalation rung tried.
@@ -279,6 +284,16 @@ impl CampaignReport {
         CampaignReport { trials, summary, budget_quanta: None, budget_met: None }
     }
 
+    /// A report of `trials`, in index order, with the summary the engine's
+    /// drain folds from them. The summary's `chunk`, `peak_buffered` and
+    /// `buffer_capacity` are 0, and there is no budget.
+    pub fn from_trials(trials: Vec<TrialResult>, wall: Duration, threads: usize) -> Self {
+        let mut totals = Totals::new();
+        trials.iter().for_each(|t| totals.accept(t));
+        let summary = totals.into_summary(wall, threads, 0, 0, 0);
+        CampaignReport { trials, summary, budget_quanta: None, budget_met: None }
+    }
+
     /// Mean output error over the trials of one `(app, label)` group,
     /// summed in trial-index order. Empty groups score 0.0.
     pub fn mean_error_for(&self, app: &str, label: &str) -> f64 {
@@ -366,17 +381,8 @@ impl CampaignReport {
         let mut out = String::new();
         for t in &self.trials {
             for e in &t.events {
-                let _ = write!(out, "{{\"trial\":{}", t.index);
-                push_json_string(&mut out, ",\"app\":", t.app);
-                push_json_string(&mut out, ",\"label\":", &t.label);
-                let _ = write!(out, ",\"seed\":{}", t.seed);
-                push_json_f64(&mut out, ",\"time\":", e.time);
-                // Fault kind names are plain ASCII words: nothing to escape.
-                let _ = writeln!(
-                    out,
-                    ",\"unit\":\"{}\",\"width\":{},\"bits_flipped\":{}}}",
-                    e.kind, e.width, e.bits_flipped
-                );
+                push_fault_line(&mut out, t.index, t.app, &t.label, t.seed, e);
+                out.push('\n');
             }
         }
         out
@@ -536,6 +542,392 @@ fn push_counters(out: &mut String, key: &str, c: &FaultCounters) {
         );
     }
     out.push('}');
+}
+
+/// Appends one fault-log line, without its newline.
+fn push_fault_line(
+    out: &mut String,
+    trial: usize,
+    app: &str,
+    label: &str,
+    seed: u64,
+    e: &FaultEvent,
+) {
+    let _ = write!(out, "{{\"trial\":{trial}");
+    push_json_string(out, ",\"app\":", app);
+    push_json_string(out, ",\"label\":", label);
+    let _ = write!(out, ",\"seed\":{seed}");
+    push_json_f64(out, ",\"time\":", e.time);
+    // Fault kind names are plain ASCII words: nothing to escape.
+    let _ = write!(
+        out,
+        ",\"unit\":\"{}\",\"width\":{},\"bits_flipped\":{}}}",
+        e.kind, e.width, e.bits_flipped
+    );
+}
+
+// The readers below invert the writers above: each builds the writer's own
+// value, checks the invariants every writer output keeps, and through
+// [`read_exact`] requires the writer to render that value back to the text
+// byte for byte.
+
+/// Why a report or fault-log line does not read back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadError {
+    /// The field concerned (`trials[3].energy_quanta.sram`; `line N` in a
+    /// fault log), empty for the text as a whole.
+    pub path: String,
+    /// What is wrong there.
+    pub kind: ReadErrorKind,
+}
+
+/// What a [`ReadError`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadErrorKind {
+    /// Not JSON, a missing or mistyped field, a broken invariant, or bytes
+    /// the writer would not emit.
+    Invalid(String),
+    /// An `app` field naming no registered benchmark ([`crate::app`]).
+    UnknownApp(String),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !self.path.is_empty() {
+            write!(f, "{}: ", self.path)?;
+        }
+        match &self.kind {
+            ReadErrorKind::Invalid(msg) => f.write_str(msg),
+            ReadErrorKind::UnknownApp(name) => write!(f, "unknown app `{name}`"),
+        }
+    }
+}
+
+/// A JSON value being read, with the field path that led to it, so that
+/// every [`ReadError`] names its field.
+pub struct Field<'a> {
+    json: &'a Json,
+    path: String,
+}
+
+impl<'a> Field<'a> {
+    /// An [`Invalid`](ReadErrorKind::Invalid) error at this field.
+    pub fn invalid(&self, msg: impl Into<String>) -> ReadError {
+        ReadError { path: self.path.clone(), kind: ReadErrorKind::Invalid(msg.into()) }
+    }
+
+    /// `Ok` when `ok` holds, else an error at this field saying `msg()`.
+    pub fn ensure(&self, ok: bool, msg: impl FnOnce() -> String) -> Result<(), ReadError> {
+        if ok {
+            Ok(())
+        } else {
+            Err(self.invalid(msg()))
+        }
+    }
+
+    /// Member `key` of this object; a missing member is an error.
+    pub fn get(&self, key: &str) -> Result<Field<'a>, ReadError> {
+        let path =
+            if self.path.is_empty() { key.to_owned() } else { format!("{}.{key}", self.path) };
+        match self.json.get(key) {
+            Some(json) => Ok(Field { json, path }),
+            None => Err(ReadError { path, kind: ReadErrorKind::Invalid("missing".to_owned()) }),
+        }
+    }
+
+    /// This array's elements, each at path `field[i]`.
+    pub fn items(&self) -> Result<Vec<Field<'a>>, ReadError> {
+        let items = self.json.as_array().ok_or_else(|| self.invalid("not an array"))?;
+        let item = |(i, json)| Field { json, path: format!("{}[{i}]", self.path) };
+        Ok(items.iter().enumerate().map(item).collect())
+    }
+
+    /// `None` when this field is `null`.
+    pub fn nullable(&self) -> Option<&Self> {
+        (*self.json != Json::Null).then_some(self)
+    }
+
+    /// Checks that member `schema` is `expected`.
+    pub fn schema(&self, expected: &str) -> Result<(), ReadError> {
+        let (field, found) = (self.get("schema")?, self.get("schema")?.str()?);
+        field.ensure(found == expected, || format!("`{found}`, expected `{expected}`"))
+    }
+
+    /// An exact integer of the writer's type: no fraction, no exponent and
+    /// no `f64` round trip, so quanta past 2^53 read exactly.
+    pub fn int<T: TryFrom<i128>>(&self) -> Result<T, ReadError> {
+        self.json.as_i128().and_then(|x| T::try_from(x).ok()).ok_or_else(|| {
+            self.invalid(format!("not an exact {} ({:?})", std::any::type_name::<T>(), self.json))
+        })
+    }
+
+    /// Exact energy quanta.
+    pub fn quanta(&self) -> Result<EnergyQuanta, ReadError> {
+        self.int().map(EnergyQuanta::new)
+    }
+
+    /// A number.
+    pub fn f64(&self) -> Result<f64, ReadError> {
+        self.json.as_f64().ok_or_else(|| self.invalid(format!("not a number ({:?})", self.json)))
+    }
+
+    /// A boolean.
+    pub fn bool(&self) -> Result<bool, ReadError> {
+        match self.json {
+            Json::Bool(b) => Ok(*b),
+            other => Err(self.invalid(format!("not a boolean ({other:?})"))),
+        }
+    }
+
+    /// A string.
+    pub fn str(&self) -> Result<&'a str, ReadError> {
+        self.json.as_str().ok_or_else(|| self.invalid(format!("not a string ({:?})", self.json)))
+    }
+}
+
+/// Reads `text` the way its writer wrote it: parses it, builds the value
+/// with `read`, and requires `render(&value) == text` byte for byte. One
+/// trailing newline, as the file writers add, is allowed.
+///
+/// # Errors
+///
+/// The first syntax error, the first field `read` rejects, or the first
+/// byte where the text and its re-rendering differ.
+pub fn read_exact<T>(
+    text: &str,
+    read: impl FnOnce(&Field<'_>) -> Result<T, ReadError>,
+    render: impl FnOnce(&T) -> String,
+) -> Result<T, ReadError> {
+    let text = text.strip_suffix('\n').unwrap_or(text);
+    let root = Field { json: &Json::parse(text).map_err(whole)?, path: String::new() };
+    let value = read(&root)?;
+    let rendered = render(&value);
+    let at = rendered.bytes().zip(text.bytes()).take_while(|(a, b)| a == b).count();
+    let excerpt = |s: &str| s.get(at..).unwrap_or("").chars().take(32).collect::<String>();
+    root.ensure(rendered == text, || {
+        format!(
+            "not the writer's rendering: from byte {at} the text has `{}` where the writer \
+             writes `{}`",
+            excerpt(text),
+            excerpt(&rendered)
+        )
+    })?;
+    Ok(value)
+}
+
+/// An error about the text as a whole.
+fn whole(msg: String) -> ReadError {
+    ReadError { path: String::new(), kind: ReadErrorKind::Invalid(msg) }
+}
+
+/// The registered name an `app` field holds.
+fn read_app(field: &Field<'_>) -> Result<&'static str, ReadError> {
+    let name = field.str()?;
+    let unknown =
+        || ReadError { path: field.path.clone(), kind: ReadErrorKind::UnknownApp(name.into()) };
+    crate::app(name).map(|app| app.meta.name).ok_or_else(unknown)
+}
+
+/// A `{:.6}` wall-clock field.
+fn read_wall(field: &Field<'_>) -> Result<Duration, ReadError> {
+    let secs = field.f64()?;
+    Duration::try_from_secs_f64(secs).map_err(|_| field.invalid(format!("{secs} is no duration")))
+}
+
+/// Inverts [`push_stats`].
+fn read_stats(f: &Field<'_>) -> Result<Stats, ReadError> {
+    Ok(Stats {
+        int_approx_ops: f.get("int_approx_ops")?.int()?,
+        int_precise_ops: f.get("int_precise_ops")?.int()?,
+        fp_approx_ops: f.get("fp_approx_ops")?.int()?,
+        fp_precise_ops: f.get("fp_precise_ops")?.int()?,
+        sram_approx_quanta: f.get("sram_approx_quanta")?.quanta()?,
+        sram_precise_quanta: f.get("sram_precise_quanta")?.quanta()?,
+        dram_approx_quanta: f.get("dram_approx_quanta")?.quanta()?,
+        dram_precise_quanta: f.get("dram_precise_quanta")?.quanta()?,
+        faults_injected: f.get("faults_injected")?.int()?,
+    })
+}
+
+/// Inverts [`push_energy_quanta`]; scaled energy never exceeds its
+/// baseline.
+fn read_energy_quanta(f: &Field<'_>) -> Result<EnergyQuantaBreakdown, ReadError> {
+    let pair = |scaled: &str| {
+        let (field, baseline) = (f.get(scaled)?, format!("baseline_{scaled}"));
+        let (q, base) = (field.quanta()?, f.get(&baseline)?.quanta()?);
+        field.ensure(q <= base, || format!("{q} exceeds {baseline} {base}"))?;
+        Ok((q, base))
+    };
+    let (instructions, baseline_instructions) = pair("instructions")?;
+    let (sram, baseline_sram) = pair("sram")?;
+    let (dram, baseline_dram) = pair("dram")?;
+    let (total, baseline_total) = pair("total")?;
+    Ok(EnergyQuantaBreakdown {
+        instructions,
+        baseline_instructions,
+        sram,
+        baseline_sram,
+        dram,
+        baseline_dram,
+        total,
+        baseline_total,
+    })
+}
+
+/// Inverts [`push_counters`]: one entry per [`FaultKind::ALL`] name (the
+/// re-rendering rejects any other).
+fn read_counters(f: &Field<'_>) -> Result<FaultCounters, ReadError> {
+    let mut counts = [KindCount::default(); FaultKind::ALL.len()];
+    for (count, kind) in counts.iter_mut().zip(FaultKind::ALL) {
+        let entry = f.get(&kind.to_string())?;
+        count.injections = entry.get("injections")?.int()?;
+        count.bits_flipped = entry.get("bits_flipped")?.int()?;
+    }
+    Ok(FaultCounters::from_counts(counts))
+}
+
+/// Inverts [`write_trial_json`]. `output` reads as `None` and `events` as
+/// empty: the record carries neither.
+fn read_trial(f: &Field<'_>) -> Result<TrialResult, ReadError> {
+    let opt_string = |key: &str| -> Result<Option<String>, ReadError> {
+        f.get(key)?.nullable().map(|v| v.str().map(str::to_owned)).transpose()
+    };
+    let (error_field, error) = (f.get("error")?, f.get("error")?.f64()?);
+    error_field.ensure((0.0..=1.0).contains(&error), || format!("{error} outside [0, 1]"))?;
+    let causes = f.get("failure_causes")?.items()?;
+    let failure_causes: Vec<String> =
+        causes.iter().map(|c| c.str().map(str::to_owned)).collect::<Result<_, _>>()?;
+    let recovered_at_level = opt_string("recovered_at_level")?;
+    // The attempt ledger: each rejected attempt records one cause, and one
+    // more attempt produced the accepted output unless the trial stayed
+    // degraded (it failed and no rung was accepted).
+    let degraded = recovered_at_level.is_none() && !failure_causes.is_empty();
+    let (attempts_field, attempts) = (f.get("attempts")?, f.get("attempts")?.int::<u32>()?);
+    attempts_field.ensure(
+        attempts as usize == failure_causes.len() + usize::from(!degraded),
+        || {
+            let outcome = if degraded { "degraded" } else { "accepted" };
+            format!(
+                "{attempts} attempts are inconsistent with {} failure causes on an {outcome} trial",
+                failure_causes.len()
+            )
+        },
+    )?;
+    let scheduled_level = opt_string("scheduled_level")?;
+    if let Some(level) = &scheduled_level {
+        let known = SchedLevel::from_name(level).is_some();
+        f.get("scheduled_level")?.ensure(known, || format!("unknown level `{level}`"))?;
+    }
+    let (overhead_field, overhead) =
+        (f.get("recovery_energy_overhead")?, f.get("recovery_energy_overhead")?.f64()?);
+    overhead_field.ensure(overhead >= 0.0, || format!("negative ({overhead})"))?;
+    let energy = f.get("energy")?;
+    Ok(TrialResult {
+        index: f.get("index")?.int()?,
+        app: read_app(&f.get("app")?)?,
+        label: f.get("label")?.str()?.to_owned(),
+        seed: f.get("seed")?.int()?,
+        error,
+        output: None,
+        stats: read_stats(&f.get("stats")?)?,
+        energy: EnergyBreakdown {
+            instructions: energy.get("instructions")?.f64()?,
+            sram: energy.get("sram")?.f64()?,
+            dram: energy.get("dram")?.f64()?,
+            total: energy.get("total")?.f64()?,
+        },
+        energy_quanta: read_energy_quanta(&f.get("energy_quanta")?)?,
+        wall: read_wall(&f.get("wall_seconds")?)?,
+        panic: opt_string("panic")?,
+        fault_counts: read_counters(&f.get("fault_counts")?)?,
+        events: Vec::new(),
+        attempts,
+        recovered_at_level,
+        failure_causes,
+        recovery_energy_overhead: overhead,
+        recovery_energy_overhead_quanta: f.get("recovery_energy_overhead_quanta")?.quanta()?,
+        scheduled_level,
+    })
+}
+
+impl CampaignReport {
+    /// Reads back a report [`to_json`](Self::to_json) wrote, through
+    /// [`read_exact`]. Every `app` must be registered. The summary is the
+    /// fold of the trials ([`from_trials`](Self::from_trials)), so the
+    /// re-rendering checks every stored total against the trials.
+    ///
+    /// # Errors
+    ///
+    /// The first field that does not read, or the first byte the writer
+    /// would render differently.
+    pub fn from_json(text: &str) -> Result<CampaignReport, ReadError> {
+        read_exact(text, read_report, CampaignReport::to_json)
+    }
+}
+
+fn read_report(f: &Field<'_>) -> Result<CampaignReport, ReadError> {
+    f.schema("enerj-campaign/5")?;
+    let budget_quanta = f.get("budget_quanta")?.nullable().map(Field::quanta).transpose()?;
+    let budget_met = f.get("budget_met")?.nullable().map(Field::bool).transpose()?;
+    f.get("budget_met")?.ensure(budget_quanta.is_some() == budget_met.is_some(), || {
+        "must be null exactly when budget_quanta is".to_owned()
+    })?;
+    let trials = f.get("trials")?.items()?.iter().map(read_trial).collect::<Result<Vec<_>, _>>()?;
+    let (wall, threads) = (read_wall(&f.get("wall_seconds")?)?, f.get("threads")?.int()?);
+    Ok(CampaignReport {
+        budget_quanta,
+        budget_met,
+        ..CampaignReport::from_trials(trials, wall, threads)
+    })
+}
+
+/// One fault-log line read back: the trial's index, app, label and seed,
+/// and the event.
+pub type FaultLogLine = (usize, &'static str, String, u64, FaultEvent);
+
+/// Reads back a fault log [`CampaignReport::fault_log_ndjson`] wrote, line
+/// by line through [`read_exact`]. Each `unit` is a known [`FaultKind`],
+/// each `width` in `1..=64`, `bits_flipped` at most `width` and `time`
+/// non-negative.
+///
+/// # Errors
+///
+/// The first line that does not read back; its path starts `line N`.
+pub fn read_fault_log(text: &str) -> Result<Vec<FaultLogLine>, ReadError> {
+    let render = |(trial, app, label, seed, event): &FaultLogLine| {
+        let mut out = String::new();
+        push_fault_line(&mut out, *trial, app, label, *seed, event);
+        out
+    };
+    let mut lines = Vec::new();
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        let read = match line.strip_suffix('\n') {
+            Some(line) => read_exact(line, read_fault_event, render),
+            None => Err(whole("no final newline".to_owned())),
+        };
+        lines.push(read.map_err(|mut e| {
+            let at = format!("line {}", i + 1);
+            e.path = if e.path.is_empty() { at } else { format!("{at}: {}", e.path) };
+            e
+        })?);
+    }
+    Ok(lines)
+}
+
+fn read_fault_event(f: &Field<'_>) -> Result<FaultLogLine, ReadError> {
+    let (unit, name) = (f.get("unit")?, f.get("unit")?.str()?);
+    let kind =
+        FaultKind::from_name(name).ok_or_else(|| unit.invalid(format!("unknown unit `{name}`")))?;
+    let width: u32 = f.get("width")?.int()?;
+    f.get("width")?.ensure((1..=64).contains(&width), || format!("{width} not in 1..=64"))?;
+    let bits_flipped: u32 = f.get("bits_flipped")?.int()?;
+    f.get("bits_flipped")?
+        .ensure(bits_flipped <= width, || format!("{bits_flipped} exceeds width {width}"))?;
+    let time = f.get("time")?.f64()?;
+    f.get("time")?.ensure(time >= 0.0, || format!("negative ({time})"))?;
+    let event = FaultEvent { kind, time, width, bits_flipped };
+    let (trial, app, label) = (f.get("trial")?.int()?, read_app(&f.get("app")?)?, f.get("label")?);
+    Ok((trial, app, label.str()?.to_owned(), f.get("seed")?.int()?, event))
 }
 
 /// The default worker count: the machine's available parallelism.
@@ -874,7 +1266,9 @@ pub struct CampaignSummary {
     pub wall: Duration,
     /// Worker threads used.
     pub threads: usize,
-    /// Chunk size used (after auto-resolution).
+    /// Chunk size used (after auto-resolution). Not in the report: 0 when
+    /// read back by [`CampaignReport::from_json`], as are the two fields
+    /// below.
     pub chunk: usize,
     /// High-water mark of undelivered results — parked in the reorder
     /// window or in the serving worker's batch — counting the one being
@@ -1319,11 +1713,30 @@ mod tests {
     use crate::all_apps;
 
     fn app(name: &str) -> App {
-        all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+        crate::app(name).expect("registered")
     }
 
     fn run(specs: &[TrialSpec], threads: usize) -> CampaignReport {
         CampaignReport::collect(specs, &CampaignOptions::with_threads(threads))
+    }
+
+    /// `n` MonteCarlo trials under `cfg` (seeds `FAULT_SEED_BASE ^ i`), each
+    /// under the standard recovery ladder at `qos_threshold` when given.
+    fn mc_specs(n: u64, label: &str, cfg: HwConfig, qos_threshold: Option<f64>) -> Vec<TrialSpec> {
+        let mc = app("MonteCarlo");
+        let reference = Arc::new(harness::reference(&mc).output);
+        let policy = recovery::Policy { qos_threshold, ..recovery::Policy::standard() };
+        (0..n)
+            .map(|i| {
+                let spec =
+                    TrialSpec::scored(&mc, label, cfg, FAULT_SEED_BASE ^ i, Arc::clone(&reference));
+                if qos_threshold.is_some() {
+                    spec.with_recovery(policy.clone())
+                } else {
+                    spec
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -1390,20 +1803,7 @@ mod tests {
 
     #[test]
     fn results_keep_spec_order() {
-        let mc = app("MonteCarlo");
-        let reference = Arc::new(harness::reference(&mc).output);
-        let specs: Vec<TrialSpec> = (0..8)
-            .map(|i| {
-                TrialSpec::scored(
-                    &mc,
-                    "Medium",
-                    HwConfig::for_level(Level::Medium),
-                    FAULT_SEED_BASE ^ i,
-                    Arc::clone(&reference),
-                )
-            })
-            .collect();
-        let report = run(&specs, 4);
+        let report = run(&mc_specs(8, "Medium", HwConfig::for_level(Level::Medium), None), 4);
         for (i, t) in report.trials.iter().enumerate() {
             assert_eq!(t.index, i);
             assert_eq!(t.seed, FAULT_SEED_BASE ^ i as u64);
@@ -1412,59 +1812,26 @@ mod tests {
 
     #[test]
     fn json_report_has_schema_and_trials() {
-        let specs = vec![TrialSpec::reference(&app("MonteCarlo"))];
-        let report = run(&specs, 1);
+        let report = run(&[TrialSpec::reference(&app("MonteCarlo"))], 1);
         let json = report.to_json();
         assert!(json.starts_with("{\"schema\":\"enerj-campaign/5\""));
-        assert!(json.contains("\"app\":\"MonteCarlo\""));
-        assert!(json.contains("\"budget_quanta\":null"));
-        assert!(json.contains("\"budget_met\":null"));
-        assert!(json.contains("\"scheduled_level\":null"));
-        assert!(json.contains("\"merged_stats\""));
-        assert!(json.contains("\"panic\":null"));
-        assert!(json.contains("\"fault_totals\""));
-        assert!(json.contains("\"fault_counts\""));
-        assert!(json.contains("\"sram-read-upset\""));
-        assert!(json.contains("\"recovered\":0"));
-        assert!(json.contains("\"attempts\":1"));
-        assert!(json.contains("\"recovered_at_level\":null"));
-        assert!(json.contains("\"failure_causes\":[]"));
-        assert!(json.contains("\"recovery_energy_overhead\":0"));
-        assert!(json.contains("\"recovery_energy_overhead_quanta\":0"));
-        assert!(json.contains("\"energy_quanta\":{\"instructions\":"));
-        assert!(json.contains("\"baseline_total\":"));
-        assert!(json.contains("\"sram_approx_quanta\":"));
-        // Quanta serialize as raw integers: no sign, exponent or dot.
-        let field = json.split("\"sram_precise_quanta\":").nth(1).expect("field present");
-        let value: String = field.chars().take_while(|c| c.is_ascii_digit()).collect();
-        assert!(!value.is_empty());
-        assert_eq!(
-            value.parse::<u128>().unwrap(),
-            report.summary.merged_stats.sram_precise_quanta.get()
-        );
+        // Every field reads back as the writer's typed value; quanta read
+        // only as exact integers (no sign, exponent or dot).
+        let read = CampaignReport::from_json(&json).expect("the report reads back");
+        let t = &read.trials[0];
+        assert_eq!((t.app, t.attempts, t.panic.as_deref()), ("MonteCarlo", 1, None));
+        assert_eq!((t.recovered_at_level.as_deref(), t.scheduled_level.as_deref()), (None, None));
+        assert!(t.failure_causes.is_empty());
+        assert_eq!((read.budget_quanta, read.budget_met, read.summary.recovered), (None, None, 0));
+        assert_eq!(read.summary.merged_stats, report.summary.merged_stats);
+        assert_eq!(read.summary.fault_totals, report.summary.fault_totals);
     }
 
     #[test]
     fn recovery_specs_escalate_and_report_in_the_campaign() {
-        use crate::recovery::{chaos_config, Policy};
-        let mc = app("MonteCarlo");
-        let reference = Arc::new(harness::reference(&mc).output);
         // Threshold 0 forces every faulted trial down the ladder; the
         // Precise backstop reproduces the reference, so error ends at 0.
-        let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
-        let specs: Vec<TrialSpec> = (0..4)
-            .map(|i| {
-                TrialSpec::scored(
-                    &mc,
-                    "chaos",
-                    chaos_config(50.0),
-                    FAULT_SEED_BASE ^ i,
-                    Arc::clone(&reference),
-                )
-                .with_recovery(policy.clone())
-            })
-            .collect();
-        let report = run(&specs, 2);
+        let report = run(&mc_specs(4, "chaos", recovery::chaos_config(50.0), Some(0.0)), 2);
         assert!(report.summary.recovered > 0, "50x chaos at threshold 0 must escalate");
         assert!(report.summary.recovery_energy_overhead_quanta > EnergyQuanta::ZERO);
         for t in &report.trials {
@@ -1475,16 +1842,10 @@ mod tests {
             }
             assert!(t.error <= f64::EPSILON, "trial {}: error {}", t.index, t.error);
         }
-        let json = report.to_json();
-        assert!(
-            json.contains("\"recovered_at_level\":\"Precise\"")
-                || json.contains("\"recovered_at_level\":\"Mild\"")
-        );
-        assert!(
-            json.contains("\"failure_causes\":[\"qos:")
-                || json.contains("\"failure_causes\":[\"check:")
-                || json.contains("\"failure_causes\":[\"panic:")
-        );
+        let read = CampaignReport::from_json(&report.to_json()).expect("the report reads back");
+        let t = read.trials.iter().find(|t| t.recovered()).expect("a recovered trial");
+        assert!(matches!(t.recovered_at_level.as_deref(), Some("Precise" | "Mild")));
+        assert!(["qos:", "check:", "panic:"].iter().any(|c| t.failure_causes[0].starts_with(c)));
     }
 
     #[test]
@@ -1548,18 +1909,10 @@ mod tests {
     /// report.
     #[test]
     fn trial_energy_decomposes_exactly_into_accepted_attempt_plus_overhead() {
-        use crate::recovery::{chaos_config, retry_seed, Policy, Rung};
+        use crate::recovery::{chaos_config, retry_seed, Rung};
         let mc = app("MonteCarlo");
-        let reference = Arc::new(harness::reference(&mc).output);
-        let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
         let chaos = chaos_config(50.0);
-        let specs: Vec<TrialSpec> = (0..6)
-            .map(|i| {
-                TrialSpec::scored(&mc, "chaos", chaos, FAULT_SEED_BASE ^ i, Arc::clone(&reference))
-                    .with_recovery(policy.clone())
-            })
-            .collect();
-        let report = run(&specs, 4);
+        let report = run(&mc_specs(6, "chaos", chaos, Some(0.0)), 4);
         assert!(report.summary.recovered > 0, "50x chaos at threshold 0 must escalate");
         for t in &report.trials {
             // Exact decomposition: subtraction round-trips in u128.
@@ -1603,32 +1956,173 @@ mod tests {
 
     #[test]
     fn fault_log_lines_match_injected_faults() {
-        let mc = app("MonteCarlo");
-        let reference = Arc::new(harness::reference(&mc).output);
-        let specs: Vec<TrialSpec> = (0..4)
-            .map(|i| {
-                TrialSpec::scored(
-                    &mc,
-                    "Aggressive",
-                    HwConfig::for_level(Level::Aggressive),
-                    FAULT_SEED_BASE ^ i,
-                    Arc::clone(&reference),
-                )
-            })
-            .collect();
-        let opts = CampaignOptions { threads: 2, log_events: true, ..CampaignOptions::default() };
-        let report = CampaignReport::collect(specs.as_slice(), &opts);
+        let report = aggressive_campaign();
         let totals = &report.summary.fault_totals;
         assert!(totals.total_injections() > 0, "aggressive MonteCarlo injects faults");
-        let ndjson = report.fault_log_ndjson();
-        let lines: Vec<&str> = ndjson.lines().collect();
-        assert_eq!(lines.len() as u64, totals.total_injections());
-        for line in &lines {
-            assert!(line.starts_with("{\"trial\":"));
-            assert!(line.contains("\"unit\":"));
-            assert!(line.contains("\"width\":"));
-            assert!(line.ends_with('}'));
+        let events = read_fault_log(&report.fault_log_ndjson()).expect("the log reads back");
+        assert_eq!(events.len() as u64, totals.total_injections());
+        let bits: u64 = events.iter().map(|e| u64::from(e.4.bits_flipped)).sum();
+        assert_eq!(bits, totals.total_bits_flipped());
+    }
+
+    /// Three Aggressive MonteCarlo trials with the fault log on.
+    fn aggressive_campaign() -> CampaignReport {
+        let specs = mc_specs(3, "Aggr", HwConfig::for_level(Level::Aggressive), None);
+        let opts = CampaignOptions { threads: 1, log_events: true, ..CampaignOptions::default() };
+        CampaignReport::collect(specs.as_slice(), &opts)
+    }
+
+    /// `report` and its fault log read back to the bytes they were
+    /// written as, and the log to the trials' events.
+    fn assert_round_trips(report: &CampaignReport) {
+        let json = report.to_json();
+        assert_eq!(
+            CampaignReport::from_json(&json).expect("the report reads back").to_json(),
+            json
+        );
+        let events = read_fault_log(&report.fault_log_ndjson()).expect("the log reads back");
+        let logged = report.trials.iter().flat_map(|t| t.events.iter().map(|e| (t.index, *e)));
+        assert!(events.iter().map(|e| (e.0, e.4)).eq(logged));
+    }
+
+    /// Reading `text` with its last `from` (in the last trial, for trial
+    /// fields) replaced by `to` fails with an error starting `expect`.
+    fn rejects(text: &str, from: &str, to: &str, expect: &str) {
+        let at = text.rfind(from).expect(from);
+        let text = format!("{}{to}{}", &text[..at], &text[at + from.len()..]);
+        let err = CampaignReport::from_json(&text).expect_err(to).to_string();
+        assert!(err.starts_with(expect), "{from} -> {to}: {err}");
+    }
+
+    #[test]
+    fn real_report_and_log_validate() {
+        let report = aggressive_campaign();
+        assert_round_trips(&report);
+        assert!(CampaignReport::from_json(&(report.to_json() + "\n")).is_ok(), "file form");
+    }
+
+    #[test]
+    fn recovery_campaign_report_validates() {
+        let specs = mc_specs(3, "chaos", recovery::chaos_config(50.0), Some(0.0));
+        let opts = CampaignOptions { threads: 1, log_events: true, ..CampaignOptions::default() };
+        let report = CampaignReport::collect(specs.as_slice(), &opts);
+        assert!(report.summary.recovered > 0, "threshold 0 under chaos must escalate");
+        assert_round_trips(&report);
+    }
+
+    #[test]
+    fn rejects_wrong_schema_and_missing_keys() {
+        let good = aggressive_campaign().to_json();
+        for old in ["enerj-campaign/1", "enerj-campaign/2", "enerj-campaign/3", "enerj-campaign/4"]
+        {
+            rejects(&good, "enerj-campaign/5", old, &format!("schema: `{old}`, expected"));
         }
+        rejects(&good, ",\"label\":\"Aggr\"", "", "trials[2].label: missing");
+        rejects(&good, "{", "", "expected `,` or `}` at byte");
+        rejects(&good, "\"threads\":1", "\"threads\":1 ", "not the writer's rendering: from byte");
+        // Every stored total must be the fold of the trials.
+        rejects(&good, "\"panics\":0", "\"panics\":1", "not the writer's rendering");
+    }
+
+    #[test]
+    fn rejects_malformed_scheduler_fields() {
+        let good = aggressive_campaign().to_json();
+        // Unscheduled campaigns carry null budget fields; a verdict without
+        // a budget is drift, and budgets are integer quanta.
+        let (met, budget, level) =
+            ("\"budget_met\":null", "\"budget_quanta\":null", "\"scheduled_level\":null");
+        rejects(&good, met, "\"budget_met\":true", "budget_met: must be null exactly when");
+        rejects(&good, budget, "\"budget_quanta\":0.5", "budget_quanta: not an exact u128");
+        // The per-trial rung vocabulary is closed.
+        rejects(&good, level, "\"scheduled_level\":\"X\"", "trials[2].scheduled_level: unknown");
+    }
+
+    #[test]
+    fn rejects_malformed_recovery_fields() {
+        let text = aggressive_campaign().to_json();
+        let (attempts, causes) = ("\"attempts\":1", "\"failure_causes\":[]");
+        let ledger = "trials[2].attempts: ";
+        rejects(&text, attempts, "\"attempts\":0", &format!("{ledger}0 attempts are inconsistent"));
+        let two = "\"failure_causes\":[\"qos: a\",\"qos: b\"]";
+        rejects(&text, causes, two, &format!("{ledger}1 attempts are inconsistent with 2"));
+        rejects(&text, causes, "\"failure_causes\":[7]", "trials[2].failure_causes[0]: not a");
+        let overhead = "\"recovery_energy_overhead\":0,";
+        let negative = "\"recovery_energy_overhead\":-0.5,";
+        rejects(&text, overhead, negative, "trials[2].recovery_energy_overhead: negative");
+        rejects(&text, "\"error\":", "\"error\":1.5,\"x\":", "trials[2].error: 1.5 outside [0, 1]");
+        let err = CampaignReport::from_json(&text.replacen("MonteCarlo", "Nope", 1)).unwrap_err();
+        assert_eq!(
+            (err.path, err.kind),
+            ("trials[0].app".into(), ReadErrorKind::UnknownApp("Nope".into()))
+        );
+    }
+
+    #[test]
+    fn rejects_malformed_quanta_fields() {
+        let report = aggressive_campaign();
+        let text = report.to_json();
+        // Quanta are non-negative integer counts, scaled never above baseline.
+        let (total, overhead) = ("\"baseline_total\":", "\"recovery_energy_overhead_quanta\":");
+        let quanta = "trials[2].energy_quanta.";
+        rejects(
+            &text,
+            total,
+            "\"baseline_total\":0.5,\"x\":",
+            &format!("{quanta}baseline_total: not an exact u128"),
+        );
+        rejects(
+            &text,
+            overhead,
+            &format!("{overhead}-1,\"x\":"),
+            "trials[2].recovery_energy_overhead_quanta: not an exact",
+        );
+        let baseline = "\"baseline_instructions\":";
+        rejects(
+            &text,
+            baseline,
+            "\"baseline_instructions\":0,\"x\":",
+            &format!("{quanta}instructions: "),
+        );
+        // Exactly the FaultKind::ALL names.
+        rejects(
+            &text,
+            "\"dram-decay\":",
+            "\"dram-rot\":",
+            "trials[2].fault_counts.dram-decay: missing",
+        );
+        // Quanta past 2^53 read exactly: 2^53 and 2^53 + 1 stay distinct.
+        let mut trials = report.trials;
+        trials[0].recovery_energy_overhead_quanta = EnergyQuanta::new((1 << 53) + 1);
+        let big = CampaignReport::from_trials(trials, Duration::ZERO, 1).to_json();
+        let read = CampaignReport::from_json(&big).unwrap();
+        assert_eq!(read.summary.recovery_energy_overhead_quanta.get(), (1 << 53) + 1);
+    }
+
+    #[test]
+    fn rejects_bad_fault_log_lines() {
+        let line = r#"{"trial":0,"app":"FFT","label":"L","seed":1,"time":0.5,"unit":"int-timing","width":8,"bits_flipped":1}"#;
+        let event = FaultEvent { kind: FaultKind::IntTiming, time: 0.5, width: 8, bits_flipped: 1 };
+        let log = format!("{line}\n{line}\n");
+        assert_eq!(read_fault_log(&log).unwrap(), vec![(0, "FFT", "L".to_owned(), 1, event); 2]);
+        assert_eq!(read_fault_log(""), Ok(Vec::new()));
+        let rejects = |from: &str, to: &str, expect: &str| {
+            let log = format!("{line}\n{}\n", line.replacen(from, to, 1));
+            let err = read_fault_log(&log).unwrap_err().to_string();
+            assert!(err.starts_with(expect), "{from} -> {to}: {err}");
+        };
+        rejects(",\"bits_flipped\":1", "", "line 2: bits_flipped: missing");
+        rejects("int-timing", "warp-core", "line 2: unit: unknown unit `warp-core`");
+        rejects(
+            "\"bits_flipped\":1",
+            "\"bits_flipped\":9",
+            "line 2: bits_flipped: 9 exceeds width 8",
+        );
+        rejects("\"width\":8", "\"width\":65", "line 2: width: 65 not in 1..=64");
+        rejects("\"time\":0.5", "\"time\":-0.5", "line 2: time: negative");
+        rejects("\"FFT\"", "\"X\"", "line 2: app: unknown app `X`");
+        rejects("{", "", "line 2: trailing garbage");
+        rejects("\"time\":0.5", "\"time\":0.50", "line 2: not the writer's rendering");
+        assert_eq!(read_fault_log(line).unwrap_err().to_string(), "line 1: no final newline");
     }
 
     #[test]
@@ -1657,22 +2151,7 @@ mod tests {
         use std::sync::OnceLock;
         static REPORTS: OnceLock<Vec<(usize, CampaignReport)>> = OnceLock::new();
         REPORTS.get_or_init(|| {
-            use crate::recovery::{chaos_config, Policy};
-            let mc = app("MonteCarlo");
-            let reference = Arc::new(harness::reference(&mc).output);
-            let policy = Policy { qos_threshold: Some(0.01), ..Policy::standard() };
-            let specs: Vec<TrialSpec> = (0..4)
-                .map(|i| {
-                    TrialSpec::scored(
-                        &mc,
-                        "chaos",
-                        chaos_config(25.0),
-                        FAULT_SEED_BASE ^ i,
-                        Arc::clone(&reference),
-                    )
-                    .with_recovery(policy.clone())
-                })
-                .collect();
+            let specs = mc_specs(4, "chaos", recovery::chaos_config(25.0), Some(0.01));
             [1usize, 2, 4, 8].iter().map(|&t| (t, run(&specs, t))).collect()
         })
     }

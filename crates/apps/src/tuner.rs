@@ -133,10 +133,9 @@ pub fn tune_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::all_apps;
 
     fn app(name: &str) -> App {
-        all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+        crate::app(name).expect("registered")
     }
 
     #[test]

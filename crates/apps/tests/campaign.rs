@@ -9,12 +9,12 @@ use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::meta::AppMeta;
 use enerj_apps::qos::{output_error, Output, QosMetric};
 use enerj_apps::trials::{run_level_campaign, CampaignOptions, CampaignReport, TrialSpec};
-use enerj_apps::{all_apps, App};
+use enerj_apps::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::stats::Stats;
 
 fn app(name: &str) -> App {
-    all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+    enerj_apps::app(name).expect("registered")
 }
 
 fn run(specs: &[TrialSpec], threads: usize) -> CampaignReport {

@@ -142,9 +142,8 @@ fn figure3_fractions_are_seed_independent() {
 /// mostly FP, barcode decoding mostly integer.
 #[test]
 fn table3_fp_proportions_have_the_papers_shape() {
-    let apps = all_apps();
     let fp_of = |name: &str| {
-        let app = apps.iter().find(|a| a.meta.name == name).expect("registered");
+        let app = &enerj_apps::app(name).expect("registered");
         harness::reference(app).stats.fp_proportion()
     };
     assert!(fp_of("Raytracer") > 0.6);
@@ -158,9 +157,8 @@ fn table3_fp_proportions_have_the_papers_shape() {
 /// approximate DRAM (the paper's explicit observation about Figure 3).
 #[test]
 fn stack_resident_apps_use_no_approximate_dram() {
-    let apps = all_apps();
     for name in ["MonteCarlo", "jMonkeyEngine"] {
-        let app = apps.iter().find(|a| a.meta.name == name).expect("registered");
+        let app = &enerj_apps::app(name).expect("registered");
         let s = harness::reference(app).stats;
         assert!(s.dram_approx_quanta.is_zero(), "{name} should keep data on the stack");
     }

@@ -13,17 +13,14 @@ use enerj_apps::scheduler::{
     profile_workload, run_scheduled, run_scheduled_streamed, AppProfile, SchedLevel, SchedOutcome,
     SchedulerConfig, Workload,
 };
-use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialResult, VecSink};
-use enerj_apps::{all_apps, App};
+use enerj_apps::trials::{read_fault_log, CampaignOptions, CampaignReport, TrialResult, VecSink};
+use enerj_apps::App;
 use enerj_hw::energy::QuantaMeter;
 use enerj_hw::quanta::EnergyQuanta;
 use proptest::prelude::*;
 
 fn apps(names: &[&str]) -> Vec<App> {
-    names
-        .iter()
-        .map(|n| all_apps().into_iter().find(|a| a.meta.name == *n).expect("registered"))
-        .collect()
+    names.iter().map(|n| enerj_apps::app(n).expect("registered")).collect()
 }
 
 /// Everything the matrix tests share, computed once: a mixed workload, its
@@ -49,12 +46,8 @@ fn fixture() -> &'static Fixture {
             CampaignReport::collect(workload.static_specs(SchedLevel::Precise).as_slice(), &opts);
         let precise_cost = QuantaMeter::Sram.spent(&precise.summary.energy_quanta);
         let budget = EnergyQuanta::new(precise_cost.get() * 60 / 100);
-        let baseline = run_scheduled(
-            &workload,
-            &profiles,
-            &SchedulerConfig::new(budget),
-            &CampaignOptions::with_threads(1),
-        );
+        let opts = CampaignOptions { threads: 1, log_events: true, ..CampaignOptions::default() };
+        let baseline = run_scheduled(&workload, &profiles, &SchedulerConfig::new(budget), &opts);
         Fixture { workload, profiles, precise_cost, budget, baseline }
     })
 }
@@ -150,6 +143,12 @@ fn sixty_percent_budget_is_met_with_a_mixed_assignment() {
         assert!(SchedLevel::from_name(name).is_some(), "unknown rung {name:?}");
         assert_eq!(t.label, name, "the rung is the trial's label");
     }
+    // The report and its fault log read back through the readers.
+    let json = report.to_json();
+    assert_eq!(CampaignReport::from_json(&json).expect("the report reads back").to_json(), json);
+    let events = read_fault_log(&report.fault_log_ndjson()).expect("the fault log reads back");
+    assert_eq!(events.len() as u64, report.summary.fault_totals.total_injections());
+    assert!(!events.is_empty());
 }
 
 /// Monotonicity: on the same seeds, raising the budget never lowers

@@ -15,7 +15,7 @@ use enerj_apps::trials::{
     run_campaign_streamed, trial_json, CampaignOptions, CampaignReport, CampaignSummary,
     NdjsonSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
 };
-use enerj_apps::{all_apps, App};
+use enerj_apps::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::EnergyQuantaBreakdown;
 use enerj_hw::quanta::EnergyQuanta;
@@ -24,7 +24,7 @@ use enerj_hw::FaultCounters;
 use proptest::prelude::*;
 
 fn app(name: &str) -> App {
-    all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+    enerj_apps::app(name).expect("registered")
 }
 
 /// A small mixed campaign: two apps, two fault levels, an odd trial count

@@ -9,10 +9,10 @@ use std::time::Duration;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
 use enerj_apps::trials::{
-    trial_json, write_trial_json, CampaignOptions, CampaignReport, CampaignSummary, NdjsonSink,
-    TrialResult, TrialSink, TrialSpec,
+    read_fault_log, trial_json, write_trial_json, CampaignOptions, CampaignReport, NdjsonSink,
+    ReadErrorKind, TrialResult, TrialSink, TrialSpec,
 };
-use enerj_apps::{all_apps, App};
+use enerj_apps::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
@@ -22,7 +22,7 @@ use enerj_hw::FaultCounters;
 use proptest::prelude::*;
 
 fn app(name: &str) -> App {
-    all_apps().into_iter().find(|a| a.meta.name == name).expect("registered")
+    enerj_apps::app(name).expect("registered")
 }
 
 fn aggressive_specs(names: &[&str], runs: u64) -> Vec<TrialSpec> {
@@ -142,28 +142,10 @@ fn synthetic_report() -> CampaignReport {
         recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
         energy_quanta: EnergyQuantaBreakdown::ZERO,
     };
-    // The drain's fold of the two trials, written out: the crashed trial
-    // adds error 1.0 and its panic, the healthy one everything else.
-    let summary = CampaignSummary {
-        trials: 2,
-        mean_error: (0.125 + 1.0) / 2.0,
-        panics: 1,
-        recovered: 1,
-        merged_stats: healthy.stats,
-        energy_quanta: healthy.energy_quanta,
-        fault_totals: healthy.fault_counts,
-        recovery_energy_overhead_quanta: healthy.recovery_energy_overhead_quanta,
-        wall: Duration::from_micros(1_250_000),
-        threads: 3,
-        chunk: 1,
-        peak_buffered: 2,
-        buffer_capacity: 6,
-    };
     CampaignReport {
-        trials: vec![healthy, crashed],
-        summary,
         budget_quanta: Some(EnergyQuanta::new(130_000_000_000)),
         budget_met: Some(true),
+        ..CampaignReport::from_trials(vec![healthy, crashed], Duration::from_micros(1_250_000), 3)
     }
 }
 
@@ -203,6 +185,25 @@ fn campaign_report_json_matches_the_v5_golden() {
 #[test]
 fn fault_log_ndjson_matches_the_v2_golden() {
     check_golden("fault_log_v2.ndjson", &synthetic_report().fault_log_ndjson());
+}
+
+/// The goldens pin the writer, not a readable report: the crashed trial
+/// runs `Panicker`, a test-only app the registry does not know. Under a
+/// registered name, every other byte of the golden reads back.
+#[test]
+fn the_v5_golden_names_an_unregistered_app() {
+    let golden = std::fs::read_to_string(golden_path("campaign_v5.json")).expect("golden present");
+    let err = CampaignReport::from_json(&golden).unwrap_err();
+    assert_eq!(
+        (err.path.as_str(), err.kind),
+        ("trials[1].app", ReadErrorKind::UnknownApp("Panicker".to_owned()))
+    );
+    let registered = golden.replace("\"Panicker\"", "\"LU\"");
+    let report = CampaignReport::from_json(&registered).expect("the rest of the golden reads back");
+    assert_eq!(report.to_json() + "\n", registered);
+    let log = std::fs::read_to_string(golden_path("fault_log_v2.ndjson")).expect("golden present");
+    let events = read_fault_log(&log).expect("the fault-log golden reads back");
+    assert_eq!(events.len(), 2);
 }
 
 /// `NdjsonSink` renders every record into one reused line buffer: a short

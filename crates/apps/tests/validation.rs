@@ -149,9 +149,8 @@ fn no_app_ever_crashes_under_fault_injection() {
 /// the rest (endorsed conditions can reroute a few operations).
 #[test]
 fn energy_is_seed_stable() {
-    let apps = all_apps();
     for name in ["FFT", "SOR", "SparseMatMult"] {
-        let app = apps.iter().find(|a| a.meta.name == name).expect("registered");
+        let app = &enerj_apps::app(name).expect("registered");
         let a = harness::approximate(app, Level::Medium, 1).energy.total;
         let b = harness::approximate(app, Level::Medium, 2).energy.total;
         assert!(
@@ -160,7 +159,7 @@ fn energy_is_seed_stable() {
         );
     }
     for name in ["Raytracer", "MonteCarlo", "LU", "jMonkeyEngine"] {
-        let app = apps.iter().find(|a| a.meta.name == name).expect("registered");
+        let app = &enerj_apps::app(name).expect("registered");
         let a = harness::approximate(app, Level::Medium, 1).energy.total;
         let b = harness::approximate(app, Level::Medium, 2).energy.total;
         assert!(

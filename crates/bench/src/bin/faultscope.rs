@@ -19,6 +19,12 @@
 //! op-budget trips, failed output checks, QoS threshold breaches), and the
 //! exact retry energy overhead in integer quanta.
 //!
+//! Both inputs go through the readers beside their writers
+//! (`CampaignReport::from_json`, `read_fault_log`), so a report or log
+//! with a missing count, an inconsistent attempt ledger or any byte the
+//! writer would not emit is refused with the field's path instead of
+//! being tabulated.
+//!
 //! This is the observability counterpart to `fig5`: instead of "FFT
 //! degrades at Medium", it answers "FFT's faults are 90% SRAM read
 //! upsets" — or, with `--causes`, "FFT's retries are mostly QoS breaches".
@@ -26,9 +32,12 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use enerj_bench::json::Json;
+use enerj_apps::trials::{read_fault_log, CampaignReport, FaultLogLine};
 use enerj_bench::render_table;
+use enerj_hw::quanta::EnergyQuanta;
+use enerj_hw::telemetry::KindCount;
 use enerj_hw::trace::FaultKind;
+use enerj_hw::FaultCounters;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,8 +55,8 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// injections and bits flipped, per (app, kind).
-type Breakdown = BTreeMap<String, [(u64, u64); FaultKind::ALL.len()]>;
+/// Per-kind fault counters, per app.
+type Breakdown = BTreeMap<&'static str, FaultCounters>;
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut path = None;
@@ -73,23 +82,19 @@ fn run(args: &[String]) -> Result<(), String> {
                         recovery telemetry)"
                 .to_owned());
         }
-        return print_causes(&parse_report(&text)?, label.as_deref());
+        print_causes(&read_report(&text)?, label.as_deref());
+        return Ok(());
     }
 
     let (breakdown, source) = if looks_like_report(&text) {
-        (from_report(&parse_report(&text)?, label.as_deref())?, "campaign report")
+        (from_report(&read_report(&text)?, label.as_deref()), "campaign report")
     } else {
-        (from_ndjson(&text, label.as_deref())?, "fault log")
+        let events = read_fault_log(&text).map_err(|e| format!("fault log: {e}"))?;
+        (from_log(&events, label.as_deref()), "fault log")
     };
 
     if breakdown.is_empty() {
-        println!(
-            "no faults recorded{}",
-            match &label {
-                Some(l) => format!(" for label `{l}`"),
-                None => String::new(),
-            }
-        );
+        println!("no faults recorded{}", label_note(" for ", label.as_deref()));
         return Ok(());
     }
 
@@ -100,11 +105,12 @@ fn run(args: &[String]) -> Result<(), String> {
     headers.push("total");
 
     let mut rows = Vec::new();
-    for (app, counts) in &breakdown {
-        let total: u64 = counts.iter().map(|&(inj, b)| if bits { b } else { inj }).sum();
-        let mut row = vec![app.clone()];
-        for &(inj, b) in counts {
-            let n = if bits { b } else { inj };
+    for (app, counters) in &breakdown {
+        let measured = |c: KindCount| if bits { c.bits_flipped } else { c.injections };
+        let total: u64 = counters.per_kind().map(|(_, c)| measured(c)).sum();
+        let mut row = vec![app.to_string()];
+        for (_, count) in counters.per_kind() {
+            let n = measured(count);
             if n == 0 {
                 row.push("-".to_owned());
             } else {
@@ -114,254 +120,184 @@ fn run(args: &[String]) -> Result<(), String> {
         row.push(total.to_string());
         rows.push(row);
     }
-    println!(
-        "Fault breakdown by unit ({measure}, from {source}{})",
-        match &label {
-            Some(l) => format!(", label `{l}`"),
-            None => String::new(),
-        }
-    );
+    let note = label_note(", ", label.as_deref());
+    println!("Fault breakdown by unit ({measure}, from {source}{note})");
     println!();
     println!("{}", render_table(&headers, &rows));
     Ok(())
 }
 
-/// A campaign report is a single JSON object with a `schema` field; an
-/// NDJSON log is one object per line with no `schema`.
+/// A campaign report opens with its `schema` field; a fault-log line
+/// opens with its trial index.
 fn looks_like_report(text: &str) -> bool {
-    text.trim_start().starts_with('{')
-        && Json::parse(text.trim())
-            .ok()
-            .is_some_and(|v| v.get("schema").and_then(Json::as_str).is_some())
+    text.starts_with("{\"schema\":")
 }
 
-/// The one report schema every bench binary writes.
-const SCHEMA: &str = "enerj-campaign/5";
-
-/// Parses a campaign report, accepting exactly [`SCHEMA`].
-fn parse_report(text: &str) -> Result<Json, String> {
-    let report = Json::parse(text.trim()).map_err(|e| format!("report: {e}"))?;
-    let schema = report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema`")?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unsupported schema `{schema}`; re-run the bench binary to produce an {SCHEMA} report"
-        ));
-    }
-    Ok(report)
+fn read_report(text: &str) -> Result<CampaignReport, String> {
+    CampaignReport::from_json(text).map_err(|e| format!("report: {e}"))
 }
 
-fn from_report(report: &Json, label: Option<&str>) -> Result<Breakdown, String> {
-    let trials = report.get("trials").and_then(Json::as_array).ok_or("report: missing `trials`")?;
+/// `prefix` and the `--label` selection, or nothing without one.
+fn label_note(prefix: &str, label: Option<&str>) -> String {
+    label.map(|l| format!("{prefix}label `{l}`")).unwrap_or_default()
+}
+
+/// Whether a trial or event belongs to the `--label` selection.
+fn selected(label: Option<&str>, trial_label: &str) -> bool {
+    label.is_none_or(|want| want == trial_label)
+}
+
+fn from_report(report: &CampaignReport, label: Option<&str>) -> Breakdown {
     let mut breakdown = Breakdown::new();
-    for trial in trials {
-        let app = trial.get("app").and_then(Json::as_str).ok_or("trial: missing `app`")?;
-        if let Some(want) = label {
-            if trial.get("label").and_then(Json::as_str) != Some(want) {
-                continue;
-            }
-        }
-        let counts = trial.get("fault_counts").ok_or("trial: missing `fault_counts`")?;
-        let entry = breakdown.entry(app.to_owned()).or_default();
-        for (i, kind) in FaultKind::ALL.iter().enumerate() {
-            if let Some(kc) = counts.get(&kind.to_string()) {
-                let inj = kc.get("injections").and_then(Json::as_u128).unwrap_or(0);
-                let b = kc.get("bits_flipped").and_then(Json::as_u128).unwrap_or(0);
-                entry[i].0 += u64::try_from(inj).unwrap_or(u64::MAX);
-                entry[i].1 += u64::try_from(b).unwrap_or(u64::MAX);
-            }
+    for trial in report.trials.iter().filter(|t| selected(label, &t.label)) {
+        breakdown.entry(trial.app).or_default().merge(&trial.fault_counts);
+    }
+    breakdown
+}
+
+fn from_log(events: &[FaultLogLine], label: Option<&str>) -> Breakdown {
+    let mut breakdown = Breakdown::new();
+    for (_, app, trial_label, _, event) in events {
+        if selected(label, trial_label) {
+            breakdown.entry(*app).or_default().record(event.kind, event.bits_flipped);
         }
     }
-    Ok(breakdown)
+    breakdown
 }
 
 /// The stable failure-cause categories reports use as `failure_causes`
 /// prefixes (see `enerj_apps::recovery::FailureCause`).
 const CAUSE_CATEGORIES: [&str; 4] = ["panic", "op-budget", "check", "qos"];
 
-/// Per app × label: `[trials, recovered, degraded, per-category counts...]`.
-type CauseRows = BTreeMap<(String, String), [u64; 3 + CAUSE_CATEGORIES.len()]>;
+/// Per app × label: `[trials, recovered, degraded, per-category counts...]`
+/// and the summed retry overhead quanta.
+type CauseRows<'a> =
+    BTreeMap<(&'a str, &'a str), ([u64; 3 + CAUSE_CATEGORIES.len()], EnergyQuanta)>;
 
-/// Per app × label: summed retry overhead quanta.
-type OverheadQuanta = BTreeMap<(String, String), u128>;
-
-/// Accumulates the recovery view from a parsed report.
+/// Accumulates the recovery view from a report.
 ///
 /// Outcomes come from the authoritative recorded fields, not inference:
 /// `recovered_at_level` marks a trial recovered, and a trial is *degraded*
 /// exactly when it failed (non-empty `failure_causes`) and no rung's
-/// output was accepted (`recovered_at_level` null). The attempt ledger is
-/// cross-checked — every failed attempt records one cause, so a recovered
-/// trial must carry `attempts - 1` causes and a degraded one exactly
-/// `attempts` — and any mismatch is a validation error rather than a
-/// silently misclassified row. Overhead quanta are summed as exact
-/// integers ([`Json::as_u128`]), never through f64.
-fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, OverheadQuanta), String> {
-    let trials = report.get("trials").and_then(Json::as_array).ok_or("report: missing `trials`")?;
+/// output was accepted. The reader has already checked the attempt ledger
+/// against these fields. Overhead quanta are summed as exact integers.
+fn causes_rows<'a>(report: &'a CampaignReport, label: Option<&str>) -> CauseRows<'a> {
     let mut rows = CauseRows::new();
-    let mut overhead_quanta = OverheadQuanta::new();
-    for (i, trial) in trials.iter().enumerate() {
-        let app = trial.get("app").and_then(Json::as_str).ok_or("trial: missing `app`")?;
-        let trial_label =
-            trial.get("label").and_then(Json::as_str).ok_or("trial: missing `label`")?;
-        if let Some(want) = label {
-            if trial_label != want {
-                continue;
-            }
-        }
-        let causes = trial
-            .get("failure_causes")
-            .and_then(Json::as_array)
-            .ok_or("trial: missing `failure_causes`")?;
-        let attempts = trial
-            .get("attempts")
-            .and_then(Json::as_u128)
-            .ok_or_else(|| format!("trial {i}: `attempts` must be a non-negative integer"))?;
-        let recovered = trial.get("recovered_at_level").and_then(Json::as_str).is_some();
-        let degraded = !recovered && !causes.is_empty();
-        // Each failed attempt records exactly one cause: recovered trials
-        // spent their last attempt on the accepted output, degraded ones
-        // failed every attempt.
-        let expect = causes.len() as u128 + u128::from(recovered);
-        if (recovered || degraded) && expect != attempts {
-            return Err(format!(
-                "trial {i} ({app}/{trial_label}): {} failure causes and \
-                 recovered_at_level {} are inconsistent with {attempts} attempts",
-                causes.len(),
-                if recovered { "set" } else { "null" },
-            ));
-        }
-        let entry = rows.entry((app.to_owned(), trial_label.to_owned())).or_default();
-        entry[0] += 1;
-        entry[1] += u64::from(recovered);
-        entry[2] += u64::from(degraded);
-        for cause in causes {
-            let cause = cause.as_str().unwrap_or("");
+    for trial in report.trials.iter().filter(|t| selected(label, &t.label)) {
+        let degraded = !trial.recovered() && !trial.failure_causes.is_empty();
+        let (counts, overhead) = rows.entry((trial.app, trial.label.as_str())).or_default();
+        counts[0] += 1;
+        counts[1] += u64::from(trial.recovered());
+        counts[2] += u64::from(degraded);
+        for cause in &trial.failure_causes {
             for (j, cat) in CAUSE_CATEGORIES.iter().enumerate() {
                 if cause.starts_with(&format!("{cat}:")) {
-                    entry[3 + j] += 1;
+                    counts[3 + j] += 1;
                 }
             }
         }
-        let q = trial.get("recovery_energy_overhead_quanta").and_then(Json::as_u128);
-        let q = q.ok_or_else(|| {
-            format!("trial {i}: `recovery_energy_overhead_quanta` must be a non-negative integer")
-        })?;
-        *overhead_quanta.entry((app.to_owned(), trial_label.to_owned())).or_default() += q;
+        *overhead += trial.recovery_energy_overhead_quanta;
     }
-    Ok((rows, overhead_quanta))
+    rows
 }
 
 /// Prints the recovery view: per app × label, the trial count, recovery
 /// outcomes, the failure-cause mix, and the exact retry energy overhead
 /// (integer quanta).
-fn print_causes(report: &Json, label: Option<&str>) -> Result<(), String> {
-    let (rows, overhead_quanta) = causes_rows(report, label)?;
+fn print_causes(report: &CampaignReport, label: Option<&str>) {
+    let rows = causes_rows(report, label);
     if rows.is_empty() {
-        println!(
-            "no trials{}",
-            match &label {
-                Some(l) => format!(" for label `{l}`"),
-                None => String::new(),
-            }
-        );
-        return Ok(());
+        println!("no trials{}", label_note(" for ", label));
+        return;
     }
     let mut headers = vec!["Application", "Label", "trials", "recovered", "degraded"];
     headers.extend(CAUSE_CATEGORIES);
     headers.push("overhead quanta");
     let table_rows: Vec<Vec<String>> = rows
         .iter()
-        .map(|((app, lbl), counts)| {
-            let mut row = vec![app.clone(), lbl.clone()];
+        .map(|((app, lbl), (counts, overhead))| {
+            let mut row = vec![app.to_string(), lbl.to_string()];
             row.extend(counts.iter().map(|n| if *n == 0 { "-".to_owned() } else { n.to_string() }));
             // `trials` reads better as a number even when zero can't occur.
             row[2] = counts[0].to_string();
-            let q = overhead_quanta.get(&(app.clone(), lbl.clone())).copied().unwrap_or(0);
-            row.push(if q == 0 { "-".to_owned() } else { q.to_string() });
+            row.push(if overhead.is_zero() { "-".to_owned() } else { overhead.to_string() });
             row
         })
         .collect();
     println!("Recovery outcomes and failure causes by app and label");
     println!();
     println!("{}", render_table(&headers, &table_rows));
-    Ok(())
-}
-
-fn from_ndjson(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
-    let mut breakdown = Breakdown::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let event = Json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let app = event
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing `app`", lineno + 1))?;
-        if let Some(want) = label {
-            if event.get("label").and_then(Json::as_str) != Some(want) {
-                continue;
-            }
-        }
-        let unit = event
-            .get("unit")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing `unit`", lineno + 1))?;
-        let kind = FaultKind::from_name(unit)
-            .ok_or_else(|| format!("line {}: unknown unit `{unit}`", lineno + 1))?;
-        let b = event.get("bits_flipped").and_then(Json::as_u128).unwrap_or(0);
-        let entry = breakdown.entry(app.to_owned()).or_default();
-        entry[kind.index()].0 += 1;
-        entry[kind.index()].1 += u64::try_from(b).unwrap_or(u64::MAX);
-    }
-    Ok(breakdown)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{causes_rows, parse_report, Json};
+    use super::{causes_rows, looks_like_report, read_report, CampaignReport};
+    use enerj_apps::trials::{CampaignOptions, TrialResult, TrialSpec};
+    use enerj_hw::quanta::EnergyQuanta;
+    use std::time::Duration;
+
+    /// A writer-rendered report of MonteCarlo reference trials, each
+    /// given the recovery fields in `ledgers`: `(attempts,
+    /// recovered_at_level, failure_causes, overhead quanta)`.
+    fn report(ledgers: &[(u32, Option<&str>, &[&str], u128)]) -> String {
+        let app = enerj_apps::app("MonteCarlo").expect("registered");
+        let base = CampaignReport::collect(
+            &[TrialSpec::reference(&app)][..],
+            &CampaignOptions::with_threads(1),
+        );
+        let trials = ledgers
+            .iter()
+            .enumerate()
+            .map(|(index, &(attempts, rung, causes, overhead))| TrialResult {
+                index,
+                label: "Mild".to_owned(),
+                attempts,
+                recovered_at_level: rung.map(str::to_owned),
+                failure_causes: causes.iter().map(|c| c.to_string()).collect(),
+                recovery_energy_overhead_quanta: EnergyQuanta::new(overhead),
+                ..base.trials[0].clone()
+            })
+            .collect();
+        CampaignReport::from_trials(trials, Duration::ZERO, 1).to_json()
+    }
 
     #[test]
     fn both_views_accept_exactly_the_current_schema() {
-        assert!(parse_report(r#"{"schema":"enerj-campaign/5","trials":[]}"#).is_ok());
+        let text = report(&[(1, None, &[], 0)]);
+        assert!(looks_like_report(&text));
+        assert!(read_report(&text).is_ok());
         for old in ["enerj-campaign/1", "enerj-campaign/4", "enerj-campaign/6", "other"] {
-            let text = format!(r#"{{"schema":"{old}","trials":[]}}"#);
-            let err = parse_report(&text).unwrap_err();
-            assert!(err.contains(&format!("unsupported schema `{old}`")), "{err}");
+            let text = text.replacen("enerj-campaign/5", old, 1);
+            assert!(looks_like_report(&text));
+            let err = read_report(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("schema: `{old}`, expected `enerj-campaign/5`")),
+                "{err}"
+            );
         }
+        assert!(!looks_like_report("{\"trial\":0,\"app\":\"FFT\"}\n"));
     }
 
-    /// A minimal `/5` trial list exercising every recovery outcome: a
-    /// clean first-try pass, a trial recovered at a rung, and a degraded
-    /// trial whose final attempt also failed.
-    fn golden_report() -> Json {
-        Json::parse(
-            r#"{"schema":"enerj-campaign/5","trials":[
-              {"app":"FFT","label":"Mild","attempts":1,"recovered_at_level":null,
-               "failure_causes":[],"recovery_energy_overhead_quanta":0},
-              {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":"Precise",
-               "failure_causes":["qos: error 0.5 > threshold 0.1"],
-               "recovery_energy_overhead_quanta":9007199254740993},
-              {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":null,
-               "failure_causes":["panic: index out of bounds","check: non-finite"],
-               "recovery_energy_overhead_quanta":1}
-            ]}"#,
-        )
-        .unwrap()
-    }
-
+    /// Every recovery outcome: a clean first-try pass, a trial recovered
+    /// at a rung, and a degraded trial whose final attempt also failed.
     #[test]
     fn outcomes_come_from_recorded_fields_not_cause_counts() {
-        let (rows, overhead) = causes_rows(&golden_report(), None).unwrap();
-        let key = ("FFT".to_owned(), "Mild".to_owned());
-        let counts = rows[&key];
+        let text = report(&[
+            (1, None, &[], 0),
+            (2, Some("Precise"), &["qos: error 0.5 > threshold 0.1"], 9_007_199_254_740_993),
+            (2, None, &["panic: index out of bounds", "check: non-finite"], 1),
+        ]);
+        let report = read_report(&text).unwrap();
+        let rows = causes_rows(&report, None);
+        let (counts, overhead) = rows[&("MonteCarlo", "Mild")];
         assert_eq!(counts[0], 3, "trials");
         assert_eq!(counts[1], 1, "recovered: only the trial with recovered_at_level set");
         assert_eq!(counts[2], 1, "degraded: failed causes with recovered_at_level null");
         // Category mix: one panic, one check, one qos.
         assert_eq!(&counts[3..], &[1, 0, 1, 1]);
         // Overhead sums exactly, beyond f64 precision (2^53 + 1 survives).
-        assert_eq!(overhead[&key], 9_007_199_254_740_993 + 1);
+        assert_eq!(overhead, EnergyQuanta::new(9_007_199_254_740_993 + 1));
+        assert!(causes_rows(&report, Some("Medium")).is_empty());
     }
 
     #[test]
@@ -369,39 +305,24 @@ mod tests {
         // A recovered trial must carry attempts - 1 causes; two causes in
         // two attempts means the final attempt failed, which contradicts
         // recovered_at_level being set.
-        let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/5","trials":[
-              {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":"Precise",
-               "failure_causes":["qos: a","qos: b"],
-               "recovery_energy_overhead_quanta":0}
-            ]}"#,
-        )
-        .unwrap();
-        let err = causes_rows(&bad, None).unwrap_err();
-        assert!(err.contains("inconsistent with 2 attempts"), "{err}");
+        let text = report(&[(2, Some("Precise"), &["qos: a", "qos: b"], 0)]);
+        let err = read_report(&text).unwrap_err();
+        assert!(err.contains("trials[0].attempts: 2 attempts are inconsistent"), "{err}");
         // The converse: a degraded trial (no recovery) claiming more
         // attempts than it has causes lost an attempt's record somewhere.
-        let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/5","trials":[
-              {"app":"FFT","label":"Mild","attempts":3,"recovered_at_level":null,
-               "failure_causes":["qos: a","qos: b"],
-               "recovery_energy_overhead_quanta":0}
-            ]}"#,
-        )
-        .unwrap();
-        assert!(causes_rows(&bad, None).unwrap_err().contains("inconsistent"));
+        let text = report(&[(3, None, &["qos: a", "qos: b"], 0)]);
+        assert!(read_report(&text).unwrap_err().contains("inconsistent"));
     }
 
     #[test]
     fn fractional_overhead_quanta_are_rejected() {
-        let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/5","trials":[
-              {"app":"FFT","label":"Mild","attempts":1,"recovered_at_level":null,
-               "failure_causes":[],"recovery_energy_overhead_quanta":1.5}
-            ]}"#,
-        )
-        .unwrap();
-        let err = causes_rows(&bad, None).unwrap_err();
-        assert!(err.contains("non-negative integer"), "{err}");
+        let text = report(&[(1, None, &[], 9_007_199_254_740_993)]);
+        // The value appears twice: the trial's overhead and the total.
+        assert_eq!(text.matches("9007199254740993").count(), 2);
+        let err = read_report(&text.replace("9007199254740993", "1.5")).unwrap_err();
+        assert!(
+            err.starts_with("report: trials[0].") && err.contains("not an exact u128"),
+            "{err}"
+        );
     }
 }

@@ -152,27 +152,21 @@ fn main() -> ExitCode {
         quick,
         meter,
         budget_pct,
-        trials: workload.len(),
         epoch_len: outcome.epoch_len,
         precise_cost_quanta: precise_cost,
-        budget_quanta: budget,
         identical,
         scheduled: ScheduledRow {
             spent_quanta: outcome.spent,
-            budget_met: outcome.budget_met,
             mean_error: outcome.summary.mean_error,
-            qos: outcome.qos(),
             implausible: outcome.implausible,
             level_counts: census,
         },
         baselines: baselines
             .iter()
-            .map(|&(level, spent, mean_error)| BaselineRow {
+            .map(|&(level, spent_quanta, mean_error)| BaselineRow {
                 level,
-                spent_quanta: spent,
+                spent_quanta,
                 mean_error,
-                qos: 1.0 - mean_error,
-                fits_budget: spent <= budget,
             })
             .collect(),
     };
@@ -187,8 +181,8 @@ fn main() -> ExitCode {
                 format!("static {}", b.level),
                 b.spent_quanta.to_string(),
                 format!("{:.4}", b.spent_quanta.get() as f64 / precise_cost.get() as f64),
-                format!("{:.4}", b.qos),
-                if b.fits_budget { "yes" } else { "no" }.to_owned(),
+                format!("{:.4}", b.qos()),
+                if b.spent_quanta <= budget { "yes" } else { "no" }.to_owned(),
             ]);
         }
         rows.push(vec![
@@ -215,15 +209,15 @@ fn main() -> ExitCode {
         let best_static = sched_report
             .baselines
             .iter()
-            .filter(|b| b.fits_budget)
-            .max_by(|a, b| a.qos.total_cmp(&b.qos));
+            .filter(|b| b.spent_quanta <= budget)
+            .max_by(|a, b| a.qos().total_cmp(&b.qos()));
         match best_static {
             Some(b) if outcome.budget_met => println!(
                 "Scheduled QoS {:.4} vs best in-budget static ({}) {:.4}: {}",
                 outcome.qos(),
                 b.level,
-                b.qos,
-                if outcome.qos() > b.qos { "scheduler wins" } else { "static wins" }
+                b.qos(),
+                if outcome.qos() > b.qos() { "scheduler wins" } else { "static wins" }
             ),
             _ => println!("No in-budget comparison available."),
         }

@@ -7,22 +7,23 @@
 //!                 [--quanta-compare <a.json> <b.json>]...
 //! ```
 //!
-//! Validates each `--report` against `enerj-campaign/5`, each `--fault-log`
-//! against the NDJSON fault-event schema, and each `--sched` against the
-//! `enerj-sched/1` budget-scheduling report schema (including the
-//! scheduler's own bit-identity verdict and the exact integer budget
-//! arithmetic). `--quanta-compare` checks that two campaign reports carry
-//! *identical* integer energy totals (`energy_quanta` and
-//! `recovery_energy_overhead_quanta`), compared as parsed 128-bit integers
-//! ([`Json::Int`] keeps literals lossless), so values above 2^53 cannot be
-//! blurred by f64 parsing — the CI smoke script runs the same campaign
-//! at two thread counts and requires the totals to match exactly. Exit
-//! code 0 when everything conforms, 1 on the first violation.
+//! Each artifact goes through the one reader beside its writer, which
+//! rebuilds the writer's typed value, checks its invariants and requires
+//! the writer to render that value back to the file's bytes:
+//! `--report` through `CampaignReport::from_json` (`enerj-campaign/5`),
+//! `--fault-log` through `read_fault_log`, and `--sched` through
+//! `SchedReport::from_json` (`enerj-sched/1`, including the scheduler's own
+//! bit-identity verdict and the exact integer budget arithmetic).
+//! `--quanta-compare` reads two campaign reports and requires their
+//! campaign energy quanta and recovery overhead quanta to be equal as
+//! exact 128-bit integers — the CI smoke script runs the same campaign at
+//! two thread counts and requires exactly that. Exit code 0 when everything
+//! conforms, 1 on the first violation.
 
 use std::process::ExitCode;
 
-use enerj_bench::json::Json;
-use enerj_bench::validate::{validate_campaign_report, validate_fault_log, validate_sched_report};
+use enerj_apps::trials::{read_fault_log, CampaignReport, ReadError};
+use enerj_bench::sched::SchedReport;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,51 +36,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// Compares the top-level field `key` of two parsed reports for exact
-/// integer equality: the field must be an integer or an object whose
-/// values are integers (the `energy_quanta` breakdown), and every integer
-/// is compared at full 128-bit precision.
-fn compare_exact_field(a: &Json, b: &Json, key: &str) -> Result<(), String> {
-    let va = a.get(key).ok_or_else(|| format!("first report: missing `{key}`"))?;
-    let vb = b.get(key).ok_or_else(|| format!("second report: missing `{key}`"))?;
-    match (va, vb) {
-        (Json::Obj(_), Json::Obj(_)) => {
-            let fa = va.as_object().expect("matched object");
-            let fb = vb.as_object().expect("matched object");
-            let keys_a: Vec<&str> = fa.iter().map(|(k, _)| k.as_str()).collect();
-            let keys_b: Vec<&str> = fb.iter().map(|(k, _)| k.as_str()).collect();
-            if keys_a != keys_b {
-                return Err(format!("`{key}` field sets differ: {keys_a:?} vs {keys_b:?}"));
-            }
-            for (k, inner_a) in fa {
-                let inner_b = vb.get(k).expect("key sets match");
-                compare_exact_int(inner_a, inner_b, &format!("{key}.{k}"))?;
-            }
-            Ok(())
-        }
-        _ => compare_exact_int(va, vb, key),
-    }
+/// Reads the file at `path` with `read`, prefixing any error with the path.
+fn read_file<T>(path: &str, read: impl FnOnce(&str) -> Result<T, ReadError>) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    read(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Exact comparison of two integer leaves. Non-integers (fractions,
-/// exponents, or values outside i128) are a validation error, not a lossy
-/// fallback: quanta that can't be parsed exactly can't be compared.
-fn compare_exact_int(a: &Json, b: &Json, what: &str) -> Result<(), String> {
-    let xa = a.as_i128().ok_or_else(|| format!("`{what}` is not an exact integer: {a:?}"))?;
-    let xb = b.as_i128().ok_or_else(|| format!("`{what}` is not an exact integer: {b:?}"))?;
-    if xa != xb {
-        return Err(format!("`{what}` differs: {xa} vs {xb}"));
-    }
-    Ok(())
-}
-
-fn compare_quanta(path_a: &str, path_b: &str) -> Result<(), String> {
-    let text_a = std::fs::read_to_string(path_a).map_err(|e| format!("{path_a}: {e}"))?;
-    let text_b = std::fs::read_to_string(path_b).map_err(|e| format!("{path_b}: {e}"))?;
-    let a = Json::parse(text_a.trim()).map_err(|e| format!("{path_a}: {e}"))?;
-    let b = Json::parse(text_b.trim()).map_err(|e| format!("{path_b}: {e}"))?;
-    for key in ["energy_quanta", "recovery_energy_overhead_quanta"] {
-        compare_exact_field(&a, &b, key).map_err(|e| format!("{path_a} vs {path_b}: {e}"))?;
+/// Requires two campaign reports to carry identical integer energy totals.
+fn compare_quanta(a: &CampaignReport, b: &CampaignReport) -> Result<(), String> {
+    let totals =
+        |r: &CampaignReport| (r.summary.energy_quanta, r.summary.recovery_energy_overhead_quanta);
+    if totals(a) != totals(b) {
+        return Err(format!("energy quanta differ: {:?} vs {:?}", totals(a), totals(b)));
     }
     Ok(())
 }
@@ -91,34 +59,28 @@ fn run(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--report" => {
                 let path = it.next().ok_or("--report needs a path")?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
-                let trials =
-                    validate_campaign_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-campaign/5, {trials} trials)");
-                checked += 1;
+                let report = read_file(path, CampaignReport::from_json)?;
+                println!("{path}: OK (enerj-campaign/5, {} trials)", report.trials.len());
             }
             "--fault-log" => {
                 let path = it.next().ok_or("--fault-log needs a path")?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let events = validate_fault_log(&text).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK ({events} fault events)");
-                checked += 1;
+                let events = read_file(path, read_fault_log)?;
+                println!("{path}: OK ({} fault events)", events.len());
             }
             "--sched" => {
                 let path = it.next().ok_or("--sched needs a path")?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
-                let rows = validate_sched_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-sched/1, {rows} baseline rows)");
-                checked += 1;
+                let report = read_file(path, SchedReport::from_json)?;
+                println!("{path}: OK (enerj-sched/1, {} baseline rows)", report.baselines.len());
             }
             "--quanta-compare" => {
                 let a = it.next().ok_or("--quanta-compare needs two paths")?;
                 let b = it.next().ok_or("--quanta-compare needs two paths")?;
-                compare_quanta(a, b)?;
+                let (ra, rb) = (
+                    read_file(a, CampaignReport::from_json)?,
+                    read_file(b, CampaignReport::from_json)?,
+                );
+                compare_quanta(&ra, &rb).map_err(|e| format!("{a} vs {b}: {e}"))?;
                 println!("{a} == {b}: OK (energy quanta exactly equal)");
-                checked += 1;
             }
             other => {
                 return Err(format!(
@@ -128,6 +90,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 ))
             }
         }
+        checked += 1;
     }
     if checked == 0 {
         return Err("nothing to validate; pass --report, --fault-log, \
@@ -139,37 +102,49 @@ fn run(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{compare_exact_field, Json};
+    use super::{compare_quanta, CampaignReport};
+    use enerj_apps::trials::{CampaignOptions, TrialSpec};
+    use enerj_hw::quanta::EnergyQuanta;
+    use std::time::Duration;
+
+    /// A writer-rendered one-trial report whose trial spent `total` scaled
+    /// quanta (of `2^53 + 1` baseline) and `overhead` retry quanta.
+    fn report(total: u128, overhead: u128) -> String {
+        let app = enerj_apps::app("MonteCarlo").expect("registered");
+        let mut trial = CampaignReport::collect(
+            &[TrialSpec::reference(&app)][..],
+            &CampaignOptions::with_threads(1),
+        )
+        .trials
+        .remove(0);
+        trial.energy_quanta.total = EnergyQuanta::new(total);
+        trial.energy_quanta.baseline_total = EnergyQuanta::new((1 << 53) + 1);
+        trial.recovery_energy_overhead_quanta = EnergyQuanta::new(overhead);
+        CampaignReport::from_trials(vec![trial], Duration::ZERO, 1).to_json()
+    }
 
     #[test]
     fn quanta_comparison_is_exact_beyond_f64_precision() {
-        // 2^53 and 2^53 + 1 are the classic f64 collision: a parser that
+        // 2^53 and 2^53 + 1 are the classic f64 collision: a reader that
         // rounds through f64 would call these reports identical.
-        let a = Json::parse(
-            r#"{"energy_quanta":{"total":9007199254740992,"baseline_total":9007199254740992},
-                "recovery_energy_overhead_quanta":0}"#,
-        )
-        .unwrap();
-        let b = Json::parse(
-            r#"{"energy_quanta":{"total":9007199254740993,"baseline_total":9007199254740992},
-                "recovery_energy_overhead_quanta":0}"#,
-        )
-        .unwrap();
-        let err = compare_exact_field(&a, &b, "energy_quanta").unwrap_err();
-        assert!(err.contains("9007199254740992 vs 9007199254740993"), "{err}");
-        assert!(compare_exact_field(&a, &a, "energy_quanta").is_ok());
-        assert!(compare_exact_field(&a, &b, "recovery_energy_overhead_quanta").is_ok());
+        let read = |text: &str| CampaignReport::from_json(text).unwrap();
+        let a = read(&report(1 << 53, 0));
+        let err = compare_quanta(&a, &read(&report((1 << 53) + 1, 0))).unwrap_err();
+        assert!(err.contains("9007199254740992") && err.contains("9007199254740993"), "{err}");
+        assert!(compare_quanta(&a, &a).is_ok());
+        assert!(compare_quanta(&a, &read(&report(1 << 53, (1 << 53) + 1))).is_err());
     }
 
     #[test]
     fn non_integer_quanta_are_an_error_not_a_fallback() {
-        let a = Json::parse(r#"{"q":1.5}"#).unwrap();
-        let b = Json::parse(r#"{"q":1.5}"#).unwrap();
-        let err = compare_exact_field(&a, &b, "q").unwrap_err();
-        assert!(err.contains("not an exact integer"), "{err}");
-        // Differing field sets in the breakdown object are drift, too.
-        let a = Json::parse(r#"{"q":{"total":1}}"#).unwrap();
-        let b = Json::parse(r#"{"q":{"grand_total":1}}"#).unwrap();
-        assert!(compare_exact_field(&a, &b, "q").unwrap_err().contains("field sets"));
+        let text = report(1 << 53, 0);
+        let rejects = |from: &str, to: &str, expect: &str| {
+            let err = CampaignReport::from_json(&text.replace(from, to)).unwrap_err().to_string();
+            assert!(err.contains(expect), "{err}");
+        };
+        rejects("\"total\":9007199254740992", "\"total\":1.5", "total: not an exact u128");
+        // Differing field sets in the breakdown are drift, too.
+        rejects("\"baseline_total\":", "\"grand_total\":", "baseline_total: missing");
+        rejects("\"baseline_total\":", "\"x\":0,\"baseline_total\":", "not the writer's rendering");
     }
 }

@@ -23,16 +23,17 @@
 //! `--trace` (live progress + per-unit fault totals on stderr) and
 //! `--fault-log <path>` (structured NDJSON fault-event stream). The
 //! `faultscope` binary renders per-app, per-unit fault breakdowns from
-//! either artifact; `validate_schema` checks them against the documented
-//! schemas (see DESIGN.md).
+//! either artifact, and `validate_schema` checks them. Both read every
+//! artifact through the one reader beside its writer:
+//! `enerj_apps::trials::CampaignReport::from_json` and `read_fault_log`
+//! for campaign reports and fault logs, [`sched::SchedReport::from_json`]
+//! for the `schedbench` report (see DESIGN.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod json;
 pub mod sched;
-pub mod validate;
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

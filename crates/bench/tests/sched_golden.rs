@@ -6,9 +6,7 @@
 use std::path::PathBuf;
 
 use enerj_apps::scheduler::SchedLevel;
-use enerj_bench::json::Json;
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
-use enerj_bench::validate::validate_sched_report;
 use enerj_hw::energy::QuantaMeter;
 use enerj_hw::quanta::EnergyQuanta;
 
@@ -20,16 +18,12 @@ fn synthetic_report() -> SchedReport {
         quick: true,
         meter: QuantaMeter::Sram,
         budget_pct: 60,
-        trials: 24,
         epoch_len: 3,
         precise_cost_quanta: EnergyQuanta::new(1_000_000_000_000),
-        budget_quanta: EnergyQuanta::new(600_000_000_000),
         identical: true,
         scheduled: ScheduledRow {
             spent_quanta: EnergyQuanta::new(587_500_000_000),
-            budget_met: true,
             mean_error: 0.03125,
-            qos: 0.96875,
             implausible: 1,
             level_counts: [6, 9, 6, 3],
         },
@@ -38,29 +32,21 @@ fn synthetic_report() -> SchedReport {
                 level: SchedLevel::Precise,
                 spent_quanta: EnergyQuanta::new(1_000_000_000_000),
                 mean_error: 0.0,
-                qos: 1.0,
-                fits_budget: false,
             },
             BaselineRow {
                 level: SchedLevel::Mild,
                 spent_quanta: EnergyQuanta::new(489_000_000_000),
                 mean_error: 0.0625,
-                qos: 0.9375,
-                fits_budget: true,
             },
             BaselineRow {
                 level: SchedLevel::Medium,
                 spent_quanta: EnergyQuanta::new(416_000_000_000),
                 mean_error: 0.125,
-                qos: 0.875,
-                fits_budget: true,
             },
             BaselineRow {
                 level: SchedLevel::Aggressive,
                 spent_quanta: EnergyQuanta::new(345_000_000_000),
                 mean_error: 0.25,
-                qos: 0.75,
-                fits_budget: true,
             },
         ],
     }
@@ -97,6 +83,8 @@ fn sched_report_json_matches_the_v1_golden() {
 
 #[test]
 fn the_golden_fixture_passes_its_own_validator() {
-    let parsed = Json::parse(&synthetic_report().to_json()).expect("serializer output parses");
-    assert_eq!(validate_sched_report(&parsed), Ok(4));
+    let golden = std::fs::read_to_string(golden_path("sched_v1.json")).expect("golden present");
+    let report = SchedReport::from_json(&golden).expect("the golden reads back");
+    assert_eq!(report.baselines.len(), 4);
+    assert_eq!(report.to_json() + "\n", golden);
 }

@@ -53,6 +53,12 @@ impl FaultCounters {
         FaultCounters::default()
     }
 
+    /// A counter set holding `counts`, in [`FaultKind::ALL`] order: the
+    /// inverse of [`per_kind`](Self::per_kind).
+    pub fn from_counts(counts: [KindCount; FaultKind::ALL.len()]) -> Self {
+        FaultCounters { counts }
+    }
+
     /// Records one injection of `kind` that flipped `bits_flipped` bits.
     #[inline]
     pub fn record(&mut self, kind: FaultKind, bits_flipped: u32) {

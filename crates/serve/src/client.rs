@@ -9,7 +9,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use enerj_bench::json::Json;
+use enerj_apps::json::Json;
 
 use crate::http::{self, Head};
 

@@ -284,9 +284,9 @@ mod tests {
     #[test]
     fn error_bodies_are_well_formed_json() {
         let body = error_body("queue_full", "12 jobs pending", true, Some(500));
-        let parsed = enerj_bench::json::Json::parse(&body).expect("valid JSON");
+        let parsed = enerj_apps::json::Json::parse(&body).expect("valid JSON");
         assert_eq!(parsed.get("error").and_then(|e| e.as_str()), Some("queue_full"));
-        assert_eq!(parsed.get("retriable"), Some(&enerj_bench::json::Json::Bool(true)));
+        assert_eq!(parsed.get("retriable"), Some(&enerj_apps::json::Json::Bool(true)));
         assert_eq!(parsed.get("backoff_ms").and_then(|b| b.as_i128()), Some(500));
     }
 }

@@ -30,8 +30,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use enerj_apps::json::Json;
 use enerj_apps::trials::json_string;
-use enerj_bench::json::Json;
 use enerj_hw::quanta::EnergyQuanta;
 
 /// Seed/prime pair of FNV-1a 64 — the integrity hash on every chunk record.

@@ -37,12 +37,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use enerj_apps::json::Json;
 use enerj_apps::qos::Output;
 use enerj_apps::recovery;
 use enerj_apps::scheduler::SchedLevel;
 use enerj_apps::trials::{json_string, TrialSpec};
-use enerj_apps::{all_apps, harness, App};
-use enerj_bench::json::Json;
+use enerj_apps::{harness, App};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// The schema tag every spec must carry.
@@ -147,13 +147,12 @@ impl JobSpec {
         if tenant.is_empty() || tenant.len() > 64 || !tenant.chars().all(tenant_char) {
             return Err("tenant names are 1-64 chars of [a-zA-Z0-9._-]".to_owned());
         }
-        let registry = all_apps();
         let apps = match doc.get("apps") {
             Some(Json::Arr(list)) if !list.is_empty() => {
                 let mut names = Vec::with_capacity(list.len());
                 for a in list {
                     let name = a.as_str().ok_or("`apps` entries must be strings")?;
-                    if !registry.iter().any(|r| r.meta.name == name) {
+                    if enerj_apps::app(name).is_none() {
                         return Err(format!("unknown app `{name}`"));
                     }
                     names.push(name.to_owned());
@@ -330,7 +329,7 @@ fn tenant_char(c: char) -> bool {
 }
 
 fn registry_app(name: &str) -> App {
-    all_apps().into_iter().find(|a| a.meta.name == name).expect("validated at parse")
+    enerj_apps::app(name).expect("validated at parse")
 }
 
 /// Fault-free reference outputs, computed once per app per process.

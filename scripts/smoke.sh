@@ -68,6 +68,15 @@ capture ablation_modes ablation --error-modes --runs 10
 capture tuning tuning
 capture recovery recovery --runs 10 --amplify 40
 
+# The captures rewrote these reports; each must read back through the
+# reader beside its writer and re-render to the same bytes.
+step "captures: the rewritten reports read back"
+captured=()
+for name in fig3 fig4 fig5 table3 ablation ablation_error_modes recovery; do
+    captured+=(--report "results/BENCH_$name.json")
+done
+"$bin/validate_schema" "${captured[@]}"
+
 step "quanta: fig5 at one thread"
 "$bin/fig5" --runs 3 --threads 1
 mv results/BENCH_fig5.json "$work/fig5_t1.json"
@@ -84,6 +93,7 @@ step "telemetry + quanta: schemas, fault log, exact quanta equality"
     --fault-log "$work/fig5.ndjson" \
     --quanta-compare "$work/fig5_t1.json" results/BENCH_fig5.json
 "$bin/faultscope" results/BENCH_fig5.json --bits
+"$bin/faultscope" "$work/fig5.ndjson"
 
 # Shape only: the Precise rung makes full recovery structural, and the
 # binary itself reports the rescue rate.
