@@ -68,7 +68,7 @@ use crate::qos::Output;
 use crate::recovery;
 use crate::trials::{
     collect_in_memory, run_campaign_streamed, CampaignOptions, CampaignReport, CampaignSummary,
-    SpecFn, SpecSource, TrialResult, TrialSink, TrialSpec,
+    Grid, SpecSource, TrialResult, TrialSink, TrialSpec,
 };
 use crate::App;
 use enerj_hw::config::{HwConfig, Level};
@@ -157,14 +157,15 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Builds the workload, collecting each app's fault-free reference.
+    /// Builds the workload around each app's memoized fault-free reference
+    /// ([`harness::reference_output`]).
     ///
     /// # Panics
     ///
     /// Panics if `apps` is empty or a reference run panics.
     pub fn new(apps: Vec<App>, runs: u64) -> Self {
         assert!(!apps.is_empty(), "a workload needs at least one app");
-        let references = apps.iter().map(|app| Arc::new(harness::reference(app).output)).collect();
+        let references = apps.iter().map(harness::reference_output).collect();
         Workload { apps, references, runs }
     }
 
@@ -240,20 +241,8 @@ pub fn profile_workload(
 ) -> Vec<AppProfile> {
     assert!(runs > 0, "profiling needs at least one run per (app, rung)");
     let napps = workload.apps.len();
-    let per_level = runs as usize;
-    let per_app = SchedLevel::ALL.len() * per_level;
-    let source = SpecFn::new(napps * per_app, |i| {
-        let (a, rem) = (i / per_app, i % per_app);
-        let (l, r) = (rem / per_level, rem % per_level);
-        let level = SchedLevel::ALL[l];
-        TrialSpec::scored(
-            &workload.apps[a],
-            level.name(),
-            level.config(),
-            TUNER_SEED_BASE ^ r as u64,
-            Arc::clone(&workload.references[a]),
-        )
-    });
+    let rungs = SchedLevel::ALL.iter().map(|l| (l.name().to_owned(), l.config())).collect();
+    let source = Grid::new(&workload.apps, rungs, runs, TUNER_SEED_BASE);
     let report = CampaignReport::collect(&source, opts);
     let mut profiles = Vec::with_capacity(napps);
     for a in 0..napps {
@@ -268,7 +257,7 @@ pub fn profile_workload(
                 cost_sum += meter.spent(&t.energy_quanta);
                 n += 1;
             }
-            assert_eq!(n, per_level as u128, "profiling campaign must cover every (app, rung)");
+            assert_eq!(n, runs as u128, "profiling campaign must cover every (app, rung)");
             error[l] = err_sum / n as f64;
             cost[l] = EnergyQuanta::new(cost_sum.get() / n);
         }

@@ -29,10 +29,11 @@
 //!
 //! The engine is built for million-trial scale:
 //!
-//! * **Lazy specs.** A campaign's trials come from a [`SpecSource`] — an
-//!   indexed generator ([`SpecFn`]) or a plain slice — so protocol-level
-//!   campaigns ([`run_level_campaign`], the tuner) never materialize a
-//!   spec vector; spec memory is O(1) per worker.
+//! * **Lazy specs.** A campaign's trials come from a [`SpecSource`] — the
+//!   apps × arms × runs [`Grid`] every §6 experiment uses, an indexed
+//!   generator ([`SpecFn`]) or a plain slice — so protocol-level campaigns
+//!   ([`run_level_campaign`], the tuner, `campaignd` jobs) never
+//!   materialize a spec vector; spec memory is O(1) per worker.
 //! * **Chunked work stealing.** Workers claim contiguous blocks of trial
 //!   indices with one atomic op per chunk ([`CampaignOptions::chunk`],
 //!   default auto) instead of one per trial.
@@ -1133,9 +1134,8 @@ impl SpecSource for [TrialSpec] {
 }
 
 /// A lazy [`SpecSource`]: `len` trials whose specs are generated per index
-/// by a pure function. This is how protocol campaigns
-/// ([`run_level_campaign`], [`harness::mean_output_error_vs`],
-/// the tuner) avoid materializing million-entry spec vectors.
+/// by a pure function, for campaigns that are not a [`Grid`] (such as a
+/// synthetic app's stream of seeds).
 pub struct SpecFn<F: Fn(usize) -> TrialSpec + Sync> {
     len: usize,
     generate: F,
@@ -1155,6 +1155,80 @@ impl<F: Fn(usize) -> TrialSpec + Sync> SpecSource for SpecFn<F> {
 
     fn spec(&self, index: usize) -> Cow<'_, TrialSpec> {
         Cow::Owned((self.generate)(index))
+    }
+}
+
+/// The one trial grid of every §6 experiment: each app runs under each arm
+/// (a labelled hardware configuration) for `runs` fault seeds
+/// `seed_base ^ run`, and every trial is scored against the app's memoized
+/// reference output ([`harness::reference_output`]). Trials are enumerated
+/// app-major, then arm, then run; [`coordinates`](Self::coordinates) is the
+/// one place that splits an index. Fig. 5 is levels × runs, the ablations
+/// are strategy masks or error modes × runs, the tuner and the scheduler
+/// profile their levels on the tuner seed stream, and `campaignd` serves
+/// one grid per job.
+///
+/// The apps must be registered apps (their names key the reference memo).
+#[derive(Debug, Clone)]
+pub struct Grid {
+    apps: Vec<App>,
+    arms: Vec<(String, HwConfig)>,
+    runs: u64,
+    seed_base: u64,
+}
+
+impl Grid {
+    /// `apps` × `arms` × `runs` trials on seeds `seed_base ^ run`.
+    pub fn new(apps: &[App], arms: Vec<(String, HwConfig)>, runs: u64, seed_base: u64) -> Self {
+        Grid { apps: apps.to_vec(), arms, runs, seed_base }
+    }
+
+    /// One arm per Table 2 level, labelled with the level's name.
+    pub fn levels(apps: &[App], levels: &[Level], runs: u64, seed_base: u64) -> Self {
+        let arms = levels.iter().map(|l| (l.to_string(), HwConfig::for_level(*l))).collect();
+        Grid::new(apps, arms, runs, seed_base)
+    }
+
+    /// The apps, outermost in the enumeration.
+    pub fn apps(&self) -> &[App] {
+        &self.apps
+    }
+
+    /// The `(label, configuration)` arms, middle in the enumeration.
+    pub fn arms(&self) -> &[(String, HwConfig)] {
+        &self.arms
+    }
+
+    /// Fault-injection runs per (app, arm).
+    pub fn runs(&self) -> u64 {
+        self.runs
+    }
+
+    /// The `(app, arm, run)` coordinates of trial `index`.
+    pub fn coordinates(&self, index: usize) -> (usize, usize, u64) {
+        let runs = self.runs as usize;
+        let (cell, run) = (index / runs, index % runs);
+        (cell / self.arms.len(), cell % self.arms.len(), run as u64)
+    }
+
+    /// Every spec of the grid, in index order (for campaigns that join
+    /// several grids end to end).
+    pub fn specs(&self) -> impl Iterator<Item = TrialSpec> + '_ {
+        (0..self.len()).map(|i| self.spec(i).into_owned())
+    }
+}
+
+impl SpecSource for Grid {
+    fn len(&self) -> usize {
+        self.apps.len() * self.arms.len() * self.runs as usize
+    }
+
+    fn spec(&self, index: usize) -> Cow<'_, TrialSpec> {
+        let (a, arm, run) = self.coordinates(index);
+        let app = &self.apps[a];
+        let (label, cfg) = &self.arms[arm];
+        let reference = harness::reference_output(app);
+        Cow::Owned(TrialSpec::scored(app, label.clone(), *cfg, self.seed_base ^ run, reference))
     }
 }
 
@@ -1666,45 +1740,16 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     }
 }
 
-/// The Figure 5 protocol as one campaign: per app, a fault-free reference,
-/// then `runs` fault-injection trials at each level (seeds
-/// `FAULT_SEED_BASE ^ i`, labels the level names). References are
-/// themselves collected in a campaign first, on `opts.threads` workers and
-/// without the fault log or progress meter.
-///
-/// Specs are generated lazily per index ([`SpecFn`]) in the canonical
-/// app → level → run order; only the per-app reference outputs are held.
+/// The Figure 5 protocol as one campaign: every app at every level for
+/// `runs` fault seeds `FAULT_SEED_BASE ^ run`, labelled with the level
+/// names and scored against the memoized references ([`Grid::levels`]).
 pub fn run_level_campaign(
     apps: &[App],
     levels: &[Level],
     runs: u64,
     opts: &CampaignOptions,
 ) -> CampaignReport {
-    let ref_specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
-    let references =
-        CampaignReport::collect(ref_specs.as_slice(), &CampaignOptions::with_threads(opts.threads));
-    let refs: Vec<Arc<Output>> = apps
-        .iter()
-        .zip(&references.trials)
-        .map(|(app, r)| {
-            assert!(!r.panicked(), "{}: reference (fault-free) run panicked", app.meta.name);
-            Arc::new(r.output.clone().expect("reference trials keep their output"))
-        })
-        .collect();
-    let per_level = runs as usize;
-    let per_app = levels.len() * per_level;
-    let source = SpecFn::new(apps.len() * per_app, |i| {
-        let (a, rem) = (i / per_app, i % per_app);
-        let (l, r) = (rem / per_level, rem % per_level);
-        TrialSpec::scored(
-            &apps[a],
-            levels[l].to_string(),
-            HwConfig::for_level(levels[l]),
-            FAULT_SEED_BASE ^ r as u64,
-            Arc::clone(&refs[a]),
-        )
-    });
-    CampaignReport::collect(&source, opts)
+    CampaignReport::collect(&Grid::levels(apps, levels, runs, FAULT_SEED_BASE), opts)
 }
 
 #[cfg(test)]
@@ -1723,18 +1768,13 @@ mod tests {
     /// `n` MonteCarlo trials under `cfg` (seeds `FAULT_SEED_BASE ^ i`), each
     /// under the standard recovery ladder at `qos_threshold` when given.
     fn mc_specs(n: u64, label: &str, cfg: HwConfig, qos_threshold: Option<f64>) -> Vec<TrialSpec> {
-        let mc = app("MonteCarlo");
-        let reference = Arc::new(harness::reference(&mc).output);
+        let grid =
+            Grid::new(&[app("MonteCarlo")], vec![(label.to_owned(), cfg)], n, FAULT_SEED_BASE);
         let policy = recovery::Policy { qos_threshold, ..recovery::Policy::standard() };
-        (0..n)
-            .map(|i| {
-                let spec =
-                    TrialSpec::scored(&mc, label, cfg, FAULT_SEED_BASE ^ i, Arc::clone(&reference));
-                if qos_threshold.is_some() {
-                    spec.with_recovery(policy.clone())
-                } else {
-                    spec
-                }
+        grid.specs()
+            .map(|spec| match qos_threshold {
+                Some(_) => spec.with_recovery(policy.clone()),
+                None => spec,
             })
             .collect()
     }
@@ -1853,23 +1893,9 @@ mod tests {
         use crate::recovery::{chaos_config, Policy};
         let apps = [app("SOR"), app("MonteCarlo")];
         let policy = Policy { qos_threshold: Some(0.01), ..Policy::standard() };
-        let specs: Vec<TrialSpec> = apps
-            .iter()
-            .flat_map(|a| {
-                let reference = Arc::new(harness::reference(a).output);
-                let policy = policy.clone();
-                (0..3).map(move |i| {
-                    TrialSpec::scored(
-                        a,
-                        "chaos",
-                        chaos_config(25.0),
-                        FAULT_SEED_BASE ^ i,
-                        Arc::clone(&reference),
-                    )
-                    .with_recovery(policy.clone())
-                })
-            })
-            .collect();
+        let grid =
+            Grid::new(&apps, vec![("chaos".to_owned(), chaos_config(25.0))], 3, FAULT_SEED_BASE);
+        let specs: Vec<TrialSpec> = grid.specs().map(|s| s.with_recovery(policy.clone())).collect();
         let digest = |r: &CampaignReport| {
             r.trials
                 .iter()
@@ -2140,9 +2166,34 @@ mod tests {
         let report =
             run_level_campaign(&apps, &[Level::Mild], 3, &CampaignOptions::with_threads(2));
         let reference = harness::reference(&apps[0]).output;
-        let serial = harness::mean_output_error_vs(&apps[0], &reference, Level::Mild, 3);
+        let mut total = 0.0;
+        for run in 0..3 {
+            let m = harness::approximate(&apps[0], Level::Mild, FAULT_SEED_BASE ^ run);
+            total += output_error(apps[0].meta.metric, &reference, &m.output);
+        }
         let parallel = report.mean_error_for("MonteCarlo", "Mild");
-        assert_eq!(serial.to_bits(), parallel.to_bits());
+        assert_eq!((total / 3.0).to_bits(), parallel.to_bits());
+    }
+
+    #[test]
+    fn grid_indices_and_coordinates_are_a_bijection() {
+        let apps = [app("FFT"), app("SOR"), app("LU")];
+        let grid = Grid::levels(&apps, &[Level::Mild, Level::Aggressive], 5, FAULT_SEED_BASE);
+        assert_eq!(grid.len(), 3 * 2 * 5);
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..grid.len() {
+            let (a, arm, run) = grid.coordinates(i);
+            assert!(a < 3 && arm < 2 && run < 5, "trial {i}: ({a}, {arm}, {run})");
+            // App-major, then arm, then run.
+            assert_eq!((a * 2 + arm) * 5 + run as usize, i);
+            assert!(seen.insert((a, arm, run)), "trial {i} repeats ({a}, {arm}, {run})");
+            let spec = grid.spec(i);
+            assert_eq!(spec.app.meta.name, apps[a].meta.name);
+            assert_eq!(spec.label, grid.arms()[arm].0);
+            assert_eq!(spec.seed, FAULT_SEED_BASE ^ run);
+        }
+        assert_eq!(seen.len(), grid.len());
+        assert_eq!(grid.specs().count(), grid.len());
     }
 
     /// One chaos-recovery campaign per thread count in {1, 2, 4, 8},

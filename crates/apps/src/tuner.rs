@@ -6,26 +6,23 @@
 //! to the characteristics of each application, either offline via
 //! profiling or online via continuous QoS measurement as in Green."
 //!
-//! [`tune_campaign`] implements the offline variant: profile an
+//! [`tune_campaign`] implements the offline variant: profile each
 //! application at each Table 2 level over a handful of fault seeds, and
-//! select the most aggressive level whose mean output error stays within a
-//! programmer-specified budget. The result pairs the chosen level with the
-//! energy it buys, making the accuracy-for-energy trade explicit.
+//! [`TuningProfile::tune`] selects the most aggressive level whose mean
+//! output error stays within a programmer-specified budget. The result
+//! pairs the chosen level with the energy it buys, making the
+//! accuracy-for-energy trade explicit.
 
-use std::sync::Arc;
-
-use crate::harness;
-use crate::trials::{CampaignOptions, CampaignReport, TrialSpec};
+use crate::harness::TUNER_SEED_BASE;
+use crate::trials::{CampaignOptions, CampaignReport, Grid};
 use crate::App;
-use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::config::Level;
 use enerj_hw::energy::EnergyQuantaBreakdown;
 
-/// Outcome of profiling one application against an error budget.
+/// One application's profile: its mean output error and energy at each
+/// Table 2 level, the evidence every error budget is tuned against.
 #[derive(Debug, Clone)]
-pub struct TuningResult {
-    /// The most aggressive admissible level; `None` when even Mild
-    /// violates the budget (run precisely).
-    pub chosen: Option<Level>,
+pub struct TuningProfile {
     /// Mean output error at each of Mild/Medium/Aggressive.
     pub errors: [f64; 3],
     /// Normalized energy at each level (baseline = 1.0).
@@ -36,44 +33,48 @@ pub struct TuningResult {
     pub energy_quanta: [EnergyQuantaBreakdown; 3],
 }
 
-impl TuningResult {
+/// The level one error budget admits, with what it costs and buys.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TuningResult {
+    /// The most aggressive admissible level; `None` when even Mild
+    /// violates the budget (run precisely).
+    pub chosen: Option<Level>,
+    /// The profiled error of the chosen configuration (0 when precise).
+    pub error: f64,
     /// The energy of the chosen configuration (1.0 when running precisely).
-    pub fn chosen_energy(&self) -> f64 {
-        match self.chosen {
-            None => 1.0,
-            Some(level) => {
-                let i = Level::ALL.iter().position(|l| *l == level).expect("known level");
-                self.energy[i]
-            }
-        }
-    }
-
+    pub energy: f64,
     /// The exact energy quanta of the chosen configuration (`None` when
     /// running precisely — a precise run has no profiled breakdown here).
-    pub fn chosen_energy_quanta(&self) -> Option<EnergyQuantaBreakdown> {
-        self.chosen.map(|level| {
-            let i = Level::ALL.iter().position(|l| *l == level).expect("known level");
-            self.energy_quanta[i]
-        })
-    }
+    pub energy_quanta: Option<EnergyQuantaBreakdown>,
+}
 
-    /// The profiled error of the chosen configuration (0 when precise).
-    pub fn chosen_error(&self) -> f64 {
-        match self.chosen {
-            None => 0.0,
-            Some(level) => {
-                let i = Level::ALL.iter().position(|l| *l == level).expect("known level");
-                self.errors[i]
-            }
+impl TuningProfile {
+    /// Picks the most aggressive level whose mean profiled error is at most
+    /// `error_budget`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `error_budget` is negative.
+    pub fn tune(&self, error_budget: f64) -> TuningResult {
+        assert!(error_budget >= 0.0, "error budget must be non-negative");
+        match (0..Level::ALL.len()).rev().find(|&i| self.errors[i] <= error_budget) {
+            None => TuningResult { chosen: None, error: 0.0, energy: 1.0, energy_quanta: None },
+            Some(i) => TuningResult {
+                chosen: Some(Level::ALL[i]),
+                error: self.errors[i],
+                energy: self.energy[i],
+                energy_quanta: Some(self.energy_quanta[i]),
+            },
         }
     }
 }
 
-/// Profiles `app` over `runs` fault seeds per level and picks the most
-/// aggressive level with mean error at most `error_budget`; also returns
-/// the profiling campaign's report (for telemetry export and JSON
-/// capture). The result is bit-identical for any thread count: seeds are
-/// fixed per `(level, run)` and errors are averaged in run order.
+/// Profiles every app over `runs` fault seeds per level, as one campaign
+/// on the level [`Grid`], and returns one [`TuningProfile`] per app
+/// together with the campaign's report (for telemetry export and JSON
+/// capture). Each app is profiled once, however many budgets are then
+/// tuned against it. The result is bit-identical for any thread count:
+/// seeds are fixed per `(level, run)` and errors are averaged in run order.
 ///
 /// Profiling seeds are `TUNER_SEED_BASE ^ r` — a stream provably disjoint
 /// from the evaluation seeds `FAULT_SEED_BASE ^ i` (the bases differ in
@@ -82,69 +83,55 @@ impl TuningResult {
 ///
 /// # Panics
 ///
-/// Panics if `error_budget` is negative or `runs` is zero.
+/// Panics if `runs` is zero.
 pub fn tune_campaign(
-    app: &App,
-    error_budget: f64,
+    apps: &[App],
     runs: u64,
     opts: &CampaignOptions,
-) -> (TuningResult, CampaignReport) {
-    assert!(error_budget >= 0.0, "error budget must be non-negative");
+) -> (Vec<TuningProfile>, CampaignReport) {
     assert!(runs > 0, "profiling needs at least one run");
-    let reference = Arc::new(harness::reference(app).output);
-    let specs: Vec<TrialSpec> = Level::ALL
+    let report =
+        CampaignReport::collect(&Grid::levels(apps, &Level::ALL, runs, TUNER_SEED_BASE), opts);
+    let profiles = apps
         .iter()
-        .flat_map(|level| {
-            let reference = Arc::clone(&reference);
-            (0..runs).map(move |r| {
-                TrialSpec::scored(
-                    app,
-                    level.to_string(),
-                    HwConfig::for_level(*level),
-                    harness::TUNER_SEED_BASE ^ r,
-                    Arc::clone(&reference),
-                )
-            })
+        .map(|app| {
+            let mut profile = TuningProfile {
+                errors: [0.0; 3],
+                energy: [1.0; 3],
+                energy_quanta: [EnergyQuantaBreakdown::ZERO; 3],
+            };
+            for (i, level) in Level::ALL.iter().enumerate() {
+                let label = level.to_string();
+                profile.errors[i] = report.mean_error_for(app.meta.name, &label);
+                // Energy depends only on annotation fractions, not on
+                // injected faults; keep the serial loop's last-run value.
+                if let Some(last) = report.trials_for(app.meta.name, &label).last() {
+                    profile.energy[i] = last.energy.total;
+                    profile.energy_quanta[i] = last.energy_quanta;
+                }
+            }
+            profile
         })
         .collect();
-    let report = CampaignReport::collect(specs.as_slice(), opts);
-    let mut errors = [0.0f64; 3];
-    let mut energy = [1.0f64; 3];
-    let mut energy_quanta = [EnergyQuantaBreakdown::ZERO; 3];
-    for (i, level) in Level::ALL.iter().enumerate() {
-        let label = level.to_string();
-        errors[i] = report.mean_error_for(app.meta.name, &label);
-        // Energy depends only on annotation fractions, not on injected
-        // faults; keep the serial loop's last-run value.
-        if let Some(last) = report.trials_for(app.meta.name, &label).last() {
-            energy[i] = last.energy.total;
-            energy_quanta[i] = last.energy_quanta;
-        }
-    }
-    let chosen = Level::ALL
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(i, _)| errors[*i] <= error_budget)
-        .map(|(_, l)| *l);
-    (TuningResult { chosen, errors, energy, energy_quanta }, report)
+    (profiles, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn app(name: &str) -> App {
-        crate::app(name).expect("registered")
+    fn profile(name: &str, runs: u64, opts: &CampaignOptions) -> TuningProfile {
+        let app = crate::app(name).expect("registered");
+        tune_campaign(&[app], runs, opts).0.remove(0)
     }
 
     #[test]
     fn robust_apps_tune_to_aggressive() {
         // MonteCarlo barely degrades at any level (Figure 5): a 5% budget
         // admits the most aggressive configuration.
-        let r = tune_campaign(&app("MonteCarlo"), 0.05, 3, &CampaignOptions::default()).0;
+        let r = profile("MonteCarlo", 3, &CampaignOptions::default()).tune(0.05);
         assert_eq!(r.chosen, Some(Level::Aggressive));
-        assert!(r.chosen_energy() < 0.95);
+        assert!(r.energy < 0.95);
     }
 
     #[test]
@@ -154,7 +141,7 @@ mod tests {
         // heavy-tailed (a rare random-value FP fault can dominate a small
         // profiling sample), so profile with 10 runs for a stable mean;
         // even then the tuner may legitimately fall back to precise.
-        let r = tune_campaign(&app("SOR"), 0.10, 10, &CampaignOptions::default()).0;
+        let r = profile("SOR", 10, &CampaignOptions::default()).tune(0.10);
         assert!(
             matches!(r.chosen, None | Some(Level::Mild)),
             "fragile app must not tune past Mild, chose {:?}",
@@ -167,46 +154,54 @@ mod tests {
     fn zero_budget_can_force_precise_execution() {
         // With a literally-zero budget, any measured error disqualifies a
         // level; FFT almost always shows some error at Medium+.
-        let r = tune_campaign(&app("FFT"), 0.0, 3, &CampaignOptions::default()).0;
+        let r = profile("FFT", 3, &CampaignOptions::default()).tune(0.0);
         assert!(r.chosen.is_none() || r.chosen == Some(Level::Mild));
         if r.chosen.is_none() {
-            assert_eq!(r.chosen_energy(), 1.0);
-            assert_eq!(r.chosen_error(), 0.0);
-            assert_eq!(r.chosen_energy_quanta(), None);
+            assert_eq!(r.energy, 1.0);
+            assert_eq!(r.error, 0.0);
+            assert_eq!(r.energy_quanta, None);
         }
     }
 
     #[test]
     fn errors_reported_per_level_are_monotone_enough() {
-        let r = tune_campaign(&app("LU"), 1.0, 3, &CampaignOptions::default()).0;
+        let p = profile("LU", 3, &CampaignOptions::default());
+        let r = p.tune(1.0);
         assert_eq!(r.chosen, Some(Level::Aggressive), "budget 1.0 admits everything");
-        assert!(r.errors[0] <= r.errors[2] + 1e-9);
-        assert!(r.energy[0] >= r.energy[2]);
+        assert!(p.errors[0] <= p.errors[2] + 1e-9);
+        assert!(p.energy[0] >= p.energy[2]);
         // The quanta are the exact source of the normalized numbers: each
         // level's scaled total stays at or below its own baseline, and the
         // chosen level's breakdown is returned verbatim (==-comparable).
-        for q in &r.energy_quanta {
+        for q in &p.energy_quanta {
             assert!(q.total <= q.baseline_total);
         }
-        assert_eq!(r.chosen_energy_quanta(), Some(r.energy_quanta[2]));
+        assert_eq!(r.energy_quanta, Some(p.energy_quanta[2]));
     }
 
     #[test]
     #[should_panic(expected = "at least one run")]
     fn zero_runs_rejected() {
-        let _ = tune_campaign(&app("MonteCarlo"), 0.1, 0, &CampaignOptions::default());
+        let _ = profile("MonteCarlo", 0, &CampaignOptions::default());
     }
 
     #[test]
     fn thread_count_does_not_change_the_result() {
-        let a = app("FFT");
-        let serial = tune_campaign(&a, 0.05, 3, &CampaignOptions::with_threads(1)).0;
-        let parallel = tune_campaign(&a, 0.05, 3, &CampaignOptions::with_threads(4)).0;
-        assert_eq!(serial.chosen, parallel.chosen);
-        for i in 0..3 {
-            assert_eq!(serial.errors[i].to_bits(), parallel.errors[i].to_bits());
-            assert_eq!(serial.energy[i].to_bits(), parallel.energy[i].to_bits());
-            assert_eq!(serial.energy_quanta[i], parallel.energy_quanta[i]);
+        let apps: Vec<App> =
+            ["FFT", "MonteCarlo"].map(|n| crate::app(n).expect("registered")).into();
+        let serial = tune_campaign(&apps, 3, &CampaignOptions::with_threads(1)).0;
+        let parallel = tune_campaign(&apps, 3, &CampaignOptions::with_threads(4)).0;
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(s.tune(0.05), p.tune(0.05));
+            for i in 0..3 {
+                assert_eq!(s.errors[i].to_bits(), p.errors[i].to_bits());
+                assert_eq!(s.energy[i].to_bits(), p.energy[i].to_bits());
+                assert_eq!(s.energy_quanta[i], p.energy_quanta[i]);
+            }
         }
+        // Each app's profile is the one it gets when profiled alone.
+        let alone = profile("MonteCarlo", 3, &CampaignOptions::with_threads(2));
+        assert_eq!(alone.errors.map(f64::to_bits), serial[1].errors.map(f64::to_bits));
+        assert_eq!(alone.energy_quanta, serial[1].energy_quanta);
     }
 }

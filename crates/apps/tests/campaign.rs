@@ -8,7 +8,7 @@ use std::sync::Arc;
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::meta::AppMeta;
 use enerj_apps::qos::{output_error, Output, QosMetric};
-use enerj_apps::trials::{run_level_campaign, CampaignOptions, CampaignReport, TrialSpec};
+use enerj_apps::trials::{run_level_campaign, CampaignOptions, CampaignReport, Grid, TrialSpec};
 use enerj_apps::App;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::stats::Stats;
@@ -23,20 +23,7 @@ fn run(specs: &[TrialSpec], threads: usize) -> CampaignReport {
 
 /// The specs of the Figure 5 protocol for one app: `runs` seeds per level.
 fn level_specs(app: &App, levels: &[Level], runs: u64) -> Vec<TrialSpec> {
-    let reference = Arc::new(harness::reference(app).output);
-    let mut specs = Vec::new();
-    for level in levels {
-        for i in 0..runs {
-            specs.push(TrialSpec::scored(
-                app,
-                level.to_string(),
-                HwConfig::for_level(*level),
-                FAULT_SEED_BASE ^ i,
-                Arc::clone(&reference),
-            ));
-        }
-    }
-    specs
+    Grid::levels(std::slice::from_ref(app), levels, runs, FAULT_SEED_BASE).specs().collect()
 }
 
 /// The pre-campaign serial loop, hand-rolled: one `measure_with` +
@@ -248,16 +235,6 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
     assert_eq!(report.summary.merged_stats, Stats::new());
 }
 
-#[test]
-fn mean_output_error_vs_survives_a_panicking_app() {
-    // The ported harness entry point inherits the campaign's isolation: a
-    // run that panics scores 1.0 instead of aborting the measurement.
-    let bad = panicking_app();
-    let reference = Output::Values(vec![0.0]);
-    let err = harness::mean_output_error_vs(&bad, &reference, Level::Medium, 3);
-    assert_eq!(err, 1.0);
-}
-
 /// `Stats::faults_injected` and `FaultCounters::total_injections()` count
 /// the same events: on every trial of a 50x chaos recovery campaign —
 /// recovered trials summed over their attempts, partial work of panicked
@@ -266,23 +243,9 @@ fn mean_output_error_vs_survives_a_panicking_app() {
 fn stored_fault_count_equals_the_counter_total_on_every_trial() {
     use enerj_apps::recovery::{chaos_config, Policy};
     let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
-    let mut specs = Vec::new();
-    for name in ["MonteCarlo", "SOR", "FFT"] {
-        let app = app(name);
-        let reference = Arc::new(harness::reference(&app).output);
-        for i in 0..4 {
-            specs.push(
-                TrialSpec::scored(
-                    &app,
-                    "chaos",
-                    chaos_config(50.0),
-                    FAULT_SEED_BASE ^ i,
-                    Arc::clone(&reference),
-                )
-                .with_recovery(policy.clone()),
-            );
-        }
-    }
+    let apps = ["MonteCarlo", "SOR", "FFT"].map(app);
+    let grid = Grid::new(&apps, vec![("chaos".to_owned(), chaos_config(50.0))], 4, FAULT_SEED_BASE);
+    let mut specs: Vec<TrialSpec> = grid.specs().map(|s| s.with_recovery(policy.clone())).collect();
     let bad_reference = Arc::new(Output::Values(vec![0.0]));
     specs.push(
         TrialSpec::scored(

@@ -2,6 +2,7 @@
 //! application code through the simulated hardware to QoS and energy.
 
 use enerj_apps::qos::output_error;
+use enerj_apps::trials::{run_level_campaign, CampaignOptions};
 use enerj_apps::{all_apps, harness};
 use enerj_core::{endorse, Approx, ApproxVec, Precise, Runtime};
 use enerj_hw::config::{HwConfig, Level, StrategyMask};
@@ -30,11 +31,12 @@ fn energy_savings_fall_in_the_papers_band() {
 /// QoS degrades monotonically (on average) with aggressiveness.
 #[test]
 fn output_error_grows_with_aggressiveness() {
-    for app in all_apps() {
-        let reference = harness::reference(&app).output;
-        let runs = 5;
-        let mild = harness::mean_output_error_vs(&app, &reference, Level::Mild, runs);
-        let aggressive = harness::mean_output_error_vs(&app, &reference, Level::Aggressive, runs);
+    let apps = all_apps();
+    let levels = [Level::Mild, Level::Aggressive];
+    let report = run_level_campaign(&apps, &levels, 5, &CampaignOptions::default());
+    for app in &apps {
+        let mild = report.mean_error_for(app.meta.name, "Mild");
+        let aggressive = report.mean_error_for(app.meta.name, "Aggressive");
         assert!(
             mild <= aggressive + 1e-9,
             "{}: mild {mild} > aggressive {aggressive}",

@@ -6,17 +6,16 @@
 //! nothing else.
 
 use std::io;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use enerj_apps::harness::{self, FAULT_SEED_BASE};
+use enerj_apps::harness::FAULT_SEED_BASE;
 use enerj_apps::recovery::{chaos_config, Policy};
 use enerj_apps::trials::{
-    run_campaign_streamed, trial_json, CampaignOptions, CampaignReport, CampaignSummary,
+    run_campaign_streamed, trial_json, CampaignOptions, CampaignReport, CampaignSummary, Grid,
     NdjsonSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
 };
 use enerj_apps::App;
-use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::config::Level;
 use enerj_hw::energy::EnergyQuantaBreakdown;
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
@@ -30,24 +29,9 @@ fn app(name: &str) -> App {
 /// A small mixed campaign: two apps, two fault levels, an odd trial count
 /// so no chunk size divides it evenly.
 fn mixed_specs() -> Vec<TrialSpec> {
-    let mut specs = Vec::new();
-    for name in ["FFT", "MonteCarlo"] {
-        let app = app(name);
-        let reference = Arc::new(harness::reference(&app).output);
-        for level in [Level::Mild, Level::Aggressive] {
-            for i in 0..3u64 {
-                specs.push(TrialSpec::scored(
-                    &app,
-                    level.to_string(),
-                    HwConfig::for_level(level),
-                    FAULT_SEED_BASE ^ i,
-                    Arc::clone(&reference),
-                ));
-            }
-        }
-    }
-    specs.truncate(11);
-    specs
+    let apps = [app("FFT"), app("MonteCarlo")];
+    let grid = Grid::levels(&apps, &[Level::Mild, Level::Aggressive], 3, FAULT_SEED_BASE);
+    grid.specs().take(11).collect()
 }
 
 /// Asserts the streamed run reproduced the in-memory report exactly:
@@ -162,21 +146,10 @@ fn streamed_campaign_is_bit_identical_to_in_memory_runner() {
 /// seeds, escalation, overhead quanta — and must stream identically too.
 #[test]
 fn streamed_recovery_campaign_is_bit_identical() {
-    let app = app("MonteCarlo");
-    let reference = Arc::new(harness::reference(&app).output);
+    let arms = vec![("chaos".to_owned(), chaos_config(50.0))];
     let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
-    let specs: Vec<TrialSpec> = (0..5u64)
-        .map(|i| {
-            TrialSpec::scored(
-                &app,
-                "chaos",
-                chaos_config(50.0),
-                FAULT_SEED_BASE ^ i,
-                Arc::clone(&reference),
-            )
-            .with_recovery(policy.clone())
-        })
-        .collect();
+    let grid = Grid::new(&[app("MonteCarlo")], arms, 5, FAULT_SEED_BASE);
+    let specs: Vec<TrialSpec> = grid.specs().map(|s| s.with_recovery(policy.clone())).collect();
     let baseline = run_serial(&specs);
     assert!(baseline.summary.recovered > 0, "threshold 0 under chaos must escalate");
     for threads in [1usize, 4] {

@@ -4,16 +4,15 @@
 //! seed spaces must be provably pairwise disjoint.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-use enerj_apps::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
+use enerj_apps::harness::{FAULT_SEED_BASE, TUNER_SEED_BASE};
 use enerj_apps::trials::{
-    read_fault_log, trial_json, write_trial_json, CampaignOptions, CampaignReport, NdjsonSink,
-    ReadErrorKind, TrialResult, TrialSink, TrialSpec,
+    read_fault_log, trial_json, write_trial_json, CampaignOptions, CampaignReport, Grid,
+    NdjsonSink, ReadErrorKind, TrialResult, TrialSink, TrialSpec,
 };
 use enerj_apps::App;
-use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::config::Level;
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
@@ -26,21 +25,8 @@ fn app(name: &str) -> App {
 }
 
 fn aggressive_specs(names: &[&str], runs: u64) -> Vec<TrialSpec> {
-    let mut specs = Vec::new();
-    for name in names {
-        let app = app(name);
-        let reference = Arc::new(harness::reference(&app).output);
-        for i in 0..runs {
-            specs.push(TrialSpec::scored(
-                &app,
-                "Aggressive".to_owned(),
-                HwConfig::for_level(Level::Aggressive),
-                FAULT_SEED_BASE ^ i,
-                Arc::clone(&reference),
-            ));
-        }
-    }
-    specs
+    let apps: Vec<App> = names.iter().map(|&n| app(n)).collect();
+    Grid::levels(&apps, &[Level::Aggressive], runs, FAULT_SEED_BASE).specs().collect()
 }
 
 #[test]

@@ -15,10 +15,9 @@
 //! (labels `"{level}/{strategy}"` / `"{mode}"`); reports land in
 //! `results/BENCH_ablation.json` / `results/BENCH_ablation_error_modes.json`.
 
-use std::sync::Arc;
-
-use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialSpec};
-use enerj_apps::{all_apps, harness, App};
+use enerj_apps::all_apps;
+use enerj_apps::harness::FAULT_SEED_BASE;
+use enerj_apps::trials::{CampaignReport, Grid, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::{ErrorMode, HwConfig, Level, StrategyMask};
@@ -32,41 +31,23 @@ fn main() {
     }
 }
 
-/// Collects each app's fault-free reference output, in parallel.
-fn references(apps: &[App], threads: usize) -> Vec<Arc<enerj_apps::qos::Output>> {
-    let specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
-    CampaignReport::collect(specs.as_slice(), &CampaignOptions::with_threads(threads))
-        .trials
-        .into_iter()
-        .map(|t| {
-            assert!(!t.panicked(), "{}: reference run panicked", t.app);
-            Arc::new(t.output.expect("reference trials keep their output"))
-        })
-        .collect()
-}
-
 fn strategy_isolation(opts: &Options) {
     let singles = StrategyMask::singletons();
     let apps = all_apps();
-    let refs = references(&apps, opts.threads);
 
-    let mut specs = Vec::new();
-    for level in [Level::Medium, Level::Aggressive] {
-        for (app, reference) in apps.iter().zip(&refs) {
-            for (name, mask) in &singles {
-                let cfg = HwConfig::for_level(level).with_mask(*mask);
-                for i in 0..opts.runs {
-                    specs.push(TrialSpec::scored(
-                        app,
-                        format!("{level}/{name}"),
-                        cfg,
-                        harness::FAULT_SEED_BASE ^ i,
-                        Arc::clone(reference),
-                    ));
-                }
-            }
-        }
-    }
+    // One grid per level, joined level-major.
+    let specs: Vec<TrialSpec> = [Level::Medium, Level::Aggressive]
+        .iter()
+        .flat_map(|&level| {
+            let arms = singles
+                .iter()
+                .map(|(name, mask)| {
+                    (format!("{level}/{name}"), HwConfig::for_level(level).with_mask(*mask))
+                })
+                .collect();
+            Grid::new(&apps, arms, opts.runs, FAULT_SEED_BASE).specs().collect::<Vec<_>>()
+        })
+        .collect();
     let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());
 
     for level in [Level::Medium, Level::Aggressive] {
@@ -78,61 +59,39 @@ fn strategy_isolation(opts: &Options) {
                 let err = report.mean_error_for(app.meta.name, &format!("{level}/{name}"));
                 column_sums[i] += err;
                 row.push(err3(err));
-                if opts.json {
-                    println!(
-                        "{{\"app\":\"{}\",\"level\":\"{level}\",\"strategy\":\"{name}\",\"error\":{err:.4}}}",
-                        app.meta.name
-                    );
-                }
             }
             rows.push(row);
         }
-        if !opts.json {
-            let headers: Vec<&str> =
-                std::iter::once("Application").chain(singles.iter().map(|(n, _)| *n)).collect();
-            println!(
-                "Section 6.2 ablation: each strategy enabled in isolation ({level}, mean of {} runs)",
-                opts.runs
-            );
-            println!();
-            println!("{}", render_table(&headers, &rows));
-            let n = apps.len() as f64;
-            print!("Suite means:");
-            for (i, (name, _)) in singles.iter().enumerate() {
-                print!(" {name}={:.3}", column_sums[i] / n);
-            }
-            println!();
-            println!();
+        let headers: Vec<&str> =
+            std::iter::once("Application").chain(singles.iter().map(|(n, _)| *n)).collect();
+        println!(
+            "Section 6.2 ablation: each strategy enabled in isolation ({level}, mean of {} runs)",
+            opts.runs
+        );
+        println!();
+        println!("{}", render_table(&headers, &rows));
+        let n = apps.len() as f64;
+        print!("Suite means:");
+        for (i, (name, _)) in singles.iter().enumerate() {
+            print!(" {name}={:.3}", column_sums[i] / n);
         }
+        println!();
+        println!();
     }
-    if !opts.json {
-        println!("Paper's shape: DRAM nearly negligible; FP-width at most modest (<=12%,");
-        println!("Aggressive); SRAM writes worse than reads (visible at Medium, where the");
-        println!("probabilities are asymmetric); FU voltage scaling (timing) worst.");
-    }
+    println!("Paper's shape: DRAM nearly negligible; FP-width at most modest (<=12%,");
+    println!("Aggressive); SRAM writes worse than reads (visible at Medium, where the");
+    println!("probabilities are asymmetric); FU voltage scaling (timing) worst.");
     finish_campaign("ablation", &report, opts);
 }
 
 fn error_modes(opts: &Options) {
     let apps = all_apps();
-    let refs = references(&apps, opts.threads);
-
-    let mut specs = Vec::new();
-    for (app, reference) in apps.iter().zip(&refs) {
-        for mode in ErrorMode::ALL {
-            let cfg = HwConfig::for_level(Level::Medium).with_error_mode(mode);
-            for i in 0..opts.runs {
-                specs.push(TrialSpec::scored(
-                    app,
-                    mode.to_string(),
-                    cfg,
-                    harness::FAULT_SEED_BASE ^ i,
-                    Arc::clone(reference),
-                ));
-            }
-        }
-    }
-    let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());
+    let arms = ErrorMode::ALL
+        .iter()
+        .map(|&mode| (mode.to_string(), HwConfig::for_level(Level::Medium).with_error_mode(mode)))
+        .collect();
+    let grid = Grid::new(&apps, arms, opts.runs, FAULT_SEED_BASE);
+    let report = CampaignReport::collect(&grid, &opts.campaign_options());
 
     let mut rows = Vec::new();
     let mut sums = [0.0f64; 3];
@@ -142,34 +101,26 @@ fn error_modes(opts: &Options) {
             let err = report.mean_error_for(app.meta.name, &mode.to_string());
             sums[i] += err;
             row.push(err3(err));
-            if opts.json {
-                println!(
-                    "{{\"app\":\"{}\",\"mode\":\"{mode}\",\"error\":{err:.4}}}",
-                    app.meta.name
-                );
-            }
         }
         rows.push(row);
     }
-    if !opts.json {
-        println!(
-            "Section 6.2 ablation: functional-unit error models (Medium, mean of {} runs)",
-            opts.runs
-        );
-        println!();
-        println!(
-            "{}",
-            render_table(&["Application", "single-bit-flip", "last-value", "random-value"], &rows)
-        );
-        let n = apps.len() as f64;
-        println!(
-            "Suite means: single-bit-flip={:.3}, last-value={:.3}, random-value={:.3}",
-            sums[0] / n,
-            sums[1] / n,
-            sums[2] / n
-        );
-        println!("Paper: random-value degrades QoS most (~40% vs ~25%); it is also the");
-        println!("most realistic model and is the default everywhere else.");
-    }
+    println!(
+        "Section 6.2 ablation: functional-unit error models (Medium, mean of {} runs)",
+        opts.runs
+    );
+    println!();
+    println!(
+        "{}",
+        render_table(&["Application", "single-bit-flip", "last-value", "random-value"], &rows)
+    );
+    let n = apps.len() as f64;
+    println!(
+        "Suite means: single-bit-flip={:.3}, last-value={:.3}, random-value={:.3}",
+        sums[0] / n,
+        sums[1] / n,
+        sums[2] / n
+    );
+    println!("Paper: random-value degrades QoS most (~40% vs ~25%); it is also the");
+    println!("most realistic model and is the default everywhere else.");
     finish_campaign("ablation_error_modes", &report, opts);
 }

@@ -28,12 +28,6 @@ fn main() {
         let sram = s.approx_storage_fraction(MemKind::Sram);
         let int = s.approx_op_fraction(OpKind::Int);
         let fp = s.approx_op_fraction(OpKind::Fp);
-        if opts.json {
-            println!(
-                "{{\"app\":\"{}\",\"dram\":{dram:.4},\"sram\":{sram:.4},\"int\":{int:.4},\"fp\":{fp:.4}}}",
-                app.meta.name
-            );
-        }
         rows.push(vec![
             app.meta.name.to_owned(),
             pct(dram),
@@ -43,18 +37,16 @@ fn main() {
             if s.total_ops(OpKind::Fp) == 0 { "(no FP)".into() } else { String::new() },
         ]);
     }
-    if !opts.json {
-        println!("Figure 3: proportion of approximate storage and computation");
-        println!();
-        println!(
-            "{}",
-            render_table(
-                &["Application", "DRAM storage", "SRAM storage", "Integer ops", "FP ops", ""],
-                &rows
-            )
-        );
-        println!("Fractions are approximate byte-seconds (storage) and approximate");
-        println!("dynamic operations (functional units), as in the paper.");
-    }
+    println!("Figure 3: proportion of approximate storage and computation");
+    println!();
+    println!(
+        "{}",
+        render_table(
+            &["Application", "DRAM storage", "SRAM storage", "Integer ops", "FP ops", ""],
+            &rows
+        )
+    );
+    println!("Fractions are approximate byte-seconds (storage) and approximate");
+    println!("dynamic operations (functional units), as in the paper.");
     finish_campaign("fig3", &report, &opts);
 }

@@ -47,29 +47,21 @@ fn main() {
             let energy = trial.energy;
             row.push(format!("{:.3}", energy.total));
             savings_sum[i] += energy.savings();
-            if opts.json {
-                println!(
-                    "{{\"app\":\"{}\",\"level\":\"{level}\",\"energy\":{:.4},\"instr\":{:.4},\"sram\":{:.4},\"dram\":{:.4}}}",
-                    app.meta.name, energy.total, energy.instructions, energy.sram, energy.dram
-                );
-            }
         }
         rows.push(row);
     }
-    if !opts.json {
-        println!("Figure 4: normalized CPU/memory system energy (B = precise baseline)");
-        println!();
-        println!(
-            "{}",
-            render_table(&["Application", "B", "1 Mild", "2 Medium", "3 Aggressive"], &rows)
-        );
-        let n = apps.len() as f64;
-        println!(
-            "Average savings: Mild {:.0}%, Medium {:.0}%, Aggressive {:.0}%  (paper: 19%, 24%, 26%)",
-            100.0 * savings_sum[0] / n,
-            100.0 * savings_sum[1] / n,
-            100.0 * savings_sum[2] / n
-        );
-    }
+    println!("Figure 4: normalized CPU/memory system energy (B = precise baseline)");
+    println!();
+    println!(
+        "{}",
+        render_table(&["Application", "B", "1 Mild", "2 Medium", "3 Aggressive"], &rows)
+    );
+    let n = apps.len() as f64;
+    println!(
+        "Average savings: Mild {:.0}%, Medium {:.0}%, Aggressive {:.0}%  (paper: 19%, 24%, 26%)",
+        100.0 * savings_sum[0] / n,
+        100.0 * savings_sum[1] / n,
+        100.0 * savings_sum[2] / n
+    );
     finish_campaign("fig4", &report, &opts);
 }

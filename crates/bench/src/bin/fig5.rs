@@ -23,29 +23,21 @@ fn main() {
         for level in Level::ALL {
             let err = report.mean_error_for(app.meta.name, &level.to_string());
             row.push(err3(err));
-            if opts.json {
-                println!(
-                    "{{\"app\":\"{}\",\"level\":\"{level}\",\"error\":{err:.4},\"runs\":{}}}",
-                    app.meta.name, opts.runs
-                );
-            }
         }
         rows.push(row);
     }
-    if !opts.json {
+    println!(
+        "Figure 5: output error at the three approximation levels (mean of {} runs)",
+        opts.runs
+    );
+    println!();
+    println!("{}", render_table(&["Application", "Mild", "Medium", "Aggressive"], &rows));
+    println!("0 = identical to precise output, 1 = meaningless output.");
+    if report.summary.panics > 0 {
         println!(
-            "Figure 5: output error at the three approximation levels (mean of {} runs)",
-            opts.runs
+            "{} fault-injected runs crashed and were scored as worst-case (error 1).",
+            report.summary.panics
         );
-        println!();
-        println!("{}", render_table(&["Application", "Mild", "Medium", "Aggressive"], &rows));
-        println!("0 = identical to precise output, 1 = meaningless output.");
-        if report.summary.panics > 0 {
-            println!(
-                "{} fault-injected runs crashed and were scored as worst-case (error 1).",
-                report.summary.panics
-            );
-        }
     }
     finish_campaign("fig5", &report, &opts);
 }

@@ -19,57 +19,31 @@
 //! *charged* to the guarded trials' energy, never hidden. `--amplify X`
 //! scales the chaos fault rates (default 40x Aggressive).
 
-use std::sync::Arc;
-
 use enerj_apps::all_apps;
+use enerj_apps::harness::FAULT_SEED_BASE;
 use enerj_apps::recovery::{chaos_config, Policy};
-use enerj_apps::trials::{CampaignReport, TrialSpec};
-use enerj_bench::cli::Options;
+use enerj_apps::trials::{CampaignReport, Grid, TrialSpec};
+use enerj_bench::cli::{self, Options};
 use enerj_bench::{finish_campaign, render_table};
-use enerj_hw::config::HwConfig;
 
 /// Trials with error below this are "acceptable" — the same 0.1 line the
 /// standard policy's QoS threshold enforces.
 const ACCEPTABLE_ERROR: f64 = 0.1;
 
 fn main() {
-    let opts = Options::from_env(10, &["--amplify X"]);
-    let amplify =
-        opts.value("--amplify").map_or(40.0, |v| v.parse().expect("--amplify needs a number"));
-    let chaos: HwConfig = chaos_config(amplify);
+    let (opts, amplify) = Options::from_env_with(10, &["--amplify X"], cli::amplify);
+    let chaos = chaos_config(amplify);
     let apps = all_apps();
 
     // One campaign, both halves: unguarded first, then guarded with the
     // same seeds, so the comparison is seed-for-seed.
-    let mut specs = Vec::new();
-    let mut references = Vec::new();
-    for app in &apps {
-        let reference = Arc::new(enerj_apps::harness::reference(app).output);
-        references.push(Arc::clone(&reference));
-        for i in 0..opts.runs {
-            specs.push(TrialSpec::scored(
-                app,
-                "unguarded",
-                chaos,
-                enerj_apps::harness::FAULT_SEED_BASE ^ i,
-                Arc::clone(&reference),
-            ));
-        }
-    }
-    for (app, reference) in apps.iter().zip(&references) {
-        for i in 0..opts.runs {
-            specs.push(
-                TrialSpec::scored(
-                    app,
-                    "guarded",
-                    chaos,
-                    enerj_apps::harness::FAULT_SEED_BASE ^ i,
-                    Arc::clone(reference),
-                )
-                .with_recovery(Policy::standard()),
-            );
-        }
-    }
+    let half =
+        |label: &str| Grid::new(&apps, vec![(label.to_owned(), chaos)], opts.runs, FAULT_SEED_BASE);
+    let guarded = half("guarded");
+    let specs: Vec<TrialSpec> = half("unguarded")
+        .specs()
+        .chain(guarded.specs().map(|s| s.with_recovery(Policy::standard())))
+        .collect();
     let report = CampaignReport::collect(specs.as_slice(), &opts.campaign_options());
 
     let mut rows = Vec::new();
@@ -96,50 +70,39 @@ fn main() {
             recovered.to_string(),
             format!("{:.1}%", 100.0 * overhead / guarded_energy.max(f64::MIN_POSITIVE)),
         ]);
-        if opts.json {
-            println!(
-                "{{\"app\":\"{name}\",\"amplify\":{amplify},\"runs\":{},\
-                 \"unguarded_failing\":{unguarded_fail},\"guarded_failing\":{guarded_fail},\
-                 \"escalated\":{escalated},\"recovered\":{recovered},\
-                 \"recovery_energy_overhead\":{overhead:.6}}}",
-                opts.runs,
-            );
-        }
     }
 
-    if !opts.json {
-        println!(
-            "Recovery under chaos ({amplify}x Aggressive fault rates, {} seeds per app)",
-            opts.runs
-        );
-        println!();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Application",
-                    "fail (plain)",
-                    "fail (guarded)",
-                    "escalated",
-                    "recovered",
-                    "retry energy"
-                ],
-                &rows,
-            )
-        );
-        println!(
-            "fail = trials with output error >= {ACCEPTABLE_ERROR}; retry energy = share of \
-             guarded energy spent on rejected attempts."
-        );
-        let rate = if failing_total == 0 {
-            100.0
-        } else {
-            100.0 * rescued_total as f64 / failing_total as f64
-        };
-        println!(
-            "{rescued_total}/{failing_total} failing trials brought under the \
-             {ACCEPTABLE_ERROR} line by the ladder ({rate:.0}%)."
-        );
-    }
+    println!(
+        "Recovery under chaos ({amplify}x Aggressive fault rates, {} seeds per app)",
+        opts.runs
+    );
+    println!();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "Application",
+                "fail (plain)",
+                "fail (guarded)",
+                "escalated",
+                "recovered",
+                "retry energy"
+            ],
+            &rows,
+        )
+    );
+    println!(
+        "fail = trials with output error >= {ACCEPTABLE_ERROR}; retry energy = share of \
+         guarded energy spent on rejected attempts."
+    );
+    let rate = if failing_total == 0 {
+        100.0
+    } else {
+        100.0 * rescued_total as f64 / failing_total as f64
+    };
+    println!(
+        "{rescued_total}/{failing_total} failing trials brought under the \
+         {ACCEPTABLE_ERROR} line by the ladder ({rate:.0}%)."
+    );
     finish_campaign("recovery", &report, &opts);
 }

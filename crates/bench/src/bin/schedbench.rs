@@ -4,7 +4,7 @@
 //! baseline on the same workload and seeds.
 //!
 //! ```text
-//! schedbench [--runs N] [--threads N] [--json] [--quick]
+//! schedbench [--runs N] [--threads N] [--quick]
 //!            [--budget-pct P] [--meter sram|total]
 //! ```
 //!
@@ -35,8 +35,7 @@ use enerj_apps::scheduler::{
 };
 use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialResult};
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
-use enerj_bench::{bench_report_path, render_table, Options};
-use enerj_hw::energy::QuantaMeter;
+use enerj_bench::{bench_report_path, cli, render_table, Options};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// Two scheduled runs must agree on every bit that matters; returns a
@@ -80,19 +79,12 @@ fn first_divergence(
 }
 
 fn main() -> ExitCode {
-    let mut opts = Options::from_env(20, &["--quick", "--budget-pct N", "--meter M"]);
+    let (mut opts, (budget_pct, meter)) =
+        Options::from_env_with(20, &["--quick", "--budget-pct N", "--meter M"], cli::sched_budget);
     let quick = opts.has_flag("--quick");
     if quick {
         opts.runs = opts.runs.min(6);
     }
-    let budget_pct: u32 = opts
-        .value("--budget-pct")
-        .map(|v| v.parse().expect("--budget-pct needs an integer"))
-        .unwrap_or(60);
-    let meter = opts
-        .value("--meter")
-        .map(|v| QuantaMeter::parse(v).expect("--meter needs `sram` or `total`"))
-        .unwrap_or(QuantaMeter::Sram);
 
     let campaign_opts = opts.campaign_options();
     let workload = Workload::new(all_apps(), opts.runs);
@@ -172,60 +164,53 @@ fn main() -> ExitCode {
     };
 
     let json = sched_report.to_json();
-    if opts.json {
-        println!("{json}");
-    } else {
-        let mut rows = Vec::new();
-        for b in &sched_report.baselines {
-            rows.push(vec![
-                format!("static {}", b.level),
-                b.spent_quanta.to_string(),
-                format!("{:.4}", b.spent_quanta.get() as f64 / precise_cost.get() as f64),
-                format!("{:.4}", b.qos()),
-                if b.spent_quanta <= budget { "yes" } else { "no" }.to_owned(),
-            ]);
-        }
+    let mut rows = Vec::new();
+    for b in &sched_report.baselines {
         rows.push(vec![
-            "scheduled".to_owned(),
-            outcome.spent.to_string(),
-            format!("{:.4}", outcome.spent.get() as f64 / precise_cost.get() as f64),
-            format!("{:.4}", outcome.qos()),
-            if outcome.budget_met { "yes" } else { "NO" }.to_owned(),
+            format!("static {}", b.level),
+            b.spent_quanta.to_string(),
+            format!("{:.4}", b.spent_quanta.get() as f64 / precise_cost.get() as f64),
+            format!("{:.4}", b.qos()),
+            if b.spent_quanta <= budget { "yes" } else { "no" }.to_owned(),
         ]);
-        println!(
-            "Budget: {budget} {} quanta ({budget_pct}% of all-Precise {precise_cost})",
-            meter.name()
-        );
-        println!();
-        println!(
-            "{}",
-            render_table(&["Campaign", "Spent (quanta)", "vs precise", "QoS", "In budget"], &rows)
-        );
-        println!(
-            "Scheduled census: Precise {} / Mild {} / Medium {} / Aggressive {}  \
-             (epoch {}, {} implausible scalar(s))",
-            census[0], census[1], census[2], census[3], outcome.epoch_len, outcome.implausible
-        );
-        let best_static = sched_report
-            .baselines
-            .iter()
-            .filter(|b| b.spent_quanta <= budget)
-            .max_by(|a, b| a.qos().total_cmp(&b.qos()));
-        match best_static {
-            Some(b) if outcome.budget_met => println!(
-                "Scheduled QoS {:.4} vs best in-budget static ({}) {:.4}: {}",
-                outcome.qos(),
-                b.level,
-                b.qos(),
-                if outcome.qos() > b.qos() { "scheduler wins" } else { "static wins" }
-            ),
-            _ => println!("No in-budget comparison available."),
-        }
-        println!(
-            "Bit-identity across 1/2/{} thread(s): {}",
-            report_main.summary.threads, identical
-        );
     }
+    rows.push(vec![
+        "scheduled".to_owned(),
+        outcome.spent.to_string(),
+        format!("{:.4}", outcome.spent.get() as f64 / precise_cost.get() as f64),
+        format!("{:.4}", outcome.qos()),
+        if outcome.budget_met { "yes" } else { "NO" }.to_owned(),
+    ]);
+    println!(
+        "Budget: {budget} {} quanta ({budget_pct}% of all-Precise {precise_cost})",
+        meter.name()
+    );
+    println!();
+    println!(
+        "{}",
+        render_table(&["Campaign", "Spent (quanta)", "vs precise", "QoS", "In budget"], &rows)
+    );
+    println!(
+        "Scheduled census: Precise {} / Mild {} / Medium {} / Aggressive {}  \
+         (epoch {}, {} implausible scalar(s))",
+        census[0], census[1], census[2], census[3], outcome.epoch_len, outcome.implausible
+    );
+    let best_static = sched_report
+        .baselines
+        .iter()
+        .filter(|b| b.spent_quanta <= budget)
+        .max_by(|a, b| a.qos().total_cmp(&b.qos()));
+    match best_static {
+        Some(b) if outcome.budget_met => println!(
+            "Scheduled QoS {:.4} vs best in-budget static ({}) {:.4}: {}",
+            outcome.qos(),
+            b.level,
+            b.qos(),
+            if outcome.qos() > b.qos() { "scheduler wins" } else { "static wins" }
+        ),
+        _ => println!("No in-budget comparison available."),
+    }
+    println!("Bit-identity across 1/2/{} thread(s): {}", report_main.summary.threads, identical);
     if opts.trace {
         for (a, counts) in outcome.level_counts.iter().enumerate() {
             eprintln!(

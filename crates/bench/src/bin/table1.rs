@@ -1,13 +1,14 @@
 //! Regenerates **Table 1**: EnerJ's language extensions, their purposes,
 //! and — new for this reproduction — where each construct lives in the two
 //! renderings (the FEnerJ language and the embedded Rust API). Static
-//! content (no trials); `--json` emits one row object per construct.
+//! content (no trials).
 
 use enerj_bench::cli::Options;
 use enerj_bench::render_table;
 
 fn main() {
-    let opts = Options::from_env(0, &[]);
+    // Static content: the shared flags are checked, and none applies.
+    Options::from_env(0, &[]);
     let rows = vec![
         vec![
             "@Approx, @Precise, @Top".to_owned(),
@@ -52,15 +53,6 @@ fn main() {
             "ApproxVec<T>".to_owned(),
         ],
     ];
-    if opts.json {
-        for row in &rows {
-            println!(
-                "{{\"construct\":{:?},\"purpose\":{:?},\"paper\":{:?},\"fenerj\":{:?},\"rust\":{:?}}}",
-                row[0], row[1], row[2], row[3], row[4]
-            );
-        }
-        return;
-    }
     println!("Table 1: EnerJ's language extensions and their renderings here");
     println!();
     println!(

@@ -1,14 +1,14 @@
 //! Regenerates **Table 2**: the approximation strategies simulated in the
 //! evaluation, with their error probabilities and energy savings at the
-//! Mild / Medium / Aggressive levels. Static content (no trials); `--json`
-//! emits one row object per strategy.
+//! Mild / Medium / Aggressive levels. Static content (no trials).
 
 use enerj_bench::cli::Options;
 use enerj_bench::render_table;
 use enerj_hw::config::Level;
 
 fn main() {
-    let opts = Options::from_env(0, &[]);
+    // Static content: the shared flags are checked, and none applies.
+    Options::from_env(0, &[]);
     let [mild, medium, aggressive] =
         [Level::Mild.params(), Level::Medium.params(), Level::Aggressive.params()];
 
@@ -75,15 +75,6 @@ fn main() {
         ],
     ];
 
-    if opts.json {
-        for row in &rows {
-            println!(
-                "{{\"strategy\":{:?},\"mild\":{:?},\"medium\":{:?},\"aggressive\":{:?}}}",
-                row[0], row[1], row[2], row[3]
-            );
-        }
-        return;
-    }
     println!("Table 2: approximation strategies simulated in the evaluation");
     println!();
     println!("{}", render_table(&["Strategy", "Mild", "Medium", "Aggressive"], &rows));

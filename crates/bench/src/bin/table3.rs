@@ -24,18 +24,6 @@ fn main() {
         assert!(!trial.panicked(), "{}: reference run panicked", app.meta.name);
         let ann = app.meta.annotation_stats();
         let fp = trial.stats.fp_proportion();
-        if opts.json {
-            println!(
-                "{{\"app\":\"{}\",\"metric\":\"{}\",\"loc\":{},\"fp\":{:.4},\"decls\":{},\"annotated\":{},\"endorsements\":{}}}",
-                app.meta.name,
-                app.meta.metric,
-                ann.loc,
-                fp,
-                ann.total_decls,
-                ann.annotated_decls,
-                ann.endorsements
-            );
-        }
         rows.push(vec![
             app.meta.name.to_owned(),
             app.meta.metric.to_string(),
@@ -46,25 +34,23 @@ fn main() {
             ann.endorsements.to_string(),
         ]);
     }
-    if !opts.json {
-        println!("Table 3: applications, QoS metrics and annotation density (this port)");
-        println!();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Application",
-                    "Error metric",
-                    "LoC",
-                    "Prop. FP",
-                    "Decls",
-                    "Annotated",
-                    "Endorse-sites"
-                ],
-                &rows
-            )
-        );
-        println!("LoC / declaration counts describe the Rust ports in crates/apps.");
-    }
+    println!("Table 3: applications, QoS metrics and annotation density (this port)");
+    println!();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "Application",
+                "Error metric",
+                "LoC",
+                "Prop. FP",
+                "Decls",
+                "Annotated",
+                "Endorse-sites"
+            ],
+            &rows
+        )
+    );
+    println!("LoC / declaration counts describe the Rust ports in crates/apps.");
     finish_campaign("table3", &report, &opts);
 }

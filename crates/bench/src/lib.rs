@@ -15,11 +15,12 @@
 //! | `tuning` | section 6.2 extension — offline per-app QoS tuning |
 //!
 //! Each binary accepts `--runs N` where sampling applies and prints
-//! fixed-width text tables; pass `--json` for machine-readable rows and
-//! `--threads N` to bound the trial campaign's worker count (default: all
-//! available cores). Campaign-backed binaries also drop a machine-readable
-//! `results/BENCH_<name>.json` campaign report (schema
-//! `enerj-campaign/5`) on every run, and accept the telemetry flags
+//! fixed-width text tables; pass `--threads N` to bound the trial
+//! campaign's worker count (default: all available cores). Campaign-backed
+//! binaries also drop a machine-readable `results/BENCH_<name>.json`
+//! campaign report (schema `enerj-campaign/5`, the only machine-readable
+//! output: every number goes through its one writer) on every run, and
+//! accept the telemetry flags
 //! `--trace` (live progress + per-unit fault totals on stderr) and
 //! `--fault-log <path>` (structured NDJSON fault-event stream). The
 //! `faultscope` binary renders per-app, per-unit fault breakdowns from
@@ -54,7 +55,7 @@ pub fn bench_report_path(name: &str) -> PathBuf {
 }
 
 /// Writes a campaign report to [`bench_report_path`] and prints where it
-/// went (on stderr, so `--json` stdout stays machine-readable).
+/// went (on stderr, so stdout carries only the text tables).
 pub fn write_bench_report(name: &str, report: &CampaignReport) {
     let path = bench_report_path(name);
     match report.write_json(&path) {

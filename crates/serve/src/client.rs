@@ -97,27 +97,33 @@ impl Client {
     }
 
     /// Submits a campaign spec (`enerj-serve/1` JSON).
+    ///
+    /// # Errors
+    ///
+    /// A transport error, or `InvalidData` naming the response field that
+    /// is missing or malformed: nothing the server leaves out is filled in.
     pub fn submit(&self, spec_json: &str) -> io::Result<Submitted> {
         let resp = self.request("POST", "/jobs", spec_json.as_bytes())?;
         let doc = resp.json().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let string = |key| field(&doc, key, |v| v.as_str().map(str::to_owned));
         if resp.status == 200 {
-            let job_id = doc
-                .get("job_id")
-                .and_then(|j| j.as_str())
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no job_id"))?
-                .to_owned();
-            let trials = doc.get("trials").and_then(|t| t.as_i128()).unwrap_or(0).max(0) as usize;
-            Ok(Submitted::Accepted { job_id, trials })
+            Ok(Submitted::Accepted {
+                job_id: string("job_id")?,
+                trials: field(&doc, "trials", |t| t.as_i128().and_then(|t| t.try_into().ok()))?,
+            })
         } else {
             Ok(Submitted::Rejected {
                 status: resp.status,
-                error: doc.get("error").and_then(|e| e.as_str()).unwrap_or("unknown").to_owned(),
-                retriable: doc.get("retriable") == Some(&Json::Bool(true)),
-                backoff_ms: doc
-                    .get("backoff_ms")
-                    .and_then(|b| b.as_i128())
-                    .map(|b| b.max(0) as u64),
-                detail: doc.get("detail").and_then(|d| d.as_str()).unwrap_or_default().to_owned(),
+                error: string("error")?,
+                retriable: field(&doc, "retriable", |r| match r {
+                    Json::Bool(b) => Some(*b),
+                    _ => None,
+                })?,
+                backoff_ms: field(&doc, "backoff_ms", |b| match b {
+                    Json::Null => Some(None),
+                    b => b.as_i128().and_then(|b| b.try_into().ok()).map(Some),
+                })?,
+                detail: string("detail")?,
             })
         }
     }
@@ -209,6 +215,21 @@ impl Client {
     }
 }
 
+/// Response field `key` of `doc`, as `read` takes it; an absent field, or
+/// one `read` refuses, is an `InvalidData` error that names it.
+fn field<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> io::Result<T> {
+    doc.get(key).and_then(read).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response field `{key}` is missing or malformed"),
+        )
+    })
+}
+
 /// Reads a response head and the status code on its status line.
 fn read_status(r: &mut impl BufRead) -> io::Result<(u16, Head)> {
     let head = http::read_head(r)?
@@ -238,4 +259,72 @@ fn read_response(stream: TcpStream) -> io::Result<Response> {
         }
     }
     Ok(Response { status, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Submits through a listener that answers one request with `status`
+    /// and `body`.
+    fn submit_against(status: u16, body: &'static str) -> io::Result<Submitted> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("one connection");
+            http::read_request(&mut BufReader::new(&stream)).expect("a request");
+            http::write_json(&mut stream, status, body).expect("the canned response");
+        });
+        let submitted = Client::new(addr).submit("{}");
+        server.join().expect("canned server");
+        submitted
+    }
+
+    fn invalid_field(status: u16, body: &'static str) -> String {
+        let err = submit_against(status, body).expect_err("a malformed response");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn submit_reads_every_response_field() {
+        match submit_against(200, r#"{"job_id":"j000001","accepted":true,"trials":12}"#) {
+            Ok(Submitted::Accepted { job_id, trials }) => {
+                assert_eq!((job_id.as_str(), trials), ("j000001", 12));
+            }
+            other => panic!("{other:?}"),
+        }
+        let body = r#"{"error":"queue_full","detail":"2 jobs","retriable":true,"backoff_ms":500}"#;
+        match submit_against(429, body) {
+            Ok(Submitted::Rejected { status, error, retriable, backoff_ms, detail }) => {
+                assert_eq!((status, error.as_str(), retriable), (429, "queue_full", true));
+                assert_eq!((backoff_ms, detail.as_str()), (Some(500), "2 jobs"));
+            }
+            other => panic!("{other:?}"),
+        }
+        let body = r#"{"error":"bad_request","detail":"x","retriable":false,"backoff_ms":null}"#;
+        assert!(matches!(
+            submit_against(400, body),
+            Ok(Submitted::Rejected { backoff_ms: None, retriable: false, .. })
+        ));
+    }
+
+    #[test]
+    fn submit_refuses_missing_or_malformed_fields() {
+        for (status, body, name) in [
+            (200, r#"{"job_id":"j000001","accepted":true}"#, "trials"),
+            (200, r#"{"job_id":"j000001","trials":-3}"#, "trials"),
+            (200, r#"{"job_id":"j000001","trials":1.5}"#, "trials"),
+            (200, r#"{"trials":4}"#, "job_id"),
+            (429, r#"{"detail":"d","retriable":true,"backoff_ms":5}"#, "error"),
+            (429, r#"{"error":"e","detail":"d","retriable":true,"backoff_ms":-5}"#, "backoff_ms"),
+            (429, r#"{"error":"e","detail":"d","retriable":true}"#, "backoff_ms"),
+            (429, r#"{"error":"e","detail":"d","retriable":1,"backoff_ms":5}"#, "retriable"),
+            (429, r#"{"error":"e","retriable":true,"backoff_ms":5}"#, "detail"),
+        ] {
+            let err = invalid_field(status, body);
+            assert!(err.contains(&format!("`{name}`")), "{body}: {err}");
+        }
+    }
 }

@@ -17,14 +17,13 @@
 //! }
 //! ```
 //!
-//! `apps`, `levels`, `runs` enumerate trials app-major, then level, then
-//! run — exactly the canonical order of
-//! [`run_level_campaign`](enerj_apps::trials::run_level_campaign) — with
-//! fault seeds `FAULT_SEED_BASE ^ run`. Every trial is a pure function of
-//! its index (plus the job's degrade rung, which is itself a deterministic
-//! function of the durable chunk ledger), which is what makes crash
-//! recovery replay-exact: re-running any uncommitted suffix reproduces the
-//! uninterrupted bytes.
+//! `apps`, `levels`, `runs` are a trial [`Grid`] — app-major, then level,
+//! then run, on fault seeds `FAULT_SEED_BASE ^ run`, the grid
+//! [`run_level_campaign`](enerj_apps::trials::run_level_campaign) runs.
+//! Every trial is a pure function of its index (plus the job's degrade
+//! rung, which is itself a deterministic function of the durable chunk
+//! ledger), which is what makes crash recovery replay-exact: re-running
+//! any uncommitted suffix reproduces the uninterrupted bytes.
 //!
 //! `budget_quanta` is an optional *job-level* quota in exact scaled energy
 //! quanta, enforced at chunk-commit granularity on top of the tenant's
@@ -34,15 +33,13 @@
 //! Medium → Aggressive) one rung per over-budget commit and hard-stops
 //! only at the Aggressive floor.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use enerj_apps::harness;
 use enerj_apps::json::Json;
-use enerj_apps::qos::Output;
 use enerj_apps::recovery;
 use enerj_apps::scheduler::SchedLevel;
-use enerj_apps::trials::{json_string, TrialSpec};
-use enerj_apps::{harness, App};
+use enerj_apps::trials::{json_string, Grid, SpecSource, TrialSpec};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// The schema tag every spec must carry.
@@ -91,12 +88,9 @@ impl OverBudget {
 pub struct JobSpec {
     /// The submitting tenant.
     pub tenant: String,
-    /// Registered app names, in trial-enumeration (outermost) order.
-    pub apps: Vec<String>,
-    /// Rung names (`Precise` or a Table 2 level), middle enumeration order.
-    pub levels: Vec<String>,
-    /// Fault-injection runs per (app, level); seeds `FAULT_SEED_BASE ^ run`.
-    pub runs: u64,
+    /// The trials: registered apps × rungs (`Precise` or a Table 2 level,
+    /// labelled with the rung name) × runs, on seeds `FAULT_SEED_BASE ^ run`.
+    grid: Grid,
     /// Run every trial under the PR 5 standard recovery ladder instead of
     /// the plain watchdog-only policy.
     pub recovery: bool,
@@ -114,7 +108,7 @@ impl JobSpec {
     /// Total trials this spec enumerates ([`parse`](Self::parse) caps it at
     /// [`MAX_TRIALS`]).
     pub fn total_trials(&self) -> usize {
-        self.apps.len() * self.levels.len() * self.runs as usize
+        self.grid.len()
     }
 
     /// Number of chunks (`ceil(total / chunk)`).
@@ -152,10 +146,9 @@ impl JobSpec {
                 let mut names = Vec::with_capacity(list.len());
                 for a in list {
                     let name = a.as_str().ok_or("`apps` entries must be strings")?;
-                    if enerj_apps::app(name).is_none() {
-                        return Err(format!("unknown app `{name}`"));
-                    }
-                    names.push(name.to_owned());
+                    names.push(
+                        enerj_apps::app(name).ok_or_else(|| format!("unknown app `{name}`"))?,
+                    );
                 }
                 names
             }
@@ -166,10 +159,10 @@ impl JobSpec {
                 let mut names = Vec::with_capacity(list.len());
                 for l in list {
                     let name = l.as_str().ok_or("`levels` entries must be strings")?;
-                    SchedLevel::from_name(name).ok_or_else(|| {
+                    let level = SchedLevel::from_name(name).ok_or_else(|| {
                         format!("unknown level `{name}` (Precise|Mild|Medium|Aggressive)")
                     })?;
-                    names.push(name.to_owned());
+                    names.push((name.to_owned(), level.config()));
                 }
                 names
             }
@@ -228,9 +221,7 @@ impl JobSpec {
         };
         Ok(JobSpec {
             tenant,
-            apps,
-            levels,
-            runs,
+            grid: Grid::new(&apps, levels, runs, harness::FAULT_SEED_BASE),
             recovery,
             budget_quanta,
             over_budget,
@@ -248,8 +239,8 @@ impl JobSpec {
     /// Re-serializes the spec canonically (the durable `spec.json` body,
     /// so a restarted server reconstructs the exact same job).
     pub fn to_json(&self) -> String {
-        let apps: Vec<String> = self.apps.iter().map(|a| json_string(a)).collect();
-        let levels: Vec<String> = self.levels.iter().map(|l| json_string(l)).collect();
+        let apps: Vec<String> = self.grid.apps().iter().map(|a| json_string(a.meta.name)).collect();
+        let levels: Vec<String> = self.grid.arms().iter().map(|(l, _)| json_string(l)).collect();
         format!(
             "{{\"schema\":{},\"tenant\":{},\"apps\":[{}],\"levels\":[{}],\"runs\":{},\
              \"recovery\":{},\"budget_quanta\":{},\"over_budget\":{},\"deadline_secs\":{},\
@@ -258,7 +249,7 @@ impl JobSpec {
             json_string(&self.tenant),
             apps.join(","),
             levels.join(","),
-            self.runs,
+            self.grid.runs(),
             self.recovery,
             match self.budget_quanta {
                 Some(q) => q.to_string(),
@@ -273,34 +264,17 @@ impl JobSpec {
         )
     }
 
-    /// The `(app index, level index, run)` coordinates of trial `index`.
-    fn coordinates(&self, index: usize) -> (usize, usize, u64) {
-        let per_level = self.runs as usize;
-        let per_app = self.levels.len() * per_level;
-        let (a, rem) = (index / per_app, index % per_app);
-        let (l, r) = (rem / per_level, rem % per_level);
-        (a, l, r as u64)
-    }
-
     /// The [`TrialSpec`] for trial `index` with `degrade` ladder rungs
     /// applied. Degradation shifts the requested rung towards Aggressive
     /// (saturating at the floor); a degraded trial records its effective
     /// rung in `scheduled_level` so the NDJSON line says what actually ran.
     pub fn trial_spec(&self, index: usize, degrade: u32) -> TrialSpec {
-        let (a, l, run) = self.coordinates(index);
-        let app = registry_app(&self.apps[a]);
-        let requested = SchedLevel::from_name(&self.levels[l]).expect("validated at parse");
+        let mut spec = self.grid.spec(index).into_owned();
+        let requested = SchedLevel::from_name(&spec.label).expect("validated at parse");
         let effective_idx = (requested.index() + degrade as usize).min(SchedLevel::ALL.len() - 1);
         let effective = SchedLevel::ALL[effective_idx];
-        let reference = reference_output(&self.apps[a]);
-        let mut spec = TrialSpec::scored(
-            &app,
-            self.levels[l].clone(),
-            effective.config(),
-            harness::FAULT_SEED_BASE ^ run,
-            reference,
-        );
         if effective != requested {
+            spec.cfg = effective.config();
             spec.scheduled_level = Some(effective.to_string());
         }
         spec.recovery = Some(if self.recovery {
@@ -326,28 +300,6 @@ fn deadline_after(start: Instant, secs: f64) -> Option<Instant> {
 
 fn tenant_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')
-}
-
-fn registry_app(name: &str) -> App {
-    enerj_apps::app(name).expect("validated at parse")
-}
-
-/// Fault-free reference outputs, computed once per app per process.
-/// References are pure functions of the app, so caching cannot perturb a
-/// trial — it only keeps job startup from re-running every app.
-fn reference_output(name: &str) -> Arc<Output> {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static REFS: OnceLock<Mutex<HashMap<String, Arc<Output>>>> = OnceLock::new();
-    let refs = REFS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = refs.lock().expect("reference cache");
-    if let Some(out) = map.get(name) {
-        return Arc::clone(out);
-    }
-    let app = registry_app(name);
-    let out = Arc::new(harness::reference(&app).output);
-    map.insert(name.to_owned(), Arc::clone(&out));
-    out
 }
 
 #[cfg(test)]
@@ -428,6 +380,32 @@ mod tests {
         // Degradation saturates at the Aggressive floor.
         let d = spec.trial_spec(7, 9);
         assert_eq!(d.scheduled_level.as_deref(), Some("Aggressive"));
+    }
+
+    #[test]
+    fn trial_order_is_the_fig5_order() {
+        use enerj_hw::config::Level;
+        let text = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"tenant\":\"t1\",\"apps\":[\"SOR\",\"MonteCarlo\"],\
+             \"levels\":[\"Mild\",\"Aggressive\"],\"runs\":3}}"
+        );
+        let spec = JobSpec::parse(&text).expect("valid");
+        let apps = ["SOR", "MonteCarlo"].map(|n| enerj_apps::app(n).expect("registered"));
+        // The grid `run_level_campaign` runs for the same apps, levels and runs.
+        let fig5 =
+            Grid::levels(&apps, &[Level::Mild, Level::Aggressive], 3, harness::FAULT_SEED_BASE);
+        assert_eq!(spec.total_trials(), 12);
+        assert_eq!(fig5.len(), 12);
+        for i in 0..12 {
+            let (job, campaign) = (spec.trial_spec(i, 0), fig5.spec(i));
+            assert_eq!(job.app.meta.name, campaign.app.meta.name, "trial {i}");
+            assert_eq!(job.label, campaign.label, "trial {i}");
+            assert_eq!(job.seed, campaign.seed, "trial {i}");
+            assert_eq!(job.cfg, campaign.cfg, "trial {i}");
+            let (a, b) =
+                (job.reference.expect("scored"), campaign.reference.clone().expect("scored"));
+            assert!(std::sync::Arc::ptr_eq(&a, &b), "trial {i}: one reference memo");
+        }
     }
 
     #[test]

@@ -30,21 +30,29 @@ trap restore EXIT
 
 step() { printf '\n== %s\n' "$*"; }
 
-# Fails the script if the command succeeds.
+# Fails the script unless the command exits 2, the usage-error status (a
+# panic exits 101).
 reject() {
-    if "$@" > /dev/null 2>&1; then
-        echo "expected a usage error: $*" >&2
+    local status=0
+    "$@" > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "expected a usage error (exit 2), got exit $status: $*" >&2
         exit 1
     fi
 }
 
 # The bench CLI and fuzzgen refuse what they do not know instead of running
-# with a default: an unknown flag, a zero run count and a fuzz campaign that
-# would check nothing (no cases, or oracle 4 with no chaos seeds) must all
-# exit nonzero.
+# with a default: an unknown or retired flag, a zero run count, a mode flag
+# value the binary cannot use and a fuzz campaign that would check nothing
+# (no cases, or oracle 4 with no chaos seeds) must all exit nonzero.
 step "cli: unknown flags and zero counts are usage errors"
 reject "$bin/fig5" --runs 1 --deadline-secs 1
 reject "$bin/fig5" --runs 0
+reject "$bin/fig5" --runs 1 --json
+reject "$bin/recovery" --runs 1 --amplify x
+reject "$bin/recovery" --runs 1 --amplify 0.5
+reject "$bin/schedbench" --quick --budget-pct abc
+reject "$bin/schedbench" --quick --meter foo
 reject "$bin/fuzzgen" --cases 0
 reject "$bin/fuzzgen" --chaos-seeds 0
 reject "$bin/fuzzgen" --no-such-flag
@@ -94,6 +102,14 @@ step "telemetry + quanta: schemas, fault log, exact quanta equality"
     --quanta-compare "$work/fig5_t1.json" results/BENCH_fig5.json
 "$bin/faultscope" results/BENCH_fig5.json --bits
 "$bin/faultscope" "$work/fig5.ndjson"
+
+# The tuner profiles each app once, however many budgets it tunes. A trial's
+# fault events form one block of the log (events may repeat inside a trial),
+# so a (trial, app, label, seed) block that recurs is a trial run twice.
+step "tuning: every profiled trial appears once in the fault log"
+"$bin/tuning" --runs 2 --fault-log "$work/tuning.ndjson" > /dev/null
+repeated=$(sed -E 's/,"time":.*//' "$work/tuning.ndjson" | uniq | sort | uniq -d | wc -l)
+[ "$repeated" -eq 0 ] || { echo "tuning: $repeated trial(s) profiled twice" >&2; exit 1; }
 
 # Shape only: the Precise rung makes full recovery structural, and the
 # binary itself reports the rescue rate.
