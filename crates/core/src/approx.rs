@@ -54,7 +54,10 @@ impl<T: ApproxPrim> Approx<T> {
     /// Stores a value into approximate state. The store itself is an
     /// approximate SRAM write and may fail bits.
     pub fn new(value: T) -> Self {
-        Approx(sram_store(value))
+        with_hw(|hw| match hw {
+            Some(hw) => Approx(sram_store(hw, value)),
+            None => Approx(value),
+        })
     }
 
     /// Wraps a value without an SRAM store (crate-internal: used for
@@ -157,12 +160,48 @@ fn sram_load<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
     T::from_bits64(hw.sram_read(x.to_bits64(), T::WIDTH, true))
 }
 
-/// Writes a value to approximate SRAM, if a runtime is installed.
-fn sram_store<T: ApproxPrim>(x: T) -> T {
-    with_hw(|hw| match hw {
-        Some(hw) => T::from_bits64(hw.sram_write(x.to_bits64(), T::WIDTH, true)),
-        None => x,
-    })
+/// Writes a value to approximate SRAM under an installed runtime.
+#[inline]
+fn sram_store<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
+    T::from_bits64(hw.sram_write(x.to_bits64(), T::WIDTH, true))
+}
+
+/// An operand of an approximate operation: an `Approx` value already in the
+/// register file, or a precise value that flows in by subtyping and is
+/// stored there first (what `Approx::new` would do) — in the same dispatch
+/// as the operation itself.
+pub(crate) trait Operand<T: ApproxPrim> {
+    /// Places the operand in approximate SRAM under an installed runtime.
+    fn place(self, hw: &mut Hardware) -> T;
+    /// The operand's value without a runtime.
+    fn exact(self) -> T;
+}
+
+impl<T: ApproxPrim> Operand<T> for Approx<T> {
+    #[inline]
+    fn place(self, _hw: &mut Hardware) -> T {
+        self.0
+    }
+
+    #[inline]
+    fn exact(self) -> T {
+        self.0
+    }
+}
+
+/// A precise operand, upcast to `@Approx` (primitive subtyping).
+pub(crate) struct Upcast<T>(pub(crate) T);
+
+impl<T: ApproxPrim> Operand<T> for Upcast<T> {
+    #[inline]
+    fn place(self, hw: &mut Hardware) -> T {
+        sram_store(hw, self.0)
+    }
+
+    #[inline]
+    fn exact(self) -> T {
+        self.0
+    }
 }
 
 /// The operand phase of every approximate operation: an SRAM read, then
@@ -174,39 +213,99 @@ fn operand<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
     T::condition_operand(hw, x)
 }
 
-/// An approximate unary operation: operand phase, compute, then the unit's
-/// result phase. Exact without an installed runtime.
+/// An approximate unary operation on an installed machine: placement,
+/// operand phase, compute, then the unit's result phase.
+#[inline]
+fn unary_on<T: ApproxPrim>(hw: &mut Hardware, x: impl Operand<T>, f: impl FnOnce(T) -> T) -> T {
+    let x = x.place(hw);
+    let a = operand(hw, x);
+    T::unit_result(hw, f(a))
+}
+
+/// An approximate binary operation on an installed machine: placement of
+/// both operands, both operand phases, compute, then `result` — the unit's
+/// result phase ([`ApproxPrim::unit_result`], or [`cmp_result`] for
+/// comparisons).
+#[inline]
+fn binary_on<T: ApproxPrim, R: ApproxPrim>(
+    hw: &mut Hardware,
+    lhs: impl Operand<T>,
+    rhs: impl Operand<T>,
+    f: impl FnOnce(T, T) -> R,
+    result: impl FnOnce(&mut Hardware, R) -> R,
+) -> R {
+    let (l, r) = (lhs.place(hw), rhs.place(hw));
+    let a = operand(hw, l);
+    let b = operand(hw, r);
+    // Results are forwarded to their consumer without a register-file
+    // round trip; write failures apply at explicit stores (`Approx::new`),
+    // matching the paper's negligible Mild error.
+    result(hw, f(a, b))
+}
+
+/// An approximate unary operation: one dispatch to the installed machine.
+/// Exact without an installed runtime.
 #[inline]
 pub(crate) fn unary<T: ApproxPrim>(x: Approx<T>, f: impl FnOnce(T) -> T) -> Approx<T> {
     with_hw(|hw| match hw {
-        Some(hw) => {
-            let a = operand(hw, x.0);
-            Approx(T::unit_result(hw, f(a)))
-        }
+        Some(hw) => Approx(unary_on(hw, x, f)),
         None => Approx(f(x.0)),
     })
 }
 
-/// An approximate binary operation: both operand phases, compute, then
-/// `result` — the unit's result phase ([`ApproxPrim::unit_result`], or
-/// [`cmp_result`] for comparisons). Exact without an installed runtime.
+/// An approximate binary operation: one dispatch to the installed machine,
+/// however many of its operands are precise values upcast on the way in.
+/// Exact without an installed runtime.
 #[inline]
 pub(crate) fn binary<T: ApproxPrim, R: ApproxPrim>(
-    lhs: Approx<T>,
-    rhs: Approx<T>,
+    lhs: impl Operand<T>,
+    rhs: impl Operand<T>,
     f: impl FnOnce(T, T) -> R,
     result: impl FnOnce(&mut Hardware, R) -> R,
 ) -> Approx<R> {
     with_hw(|hw| match hw {
+        Some(hw) => Approx(binary_on(hw, lhs, rhs, f, result)),
+        None => Approx(f(lhs.exact(), rhs.exact())),
+    })
+}
+
+/// The round trip of an approximate-context value (`Ctx<T, ApproxMode>`)
+/// through approximate storage: stored as `Approx::new` does, then read
+/// back as [`endorse`] does, in one dispatch.
+#[inline]
+pub(crate) fn ctx_round_trip<T: ApproxPrim>(x: T) -> T {
+    with_hw(|hw| match hw {
         Some(hw) => {
-            let a = operand(hw, lhs.0);
-            let b = operand(hw, rhs.0);
-            // Results are forwarded to their consumer without a register-
-            // file round trip; write failures apply at explicit stores
-            // (`Approx::new`), matching the paper's negligible Mild error.
-            Approx(result(hw, f(a, b)))
+            let stored = sram_store(hw, x);
+            sram_load(hw, stored)
         }
-        None => Approx(f(lhs.0, rhs.0)),
+        None => x,
+    })
+}
+
+/// A unary operation on an approximate-context value: `endorse(op
+/// Approx::new(x))` in one dispatch.
+#[inline]
+pub(crate) fn ctx_unary<T: ApproxPrim>(x: T, f: impl FnOnce(T) -> T) -> T {
+    with_hw(|hw| match hw {
+        Some(hw) => {
+            let out = unary_on(hw, Upcast(x), f);
+            sram_load(hw, out)
+        }
+        None => f(x),
+    })
+}
+
+/// A binary operation on two approximate-context values:
+/// `endorse(Approx::new(a) op Approx::new(b))` in one dispatch.
+#[inline]
+pub(crate) fn ctx_binary<T: ApproxPrim>(a: T, b: T, f: impl FnOnce(T, T) -> T) -> T {
+    with_hw(|hw| match hw {
+        Some(hw) => {
+            let out = binary_on(hw, Upcast(a), Upcast(b), f, T::unit_result);
+            sram_load(hw, out)
+        }
+        None => f(a, b),
     })
 }
 
@@ -230,7 +329,7 @@ macro_rules! impl_binop {
         impl<T: ApproxArith> $trait<T> for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: T) -> Approx<T> {
-                binary(self, Approx::new(rhs), T::$arith, T::unit_result)
+                binary(self, Upcast(rhs), T::$arith, T::unit_result)
             }
         }
     };
@@ -253,7 +352,7 @@ macro_rules! impl_bitop {
         impl<T: ApproxBits> $trait<T> for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: T) -> Approx<T> {
-                binary(self, Approx::new(rhs), T::$arith, T::unit_result)
+                binary(self, Upcast(rhs), T::$arith, T::unit_result)
             }
         }
     };
@@ -284,31 +383,31 @@ macro_rules! impl_binop_lhs_precise {
         impl Add<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn add(self, rhs: Approx<$t>) -> Approx<$t> {
-                Approx::new(self) + rhs
+                binary(Upcast(self), rhs, <$t>::approx_add, <$t>::unit_result)
             }
         }
         impl Sub<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn sub(self, rhs: Approx<$t>) -> Approx<$t> {
-                Approx::new(self) - rhs
+                binary(Upcast(self), rhs, <$t>::approx_sub, <$t>::unit_result)
             }
         }
         impl Mul<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn mul(self, rhs: Approx<$t>) -> Approx<$t> {
-                Approx::new(self) * rhs
+                binary(Upcast(self), rhs, <$t>::approx_mul, <$t>::unit_result)
             }
         }
         impl Div<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn div(self, rhs: Approx<$t>) -> Approx<$t> {
-                Approx::new(self) / rhs
+                binary(Upcast(self), rhs, <$t>::approx_div, <$t>::unit_result)
             }
         }
         impl Rem<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn rem(self, rhs: Approx<$t>) -> Approx<$t> {
-                Approx::new(self) % rhs
+                binary(Upcast(self), rhs, <$t>::approx_rem, <$t>::unit_result)
             }
         }
     )*};

@@ -46,7 +46,7 @@
 use std::marker::PhantomData;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::approx::{endorse, Approx};
+use crate::approx::{self, endorse, Approx};
 use crate::precise::Precise;
 use crate::prim::{ApproxArith, ApproxPrim};
 
@@ -88,7 +88,7 @@ impl<T: ApproxPrim, M: Mode> Ctx<T, M> {
     /// Wraps a precise value (allowed in both modes by subtyping).
     pub fn new(value: T) -> Self {
         if M::APPROX {
-            Ctx(endorse(Approx::new(value)), PhantomData)
+            Ctx(approx::ctx_round_trip(value), PhantomData)
         } else {
             Ctx(value, PhantomData)
         }
@@ -124,7 +124,7 @@ impl<T: ApproxPrim> From<Precise<T>> for Ctx<T, PreciseMode> {
 /// Endorses an approximate-context value (section 2.2). Precise-context
 /// values use [`Ctx::into_precise`] instead — no endorsement is needed.
 pub fn endorse_ctx<T: ApproxPrim>(value: Ctx<T, ApproxMode>) -> T {
-    endorse(value.to_approx())
+    approx::ctx_round_trip(value.0)
 }
 
 macro_rules! impl_ctx_binop {
@@ -133,9 +133,7 @@ macro_rules! impl_ctx_binop {
             type Output = Ctx<T, M>;
             fn $method(self, rhs: Ctx<T, M>) -> Ctx<T, M> {
                 if M::APPROX {
-                    let out = crate::approx::Approx::new(self.0)
-                        .$method(crate::approx::Approx::new(rhs.0));
-                    Ctx(endorse(out), PhantomData)
+                    Ctx(approx::ctx_binary(self.0, rhs.0, T::$arith), PhantomData)
                 } else {
                     Ctx((Precise::new(self.0).$method(rhs.0)).get(), PhantomData)
                 }
@@ -179,7 +177,7 @@ impl<T: ApproxArith + Neg<Output = T>, M: Mode> Neg for Ctx<T, M> {
     type Output = Ctx<T, M>;
     fn neg(self) -> Ctx<T, M> {
         if M::APPROX {
-            Ctx(endorse(-Approx::new(self.0)), PhantomData)
+            Ctx(approx::ctx_unary(self.0, T::approx_neg), PhantomData)
         } else {
             Ctx((-Precise::new(self.0)).get(), PhantomData)
         }

@@ -41,6 +41,7 @@ pub trait ApproxPrim: Copy + PartialEq + std::fmt::Debug + sealed::Sealed + 'sta
 
     /// Applies operand conditioning for approximate execution (mantissa
     /// width reduction for floats; identity for integers).
+    #[inline]
     fn condition_operand(hw: &Hardware, x: Self) -> Self {
         let _ = hw;
         x
@@ -57,17 +58,20 @@ macro_rules! impl_int_prim {
             const WIDTH: u32 = $w;
             const OP_KIND: OpKind = OpKind::Int;
 
+            #[inline]
             #[allow(clippy::cast_sign_loss)]
             fn to_bits64(self) -> u64 {
                 // Zero-extend the two's-complement pattern.
                 (self as u64) & enerj_hw::fault::low_mask($w)
             }
 
+            #[inline]
             #[allow(clippy::cast_possible_truncation)]
             fn from_bits64(bits: u64) -> Self {
                 bits as $t
             }
 
+            #[inline]
             fn unit_result(hw: &mut Hardware, raw: Self) -> Self {
                 Self::from_bits64(hw.approx_int_result(raw.to_bits64(), $w))
             }
@@ -84,19 +88,23 @@ impl ApproxPrim for f32 {
     const WIDTH: u32 = 32;
     const OP_KIND: OpKind = OpKind::Fp;
 
+    #[inline]
     fn to_bits64(self) -> u64 {
         u64::from(self.to_bits())
     }
 
+    #[inline]
     #[allow(clippy::cast_possible_truncation)]
     fn from_bits64(bits: u64) -> Self {
         f32::from_bits(bits as u32)
     }
 
+    #[inline]
     fn condition_operand(hw: &Hardware, x: Self) -> Self {
         hw.approx_f32_operand(x)
     }
 
+    #[inline]
     fn unit_result(hw: &mut Hardware, raw: Self) -> Self {
         hw.approx_f32_result(raw)
     }
@@ -106,18 +114,22 @@ impl ApproxPrim for f64 {
     const WIDTH: u32 = 64;
     const OP_KIND: OpKind = OpKind::Fp;
 
+    #[inline]
     fn to_bits64(self) -> u64 {
         self.to_bits()
     }
 
+    #[inline]
     fn from_bits64(bits: u64) -> Self {
         f64::from_bits(bits)
     }
 
+    #[inline]
     fn condition_operand(hw: &Hardware, x: Self) -> Self {
         hw.approx_f64_operand(x)
     }
 
+    #[inline]
     fn unit_result(hw: &mut Hardware, raw: Self) -> Self {
         hw.approx_f64_result(raw)
     }
@@ -127,14 +139,17 @@ impl ApproxPrim for bool {
     const WIDTH: u32 = 1;
     const OP_KIND: OpKind = OpKind::Int;
 
+    #[inline]
     fn to_bits64(self) -> u64 {
         u64::from(self)
     }
 
+    #[inline]
     fn from_bits64(bits: u64) -> Self {
         bits & 1 == 1
     }
 
+    #[inline]
     fn unit_result(hw: &mut Hardware, raw: Self) -> Self {
         Self::from_bits64(hw.approx_int_result(raw.to_bits64(), 1))
     }
@@ -163,15 +178,21 @@ pub trait ApproxArith: ApproxPrim {
 macro_rules! impl_int_arith {
     ($($t:ty),* $(,)?) => {$(
         impl ApproxArith for $t {
+            #[inline]
             fn approx_add(a: Self, b: Self) -> Self { a.wrapping_add(b) }
+            #[inline]
             fn approx_sub(a: Self, b: Self) -> Self { a.wrapping_sub(b) }
+            #[inline]
             fn approx_mul(a: Self, b: Self) -> Self { a.wrapping_mul(b) }
+            #[inline]
             fn approx_div(a: Self, b: Self) -> Self {
                 if b == 0 { 0 } else { a.wrapping_div(b) }
             }
+            #[inline]
             fn approx_rem(a: Self, b: Self) -> Self {
                 if b == 0 { 0 } else { a.wrapping_rem(b) }
             }
+            #[inline]
             fn approx_neg(a: Self) -> Self { a.wrapping_neg() }
         }
     )*};
@@ -198,12 +219,17 @@ pub trait ApproxBits: ApproxPrim {
 macro_rules! impl_int_bits {
     ($($t:ty),* $(,)?) => {$(
         impl ApproxBits for $t {
+            #[inline]
             fn approx_and(a: Self, b: Self) -> Self { a & b }
+            #[inline]
             fn approx_or(a: Self, b: Self) -> Self { a | b }
+            #[inline]
             fn approx_xor(a: Self, b: Self) -> Self { a ^ b }
+            #[inline]
             fn approx_shl(a: Self, amount: u32) -> Self {
                 a.wrapping_shl(amount)
             }
+            #[inline]
             fn approx_shr(a: Self, amount: u32) -> Self {
                 a.wrapping_shr(amount)
             }
@@ -216,15 +242,21 @@ impl_int_bits!(i8, i16, i32, i64, u8, u16, u32, u64);
 macro_rules! impl_fp_arith {
     ($($t:ty),* $(,)?) => {$(
         impl ApproxArith for $t {
+            #[inline]
             fn approx_add(a: Self, b: Self) -> Self { a + b }
+            #[inline]
             fn approx_sub(a: Self, b: Self) -> Self { a - b }
+            #[inline]
             fn approx_mul(a: Self, b: Self) -> Self { a * b }
+            #[inline]
             fn approx_div(a: Self, b: Self) -> Self {
                 if b == 0.0 { <$t>::NAN } else { a / b }
             }
+            #[inline]
             fn approx_rem(a: Self, b: Self) -> Self {
                 if b == 0.0 { <$t>::NAN } else { a % b }
             }
+            #[inline]
             fn approx_neg(a: Self) -> Self { -a }
         }
     )*};

@@ -38,16 +38,14 @@
 //! });
 //! ```
 
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
 use crate::approx::Approx;
 use crate::prim::ApproxPrim;
-use crate::runtime::require_hw;
+use crate::runtime::{installed_home, Home};
 use enerj_hw::dram::DramRecord;
 use enerj_hw::layout::FieldSpec;
-use enerj_hw::Hardware;
 
 /// One declared field: name, precision, and primitive width.
 #[derive(Debug, Clone)]
@@ -144,7 +142,7 @@ impl RecordSchemaBuilder {
 pub struct ApproxRecord {
     schema: RecordSchema,
     rec: DramRecord,
-    hw: Rc<RefCell<Hardware>>,
+    home: Home,
     _not_send: PhantomData<Rc<()>>,
 }
 
@@ -155,9 +153,9 @@ impl ApproxRecord {
     ///
     /// Panics if no [`Runtime`](crate::Runtime) is installed.
     pub fn new(schema: &RecordSchema) -> Self {
-        let hw = require_hw("ApproxRecord");
-        let rec = DramRecord::new(&mut hw.borrow_mut(), &schema.specs());
-        ApproxRecord { schema: schema.clone(), rec, hw, _not_send: PhantomData }
+        let home = installed_home("ApproxRecord");
+        let rec = home.with(|hw| DramRecord::new(hw, &schema.specs()));
+        ApproxRecord { schema: schema.clone(), rec, home, _not_send: PhantomData }
     }
 
     /// Whether `field`'s *storage* ended up on an approximate cache line
@@ -179,7 +177,7 @@ impl ApproxRecord {
     /// primitive type.
     pub fn get_approx<T: ApproxPrim>(&mut self, field: &str) -> Approx<T> {
         let i = self.check::<T>(field, true);
-        let bits = self.rec.read(&mut self.hw.borrow_mut(), i);
+        let bits = self.home.with(|hw| self.rec.read(hw, i));
         Approx::from_raw(T::from_bits64(bits))
     }
 
@@ -191,7 +189,7 @@ impl ApproxRecord {
     /// primitive type.
     pub fn set_approx<T: ApproxPrim>(&mut self, field: &str, value: Approx<T>) {
         let i = self.check::<T>(field, true);
-        self.rec.write(&mut self.hw.borrow_mut(), i, value.raw().to_bits64());
+        self.home.with(|hw| self.rec.write(hw, i, value.raw().to_bits64()));
     }
 
     /// Reads a precise field.
@@ -202,7 +200,7 @@ impl ApproxRecord {
     /// different primitive type.
     pub fn get_precise<T: ApproxPrim>(&mut self, field: &str) -> T {
         let i = self.check::<T>(field, false);
-        T::from_bits64(self.rec.read(&mut self.hw.borrow_mut(), i))
+        T::from_bits64(self.home.with(|hw| self.rec.read(hw, i)))
     }
 
     /// Writes a precise field.
@@ -213,7 +211,7 @@ impl ApproxRecord {
     /// different primitive type.
     pub fn set_precise<T: ApproxPrim>(&mut self, field: &str, value: T) {
         let i = self.check::<T>(field, false);
-        self.rec.write(&mut self.hw.borrow_mut(), i, value.to_bits64());
+        self.home.with(|hw| self.rec.write(hw, i, value.to_bits64()));
     }
 
     fn check<T: ApproxPrim>(&self, field: &str, want_approx: bool) -> usize {
@@ -240,7 +238,7 @@ impl ApproxRecord {
 
 impl Drop for ApproxRecord {
     fn drop(&mut self) {
-        self.rec.retire(&mut self.hw.borrow_mut());
+        self.home.with(|hw| self.rec.retire(hw));
     }
 }
 

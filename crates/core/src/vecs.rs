@@ -16,15 +16,13 @@
 //! applications for heap data that must stay reliable so that DRAM
 //! byte-seconds are accounted on both sides of Figure 3.
 
-use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::rc::Rc;
 
 use crate::approx::Approx;
 use crate::precise::Precise;
 use crate::prim::ApproxPrim;
-use crate::runtime::require_hw;
-use enerj_hw::{DramArray, Hardware};
+use crate::runtime::{installed_home, Home};
+use enerj_hw::DramArray;
 
 /// A heap array of approximate elements with a precise length.
 ///
@@ -45,7 +43,7 @@ use enerj_hw::{DramArray, Hardware};
 #[derive(Debug)]
 pub struct ApproxVec<T: ApproxPrim> {
     dram: DramArray,
-    hw: Rc<RefCell<Hardware>>,
+    home: Home,
     _elem: PhantomData<T>,
 }
 
@@ -53,7 +51,7 @@ pub struct ApproxVec<T: ApproxPrim> {
 #[derive(Debug)]
 pub struct PreciseVec<T: ApproxPrim> {
     dram: DramArray,
-    hw: Rc<RefCell<Hardware>>,
+    home: Home,
     _elem: PhantomData<T>,
 }
 
@@ -66,9 +64,9 @@ impl<T: ApproxPrim> ApproxVec<T> {
     /// approximation is a property of the substrate, so a substrate must be
     /// present.
     pub fn new(len: usize) -> Self {
-        let hw = require_hw("ApproxVec");
-        let dram = DramArray::new(&mut hw.borrow_mut(), len, T::WIDTH.max(8), true);
-        ApproxVec { dram, hw, _elem: PhantomData }
+        let home = installed_home("ApproxVec");
+        let dram = home.with(|hw| DramArray::new(hw, len, T::WIDTH.max(8), true));
+        ApproxVec { dram, home, _elem: PhantomData }
     }
 
     /// Builds an array by evaluating `f` at every index.
@@ -108,7 +106,7 @@ impl<T: ApproxPrim> ApproxVec<T> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn get(&mut self, i: usize) -> Approx<T> {
-        let bits = self.dram.read(&mut self.hw.borrow_mut(), i);
+        let bits = self.home.with(|hw| self.dram.read(hw, i));
         Approx::from_raw(T::from_bits64(bits))
     }
 
@@ -121,7 +119,7 @@ impl<T: ApproxPrim> ApproxVec<T> {
         // Not a semantic endorsement: the bits remain approximate, merely
         // relocated into DRAM without a register-file round trip.
         let bits = value.raw().to_bits64();
-        self.dram.write(&mut self.hw.borrow_mut(), i, bits);
+        self.home.with(|hw| self.dram.write(hw, i, bits));
     }
 
     /// Endorses the whole array into a precise `Vec` (a bulk section 2.2
@@ -134,19 +132,19 @@ impl<T: ApproxPrim> ApproxVec<T> {
     /// patterns of `out.len()` elements starting at `start`. Decay and
     /// accounting are identical to an element-by-element read loop.
     pub(crate) fn read_bits_slice(&mut self, start: usize, out: &mut [u64]) {
-        self.dram.read_slice(&mut self.hw.borrow_mut(), start, out);
+        self.home.with(|hw| self.dram.read_slice(hw, start, out));
     }
 
     /// Bulk DRAM write for the batched path, mirroring
     /// [`ApproxVec::read_bits_slice`].
     pub(crate) fn write_bits_slice(&mut self, start: usize, vals: &[u64]) {
-        self.dram.write_slice(&mut self.hw.borrow_mut(), start, vals);
+        self.home.with(|hw| self.dram.write_slice(hw, start, vals));
     }
 }
 
 impl<T: ApproxPrim> Drop for ApproxVec<T> {
     fn drop(&mut self) {
-        self.dram.retire(&mut self.hw.borrow_mut());
+        self.home.with(|hw| self.dram.retire(hw));
     }
 }
 
@@ -157,9 +155,9 @@ impl<T: ApproxPrim> PreciseVec<T> {
     ///
     /// Panics if no [`Runtime`](crate::Runtime) is installed.
     pub fn new(len: usize) -> Self {
-        let hw = require_hw("PreciseVec");
-        let dram = DramArray::new(&mut hw.borrow_mut(), len, T::WIDTH.max(8), false);
-        PreciseVec { dram, hw, _elem: PhantomData }
+        let home = installed_home("PreciseVec");
+        let dram = home.with(|hw| DramArray::new(hw, len, T::WIDTH.max(8), false));
+        PreciseVec { dram, home, _elem: PhantomData }
     }
 
     /// Copies a slice into a fresh precise array.
@@ -187,7 +185,7 @@ impl<T: ApproxPrim> PreciseVec<T> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn get(&mut self, i: usize) -> T {
-        T::from_bits64(self.dram.read(&mut self.hw.borrow_mut(), i))
+        T::from_bits64(self.home.with(|hw| self.dram.read(hw, i)))
     }
 
     /// Reads element `i` as an instrumented [`Precise`] value.
@@ -201,7 +199,7 @@ impl<T: ApproxPrim> PreciseVec<T> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn set(&mut self, i: usize, value: T) {
-        self.dram.write(&mut self.hw.borrow_mut(), i, value.to_bits64());
+        self.home.with(|hw| self.dram.write(hw, i, value.to_bits64()));
     }
 
     /// Copies the contents into a plain `Vec`.
@@ -212,7 +210,7 @@ impl<T: ApproxPrim> PreciseVec<T> {
 
 impl<T: ApproxPrim> Drop for PreciseVec<T> {
     fn drop(&mut self) {
-        self.dram.retire(&mut self.hw.borrow_mut());
+        self.home.with(|hw| self.dram.retire(hw));
     }
 }
 

@@ -7,9 +7,10 @@
 //! compares a digest of the endorsed result bits, the operation counts, the
 //! per-kind fault injections and a digest of the exact storage, fault and
 //! energy accounts with constants recorded before the scalar op paths were
-//! folded into one. A moved RNG draw, fault countdown, op count or storage
-//! charge changes at least one of them. On a mismatch the panic message
-//! prints the whole table as measured.
+//! folded into one (the `Ctx` families: before each mixed-operand and
+//! context op became a single machine dispatch). A moved RNG draw, fault
+//! countdown, op count or storage charge changes at least one of them. On
+//! a mismatch the panic message prints the whole table as measured.
 
 use std::fmt;
 
@@ -317,6 +318,49 @@ fn precise_ctx_family(p: &mut Probe) {
     }
 }
 
+/// The `Vector3<ApproxMode>` shape of the jMonkeyEngine port: component-
+/// wise sub, dot and cross products on `Ctx<f32, ApproxMode>`, plus
+/// precise right-hand operands, compound assignment and negation.
+fn ctx_f32_family(p: &mut Probe) {
+    for i in 0..ITERS {
+        let v = |k: u32| -> [Ctx<f32, ApproxMode>; 3] {
+            [0, 1, 2].map(|c| Ctx::new(real(3 * i + k + c) as f32))
+        };
+        let (a, b) = (v(0), v(7));
+        let d = [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
+        let dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+        let cross =
+            [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]];
+        let mut acc = cross[0] * 0.5 + 1.25;
+        acc -= d[1];
+        acc *= 2.0;
+        acc /= b[2];
+        acc += 0.75;
+        for x in d.into_iter().chain(cross).chain([dot, dot / d[0], acc, -dot, acc - 3.0]) {
+            p.bits(endorse_ctx(x));
+        }
+    }
+}
+
+/// `Ctx<i32, ApproxMode>`: the same operator set on the integer unit,
+/// with small divisors (zero included).
+fn ctx_i32_family(p: &mut Probe) {
+    for i in 0..ITERS {
+        let a: Ctx<i32, ApproxMode> = Ctx::new(int32(i));
+        let b: Ctx<i32, ApproxMode> = Ctx::new(small(i));
+        let c: Ctx<i32, ApproxMode> = Approx::new(int32(i + 9)).into();
+        let mut acc = a * b + c;
+        acc -= a;
+        acc *= 3;
+        acc /= b;
+        acc += 11;
+        for x in [a + b, a - c, a * c, a / b, c / 5, -a, acc, acc * 7 - 2] {
+            p.bits(endorse_ctx(x));
+        }
+        p.out(acc.to_approx());
+    }
+}
+
 fn heap_family(p: &mut Probe) {
     let schema = RecordSchema::builder("Particle")
         .precise_field::<i64>("id")
@@ -390,7 +434,7 @@ fn batch_family(p: &mut Probe) {
     }
 }
 
-const FAMILIES: [(&str, Family); 9] = [
+const FAMILIES: [(&str, Family); 11] = [
     ("arith", arith_family),
     ("bit", bit_family),
     ("compare", compare_family),
@@ -400,13 +444,15 @@ const FAMILIES: [(&str, Family); 9] = [
     ("precise_ctx", precise_ctx_family),
     ("heap", heap_family),
     ("batch", batch_family),
+    ("ctx_f32", ctx_f32_family),
+    ("ctx_i32", ctx_i32_family),
 ];
 
 const MODES: [ErrorMode; 3] =
     [ErrorMode::SingleBitFlip, ErrorMode::LastValue, ErrorMode::RandomValue];
 
 /// Recorded per family, in `MODES` order.
-const PINS: [[Pin; 3]; 9] = [
+const PINS: [[Pin; 3]; 11] = [
     // arith
     [
         pin(0x9043619d54ed0c9a, [1440, 0, 1440, 0], [688, 151, 0, 66, 81], 0x61e8812e63af9570),
@@ -461,6 +507,18 @@ const PINS: [[Pin; 3]; 9] = [
         pin(0x4fb553245165d8af, [960, 0, 2064, 0], [729, 106, 342, 57, 91], 0xf30d975d12980599),
         pin(0xb6ca6137ed6426f2, [960, 0, 2064, 0], [750, 106, 345, 51, 101], 0x31ba12a8f00cadee),
     ],
+    // ctx_f32
+    [
+        pin(0x6bf129e65b69a167, [0, 0, 1248, 0], [289, 207, 0, 0, 63], 0xe35927b7dc9d34bb),
+        pin(0x98435a598278062e, [0, 0, 1248, 0], [295, 221, 0, 0, 45], 0x6bfc49b98e57fc24),
+        pin(0xdacec082aed0146f, [0, 0, 1248, 0], [289, 207, 0, 0, 63], 0x10ee94090d8b4f38),
+    ],
+    // ctx_i32
+    [
+        pin(0xa12c5bc96088640f, [672, 0, 0, 0], [167, 131, 0, 27, 0], 0xab7dbac5d2ccedda),
+        pin(0xfecf8a46371112b6, [672, 0, 0, 0], [167, 135, 0, 26, 0], 0x9a9018352841368b),
+        pin(0x100d21ca504c0b76, [672, 0, 0, 0], [167, 131, 0, 27, 0], 0x31270722a199fd5e),
+    ],
 ];
 
 #[test]
@@ -493,8 +551,8 @@ fn every_touched_fault_stream_fires() {
                 .filter(|&k| timing(&pin, k) == 0)
                 .filter(|&k| match k {
                     SramReadUpset | SramWriteFailure => true,
-                    IntTiming => !matches!(name, "math" | "endorse" | "precise_ctx"),
-                    FpTiming => !matches!(name, "bit" | "bool" | "endorse"),
+                    IntTiming => !matches!(name, "math" | "endorse" | "precise_ctx" | "ctx_f32"),
+                    FpTiming => !matches!(name, "bit" | "bool" | "endorse" | "ctx_i32"),
                     DramDecay => matches!(name, "heap" | "batch"),
                 })
                 .collect();

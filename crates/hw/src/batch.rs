@@ -47,7 +47,7 @@ impl Hardware {
     #[inline]
     pub(crate) fn tick_batch(&mut self, n: u64) {
         let advanced = self.op_ticks.saturating_add(n);
-        if advanced >= self.watchdog_deadline {
+        if advanced >= self.watchdog.deadline {
             for _ in 0..n {
                 self.tick();
             }

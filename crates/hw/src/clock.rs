@@ -32,6 +32,24 @@ impl fmt::Display for WatchdogTrip {
     }
 }
 
+/// A watchdog setting: the op-tick deadline and the budget it was armed
+/// with. [`Hardware::arm_watchdog`](crate::Hardware::arm_watchdog) hands
+/// back the one it replaces, so a nested guard can put the enclosing
+/// guard's deadline back when it ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Watchdog {
+    /// Op-tick value at which the watchdog trips; `u64::MAX` (never) when
+    /// disarmed, so the hot-path check is one always-false comparison.
+    pub(crate) deadline: u64,
+    /// The budget the watchdog was armed with, for trip diagnostics.
+    pub(crate) budget: u64,
+}
+
+impl Watchdog {
+    /// The disarmed setting.
+    pub(crate) const DISARMED: Watchdog = Watchdog { deadline: u64::MAX, budget: 0 };
+}
+
 /// Suppresses the default "thread panicked" stderr message for
 /// [`WatchdogTrip`] unwinds, process-wide.
 ///

@@ -18,19 +18,39 @@ use crate::quanta::EnergyQuanta;
 use crate::stats::MemKind;
 use crate::Hardware;
 
+/// log2 of the number of slots in a [`DecayMemo`].
+const DECAY_MEMO_BITS: u32 = 6;
+
+/// Per-bit decay hazards memoized by refresh gap: a direct-mapped table of
+/// `(gap in op-ticks, hazard)`, indexed by a multiplicative hash of the
+/// gap. The hazard is a pure function of the configuration and the gap, so
+/// a hit returns the very bits a fresh `exp()` + `ln_1p()` would. Loops
+/// that interleave a few arrays, or walk one with a few strides, revisit a
+/// handful of distinct gaps; one slot per gap keeps them all.
+#[derive(Debug, Clone)]
+pub(crate) struct DecayMemo([(u64, f64); 1 << DECAY_MEMO_BITS]);
+
+impl Default for DecayMemo {
+    /// Every slot empty: keyed by gap 0, which is never looked up (a zero
+    /// gap cannot decay and returns before the lookup).
+    fn default() -> Self {
+        DecayMemo([(0, 0.0); 1 << DECAY_MEMO_BITS])
+    }
+}
+
 impl Hardware {
     /// Per-bit decay hazard (`-ln(1-p)`) for a refresh gap of `dt_ticks`
-    /// op-ticks, memoized on the most recent distinct gap. Application
-    /// loops touch elements with a near-constant per-iteration stride, so
-    /// the last-value cache hits almost always and the steady-state cost is
-    /// one integer compare instead of `exp()` + `ln()` per read.
+    /// op-ticks, through the [`DecayMemo`]: the steady-state cost is one
+    /// hash and one integer compare instead of `exp()` + `ln_1p()` per read.
     fn dram_hazard(&mut self, dt_ticks: u64) -> f64 {
-        if self.decay_cache.0 != dt_ticks {
+        let i = dt_ticks.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DECAY_MEMO_BITS);
+        let slot = &mut self.decay_memo.0[i as usize];
+        if slot.0 != dt_ticks {
             let dt = dt_ticks as f64 * self.hot.seconds_per_op;
             let p = fault::decay_probability(self.hot.dram_rate, dt);
-            self.decay_cache = (dt_ticks, fault::hazard(p));
+            *slot = (dt_ticks, fault::hazard(p));
         }
-        self.decay_cache.1
+        slot.1
     }
 
     /// Applies refresh decay to `width` bits last refreshed `dt_ticks` ago,

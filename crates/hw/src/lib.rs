@@ -63,7 +63,7 @@ pub use quanta::EnergyQuanta;
 pub use stats::{MemKind, OpKind, Stats};
 pub use telemetry::FaultCounters;
 
-pub use clock::{silence_watchdog_panics, WatchdogTrip};
+pub use clock::{silence_watchdog_panics, Watchdog, WatchdogTrip};
 
 use fault::{GeomCountdown, HazardCountdown};
 use rand::rngs::StdRng;
@@ -168,18 +168,14 @@ pub struct Hardware {
     /// Completed simulated operations; simulated time is
     /// `op_ticks * seconds_per_op`.
     op_ticks: u64,
-    /// Op-tick value at which an armed watchdog trips; `u64::MAX` (never)
-    /// when disarmed, so the hot-path check is a single always-false
-    /// comparison in the common case.
-    watchdog_deadline: u64,
-    /// The budget the watchdog was armed with, for trip diagnostics.
-    watchdog_budget: u64,
+    /// The armed watchdog deadline and budget (disarmed: never trips).
+    watchdog: Watchdog,
     stats: Stats,
     /// SRAM residency not yet folded into `stats`, in bit-access quanta,
     /// indexed by `approx as usize`. Folded lazily by [`Hardware::stats`].
     pending_sram_bits: [u64; 2],
-    /// Last DRAM decay lookup: refresh gap in op-ticks, per-bit hazard.
-    decay_cache: (u64, f64),
+    /// DRAM decay hazards by refresh gap.
+    decay_memo: dram::DecayMemo,
     /// Last result of the integer unit (for [`ErrorMode::LastValue`]).
     pub(crate) last_int: u64,
     /// Last result of the floating-point unit (for [`ErrorMode::LastValue`]).
@@ -199,11 +195,10 @@ impl Hardware {
             rng,
             sched,
             op_ticks: 0,
-            watchdog_deadline: u64::MAX,
-            watchdog_budget: 0,
+            watchdog: Watchdog::DISARMED,
             stats: Stats::new(),
             pending_sram_bits: [0; 2],
-            decay_cache: (0, 0.0),
+            decay_memo: dram::DecayMemo::default(),
             last_int: 0,
             last_fp: 0,
             counters: FaultCounters::new(),
@@ -302,7 +297,7 @@ impl Hardware {
     #[inline]
     pub(crate) fn tick(&mut self) {
         self.op_ticks += 1;
-        if self.op_ticks >= self.watchdog_deadline {
+        if self.op_ticks >= self.watchdog.deadline {
             self.watchdog_trip();
         }
     }
@@ -312,20 +307,27 @@ impl Hardware {
     /// deadline is measured in op-ticks — simulated work — so a trip is a
     /// deterministic function of `(config, seed, program)`, independent of
     /// host speed or thread scheduling. Re-arming replaces any previous
-    /// deadline.
-    pub fn arm_watchdog(&mut self, max_ops: u64) {
-        self.watchdog_deadline = self.op_ticks.saturating_add(max_ops.max(1));
-        self.watchdog_budget = max_ops;
+    /// deadline; the replaced setting is returned for
+    /// [`Hardware::restore_watchdog`].
+    pub fn arm_watchdog(&mut self, max_ops: u64) -> Watchdog {
+        let deadline = self.op_ticks.saturating_add(max_ops.max(1));
+        std::mem::replace(&mut self.watchdog, Watchdog { deadline, budget: max_ops })
+    }
+
+    /// Puts back a setting [`Hardware::arm_watchdog`] returned. A deadline
+    /// that has already passed trips at the next op-tick.
+    pub fn restore_watchdog(&mut self, setting: Watchdog) {
+        self.watchdog = setting;
     }
 
     /// Disarms the watchdog; subsequent op-ticks never trip.
     pub fn disarm_watchdog(&mut self) {
-        self.watchdog_deadline = u64::MAX;
+        self.watchdog = Watchdog::DISARMED;
     }
 
     /// Whether a watchdog deadline is currently armed.
     pub fn watchdog_armed(&self) -> bool {
-        self.watchdog_deadline != u64::MAX
+        self.watchdog.deadline != u64::MAX
     }
 
     /// Unwinds out of the approximate region with a [`WatchdogTrip`]
@@ -334,8 +336,8 @@ impl Hardware {
     #[cold]
     #[inline(never)]
     fn watchdog_trip(&mut self) -> ! {
-        let trip = WatchdogTrip { op_ticks: self.op_ticks, budget: self.watchdog_budget };
-        self.watchdog_deadline = u64::MAX;
+        let trip = WatchdogTrip { op_ticks: self.op_ticks, budget: self.watchdog.budget };
+        self.watchdog.deadline = u64::MAX;
         std::panic::panic_any(trip);
     }
 }
