@@ -18,77 +18,19 @@ use crate::quanta::EnergyQuanta;
 use crate::stats::MemKind;
 use crate::Hardware;
 
-/// log2 of the number of slots in a [`DecayMemo`].
-const DECAY_MEMO_BITS: u32 = 6;
-
-/// Per-bit decay hazards memoized by refresh gap: a direct-mapped table of
-/// `(gap in op-ticks, hazard)`, indexed by a multiplicative hash of the
-/// gap. The hazard is a pure function of the configuration and the gap, so
-/// a hit returns the very bits a fresh `exp()` + `ln_1p()` would. Loops
-/// that interleave a few arrays, or walk one with a few strides, revisit a
-/// handful of distinct gaps; one slot per gap keeps them all.
-#[derive(Debug, Clone)]
-pub(crate) struct DecayMemo([(u64, f64); 1 << DECAY_MEMO_BITS]);
-
-impl Default for DecayMemo {
-    /// Every slot empty: keyed by gap 0, which is never looked up (a zero
-    /// gap cannot decay and returns before the lookup).
-    fn default() -> Self {
-        DecayMemo([(0, 0.0); 1 << DECAY_MEMO_BITS])
-    }
-}
-
 impl Hardware {
-    /// Per-bit decay hazard (`-ln(1-p)`) for a refresh gap of `dt_ticks`
-    /// op-ticks, through the [`DecayMemo`]: the steady-state cost is one
-    /// hash and one integer compare instead of `exp()` + `ln_1p()` per read.
-    fn dram_hazard(&mut self, dt_ticks: u64) -> f64 {
-        let i = dt_ticks.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DECAY_MEMO_BITS);
-        let slot = &mut self.decay_memo.0[i as usize];
-        if slot.0 != dt_ticks {
-            let dt = dt_ticks as f64 * self.hot.seconds_per_op;
-            let p = fault::decay_probability(self.hot.dram_rate, dt);
-            *slot = (dt_ticks, fault::hazard(p));
-        }
-        slot.1
-    }
-
     /// Applies refresh decay to `width` bits last refreshed `dt_ticks` ago,
-    /// via the amortized hazard countdown. Returns the observed pattern and
-    /// records a fault if any bit flipped.
+    /// via the amortized hazard countdown. The per-bit hazard is the closed
+    /// form [`fault::decay_hazard`] over the precomputed per-tick rate: one
+    /// multiply and one `min`. Returns the observed pattern and records a
+    /// fault if any bit flipped.
     #[inline]
     fn dram_decay(&mut self, bits: u64, width: u32, dt_ticks: u64) -> u64 {
-        if self.hot.dram_rate <= 0.0 || dt_ticks == 0 {
-            return bits;
-        }
-        let h = self.dram_hazard(dt_ticks);
+        let h = fault::decay_hazard(self.hot.dram_rate_per_tick, dt_ticks as f64);
         if h <= 0.0 || self.sched.dram.pass(f64::from(width) * h) {
             return bits;
         }
         self.dram_decay_fault(bits, width, h)
-    }
-
-    /// [`Hardware::dram_decay`] over a run of elements sharing one refresh
-    /// gap: the rate/gap guards, the hazard lookup and the exposure
-    /// multiply are hoisted out of the loop, which then consumes the
-    /// hazard countdown element by element exactly as a scalar
-    /// `dram_decay` sequence would — the same f64 subtractions in the same
-    /// order, the same RNG stream when a fault fires — so the observed
-    /// patterns are bit-identical to per-element calls.
-    fn dram_decay_run(&mut self, words: &mut [u64], width: u32, dt_ticks: u64) {
-        if self.hot.dram_rate <= 0.0 || dt_ticks == 0 {
-            return;
-        }
-        let h = self.dram_hazard(dt_ticks);
-        if h <= 0.0 {
-            return;
-        }
-        let exposure = f64::from(width) * h;
-        for w in words.iter_mut() {
-            if !self.sched.dram.pass(exposure) {
-                *w = self.dram_decay_fault(*w, width, h);
-            }
-        }
     }
 
     /// Fault payload of a decay event; out of line so the fault-free read
@@ -110,9 +52,8 @@ impl Hardware {
 #[derive(Debug, Clone)]
 struct Cells {
     words: Vec<u64>,
-    /// Op-tick of each slot's last access (its refresh point). Integer
-    /// ticks make the refresh gap an exact integer, which is what the
-    /// memoized decay lookup keys on.
+    /// Op-tick of each slot's last access (its refresh point), so the
+    /// refresh gap is an exact integer count of op-ticks.
     last_access: Vec<u64>,
     layout: Layout,
     alloc_tick: u64,
@@ -288,13 +229,8 @@ impl DramArray {
     /// element's refresh point is reconstructed by index (element `j` reads
     /// at tick `base + j + 1`), so decay exposure, the hazard countdown walk
     /// and the RNG stream are bit-identical to a scalar `read` loop. The
-    /// amortization is in the borrow, bounds and accounting overhead — and
-    /// in decay dispatch: elements whose refresh gaps are equal (the common
-    /// case, when the slice was last touched by another slice op, which
-    /// stamps consecutive ticks) are handed to `Hardware::dram_decay_run`
-    /// as one maximal run, hoisting the per-read guards, hazard lookup and
-    /// exposure multiply while keeping the per-element countdown walk. The
-    /// fault model is untouched either way.
+    /// amortization is in the borrow, bounds and accounting overhead; the
+    /// fault model is untouched.
     ///
     /// # Panics
     ///
@@ -303,35 +239,14 @@ impl DramArray {
         let base = hw.op_ticks();
         hw.tick_batch(out.len() as u64);
         let Cells { words, last_access, .. } = &mut self.cells;
-        let n = out.len();
-        let mut j = 0;
-        while j < n {
+        for (j, slot) in out.iter_mut().enumerate() {
             let i = start + j;
             let now = base + j as u64 + 1;
-            if i < self.first_approx_elem {
-                // Precise storage: no decay, just the refresh stamp.
-                out[j] = words[i];
-                last_access[i] = now;
-                j += 1;
-                continue;
+            if i >= self.first_approx_elem {
+                words[i] = hw.dram_decay(words[i], self.elem_width, now - last_access[i]);
             }
-            // Maximal run of equal refresh gaps: element `j + k` reads at
-            // tick `now + k`, so its gap equals `dt` iff its last access
-            // was exactly `k` ticks after element `j`'s.
-            let dt = now - last_access[i];
-            let mut end = j + 1;
-            while end < n
-                && base + end as u64 + 1 >= last_access[start + end]
-                && base + end as u64 + 1 - last_access[start + end] == dt
-            {
-                end += 1;
-            }
-            hw.dram_decay_run(&mut words[start + j..start + end], self.elem_width, dt);
-            for (k, slot) in out.iter_mut().enumerate().take(end).skip(j) {
-                last_access[start + k] = base + k as u64 + 1;
-                *slot = words[start + k];
-            }
-            j = end;
+            last_access[i] = now;
+            *slot = words[i];
         }
     }
 

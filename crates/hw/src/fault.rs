@@ -45,14 +45,11 @@ pub fn flip_bits<R: Rng + ?Sized>(bits: u64, width: u32, p: f64, rng: &mut R) ->
 
 /// Draws a geometric gap: `floor(ln(U) / ln(1-p))` with `denom = ln(1-p)`.
 fn skip<R: Rng + ?Sized>(rng: &mut R, denom: f64) -> u64 {
-    // U in (0, 1]; ln(U) <= 0 and denom < 0, so the quotient is >= 0.
+    // U in (0, 1]; ln(U) <= 0 and denom < 0, so the quotient is >= 0 or
+    // -0.0, and the saturating, truncating cast is its floor clamped at
+    // u64::MAX.
     let u: f64 = 1.0 - rng.gen::<f64>();
-    let g = (u.ln() / denom).floor();
-    if g >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        g as u64
-    }
+    (u.ln() / denom) as u64
 }
 
 /// Draws a unit-rate exponential: `-ln(U)` with `U` in `(0, 1]`.
@@ -360,6 +357,21 @@ pub fn decay_probability(rate: f64, dt: f64) -> f64 {
     p.min(0.5)
 }
 
+/// The per-bit decay hazard after `dt` without refresh at rate `rate`, in
+/// closed form: `min(rate * dt, ln 2)`, which is
+/// `hazard(decay_probability(rate, dt))` in exact arithmetic (the 0.5
+/// saturation is hazard `ln 2`). The units only need to agree: the DRAM
+/// model passes a per-op-tick rate and a gap in op-ticks.
+///
+/// Unlike the reference pair it never forms `1 - exp(-rate * dt)`, which
+/// cancels catastrophically for the tiny products of the Mild level, and it
+/// does not check its inputs: [`crate::Hardware::new`] rejects a negative
+/// or NaN rate once per machine.
+#[inline]
+pub fn decay_hazard(rate: f64, dt: f64) -> f64 {
+    (rate * dt).min(std::f64::consts::LN_2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,6 +617,46 @@ mod tests {
             "flips {flips}, expected {expected} +/- {}",
             5.0 * sigma
         );
+    }
+
+    /// An RNG whose every word is the same: `gen::<f64>()` is then
+    /// `(word >> 11) / 2^53`, so `skip` sees `U = 1 - that`.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn skip_is_the_saturating_floor_at_its_edges() {
+        // The explicit floor-and-clamp form `skip` reduces to.
+        fn reference(u: f64, denom: f64) -> u64 {
+            let g = (u.ln() / denom).floor();
+            if g >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                g as u64
+            }
+        }
+        let u_of = |word: u64| 1.0 - (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let smallest = u64::MAX; // U = 2^-53, the smallest the sampler draws
+        for word in [0, 1 << 11, 1 << 62, 3 << 62, smallest] {
+            for denom in [(-0.5f64).ln_1p(), (-1e-3f64).ln_1p(), (-1e-12f64).ln_1p(), -1e-300] {
+                let got = skip(&mut Fixed(word), denom);
+                assert_eq!(got, reference(u_of(word), denom), "word {word:#x}, denom {denom:e}");
+            }
+        }
+        // U = 1: ln(U) = 0 and the quotient is -0.0, a zero gap.
+        assert_eq!(skip(&mut Fixed(0), -1e-3), 0);
+        // The smallest U over a tiny denominator saturates.
+        assert_eq!(skip(&mut Fixed(smallest), -1e-300), u64::MAX);
+        assert_eq!(skip(&mut Fixed(smallest), -f64::MIN_POSITIVE), u64::MAX);
+        // Just below saturation the floor is exact: ln(2^-53) / -1 = 53 ln 2.
+        assert_eq!(skip(&mut Fixed(smallest), -1.0), (53.0 * std::f64::consts::LN_2) as u64);
+        // A NaN quotient (0 / 0, unreachable from a live stream) is 0 both ways.
+        assert_eq!(skip(&mut Fixed(0), 0.0), reference(1.0, 0.0));
     }
 
     #[test]

@@ -77,8 +77,10 @@ use trace::{FaultEvent, FaultKind};
 #[derive(Debug, Clone, Copy)]
 struct HotConfig {
     seconds_per_op: f64,
-    /// Effective DRAM decay rate: zero when the strategy is masked off.
-    dram_rate: f64,
+    /// Effective DRAM decay rate per op-tick (`dram_flip_per_second ×
+    /// seconds_per_op`): zero when the strategy is masked off. A refresh
+    /// gap of `dt` op-ticks has hazard [`fault::decay_hazard`]`(this, dt)`.
+    dram_rate_per_tick: f64,
     error_mode: ErrorMode,
     /// Mantissa-truncation mask for `f32` operands, precomputed from the
     /// effective kept width (all ones — the identity — when the fp-width
@@ -89,10 +91,21 @@ struct HotConfig {
 }
 
 impl HotConfig {
+    /// # Panics
+    ///
+    /// Panics if the effective DRAM decay rate or `seconds_per_op` is
+    /// negative or NaN — the check [`fault::decay_probability`] makes per
+    /// call, made once per machine since the hot path never calls it.
     fn new(cfg: &HwConfig) -> Self {
+        let rate = if cfg.mask.dram { cfg.params.dram_flip_per_second } else { 0.0 };
+        let seconds_per_op = cfg.seconds_per_op;
+        assert!(
+            rate >= 0.0 && seconds_per_op >= 0.0,
+            "decay rate {rate} and seconds per op {seconds_per_op} must be non-negative"
+        );
         HotConfig {
-            seconds_per_op: cfg.seconds_per_op,
-            dram_rate: if cfg.mask.dram { cfg.params.dram_flip_per_second } else { 0.0 },
+            seconds_per_op,
+            dram_rate_per_tick: rate * seconds_per_op,
             error_mode: cfg.error_mode,
             f32_trunc_mask: if cfg.mask.fp_width {
                 fpu::trunc_mask_f32(cfg.params.float_mantissa_bits)
@@ -174,8 +187,6 @@ pub struct Hardware {
     /// SRAM residency not yet folded into `stats`, in bit-access quanta,
     /// indexed by `approx as usize`. Folded lazily by [`Hardware::stats`].
     pending_sram_bits: [u64; 2],
-    /// DRAM decay hazards by refresh gap.
-    decay_memo: dram::DecayMemo,
     /// Last result of the integer unit (for [`ErrorMode::LastValue`]).
     pub(crate) last_int: u64,
     /// Last result of the floating-point unit (for [`ErrorMode::LastValue`]).
@@ -198,7 +209,6 @@ impl Hardware {
             watchdog: Watchdog::DISARMED,
             stats: Stats::new(),
             pending_sram_bits: [0; 2],
-            decay_memo: dram::DecayMemo::default(),
             last_int: 0,
             last_fp: 0,
             counters: FaultCounters::new(),
@@ -240,8 +250,9 @@ impl Hardware {
     pub(crate) fn note_fault(&mut self, kind: FaultKind, width: u32, bits_flipped: u32) {
         self.stats.record_fault();
         self.counters.record(kind, bits_flipped);
-        let time = self.now();
         if let Some(log) = &mut self.event_log {
+            // `Hardware::now`, read field by field beside the log borrow.
+            let time = self.op_ticks as f64 * self.hot.seconds_per_op;
             log.push(FaultEvent { kind, time, width, bits_flipped });
         }
     }
@@ -463,5 +474,44 @@ mod tests {
         }
         assert_eq!(plain.stats(), logged.stats());
         assert_eq!(plain.fault_counters(), logged.fault_counters());
+    }
+
+    fn with_dram_rate(rate: f64, dram: bool) -> HwConfig {
+        let mut cfg = HwConfig::for_level(Level::Aggressive);
+        cfg.params.dram_flip_per_second = rate;
+        cfg.mask.dram = dram;
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn a_negative_decay_rate_is_rejected_at_construction() {
+        let _ = Hardware::new(with_dram_rate(-1e-3, true), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn a_nan_decay_rate_is_rejected_at_construction() {
+        let _ = Hardware::new(with_dram_rate(f64::NAN, true), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn a_nan_op_time_is_rejected_at_construction() {
+        let mut cfg = HwConfig::for_level(Level::Aggressive);
+        cfg.seconds_per_op = f64::NAN;
+        let _ = Hardware::new(cfg, 0);
+    }
+
+    #[test]
+    fn a_masked_decay_rate_is_never_checked() {
+        // The rate is folded to zero before the check: masking the strategy
+        // off makes any configured rate, even a meaningless one, inert.
+        for rate in [-1e-3, f64::NAN] {
+            let mut hw = Hardware::new(with_dram_rate(rate, false), 0);
+            let mut arr = DramArray::new(&mut hw, 64, 64, true);
+            arr.write(&mut hw, 40, u64::MAX);
+            assert_eq!(arr.read(&mut hw, 40), u64::MAX);
+        }
     }
 }

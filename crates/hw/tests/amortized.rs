@@ -16,7 +16,7 @@
 use enerj_hw::config::{ErrorMode, HwConfig, Level};
 use enerj_hw::fault::{self, GeomCountdown, HazardCountdown};
 use enerj_hw::stats::OpKind;
-use enerj_hw::Hardware;
+use enerj_hw::{DramArray, Hardware};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,6 +153,92 @@ fn hazard_countdown_matches_decay_probability_schedule() {
     let (a, b) = (baseline as f64, amortized as f64);
     assert!((a - expected).abs() < 5.0 * sigma, "baseline {a} vs {expected} +/- {}", 5.0 * sigma);
     assert!((b - expected).abs() < 5.0 * sigma, "amortized {b} vs {expected} +/- {}", 5.0 * sigma);
+}
+
+#[test]
+fn closed_form_hazard_matches_the_reference_model() {
+    // `decay_hazard` is `hazard(decay_probability(r, dt))` in exact
+    // arithmetic. Where the reference is well conditioned (r·dt >= 1e-6; below
+    // that `1 - exp(-r·dt)` cancels) the two agree to 1e-9 relative, and
+    // wherever the reference saturates at p = 0.5 the closed form is ln 2
+    // exactly.
+    let ln2 = std::f64::consts::LN_2;
+    let check = |rate: f64, dt: f64, closed: f64| {
+        let p = fault::decay_probability(rate, dt);
+        if p == 0.5 {
+            assert_eq!(closed, ln2, "rate {rate:e}, dt {dt:e}");
+        } else if rate * dt >= 1e-6 {
+            let reference = fault::hazard(p);
+            let rel = ((closed - reference) / reference).abs();
+            assert!(rel <= 1e-9, "rate {rate:e}, dt {dt:e}: {closed:e} vs {reference:e}");
+        }
+    };
+    // A log grid of rates and gaps spanning both regimes.
+    for rate_exp in -9..=3 {
+        let rate = 10f64.powi(rate_exp);
+        for k in 0..=400 {
+            let dt = 10f64.powf(-9.0 + f64::from(k) * 0.05);
+            check(rate, dt, fault::decay_hazard(rate, dt));
+        }
+    }
+    // The saturation point, ulp by ulp on both sides of r·dt = ln 2.
+    for ulps in -64i64..=64 {
+        let dt = f64::from_bits(ln2.to_bits().wrapping_add_signed(ulps));
+        check(1.0, dt, fault::decay_hazard(1.0, dt));
+    }
+    // The product order the DRAM model uses: a per-op-tick rate times a gap
+    // in op-ticks, against the reference in seconds.
+    for level in [Level::Mild, Level::Medium, Level::Aggressive] {
+        let cfg = HwConfig::for_level(level);
+        let rate = cfg.params.dram_flip_per_second;
+        let per_tick = rate * cfg.seconds_per_op;
+        for ticks in (0..60).map(|k| 1u64 << k) {
+            let dt = ticks as f64 * cfg.seconds_per_op;
+            check(rate, dt, fault::decay_hazard(per_tick, ticks as f64));
+        }
+    }
+}
+
+#[test]
+fn dram_decay_frequency_matches_the_exponential_law_at_every_level() {
+    // Through the assembled DRAM model, each bit must flip with the
+    // reference probability 1 - exp(-r·dt) (saturating at 0.5). Table 2
+    // rates over microsecond gaps flip almost nothing, so each level's op
+    // time is stretched until a gap of LEN op-ticks carries r·dt = 0.01;
+    // longer gaps then reach 0.1, 0.5 and the saturated 2.0.
+    const LEN: usize = 4096;
+    const WIDTH: u32 = 64;
+    for level in [Level::Mild, Level::Medium, Level::Aggressive] {
+        let mut cfg = HwConfig::for_level(level);
+        let rate = cfg.params.dram_flip_per_second;
+        cfg.seconds_per_op = 0.01 / (rate * LEN as f64);
+        let mut hw = Hardware::new(cfg, 0xDECA);
+        let mut arr = DramArray::new(&mut hw, LEN, WIDTH, true);
+        let first = arr.first_approx_elem();
+        let zeros = vec![0u64; LEN];
+        let mut out = vec![0u64; LEN];
+        for stretch in [1u64, 10, 50, 200] {
+            // Element j is written at tick base + j + 1 and read at
+            // base + stretch·LEN + j + 1: every gap is stretch·LEN.
+            arr.write_slice(&mut hw, 0, &zeros);
+            for _ in 0..(stretch - 1) * LEN as u64 {
+                hw.precise_op(OpKind::Int);
+            }
+            arr.read_slice(&mut hw, 0, &mut out);
+            let flips: u64 = out[first..].iter().map(|w| u64::from(w.count_ones())).sum();
+            let dt = (stretch * LEN as u64) as f64 * cfg.seconds_per_op;
+            let p = fault::decay_probability(rate, dt);
+            let bits = ((LEN - first) as u64 * u64::from(WIDTH)) as f64;
+            let sigma = (bits * p * (1.0 - p)).sqrt();
+            assert!(
+                (flips as f64 - bits * p).abs() < 5.0 * sigma,
+                "{level:?}, r·dt {}: {flips} flips vs {} +/- {}",
+                rate * dt,
+                bits * p,
+                5.0 * sigma
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,6 +11,7 @@
 use enerj_hw::config::{ErrorMode, HwConfig, Level};
 use enerj_hw::dram::DramArray;
 use enerj_hw::stats::OpKind;
+use enerj_hw::trace::FaultKind;
 use enerj_hw::Hardware;
 
 /// A config whose fault streams are hot enough that a few thousand
@@ -194,6 +195,37 @@ fn dram_slices_match_scalar_loops_including_decay_times() {
     let mut b2 = vec![0u64; len];
     arr_b.read_slice(&mut batched, 0, &mut b2);
     assert_eq!(a2, b2, "dram refresh metadata diverged");
+
+    // Mixed refresh gaps: scattered writes at different times leave every
+    // neighbouring pair of elements with a different gap, and slices that
+    // start at a nonzero index, inside the precise header line (elements
+    // 0..6 of a 64-bit array), read across the precise/approximate edge.
+    let scatter = |arr: &mut DramArray, hw: &mut Hardware, round: usize| {
+        for i in (round % 5..len).step_by(7 + round) {
+            arr.write(hw, i, !(i as u64) << round);
+            for _ in 0..i % 11 {
+                hw.precise_op(OpKind::Int);
+            }
+        }
+    };
+    for (round, (start, n)) in
+        [(3usize, 200usize), (1, len - 1), (5, 60), (250, 262)].into_iter().enumerate()
+    {
+        scatter(&mut arr_a, &mut scalar, round);
+        scatter(&mut arr_b, &mut batched, round);
+        for _ in 0..3_000u64 {
+            scalar.precise_op(OpKind::Int);
+            batched.precise_op(OpKind::Int);
+        }
+        let a3: Vec<u64> = (start..start + n).map(|i| arr_a.read(&mut scalar, i)).collect();
+        let mut b3 = vec![0u64; n];
+        arr_b.read_slice(&mut batched, start, &mut b3);
+        assert_eq!(a3, b3, "mixed-gap read slice diverged at start {start}");
+    }
+    assert!(
+        scalar.fault_counters().count(FaultKind::DramDecay).injections > 0,
+        "the decay payload never ran"
+    );
 
     arr_a.retire(&mut scalar);
     arr_b.retire(&mut batched);

@@ -30,6 +30,16 @@ trap restore EXIT
 
 step() { printf '\n== %s\n' "$*"; }
 
+# A report's wall time and thread count vary from run to run; every other
+# byte is a function of the command. `pin` fails the script unless the two
+# reports agree with those two fields masked.
+masked() {
+    sed -E 's/"wall_seconds":[0-9.]+/"wall_seconds":_/g; s/"threads":[0-9]+/"threads":_/g' "$1"
+}
+pin() {
+    cmp <(masked "$1") <(masked "$2") || { echo "report $1 differs from $2" >&2; exit 1; }
+}
+
 # Fails the script unless the command exits 2, the usage-error status (a
 # panic exits 101).
 reject() {
@@ -76,6 +86,13 @@ capture ablation_modes ablation --error-modes --runs 10
 capture tuning tuning
 capture recovery recovery --runs 10 --amplify 40
 
+# The same runs rewrote their reports; each must match the committed one.
+# (The committed fig5 report is a --runs 3 run, pinned below.)
+step "captures: the rewritten reports match results/"
+for name in fig3 fig4 table3 ablation ablation_error_modes recovery; do
+    pin "results/BENCH_$name.json" "$work/BENCH_$name.json"
+done
+
 # The captures rewrote these reports; each must read back through the
 # reader beside its writer and re-render to the same bytes.
 step "captures: the rewritten reports read back"
@@ -88,6 +105,7 @@ done
 step "quanta: fig5 at one thread"
 "$bin/fig5" --runs 3 --threads 1
 mv results/BENCH_fig5.json "$work/fig5_t1.json"
+pin "$work/fig5_t1.json" "$work/BENCH_fig5.json"
 
 step "telemetry: fig5 at two threads with progress and the fault log"
 "$bin/fig5" --runs 3 --threads 2 --trace --fault-log "$work/fig5.ndjson"
@@ -124,6 +142,10 @@ step "fuzz: conformance campaign (500 cases, all five oracles)"
 "$bin/fuzzgen" --cases 500 --seed 1 --shrink
 step "fuzz: deep noninterference sweep (endorse-free, 8 chaos seeds)"
 "$bin/fuzzgen" --cases 1000 --seed 2 --endorse-free --chaos-seeds 8 --shrink
+
+step "sched: the full scheduled campaign matches results/"
+"$bin/schedbench" --threads 2
+pin results/BENCH_sched.json "$work/BENCH_sched.json"
 
 # schedbench re-runs the scheduled campaign at one and two worker threads
 # internally and exits nonzero unless every run is bit-identical. QoS
