@@ -331,26 +331,24 @@ impl CampaignReport {
     pub fn to_json(&self) -> String {
         let sum = &self.summary;
         let mut out = String::with_capacity(256 + 1024 * self.trials.len());
-        let _ = write!(
-            out,
-            "{{\"schema\":\"enerj-campaign/5\",\"threads\":{},\"wall_seconds\":{:.6}",
-            sum.threads,
-            sum.wall.as_secs_f64()
-        );
+        push_u64(&mut out, "{\"schema\":\"enerj-campaign/5\",\"threads\":", sum.threads as u64);
+        let _ = write!(out, ",\"wall_seconds\":{:.6}", sum.wall.as_secs_f64());
         push_json_f64(&mut out, ",\"mean_error\":", sum.mean_error);
-        let _ = write!(out, ",\"panics\":{},\"recovered\":{}", sum.panics, sum.recovered);
-        let _ = match self.budget_quanta {
-            Some(q) => write!(out, ",\"budget_quanta\":{q}"),
-            None => write!(out, ",\"budget_quanta\":null"),
-        };
-        let _ = match self.budget_met {
-            Some(met) => write!(out, ",\"budget_met\":{met}"),
-            None => write!(out, ",\"budget_met\":null"),
-        };
-        let _ = write!(
-            out,
-            ",\"recovery_energy_overhead_quanta\":{}",
-            sum.recovery_energy_overhead_quanta
+        push_u64(&mut out, ",\"panics\":", sum.panics as u64);
+        push_u64(&mut out, ",\"recovered\":", sum.recovered as u64);
+        match self.budget_quanta {
+            Some(q) => push_u128(&mut out, ",\"budget_quanta\":", q.get()),
+            None => out.push_str(",\"budget_quanta\":null"),
+        }
+        out.push_str(match self.budget_met {
+            Some(true) => ",\"budget_met\":true",
+            Some(false) => ",\"budget_met\":false",
+            None => ",\"budget_met\":null",
+        });
+        push_u128(
+            &mut out,
+            ",\"recovery_energy_overhead_quanta\":",
+            sum.recovery_energy_overhead_quanta.get(),
         );
         push_energy_quanta(&mut out, ",\"energy_quanta\":", &sum.energy_quanta);
         push_stats(&mut out, ",\"merged_stats\":", &sum.merged_stats);
@@ -410,14 +408,14 @@ pub fn trial_json(t: &TrialResult) -> String {
 
 /// Appends [`trial_json`]'s bytes to `out`, allocating nothing but `out`'s growth.
 pub fn write_trial_json(out: &mut String, t: &TrialResult) {
-    let _ = write!(out, "{{\"index\":{}", t.index);
+    push_u64(out, "{\"index\":", t.index as u64);
     push_json_string(out, ",\"app\":", t.app);
     push_json_string(out, ",\"label\":", &t.label);
-    let _ = write!(out, ",\"seed\":{}", t.seed);
+    push_u64(out, ",\"seed\":", t.seed);
     push_json_f64(out, ",\"error\":", t.error);
     let _ = write!(out, ",\"wall_seconds\":{:.6}", t.wall.as_secs_f64());
     push_json_opt_string(out, ",\"panic\":", t.panic.as_deref());
-    let _ = write!(out, ",\"attempts\":{}", t.attempts);
+    push_u64(out, ",\"attempts\":", u64::from(t.attempts));
     push_json_opt_string(out, ",\"recovered_at_level\":", t.recovered_at_level.as_deref());
     push_json_opt_string(out, ",\"scheduled_level\":", t.scheduled_level.as_deref());
     out.push_str(",\"failure_causes\":[");
@@ -426,8 +424,11 @@ pub fn write_trial_json(out: &mut String, t: &TrialResult) {
     }
     out.push(']');
     push_json_f64(out, ",\"recovery_energy_overhead\":", t.recovery_energy_overhead);
-    let _ =
-        write!(out, ",\"recovery_energy_overhead_quanta\":{}", t.recovery_energy_overhead_quanta);
+    push_u128(
+        out,
+        ",\"recovery_energy_overhead_quanta\":",
+        t.recovery_energy_overhead_quanta.get(),
+    );
     push_stats(out, ",\"stats\":", &t.stats);
     push_json_f64(out, ",\"energy\":{\"instructions\":", t.energy.instructions);
     push_json_f64(out, ",\"sram\":", t.energy.sram);
@@ -447,8 +448,9 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Formats an f64 for JSON. JSON has no NaN/Infinity literals, so they are
-/// clamped to the error scale's ends.
+/// Formats an f64 for JSON. JSON has no NaN/Infinity literals, so NaN is
+/// clamped to 1.0 (the worst-case error) and ±∞ to ±1e308, each then
+/// rendered like any finite value, so the text reads back.
 pub fn json_f64(x: f64) -> String {
     let mut out = String::new();
     push_json_f64(&mut out, "", x);
@@ -456,11 +458,75 @@ pub fn json_f64(x: f64) -> String {
 }
 
 // Each `push_*` writer appends `key`, the literal text before the value
-// (such as `,"label":`), then the value's one JSON rendering.
+// (such as `,"label":`), then the value's one JSON rendering. Only floats
+// go through `core::fmt`: integers, keys, strings and kind names are copied.
+
+/// `"00"`, `"01"`, …, `"99"` back to back: the two digits of pair value
+/// `p` are `DIGIT_PAIRS[2 * p..2 * p + 2]`.
+const DIGIT_PAIRS: &str = {
+    const TABLE: [u8; 200] = {
+        let mut table = [0; 200];
+        let mut p = 0;
+        while p < 100 {
+            table[2 * p] = b'0' + (p / 10) as u8;
+            table[2 * p + 1] = b'0' + (p % 10) as u8;
+            p += 1;
+        }
+        table
+    };
+    match std::str::from_utf8(&TABLE) {
+        Ok(pairs) => pairs,
+        Err(_) => panic!("decimal digits are ASCII"),
+    }
+};
+
+/// Appends `key` and `n` in decimal, as `{}` renders it. The digit pairs
+/// are split off least significant first, then copied out of
+/// [`DIGIT_PAIRS`] most significant first, the leading pair without its
+/// `0` when the digit count is odd. (Copying `&str` slices of the table
+/// avoids re-validating a byte buffer as UTF-8, which costs as much as
+/// finding the digits.)
+fn push_u64(out: &mut String, key: &str, mut n: u64) {
+    out.push_str(key);
+    // `u64::MAX` has 20 digits: a leading pair and 9 more.
+    let (mut pairs, mut len) = ([0u8; 9], 0);
+    while n >= 100 {
+        pairs[len] = (n % 100) as u8;
+        n /= 100;
+        len += 1;
+    }
+    let lead = 2 * n as usize;
+    out.push_str(&DIGIT_PAIRS[lead + usize::from(n < 10)..lead + 2]);
+    for &pair in pairs[..len].iter().rev() {
+        let at = 2 * usize::from(pair);
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    }
+}
+
+/// Appends `key` and `n` in decimal; quanta beyond `u64` take `core::fmt`.
+fn push_u128(out: &mut String, key: &str, n: u128) {
+    match u64::try_from(n) {
+        Ok(n) => push_u64(out, key, n),
+        Err(_) => {
+            out.push_str(key);
+            let _ = write!(out, "{n}");
+        }
+    }
+}
 
 fn push_json_string(out: &mut String, key: &str, s: &str) {
     out.push_str(key);
     out.push('"');
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        push_escaped(out, s);
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
+}
+
+/// Appends `s` with `"`, `\` and control characters escaped.
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -474,7 +540,6 @@ fn push_json_string(out: &mut String, key: &str, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 fn push_json_opt_string(out: &mut String, key: &str, s: Option<&str>) {
@@ -485,62 +550,53 @@ fn push_json_opt_string(out: &mut String, key: &str, s: Option<&str>) {
 }
 
 fn push_json_f64(out: &mut String, key: &str, x: f64) {
-    out.push_str(key);
-    if x.is_nan() {
-        out.push_str("1.0");
+    let x = if x.is_nan() {
+        1.0
     } else if x.is_infinite() {
-        out.push_str(if x > 0.0 { "1e308" } else { "-1e308" });
+        1e308_f64.copysign(x)
     } else {
-        let _ = write!(out, "{x}");
-    }
+        x
+    };
+    out.push_str(key);
+    let _ = write!(out, "{x}");
 }
 
 fn push_stats(out: &mut String, key: &str, s: &Stats) {
-    let _ = write!(
-        out,
-        "{key}{{\"int_approx_ops\":{},\"int_precise_ops\":{},\"fp_approx_ops\":{},\
-         \"fp_precise_ops\":{},\"sram_approx_quanta\":{},\
-         \"sram_precise_quanta\":{},\"dram_approx_quanta\":{},\
-         \"dram_precise_quanta\":{},\"faults_injected\":{}}}",
-        s.int_approx_ops,
-        s.int_precise_ops,
-        s.fp_approx_ops,
-        s.fp_precise_ops,
-        s.sram_approx_quanta,
-        s.sram_precise_quanta,
-        s.dram_approx_quanta,
-        s.dram_precise_quanta,
-        s.faults_injected,
-    );
+    out.push_str(key);
+    push_u64(out, "{\"int_approx_ops\":", s.int_approx_ops);
+    push_u64(out, ",\"int_precise_ops\":", s.int_precise_ops);
+    push_u64(out, ",\"fp_approx_ops\":", s.fp_approx_ops);
+    push_u64(out, ",\"fp_precise_ops\":", s.fp_precise_ops);
+    push_u128(out, ",\"sram_approx_quanta\":", s.sram_approx_quanta.get());
+    push_u128(out, ",\"sram_precise_quanta\":", s.sram_precise_quanta.get());
+    push_u128(out, ",\"dram_approx_quanta\":", s.dram_approx_quanta.get());
+    push_u128(out, ",\"dram_precise_quanta\":", s.dram_precise_quanta.get());
+    push_u64(out, ",\"faults_injected\":", s.faults_injected);
+    out.push('}');
 }
 
 fn push_energy_quanta(out: &mut String, key: &str, q: &EnergyQuantaBreakdown) {
-    let _ = write!(
-        out,
-        "{key}{{\"instructions\":{},\"baseline_instructions\":{},\"sram\":{},\
-         \"baseline_sram\":{},\"dram\":{},\"baseline_dram\":{},\"total\":{},\
-         \"baseline_total\":{}}}",
-        q.instructions,
-        q.baseline_instructions,
-        q.sram,
-        q.baseline_sram,
-        q.dram,
-        q.baseline_dram,
-        q.total,
-        q.baseline_total,
-    );
+    out.push_str(key);
+    push_u128(out, "{\"instructions\":", q.instructions.get());
+    push_u128(out, ",\"baseline_instructions\":", q.baseline_instructions.get());
+    push_u128(out, ",\"sram\":", q.sram.get());
+    push_u128(out, ",\"baseline_sram\":", q.baseline_sram.get());
+    push_u128(out, ",\"dram\":", q.dram.get());
+    push_u128(out, ",\"baseline_dram\":", q.baseline_dram.get());
+    push_u128(out, ",\"total\":", q.total.get());
+    push_u128(out, ",\"baseline_total\":", q.baseline_total.get());
+    out.push('}');
 }
 
 fn push_counters(out: &mut String, key: &str, c: &FaultCounters) {
     out.push_str(key);
     out.push('{');
     for (i, (kind, kc)) in c.per_kind().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\"{kind}\":{{\"injections\":{},\"bits_flipped\":{}}}",
-            kc.injections, kc.bits_flipped
-        );
+        // Fault kind names are plain ASCII words: nothing to escape.
+        out.extend([if i == 0 { "\"" } else { ",\"" }, kind.name()]);
+        push_u64(out, "\":{\"injections\":", kc.injections);
+        push_u64(out, ",\"bits_flipped\":", kc.bits_flipped);
+        out.push('}');
     }
     out.push('}');
 }
@@ -554,17 +610,16 @@ fn push_fault_line(
     seed: u64,
     e: &FaultEvent,
 ) {
-    let _ = write!(out, "{{\"trial\":{trial}");
+    push_u64(out, "{\"trial\":", trial as u64);
     push_json_string(out, ",\"app\":", app);
     push_json_string(out, ",\"label\":", label);
-    let _ = write!(out, ",\"seed\":{seed}");
+    push_u64(out, ",\"seed\":", seed);
     push_json_f64(out, ",\"time\":", e.time);
     // Fault kind names are plain ASCII words: nothing to escape.
-    let _ = write!(
-        out,
-        ",\"unit\":\"{}\",\"width\":{},\"bits_flipped\":{}}}",
-        e.kind, e.width, e.bits_flipped
-    );
+    out.extend([",\"unit\":\"", e.kind.name()]);
+    push_u64(out, "\",\"width\":", u64::from(e.width));
+    push_u64(out, ",\"bits_flipped\":", u64::from(e.bits_flipped));
+    out.push('}');
 }
 
 // The readers below invert the writers above: each builds the writer's own
@@ -780,7 +835,7 @@ fn read_energy_quanta(f: &Field<'_>) -> Result<EnergyQuantaBreakdown, ReadError>
 fn read_counters(f: &Field<'_>) -> Result<FaultCounters, ReadError> {
     let mut counts = [KindCount::default(); FaultKind::ALL.len()];
     for (count, kind) in counts.iter_mut().zip(FaultKind::ALL) {
-        let entry = f.get(&kind.to_string())?;
+        let entry = f.get(kind.name())?;
         count.injections = entry.get("injections")?.int()?;
         count.bits_flipped = entry.get("bits_flipped")?.int()?;
     }
@@ -1756,6 +1811,7 @@ pub fn run_level_campaign(
 mod tests {
     use super::*;
     use crate::all_apps;
+    use rand::{RngCore, SeedableRng};
 
     fn app(name: &str) -> App {
         crate::app(name).expect("registered")
@@ -2155,10 +2211,161 @@ mod tests {
     fn json_escaping_and_nonfinite_numbers() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(f64::NAN), "1.0");
-        assert_eq!(json_f64(f64::INFINITY), "1e308");
+        // Non-finite values clamp to 1.0 and ±1e308, rendered as `{}`
+        // renders those values, so the reader's re-rendering matches.
+        let e308 = format!("1{}", "0".repeat(308));
+        assert_eq!(json_f64(f64::NAN), "1");
+        assert_eq!(json_f64(f64::INFINITY), e308);
+        assert_eq!(json_f64(f64::NEG_INFINITY), format!("-{e308}"));
         assert_eq!(json_f64(0.25), "0.25");
     }
+
+    #[test]
+    fn nonfinite_energy_and_overhead_read_back() {
+        let base = aggressive_campaign();
+        for x in [f64::NAN, f64::INFINITY] {
+            let fields: [fn(&mut TrialResult) -> &mut f64; 5] = [
+                |t| &mut t.energy.instructions,
+                |t| &mut t.energy.sram,
+                |t| &mut t.energy.dram,
+                |t| &mut t.energy.total,
+                |t| &mut t.recovery_energy_overhead,
+            ];
+            for (i, field) in fields.into_iter().enumerate() {
+                let mut trials = base.trials.clone();
+                *field(&mut trials[1]) = x;
+                let json = CampaignReport::from_trials(trials, Duration::ZERO, 1).to_json();
+                let read = CampaignReport::from_json(&json);
+                assert!(read.is_ok(), "{x} in field {i}: {}", read.unwrap_err());
+            }
+        }
+    }
+
+    #[test]
+    fn table_digits_match_display() {
+        let digits = |n: u128| {
+            let mut out = String::new();
+            push_u128(&mut out, "k", n);
+            if let Ok(n) = u64::try_from(n) {
+                let mut narrow = String::new();
+                push_u64(&mut narrow, "k", n);
+                assert_eq!(narrow, out, "{n}");
+            }
+            out
+        };
+        let mut edges = vec![0, 9, 10, 99, 100, u128::from(u64::MAX), u128::from(u64::MAX) + 1];
+        let mut power = 1_u128;
+        while let Some(next) = power.checked_mul(10) {
+            edges.extend([next - 1, next]);
+            power = next;
+        }
+        edges.push(u128::MAX);
+        for n in edges {
+            assert_eq!(digits(n), format!("k{n}"));
+        }
+        // Random values at every digit count of both widths.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        for _ in 0..20_000 {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let narrow = u128::from(a >> (b % 64));
+            let wide = (u128::from(a) << 64 | u128::from(b)) >> (rng.next_u64() % 128);
+            assert_eq!(digits(narrow), format!("k{narrow}"));
+            assert_eq!(digits(wide), format!("k{wide}"));
+        }
+    }
+
+    #[test]
+    fn unescaped_strings_copy_as_the_escape_loop_writes_them() {
+        let loop_rendering = |s: &str| {
+            let mut out = String::from("\"");
+            push_escaped(&mut out, s);
+            out + "\""
+        };
+        let ascii = (0..=0x7f_u8).map(|b| format!("a{}z", char::from(b)));
+        let others = ["", "plain", "\"", "\\", "tab\there", "\u{1f}", "caf\u{e9}", "\u{1f600} ok"];
+        let strings: Vec<String> = ascii.chain(others.map(str::to_owned)).collect();
+        for s in &strings {
+            assert_eq!(json_string(s), loop_rendering(s), "{s:?}");
+        }
+        // The same strings in each string field of a trial line read back.
+        for s in &strings {
+            let mut t = populated_trial();
+            t.label.clone_from(s);
+            t.panic = Some(s.clone());
+            t.failure_causes = vec![s.clone(), s.clone()];
+            let line = trial_json(&t);
+            let read = read_exact(&line, read_trial, trial_json).expect("the line reads back");
+            assert_eq!((&read.label, read.panic.as_ref()), (s, Some(s)));
+            assert_eq!(read.failure_causes, [s.clone(), s.clone()]);
+        }
+    }
+
+    /// A trial whose line has every field populated: a panic text that
+    /// needs escaping, two failure causes, both level fields, quanta past
+    /// `u64::MAX` and a nonzero count for every fault kind.
+    fn populated_trial() -> TrialResult {
+        let q = EnergyQuanta::new;
+        let past = u128::from(u64::MAX) + 1;
+        TrialResult {
+            index: 1_000_003,
+            app: "FFT",
+            label: "Aggr \u{e9}".to_owned(),
+            seed: u64::MAX - 6,
+            error: 0.031_25,
+            output: None,
+            stats: Stats {
+                int_approx_ops: 1_234_567_890_123,
+                int_precise_ops: 42,
+                fp_approx_ops: 9,
+                fp_precise_ops: 100,
+                sram_approx_quanta: q(past),
+                sram_precise_quanta: q(99),
+                dram_approx_quanta: q(u128::from(u64::MAX)),
+                dram_precise_quanta: q(10),
+                faults_injected: 15,
+            },
+            energy: EnergyBreakdown {
+                instructions: 0.75,
+                sram: 1.5e-7,
+                dram: 123_456.789,
+                total: 0.1 + 0.2,
+            },
+            energy_quanta: EnergyQuantaBreakdown {
+                instructions: q(past + 5),
+                baseline_instructions: q(3 * past),
+                sram: q(1),
+                baseline_sram: q(100),
+                dram: q(1000 * past),
+                // The reader's exact integers stop at `i128::MAX`.
+                baseline_dram: q(u128::MAX >> 1),
+                total: q(7_000_000_000),
+                baseline_total: q(9_999_999_999_999_999_999),
+            },
+            wall: Duration::from_micros(2_500_001),
+            panic: Some("index out of bounds: the \"len\" is 3\nbut the index is 7".to_owned()),
+            fault_counts: FaultCounters::from_counts(std::array::from_fn(|i| KindCount {
+                injections: 10 * i as u64 + 1,
+                bits_flipped: 1000 * i as u64 + 3,
+            })),
+            events: Vec::new(),
+            attempts: 3,
+            recovered_at_level: Some("Precise".to_owned()),
+            failure_causes: vec!["qos: error 0.5 > 0.1".to_owned(), "panic: overflow".to_owned()],
+            recovery_energy_overhead: 0.125,
+            recovery_energy_overhead_quanta: q(past + 2),
+            scheduled_level: Some("Medium".to_owned()),
+        }
+    }
+
+    #[test]
+    fn populated_trial_line_is_pinned() {
+        let line = trial_json(&populated_trial());
+        assert_eq!(line, PINNED_TRIAL_LINE);
+        read_exact(&line, read_trial, trial_json).expect("the line reads back");
+    }
+
+    /// [`populated_trial`]'s line as the `core::fmt` writer rendered it.
+    const PINNED_TRIAL_LINE: &str = r#"{"index":1000003,"app":"FFT","label":"Aggr é","seed":18446744073709551609,"error":0.03125,"wall_seconds":2.500001,"panic":"index out of bounds: the \"len\" is 3\nbut the index is 7","attempts":3,"recovered_at_level":"Precise","scheduled_level":"Medium","failure_causes":["qos: error 0.5 > 0.1","panic: overflow"],"recovery_energy_overhead":0.125,"recovery_energy_overhead_quanta":18446744073709551618,"stats":{"int_approx_ops":1234567890123,"int_precise_ops":42,"fp_approx_ops":9,"fp_precise_ops":100,"sram_approx_quanta":18446744073709551616,"sram_precise_quanta":99,"dram_approx_quanta":18446744073709551615,"dram_precise_quanta":10,"faults_injected":15},"energy":{"instructions":0.75,"sram":0.00000015,"dram":123456.789,"total":0.30000000000000004},"energy_quanta":{"instructions":18446744073709551621,"baseline_instructions":55340232221128654848,"sram":1,"baseline_sram":100,"dram":18446744073709551616000,"baseline_dram":170141183460469231731687303715884105727,"total":7000000000,"baseline_total":9999999999999999999},"fault_counts":{"sram-read-upset":{"injections":1,"bits_flipped":3},"sram-write-failure":{"injections":11,"bits_flipped":1003},"dram-decay":{"injections":21,"bits_flipped":2003},"int-timing":{"injections":31,"bits_flipped":3003},"fp-timing":{"injections":41,"bits_flipped":4003}}}"#;
 
     #[test]
     fn level_campaign_matches_serial_mean_error() {

@@ -237,10 +237,14 @@ fn trial_record_renders_edge_values_literally() {
         ..crashed
     };
     let line = trial_json(&t);
+    // NaN clamps to 1.0 and ±∞ to ±1e308, each rendered as `{}` renders it.
+    let e308 = format!("1{}", "0".repeat(308));
     for fragment in [
-        "\"seed\":43,\"error\":1.0,\"wall_seconds\":0.001000,\"panic\":\"\\u0001\",",
+        "\"seed\":43,\"error\":1,\"wall_seconds\":0.001000,\"panic\":\"\\u0001\",",
         "\"scheduled_level\":null,\"failure_causes\":[],\"recovery_energy_overhead\":0,",
-        "\"energy\":{\"instructions\":1e308,\"sram\":-1e308,\"dram\":0.5,\"total\":1.0},",
+        &format!(
+            "\"energy\":{{\"instructions\":{e308},\"sram\":-{e308},\"dram\":0.5,\"total\":1}},"
+        ),
         "\"total\":0,\"baseline_total\":18446744073709551616},\"fault_counts\":{",
     ] {
         assert!(line.contains(fragment), "{fragment} missing from {line}");

@@ -50,22 +50,27 @@ impl FaultKind {
         }
     }
 
-    /// Parses the [`Display`](fmt::Display) rendering back into a kind.
-    pub fn from_name(name: &str) -> Option<FaultKind> {
-        FaultKind::ALL.iter().copied().find(|k| k.to_string() == name)
-    }
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The kind's name: its [`Display`](fmt::Display) rendering and the
+    /// `unit` of a fault-log line.
+    pub fn name(self) -> &'static str {
+        match self {
             FaultKind::SramReadUpset => "sram-read-upset",
             FaultKind::SramWriteFailure => "sram-write-failure",
             FaultKind::DramDecay => "dram-decay",
             FaultKind::IntTiming => "int-timing",
             FaultKind::FpTiming => "fp-timing",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// Parses a [`name`](FaultKind::name) back into a kind.
+    pub fn from_name(name: &str) -> Option<FaultKind> {
+        FaultKind::ALL.iter().copied().find(|k| k.name() == name)
+    }
+}
+
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -83,4 +88,18 @@ pub struct FaultEvent {
     /// model (value-replacement models included; a replacement that happens
     /// to reproduce the raw value counts as 0 flipped bits).
     pub bits_flipped: u32,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kind_names_are_the_display_and_parse_back() {
+        for kind in FaultKind::ALL {
+            assert_eq!(kind.name(), kind.to_string());
+            assert_eq!(FaultKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(FaultKind::from_name("warp-core"), None);
+    }
 }

@@ -103,12 +103,17 @@ done
 "$bin/validate_schema" "${captured[@]}"
 
 step "quanta: fig5 at one thread"
-"$bin/fig5" --runs 3 --threads 1
+"$bin/fig5" --runs 3 --threads 1 --fault-log "$work/fig5_t1.ndjson"
 mv results/BENCH_fig5.json "$work/fig5_t1.json"
 pin "$work/fig5_t1.json" "$work/BENCH_fig5.json"
 
 step "telemetry: fig5 at two threads with progress and the fault log"
 "$bin/fig5" --runs 3 --threads 2 --trace --fault-log "$work/fig5.ndjson"
+
+# Fault-log lines come out in trial order, so the log is byte-identical at
+# any thread count.
+step "telemetry: the fault log matches the one-thread run's"
+cmp "$work/fig5_t1.ndjson" "$work/fig5.ndjson"
 
 # Integer quanta make campaign energy order-independent: the totals must
 # be exactly equal across thread counts and with the fault log on, as
