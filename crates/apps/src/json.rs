@@ -20,8 +20,11 @@ pub enum Json {
     /// `f64` can only represent integers up to 2^53 exactly, and a
     /// campaign's quanta overflow that.
     Int(i128),
-    /// Any other number: fractions, exponents, and integers out of `i128`
-    /// range (parsed as `f64`).
+    /// An integer literal above `i128::MAX` that fits in `u128`: the top
+    /// half of the quanta range, kept exact for the same reason.
+    UInt(u128),
+    /// Any other number: fractions, exponents, and integers outside
+    /// `i128::MIN..=u128::MAX` (parsed as `f64`).
     Num(f64),
     /// A string.
     Str(String),
@@ -61,6 +64,7 @@ impl Json {
         match self {
             Json::Num(x) => Some(*x),
             Json::Int(x) => Some(*x as f64),
+            Json::UInt(x) => Some(*x as f64),
             _ => None,
         }
     }
@@ -79,6 +83,7 @@ impl Json {
     pub fn as_u128(&self) -> Option<u128> {
         match self {
             Json::Int(x) if *x >= 0 => Some(*x as u128),
+            Json::UInt(x) => Some(*x),
             _ => None,
         }
     }
@@ -293,11 +298,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
         if exact {
-            // Integer literal: keep it lossless when it fits in i128 (the
-            // emitters' u128 quanta stay well inside that range); only an
-            // astronomically large literal falls back to f64.
+            // Integer literal: keep it lossless anywhere in
+            // `i128::MIN..=u128::MAX`, so every u128 quantum the emitters
+            // write reads back; only a literal beyond that falls back to f64.
             if let Ok(x) = text.parse::<i128>() {
                 return Ok(Json::Int(x));
+            }
+            if let Ok(x) = text.parse::<u128>() {
+                return Ok(Json::UInt(x));
             }
         }
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}`"))
@@ -338,9 +346,21 @@ mod tests {
         // Fractions and exponents are not integers.
         assert_eq!(Json::parse("2.0").unwrap().as_u128(), None);
         assert_eq!(Json::parse("2e0").unwrap().as_u128(), None);
-        // An integer too large even for i128 falls back to f64.
-        let huge = "340282366920938463463374607431768211455"; // u128::MAX
-        assert!(matches!(Json::parse(huge).unwrap(), Json::Num(_)));
+        // Integers above i128::MAX stay exact up to u128::MAX; they have
+        // no i128 reading.
+        let huge = Json::parse("340282366920938463463374607431768211455").unwrap();
+        assert_eq!(huge, Json::UInt(u128::MAX));
+        assert_eq!((huge.as_u128(), huge.as_i128()), (Some(u128::MAX), None));
+        let above = Json::parse("170141183460469231731687303715884105728").unwrap();
+        assert_eq!(above.as_u128(), Some(1 << 127));
+        let lowest = Json::parse("-170141183460469231731687303715884105728").unwrap();
+        assert_eq!(lowest, Json::Int(i128::MIN));
+        // Only a literal beyond u128 (or below i128) falls back to f64.
+        for beyond in
+            ["340282366920938463463374607431768211456", "-170141183460469231731687303715884105729"]
+        {
+            assert!(matches!(Json::parse(beyond).unwrap(), Json::Num(_)), "{beyond}");
+        }
     }
 
     #[test]

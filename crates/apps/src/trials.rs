@@ -332,7 +332,7 @@ impl CampaignReport {
         let sum = &self.summary;
         let mut out = String::with_capacity(256 + 1024 * self.trials.len());
         push_u64(&mut out, "{\"schema\":\"enerj-campaign/5\",\"threads\":", sum.threads as u64);
-        let _ = write!(out, ",\"wall_seconds\":{:.6}", sum.wall.as_secs_f64());
+        push_wall(&mut out, ",\"wall_seconds\":", sum.wall);
         push_json_f64(&mut out, ",\"mean_error\":", sum.mean_error);
         push_u64(&mut out, ",\"panics\":", sum.panics as u64);
         push_u64(&mut out, ",\"recovered\":", sum.recovered as u64);
@@ -413,7 +413,7 @@ pub fn write_trial_json(out: &mut String, t: &TrialResult) {
     push_json_string(out, ",\"label\":", &t.label);
     push_u64(out, ",\"seed\":", t.seed);
     push_json_f64(out, ",\"error\":", t.error);
-    let _ = write!(out, ",\"wall_seconds\":{:.6}", t.wall.as_secs_f64());
+    push_wall(out, ",\"wall_seconds\":", t.wall);
     push_json_opt_string(out, ",\"panic\":", t.panic.as_deref());
     push_u64(out, ",\"attempts\":", u64::from(t.attempts));
     push_json_opt_string(out, ",\"recovered_at_level\":", t.recovered_at_level.as_deref());
@@ -459,7 +459,9 @@ pub fn json_f64(x: f64) -> String {
 
 // Each `push_*` writer appends `key`, the literal text before the value
 // (such as `,"label":`), then the value's one JSON rendering. Only floats
-// go through `core::fmt`: integers, keys, strings and kind names are copied.
+// go through `core::fmt`, and a float seen recently on the same thread is
+// copied from that rendering: integers, durations below 10^6 s, keys,
+// strings and kind names are copied as they are.
 
 /// `"00"`, `"01"`, …, `"99"` back to back: the two digits of pair value
 /// `p` are `DIGIT_PAIRS[2 * p..2 * p + 2]`.
@@ -549,6 +551,7 @@ fn push_json_opt_string(out: &mut String, key: &str, s: Option<&str>) {
     }
 }
 
+/// Appends `key` and `x` as `{}` renders it, NaN and ±∞ clamped first.
 fn push_json_f64(out: &mut String, key: &str, x: f64) {
     let x = if x.is_nan() {
         1.0
@@ -558,7 +561,61 @@ fn push_json_f64(out: &mut String, key: &str, x: f64) {
         x
     };
     out.push_str(key);
-    let _ = write!(out, "{x}");
+    let bits = x.to_bits();
+    F64_TEXT.with_borrow_mut(|memo| {
+        let (slot_bits, text) = &mut memo[f64_slot(bits)];
+        if *slot_bits != bits {
+            text.clear();
+            let _ = write!(text, "{x}");
+            *slot_bits = bits;
+        }
+        out.push_str(text);
+    });
+}
+
+/// Slots in each thread's [`F64_TEXT`] table.
+const F64_SLOTS: usize = 16;
+
+/// The bits no slot is looked up by: a NaN, which the clamp never passes on.
+const EMPTY_SLOT: u64 = 0x7ff8_0000_0000_0000;
+
+thread_local! {
+    /// The `{}` text of floats this thread rendered recently, keyed by
+    /// their bits: a direct-mapped table ([`f64_slot`]), a miss replacing
+    /// the slot's entry. A stream repeats the same floats within an
+    /// (app, level) cell: the energy breakdown, and the zero error and
+    /// overhead of fault-free runs.
+    static F64_TEXT: std::cell::RefCell<[(u64, String); F64_SLOTS]> =
+        const { std::cell::RefCell::new([const { (EMPTY_SLOT, String::new()) }; F64_SLOTS]) };
+}
+
+/// The [`F64_TEXT`] slot of `bits`: the top bits of a Fibonacci hash, so
+/// values that differ only in their low mantissa bits spread out.
+fn f64_slot(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - F64_SLOTS.ilog2())) as usize
+}
+
+/// Appends `key` and `d` in seconds as `{:.6}` renders `d.as_secs_f64()`,
+/// from `d`'s integer seconds and nanoseconds. Below 10^6 s that f64 is
+/// within 0.12 ns of `d`, while `d` is at least 1 ns from the nearest
+/// rounding boundary unless its sub-microsecond rest is exactly 500 ns:
+/// both round to the same microsecond. That tie and longer durations take
+/// `core::fmt`.
+fn push_wall(out: &mut String, key: &str, d: Duration) {
+    let (secs, nanos) = (d.as_secs(), d.subsec_nanos());
+    if secs >= 1_000_000 || nanos % 1000 == 500 {
+        out.push_str(key);
+        let _ = write!(out, "{:.6}", d.as_secs_f64());
+        return;
+    }
+    let micros = nanos / 1000 + u32::from(nanos % 1000 > 500);
+    let (secs, micros) = if micros == 1_000_000 { (secs + 1, 0) } else { (secs, micros) };
+    push_u64(out, key, secs);
+    out.push('.');
+    for pair in [micros / 10_000, micros / 100 % 100, micros % 100] {
+        let at = 2 * pair as usize;
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    }
 }
 
 fn push_stats(out: &mut String, key: &str, s: &Stats) {
@@ -712,14 +769,16 @@ impl<'a> Field<'a> {
     /// An exact integer of the writer's type: no fraction, no exponent and
     /// no `f64` round trip, so quanta past 2^53 read exactly.
     pub fn int<T: TryFrom<i128>>(&self) -> Result<T, ReadError> {
-        self.json.as_i128().and_then(|x| T::try_from(x).ok()).ok_or_else(|| {
-            self.invalid(format!("not an exact {} ({:?})", std::any::type_name::<T>(), self.json))
-        })
+        self.json.as_i128().and_then(|x| T::try_from(x).ok()).ok_or_else(|| self.inexact::<T>())
     }
 
-    /// Exact energy quanta.
+    /// Exact energy quanta, anywhere in the `u128` range.
     pub fn quanta(&self) -> Result<EnergyQuanta, ReadError> {
-        self.int().map(EnergyQuanta::new)
+        self.json.as_u128().map(EnergyQuanta::new).ok_or_else(|| self.inexact::<u128>())
+    }
+
+    fn inexact<T>(&self) -> ReadError {
+        self.invalid(format!("not an exact {} ({:?})", std::any::type_name::<T>(), self.json))
     }
 
     /// A number.
@@ -1337,35 +1396,68 @@ impl TrialSink for NullSink {
 
 /// Streams each trial as one JSON line ([`trial_json`]) — the
 /// campaign-scale sink: a million-trial run needs disk, not memory.
+///
+/// Lines are rendered straight into one block, handed to the writer once
+/// it holds [`NDJSON_BLOCK`] bytes and again at [`flush`](TrialSink::flush),
+/// [`into_inner`](Self::into_inner) or drop. Only `flush` reports a write
+/// error of the tail; the other two ignore it, as `BufWriter`'s drop does.
 #[derive(Debug)]
 pub struct NdjsonSink<W: std::io::Write + Send> {
-    out: W,
-    /// The line being rendered, reused so a record allocates nothing.
-    line: String,
+    /// `None` only once [`into_inner`](Self::into_inner) took it.
+    out: Option<W>,
+    /// Rendered lines not yet handed to `out`, reused so a record
+    /// allocates nothing.
+    block: String,
 }
 
+/// The bytes an [`NdjsonSink`] gathers per write: a writer's own buffer
+/// (8 KiB for a `BufWriter`) passes a block this large straight through.
+const NDJSON_BLOCK: usize = 64 * 1024;
+
 impl<W: std::io::Write + Send> NdjsonSink<W> {
-    /// Wraps a writer (buffer it — the engine writes one line per trial).
+    /// Wraps a writer (a file needs no `BufWriter`: lines reach it in
+    /// 64 KiB blocks).
     pub fn new(out: W) -> Self {
-        NdjsonSink { out, line: String::new() }
+        // Room for the line that takes the block past its size.
+        NdjsonSink { out: Some(out), block: String::with_capacity(NDJSON_BLOCK + 8 * 1024) }
     }
 
-    /// Unwraps the writer (flush it before reading the stream back).
-    pub fn into_inner(self) -> W {
-        self.out
+    /// Hands the pending lines to the writer and unwraps it (flush the
+    /// writer before reading the stream back).
+    pub fn into_inner(mut self) -> W {
+        let _ = self.write_block();
+        self.out.take().expect("only into_inner takes the writer")
+    }
+
+    /// Hands the pending lines to the writer. They are dropped on error,
+    /// so a later retry does not write a partly written block twice.
+    fn write_block(&mut self) -> std::io::Result<()> {
+        let Some(out) = &mut self.out else { return Ok(()) };
+        let written = out.write_all(self.block.as_bytes());
+        self.block.clear();
+        written
+    }
+}
+
+impl<W: std::io::Write + Send> Drop for NdjsonSink<W> {
+    fn drop(&mut self) {
+        let _ = self.write_block();
     }
 }
 
 impl<W: std::io::Write + Send> TrialSink for NdjsonSink<W> {
     fn accept(&mut self, trial: TrialResult) -> std::io::Result<()> {
-        self.line.clear();
-        write_trial_json(&mut self.line, &trial);
-        self.line.push('\n');
-        self.out.write_all(self.line.as_bytes())
+        write_trial_json(&mut self.block, &trial);
+        self.block.push('\n');
+        if self.block.len() >= NDJSON_BLOCK {
+            self.write_block()?;
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        std::io::Write::flush(&mut self.out)
+        self.write_block()?;
+        std::io::Write::flush(self.out.as_mut().expect("only into_inner takes the writer"))
     }
 }
 
@@ -2336,7 +2428,7 @@ mod tests {
                 sram: q(1),
                 baseline_sram: q(100),
                 dram: q(1000 * past),
-                // The reader's exact integers stop at `i128::MAX`.
+                // `i128::MAX`, the top of the parser's signed integers.
                 baseline_dram: q(u128::MAX >> 1),
                 total: q(7_000_000_000),
                 baseline_total: q(9_999_999_999_999_999_999),
@@ -2366,6 +2458,104 @@ mod tests {
 
     /// [`populated_trial`]'s line as the `core::fmt` writer rendered it.
     const PINNED_TRIAL_LINE: &str = r#"{"index":1000003,"app":"FFT","label":"Aggr é","seed":18446744073709551609,"error":0.03125,"wall_seconds":2.500001,"panic":"index out of bounds: the \"len\" is 3\nbut the index is 7","attempts":3,"recovered_at_level":"Precise","scheduled_level":"Medium","failure_causes":["qos: error 0.5 > 0.1","panic: overflow"],"recovery_energy_overhead":0.125,"recovery_energy_overhead_quanta":18446744073709551618,"stats":{"int_approx_ops":1234567890123,"int_precise_ops":42,"fp_approx_ops":9,"fp_precise_ops":100,"sram_approx_quanta":18446744073709551616,"sram_precise_quanta":99,"dram_approx_quanta":18446744073709551615,"dram_precise_quanta":10,"faults_injected":15},"energy":{"instructions":0.75,"sram":0.00000015,"dram":123456.789,"total":0.30000000000000004},"energy_quanta":{"instructions":18446744073709551621,"baseline_instructions":55340232221128654848,"sram":1,"baseline_sram":100,"dram":18446744073709551616000,"baseline_dram":170141183460469231731687303715884105727,"total":7000000000,"baseline_total":9999999999999999999},"fault_counts":{"sram-read-upset":{"injections":1,"bits_flipped":3},"sram-write-failure":{"injections":11,"bits_flipped":1003},"dram-decay":{"injections":21,"bits_flipped":2003},"int-timing":{"injections":31,"bits_flipped":3003},"fp-timing":{"injections":41,"bits_flipped":4003}}}"#;
+
+    #[test]
+    fn u128_max_quanta_read_back() {
+        let mut t = populated_trial();
+        t.energy_quanta.baseline_dram = EnergyQuanta::new(u128::MAX);
+        let line = trial_json(&t);
+        assert!(line.contains(&format!("\"baseline_dram\":{}", u128::MAX)), "{line}");
+        let read = read_exact(&line, read_trial, trial_json).expect("the line reads back");
+        assert_eq!(read.energy_quanta, t.energy_quanta);
+    }
+
+    /// `{:.6}` of `d.as_secs_f64()`: the rendering [`push_wall`] reproduces.
+    fn float_wall(d: Duration) -> String {
+        format!("k{:.6}", d.as_secs_f64())
+    }
+
+    fn wall(d: Duration) -> String {
+        let mut out = String::new();
+        push_wall(&mut out, "k", d);
+        out
+    }
+
+    #[test]
+    fn integer_wall_matches_the_float_rendering() {
+        assert_eq!(wall(Duration::ZERO), "k0.000000");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+        let check = |d: Duration| assert_eq!(wall(d), float_wall(d), "{d:?}");
+        // Every nanosecond of the first 200 µs.
+        (0..200_000).for_each(|n| check(Duration::from_nanos(n)));
+        // ±2 ns around the ties of the first 10 ms, of each whole second up
+        // to 10 s and of 20,000 random microseconds below 10 s.
+        let ties = (0..10_000)
+            .chain((1..=10).flat_map(|s| [s * 1_000_000 - 1, s * 1_000_000]))
+            .chain((0..20_000).map(|_| rng.next_u64() % 10_000_000));
+        for micros in ties.collect::<Vec<_>>() {
+            for off in -2..=2_i64 {
+                check(Duration::from_nanos((micros * 1000 + 500).saturating_add_signed(off)));
+            }
+        }
+        // Random durations up to 10^7 s, of every digit count.
+        for _ in 0..100_000 {
+            let secs = rng.next_u64() % 10_u64.pow((rng.next_u64() % 8) as u32);
+            check(Duration::new(secs, (rng.next_u64() % 1_000_000_000) as u32));
+        }
+        // The 10^6 s edge: the last integer rendering, the carry into it
+        // and the first `core::fmt` one.
+        for (secs, nanos) in [(999_999, 999_999_499), (999_999, 999_999_501), (1_000_000, 0)] {
+            check(Duration::new(secs, nanos));
+        }
+        // At 10^9 s the f64 steps by 119 ns: rounding the integers there
+        // would differ from the float.
+        (0..1000).for_each(|nanos| check(Duration::new(1_000_000_000, nanos)));
+    }
+
+    fn display(x: f64) -> String {
+        format!("k{x}")
+    }
+
+    fn memo(x: f64) -> String {
+        let mut out = String::new();
+        push_json_f64(&mut out, "k", x);
+        out
+    }
+
+    #[test]
+    fn memoized_floats_match_display() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+        // Cold, then warm: a hit copies exactly the miss's text.
+        for _ in 0..100_000 {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                let cold = memo(x);
+                assert_eq!((&cold, memo(x)), (&display(x), cold.clone()), "{:#x}", x.to_bits());
+            }
+        }
+        // Values that share a slot evict each other and still render right.
+        let slot = f64_slot(0.5_f64.to_bits());
+        let mates: Vec<f64> = (1..u64::MAX)
+            .map(|b| f64::from_bits(0.5_f64.to_bits() + b))
+            .filter(|x| f64_slot(x.to_bits()) == slot)
+            .take(3)
+            .collect();
+        for _ in 0..2 {
+            for &x in mates.iter().chain([0.5].iter()) {
+                assert_eq!(memo(x), display(x));
+            }
+        }
+        // Signed zero, subnormals and the clamped non-finite values.
+        let edges = [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, -5e-324, f64::MAX, f64::MIN];
+        for x in edges.into_iter().chain([f64::from_bits(1 << 51)]) {
+            assert_eq!((memo(x), memo(x)), (display(x), display(x)), "{:#x}", x.to_bits());
+        }
+        for (x, clamped) in
+            [(f64::NAN, 1.0), (-f64::NAN, 1.0), (f64::INFINITY, 1e308), (f64::NEG_INFINITY, -1e308)]
+        {
+            assert_eq!((memo(x), memo(x)), (display(clamped), display(clamped)));
+        }
+    }
 
     #[test]
     fn level_campaign_matches_serial_mean_error() {

@@ -210,6 +210,60 @@ fn ndjson_sink_reuses_its_line_buffer_without_stale_bytes() {
     assert_eq!(String::from_utf8(sink.into_inner()).expect("UTF-8"), expected);
 }
 
+/// 400 distinct trials whose lines fill several of `NdjsonSink`'s 64 KiB
+/// blocks, so a lost or repeated block shows; and their NDJSON stream.
+fn multi_block_stream() -> (Vec<TrialResult>, String) {
+    let healthy = synthetic_report().trials.swap_remove(0);
+    let trials: Vec<TrialResult> = (0..400)
+        .map(|i| TrialResult { index: i, label: "L".repeat(i % 700), ..healthy.clone() })
+        .collect();
+    let stream: String = trials.iter().map(|t| trial_json(t) + "\n").collect();
+    assert!(stream.len() > 4 * 64 * 1024, "{} bytes", stream.len());
+    (trials, stream)
+}
+
+/// A sink dropped without `flush` hands its pending block to the writer,
+/// as a dropped `BufWriter` does.
+#[test]
+fn ndjson_sink_dropped_without_flush_delivers_every_line() {
+    let (trials, stream) = multi_block_stream();
+    let mut out = Vec::new();
+    let mut sink = NdjsonSink::new(&mut out);
+    for t in &trials {
+        sink.accept(t.clone()).expect("Vec<u8> writes cannot fail");
+    }
+    drop(sink);
+    assert_eq!(String::from_utf8(out).expect("UTF-8"), stream);
+}
+
+/// Forwards only `accept`: the engine's `flush` never reaches the
+/// `NdjsonSink` inside.
+struct AcceptOnly(NdjsonSink<Vec<u8>>);
+
+impl TrialSink for AcceptOnly {
+    fn accept(&mut self, trial: TrialResult) -> std::io::Result<()> {
+        self.0.accept(trial)
+    }
+}
+
+/// `into_inner` hands over the pending block, so a wrapper that never
+/// forwards `flush` still gets the whole stream back.
+#[test]
+fn ndjson_sink_into_inner_delivers_the_unflushed_tail() {
+    let (trials, stream) = multi_block_stream();
+    let (mut direct, mut wrapped) =
+        (NdjsonSink::new(Vec::new()), AcceptOnly(NdjsonSink::new(Vec::new())));
+    for t in &trials {
+        direct.accept(t.clone()).expect("Vec<u8> writes cannot fail");
+        wrapped.accept(t.clone()).expect("Vec<u8> writes cannot fail");
+    }
+    direct.flush().expect("Vec<u8> flushes cannot fail");
+    wrapped.flush().expect("the default flush does nothing");
+    let wrapped = wrapped.0.into_inner();
+    assert_eq!(wrapped, direct.into_inner());
+    assert_eq!(String::from_utf8(wrapped).expect("UTF-8"), stream);
+}
+
 #[test]
 fn write_trial_json_appends_after_the_existing_text() {
     let t = &synthetic_report().trials[0];

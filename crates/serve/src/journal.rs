@@ -413,6 +413,23 @@ mod tests {
     }
 
     #[test]
+    fn recovery_keeps_quanta_up_to_u128_max() {
+        let dir = tempdir("u128max");
+        let mut j = Journal::create(&dir, "{}").expect("create");
+        let a = b"max\n".as_slice();
+        let max = ChunkRecord {
+            quanta_total: EnergyQuanta::new(u128::MAX),
+            quanta_baseline: EnergyQuanta::new(u128::MAX - 1),
+            ..rec(0, a, 0)
+        };
+        j.append_chunk(a, &max).expect("chunk 0");
+        let r = recover(&dir).expect("recover");
+        assert_eq!(r.chunks, [max], "a quantum above i128::MAX is not corruption");
+        assert_eq!(r.committed_bytes, a.len() as u64);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn recovery_rejects_out_of_range_integers() {
         // The second record's output hashes correctly, but one integer field
         // is too wide for its type: that ends the verified prefix instead of

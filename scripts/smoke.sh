@@ -186,4 +186,21 @@ cmp "$work/serve1.ndjson" "$work/serve2.ndjson"
 wait "$daemon"
 daemon=
 
+# Each worker thread renders its chunks' lines with its own float-text
+# memo: the stream of one worker must equal that of two, byte for byte.
+step "serve: the same spec on a one-worker campaignd streams the same bytes"
+state="$work/serve-one"
+"$bin/campaignd" --addr 127.0.0.1:0 --state-dir "$state" --workers 1 > /dev/null &
+daemon=$!
+for _ in $(seq 1 100); do
+    [ -s "$state/campaignd.addr" ] && break
+    sleep 0.1
+done
+addr=$(cat "$state/campaignd.addr")
+"$bin/campaignctl" submit --addr "$addr" --wait --stream --spec "$spec" > "$work/serve-one.ndjson"
+cmp "$work/serve1.ndjson" "$work/serve-one.ndjson"
+"$bin/campaignctl" shutdown --addr "$addr"
+wait "$daemon"
+daemon=
+
 step "smoke: all checks passed"
