@@ -79,35 +79,35 @@ impl<T: ApproxPrim> Approx<T> {
     }
 
     /// Approximate equality test, yielding an approximate boolean.
-    pub fn eq_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        binary(self, rhs.into(), |a, b| a == b, cmp_result::<T>)
+    pub fn eq_approx(self, rhs: impl ApproxOperand<T>) -> Approx<bool> {
+        binary(self, rhs, |a, b| a == b, cmp_result::<T>)
     }
 
     /// Approximate inequality test, yielding an approximate boolean.
-    pub fn ne_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        binary(self, rhs.into(), |a, b| a != b, cmp_result::<T>)
+    pub fn ne_approx(self, rhs: impl ApproxOperand<T>) -> Approx<bool> {
+        binary(self, rhs, |a, b| a != b, cmp_result::<T>)
     }
 }
 
 impl<T: ApproxPrim + PartialOrd> Approx<T> {
     /// Approximate less-than test, yielding an approximate boolean.
-    pub fn lt_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        binary(self, rhs.into(), |a, b| a < b, cmp_result::<T>)
+    pub fn lt_approx(self, rhs: impl ApproxOperand<T>) -> Approx<bool> {
+        binary(self, rhs, |a, b| a < b, cmp_result::<T>)
     }
 
     /// Approximate less-or-equal test, yielding an approximate boolean.
-    pub fn le_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        binary(self, rhs.into(), |a, b| a <= b, cmp_result::<T>)
+    pub fn le_approx(self, rhs: impl ApproxOperand<T>) -> Approx<bool> {
+        binary(self, rhs, |a, b| a <= b, cmp_result::<T>)
     }
 
     /// Approximate greater-than test, yielding an approximate boolean.
-    pub fn gt_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        binary(self, rhs.into(), |a, b| a > b, cmp_result::<T>)
+    pub fn gt_approx(self, rhs: impl ApproxOperand<T>) -> Approx<bool> {
+        binary(self, rhs, |a, b| a > b, cmp_result::<T>)
     }
 
     /// Approximate greater-or-equal test, yielding an approximate boolean.
-    pub fn ge_approx(self, rhs: impl Into<Approx<T>>) -> Approx<bool> {
-        binary(self, rhs.into(), |a, b| a >= b, cmp_result::<T>)
+    pub fn ge_approx(self, rhs: impl ApproxOperand<T>) -> Approx<bool> {
+        binary(self, rhs, |a, b| a >= b, cmp_result::<T>)
     }
 }
 
@@ -156,26 +156,41 @@ impl<T: ApproxPrim> From<T> for Approx<T> {
 }
 
 /// Reads a value from approximate SRAM under an installed runtime.
-fn sram_load<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
+pub(crate) fn sram_load<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
     T::from_bits64(hw.sram_read(x.to_bits64(), T::WIDTH, true))
 }
 
 /// Writes a value to approximate SRAM under an installed runtime.
 #[inline]
-fn sram_store<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
+pub(crate) fn sram_store<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
     T::from_bits64(hw.sram_write(x.to_bits64(), T::WIDTH, true))
 }
 
-/// An operand of an approximate operation: an `Approx` value already in the
-/// register file, or a precise value that flows in by subtyping and is
+mod sealed {
+    use enerj_hw::Hardware;
+
+    /// How an operand enters an approximate operation.
+    pub trait Operand<T> {
+        /// Places the operand in approximate SRAM under an installed runtime.
+        fn place(self, hw: &mut Hardware) -> T;
+        /// The operand's value without a runtime.
+        fn exact(self) -> T;
+    }
+}
+
+use sealed::Operand;
+
+/// An operand of an approximate operation: an `Approx<T>` value already in
+/// the register file, or a precise `T` that flows in by subtyping and is
 /// stored there first (what `Approx::new` would do) — in the same dispatch
 /// as the operation itself.
-pub(crate) trait Operand<T: ApproxPrim> {
-    /// Places the operand in approximate SRAM under an installed runtime.
-    fn place(self, hw: &mut Hardware) -> T;
-    /// The operand's value without a runtime.
-    fn exact(self) -> T;
-}
+///
+/// Sealed: implemented for exactly `T` and `Approx<T>`. The comparisons
+/// (`lt_approx` and the rest) take their bound as one.
+pub trait ApproxOperand<T: ApproxPrim>: Operand<T> {}
+
+impl<T: ApproxPrim> ApproxOperand<T> for T {}
+impl<T: ApproxPrim> ApproxOperand<T> for Approx<T> {}
 
 impl<T: ApproxPrim> Operand<T> for Approx<T> {
     #[inline]
@@ -190,17 +205,15 @@ impl<T: ApproxPrim> Operand<T> for Approx<T> {
 }
 
 /// A precise operand, upcast to `@Approx` (primitive subtyping).
-pub(crate) struct Upcast<T>(pub(crate) T);
-
-impl<T: ApproxPrim> Operand<T> for Upcast<T> {
+impl<T: ApproxPrim> Operand<T> for T {
     #[inline]
     fn place(self, hw: &mut Hardware) -> T {
-        sram_store(hw, self.0)
+        sram_store(hw, self)
     }
 
     #[inline]
     fn exact(self) -> T {
-        self.0
+        self
     }
 }
 
@@ -289,7 +302,7 @@ pub(crate) fn ctx_round_trip<T: ApproxPrim>(x: T) -> T {
 pub(crate) fn ctx_unary<T: ApproxPrim>(x: T, f: impl FnOnce(T) -> T) -> T {
     with_hw(|hw| match hw {
         Some(hw) => {
-            let out = unary_on(hw, Upcast(x), f);
+            let out = unary_on(hw, x, f);
             sram_load(hw, out)
         }
         None => f(x),
@@ -302,7 +315,7 @@ pub(crate) fn ctx_unary<T: ApproxPrim>(x: T, f: impl FnOnce(T) -> T) -> T {
 pub(crate) fn ctx_binary<T: ApproxPrim>(a: T, b: T, f: impl FnOnce(T, T) -> T) -> T {
     with_hw(|hw| match hw {
         Some(hw) => {
-            let out = binary_on(hw, Upcast(a), Upcast(b), f, T::unit_result);
+            let out = binary_on(hw, a, b, f, T::unit_result);
             sram_load(hw, out)
         }
         None => f(a, b),
@@ -329,7 +342,7 @@ macro_rules! impl_binop {
         impl<T: ApproxArith> $trait<T> for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: T) -> Approx<T> {
-                binary(self, Upcast(rhs), T::$arith, T::unit_result)
+                binary(self, rhs, T::$arith, T::unit_result)
             }
         }
     };
@@ -352,7 +365,7 @@ macro_rules! impl_bitop {
         impl<T: ApproxBits> $trait<T> for Approx<T> {
             type Output = Approx<T>;
             fn $method(self, rhs: T) -> Approx<T> {
-                binary(self, Upcast(rhs), T::$arith, T::unit_result)
+                binary(self, rhs, T::$arith, T::unit_result)
             }
         }
     };
@@ -383,31 +396,31 @@ macro_rules! impl_binop_lhs_precise {
         impl Add<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn add(self, rhs: Approx<$t>) -> Approx<$t> {
-                binary(Upcast(self), rhs, <$t>::approx_add, <$t>::unit_result)
+                binary(self, rhs, <$t>::approx_add, <$t>::unit_result)
             }
         }
         impl Sub<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn sub(self, rhs: Approx<$t>) -> Approx<$t> {
-                binary(Upcast(self), rhs, <$t>::approx_sub, <$t>::unit_result)
+                binary(self, rhs, <$t>::approx_sub, <$t>::unit_result)
             }
         }
         impl Mul<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn mul(self, rhs: Approx<$t>) -> Approx<$t> {
-                binary(Upcast(self), rhs, <$t>::approx_mul, <$t>::unit_result)
+                binary(self, rhs, <$t>::approx_mul, <$t>::unit_result)
             }
         }
         impl Div<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn div(self, rhs: Approx<$t>) -> Approx<$t> {
-                binary(Upcast(self), rhs, <$t>::approx_div, <$t>::unit_result)
+                binary(self, rhs, <$t>::approx_div, <$t>::unit_result)
             }
         }
         impl Rem<Approx<$t>> for $t {
             type Output = Approx<$t>;
             fn rem(self, rhs: Approx<$t>) -> Approx<$t> {
-                binary(Upcast(self), rhs, <$t>::approx_rem, <$t>::unit_result)
+                binary(self, rhs, <$t>::approx_rem, <$t>::unit_result)
             }
         }
     )*};

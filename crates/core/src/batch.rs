@@ -20,97 +20,41 @@
 //! it may land on a different element than in the scalar interleaving:
 //! outcomes are equivalent in distribution (pinned by the 5-sigma tests in
 //! this module), while the energy quanta are bit-identical.
+//!
+//! ## Buffers
+//!
+//! An [`ApproxBuf`] holds raw `u64` bit patterns, the form every entry
+//! point of [`enerj_hw::batch`] takes, in a buffer from a small per-thread
+//! pool, so a kernel in steady state neither allocates nor converts.
+//! [`zip`] and [`scalar`] stage both operands in their result buffer and
+//! read them as one SRAM stream, all of `a` and then all of `b`; the
+//! phases, and so every fault and RNG draw, come in the order above.
+
+use std::cell::RefCell;
+use std::fmt;
+use std::marker::PhantomData;
 
 use crate::approx::Approx;
 use crate::prim::{ApproxArith, ApproxPrim};
 use crate::runtime::with_hw;
 use crate::vecs::ApproxVec;
-use enerj_hw::Hardware;
+use enerj_hw::stats::OpKind;
 
-/// Stack-buffer size for T <-> u64 bit conversion: one conversion chunk
-/// stays in cache while the batched hw entry points stride over it.
-const CHUNK: usize = 128;
+/// Most buffers a thread keeps for reuse. A kernel holds a handful at a
+/// time (an FFT butterfly stage, the most, about a dozen), so the pool
+/// stays small; a buffer returned to a full pool is freed.
+const POOL_LIMIT: usize = 32;
 
-/// Moves a slice through approximate SRAM (read or write direction) by
-/// converting fixed-size chunks to raw bit patterns. The fault streams see
-/// exactly the trials a scalar `sram_read`/`sram_write` loop would produce.
-fn sram_slice<T: ApproxPrim>(hw: &mut Hardware, xs: &mut [T], write: bool) {
-    let mut buf = [0u64; CHUNK];
-    for chunk in xs.chunks_mut(CHUNK) {
-        let bits = &mut buf[..chunk.len()];
-        for (b, x) in bits.iter_mut().zip(chunk.iter()) {
-            *b = x.to_bits64();
-        }
-        if write {
-            hw.sram_write_slice(bits, T::WIDTH, true);
-        } else {
-            hw.sram_read_slice(bits, T::WIDTH, true);
-        }
-        for (x, b) in chunk.iter_mut().zip(bits.iter()) {
-            *x = T::from_bits64(*b);
-        }
-    }
+thread_local! {
+    /// Empty buffers, with their capacity, for the next [`ApproxBuf`] on
+    /// this thread. Never read for contents: every buffer is cleared on
+    /// return and filled in full by its next owner.
+    static POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A primitive that supports whole-slice approximate execution.
-///
-/// Mirrors the scalar hooks of [`ApproxPrim`] (`condition_operand`,
-/// `unit_result`) at slice granularity. Floating-point types dispatch to
-/// the native f32/f64 slice entry points; integers convert through a
-/// fixed-size bit buffer.
-pub trait BatchPrim: ApproxPrim {
-    /// Applies operand conditioning over a slice (mantissa truncation for
-    /// floats; identity for integers).
-    fn condition_slice(hw: &Hardware, xs: &mut [Self]) {
-        let _ = (hw, xs);
-    }
-
-    /// Routes a slice of raw results through the approximate functional
-    /// unit: counts every operation, advances the clock once, and resolves
-    /// timing-error sites by index.
-    fn result_slice(hw: &mut Hardware, xs: &mut [Self]);
-}
-
-macro_rules! impl_batch_int {
-    ($($t:ty),* $(,)?) => {$(
-        impl BatchPrim for $t {
-            fn result_slice(hw: &mut Hardware, xs: &mut [Self]) {
-                let mut buf = [0u64; CHUNK];
-                for chunk in xs.chunks_mut(CHUNK) {
-                    let bits = &mut buf[..chunk.len()];
-                    for (b, x) in bits.iter_mut().zip(chunk.iter()) {
-                        *b = x.to_bits64();
-                    }
-                    hw.approx_int_result_slice(bits, <$t as ApproxPrim>::WIDTH);
-                    for (x, b) in chunk.iter_mut().zip(bits.iter()) {
-                        *x = <$t>::from_bits64(*b);
-                    }
-                }
-            }
-        }
-    )*};
-}
-
-impl_batch_int!(i8, i16, i32, i64, u8, u16, u32, u64);
-
-impl BatchPrim for f32 {
-    fn condition_slice(hw: &Hardware, xs: &mut [Self]) {
-        hw.approx_f32_operand_slice(xs);
-    }
-
-    fn result_slice(hw: &mut Hardware, xs: &mut [Self]) {
-        hw.approx_f32_result_slice(xs);
-    }
-}
-
-impl BatchPrim for f64 {
-    fn condition_slice(hw: &Hardware, xs: &mut [Self]) {
-        hw.approx_f64_operand_slice(xs);
-    }
-
-    fn result_slice(hw: &mut Hardware, xs: &mut [Self]) {
-        hw.approx_f64_result_slice(xs);
-    }
+/// An empty buffer from this thread's pool, or a new one.
+fn pooled() -> Vec<u64> {
+    POOL.try_with(|p| p.try_borrow_mut().ok()?.pop()).ok().flatten().unwrap_or_default()
 }
 
 /// The element-wise operations a batched functional unit implements.
@@ -130,14 +74,43 @@ pub enum BatchOp {
 }
 
 impl BatchOp {
-    /// Applies the operation to one element pair.
-    fn apply<T: ApproxArith>(self, a: T, b: T) -> T {
+    /// Computes `xs[i] = xs[i] op ys[i]` on raw bit patterns of `T`, one
+    /// loop per operation.
+    fn apply<T: ApproxArith>(self, xs: &mut [u64], ys: &[u64]) {
         match self {
-            BatchOp::Add => T::approx_add(a, b),
-            BatchOp::Sub => T::approx_sub(a, b),
-            BatchOp::Mul => T::approx_mul(a, b),
-            BatchOp::Div => T::approx_div(a, b),
+            BatchOp::Add => apply_each(xs, ys, T::approx_add),
+            BatchOp::Sub => apply_each(xs, ys, T::approx_sub),
+            BatchOp::Mul => apply_each(xs, ys, T::approx_mul),
+            BatchOp::Div => apply_each(xs, ys, T::approx_div),
         }
+    }
+}
+
+/// `xs[i] = f(xs[i], ys[i])` on raw bit patterns of `T`.
+///
+/// A NaN result carries the payload of the first NaN operand, quieted,
+/// which is what one x86-64 or AArch64 instruction with the operands in
+/// source order produces. Spelling the rule out keeps every bit fixed when
+/// the compiler commutes an addition or multiplication, which it may do
+/// freely in a vectorized loop; for other results it is the identity.
+#[inline]
+fn apply_each<T: ApproxPrim>(xs: &mut [u64], ys: &[u64], f: impl Fn(T, T) -> T) {
+    // The quiet bit: the top mantissa bit of an `f64` or an `f32`.
+    let quiet = if T::WIDTH == 64 { 1 << 51 } else { 1 << 22 };
+    #[allow(clippy::eq_op)] // `v != v` is the NaN test for any `ApproxPrim`
+    let nan = |v: T| v != v;
+    for (x, &y) in xs.iter_mut().zip(ys) {
+        let (a, b) = (T::from_bits64(*x), T::from_bits64(y));
+        let r = f(a, b);
+        *x = if !nan(r) {
+            r.to_bits64()
+        } else if nan(a) {
+            *x | quiet
+        } else if nan(b) {
+            y | quiet
+        } else {
+            r.to_bits64()
+        };
     }
 }
 
@@ -148,12 +121,22 @@ impl BatchOp {
 /// moves through a hardware structure ([`ApproxBuf::load`] /
 /// [`ApproxBuf::store`] for DRAM, [`zip`] / [`scalar`] for the register
 /// file and functional units).
-#[derive(Debug, Clone)]
+///
+/// The values are held as raw bit patterns in a buffer borrowed from a
+/// small per-thread pool and returned to it on drop, so a kernel in steady
+/// state allocates nothing. A loaded `bool` keeps its whole DRAM byte;
+/// every read of it goes through `from_bits64`, which keeps the value bit.
 pub struct ApproxBuf<T: ApproxPrim> {
-    vals: Vec<T>,
+    bits: Vec<u64>,
+    _elem: PhantomData<T>,
 }
 
 impl<T: ApproxPrim> ApproxBuf<T> {
+    /// An empty buffer from the pool, to be filled by its caller.
+    fn empty() -> Self {
+        ApproxBuf { bits: pooled(), _elem: PhantomData }
+    }
+
     /// Loads `len` elements of `v` starting at `start` into registers.
     ///
     /// One bulk DRAM read: the same per-element decay exposure, clock ticks
@@ -163,9 +146,10 @@ impl<T: ApproxPrim> ApproxBuf<T> {
     ///
     /// Panics if `start + len` exceeds `v.len()`.
     pub fn load(v: &mut ApproxVec<T>, start: usize, len: usize) -> Self {
-        let mut bits = vec![0u64; len];
-        v.read_bits_slice(start, &mut bits);
-        ApproxBuf { vals: bits.into_iter().map(T::from_bits64).collect() }
+        let mut buf = ApproxBuf::empty();
+        buf.bits.resize(len, 0);
+        v.read_bits_slice(start, &mut buf.bits);
+        buf
     }
 
     /// Stores the buffer back to `v` starting at `start`, refreshing the
@@ -176,27 +160,25 @@ impl<T: ApproxPrim> ApproxBuf<T> {
     ///
     /// Panics if `start + self.len()` exceeds `v.len()`.
     pub fn store(&self, v: &mut ApproxVec<T>, start: usize) {
-        let mut bits = vec![0u64; self.vals.len()];
-        for (b, x) in bits.iter_mut().zip(&self.vals) {
-            *b = x.to_bits64();
-        }
-        v.write_bits_slice(start, &bits);
+        v.write_bits_slice(start, &self.bits);
     }
 
     /// Builds a buffer by evaluating `f` at every index (a register move:
     /// no simulated energy).
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> Approx<T>) -> Self {
-        ApproxBuf { vals: (0..len).map(|i| f(i).raw()).collect() }
+        let mut buf = ApproxBuf::empty();
+        buf.bits.extend((0..len).map(|i| f(i).raw().to_bits64()));
+        buf
     }
 
     /// Number of staged elements.
     pub fn len(&self) -> usize {
-        self.vals.len()
+        self.bits.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
+        self.bits.is_empty()
     }
 
     /// The element at `i`, as a register move.
@@ -205,7 +187,7 @@ impl<T: ApproxPrim> ApproxBuf<T> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn get(&self, i: usize) -> Approx<T> {
-        Approx::from_raw(self.vals[i])
+        Approx::from_raw(T::from_bits64(self.bits[i]))
     }
 
     /// Replaces the element at `i`, as a register move.
@@ -214,7 +196,7 @@ impl<T: ApproxPrim> ApproxBuf<T> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn set(&mut self, i: usize, value: Approx<T>) {
-        self.vals[i] = value.raw();
+        self.bits[i] = value.raw().to_bits64();
     }
 
     /// Endorses the whole buffer (section 2.2, in bulk): one final batched
@@ -222,10 +204,45 @@ impl<T: ApproxPrim> ApproxBuf<T> {
     pub fn endorse_to_vec(mut self) -> Vec<T> {
         with_hw(|hw| {
             if let Some(hw) = hw {
-                sram_slice(hw, &mut self.vals, false);
+                hw.sram_read_slice(&mut self.bits, T::WIDTH, true);
             }
         });
-        self.vals
+        self.bits.iter().map(|&b| T::from_bits64(b)).collect()
+    }
+}
+
+impl<T: ApproxPrim> Clone for ApproxBuf<T> {
+    fn clone(&self) -> Self {
+        let mut buf = ApproxBuf::empty();
+        buf.bits.extend_from_slice(&self.bits);
+        buf
+    }
+}
+
+impl<T: ApproxPrim> fmt::Debug for ApproxBuf<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.bits.iter().map(|&b| T::from_bits64(b))).finish()
+    }
+}
+
+impl<T: ApproxPrim> Drop for ApproxBuf<T> {
+    /// Returns the buffer to the pool. `try_with` and `try_borrow_mut`
+    /// make this a no-op, never a panic, when the pool is gone (thread
+    /// teardown) or busy, so a buffer dropped while unwinding from a
+    /// watchdog trip is simply freed or kept.
+    fn drop(&mut self) {
+        let mut bits = std::mem::take(&mut self.bits);
+        if bits.capacity() == 0 {
+            return;
+        }
+        bits.clear();
+        let _ = POOL.try_with(|p| {
+            if let Ok(mut pool) = p.try_borrow_mut() {
+                if pool.len() < POOL_LIMIT {
+                    pool.push(bits);
+                }
+            }
+        });
     }
 }
 
@@ -239,43 +256,54 @@ impl<T: ApproxPrim> ApproxBuf<T> {
 /// # Panics
 ///
 /// Panics if the buffers differ in length.
-pub fn zip<T: BatchPrim + ApproxArith>(
-    op: BatchOp,
-    a: &ApproxBuf<T>,
-    b: &ApproxBuf<T>,
-) -> ApproxBuf<T> {
+pub fn zip<T: ApproxArith>(op: BatchOp, a: &ApproxBuf<T>, b: &ApproxBuf<T>) -> ApproxBuf<T> {
     assert_eq!(a.len(), b.len(), "zip requires equal lengths");
-    with_hw(|hw| match hw {
-        Some(hw) => {
-            let mut av = a.vals.clone();
-            sram_slice(hw, &mut av, false);
-            T::condition_slice(hw, &mut av);
-            let mut bv = b.vals.clone();
-            sram_slice(hw, &mut bv, false);
-            T::condition_slice(hw, &mut bv);
-            for (x, y) in av.iter_mut().zip(&bv) {
-                *x = op.apply(*x, *y);
-            }
-            T::result_slice(hw, &mut av);
-            ApproxBuf { vals: av }
-        }
-        None => {
-            ApproxBuf { vals: a.vals.iter().zip(&b.vals).map(|(&x, &y)| op.apply(x, y)).collect() }
-        }
-    })
+    combine(op, a, |regs| regs.extend_from_slice(&b.bits))
 }
 
 /// Element-wise `a op s` with a broadcast right-hand operand.
 ///
 /// Each element still pays the scalar loop's second register read of `s`,
 /// so operation counts and energy match `for i { a.get(i) op s }` exactly.
-pub fn scalar<T: BatchPrim + ApproxArith>(
+pub fn scalar<T: ApproxArith>(op: BatchOp, a: &ApproxBuf<T>, s: Approx<T>) -> ApproxBuf<T> {
+    let s = s.raw().to_bits64();
+    combine(op, a, |regs| regs.resize(2 * a.len(), s))
+}
+
+/// The body of [`zip`] and [`scalar`]. The result buffer first holds both
+/// operands' register contents, `a` then `b` (`push_b` appends `b`), so
+/// the register reads run as one stream over all of `a`, then all of `b`,
+/// with no second buffer. Conditioning is pure, so it runs over both at
+/// once; the results then overwrite `a`'s half and `b`'s half is dropped
+/// before the result phase.
+fn combine<T: ApproxArith>(
     op: BatchOp,
     a: &ApproxBuf<T>,
-    s: Approx<T>,
+    push_b: impl FnOnce(&mut Vec<u64>),
 ) -> ApproxBuf<T> {
-    let b = ApproxBuf { vals: vec![s.raw(); a.len()] };
-    zip(op, a, &b)
+    let n = a.len();
+    let mut out = ApproxBuf::empty();
+    let regs = &mut out.bits;
+    regs.extend_from_slice(&a.bits);
+    push_b(regs);
+    with_hw(|mut hw| {
+        if let Some(hw) = hw.as_deref_mut() {
+            hw.sram_read_slice(regs, T::WIDTH, true);
+            if T::OP_KIND == OpKind::Fp {
+                hw.approx_fp_operand_slice(regs, T::WIDTH);
+            }
+        }
+        let (xs, ys) = regs.split_at_mut(n);
+        op.apply::<T>(xs, ys);
+        regs.truncate(n);
+        if let Some(hw) = hw {
+            match T::OP_KIND {
+                OpKind::Int => hw.approx_int_result_slice(regs, T::WIDTH),
+                OpKind::Fp => hw.approx_fp_result_slice(regs, T::WIDTH),
+            }
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -69,8 +69,8 @@ mod record;
 mod runtime;
 mod vecs;
 
-pub use approx::{endorse, Approx};
-pub use batch::{ApproxBuf, BatchOp, BatchPrim};
+pub use approx::{endorse, Approx, ApproxOperand};
+pub use batch::{ApproxBuf, BatchOp};
 pub use check::{endorse_checked, finite, in_range, not_nan, predicate, EndorseError, Guard};
 pub use context::{endorse_ctx, ApproxMode, Ctx, Mode, PreciseMode};
 pub use precise::Precise;

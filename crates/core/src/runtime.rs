@@ -107,12 +107,17 @@ impl Home {
     /// it is installed, at home otherwise.
     #[inline]
     pub(crate) fn with<R>(&self, f: impl FnOnce(&mut Hardware) -> R) -> R {
-        CURRENT
-            .with(|c| match &mut **c.borrow_mut() {
-                Some(m) if Rc::ptr_eq(&m.home.0, &self.0) => Ok(f(&mut m.hw)),
-                _ => Err(f),
-            })
-            .unwrap_or_else(|f| self.with_parked(f))
+        self.with_installed(f).unwrap_or_else(|f| self.with_parked(f))
+    }
+
+    /// Runs `f` on this home's machine if it is the installed one, and
+    /// hands `f` back otherwise.
+    #[inline]
+    pub(crate) fn with_installed<R, F: FnOnce(&mut Hardware) -> R>(&self, f: F) -> Result<R, F> {
+        CURRENT.with(|c| match &mut **c.borrow_mut() {
+            Some(m) if Rc::ptr_eq(&m.home.0, &self.0) => Ok(f(&mut m.hw)),
+            _ => Err(f),
+        })
     }
 
     /// [`Home::with`] for a machine that is not installed: out of line, so

@@ -18,7 +18,7 @@
 
 use std::marker::PhantomData;
 
-use crate::approx::Approx;
+use crate::approx::{sram_load, sram_store, Approx};
 use crate::precise::Precise;
 use crate::prim::ApproxPrim;
 use crate::runtime::{installed_home, Home};
@@ -81,11 +81,19 @@ impl<T: ApproxPrim> ApproxVec<T> {
 
     /// Copies a precise slice into a fresh approximate array (subtyping:
     /// precise data flows into approximate storage freely).
+    ///
+    /// The copy is one dispatch to the machine. Each element takes the
+    /// path of `v.set(i, Approx::new(x))`: a register-file write, then the
+    /// DRAM write.
     pub fn from_slice(data: &[T]) -> Self {
         let mut v = ApproxVec::new(data.len());
-        for (i, &x) in data.iter().enumerate() {
-            v.set(i, Approx::new(x));
-        }
+        let dram = &mut v.dram;
+        v.home.with(|hw| {
+            for (i, &x) in data.iter().enumerate() {
+                let stored = sram_store(hw, x);
+                dram.write(hw, i, stored.to_bits64());
+            }
+        });
         v
     }
 
@@ -124,8 +132,27 @@ impl<T: ApproxPrim> ApproxVec<T> {
 
     /// Endorses the whole array into a precise `Vec` (a bulk section 2.2
     /// endorsement, as used at output boundaries).
+    ///
+    /// Each element is read from DRAM and then endorsed, as in an
+    /// `endorse(v.get(i))` loop. When the array's machine is the installed
+    /// one, the whole loop is one dispatch. Otherwise (a runtime nested
+    /// over the array's own) each element keeps the loop's split: the DRAM
+    /// read is charged to the array's machine, the endorsement's register
+    /// read to the installed one.
     pub fn endorse_to_vec(&mut self) -> Vec<T> {
-        (0..self.len()).map(|i| crate::approx::endorse(self.get(i))).collect()
+        let dram = &mut self.dram;
+        let installed = self.home.with_installed(|hw| {
+            (0..dram.len())
+                .map(|i| {
+                    let x = T::from_bits64(dram.read(hw, i));
+                    sram_load(hw, x)
+                })
+                .collect()
+        });
+        match installed {
+            Ok(out) => out,
+            Err(_) => (0..self.len()).map(|i| crate::approx::endorse(self.get(i))).collect(),
+        }
     }
 
     /// Bulk DRAM read for the batched path: fills `out` with the raw bit
@@ -160,12 +187,16 @@ impl<T: ApproxPrim> PreciseVec<T> {
         PreciseVec { dram, home, _elem: PhantomData }
     }
 
-    /// Copies a slice into a fresh precise array.
+    /// Copies a slice into a fresh precise array, in one dispatch to the
+    /// machine.
     pub fn from_slice(data: &[T]) -> Self {
         let mut v = PreciseVec::new(data.len());
-        for (i, &x) in data.iter().enumerate() {
-            v.set(i, x);
-        }
+        let dram = &mut v.dram;
+        v.home.with(|hw| {
+            for (i, &x) in data.iter().enumerate() {
+                dram.write(hw, i, x.to_bits64());
+            }
+        });
         v
     }
 
@@ -202,9 +233,11 @@ impl<T: ApproxPrim> PreciseVec<T> {
         self.home.with(|hw| self.dram.write(hw, i, value.to_bits64()));
     }
 
-    /// Copies the contents into a plain `Vec`.
+    /// Copies the contents into a plain `Vec`, in one dispatch to the
+    /// machine.
     pub fn to_vec(&mut self) -> Vec<T> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        let dram = &mut self.dram;
+        self.home.with(|hw| (0..dram.len()).map(|i| T::from_bits64(dram.read(hw, i))).collect())
     }
 }
 

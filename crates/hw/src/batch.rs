@@ -32,6 +32,37 @@ use crate::fault;
 use crate::stats::OpKind;
 use crate::Hardware;
 
+/// A result word as a raw bit pattern: the `u64` form every entry point
+/// takes, or an `f64` held as a float.
+trait Word: Copy {
+    fn get(self) -> u64;
+    fn set(&mut self, bits: u64);
+}
+
+impl Word for u64 {
+    #[inline]
+    fn get(self) -> u64 {
+        self
+    }
+
+    #[inline]
+    fn set(&mut self, bits: u64) {
+        *self = bits;
+    }
+}
+
+impl Word for f64 {
+    #[inline]
+    fn get(self) -> u64 {
+        self.to_bits()
+    }
+
+    #[inline]
+    fn set(&mut self, bits: u64) {
+        *self = f64::from_bits(bits);
+    }
+}
+
 /// Chunk width for the mask loops: wide enough for the compiler to use
 /// 256-bit vector lanes, small enough to stay in registers.
 const LANES: usize = 8;
@@ -133,153 +164,121 @@ impl Hardware {
     ///
     /// Panics if `width` is zero or exceeds 64.
     pub fn approx_int_result_slice(&mut self, raws: &mut [u64], width: u32) {
-        assert!((1..=64).contains(&width), "bad integer width {width}");
+        self.result_slice(OpKind::Int, raws, width);
+    }
+
+    /// Batched [`Hardware::approx_f64_result`] / [`Hardware::approx_f32_result`]
+    /// on raw bit patterns: the result phase of `raws.len()` approximate
+    /// floating-point operations of `width` bits (64 for `f64`, 32 for
+    /// `f32`) in sequence, in place. Bit-identical to a scalar loop, like
+    /// [`Hardware::approx_int_result_slice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or exceeds 64.
+    pub fn approx_fp_result_slice(&mut self, raws: &mut [u64], width: u32) {
+        self.result_slice(OpKind::Fp, raws, width);
+    }
+
+    /// [`Hardware::approx_fp_result_slice`] over `f64` values, for callers
+    /// that hold them as floats.
+    pub fn approx_f64_result_slice(&mut self, xs: &mut [f64]) {
+        self.result_slice(OpKind::Fp, xs, 64);
+    }
+
+    /// The result phase shared by the integer and floating-point units:
+    /// `kind` picks the unit's timing countdown and its last result.
+    fn result_slice<W: Word>(&mut self, kind: OpKind, raws: &mut [W], width: u32) {
+        assert!((1..=64).contains(&width), "bad result width {width}");
         let n = raws.len();
         if n == 0 {
             return;
         }
         self.tick_batch(n as u64);
-        self.stats.record_ops(OpKind::Int, true, n as u64);
+        self.stats.record_ops(kind, true, n as u64);
         if width < 64 {
             let mask = fault::low_mask(width);
             let mut chunks = raws.chunks_exact_mut(LANES);
             for chunk in &mut chunks {
                 for w in chunk {
-                    *w &= mask;
+                    w.set(w.get() & mask);
                 }
             }
             for w in chunks.into_remainder() {
-                *w &= mask;
+                w.set(w.get() & mask);
             }
         }
         let total = n as u64;
         let mut idx = 0u64;
         while idx < total {
-            match self.sched.int_timing.next_fire(total - idx, &mut self.rng) {
+            let countdown = match kind {
+                OpKind::Int => &mut self.sched.int_timing,
+                OpKind::Fp => &mut self.sched.fp_timing,
+            };
+            match countdown.next_fire(total - idx, &mut self.rng) {
                 None => break,
                 Some(k) => {
                     idx += k;
                     let i = idx as usize;
                     // Stage the in-batch predecessor so the shared payload
                     // helper's LastValue mode sees what a scalar loop would.
-                    self.last_int = if i == 0 { self.last_int } else { raws[i - 1] };
-                    raws[i] = self.timing_fault(OpKind::Int, raws[i], width);
+                    if i > 0 {
+                        *self.last_result(kind) = raws[i - 1].get();
+                    }
+                    let out = self.timing_fault(kind, raws[i].get(), width);
+                    raws[i].set(out);
                     idx += 1;
                 }
             }
         }
-        self.last_int = raws[n - 1];
+        *self.last_result(kind) = raws[n - 1].get();
     }
 
-    /// Batched [`Hardware::approx_f64_result`]: the result phase of
-    /// `xs.len()` approximate `f64` operations in sequence, in place.
-    /// Bit-identical to a scalar loop, like
-    /// [`Hardware::approx_int_result_slice`].
-    pub fn approx_f64_result_slice(&mut self, xs: &mut [f64]) {
-        let n = xs.len();
-        if n == 0 {
-            return;
+    /// The last result of `kind`'s unit, which the `LastValue` error mode
+    /// repeats.
+    fn last_result(&mut self, kind: OpKind) -> &mut u64 {
+        match kind {
+            OpKind::Int => &mut self.last_int,
+            OpKind::Fp => &mut self.last_fp,
         }
-        self.tick_batch(n as u64);
-        self.stats.record_ops(OpKind::Fp, true, n as u64);
-        let total = n as u64;
-        let mut idx = 0u64;
-        while idx < total {
-            match self.sched.fp_timing.next_fire(total - idx, &mut self.rng) {
-                None => break,
-                Some(k) => {
-                    idx += k;
-                    let i = idx as usize;
-                    self.last_fp = if i == 0 { self.last_fp } else { xs[i - 1].to_bits() };
-                    let out = self.timing_fault(OpKind::Fp, xs[i].to_bits(), 64);
-                    xs[i] = f64::from_bits(out);
-                    idx += 1;
-                }
-            }
-        }
-        self.last_fp = xs[n - 1].to_bits();
     }
 
-    /// Batched [`Hardware::approx_f32_result`]: the result phase of
-    /// `xs.len()` approximate `f32` operations in sequence, in place.
-    /// Bit-identical to a scalar loop.
-    pub fn approx_f32_result_slice(&mut self, xs: &mut [f32]) {
-        let n = xs.len();
-        if n == 0 {
-            return;
-        }
-        self.tick_batch(n as u64);
-        self.stats.record_ops(OpKind::Fp, true, n as u64);
-        let total = n as u64;
-        let mut idx = 0u64;
-        while idx < total {
-            match self.sched.fp_timing.next_fire(total - idx, &mut self.rng) {
-                None => break,
-                Some(k) => {
-                    idx += k;
-                    let i = idx as usize;
-                    self.last_fp =
-                        if i == 0 { self.last_fp } else { u64::from(xs[i - 1].to_bits()) };
-                    let out = self.timing_fault(OpKind::Fp, u64::from(xs[i].to_bits()), 32);
-                    xs[i] = f32::from_bits(out as u32);
-                    idx += 1;
-                }
-            }
-        }
-        self.last_fp = u64::from(xs[n - 1].to_bits());
-    }
-
-    /// Batched [`Hardware::approx_f64_operand`]: mantissa width reduction
-    /// over a slice, in place.
+    /// Batched [`Hardware::approx_f64_operand`] / [`Hardware::approx_f32_operand`]
+    /// on raw bit patterns: mantissa width reduction of `width`-bit floats
+    /// (64 or 32), in place.
     ///
     /// The truncation mask is hoisted from `HotConfig` once; when the
     /// fp-width strategy is masked off (mask all ones) the slice is
     /// untouched without a pass. Non-finite values pass through unchanged,
     /// as in the scalar path.
-    pub fn approx_f64_operand_slice(&self, xs: &mut [f64]) {
-        let mask = self.hot.f64_trunc_mask;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is neither 32 nor 64.
+    pub fn approx_fp_operand_slice(&self, raws: &mut [u64], width: u32) {
+        let (mask, exp_shift, exp_ones) = match width {
+            64 => (self.hot.f64_trunc_mask, 52, 0x7FF),
+            32 => (u64::from(self.hot.f32_trunc_mask) | !fault::low_mask(32), 23, 0xFF),
+            _ => panic!("bad floating-point width {width}"),
+        };
         if mask == u64::MAX {
             return;
         }
         // Branchless non-finite passthrough (exponent all ones keeps every
         // bit — masking a NaN payload could turn it into an infinity), so
         // the loop vectorizes instead of branching per element.
-        let trunc = |x: f64| {
-            let bits = x.to_bits();
-            let keep = if (bits >> 52) & 0x7FF == 0x7FF { u64::MAX } else { mask };
-            f64::from_bits(bits & keep)
+        let trunc = |bits: u64| {
+            let keep = if (bits >> exp_shift) & exp_ones == exp_ones { u64::MAX } else { mask };
+            bits & keep
         };
-        let mut chunks = xs.chunks_exact_mut(LANES);
+        let mut chunks = raws.chunks_exact_mut(LANES);
         for chunk in &mut chunks {
-            for x in chunk {
-                *x = trunc(*x);
+            for w in chunk {
+                *w = trunc(*w);
             }
         }
-        for x in chunks.into_remainder() {
-            *x = trunc(*x);
-        }
-    }
-
-    /// Batched [`Hardware::approx_f32_operand`]: mantissa width reduction
-    /// over a slice, in place. See [`Hardware::approx_f64_operand_slice`].
-    pub fn approx_f32_operand_slice(&self, xs: &mut [f32]) {
-        let mask = self.hot.f32_trunc_mask;
-        if mask == u32::MAX {
-            return;
-        }
-        let trunc = |x: f32| {
-            let bits = x.to_bits();
-            let keep = if (bits >> 23) & 0xFF == 0xFF { u32::MAX } else { mask };
-            f32::from_bits(bits & keep)
-        };
-        let mut chunks = xs.chunks_exact_mut(LANES);
-        for chunk in &mut chunks {
-            for x in chunk {
-                *x = trunc(*x);
-            }
-        }
-        for x in chunks.into_remainder() {
-            *x = trunc(*x);
+        for w in chunks.into_remainder() {
+            *w = trunc(*w);
         }
     }
 }
@@ -300,8 +299,8 @@ mod tests {
         let mut hw = Hardware::new(HwConfig::for_level(Level::Aggressive), 1);
         hw.sram_read_slice(&mut [], 64, true);
         hw.approx_int_result_slice(&mut [], 64);
-        hw.approx_f64_result_slice(&mut []);
-        hw.approx_f32_result_slice(&mut []);
+        hw.approx_fp_result_slice(&mut [], 64);
+        hw.approx_fp_result_slice(&mut [], 32);
         assert_eq!(hw.op_ticks(), 0);
         assert_eq!(hw.stats().int_approx_ops, 0);
     }
@@ -310,8 +309,8 @@ mod tests {
     fn batched_ops_tick_and_count_like_scalar() {
         let cfg = cfg_with_timing(0.0, ErrorMode::RandomValue);
         let mut hw = Hardware::new(cfg, 1);
-        let mut xs = vec![1.5f64; 100];
-        hw.approx_f64_result_slice(&mut xs);
+        let mut xs = vec![1.5f64.to_bits(); 100];
+        hw.approx_fp_result_slice(&mut xs, 64);
         let mut raws = vec![7u64; 50];
         hw.approx_int_result_slice(&mut raws, 32);
         assert_eq!(hw.op_ticks(), 150);
@@ -335,9 +334,11 @@ mod tests {
         use crate::config::StrategyMask;
         let cfg = HwConfig::for_level(Level::Aggressive).with_mask(StrategyMask::NONE);
         let hw = Hardware::new(cfg, 0);
-        let orig: Vec<f64> = (0..17).map(|i| 0.1 + f64::from(i)).collect();
+        let orig: Vec<u64> = (0..17).map(|i| (0.1 + f64::from(i)).to_bits()).collect();
         let mut xs = orig.clone();
-        hw.approx_f64_operand_slice(&mut xs);
+        hw.approx_fp_operand_slice(&mut xs, 64);
+        assert_eq!(xs, orig);
+        hw.approx_fp_operand_slice(&mut xs, 32);
         assert_eq!(xs, orig);
     }
 
@@ -346,16 +347,19 @@ mod tests {
         let hw = Hardware::new(HwConfig::for_level(Level::Aggressive), 0);
         let orig: Vec<f64> =
             (0..37).map(|i| 0.123 + f64::from(i) * 1.7).chain([f64::NAN, f64::INFINITY]).collect();
-        let mut xs = orig.clone();
-        hw.approx_f64_operand_slice(&mut xs);
+        let mut xs: Vec<u64> = orig.iter().map(|x| x.to_bits()).collect();
+        hw.approx_fp_operand_slice(&mut xs, 64);
         for (x, o) in xs.iter().zip(&orig) {
-            assert_eq!(x.to_bits(), hw.approx_f64_operand(*o).to_bits());
+            assert_eq!(*x, hw.approx_f64_operand(*o).to_bits());
         }
-        let orig32: Vec<f32> = (0..37).map(|i| 0.123 + (i as f32) * 1.7).collect();
-        let mut xs32 = orig32.clone();
-        hw.approx_f32_operand_slice(&mut xs32);
+        let orig32: Vec<f32> = (0..37)
+            .map(|i| 0.123 + (i as f32) * 1.7)
+            .chain([f32::NAN, f32::NEG_INFINITY])
+            .collect();
+        let mut xs32: Vec<u64> = orig32.iter().map(|x| u64::from(x.to_bits())).collect();
+        hw.approx_fp_operand_slice(&mut xs32, 32);
         for (x, o) in xs32.iter().zip(&orig32) {
-            assert_eq!(x.to_bits(), hw.approx_f32_operand(*o).to_bits());
+            assert_eq!(*x, u64::from(hw.approx_f32_operand(*o).to_bits()));
         }
     }
 
@@ -369,8 +373,8 @@ mod tests {
             let mut hw = Hardware::new(cfg, 3);
             hw.arm_watchdog(1000);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-                let mut xs = vec![1.0f64; batch];
-                hw.approx_f64_result_slice(&mut xs);
+                let mut xs = vec![1.0f64.to_bits(); batch];
+                hw.approx_fp_result_slice(&mut xs, 64);
             }))
             .expect_err("armed watchdog must trip");
             err.downcast_ref::<crate::WatchdogTrip>().expect("WatchdogTrip payload").op_ticks

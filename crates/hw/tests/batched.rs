@@ -113,24 +113,23 @@ fn fp_result_slices_match_scalar_loops_in_every_error_mode() {
         let mut batched = scalar.clone();
 
         let src64: Vec<f64> = (0..4096).map(|i| (i as f64).sin() * 1e3).collect();
-        let mut a = src64.clone();
-        for x in &mut a {
-            *x = scalar.approx_f64_result(*x);
-        }
+        let a: Vec<u64> = src64.iter().map(|x| scalar.approx_f64_result(*x).to_bits()).collect();
+        let mut b: Vec<u64> = src64.iter().map(|x| x.to_bits()).collect();
+        batched.approx_fp_result_slice(&mut b, 64);
+        assert_eq!(a, b, "f64 slice diverged: mode {mode:?}");
+
+        // The same result phase over `f64`s held as floats.
+        let a: Vec<u64> = src64.iter().map(|x| scalar.approx_f64_result(*x).to_bits()).collect();
         let mut b = src64.clone();
         batched.approx_f64_result_slice(&mut b);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b), "f64 slice diverged: mode {mode:?}");
+        assert_eq!(a, b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), "f64 entry diverged");
 
         let src32: Vec<f32> = (0..4096).map(|i| (i as f32).cos() * 1e2).collect();
-        let mut a = src32.clone();
-        for x in &mut a {
-            *x = scalar.approx_f32_result(*x);
-        }
-        let mut b = src32.clone();
-        batched.approx_f32_result_slice(&mut b);
-        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits32(&a), bits32(&b), "f32 slice diverged: mode {mode:?}");
+        let a: Vec<u64> =
+            src32.iter().map(|x| u64::from(scalar.approx_f32_result(*x).to_bits())).collect();
+        let mut b: Vec<u64> = src32.iter().map(|x| u64::from(x.to_bits())).collect();
+        batched.approx_fp_result_slice(&mut b, 32);
+        assert_eq!(a, b, "f32 slice diverged: mode {mode:?}");
 
         assert_converged(&mut scalar, &mut batched);
     }
@@ -144,16 +143,16 @@ fn operand_slices_match_scalar_truncation_at_every_level() {
             .map(|i| (i as f64).exp_m1() / 97.0)
             .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0])
             .collect();
-        let mut batched = src64.clone();
-        hw.approx_f64_operand_slice(&mut batched);
+        let mut batched: Vec<u64> = src64.iter().map(|x| x.to_bits()).collect();
+        hw.approx_fp_operand_slice(&mut batched, 64);
         for (x, y) in src64.iter().zip(&batched) {
-            assert_eq!(hw.approx_f64_operand(*x).to_bits(), y.to_bits());
+            assert_eq!(hw.approx_f64_operand(*x).to_bits(), *y);
         }
         let src32: Vec<f32> = src64.iter().map(|x| *x as f32).collect();
-        let mut batched = src32.clone();
-        hw.approx_f32_operand_slice(&mut batched);
+        let mut batched: Vec<u64> = src32.iter().map(|x| u64::from(x.to_bits())).collect();
+        hw.approx_fp_operand_slice(&mut batched, 32);
         for (x, y) in src32.iter().zip(&batched) {
-            assert_eq!(hw.approx_f32_operand(*x).to_bits(), y.to_bits());
+            assert_eq!(u64::from(hw.approx_f32_operand(*x).to_bits()), *y);
         }
     }
 }

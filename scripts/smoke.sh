@@ -141,6 +141,15 @@ step "recovery: sweep under chaos"
 "$bin/validate_schema" --report results/BENCH_recovery.json
 "$bin/faultscope" --causes results/BENCH_recovery.json
 
+# A watchdog trip unwinds out of whatever kernel is running, batched ones
+# included, whose pooled buffers go back to their thread's pool on the way
+# out. The one-thread run must match the two-thread report above, so
+# nothing a trip leaves behind reaches a later trial or another thread.
+step "recovery: one thread matches two"
+cp results/BENCH_recovery.json "$work/recovery_t2.json"
+"$bin/recovery" --runs 3 --threads 1 > /dev/null
+pin "$work/recovery_t2.json" results/BENCH_recovery.json
+
 # fuzzgen exits nonzero on any oracle violation; counterexamples are shrunk
 # and printed.
 step "fuzz: conformance campaign (500 cases, all five oracles)"
