@@ -32,14 +32,10 @@ use std::fmt;
 
 use crate::harness::{self, FAULT_SEED_BASE};
 use crate::qos::{output_error, Output};
-use crate::App;
+use crate::trials::{TrialResult, TrialSpec};
 use enerj_core::{Degraded, Runtime};
 use enerj_hw::config::{HwConfig, Level};
-use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
-use enerj_hw::stats::Stats;
-use enerj_hw::trace::FaultEvent;
-use enerj_hw::FaultCounters;
 
 /// Base pattern for *recovery retry* seeds: bit 63 clear, bit 62 set.
 ///
@@ -157,9 +153,8 @@ pub struct Policy {
     /// Escalation rungs tried in order after the initial attempt fails.
     /// Empty means "detect failures, never retry" (useful for telemetry).
     pub ladder: Vec<Rung>,
-    /// Per-attempt op-tick budget for the watchdog; `None` runs unguarded
-    /// (panics are still contained).
-    pub max_ops: Option<u64>,
+    /// Per-attempt op-tick budget for the watchdog.
+    pub max_ops: u64,
     /// Retry when the output error against the trial's reference exceeds
     /// this. Ignored for trials without a reference.
     pub qos_threshold: Option<f64>,
@@ -177,7 +172,7 @@ impl Policy {
     pub fn standard() -> Self {
         Policy {
             ladder: vec![Rung::Level(Level::Mild), Rung::Precise],
-            max_ops: Some(Policy::DEFAULT_MAX_OPS),
+            max_ops: Policy::DEFAULT_MAX_OPS,
             qos_threshold: Some(0.1),
         }
     }
@@ -198,200 +193,148 @@ pub fn chaos_config(amplify: f64) -> HwConfig {
     cfg
 }
 
-/// Everything one recovered trial produced, summed over its attempts.
-#[derive(Debug, Clone)]
-pub struct Recovered {
-    /// The final attempt's output, if it completed (a trial whose last
-    /// rung still panicked or tripped the watchdog has none).
-    pub output: Option<Output>,
-    /// Output error of the final attempt (worst-case 1.0 when it did not
-    /// complete; 0.0 for trials without a reference).
-    pub error: f64,
-    /// Statistics merged over every attempt, including partial work.
-    pub stats: Stats,
-    /// Normalized energy summed over every attempt — may exceed 1.0; the
-    /// price of recovery is charged, not hidden.
-    pub energy: EnergyBreakdown,
-    /// Exact integer energy summed over every attempt. Quanta addition is
-    /// associative, so this total is independent of attempt interleaving
-    /// and merge order.
-    pub energy_quanta: EnergyQuantaBreakdown,
-    /// Fault counters merged over every attempt.
-    pub fault_counts: FaultCounters,
-    /// Fault events of every attempt, in attempt order (empty unless the
-    /// campaign logs events).
-    pub events: Vec<FaultEvent>,
-    /// Attempts executed (1 = no retry was needed).
-    pub attempts: u32,
-    /// The rung that produced the accepted output, when recovery was
-    /// needed and succeeded (`None` if the initial attempt passed, or if
-    /// every rung failed).
-    pub recovered_at: Option<Rung>,
-    /// Why each failed attempt was rejected, in attempt order.
-    pub failure_causes: Vec<FailureCause>,
-    /// Energy spent on attempts that did not produce the accepted output:
-    /// `energy.total` minus the final attempt's total.
-    pub recovery_energy_overhead: f64,
-    /// The same overhead in exact quanta: `energy_quanta.total` minus the
-    /// accepted attempt's quanta total. The accounting identity
-    /// `accepted + overhead == energy_quanta.total` holds *exactly*, which
-    /// the f64 twin cannot promise.
-    pub recovery_energy_overhead_quanta: EnergyQuanta,
-}
-
-impl Recovered {
-    /// Whether the accepted output came from a retry rung.
-    pub fn recovered(&self) -> bool {
-        self.recovered_at.is_some()
-    }
-}
-
-/// One attempt: run, guard, check, estimate.
+/// One attempt's verdict, and its energy for the overhead of an accepted
+/// output.
 struct Attempt {
-    output: Option<Output>,
-    error: f64,
+    /// The output and its error when every check passed, else why not.
+    verdict: Result<(Output, f64), FailureCause>,
     energy_total: f64,
     energy_quanta_total: EnergyQuanta,
-    failure: Option<FailureCause>,
 }
 
+/// Runs `spec`'s app once at `cfg`/`seed` under the watchdog, adds the
+/// attempt's work to `trial` and checks the output.
 fn run_attempt(
-    app: &App,
+    trial: &mut TrialResult,
+    spec: &TrialSpec,
     cfg: HwConfig,
     seed: u64,
     policy: &Policy,
-    reference: Option<&Output>,
     log_events: bool,
-    acc: &mut Recovered,
 ) -> Attempt {
     let rt = Runtime::with_config(cfg, seed);
     if log_events {
         rt.enable_fault_log();
     }
-    let outcome = rt.run_guarded(policy.max_ops.unwrap_or(u64::MAX), app.run);
+    let outcome = rt.run_guarded(policy.max_ops, spec.app.run);
     // Charge the attempt whether or not it completed: a watchdog trip or a
     // panic still executed (and must pay for) its partial work.
     let energy = rt.energy();
     let energy_quanta = rt.energy_quanta();
-    acc.stats.merge(&rt.stats());
-    acc.energy.instructions += energy.instructions;
-    acc.energy.sram += energy.sram;
-    acc.energy.dram += energy.dram;
-    acc.energy.total += energy.total;
-    acc.energy_quanta.merge(&energy_quanta);
-    acc.fault_counts.merge(&rt.fault_counters());
-    acc.events.extend(rt.take_fault_events());
-    acc.attempts += 1;
+    trial.stats.merge(&rt.stats());
+    trial.energy.instructions += energy.instructions;
+    trial.energy.sram += energy.sram;
+    trial.energy.dram += energy.dram;
+    trial.energy.total += energy.total;
+    trial.energy_quanta.merge(&energy_quanta);
+    trial.fault_counts.merge(&rt.fault_counters());
+    trial.events.extend(rt.take_fault_events());
+    trial.attempts += 1;
 
-    let (output, error, failure) = match outcome {
-        Ok(output) => {
-            if let Err(msg) = (app.check)(&output) {
-                (Some(output), 1.0, Some(FailureCause::CheckFailed(msg)))
-            } else {
-                let error = match reference {
-                    Some(reference) => output_error(app.meta.metric, reference, &output),
-                    None => 0.0,
-                };
-                let failure = match (policy.qos_threshold, reference) {
-                    (Some(threshold), Some(_)) if error > threshold => {
-                        Some(FailureCause::QosExceeded { error, threshold })
+    let verdict = match outcome {
+        Ok(output) => match (spec.app.check)(&output) {
+            Err(msg) => Err(FailureCause::CheckFailed(msg)),
+            Ok(()) => {
+                let reference = spec.reference.as_deref();
+                let error =
+                    reference.map_or(0.0, |r| output_error(spec.app.meta.metric, r, &output));
+                match policy.qos_threshold {
+                    Some(threshold) if reference.is_some() && error > threshold => {
+                        Err(FailureCause::QosExceeded { error, threshold })
                     }
-                    _ => None,
-                };
-                (Some(output), error, failure)
+                    _ => Ok((output, error)),
+                }
             }
-        }
+        },
         Err(Degraded::OpBudgetExceeded { op_ticks, budget }) => {
-            (None, 1.0, Some(FailureCause::OpBudgetExceeded { op_ticks, budget }))
+            Err(FailureCause::OpBudgetExceeded { op_ticks, budget })
         }
-        Err(Degraded::Panicked(msg)) => (None, 1.0, Some(FailureCause::Panic(msg))),
+        Err(Degraded::Panicked(msg)) => Err(FailureCause::Panic(msg)),
     };
-    Attempt {
-        output,
-        error,
-        energy_total: energy.total,
-        energy_quanta_total: energy_quanta.total,
-        failure,
-    }
+    Attempt { verdict, energy_total: energy.total, energy_quanta_total: energy_quanta.total }
 }
 
-/// Runs one trial under `policy`: the initial attempt at `cfg`/`seed`,
-/// then — on a panic, watchdog trip, failed check or QoS breach — one
-/// attempt per ladder rung with retry seeds from [`retry_seed`], stopping
-/// at the first attempt that passes. Deterministic: the outcome is a pure
-/// function of the arguments. Every attempt of the ladder draws its input
+/// Runs `spec` under `policy` into `trial`: the initial attempt at the
+/// spec's configuration and seed, then — on a panic, watchdog trip, failed
+/// check or QoS breach — one attempt per ladder rung with retry seeds from
+/// [`retry_seed`], stopping at the first attempt that passes. Every
+/// attempt's work is added to `trial`, each rejection to its
+/// `failure_causes`. Deterministic: the outcome is a pure function of the
+/// spec and the policy. Every attempt of the ladder draws its input
 /// buffers from the thread's [`workload`](crate::workload) cache, so a
 /// recovered trial regenerates nothing.
-pub fn run_with_recovery(
-    app: &App,
-    cfg: HwConfig,
-    seed: u64,
+pub(crate) fn run_with_recovery(
+    trial: &mut TrialResult,
+    spec: &TrialSpec,
     policy: &Policy,
-    reference: Option<&Output>,
     log_events: bool,
-) -> Recovered {
-    let mut acc = Recovered {
-        output: None,
-        error: 1.0,
-        stats: Stats::new(),
-        energy: EnergyBreakdown { instructions: 0.0, sram: 0.0, dram: 0.0, total: 0.0 },
-        energy_quanta: EnergyQuantaBreakdown::ZERO,
-        fault_counts: FaultCounters::new(),
-        events: Vec::new(),
-        attempts: 0,
-        recovered_at: None,
-        failure_causes: Vec::new(),
-        recovery_energy_overhead: 0.0,
-        recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-    };
-
-    let mut attempt = run_attempt(app, cfg, seed, policy, reference, log_events, &mut acc);
-    if attempt.failure.is_some() {
-        for (k, rung) in policy.ladder.iter().enumerate() {
-            acc.failure_causes.push(attempt.failure.take().expect("looping on a failure"));
-            attempt = run_attempt(
-                app,
-                rung.config(),
-                retry_seed(seed, k as u32 + 1),
-                policy,
-                reference,
-                log_events,
-                &mut acc,
-            );
-            if attempt.failure.is_none() {
-                acc.recovered_at = Some(*rung);
-                break;
-            }
-        }
-        if let Some(cause) = attempt.failure.take() {
-            // Every rung failed: the trial degrades to worst case, with
-            // the full cause chain on record.
-            acc.failure_causes.push(cause);
-            acc.output = None;
-            acc.error = 1.0;
-            // No attempt was accepted, so no energy is attributable to
-            // *recovery* — the whole cost is the trial's energy itself.
-            acc.recovery_energy_overhead = 0.0;
-            acc.recovery_energy_overhead_quanta = EnergyQuanta::ZERO;
-            return acc;
+) {
+    let mut attempt = run_attempt(trial, spec, spec.cfg, spec.seed, policy, log_events);
+    for (k, rung) in policy.ladder.iter().enumerate() {
+        let Err(cause) = &attempt.verdict else { break };
+        trial.failure_causes.push(cause.to_string());
+        let seed = retry_seed(spec.seed, k as u32 + 1);
+        attempt = run_attempt(trial, spec, rung.config(), seed, policy, log_events);
+        if attempt.verdict.is_ok() {
+            trial.recovered_at_level = Some(rung.to_string());
         }
     }
-    acc.error = attempt.error;
-    acc.output = attempt.output;
-    acc.recovery_energy_overhead = acc.energy.total - attempt.energy_total;
-    // Exact: `accepted + overhead == total` round-trips in u128.
-    acc.recovery_energy_overhead_quanta = acc.energy_quanta.total - attempt.energy_quanta_total;
-    acc
+    match attempt.verdict {
+        Ok((output, error)) => {
+            trial.error = error;
+            trial.output = spec.keep_output.then_some(output);
+            trial.recovery_energy_overhead = trial.energy.total - attempt.energy_total;
+            // Exact: `accepted + overhead == total` round-trips in u128.
+            trial.recovery_energy_overhead_quanta =
+                trial.energy_quanta.total - attempt.energy_quanta_total;
+        }
+        Err(cause) => {
+            // Every rung failed: the trial degrades to worst case, with the
+            // full cause chain on record and no energy attributed to
+            // recovery (no attempt was accepted). A last attempt that
+            // panicked keeps the plain-trial contract: `panic` is set.
+            trial.error = 1.0;
+            trial.failure_causes.push(cause.to_string());
+            if let FailureCause::Panic(msg) = cause {
+                trial.panic = Some(msg);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::{self, TUNER_SEED_BASE};
-    use crate::{all_apps, no_check};
+    use crate::trials::{CampaignOptions, CampaignReport};
+    use crate::{all_apps, no_check, App};
+    use std::sync::Arc;
 
     fn app(name: &str) -> App {
         crate::app(name).expect("registered")
+    }
+
+    /// One trial of `app` at `cfg`/`seed` under `policy`, scored against
+    /// `reference` when given and keeping its output, through the engine.
+    fn recover(
+        app: &App,
+        cfg: HwConfig,
+        seed: u64,
+        policy: &Policy,
+        reference: Option<&Output>,
+    ) -> TrialResult {
+        let spec = TrialSpec {
+            app: app.clone(),
+            label: String::new(),
+            cfg,
+            seed,
+            reference: reference.map(|r| Arc::new(r.clone())),
+            keep_output: true,
+            recovery: Some(policy.clone()),
+            scheduled_level: None,
+        };
+        let opts = CampaignOptions::with_threads(1);
+        CampaignReport::collect(&[spec][..], &opts).trials.remove(0)
     }
 
     /// A test app whose loop bound is an endorsed approximate value: under
@@ -440,14 +383,8 @@ mod tests {
     fn clean_trials_pass_through_without_retry() {
         let mc = app("MonteCarlo");
         let reference = harness::reference(&mc).output;
-        let out = run_with_recovery(
-            &mc,
-            HwConfig::for_level(Level::Mild),
-            FAULT_SEED_BASE,
-            &Policy::standard(),
-            Some(&reference),
-            false,
-        );
+        let mild = HwConfig::for_level(Level::Mild);
+        let out = recover(&mc, mild, FAULT_SEED_BASE, &Policy::standard(), Some(&reference));
         assert_eq!(out.attempts, 1);
         assert!(!out.recovered());
         assert!(out.failure_causes.is_empty());
@@ -456,10 +393,11 @@ mod tests {
         assert!(out.error <= 0.1);
         // Identical accounting to an unrecovered measurement — exact on the
         // integer quanta, not just on the f64 projection.
-        let m = harness::measure_with(&mc, HwConfig::for_level(Level::Mild), FAULT_SEED_BASE);
+        let m = harness::measure_with(&mc, mild, FAULT_SEED_BASE);
         assert_eq!(out.stats, m.stats);
         assert_eq!(out.energy.total, m.energy.total);
         assert_eq!(out.energy_quanta, m.energy_quanta);
+        assert_eq!(out.output, Some(m.output));
     }
 
     #[test]
@@ -470,8 +408,8 @@ mod tests {
         // rung reproduces the reference, so error 0.0 is guaranteed.
         let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
         let chaos = chaos_config(50.0);
-        let out = run_with_recovery(&mc, chaos, FAULT_SEED_BASE, &policy, Some(&reference), false);
-        if out.recovered_at == Some(Rung::Precise) {
+        let out = recover(&mc, chaos, FAULT_SEED_BASE, &policy, Some(&reference));
+        if out.recovered_at_level.as_deref() == Some("Precise") {
             assert_eq!(out.error, 0.0);
         }
         assert!(out.recovered(), "threshold 0 under chaos must escalate: {out:?}");
@@ -488,28 +426,23 @@ mod tests {
     fn watchdog_contains_runaway_loops_and_precise_rung_recovers() {
         let app = runaway_app();
         // Find a chaos seed whose corrupted bound trips a tight budget.
-        let policy =
-            Policy { ladder: vec![Rung::Precise], max_ops: Some(20_000), qos_threshold: None };
+        let policy = Policy { ladder: vec![Rung::Precise], max_ops: 20_000, qos_threshold: None };
         let mut tripped = false;
         for i in 0..40u64 {
-            let out = run_with_recovery(
-                &app,
-                chaos_config(1000.0),
-                FAULT_SEED_BASE ^ i,
-                &policy,
-                None,
-                false,
-            );
-            if let Some(FailureCause::OpBudgetExceeded { op_ticks, budget }) =
-                out.failure_causes.first()
-            {
-                tripped = true;
-                assert!(*op_ticks >= *budget);
-                assert_eq!(out.recovered_at, Some(Rung::Precise));
-                assert!(out.output.is_some(), "backstop produced an output");
-                assert_eq!(out.attempts, 2);
-                break;
-            }
+            let out = recover(&app, chaos_config(1000.0), FAULT_SEED_BASE ^ i, &policy, None);
+            let Some(trip) = out.failure_causes.first().and_then(|c| c.strip_prefix("op-budget: "))
+            else {
+                continue;
+            };
+            let (ticks, budget) = trip.split_once(" ticks, budget ").expect("op-budget cause");
+            let (ticks, budget): (u64, u64) = (ticks.parse().unwrap(), budget.parse().unwrap());
+            tripped = true;
+            assert!(ticks >= budget);
+            assert_eq!(budget, 20_000);
+            assert_eq!(out.recovered_at_level.as_deref(), Some("Precise"));
+            assert!(out.output.is_some(), "backstop produced an output");
+            assert_eq!(out.attempts, 2);
+            break;
         }
         assert!(tripped, "1000x-amplified chaos never corrupted the endorsed bound");
     }
@@ -520,21 +453,15 @@ mod tests {
         let reference = harness::reference(&sor).output;
         let policy = Policy { qos_threshold: Some(0.01), ..Policy::standard() };
         let go = || {
-            let out = run_with_recovery(
-                &sor,
-                chaos_config(25.0),
-                FAULT_SEED_BASE ^ 3,
-                &policy,
-                Some(&reference),
-                false,
-            );
+            let out =
+                recover(&sor, chaos_config(25.0), FAULT_SEED_BASE ^ 3, &policy, Some(&reference));
             (
                 out.error.to_bits(),
                 out.attempts,
-                out.recovered_at,
+                out.recovered_at_level,
                 out.energy.total.to_bits(),
                 out.stats,
-                format!("{:?}", out.failure_causes),
+                out.failure_causes,
             )
         };
         assert_eq!(go(), go());

@@ -217,31 +217,45 @@ pub struct TrialResult {
 }
 
 impl TrialResult {
+    /// Trial `index` of `spec` before any work: its identity, zeroed
+    /// statistics and energy, no attempt and no output.
+    fn new(index: usize, spec: &TrialSpec) -> Self {
+        TrialResult {
+            index,
+            app: spec.app.meta.name,
+            label: spec.label.clone(),
+            seed: spec.seed,
+            error: 0.0,
+            output: None,
+            stats: Stats::new(),
+            energy: EnergyBreakdown { instructions: 0.0, sram: 0.0, dram: 0.0, total: 0.0 },
+            energy_quanta: EnergyQuantaBreakdown::ZERO,
+            wall: Duration::ZERO,
+            panic: None,
+            fault_counts: FaultCounters::new(),
+            events: Vec::new(),
+            attempts: 0,
+            recovered_at_level: None,
+            failure_causes: Vec::new(),
+            recovery_energy_overhead: 0.0,
+            recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
+            scheduled_level: spec.scheduled_level.clone(),
+        }
+    }
+
     /// A crashed trial, scored by the paper's protocol: a crashed run
     /// delivers worst-case quality (error 1.0) and claims no savings over
     /// the precise baseline (energy 1.0). Its statistics, quanta and fault
     /// telemetry are zeroed — the machine state is unrecoverable.
     fn crashed(index: usize, spec: &TrialSpec, wall: Duration, msg: String) -> Self {
         TrialResult {
-            index,
-            app: spec.app.meta.name,
-            label: spec.label.clone(),
-            seed: spec.seed,
             error: 1.0,
-            output: None,
-            stats: Stats::new(),
             energy: EnergyBreakdown { instructions: 1.0, sram: 1.0, dram: 1.0, total: 1.0 },
-            energy_quanta: EnergyQuantaBreakdown::ZERO,
             wall,
             failure_causes: vec![format!("panic: {msg}")],
             panic: Some(msg),
-            fault_counts: FaultCounters::new(),
-            events: Vec::new(),
             attempts: 1,
-            recovered_at_level: None,
-            recovery_energy_overhead: 0.0,
-            recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-            scheduled_level: spec.scheduled_level.clone(),
+            ..TrialResult::new(index, spec)
         }
     }
 
@@ -1138,64 +1152,21 @@ fn run_trial(index: usize, spec: &TrialSpec, log_events: bool) -> TrialResult {
                 None => 0.0,
             };
             TrialResult {
-                index,
-                app: spec.app.meta.name,
-                label: spec.label.clone(),
-                seed: spec.seed,
                 error,
                 output: spec.keep_output.then_some(m.output),
                 stats: m.stats,
                 energy: m.energy,
                 energy_quanta: m.energy_quanta,
-                wall: Duration::ZERO,
-                panic: None,
                 fault_counts: m.fault_counts,
                 events: m.events,
                 attempts: 1,
-                recovered_at_level: None,
-                failure_causes: Vec::new(),
-                recovery_energy_overhead: 0.0,
-                recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-                scheduled_level: spec.scheduled_level.clone(),
+                ..TrialResult::new(index, spec)
             }
         }
         Some(policy) => {
-            let r = recovery::run_with_recovery(
-                &spec.app,
-                spec.cfg,
-                spec.seed,
-                policy,
-                spec.reference.as_deref(),
-                log_events,
-            );
-            // An unrecovered trial whose last attempt panicked keeps the
-            // plain-trial contract: `panic` is set. Failures the ladder
-            // recovered from live in `failure_causes` only.
-            let panic = match (r.output.is_none(), r.failure_causes.last()) {
-                (true, Some(recovery::FailureCause::Panic(msg))) => Some(msg.clone()),
-                _ => None,
-            };
-            TrialResult {
-                index,
-                app: spec.app.meta.name,
-                label: spec.label.clone(),
-                seed: spec.seed,
-                error: r.error,
-                output: if spec.keep_output { r.output } else { None },
-                stats: r.stats,
-                energy: r.energy,
-                energy_quanta: r.energy_quanta,
-                wall: Duration::ZERO,
-                panic,
-                fault_counts: r.fault_counts,
-                events: r.events,
-                attempts: r.attempts,
-                recovered_at_level: r.recovered_at.map(|rung| rung.to_string()),
-                failure_causes: r.failure_causes.iter().map(|c| c.to_string()).collect(),
-                recovery_energy_overhead: r.recovery_energy_overhead,
-                recovery_energy_overhead_quanta: r.recovery_energy_overhead_quanta,
-                scheduled_level: spec.scheduled_level.clone(),
-            }
+            let mut trial = TrialResult::new(index, spec);
+            recovery::run_with_recovery(&mut trial, spec, policy, log_events);
+            trial
         }
     }));
     let wall = start.elapsed();
@@ -1398,7 +1369,7 @@ impl TrialSink for NullSink {
 /// campaign-scale sink: a million-trial run needs disk, not memory.
 ///
 /// Lines are rendered straight into one block, handed to the writer once
-/// it holds [`NDJSON_BLOCK`] bytes and again at [`flush`](TrialSink::flush),
+/// it holds 64 KiB and again at [`flush`](TrialSink::flush),
 /// [`into_inner`](Self::into_inner) or drop. Only `flush` reports a write
 /// error of the tail; the other two ignore it, as `BufWriter`'s drop does.
 #[derive(Debug)]

@@ -6,16 +6,18 @@
 //! nothing else.
 
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use enerj_apps::harness::FAULT_SEED_BASE;
+use enerj_apps::qos::Output;
 use enerj_apps::recovery::{chaos_config, Policy};
 use enerj_apps::trials::{
     run_campaign_streamed, trial_json, CampaignOptions, CampaignReport, CampaignSummary, Grid,
     NdjsonSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
 };
 use enerj_apps::App;
-use enerj_hw::config::Level;
+use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::EnergyQuantaBreakdown;
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
@@ -514,4 +516,89 @@ proptest! {
         let shuffled = chunked_shuffled_sum(&values, chunk, workers, seed);
         prop_assert_eq!(index_order, shuffled);
     }
+}
+
+/// An app that does some approximate work, then panics with the work's
+/// endorsed result, so each attempt's fault sequence shows in its cause.
+fn always_panicking_app() -> App {
+    fn run() -> Output {
+        use enerj_core::{endorse, Approx};
+        let mut acc = Approx::new(0.0f64);
+        for i in 0..200 {
+            acc += Approx::new(f64::from(i)) * 0.1;
+        }
+        panic!("gave up at {:?}", endorse(acc))
+    }
+    App { run, ..app("MonteCarlo") }
+}
+
+/// A recovery trial whose app panics on every rung degrades to the
+/// paper's worst case: error 1.0 and no output even with `keep_output`,
+/// the last cause on `panic`, every attempt's work summed and no overhead.
+/// Every value is pinned, so a change to the attempt order, the retry
+/// seeds or the per-attempt accounting shows here.
+#[test]
+fn a_trial_panicking_on_every_rung_degrades_with_every_attempt_charged() {
+    let reference = Arc::new(Output::Values(vec![0.0]));
+    let cfg = HwConfig::for_level(Level::Aggressive);
+    let mut spec = TrialSpec::scored(
+        &always_panicking_app(),
+        "Aggressive",
+        cfg,
+        FAULT_SEED_BASE ^ 7,
+        reference,
+    )
+    .with_recovery(Policy::standard());
+    spec.keep_output = true;
+    let source = SpecFn::new(1, |_| spec.clone());
+    let opts = CampaignOptions { threads: 1, ..CampaignOptions::default() };
+    let mut sink = VecSink::default();
+    let summary =
+        run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory sink cannot fail");
+    assert_eq!(summary.panics, 1);
+    let t = &sink.trials[0];
+    assert_eq!(
+        (t.index, t.app, t.label.as_str(), t.seed),
+        (0, "MonteCarlo", "Aggressive", spec.seed)
+    );
+    assert_eq!(t.panic.as_deref(), Some("gave up at 1990.0000000000002"));
+    assert_eq!(
+        t.failure_causes,
+        [
+            "panic: gave up at 2.302475156008951e203",
+            "panic: gave up at 1989.999987501651",
+            "panic: gave up at 1990.0000000000002",
+        ]
+    );
+    assert_eq!((t.attempts, t.error), (3, 1.0));
+    assert!(t.output.is_none(), "a degraded trial keeps no output");
+    assert_eq!((t.recovered_at_level.as_deref(), t.scheduled_level.as_deref()), (None, None));
+    let e = &t.energy;
+    let bits = [e.instructions, e.sram, e.dram, e.total].map(f64::to_bits);
+    assert_eq!(bits, [2.1225f64, 0.6000000000000001, 3.0, 2.22429375].map(f64::to_bits));
+    let q = |n: u128| EnergyQuanta::new(n);
+    let want = EnergyQuantaBreakdown {
+        instructions: q(339_600_000),
+        baseline_instructions: q(480_000_000),
+        sram: q(461_568_000),
+        baseline_sram: q(2_307_840_000),
+        dram: q(0),
+        baseline_dram: q(0),
+        total: q(801_168_000),
+        baseline_total: q(2_787_840_000),
+    };
+    assert_eq!(t.energy_quanta, want);
+    assert_eq!(
+        t.stats,
+        Stats {
+            fp_approx_ops: 1_200,
+            sram_approx_quanta: q(230_784),
+            faults_injected: 77,
+            ..Stats::new()
+        }
+    );
+    assert_eq!((t.fault_counts.total_injections(), t.fault_counts.total_bits_flipped()), (77, 254));
+    assert!(t.events.is_empty(), "the campaign logs no events");
+    assert_eq!(t.recovery_energy_overhead.to_bits(), 0.0f64.to_bits());
+    assert_eq!(t.recovery_energy_overhead_quanta, EnergyQuanta::ZERO);
 }

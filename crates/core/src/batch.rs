@@ -87,30 +87,10 @@ impl BatchOp {
 }
 
 /// `xs[i] = f(xs[i], ys[i])` on raw bit patterns of `T`.
-///
-/// A NaN result carries the payload of the first NaN operand, quieted,
-/// which is what one x86-64 or AArch64 instruction with the operands in
-/// source order produces. Spelling the rule out keeps every bit fixed when
-/// the compiler commutes an addition or multiplication, which it may do
-/// freely in a vectorized loop; for other results it is the identity.
 #[inline]
 fn apply_each<T: ApproxPrim>(xs: &mut [u64], ys: &[u64], f: impl Fn(T, T) -> T) {
-    // The quiet bit: the top mantissa bit of an `f64` or an `f32`.
-    let quiet = if T::WIDTH == 64 { 1 << 51 } else { 1 << 22 };
-    #[allow(clippy::eq_op)] // `v != v` is the NaN test for any `ApproxPrim`
-    let nan = |v: T| v != v;
     for (x, &y) in xs.iter_mut().zip(ys) {
-        let (a, b) = (T::from_bits64(*x), T::from_bits64(y));
-        let r = f(a, b);
-        *x = if !nan(r) {
-            r.to_bits64()
-        } else if nan(a) {
-            *x | quiet
-        } else if nan(b) {
-            y | quiet
-        } else {
-            r.to_bits64()
-        };
+        *x = f(T::from_bits64(*x), T::from_bits64(y)).to_bits64();
     }
 }
 

@@ -160,6 +160,10 @@ impl ApproxPrim for bool {
 ///
 /// Approximate operations never trap (section 5.2): integer arithmetic wraps
 /// and divides-by-zero yield 0; floating-point divides-by-zero yield NaN.
+/// A floating-point `+`, `-`, `*` or `/` whose result is a NaN returns the
+/// first NaN operand's payload, quieted (when neither operand is one, the
+/// NaN the operation itself gives), so the scalar operators and the batched
+/// kernels agree bit for bit.
 pub trait ApproxArith: ApproxPrim {
     /// Approximate addition (wrapping for integers).
     fn approx_add(a: Self, b: Self) -> Self;
@@ -239,18 +243,38 @@ macro_rules! impl_int_bits {
 
 impl_int_bits!(i8, i16, i32, i64, u8, u16, u32, u64);
 
+/// `r`, or, when `r` is a NaN and an operand is one, the first NaN
+/// operand's payload, quieted: what one x86-64 or AArch64 instruction with
+/// the operands in source order produces. Spelling the rule out keeps every
+/// bit fixed when the compiler commutes an addition or multiplication.
+macro_rules! first_nan {
+    ($t:ty, $a:expr, $b:expr, $r:expr) => {{
+        let (a, b, r): ($t, $t, $t) = ($a, $b, $r);
+        let quiet = 1 << (<$t>::MANTISSA_DIGITS - 2);
+        if !r.is_nan() {
+            r
+        } else if a.is_nan() {
+            <$t>::from_bits(a.to_bits() | quiet)
+        } else if b.is_nan() {
+            <$t>::from_bits(b.to_bits() | quiet)
+        } else {
+            r
+        }
+    }};
+}
+
 macro_rules! impl_fp_arith {
     ($($t:ty),* $(,)?) => {$(
         impl ApproxArith for $t {
             #[inline]
-            fn approx_add(a: Self, b: Self) -> Self { a + b }
+            fn approx_add(a: Self, b: Self) -> Self { first_nan!($t, a, b, a + b) }
             #[inline]
-            fn approx_sub(a: Self, b: Self) -> Self { a - b }
+            fn approx_sub(a: Self, b: Self) -> Self { first_nan!($t, a, b, a - b) }
             #[inline]
-            fn approx_mul(a: Self, b: Self) -> Self { a * b }
+            fn approx_mul(a: Self, b: Self) -> Self { first_nan!($t, a, b, a * b) }
             #[inline]
             fn approx_div(a: Self, b: Self) -> Self {
-                if b == 0.0 { <$t>::NAN } else { a / b }
+                first_nan!($t, a, b, if b == 0.0 { <$t>::NAN } else { a / b })
             }
             #[inline]
             fn approx_rem(a: Self, b: Self) -> Self {
@@ -321,5 +345,18 @@ mod tests {
         assert!(f32::approx_div(1.0, 0.0).is_nan());
         assert!(f64::approx_rem(1.0, 0.0).is_nan());
         assert!((f64::approx_div(1.0, 2.0) - 0.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn fp_nan_results_carry_the_first_nan_operand_quieted() {
+        let (x, y) = (f64::from_bits(0x7FF0_0000_0000_0001), f64::from_bits(0xFFF0_0000_0000_0002));
+        let quiet = |v: f64| v.to_bits() | 1 << 51;
+        assert_eq!(f64::approx_add(x, y).to_bits(), quiet(x));
+        assert_eq!(f64::approx_mul(y, x).to_bits(), quiet(y));
+        assert_eq!(f64::approx_sub(1.0, y).to_bits(), quiet(y));
+        assert_eq!(f64::approx_div(x, 0.0).to_bits(), quiet(x));
+        assert_eq!(f64::approx_div(1.0, 0.0).to_bits(), f64::NAN.to_bits());
+        let z = f32::from_bits(0x7F80_0003);
+        assert_eq!(f32::approx_div(z, 0.0).to_bits(), z.to_bits() | 1 << 22);
     }
 }

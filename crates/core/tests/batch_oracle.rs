@@ -27,7 +27,9 @@ use enerj_core::{
     endorse, Approx, ApproxArith, ApproxPrim, ApproxVec, Degraded, Precise, PreciseVec, Runtime,
 };
 use enerj_hw::energy::{energy_quanta, EnergyQuantaBreakdown};
-use enerj_hw::{DramArray, ErrorMode, FaultCounters, Hardware, HwConfig, Level, OpKind, Stats};
+use enerj_hw::{
+    DramArray, ErrorMode, FaultCounters, Hardware, HwConfig, Level, OpKind, Stats, StrategyMask,
+};
 
 const LENGTHS: [usize; 9] = [0, 1, 31, 32, 33, 127, 128, 129, 300];
 const OPS: [BatchOp; 4] = [BatchOp::Add, BatchOp::Sub, BatchOp::Mul, BatchOp::Div];
@@ -146,26 +148,13 @@ fn load_hw<T: ApproxPrim>(hw: &mut Hardware, x: T) -> T {
     T::from_bits64(hw.sram_read(x.to_bits64(), T::WIDTH, true))
 }
 
-/// The element operation with the kernel's NaN rule: a NaN result carries
-/// the first NaN operand's payload, quieted.
+/// The element operation.
 fn apply<T: ApproxArith>(op: BatchOp, a: T, b: T) -> T {
-    let r = match op {
+    match op {
         BatchOp::Add => T::approx_add(a, b),
         BatchOp::Sub => T::approx_sub(a, b),
         BatchOp::Mul => T::approx_mul(a, b),
         BatchOp::Div => T::approx_div(a, b),
-    };
-    let quiet = if T::WIDTH == 64 { 1 << 51 } else { 1 << 22 };
-    #[allow(clippy::eq_op)]
-    let nan = |v: T| v != v;
-    if !nan(r) {
-        r
-    } else if nan(a) {
-        T::from_bits64(a.to_bits64() | quiet)
-    } else if nan(b) {
-        T::from_bits64(b.to_bits64() | quiet)
-    } else {
-        r
     }
 }
 
@@ -527,4 +516,60 @@ fn nested_runtime_endorsement_splits_charges_like_the_loop() {
     // installed one.
     assert_eq!(inner.stats().int_precise_ops, 0);
     assert!(!inner.stats().sram_approx_quanta.is_zero());
+}
+
+/// `a op b` through the scalar operators.
+fn scalar_op<T: ApproxArith>(op: BatchOp, a: T, b: T) -> T {
+    let (a, b) = (Approx::new(a), Approx::new(b));
+    endorse(match op {
+        BatchOp::Add => a + b,
+        BatchOp::Sub => a - b,
+        BatchOp::Mul => a * b,
+        BatchOp::Div => a / b,
+    })
+}
+
+/// Every op on every pair of `values` agrees bit for bit between the
+/// scalar operators, `zip` and `scalar`.
+fn check_nan_rule<T: ApproxArith>(values: &[T]) {
+    for op in OPS {
+        for &a in values {
+            for &b in values {
+                let want = scalar_op(op, a, b).to_bits64();
+                let xs = ApproxBuf::from_fn(1, |_| Approx::new(a));
+                let ys = ApproxBuf::from_fn(1, |_| Approx::new(b));
+                let zipped = endorse(zip(op, &xs, &ys).get(0)).to_bits64();
+                let broadcast = endorse(scalar(op, &xs, Approx::new(b)).get(0)).to_bits64();
+                let what = format!("{op:?} on {:#x}, {:#x}", a.to_bits64(), b.to_bits64());
+                assert_eq!(zipped, want, "zip: {what}");
+                assert_eq!(broadcast, want, "scalar: {what}");
+            }
+        }
+    }
+}
+
+/// The scalar operators and the batched kernels apply one NaN rule, with
+/// no runtime and under one whose strategies are all masked off: NaN
+/// operands with distinct payloads, signalling and quiet, meet each other,
+/// zeros, finite values and infinities under all four ops (`NaN ÷ 0`
+/// included).
+#[test]
+fn scalar_and_batched_ops_agree_on_nan_payloads() {
+    let f64s = [
+        f64::from_bits(0x7FF0_0000_0000_0001),
+        f64::from_bits(0xFFF8_0000_0000_BEEF),
+        f64::NAN,
+        0.0,
+        -0.0,
+        1.5,
+        f64::INFINITY,
+    ];
+    let f32s = [f32::from_bits(0x7F80_0001), f32::from_bits(0xFFC0_BEEF), f32::NAN, 0.0, -0.0, 1.5];
+    check_nan_rule(&f64s);
+    check_nan_rule(&f32s);
+    let masked = HwConfig::for_level(Level::Aggressive).with_mask(StrategyMask::NONE);
+    Runtime::with_config(masked, SEED).run(|| {
+        check_nan_rule(&f64s);
+        check_nan_rule(&f32s);
+    });
 }

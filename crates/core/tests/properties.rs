@@ -5,7 +5,7 @@ use enerj_core::{endorse, Approx, ApproxPrim, ApproxVec, Runtime};
 use enerj_hw::config::{ApproxParams, HwConfig, Level, StrategyMask};
 use enerj_hw::energy::normalized_energy;
 use enerj_hw::stats::{MemKind, OpKind, Stats};
-use enerj_hw::{fault, layout};
+use enerj_hw::{fault, layout, EnergyQuanta};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,20 +133,20 @@ proptest! {
         int_p in 0u64..100_000,
         fp_a in 0u64..100_000,
         fp_p in 0u64..100_000,
-        sram_a in 0.0f64..1e6,
-        dram_a in 0.0f64..1e6,
-        sram_p in 0.0f64..1e6,
-        dram_p in 0.0f64..1e6,
+        sram_a in 0u64..8_000_000_000_000,
+        dram_a in 0u64..8_000_000_000_000,
+        sram_p in 0u64..8_000_000_000_000,
+        dram_p in 0u64..8_000_000_000_000,
     ) {
         let mut s = Stats::new();
         s.int_approx_ops = int_a;
         s.int_precise_ops = int_p;
         s.fp_approx_ops = fp_a;
         s.fp_precise_ops = fp_p;
-        s.record_storage(MemKind::Sram, true, sram_a, 1.0);
-        s.record_storage(MemKind::Sram, false, sram_p, 1.0);
-        s.record_storage(MemKind::Dram, true, dram_a, 1.0);
-        s.record_storage(MemKind::Dram, false, dram_p, 1.0);
+        s.record_storage_quanta(MemKind::Sram, true, EnergyQuanta::new(sram_a.into()));
+        s.record_storage_quanta(MemKind::Sram, false, EnergyQuanta::new(sram_p.into()));
+        s.record_storage_quanta(MemKind::Dram, true, EnergyQuanta::new(dram_a.into()));
+        s.record_storage_quanta(MemKind::Dram, false, EnergyQuanta::new(dram_p.into()));
         let mut last = 0.0f64;
         for params in [ApproxParams::MILD, ApproxParams::MEDIUM, ApproxParams::AGGRESSIVE] {
             let e = normalized_energy(&s, &params);

@@ -31,29 +31,21 @@ use crate::config::ApproxParams;
 use crate::quanta::{ratio, savings_basis_points, EnergyQuanta, SAVINGS_SCALE};
 use crate::stats::Stats;
 
-/// Energy units per integer instruction.
-pub const INT_OP_UNITS: f64 = 37.0;
-/// Energy units per floating-point instruction.
-pub const FP_OP_UNITS: f64 = 40.0;
-/// Units of each instruction consumed by fetch and decode (irreducible).
-pub const FETCH_DECODE_UNITS: f64 = 22.0;
 /// Fraction of microarchitecture power attributed to SRAM storage.
 pub const SRAM_CPU_FRACTION: f64 = 0.35;
 /// Fraction of microarchitecture power attributed to execution logic.
 pub const LOGIC_CPU_FRACTION: f64 = 0.65;
-/// Fraction of system power attributed to the CPU (server setting).
-pub const CPU_SYSTEM_FRACTION: f64 = 0.55;
 /// Fraction of system power attributed to DRAM (server setting).
 pub const DRAM_SYSTEM_FRACTION: f64 = 0.45;
 
 /// Mobile-setting split: DRAM is only 25% of power (section 5.4 note).
 pub const DRAM_MOBILE_FRACTION: f64 = 0.25;
 
-/// Integer twin of [`INT_OP_UNITS`], used by the exact accounting path.
+/// Energy units per integer instruction.
 pub const INT_OP_UNITS_Q: u128 = 37;
-/// Integer twin of [`FP_OP_UNITS`].
+/// Energy units per floating-point instruction.
 pub const FP_OP_UNITS_Q: u128 = 40;
-/// Integer twin of [`FETCH_DECODE_UNITS`].
+/// Units of each instruction consumed by fetch and decode (irreducible).
 pub const FETCH_DECODE_UNITS_Q: u128 = 22;
 
 /// Normalized energy of one simulated run, total and by component.
@@ -330,8 +322,8 @@ mod tests {
             s.record_op(OpKind::Fp, true);
             s.record_op(OpKind::Int, true);
         }
-        s.record_storage(MemKind::Sram, true, 1000.0, 1.0);
-        s.record_storage(MemKind::Dram, true, 1000.0, 1.0);
+        s.record_storage_quanta(MemKind::Sram, true, EnergyQuanta::new(8_000_000_000));
+        s.record_storage_quanta(MemKind::Dram, true, EnergyQuanta::new(8_000_000_000));
         s
     }
 
@@ -341,8 +333,8 @@ mod tests {
             s.record_op(OpKind::Fp, false);
             s.record_op(OpKind::Int, false);
         }
-        s.record_storage(MemKind::Sram, false, 1000.0, 1.0);
-        s.record_storage(MemKind::Dram, false, 1000.0, 1.0);
+        s.record_storage_quanta(MemKind::Sram, false, EnergyQuanta::new(8_000_000_000));
+        s.record_storage_quanta(MemKind::Dram, false, EnergyQuanta::new(8_000_000_000));
         s
     }
 
@@ -407,7 +399,7 @@ mod tests {
         let mut params = ApproxParams::AGGRESSIVE;
         params.alu_energy_saved = 1.0;
         let e = normalized_energy(&s, &params);
-        assert!((e.instructions - FETCH_DECODE_UNITS / INT_OP_UNITS).abs() < 1e-12);
+        assert!((e.instructions - 22.0 / 37.0).abs() < 1e-12);
         let q = energy_quanta(&s, &params);
         assert_eq!(q.instructions, EnergyQuanta::new(100 * 22 * SAVINGS_SCALE));
         assert_eq!(q.baseline_instructions, EnergyQuanta::new(100 * 37 * SAVINGS_SCALE));
@@ -432,7 +424,7 @@ mod tests {
     fn mobile_split_weights_cpu_more() {
         let mut s = Stats::new();
         // Only DRAM is approximate; in the mobile split that matters less.
-        s.record_storage(MemKind::Dram, true, 100.0, 1.0);
+        s.record_storage_quanta(MemKind::Dram, true, EnergyQuanta::new(800_000_000));
         for _ in 0..100 {
             s.record_op(OpKind::Int, false);
         }
@@ -445,14 +437,6 @@ mod tests {
     #[test]
     fn component_fractions_sum_to_one() {
         assert!((SRAM_CPU_FRACTION + LOGIC_CPU_FRACTION - 1.0).abs() < 1e-12);
-        assert!((CPU_SYSTEM_FRACTION + DRAM_SYSTEM_FRACTION - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn integer_unit_constants_match_their_float_twins() {
-        assert_eq!(INT_OP_UNITS_Q as f64, INT_OP_UNITS);
-        assert_eq!(FP_OP_UNITS_Q as f64, FP_OP_UNITS);
-        assert_eq!(FETCH_DECODE_UNITS_Q as f64, FETCH_DECODE_UNITS);
     }
 
     #[test]

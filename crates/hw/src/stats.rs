@@ -98,31 +98,6 @@ impl Stats {
         }
     }
 
-    /// Records `bytes` of storage held for `seconds` simulated seconds.
-    ///
-    /// Legacy float shim for callers that measure in byte-seconds (hand-built
-    /// test fixtures):
-    /// the product is converted to bit·op-tick quanta at the default time
-    /// scale ([`crate::config::HwConfig::DEFAULT_SECONDS_PER_OP`]), rounding to
-    /// nearest. The simulator itself charges quanta directly via
-    /// [`Stats::record_storage_quanta`] and never pays this conversion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is negative or NaN. (This was a
-    /// `debug_assert!` once; in release builds a negative argument would
-    /// have silently corrupted the totals.)
-    pub fn record_storage(&mut self, kind: MemKind, approx: bool, bytes: f64, seconds: f64) {
-        assert!(
-            bytes >= 0.0 && seconds >= 0.0,
-            "negative storage record: {bytes} bytes for {seconds} s"
-        );
-        let ticks = seconds / crate::config::HwConfig::DEFAULT_SECONDS_PER_OP;
-        // Saturating f64→u128 cast: in-range by the assert above.
-        let quanta = EnergyQuanta::new(((bytes * 8.0) * ticks).round() as u128);
-        self.record_storage_quanta(kind, approx, quanta);
-    }
-
     /// Records one injected fault.
     pub fn record_fault(&mut self) {
         self.faults_injected += 1;
@@ -268,9 +243,9 @@ mod tests {
     #[test]
     fn storage_accounting() {
         let mut s = Stats::new();
-        s.record_storage(MemKind::Dram, true, 100.0, 2.0);
-        s.record_storage(MemKind::Dram, false, 50.0, 2.0);
-        s.record_storage(MemKind::Sram, true, 8.0, 1.0);
+        s.record_storage_quanta(MemKind::Dram, true, EnergyQuanta::new(1_600));
+        s.record_storage_quanta(MemKind::Dram, false, EnergyQuanta::new(800));
+        s.record_storage_quanta(MemKind::Sram, true, EnergyQuanta::new(64));
         assert!((s.approx_storage_fraction(MemKind::Dram) - 200.0 / 300.0).abs() < 1e-12);
         assert_eq!(s.approx_storage_fraction(MemKind::Sram), 1.0);
     }
@@ -284,22 +259,6 @@ mod tests {
         assert_eq!(s.sram_approx_quanta, EnergyQuanta::new(128));
         assert_eq!(s.sram_precise_quanta, EnergyQuanta::new(64));
         assert!((s.approx_storage_fraction(MemKind::Sram) - 2.0 / 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative storage record")]
-    fn negative_bytes_are_rejected_in_release_builds_too() {
-        // Regression: this was a debug_assert!, so a release build would
-        // have silently corrupted the totals.
-        let mut s = Stats::new();
-        s.record_storage(MemKind::Dram, true, -1.0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative storage record")]
-    fn nan_seconds_are_rejected() {
-        let mut s = Stats::new();
-        s.record_storage(MemKind::Sram, false, 1.0, f64::NAN);
     }
 
     #[test]

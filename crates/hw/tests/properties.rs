@@ -4,7 +4,7 @@ use enerj_hw::config::{ApproxParams, ErrorMode, HwConfig, Level, StrategyMask};
 use enerj_hw::energy::normalized_energy_with_split;
 use enerj_hw::layout::{layout_array, layout_object, FieldSpec};
 use enerj_hw::stats::{MemKind, OpKind, Stats};
-use enerj_hw::{fault, DramArray, Hardware};
+use enerj_hw::{fault, DramArray, EnergyQuanta, Hardware};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,7 +187,7 @@ proptest! {
             let mut s = Stats::new();
             s.fp_approx_ops = (total as f64 * frac) as u64;
             s.fp_precise_ops = total - s.fp_approx_ops;
-            s.record_storage(MemKind::Sram, true, 1.0, 1.0);
+            s.record_storage_quanta(MemKind::Sram, true, EnergyQuanta::new(8_000_000));
             s
         };
         let e_lo = normalized_energy_with_split(&mk(lo), &ApproxParams::MEDIUM, 0.45).total;

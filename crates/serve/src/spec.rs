@@ -284,7 +284,7 @@ impl JobSpec {
             // retrying — a stalled trial must never outlive its lease.
             recovery::Policy {
                 ladder: Vec::new(),
-                max_ops: Some(recovery::Policy::DEFAULT_MAX_OPS),
+                max_ops: recovery::Policy::DEFAULT_MAX_OPS,
                 qos_threshold: None,
             }
         });
