@@ -129,11 +129,12 @@ pub mod harness {
     /// cannot overfit the exact fault sequences they are later scored on.
     pub const TUNER_SEED_BASE: u64 = FAULT_SEED_BASE | (1 << 63);
 
-    /// Result of one simulated run.
+    /// Result of one simulated run (`O` is the run step's: the app's output,
+    /// or its outcome under the watchdog).
     #[derive(Debug, Clone)]
-    pub struct Measurement {
+    pub struct Measurement<O = Output> {
         /// The benchmark's output.
-        pub output: Output,
+        pub output: O,
         /// Operation and storage statistics.
         pub stats: Stats,
         /// Normalized energy under the run's Table 2 parameters.
@@ -185,11 +186,23 @@ pub mod harness {
         seed: u64,
         log_events: bool,
     ) -> Measurement {
+        measure_step(cfg, seed, log_events, |rt| rt.run(app.run))
+    }
+
+    /// Every measurement and recovery attempt: a [`Runtime`] at `(cfg, seed)`
+    /// (logging faults when asked), `step` on it, then its accounts. `step`
+    /// runs the app plainly (a panic unwinds to the caller) or guarded.
+    pub(crate) fn measure_step<O>(
+        cfg: HwConfig,
+        seed: u64,
+        log_events: bool,
+        step: impl FnOnce(&Runtime) -> O,
+    ) -> Measurement<O> {
         let rt = Runtime::with_config(cfg, seed);
         if log_events {
             rt.enable_fault_log();
         }
-        let output = rt.run(app.run);
+        let output = step(&rt);
         Measurement {
             output,
             stats: rt.stats(),

@@ -33,7 +33,7 @@ use std::fmt;
 use crate::harness::{self, FAULT_SEED_BASE};
 use crate::qos::{output_error, Output};
 use crate::trials::{TrialResult, TrialSpec};
-use enerj_core::{Degraded, Runtime};
+use enerj_core::Degraded;
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::quanta::EnergyQuanta;
 
@@ -193,14 +193,9 @@ pub fn chaos_config(amplify: f64) -> HwConfig {
     cfg
 }
 
-/// One attempt's verdict, and its energy for the overhead of an accepted
-/// output.
-struct Attempt {
-    /// The output and its error when every check passed, else why not.
-    verdict: Result<(Output, f64), FailureCause>,
-    energy_total: f64,
-    energy_quanta_total: EnergyQuanta,
-}
+/// An accepted attempt: its output and error, then its own energy total
+/// (normalized and in quanta) for the overhead of recovery.
+type Accepted = (Output, f64, f64, EnergyQuanta);
 
 /// Runs `spec`'s app once at `cfg`/`seed` under the watchdog, adds the
 /// attempt's work to `trial` and checks the output.
@@ -211,27 +206,14 @@ fn run_attempt(
     seed: u64,
     policy: &Policy,
     log_events: bool,
-) -> Attempt {
-    let rt = Runtime::with_config(cfg, seed);
-    if log_events {
-        rt.enable_fault_log();
-    }
-    let outcome = rt.run_guarded(policy.max_ops, spec.app.run);
+) -> Result<Accepted, FailureCause> {
+    let m = harness::measure_step(cfg, seed, log_events, |rt| {
+        rt.run_guarded(policy.max_ops, spec.app.run)
+    });
+    let (energy, quanta) = (m.energy.total, m.energy_quanta.total);
     // Charge the attempt whether or not it completed: a watchdog trip or a
     // panic still executed (and must pay for) its partial work.
-    let energy = rt.energy();
-    let energy_quanta = rt.energy_quanta();
-    trial.stats.merge(&rt.stats());
-    trial.energy.instructions += energy.instructions;
-    trial.energy.sram += energy.sram;
-    trial.energy.dram += energy.dram;
-    trial.energy.total += energy.total;
-    trial.energy_quanta.merge(&energy_quanta);
-    trial.fault_counts.merge(&rt.fault_counters());
-    trial.events.extend(rt.take_fault_events());
-    trial.attempts += 1;
-
-    let verdict = match outcome {
+    match trial.charge(m) {
         Ok(output) => match (spec.app.check)(&output) {
             Err(msg) => Err(FailureCause::CheckFailed(msg)),
             Ok(()) => {
@@ -242,7 +224,7 @@ fn run_attempt(
                     Some(threshold) if reference.is_some() && error > threshold => {
                         Err(FailureCause::QosExceeded { error, threshold })
                     }
-                    _ => Ok((output, error)),
+                    _ => Ok((output, error, energy, quanta)),
                 }
             }
         },
@@ -250,8 +232,7 @@ fn run_attempt(
             Err(FailureCause::OpBudgetExceeded { op_ticks, budget })
         }
         Err(Degraded::Panicked(msg)) => Err(FailureCause::Panic(msg)),
-    };
-    Attempt { verdict, energy_total: energy.total, energy_quanta_total: energy_quanta.total }
+    }
 }
 
 /// Runs `spec` under `policy` into `trial`: the initial attempt at the
@@ -271,22 +252,21 @@ pub(crate) fn run_with_recovery(
 ) {
     let mut attempt = run_attempt(trial, spec, spec.cfg, spec.seed, policy, log_events);
     for (k, rung) in policy.ladder.iter().enumerate() {
-        let Err(cause) = &attempt.verdict else { break };
+        let Err(cause) = &attempt else { break };
         trial.failure_causes.push(cause.to_string());
         let seed = retry_seed(spec.seed, k as u32 + 1);
         attempt = run_attempt(trial, spec, rung.config(), seed, policy, log_events);
-        if attempt.verdict.is_ok() {
+        if attempt.is_ok() {
             trial.recovered_at_level = Some(rung.to_string());
         }
     }
-    match attempt.verdict {
-        Ok((output, error)) => {
+    match attempt {
+        Ok((output, error, energy, quanta)) => {
             trial.error = error;
             trial.output = spec.keep_output.then_some(output);
-            trial.recovery_energy_overhead = trial.energy.total - attempt.energy_total;
+            trial.recovery_energy_overhead = trial.energy.total - energy;
             // Exact: `accepted + overhead == total` round-trips in u128.
-            trial.recovery_energy_overhead_quanta =
-                trial.energy_quanta.total - attempt.energy_quanta_total;
+            trial.recovery_energy_overhead_quanta = trial.energy_quanta.total - quanta;
         }
         Err(cause) => {
             // Every rung failed: the trial degrades to worst case, with the

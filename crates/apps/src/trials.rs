@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::harness::{self, FAULT_SEED_BASE};
+use crate::harness::{self, Measurement, FAULT_SEED_BASE};
 use crate::json::Json;
 use crate::qos::{output_error, Output};
 use crate::recovery;
@@ -257,6 +257,21 @@ impl TrialResult {
             attempts: 1,
             ..TrialResult::new(index, spec)
         }
+    }
+
+    /// Adds one attempt's statistics, energy and fault telemetry to the
+    /// trial and counts the attempt; returns the attempt's output.
+    pub(crate) fn charge<O>(&mut self, m: Measurement<O>) -> O {
+        self.stats.merge(&m.stats);
+        self.energy.instructions += m.energy.instructions;
+        self.energy.sram += m.energy.sram;
+        self.energy.dram += m.energy.dram;
+        self.energy.total += m.energy.total;
+        self.energy_quanta.merge(&m.energy_quanta);
+        self.fault_counts.merge(&m.fault_counts);
+        self.events.extend(m.events);
+        self.attempts += 1;
+        m.output
     }
 
     /// Whether the trial crashed (and was scored worst-case). For
@@ -1144,30 +1159,20 @@ impl Progress {
 /// QoS metric). Either way a caught panic scores as [`TrialResult::crashed`].
 fn run_trial(index: usize, spec: &TrialSpec, log_events: bool) -> TrialResult {
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &spec.recovery {
-        None => {
-            let m = harness::measure_with_telemetry(&spec.app, spec.cfg, spec.seed, log_events);
-            let error = match &spec.reference {
-                Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
-                None => 0.0,
-            };
-            TrialResult {
-                error,
-                output: spec.keep_output.then_some(m.output),
-                stats: m.stats,
-                energy: m.energy,
-                energy_quanta: m.energy_quanta,
-                fault_counts: m.fault_counts,
-                events: m.events,
-                attempts: 1,
-                ..TrialResult::new(index, spec)
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut trial = TrialResult::new(index, spec);
+        match &spec.recovery {
+            None => {
+                let m = harness::measure_with_telemetry(&spec.app, spec.cfg, spec.seed, log_events);
+                let output = trial.charge(m);
+                if let Some(reference) = &spec.reference {
+                    trial.error = output_error(spec.app.meta.metric, reference, &output);
+                }
+                trial.output = spec.keep_output.then_some(output);
             }
+            Some(policy) => recovery::run_with_recovery(&mut trial, spec, policy, log_events),
         }
-        Some(policy) => {
-            let mut trial = TrialResult::new(index, spec);
-            recovery::run_with_recovery(&mut trial, spec, policy, log_events);
-            trial
-        }
+        trial
     }));
     let wall = start.elapsed();
     match outcome {

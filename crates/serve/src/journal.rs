@@ -16,6 +16,11 @@
 //! 2. append the chunk record (byte count, FNV-1a 64 hash, exact quanta,
 //!    error sum, degrade rung) to `journal.ndjson`, `fsync`.
 //!
+//! A run of consecutive chunks commits as one group
+//! ([`Journal::append_group`]): every payload, one output `fsync`, then
+//! every record (and the verdict, when the run ends the job), one journal
+//! `fsync`. Output still reaches the disk before any record that blesses it.
+//!
 //! A crash between (1) and (2) leaves orphan output bytes with no journal
 //! record; recovery truncates the output back to the journaled byte count
 //! and the chunk simply re-runs — trials are pure functions of their spec,
@@ -129,6 +134,16 @@ pub struct VerdictRecord {
     pub trials_done: usize,
 }
 
+impl VerdictRecord {
+    fn to_line(&self) -> String {
+        format!(
+            "{{\"rec\":\"verdict\",\"verdict\":{},\"trials_done\":{}}}\n",
+            json_string(&self.verdict),
+            self.trials_done,
+        )
+    }
+}
+
 /// A job's durable state as read back from disk.
 #[derive(Debug)]
 pub struct Recovered {
@@ -188,22 +203,36 @@ impl Journal {
     /// Commits one chunk: output bytes first (fsync), then the record
     /// (fsync). `payload` must hash to `rec.hash` and be `rec.bytes` long.
     pub fn append_chunk(&mut self, payload: &[u8], rec: &ChunkRecord) -> io::Result<()> {
-        debug_assert_eq!(payload.len() as u64, rec.bytes);
-        debug_assert_eq!(fnv1a(payload), rec.hash);
-        self.output.write_all(payload)?;
-        self.output.sync_all()?;
-        self.journal.write_all(rec.to_line().as_bytes())?;
-        self.journal.sync_all()
+        self.append_group(&[(payload, rec.clone())], None)
     }
 
-    /// Journals the terminal verdict (fsync'd).
-    pub fn append_verdict(&mut self, verdict: &str, trials_done: usize) -> io::Result<()> {
-        let line = format!(
-            "{{\"rec\":\"verdict\",\"verdict\":{},\"trials_done\":{}}}\n",
-            json_string(verdict),
-            trials_done,
-        );
-        self.journal.write_all(line.as_bytes())?;
+    /// Commits a run of consecutive chunks, and the job's terminal verdict
+    /// when there is one, with one fsync per file: every payload, then one
+    /// output fsync, then every record and the verdict, then one journal
+    /// fsync. A crash anywhere in between leaves what a crash between
+    /// single-chunk commits leaves — records whose output is durable, then
+    /// torn or missing lines — so [`recover`] keeps the verified prefix.
+    /// Each payload must hash to its record's `hash` and be `bytes` long.
+    pub fn append_group<P: AsRef<[u8]>>(
+        &mut self,
+        chunks: &[(P, ChunkRecord)],
+        verdict: Option<&VerdictRecord>,
+    ) -> io::Result<()> {
+        let mut lines = String::new();
+        for (payload, rec) in chunks {
+            let payload = payload.as_ref();
+            debug_assert_eq!(payload.len() as u64, rec.bytes);
+            debug_assert_eq!(fnv1a(payload), rec.hash);
+            self.output.write_all(payload)?;
+            lines.push_str(&rec.to_line());
+        }
+        if !chunks.is_empty() {
+            self.output.sync_all()?;
+        }
+        if let Some(v) = verdict {
+            lines.push_str(&v.to_line());
+        }
+        self.journal.write_all(lines.as_bytes())?;
         self.journal.sync_all()
     }
 }
@@ -344,7 +373,8 @@ mod tests {
         let (a, b) = (b"line-a\n".as_slice(), b"line-b\n".as_slice());
         j.append_chunk(a, &rec(0, a, 0)).expect("chunk 0");
         j.append_chunk(b, &rec(1, b, 1)).expect("chunk 1");
-        j.append_verdict("complete", 4).expect("verdict");
+        let done = VerdictRecord { verdict: "complete".to_owned(), trials_done: 4 };
+        j.append_group::<&[u8]>(&[], Some(&done)).expect("verdict");
         let r = recover(&dir).expect("recover");
         assert_eq!(r.spec_text, "{\"spec\":true}");
         assert_eq!(r.chunks.len(), 2);
@@ -392,6 +422,68 @@ mod tests {
         let r2 = recover(&dir).expect("recover again");
         assert_eq!(r2.chunks.len(), 2);
         assert_eq!(r2.committed_bytes, (a.len() + b.len()) as u64);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Crash safety of the group commit: one chunk committed alone, then a
+    /// group of three chunks plus the verdict. Tearing either file at every
+    /// byte offset of the group (the other intact), or losing the whole
+    /// journal half after the output fsync, must recover the longest
+    /// verified prefix and truncate both files to it.
+    #[test]
+    fn group_commit_torn_at_every_offset_keeps_the_verified_prefix() {
+        let dir = tempdir("group");
+        let payloads: [&[u8]; 4] = [b"zero\n", b"one-1\n", b"two-22\n", b"three-333\n"];
+        let recs: Vec<ChunkRecord> =
+            payloads.iter().enumerate().map(|(c, p)| rec(c, p, 0)).collect();
+        let done = VerdictRecord { verdict: "complete".to_owned(), trials_done: 8 };
+        let mut j = Journal::create(&dir, "{}").expect("create");
+        j.append_chunk(payloads[0], &recs[0]).expect("chunk 0");
+        let (output_before, journal_before) = (payloads[0].len(), recs[0].to_line().len());
+        let group: Vec<(&[u8], ChunkRecord)> =
+            (1..4).map(|c| (payloads[c], recs[c].clone())).collect();
+        j.append_group(&group, Some(&done)).expect("group");
+        drop(j);
+        let output = fs::read(dir.join("output.ndjson")).expect("output");
+        let journal = fs::read(dir.join("journal.ndjson")).expect("journal");
+        assert_eq!(recover(&dir).expect("intact").verdict.as_ref(), Some(&done));
+
+        // The verified prefix: chunks whose record line is whole and whose
+        // payload is whole; the verdict once every chunk before it verifies.
+        let expect = |out_len: usize, journal_len: usize| {
+            let (mut chunks, mut out_end, mut line_end) = (0, 0, 0);
+            for r in &recs {
+                let line = line_end + r.to_line().len();
+                let out = out_end + r.bytes as usize;
+                if line > journal_len || out > out_len {
+                    return (chunks, out_end, line_end, false);
+                }
+                (chunks, out_end, line_end) = (chunks + 1, out, line);
+            }
+            let whole = line_end + done.to_line().len() <= journal_len;
+            (chunks, out_end, if whole { line_end + done.to_line().len() } else { line_end }, whole)
+        };
+        let check = |out_len: usize, journal_len: usize| {
+            fs::write(dir.join("output.ndjson"), &output[..out_len]).expect("tear output");
+            fs::write(dir.join("journal.ndjson"), &journal[..journal_len]).expect("tear journal");
+            let (chunks, out_end, line_end, verdict) = expect(out_len, journal_len);
+            let r = recover(&dir).expect("recover");
+            let at = format!("output {out_len}/{}, journal {journal_len}", output.len());
+            assert_eq!(r.chunks, recs[..chunks], "{at}");
+            assert_eq!(r.committed_bytes, out_end as u64, "{at}");
+            assert_eq!(r.verdict.is_some(), verdict, "{at}");
+            assert_eq!(fs::read(dir.join("output.ndjson")).unwrap(), &output[..out_end], "{at}");
+            assert_eq!(fs::read(dir.join("journal.ndjson")).unwrap(), &journal[..line_end], "{at}");
+        };
+        for journal_len in journal_before..=journal.len() {
+            check(output.len(), journal_len);
+        }
+        for out_len in output_before..=output.len() {
+            check(out_len, journal.len());
+        }
+        // Output fsync'd, journal fsync never reached: the whole group re-runs.
+        check(output.len(), journal_before);
+        assert_eq!(expect(output.len(), journal_before).0, 1);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,9 +11,23 @@
 //! granularity at which budgets and deadlines are enforced. Workers claim
 //! chunks in index order within a bounded in-flight window, execute them
 //! through [`run_campaign_streamed`] (each trial a pure function of its
-//! spec), and hand the rendered NDJSON payload back for *in-order* commit:
+//! spec), and park the rendered NDJSON payload for *in-order* commit:
 //! chunk `c` reaches the journal only after `c-1`, so `output.ndjson` is
 //! always a clean prefix of the uninterrupted campaign.
+//!
+//! # One committer, off the lock
+//!
+//! Workers never touch the disk. One committer thread takes a job's
+//! in-order run of parked chunks, makes each chunk's budget decision in
+//! order under the state lock, then releases the lock and appends the whole
+//! run as one group ([`Journal::append_group`]: one output and one journal
+//! `fsync`). It re-locks only to fold the now-durable records into the
+//! ledgers, so everything a client can read — committed bytes, ledgers,
+//! verdicts — changes only after its `fsync`. Every journal write, verdicts
+//! from deadlines and failures included, goes through this one thread, so
+//! commits are globally serialized and the quota decisions see the ledgers
+//! of every earlier commit. Admission likewise creates a job's directory
+//! with the lock released, holding only a reservation against the caps.
 //!
 //! # Why `kill -9` is survivable at any instant
 //!
@@ -33,9 +47,9 @@
 //! expires (worker dead, or stalled beyond the per-trial op-budget
 //! watchdog's reach), the chunk returns to `Pending` and its generation is
 //! bumped, so the original worker's late result — should the worker come
-//! back — fails the generation check at commit and is discarded. The same
-//! generation mechanism discards results computed under a stale degrade
-//! rung after an over-budget degradation.
+//! back — fails the generation check when it parks and is discarded. The
+//! same generation mechanism discards results computed under a stale
+//! degrade rung after an over-budget degradation.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -47,7 +61,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::http;
-use crate::journal::{self, fnv1a, ChunkRecord, Journal};
+use crate::journal::{self, fnv1a, ChunkRecord, Journal, VerdictRecord};
 use crate::spec::{JobSpec, OverBudget};
 use crate::tenant::{TenantConfig, TenantState};
 use enerj_apps::scheduler::SchedLevel;
@@ -112,19 +126,19 @@ enum ChunkState {
     Leased { expires: Instant },
     /// Computed, parked until every earlier chunk has committed: the
     /// rendered NDJSON lines (`wall` zeroed, indices global) and their
-    /// journal record. Until the commit decides the rung *after* the chunk,
-    /// the record's `degrade_after` holds the rung it was computed under; a
-    /// mismatch with the job's rung at commit time means the work is stale
-    /// and re-runs.
+    /// journal record. Until the committer decides the rung *after* the
+    /// chunk, the record's `degrade_after` holds the rung it was computed
+    /// under; a rung below the job's means the work is stale and re-runs.
     Parked(Vec<u8>, ChunkRecord),
-    /// Durably in the journal.
+    /// Taken by the committer: durable once `next_commit` has passed it.
     Committed,
 }
 
 /// One job's live state.
 struct Job {
     spec: JobSpec,
-    journal: Journal,
+    /// The append handles; the committer holds them during a group append.
+    journal: Option<Journal>,
     states: Vec<ChunkState>,
     /// Per-chunk claim generations (bumped on every lease and reclaim).
     gens: Vec<u64>,
@@ -139,7 +153,11 @@ struct Job {
     panics: usize,
     quanta_total: EnergyQuanta,
     quanta_baseline: EnergyQuanta,
-    /// Terminal verdict; `None` while queued or running.
+    /// The verdict the committer journals next: set when a commit run ends
+    /// the job, a deadline fires or an append fails. A closing job is
+    /// neither claimed nor parked into.
+    closing: Option<&'static str>,
+    /// Durable terminal verdict; `None` while queued, running or closing.
     verdict: Option<String>,
     /// Wall-clock deadline, measured from registration (a resumed job's
     /// clock restarts — the deadline bounds *this* server's effort).
@@ -160,10 +178,11 @@ impl Job {
             panics: 0,
             quanta_total: EnergyQuanta::ZERO,
             quanta_baseline: EnergyQuanta::ZERO,
+            closing: None,
             verdict: None,
             deadline_at,
             spec,
-            journal,
+            journal: Some(journal),
         }
     }
 
@@ -200,29 +219,39 @@ impl Job {
     }
 }
 
-/// Shared mutable service state (one lock: jobs are few and chunk commits
-/// are coarse, so contention is negligible next to trial compute).
+/// Shared mutable service state. One lock, held only for bookkeeping: no
+/// trial runs and no `fsync` happens under it (workers compute unlocked, the
+/// committer and admission write to disk unlocked).
 struct State {
     jobs: BTreeMap<String, Job>,
+    /// Ids of the jobs without a durable verdict, in admission order: what
+    /// claims, deadlines, commits and the admission caps look at.
+    live: Vec<String>,
+    /// Admissions whose directory is being created (id → tenant): they
+    /// count against both caps until their job is inserted.
+    reserved: BTreeMap<String, String>,
     tenants: HashMap<String, TenantState>,
     next_job_seq: u64,
-    /// Round-robin cursor over jobs, for cross-tenant claim fairness.
+    /// Round-robin cursor over `live`, for cross-tenant claim fairness.
     rr: usize,
     draining: bool,
-    /// The drain has finished: every worker and the supervisor are joined,
-    /// so no chunk can commit any more.
+    /// Every worker and the supervisor have exited: nothing parks any more,
+    /// and the committer exits once it has committed what is parked.
+    pool_exited: bool,
+    /// The drain has finished: the committer is joined too, so no chunk
+    /// can commit any more.
     drained: bool,
     /// Global claim counter (drives the chaos test hooks).
     claims: u64,
 }
 
 impl State {
-    /// Jobs queued or running (no verdict yet), for every tenant or one.
+    /// Jobs queued, running or being admitted (no durable verdict yet), for
+    /// every tenant or one.
     fn active_jobs(&self, tenant: Option<&str>) -> usize {
-        self.jobs
-            .values()
-            .filter(|j| j.verdict.is_none() && tenant.is_none_or(|t| j.spec.tenant == t))
-            .count()
+        let counts = |t: &str| tenant.is_none_or(|want| want == t);
+        self.live.iter().filter(|id| counts(&self.jobs[*id].spec.tenant)).count()
+            + self.reserved.values().filter(|t| counts(t)).count()
     }
 }
 
@@ -245,11 +274,23 @@ pub struct Server {
     /// Notified, under the state lock, at every transition a stream can
     /// observe: a chunk commit, a job's verdict, and the drain's end.
     committed: Condvar,
+    /// Wakes the committer: a chunk parked, a job closed, the pool exited.
+    to_commit: Condvar,
+}
+
+/// One group append, run by the committer with the lock released: a job's
+/// in-order run of parked chunks (budget decisions already made) and its
+/// verdict when the run, or an earlier close, ends the job.
+struct Batch {
+    job_id: String,
+    journal: Journal,
+    chunks: Vec<(Vec<u8>, ChunkRecord)>,
+    verdict: Option<VerdictRecord>,
 }
 
 impl Server {
-    /// Recovers durable state, binds the listener, starts the pool and the
-    /// supervisor, and serves until a drain completes. Prints
+    /// Recovers durable state, binds the listener, starts the pool, the
+    /// supervisor and the committer, and serves until a drain completes. Prints
     /// `campaignd listening on <addr>` (and writes `<state_dir>/campaignd.addr`)
     /// once ready, so harnesses can bind port 0 and discover the port.
     pub fn run(cfg: ServerConfig) -> io::Result<()> {
@@ -263,6 +304,7 @@ impl Server {
             state: Mutex::new(state),
             work: Condvar::new(),
             committed: Condvar::new(),
+            to_commit: Condvar::new(),
         });
         println!("campaignd listening on {local}");
         io::stdout().flush()?;
@@ -283,9 +325,15 @@ impl Server {
                 .spawn(move || srv.supervisor_loop())
                 .expect("spawn supervisor"),
         );
-        // Once a drain has stopped the pool, nothing can commit any more:
-        // end the live streams, then wake the blocked `accept` below with
-        // one connection to the listener's own address.
+        let srv = Arc::clone(&server);
+        let committer = std::thread::Builder::new()
+            .name("campaignd-committer".to_owned())
+            .spawn(move || srv.committer_loop())
+            .expect("spawn committer");
+        // Once a drain has stopped the pool, the committer commits what is
+        // parked and exits; then nothing can commit any more: end the live
+        // streams, then wake the blocked `accept` below with one connection
+        // to the listener's own address.
         let waker = {
             let srv = Arc::clone(&server);
             std::thread::Builder::new()
@@ -293,6 +341,11 @@ impl Server {
                 .spawn(move || {
                     for h in pool {
                         let _ = h.join();
+                    }
+                    srv.lock().pool_exited = true;
+                    srv.to_commit.notify_one();
+                    if committer.join().is_err() {
+                        eprintln!("campaignd: the committer panicked");
                     }
                     let mut st = srv.lock();
                     st.drained = true;
@@ -335,10 +388,17 @@ impl Server {
     // Worker pool
     // ------------------------------------------------------------------
 
+    /// Claims a chunk, runs it unlocked, then parks the result and claims
+    /// the next one under a single lock acquisition. A drain stops the loop
+    /// only after the last result is parked, for the committer to flush.
     fn worker_loop(&self) {
+        let mut done = None;
         loop {
             let claim = {
                 let mut st = self.lock();
+                if let Some((claim, bytes, rec)) = done.take() {
+                    self.park(&mut st, claim, bytes, rec);
+                }
                 loop {
                     let now = Instant::now();
                     self.reclaim_and_deadlines(&mut st, now);
@@ -363,7 +423,7 @@ impl Server {
                 std::thread::sleep(Duration::from_millis(ms));
             }
             let (bytes, rec) = run_chunk(&claim);
-            self.commit(claim, bytes, rec);
+            done = Some((claim, bytes, rec));
         }
     }
 
@@ -395,16 +455,18 @@ impl Server {
     }
 
     /// Returns expired leases to `Pending` (bumping generations so late
-    /// results are discarded) and finalizes jobs past their deadline.
+    /// results are discarded) and closes jobs past their deadline.
     fn reclaim_and_deadlines(&self, st: &mut State, now: Instant) {
-        let mut finalized = false;
-        for job in st.jobs.values_mut() {
-            if job.verdict.is_some() {
+        let State { jobs, live, .. } = st;
+        let mut closed = false;
+        for id in live.iter() {
+            let job = jobs.get_mut(id).expect("live jobs are registered");
+            if job.closing.is_some() {
                 continue;
             }
             if job.deadline_at.is_some_and(|d| now >= d) {
-                finalize(job, "deadline_exceeded");
-                finalized = true;
+                close(job, "deadline_exceeded");
+                closed = true;
                 continue;
             }
             for (c, s) in job.states.iter_mut().enumerate() {
@@ -416,35 +478,38 @@ impl Server {
                 }
             }
         }
-        if finalized {
-            self.committed.notify_all();
+        if closed {
+            self.to_commit.notify_one();
         }
     }
 
-    /// Claims the next runnable chunk: round-robin across jobs for
-    /// fairness, lowest pending chunk first, within the in-flight window
-    /// that bounds parked-payload memory per job.
+    /// Claims the next runnable chunk: round-robin across the live jobs
+    /// for fairness, lowest pending chunk first, within the in-flight window
+    /// past the committer's frontier that bounds parked-payload memory per
+    /// job.
     fn claim_next(&self, st: &mut State, now: Instant) -> Option<Claim> {
-        let keys: Vec<String> = st.jobs.keys().cloned().collect();
-        if keys.is_empty() {
-            return None;
-        }
+        let State { jobs, live, rr, claims, .. } = st;
         let window = (self.cfg.workers * 2).max(2);
-        let n = keys.len();
+        let n = live.len();
         for off in 0..n {
-            let idx = (st.rr + off) % n;
-            let job = st.jobs.get_mut(&keys[idx]).expect("key snapshot");
-            if job.verdict.is_some() {
+            let idx = (*rr + off) % n;
+            let job = jobs.get_mut(&live[idx]).expect("live jobs are registered");
+            if job.closing.is_some() {
                 continue;
             }
-            let end = (job.next_commit + window).min(job.spec.total_chunks());
-            for c in job.next_commit..end {
+            let taken = job.states[job.next_commit..]
+                .iter()
+                .take_while(|s| matches!(s, ChunkState::Committed))
+                .count();
+            let start = job.next_commit + taken;
+            let end = (start + window).min(job.spec.total_chunks());
+            for c in start..end {
                 if matches!(job.states[c], ChunkState::Pending) {
                     job.gens[c] += 1;
                     job.states[c] = ChunkState::Leased { expires: now + self.cfg.lease };
-                    let claims = st.claims + 1;
+                    *claims += 1;
                     let claim = Claim {
-                        job_id: keys[idx].clone(),
+                        job_id: live[idx].clone(),
                         chunk: c,
                         gen: job.gens[c],
                         degrade: job.degrade,
@@ -452,12 +517,11 @@ impl Server {
                         stall_ms: self
                             .cfg
                             .test_stall_claim
-                            .filter(|&(nth, _)| nth == claims)
+                            .filter(|&(nth, _)| nth == *claims)
                             .map(|(_, ms)| ms),
-                        panic_now: self.cfg.test_panic_claim == Some(claims),
+                        panic_now: self.cfg.test_panic_claim == Some(*claims),
                     };
-                    st.rr = (idx + 1) % n;
-                    st.claims = claims;
+                    *rr = (idx + 1) % n;
                     return Some(claim);
                 }
             }
@@ -465,31 +529,95 @@ impl Server {
         None
     }
 
-    /// Parks a computed chunk (if its claim is still current) and drains
-    /// every in-order commit that is now possible.
-    fn commit(&self, claim: Claim, bytes: Vec<u8>, rec: ChunkRecord) {
+    /// Parks a computed chunk for the committer if its claim is still
+    /// current. A result computed under a rung the job has since left is
+    /// stale: the chunk re-runs at once.
+    fn park(&self, st: &mut State, claim: Claim, bytes: Vec<u8>, rec: ChunkRecord) {
+        let Some(job) = st.jobs.get_mut(&claim.job_id) else { return };
+        let c = claim.chunk;
+        if job.closing.is_some()
+            || !matches!(job.states[c], ChunkState::Leased { .. })
+            || job.gens[c] != claim.gen
+        {
+            // Stale: the lease was reclaimed or the job is closing, and
+            // someone else owns this chunk now (or nobody does). Discard
+            // silently — determinism is preserved because only committed
+            // bytes are observable.
+            return;
+        }
+        if rec.degrade_after == job.degrade {
+            job.states[c] = ChunkState::Parked(bytes, rec);
+            self.to_commit.notify_one();
+        } else {
+            job.gens[c] += 1;
+            job.states[c] = ChunkState::Pending;
+        }
+    }
+
+    /// The one journal writer: takes a batch under the lock, appends it with
+    /// the lock released, then folds it in. Exits once the pool has exited
+    /// and nothing is left to commit, so a drain loses no parked in-order
+    /// chunk and no closing job's verdict.
+    fn committer_loop(&self) {
+        let mut rr = 0;
         let mut st = self.lock();
-        let State { jobs, tenants, .. } = &mut *st;
-        let Some(job) = jobs.get_mut(&claim.job_id) else { return };
-        if job.verdict.is_none() {
-            match job.states[claim.chunk] {
-                ChunkState::Leased { .. } if job.gens[claim.chunk] == claim.gen => {
-                    job.states[claim.chunk] = ChunkState::Parked(bytes, rec);
-                }
-                // Stale: the lease was reclaimed (or the rung moved) and
-                // someone else owns this chunk now. Discard silently —
-                // determinism is preserved because only committed bytes
-                // are observable.
-                _ => return,
-            }
-            let committed_before = job.committed_bytes;
-            drain_commits(&self.cfg, job, tenants);
-            if job.committed_bytes != committed_before || job.verdict.is_some() {
+        loop {
+            if let Some(mut batch) = take_batch(&self.cfg, &mut st, &mut rr) {
+                drop(st);
+                let appended = batch.journal.append_group(&batch.chunks, batch.verdict.as_ref());
+                st = self.lock();
+                self.settle(&mut st, batch, appended);
                 self.committed.notify_all();
+                self.work.notify_all();
+            } else if st.pool_exited {
+                return;
+            } else {
+                st = self.to_commit.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         }
-        drop(st);
-        self.work.notify_all();
+    }
+
+    /// Folds a finished group append into the job: on success every record
+    /// through [`Job::apply`] and the verdict, on failure nothing — the job
+    /// closes as `failed`, a verdict the committer then tries to journal.
+    fn settle(&self, st: &mut State, batch: Batch, appended: io::Result<()>) {
+        let State { jobs, tenants, live, .. } = st;
+        let job = jobs.get_mut(&batch.job_id).expect("jobs are never removed");
+        job.journal = Some(batch.journal);
+        let degrade_before = job.degrade;
+        match appended {
+            Ok(()) => {
+                let ts = tenant_entry(tenants, &self.cfg, &job.spec.tenant);
+                for (_, rec) in &batch.chunks {
+                    job.apply(rec, ts);
+                }
+                job.verdict = batch.verdict.map(|v| v.verdict);
+            }
+            Err(e) if batch.chunks.is_empty() => {
+                // Only the verdict was lost: the job ends all the same, as
+                // its durable prefix would resume after a restart.
+                eprintln!("campaignd: verdict append failed for `{}`: {e}", batch.job_id);
+                job.verdict = batch.verdict.map(|v| v.verdict);
+            }
+            Err(e) => {
+                eprintln!("campaignd: journal append failed for `{}`: {e}", batch.job_id);
+                job.closing = None;
+                close(job, "failed");
+            }
+        }
+        if job.verdict.is_some() {
+            live.retain(|id| *id != batch.job_id);
+        } else if job.degrade != degrade_before {
+            // The run moved the rung: results parked under the old one are
+            // stale and re-run.
+            let rung = job.degrade;
+            for (c, s) in job.states.iter_mut().enumerate().skip(job.next_commit) {
+                if matches!(s, ChunkState::Parked(_, rec) if rec.degrade_after != rung) {
+                    job.gens[c] += 1;
+                    *s = ChunkState::Pending;
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -586,10 +714,35 @@ impl Server {
     }
 
     /// Admission control: explicit, typed rejections with retriability and
-    /// backoff hints so clients never have to guess.
+    /// backoff hints so clients never have to guess. The caps are checked
+    /// and the job id reserved under the lock; the job directory is created
+    /// (three `fsync`s) with the lock released, the reservation counting
+    /// against both caps meanwhile. A created job is inserted even if a
+    /// drain began during the create: it is durable and resumes on restart.
     fn admit(&self, body: &str) -> Result<(String, usize), (u16, String)> {
         let spec = JobSpec::parse(body)
             .map_err(|e| (400, http::error_body("bad_request", &e, false, None)))?;
+        let id = self.reserve(&spec)?;
+        let dir = self.cfg.state_dir.join("jobs").join(&id);
+        let created = Journal::create(&dir, &spec.to_json());
+        let mut st = self.lock();
+        st.reserved.remove(&id);
+        let journal = created.map_err(|e| {
+            let detail = format!("cannot create job dir: {e}");
+            (500, http::error_body("internal", &detail, true, Some(1000)))
+        })?;
+        let trials = spec.total_trials();
+        let deadline_at = spec.deadline_from(Instant::now());
+        st.jobs.insert(id.clone(), Job::new(spec, journal, deadline_at));
+        st.live.push(id.clone());
+        drop(st);
+        self.work.notify_all();
+        Ok((id, trials))
+    }
+
+    /// Checks the admission caps for `spec` and reserves a job id against
+    /// them, or says why not.
+    fn reserve(&self, spec: &JobSpec) -> Result<String, (u16, String)> {
         let mut st = self.lock();
         if st.draining {
             return Err((
@@ -643,18 +796,8 @@ impl Server {
         }
         let id = format!("j{:06}", st.next_job_seq);
         st.next_job_seq += 1;
-        let dir = self.cfg.state_dir.join("jobs").join(&id);
-        let journal = Journal::create(&dir, &spec.to_json()).map_err(|e| {
-            let detail = format!("cannot create job dir: {e}");
-            (500, http::error_body("internal", &detail, true, Some(1000)))
-        })?;
-        let trials = spec.total_trials();
-        let deadline_at = spec.deadline_from(Instant::now());
-        let job = Job::new(spec, journal, deadline_at);
-        st.jobs.insert(id.clone(), job);
-        drop(st);
-        self.work.notify_all();
-        Ok((id, trials))
+        st.reserved.insert(id.clone(), spec.tenant.clone());
+        Ok(id)
     }
 
     fn job_status_json(&self, id: &str) -> Option<String> {
@@ -871,37 +1014,68 @@ fn run_chunk(claim: &Claim) -> (Vec<u8>, ChunkRecord) {
     (bytes, rec)
 }
 
-/// Commits every chunk that is parked, in order, with the budget check at
-/// each commit — the single place quotas are enforced, which is what makes
-/// enforcement chunk-granular and deterministic.
-fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String, TenantState>) {
-    while job.verdict.is_none() {
-        let c = job.next_commit;
-        if c >= job.spec.total_chunks() {
-            finalize(job, "complete");
-            return;
-        }
-        let (bytes, mut rec) = match &job.states[c] {
-            ChunkState::Parked(_, rec) if rec.degrade_after == job.degrade => {
-                match std::mem::replace(&mut job.states[c], ChunkState::Committed) {
-                    ChunkState::Parked(bytes, rec) => (bytes, rec),
-                    _ => unreachable!("state checked above"),
-                }
-            }
-            ChunkState::Parked(..) => {
-                // Computed under a stale degrade rung (an over-budget
-                // degradation landed between claim and commit): re-run.
-                job.gens[c] += 1;
-                job.states[c] = ChunkState::Pending;
-                return;
-            }
-            _ => return, // pending or still running
+/// The committer's next batch, round-robin over the live jobs from `rr`:
+/// the first job with a closing verdict to journal or a parked run at its
+/// commit frontier. The run's payloads leave their states (which become
+/// `Committed`, out of the claim window's way) and the job's journal moves
+/// into the batch.
+fn take_batch(cfg: &ServerConfig, st: &mut State, rr: &mut usize) -> Option<Batch> {
+    let State { jobs, tenants, live, .. } = st;
+    let n = live.len();
+    for off in 0..n {
+        let idx = (*rr + off) % n;
+        let job = jobs.get_mut(&live[idx]).expect("live jobs are registered");
+        let (chunks, verdict) = match job.closing {
+            Some(v) => (Vec::new(), Some(v)),
+            None => commit_run(cfg, job, tenants),
         };
+        if chunks.is_empty() && verdict.is_none() {
+            continue;
+        }
+        *rr = (idx + 1) % n;
+        let verdict = verdict.map(|v| {
+            close(job, v);
+            let c = job.next_commit + chunks.len();
+            // Every chunk committed before the trigger fired: it's complete.
+            let v = if c < job.spec.total_chunks() { v } else { "complete" };
+            let trials_done = if c == 0 { 0 } else { job.spec.chunk_range(c - 1).1 };
+            VerdictRecord { verdict: v.to_owned(), trials_done }
+        });
+        let journal = job.journal.take().expect("only the committer takes a journal");
+        return Some(Batch { job_id: live[idx].clone(), journal, chunks, verdict });
+    }
+    None
+}
 
+/// Takes `job`'s in-order run of parked chunks from its commit frontier,
+/// with the budget check at each chunk in order — the single place quotas
+/// are enforced, which is what makes enforcement chunk-granular and
+/// deterministic. Each check sees the ledgers with every earlier chunk of
+/// the run added, as if they had committed one by one. Returns the run and
+/// the verdict it ends the job with, if any.
+fn commit_run(
+    cfg: &ServerConfig,
+    job: &mut Job,
+    tenants: &mut HashMap<String, TenantState>,
+) -> (Vec<(Vec<u8>, ChunkRecord)>, Option<&'static str>) {
+    let ts = tenant_entry(tenants, cfg, &job.spec.tenant);
+    let (mut job_total, mut tenant_spent, mut degrade) = (job.quanta_total, ts.spent, job.degrade);
+    let floor = (SchedLevel::ALL.len() - 1) as u32;
+    let mut run = Vec::new();
+    for c in job.next_commit..job.spec.total_chunks() {
+        // A chunk computed under a rung this run moves past stays parked;
+        // settling the run re-queues it.
+        if !matches!(&job.states[c], ChunkState::Parked(_, rec) if rec.degrade_after == degrade) {
+            return (run, None);
+        }
+        let ChunkState::Parked(bytes, mut rec) =
+            std::mem::replace(&mut job.states[c], ChunkState::Committed)
+        else {
+            unreachable!("state checked above")
+        };
         // Ledger candidates (exact integer additions).
-        let job_total = job.quanta_total + rec.quanta_total;
-        let ts = tenant_entry(tenants, cfg, &job.spec.tenant);
-        let tenant_spent = ts.spent + rec.quanta_total;
+        job_total += rec.quanta_total;
+        tenant_spent += rec.quanta_total;
 
         // Over-budget resolution: Stop wins over Degrade when both a job
         // budget and a tenant quota trip at once, and Degrade at the
@@ -920,44 +1094,28 @@ fn drain_commits(cfg: &ServerConfig, job: &mut Job, tenants: &mut HashMap<String
                 OverBudget::Degrade => bump = true,
             }
         }
-        let floor = (SchedLevel::ALL.len() - 1) as u32;
         if bump && !stop {
-            if job.degrade >= floor {
+            if degrade >= floor {
                 stop = true;
             } else {
                 rec.degrade_after += 1;
             }
         }
-
-        if let Err(e) = job.journal.append_chunk(&bytes, &rec) {
-            eprintln!("campaignd: journal append failed for chunk {c}: {e}");
-            finalize(job, "failed");
-            return;
-        }
-        job.apply(&rec, ts);
+        degrade = rec.degrade_after;
+        run.push((bytes, rec));
         if stop {
-            finalize(job, "over_quota");
-            return;
+            return (run, Some("over_quota"));
         }
     }
+    (run, Some("complete"))
 }
 
-/// Journals the terminal verdict and frees parked memory. The verdict is
-/// what releases the job's admission slots: both caps count jobs without one.
-fn finalize(job: &mut Job, verdict: &str) {
-    if job.verdict.is_some() {
-        return;
-    }
-    let verdict = if verdict == "complete" || job.next_commit < job.spec.total_chunks() {
-        verdict
-    } else {
-        // Every chunk committed before the trigger fired: it's complete.
-        "complete"
-    };
-    if let Err(e) = job.journal.append_verdict(verdict, job.trials_committed()) {
-        eprintln!("campaignd: verdict append failed: {e}");
-    }
-    job.verdict = Some(verdict.to_owned());
+/// Closes a job on `verdict` (a verdict already closing it stands): frees
+/// its parked memory and stops its claims. The committer journals the
+/// verdict, and the verdict is what releases the job's admission slots:
+/// both caps count jobs without one.
+fn close(job: &mut Job, verdict: &'static str) {
+    job.closing.get_or_insert(verdict);
     for (c, s) in job.states.iter_mut().enumerate() {
         if !matches!(s, ChunkState::Committed) {
             job.gens[c] += 1;
@@ -973,10 +1131,13 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
     let jobs_dir = cfg.state_dir.join("jobs");
     let mut st = State {
         jobs: BTreeMap::new(),
+        live: Vec::new(),
+        reserved: BTreeMap::new(),
         tenants: HashMap::new(),
         next_job_seq: 1,
         rr: 0,
         draining: false,
+        pool_exited: false,
         drained: false,
         claims: 0,
     };
@@ -1018,8 +1179,20 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
         job.verdict = rec.verdict.map(|v| v.verdict);
         if job.verdict.is_none() && job.next_commit >= job.spec.total_chunks() {
             // Crashed after the last chunk commit but before the verdict:
-            // finish the paperwork now.
-            finalize(&mut job, "complete");
+            // finish the paperwork now, before any thread can write.
+            let done = VerdictRecord {
+                verdict: "complete".to_owned(),
+                trials_done: job.trials_committed(),
+            };
+            if let Err(e) =
+                job.journal.as_mut().expect("just opened").append_group::<&[u8]>(&[], Some(&done))
+            {
+                eprintln!("campaignd: verdict append failed for `{id}`: {e}");
+            }
+            job.verdict = Some(done.verdict);
+        }
+        if job.verdict.is_none() {
+            st.live.push(id.clone());
         }
         st.jobs.insert(id, job);
     }

@@ -319,6 +319,69 @@ fn queue_full_rejection_is_retriable_with_backoff() {
     d.shutdown();
 }
 
+/// Admission caps under concurrent submits: eight submits over four
+/// tenants race at a daemon capped at two active jobs and one per tenant,
+/// whose first claim stalls so no slot frees during the burst. A job whose
+/// directory is still being created counts against both caps, so the
+/// accepted jobs never exceed either; every rejection is a typed, retriable
+/// 429 with a backoff hint, and every accepted job completes.
+#[test]
+fn concurrent_admission_never_exceeds_the_caps() {
+    let dir = tempdir("admit-burst");
+    let mut d = Daemon::start(
+        &dir,
+        &[
+            "--workers",
+            "1",
+            "--queue-cap",
+            "2",
+            "--max-jobs-per-tenant",
+            "1",
+            "--test-stall-claim",
+            "1:2000",
+            "--lease-secs",
+            "30",
+        ],
+    );
+    let client = d.client();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+    let submits: Vec<_> = (0..8)
+        .map(|i| {
+            let (client, start) = (client.clone(), std::sync::Arc::clone(&start));
+            std::thread::spawn(move || {
+                let tenant = format!("t{}", i % 4);
+                start.wait();
+                let answer = client.submit(&spec(&tenant, "\"Mild\"", 1, 1, "")).expect("submit");
+                (tenant, answer)
+            })
+        })
+        .collect();
+    let mut accepted: Vec<(String, String)> = Vec::new();
+    for submit in submits {
+        match submit.join().expect("submit thread") {
+            (tenant, Submitted::Accepted { job_id, .. }) => accepted.push((tenant, job_id)),
+            (_, Submitted::Rejected { status, error, retriable, backoff_ms, .. }) => {
+                assert_eq!(status, 429, "rejected with {error}");
+                assert!(error == "queue_full" || error == "tenant_busy", "untyped: {error}");
+                assert!(retriable, "{error} is transient");
+                assert!(backoff_ms.is_some(), "{error} must hint a backoff");
+            }
+        }
+    }
+    // The stalled first claim keeps every accepted job active until here.
+    assert!((1..=2).contains(&accepted.len()), "accepted {accepted:?} under queue cap 2");
+    for (tenant, _) in &accepted {
+        let jobs = accepted.iter().filter(|(t, _)| t == tenant).count();
+        assert_eq!(jobs, 1, "tenant {tenant} holds {jobs} jobs under a cap of 1");
+    }
+    assert_eq!(int_field(client.healthz(), "jobs_active"), accepted.len() as i128);
+    for (_, job) in &accepted {
+        assert_eq!(client.wait(job, WAIT).expect("accepted job"), "complete");
+    }
+    assert_eq!(int_field(client.healthz(), "jobs_active"), 0);
+    d.shutdown();
+}
+
 /// Supervision (dead worker): a worker that dies mid-chunk (panic) loses its
 /// lease; the chunk is reclaimed, re-run by a surviving worker, and the
 /// output is byte-identical to a run on a healthy server.
