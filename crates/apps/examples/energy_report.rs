@@ -8,7 +8,7 @@
 
 use enerj_apps::{all_apps, harness};
 use enerj_hw::config::Level;
-use enerj_hw::energy::{normalized_energy_with_split, DRAM_MOBILE_FRACTION, DRAM_SYSTEM_FRACTION};
+use enerj_hw::energy::{DRAM_MOBILE_FRACTION, DRAM_SYSTEM_FRACTION};
 
 fn main() {
     println!("Energy breakdown at the Medium configuration (normalized, 1.0 = precise)");
@@ -20,9 +20,8 @@ fn main() {
     println!("{}", "-".repeat(60));
     for app in all_apps() {
         let m = harness::approximate(&app, Level::Medium, 1);
-        let params = Level::Medium.params();
-        let server = normalized_energy_with_split(&m.stats, &params, DRAM_SYSTEM_FRACTION);
-        let mobile = normalized_energy_with_split(&m.stats, &params, DRAM_MOBILE_FRACTION);
+        let server = m.energy_quanta.normalized_with_split(DRAM_SYSTEM_FRACTION);
+        let mobile = m.energy_quanta.normalized_with_split(DRAM_MOBILE_FRACTION);
         println!(
             "{:<14} {:>7.3} {:>7.3} {:>7.3} {:>8.1}% {:>8.1}%",
             app.meta.name,

@@ -121,7 +121,7 @@ fn main() {
         "energy: {:.3} of precise ({:.1}% saved); {} faults injected",
         e.total,
         100.0 * e.savings(),
-        rt.stats().faults_injected
+        rt.fault_counters().total_injections()
     );
     assert!(ids_ok, "precise state must never be corrupted");
 }

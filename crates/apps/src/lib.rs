@@ -107,7 +107,7 @@ pub mod harness {
     use crate::qos::Output;
     use enerj_core::Runtime;
     use enerj_hw::config::{HwConfig, Level, StrategyMask};
-    use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
+    use enerj_hw::energy::EnergyQuantaBreakdown;
     use enerj_hw::stats::Stats;
     use enerj_hw::trace::FaultEvent;
     use enerj_hw::FaultCounters;
@@ -137,10 +137,9 @@ pub mod harness {
         pub output: O,
         /// Operation and storage statistics.
         pub stats: Stats,
-        /// Normalized energy under the run's Table 2 parameters.
-        pub energy: EnergyBreakdown,
-        /// Exact integer energy (scaled and baseline quanta per component);
-        /// the normalized breakdown is its f64 projection.
+        /// Exact integer energy under the run's Table 2 parameters (scaled
+        /// and baseline quanta per component); the normalized energy is its
+        /// projection, [`EnergyQuantaBreakdown::normalized`].
         pub energy_quanta: EnergyQuantaBreakdown,
         /// Per-kind fault counters (always collected).
         pub fault_counts: FaultCounters,
@@ -206,7 +205,6 @@ pub mod harness {
         Measurement {
             output,
             stats: rt.stats(),
-            energy: rt.energy(),
             energy_quanta: rt.energy_quanta(),
             fault_counts: rt.fault_counters(),
             events: rt.take_fault_events(),

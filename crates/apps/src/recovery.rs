@@ -193,9 +193,9 @@ pub fn chaos_config(amplify: f64) -> HwConfig {
     cfg
 }
 
-/// An accepted attempt: its output and error, then its own energy total
-/// (normalized and in quanta) for the overhead of recovery.
-type Accepted = (Output, f64, f64, EnergyQuanta);
+/// An accepted attempt: its output and error, then its own scaled energy
+/// total for the overhead of recovery.
+type Accepted = (Output, f64, EnergyQuanta);
 
 /// Runs `spec`'s app once at `cfg`/`seed` under the watchdog, adds the
 /// attempt's work to `trial` and checks the output.
@@ -210,7 +210,7 @@ fn run_attempt(
     let m = harness::measure_step(cfg, seed, log_events, |rt| {
         rt.run_guarded(policy.max_ops, spec.app.run)
     });
-    let (energy, quanta) = (m.energy.total, m.energy_quanta.total);
+    let quanta = m.energy_quanta.total;
     // Charge the attempt whether or not it completed: a watchdog trip or a
     // panic still executed (and must pay for) its partial work.
     match trial.charge(m) {
@@ -224,7 +224,7 @@ fn run_attempt(
                     Some(threshold) if reference.is_some() && error > threshold => {
                         Err(FailureCause::QosExceeded { error, threshold })
                     }
-                    _ => Ok((output, error, energy, quanta)),
+                    _ => Ok((output, error, quanta)),
                 }
             }
         },
@@ -261,10 +261,9 @@ pub(crate) fn run_with_recovery(
         }
     }
     match attempt {
-        Ok((output, error, energy, quanta)) => {
+        Ok((output, error, quanta)) => {
             trial.error = error;
             trial.output = spec.keep_output.then_some(output);
-            trial.recovery_energy_overhead = trial.energy.total - energy;
             // Exact: `accepted + overhead == total` round-trips in u128.
             trial.recovery_energy_overhead_quanta = trial.energy_quanta.total - quanta;
         }
@@ -368,14 +367,12 @@ mod tests {
         assert_eq!(out.attempts, 1);
         assert!(!out.recovered());
         assert!(out.failure_causes.is_empty());
-        assert_eq!(out.recovery_energy_overhead, 0.0);
         assert_eq!(out.recovery_energy_overhead_quanta, EnergyQuanta::ZERO);
         assert!(out.error <= 0.1);
-        // Identical accounting to an unrecovered measurement — exact on the
-        // integer quanta, not just on the f64 projection.
+        // Identical accounting to an unrecovered measurement, exact on the
+        // integer quanta.
         let m = harness::measure_with(&mc, mild, FAULT_SEED_BASE);
         assert_eq!(out.stats, m.stats);
-        assert_eq!(out.energy.total, m.energy.total);
         assert_eq!(out.energy_quanta, m.energy_quanta);
         assert_eq!(out.output, Some(m.output));
     }
@@ -395,11 +392,9 @@ mod tests {
         assert!(out.recovered(), "threshold 0 under chaos must escalate: {out:?}");
         assert!(out.attempts >= 2);
         assert_eq!(out.failure_causes.len() as u32, out.attempts - 1);
-        assert!(out.recovery_energy_overhead > 0.0, "failed attempts cost energy");
-        assert!(out.recovery_energy_overhead_quanta > EnergyQuanta::ZERO);
+        assert!(out.recovery_energy_overhead_quanta > EnergyQuanta::ZERO, "failed attempts cost");
         let m = harness::measure_with(&mc, chaos, FAULT_SEED_BASE);
-        assert!(out.energy.total > m.energy.total, "retry energy is added, not hidden");
-        assert!(out.energy_quanta.total > m.energy_quanta.total);
+        assert!(out.energy_quanta.total > m.energy_quanta.total, "retry energy is added");
     }
 
     #[test]
@@ -439,7 +434,7 @@ mod tests {
                 out.error.to_bits(),
                 out.attempts,
                 out.recovered_at_level,
-                out.energy.total.to_bits(),
+                out.energy_quanta,
                 out.stats,
                 out.failure_causes,
             )

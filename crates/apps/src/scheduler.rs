@@ -120,8 +120,8 @@ impl SchedLevel {
         }
     }
 
-    /// Stable display name (the `scheduled_level` vocabulary of the `/5`
-    /// report schema).
+    /// Stable display name (the `scheduled_level` vocabulary of the
+    /// campaign report schema).
     pub fn name(self) -> &'static str {
         match self {
             SchedLevel::Precise => "Precise",
@@ -755,7 +755,7 @@ pub fn run_scheduled_streamed(
 }
 
 /// [`run_scheduled_streamed`] collecting every trial in memory, returning
-/// the full [`CampaignReport`] (with the `/5` budget fields set) alongside
+/// the full [`CampaignReport`] (with the budget fields set) alongside
 /// the outcome.
 pub fn run_scheduled(
     workload: &Workload,

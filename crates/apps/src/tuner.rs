@@ -25,11 +25,9 @@ use enerj_hw::energy::EnergyQuantaBreakdown;
 pub struct TuningProfile {
     /// Mean output error at each of Mild/Medium/Aggressive.
     pub errors: [f64; 3],
-    /// Normalized energy at each level (baseline = 1.0).
-    pub energy: [f64; 3],
-    /// Exact integer energy at each level — `energy` is its f64
-    /// projection. Budget comparisons on these are `==`-exact and immune
-    /// to summation order.
+    /// Exact integer energy at each level; the normalized energy is its
+    /// projection ([`EnergyQuantaBreakdown::normalized`]). Budget
+    /// comparisons on these are `==`-exact and immune to summation order.
     pub energy_quanta: [EnergyQuantaBreakdown; 3],
 }
 
@@ -41,11 +39,17 @@ pub struct TuningResult {
     pub chosen: Option<Level>,
     /// The profiled error of the chosen configuration (0 when precise).
     pub error: f64,
-    /// The energy of the chosen configuration (1.0 when running precisely).
-    pub energy: f64,
     /// The exact energy quanta of the chosen configuration (`None` when
     /// running precisely — a precise run has no profiled breakdown here).
     pub energy_quanta: Option<EnergyQuantaBreakdown>,
+}
+
+impl TuningResult {
+    /// The normalized energy of the chosen configuration (1.0 when running
+    /// precisely).
+    pub fn energy(&self) -> f64 {
+        self.energy_quanta.map_or(1.0, |q| q.normalized().total)
+    }
 }
 
 impl TuningProfile {
@@ -58,11 +62,10 @@ impl TuningProfile {
     pub fn tune(&self, error_budget: f64) -> TuningResult {
         assert!(error_budget >= 0.0, "error budget must be non-negative");
         match (0..Level::ALL.len()).rev().find(|&i| self.errors[i] <= error_budget) {
-            None => TuningResult { chosen: None, error: 0.0, energy: 1.0, energy_quanta: None },
+            None => TuningResult { chosen: None, error: 0.0, energy_quanta: None },
             Some(i) => TuningResult {
                 chosen: Some(Level::ALL[i]),
                 error: self.errors[i],
-                energy: self.energy[i],
                 energy_quanta: Some(self.energy_quanta[i]),
             },
         }
@@ -95,18 +98,14 @@ pub fn tune_campaign(
     let profiles = apps
         .iter()
         .map(|app| {
-            let mut profile = TuningProfile {
-                errors: [0.0; 3],
-                energy: [1.0; 3],
-                energy_quanta: [EnergyQuantaBreakdown::ZERO; 3],
-            };
+            let mut profile =
+                TuningProfile { errors: [0.0; 3], energy_quanta: [EnergyQuantaBreakdown::ZERO; 3] };
             for (i, level) in Level::ALL.iter().enumerate() {
                 let label = level.to_string();
                 profile.errors[i] = report.mean_error_for(app.meta.name, &label);
                 // Energy depends only on annotation fractions, not on
                 // injected faults; keep the serial loop's last-run value.
                 if let Some(last) = report.trials_for(app.meta.name, &label).last() {
-                    profile.energy[i] = last.energy.total;
                     profile.energy_quanta[i] = last.energy_quanta;
                 }
             }
@@ -131,7 +130,7 @@ mod tests {
         // admits the most aggressive configuration.
         let r = profile("MonteCarlo", 3, &CampaignOptions::default()).tune(0.05);
         assert_eq!(r.chosen, Some(Level::Aggressive));
-        assert!(r.energy < 0.95);
+        assert!(r.energy() < 0.95);
     }
 
     #[test]
@@ -157,7 +156,7 @@ mod tests {
         let r = profile("FFT", 3, &CampaignOptions::default()).tune(0.0);
         assert!(r.chosen.is_none() || r.chosen == Some(Level::Mild));
         if r.chosen.is_none() {
-            assert_eq!(r.energy, 1.0);
+            assert_eq!(r.energy(), 1.0);
             assert_eq!(r.error, 0.0);
             assert_eq!(r.energy_quanta, None);
         }
@@ -169,7 +168,7 @@ mod tests {
         let r = p.tune(1.0);
         assert_eq!(r.chosen, Some(Level::Aggressive), "budget 1.0 admits everything");
         assert!(p.errors[0] <= p.errors[2] + 1e-9);
-        assert!(p.energy[0] >= p.energy[2]);
+        assert!(p.energy_quanta[0].normalized().total >= p.energy_quanta[2].normalized().total);
         // The quanta are the exact source of the normalized numbers: each
         // level's scaled total stays at or below its own baseline, and the
         // chosen level's breakdown is returned verbatim (==-comparable).
@@ -195,7 +194,6 @@ mod tests {
             assert_eq!(s.tune(0.05), p.tune(0.05));
             for i in 0..3 {
                 assert_eq!(s.errors[i].to_bits(), p.errors[i].to_bits());
-                assert_eq!(s.energy[i].to_bits(), p.energy[i].to_bits());
                 assert_eq!(s.energy_quanta[i], p.energy_quanta[i]);
             }
         }

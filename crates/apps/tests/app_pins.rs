@@ -87,7 +87,7 @@ fn measure(app: &App, level: Level) -> u64 {
             s.dram_precise_quanta,
         ];
         storage.iter().for_each(|q| d.wide(q.get()));
-        d.word(s.faults_injected);
+        d.word(m.fault_counts.total_injections());
         let q = m.energy_quanta;
         let energy = [
             q.instructions,

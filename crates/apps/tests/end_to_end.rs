@@ -16,7 +16,7 @@ fn energy_savings_fall_in_the_papers_band() {
         let mut previous = 0.0;
         for level in Level::ALL {
             let m = harness::approximate(&app, level, 1);
-            let savings = m.energy.savings();
+            let savings = m.energy_quanta.normalized().savings();
             assert!(
                 savings > 0.05 && savings < 0.55,
                 "{} at {level}: savings {savings:.3} outside the plausible band",
@@ -105,7 +105,7 @@ fn operation_accounting_is_exact() {
     let s = rt.stats();
     assert_eq!(s.int_approx_ops, 137);
     assert_eq!(s.fp_precise_ops, 41);
-    assert_eq!(s.faults_injected, 0);
+    assert_eq!(rt.fault_counters().total_injections(), 0);
 }
 
 /// Heap storage accounting matches the section 4.1 layout: an approximate

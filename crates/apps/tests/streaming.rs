@@ -573,9 +573,6 @@ fn a_trial_panicking_on_every_rung_degrades_with_every_attempt_charged() {
     assert_eq!((t.attempts, t.error), (3, 1.0));
     assert!(t.output.is_none(), "a degraded trial keeps no output");
     assert_eq!((t.recovered_at_level.as_deref(), t.scheduled_level.as_deref()), (None, None));
-    let e = &t.energy;
-    let bits = [e.instructions, e.sram, e.dram, e.total].map(f64::to_bits);
-    assert_eq!(bits, [2.1225f64, 0.6000000000000001, 3.0, 2.22429375].map(f64::to_bits));
     let q = |n: u128| EnergyQuanta::new(n);
     let want = EnergyQuantaBreakdown {
         instructions: q(339_600_000),
@@ -588,17 +585,14 @@ fn a_trial_panicking_on_every_rung_degrades_with_every_attempt_charged() {
         baseline_total: q(2_787_840_000),
     };
     assert_eq!(t.energy_quanta, want);
+    // The projection of all three attempts' quanta is one ratio, not a sum
+    // of per-attempt ratios, so it stays within the precise baseline.
+    assert!(t.energy_quanta.normalized().total < 1.0);
     assert_eq!(
         t.stats,
-        Stats {
-            fp_approx_ops: 1_200,
-            sram_approx_quanta: q(230_784),
-            faults_injected: 77,
-            ..Stats::new()
-        }
+        Stats { fp_approx_ops: 1_200, sram_approx_quanta: q(230_784), ..Stats::new() }
     );
     assert_eq!((t.fault_counts.total_injections(), t.fault_counts.total_bits_flipped()), (77, 254));
     assert!(t.events.is_empty(), "the campaign logs no events");
-    assert_eq!(t.recovery_energy_overhead.to_bits(), 0.0f64.to_bits());
     assert_eq!(t.recovery_energy_overhead_quanta, EnergyQuanta::ZERO);
 }

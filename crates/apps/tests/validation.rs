@@ -151,8 +151,8 @@ fn no_app_ever_crashes_under_fault_injection() {
 fn energy_is_seed_stable() {
     for name in ["FFT", "SOR", "SparseMatMult"] {
         let app = &enerj_apps::app(name).expect("registered");
-        let a = harness::approximate(app, Level::Medium, 1).energy.total;
-        let b = harness::approximate(app, Level::Medium, 2).energy.total;
+        let a = harness::approximate(app, Level::Medium, 1).energy_quanta.normalized().total;
+        let b = harness::approximate(app, Level::Medium, 2).energy_quanta.normalized().total;
         assert!(
             (a - b).abs() < 1e-9,
             "{name}: fixed-work energy varies with the fault seed: {a} vs {b}"
@@ -160,8 +160,8 @@ fn energy_is_seed_stable() {
     }
     for name in ["Raytracer", "MonteCarlo", "LU", "jMonkeyEngine"] {
         let app = &enerj_apps::app(name).expect("registered");
-        let a = harness::approximate(app, Level::Medium, 1).energy.total;
-        let b = harness::approximate(app, Level::Medium, 2).energy.total;
+        let a = harness::approximate(app, Level::Medium, 1).energy_quanta.normalized().total;
+        let b = harness::approximate(app, Level::Medium, 2).energy_quanta.normalized().total;
         assert!(
             (a - b).abs() < 0.01,
             "{name}: energy drifted more than endorsed branching explains: {a} vs {b}"

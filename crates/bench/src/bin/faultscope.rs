@@ -5,7 +5,7 @@
 //! faultscope <results/BENCH_*.json | faults.ndjson> [--label L] [--bits] [--causes]
 //! ```
 //!
-//! Reads either a campaign report (`enerj-campaign/5` JSON, aggregating
+//! Reads either a campaign report (`enerj-campaign/6` JSON, aggregating
 //! each trial's `fault_counts`) or an NDJSON fault log
 //! (counting events), auto-detected, and prints one row per application
 //! with a column per fault kind. Cells are injection counts with each
@@ -233,12 +233,14 @@ fn print_causes(report: &CampaignReport, label: Option<&str>) {
 mod tests {
     use super::{causes_rows, looks_like_report, read_report, CampaignReport};
     use enerj_apps::trials::{CampaignOptions, TrialResult, TrialSpec};
+    use enerj_hw::energy::EnergyQuantaBreakdown;
     use enerj_hw::quanta::EnergyQuanta;
     use std::time::Duration;
 
     /// A writer-rendered report of MonteCarlo reference trials, each
     /// given the recovery fields in `ledgers`: `(attempts,
-    /// recovered_at_level, failure_causes, overhead quanta)`.
+    /// recovered_at_level, failure_causes, overhead quanta)`. The overhead
+    /// is added to the trial's energy, which includes it.
     fn report(ledgers: &[(u32, Option<&str>, &[&str], u128)]) -> String {
         let app = enerj_apps::app("MonteCarlo").expect("registered");
         let base = CampaignReport::collect(
@@ -248,14 +250,26 @@ mod tests {
         let trials = ledgers
             .iter()
             .enumerate()
-            .map(|(index, &(attempts, rung, causes, overhead))| TrialResult {
-                index,
-                label: "Mild".to_owned(),
-                attempts,
-                recovered_at_level: rung.map(str::to_owned),
-                failure_causes: causes.iter().map(|c| c.to_string()).collect(),
-                recovery_energy_overhead_quanta: EnergyQuanta::new(overhead),
-                ..base.trials[0].clone()
+            .map(|(index, &(attempts, rung, causes, overhead))| {
+                let overhead = EnergyQuanta::new(overhead);
+                let mut energy_quanta = base.trials[0].energy_quanta;
+                energy_quanta.merge(&EnergyQuantaBreakdown {
+                    dram: overhead,
+                    baseline_dram: overhead,
+                    total: overhead,
+                    baseline_total: overhead,
+                    ..EnergyQuantaBreakdown::ZERO
+                });
+                TrialResult {
+                    index,
+                    label: "Mild".to_owned(),
+                    attempts,
+                    recovered_at_level: rung.map(str::to_owned),
+                    failure_causes: causes.iter().map(|c| c.to_string()).collect(),
+                    recovery_energy_overhead_quanta: overhead,
+                    energy_quanta,
+                    ..base.trials[0].clone()
+                }
             })
             .collect();
         CampaignReport::from_trials(trials, Duration::ZERO, 1).to_json()
@@ -266,12 +280,12 @@ mod tests {
         let text = report(&[(1, None, &[], 0)]);
         assert!(looks_like_report(&text));
         assert!(read_report(&text).is_ok());
-        for old in ["enerj-campaign/1", "enerj-campaign/4", "enerj-campaign/6", "other"] {
-            let text = text.replacen("enerj-campaign/5", old, 1);
+        for old in ["enerj-campaign/1", "enerj-campaign/5", "enerj-campaign/7", "other"] {
+            let text = text.replacen("enerj-campaign/6", old, 1);
             assert!(looks_like_report(&text));
             let err = read_report(&text).unwrap_err();
             assert!(
-                err.contains(&format!("schema: `{old}`, expected `enerj-campaign/5`")),
+                err.contains(&format!("schema: `{old}`, expected `enerj-campaign/6`")),
                 "{err}"
             );
         }
@@ -317,9 +331,11 @@ mod tests {
     #[test]
     fn fractional_overhead_quanta_are_rejected() {
         let text = report(&[(1, None, &[], 9_007_199_254_740_993)]);
-        // The value appears twice: the trial's overhead and the total.
-        assert_eq!(text.matches("9007199254740993").count(), 2);
-        let err = read_report(&text.replace("9007199254740993", "1.5")).unwrap_err();
+        let field = "\"recovery_energy_overhead_quanta\":";
+        let exact = format!("{field}9007199254740993");
+        // The field appears twice: the trial's overhead and the total.
+        assert_eq!(text.matches(&exact).count(), 2);
+        let err = read_report(&text.replace(&exact, &format!("{field}1.5"))).unwrap_err();
         assert!(
             err.starts_with("report: trials[0].") && err.contains("not an exact u128"),
             "{err}"

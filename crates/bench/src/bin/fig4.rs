@@ -44,7 +44,7 @@ fn main() {
                 .next()
                 .expect("one trial per app and level");
             assert!(!trial.panicked(), "{}: energy run panicked", app.meta.name);
-            let energy = trial.energy;
+            let energy = trial.energy_quanta.normalized();
             row.push(format!("{:.3}", energy.total));
             savings_sum[i] += energy.savings();
         }

@@ -8,7 +8,7 @@
 //! [`Policy::standard()`](enerj_apps::recovery::Policy::standard) —
 //! watchdog, reference-free output check, QoS threshold 0.1, and the
 //! Mild → Precise escalation ladder. Both halves land in one
-//! `enerj-campaign/5` report (`results/BENCH_recovery.json`, labels
+//! `enerj-campaign/6` report (`results/BENCH_recovery.json`, labels
 //! `unguarded` / `guarded`), so `faultscope --causes` can break the
 //! retries down afterwards.
 //!
@@ -16,7 +16,8 @@
 //! error line, how many guarded trials still do (the Precise rung is a
 //! guaranteed backstop, so this should be zero), how many trials escalated,
 //! and the recovery energy overhead — the price of the retries, which is
-//! *charged* to the guarded trials' energy, never hidden. `--amplify X`
+//! *charged* to the guarded trials' energy, never hidden: the share of the
+//! guarded trials' scaled energy quanta spent on rejected attempts. `--amplify X`
 //! scales the chaos fault rates (default 40x Aggressive).
 
 use enerj_apps::all_apps;
@@ -25,6 +26,7 @@ use enerj_apps::recovery::{chaos_config, Policy};
 use enerj_apps::trials::{CampaignReport, Grid, TrialSpec};
 use enerj_bench::cli::{self, Options};
 use enerj_bench::{finish_campaign, render_table};
+use enerj_hw::quanta::{ratio, EnergyQuanta};
 
 /// Trials with error below this are "acceptable" — the same 0.1 line the
 /// standard policy's QoS threshold enforces.
@@ -57,9 +59,12 @@ fn main() {
             report.trials_for(name, "guarded").filter(|t| t.error >= ACCEPTABLE_ERROR).count();
         let escalated = report.trials_for(name, "guarded").filter(|t| t.attempts > 1).count();
         let recovered = report.trials_for(name, "guarded").filter(|t| t.recovered()).count();
-        let overhead: f64 =
-            report.trials_for(name, "guarded").map(|t| t.recovery_energy_overhead).sum();
-        let guarded_energy: f64 = report.trials_for(name, "guarded").map(|t| t.energy.total).sum();
+        let overhead: EnergyQuanta =
+            report.trials_for(name, "guarded").map(|t| t.recovery_energy_overhead_quanta).sum();
+        let guarded_energy: EnergyQuanta =
+            report.trials_for(name, "guarded").map(|t| t.energy_quanta.total).sum();
+        let retry_share =
+            if guarded_energy.is_zero() { 0.0 } else { ratio(overhead, guarded_energy) };
         failing_total += unguarded_fail;
         rescued_total += unguarded_fail.saturating_sub(guarded_fail);
         rows.push(vec![
@@ -68,7 +73,7 @@ fn main() {
             format!("{guarded_fail}/{}", opts.runs),
             escalated.to_string(),
             recovered.to_string(),
-            format!("{:.1}%", 100.0 * overhead / guarded_energy.max(f64::MIN_POSITIVE)),
+            format!("{:.1}%", 100.0 * retry_share),
         ]);
     }
 

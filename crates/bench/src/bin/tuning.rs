@@ -25,7 +25,7 @@ fn main() {
                 None => "precise".to_owned(),
                 Some(level) => format!("{level}"),
             };
-            row.push(format!("{label} ({:.0}%)", 100.0 * (1.0 - r.energy)));
+            row.push(format!("{label} ({:.0}%)", 100.0 * (1.0 - r.energy())));
         }
         rows.push(row);
     }

@@ -10,7 +10,7 @@
 //! Each artifact goes through the one reader beside its writer, which
 //! rebuilds the writer's typed value, checks its invariants and requires
 //! the writer to render that value back to the file's bytes:
-//! `--report` through `CampaignReport::from_json` (`enerj-campaign/5`),
+//! `--report` through `CampaignReport::from_json` (`enerj-campaign/6`),
 //! `--fault-log` through `read_fault_log`, and `--sched` through
 //! `SchedReport::from_json` (`enerj-sched/1`, including the scheduler's own
 //! bit-identity verdict and the exact integer budget arithmetic).
@@ -60,7 +60,7 @@ fn run(args: &[String]) -> Result<(), String> {
             "--report" => {
                 let path = it.next().ok_or("--report needs a path")?;
                 let report = read_file(path, CampaignReport::from_json)?;
-                println!("{path}: OK (enerj-campaign/5, {} trials)", report.trials.len());
+                println!("{path}: OK (enerj-campaign/6, {} trials)", report.trials.len());
             }
             "--fault-log" => {
                 let path = it.next().ok_or("--fault-log needs a path")?;
@@ -104,11 +104,13 @@ fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::{compare_quanta, CampaignReport};
     use enerj_apps::trials::{CampaignOptions, TrialSpec};
+    use enerj_hw::energy::EnergyQuantaBreakdown;
     use enerj_hw::quanta::EnergyQuanta;
     use std::time::Duration;
 
     /// A writer-rendered one-trial report whose trial spent `total` scaled
-    /// quanta (of `2^53 + 1` baseline) and `overhead` retry quanta.
+    /// instruction quanta (of `2^53 + 1` baseline) and `overhead` retry
+    /// quanta of them.
     fn report(total: u128, overhead: u128) -> String {
         let app = enerj_apps::app("MonteCarlo").expect("registered");
         let mut trial = CampaignReport::collect(
@@ -117,8 +119,14 @@ mod tests {
         )
         .trials
         .remove(0);
-        trial.energy_quanta.total = EnergyQuanta::new(total);
-        trial.energy_quanta.baseline_total = EnergyQuanta::new((1 << 53) + 1);
+        let (total, baseline) = (EnergyQuanta::new(total), EnergyQuanta::new((1 << 53) + 1));
+        trial.energy_quanta = EnergyQuantaBreakdown {
+            instructions: total,
+            baseline_instructions: baseline,
+            total,
+            baseline_total: baseline,
+            ..EnergyQuantaBreakdown::ZERO
+        };
         trial.recovery_energy_overhead_quanta = EnergyQuanta::new(overhead);
         CampaignReport::from_trials(vec![trial], Duration::ZERO, 1).to_json()
     }
@@ -132,7 +140,7 @@ mod tests {
         let err = compare_quanta(&a, &read(&report((1 << 53) + 1, 0))).unwrap_err();
         assert!(err.contains("9007199254740992") && err.contains("9007199254740993"), "{err}");
         assert!(compare_quanta(&a, &a).is_ok());
-        assert!(compare_quanta(&a, &read(&report(1 << 53, (1 << 53) + 1))).is_err());
+        assert!(compare_quanta(&a, &read(&report(1 << 53, 1 << 53))).is_err());
     }
 
     #[test]

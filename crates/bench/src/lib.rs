@@ -18,7 +18,7 @@
 //! fixed-width text tables; pass `--threads N` to bound the trial
 //! campaign's worker count (default: all available cores). Campaign-backed
 //! binaries also drop a machine-readable `results/BENCH_<name>.json`
-//! campaign report (schema `enerj-campaign/5`, the only machine-readable
+//! campaign report (schema `enerj-campaign/6`, the only machine-readable
 //! output: every number goes through its one writer) on every run, and
 //! accept the telemetry flags
 //! `--trace` (live progress + per-unit fault totals on stderr) and

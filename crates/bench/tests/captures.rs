@@ -1,12 +1,15 @@
 //! Every committed `results/BENCH_*.json` capture reads back through its
-//! writer's reader and re-renders to the same bytes. The test only reads,
-//! so running it leaves the tree as it was.
+//! writer's reader and re-renders to the same bytes, and the binaries that
+//! write no report regenerate their text captures byte for byte. The tests
+//! only read `results/`, so running them leaves the tree as it was.
+
+use std::process::Command;
 
 use enerj_apps::trials::CampaignReport;
 use enerj_bench::sched::SchedReport;
 use enerj_bench::{bench_report_path, results_dir};
 
-/// The `enerj-campaign/5` reports the bench binaries write.
+/// The `enerj-campaign/6` reports the bench binaries write.
 const CAMPAIGN_REPORTS: [&str; 7] =
     ["fig3", "fig4", "fig5", "table3", "ablation", "ablation_error_modes", "recovery"];
 
@@ -36,4 +39,21 @@ fn every_committed_capture_round_trips_through_its_reader() {
     let text = read("sched");
     let report = SchedReport::from_json(&text).unwrap_or_else(|e| panic!("sched: {e}"));
     assert_eq!(report.to_json() + "\n", text, "sched");
+}
+
+/// Runs a bench binary that writes no report and compares its stdout with
+/// its committed text capture.
+fn regenerates(bin: &str, capture: &str) {
+    let out = Command::new(bin).output().unwrap_or_else(|e| panic!("{bin}: {e}"));
+    assert!(out.status.success(), "{bin}: {}", String::from_utf8_lossy(&out.stderr));
+    let path = results_dir().join(capture);
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), committed, "{capture}");
+}
+
+#[test]
+fn table2_and_tuning_regenerate_their_text_captures() {
+    regenerates(env!("CARGO_BIN_EXE_table2"), "table2.txt");
+    regenerates(env!("CARGO_BIN_EXE_tuning"), "tuning.txt");
 }

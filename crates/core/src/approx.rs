@@ -490,7 +490,7 @@ mod tests {
         });
         assert_eq!(out, 4950);
         assert_eq!(rt.stats().int_approx_ops, 100);
-        assert_eq!(rt.stats().faults_injected, 0);
+        assert_eq!(rt.fault_counters().total_injections(), 0);
     }
 
     #[test]
@@ -555,7 +555,7 @@ mod tests {
             }
             let _ = endorse(acc);
         });
-        assert!(rt.stats().faults_injected > 0, "aggressive run should fault");
+        assert!(rt.fault_counters().total_injections() > 0, "aggressive run should fault");
     }
 
     #[test]

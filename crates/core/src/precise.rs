@@ -196,7 +196,7 @@ mod tests {
             (a * b + 1.0).get()
         });
         assert_eq!(out, 494.0);
-        assert_eq!(rt.stats().faults_injected, 0);
+        assert_eq!(rt.fault_counters().total_injections(), 0);
         assert_eq!(rt.stats().fp_precise_ops, 2);
     }
 

@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use enerj_hw::config::{HwConfig, Level};
-use enerj_hw::energy::{energy_quanta, normalized_energy, EnergyBreakdown, EnergyQuantaBreakdown};
+use enerj_hw::energy::{energy_quanta, EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::stats::Stats;
 use enerj_hw::{Hardware, WatchdogTrip};
 
@@ -258,9 +258,10 @@ impl Runtime {
     }
 
     /// Normalized energy of the run so far (1.0 = fully precise execution),
-    /// per the section 5.4 model with the configured Table 2 parameters.
+    /// per the section 5.4 model with the configured Table 2 parameters: the
+    /// projection of [`Runtime::energy_quanta`].
     pub fn energy(&self) -> EnergyBreakdown {
-        self.home.with(|hw| normalized_energy(&hw.stats(), &hw.config().params))
+        self.energy_quanta().normalized()
     }
 
     /// Exact integer energy of the run so far: scaled and baseline quanta
@@ -480,6 +481,7 @@ mod tests {
     fn fault_counters_match_injected_total() {
         use crate::{endorse, Approx};
         let rt = Runtime::new(Level::Aggressive, 3);
+        rt.enable_fault_log();
         rt.run(|| {
             let mut acc = Approx::new(0i64);
             for i in 0..5_000 {
@@ -488,8 +490,14 @@ mod tests {
             let _ = endorse(acc);
         });
         let counters = rt.fault_counters();
-        assert_eq!(counters.total_injections(), rt.stats().faults_injected);
+        let events = rt.take_fault_events();
         assert!(!counters.is_empty());
+        for (kind, count) in counters.per_kind() {
+            let logged: Vec<_> = events.iter().filter(|e| e.kind == kind).collect();
+            assert_eq!(count.injections, logged.len() as u64, "{kind:?}");
+            let flipped: u64 = logged.iter().map(|e| u64::from(e.bits_flipped)).sum();
+            assert_eq!(count.bits_flipped, flipped, "{kind:?}");
+        }
     }
 
     #[test]
@@ -520,7 +528,7 @@ mod tests {
             }
             let _ = endorse(acc);
         });
-        assert!(rt.stats().faults_injected > 0, "aggressive run should inject faults");
+        assert!(rt.fault_counters().total_injections() > 0, "aggressive run should inject faults");
         assert!(rt.take_fault_events().is_empty(), "log off: nothing collected");
     }
 
@@ -538,7 +546,7 @@ mod tests {
             let _ = endorse(acc);
         });
         let events = rt.take_fault_events();
-        assert_eq!(events.len() as u64, rt.stats().faults_injected);
+        assert_eq!(events.len() as u64, rt.fault_counters().total_injections());
         assert!(rt.take_fault_events().is_empty(), "take drains the log");
     }
 
@@ -631,9 +639,9 @@ mod tests {
         control.run(|| sum(2_000));
         let (seen, logged, config) = inside;
         assert_eq!(seen, accounts(&control));
-        assert!(seen.0.int_approx_ops >= 2_000 && seen.0.faults_injected > 0);
+        assert!(seen.0.int_approx_ops >= 2_000 && seen.2.total_injections() > 0);
         control.run(|| sum(2_000));
-        assert_eq!(logged, control.stats().faults_injected - seen.0.faults_injected);
+        assert_eq!(logged, control.fault_counters().total_injections() - seen.2.total_injections());
         assert_eq!(config, control.config());
         assert_eq!(accounts(&rt), accounts(&control));
     }

@@ -71,7 +71,7 @@ struct Pin {
     ops: [u64; 4],
     /// Injections per fault kind, in `FaultKind::ALL` order.
     faults: [u64; 5],
-    /// Digest of the storage quanta, `faults_injected`, the bits flipped
+    /// Digest of the storage quanta, the total injections, the bits flipped
     /// per fault kind and every field of the exact energy breakdown.
     accounts: u64,
 }
@@ -117,7 +117,7 @@ fn measure(family: Family, mode: ErrorMode) -> Pin {
     for quanta in storage {
         accounts.wide(quanta.get());
     }
-    accounts.word(s.faults_injected);
+    accounts.word(counters.total_injections());
     for kind in FaultKind::ALL {
         accounts.word(counters.count(kind).bits_flipped);
     }

@@ -3,7 +3,7 @@
 
 use enerj_core::{endorse, Approx, ApproxPrim, ApproxVec, Runtime};
 use enerj_hw::config::{ApproxParams, HwConfig, Level, StrategyMask};
-use enerj_hw::energy::normalized_energy;
+use enerj_hw::energy::energy_quanta;
 use enerj_hw::stats::{MemKind, OpKind, Stats};
 use enerj_hw::{fault, layout, EnergyQuanta};
 use proptest::prelude::*;
@@ -149,7 +149,7 @@ proptest! {
         s.record_storage_quanta(MemKind::Dram, false, EnergyQuanta::new(dram_p.into()));
         let mut last = 0.0f64;
         for params in [ApproxParams::MILD, ApproxParams::MEDIUM, ApproxParams::AGGRESSIVE] {
-            let e = normalized_energy(&s, &params);
+            let e = energy_quanta(&s, &params).normalized();
             prop_assert!(e.total > 0.0 && e.total <= 1.0 + 1e-12, "total {}", e.total);
             if last != 0.0 {
                 prop_assert!(e.total <= last + 1e-12, "energy increased with level");

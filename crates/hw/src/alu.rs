@@ -140,7 +140,7 @@ mod tests {
         for i in 0..1000u64 {
             assert_eq!(hw.approx_int_result(i * 3, 64), i * 3);
         }
-        assert_eq!(hw.stats().faults_injected, 0);
+        assert_eq!(hw.fault_counters().total_injections(), 0);
         assert_eq!(hw.stats().int_approx_ops, 1000);
     }
 
@@ -151,7 +151,7 @@ mod tests {
             let out = hw.approx_int_result(0, 64);
             assert_eq!(out.count_ones(), 1, "single-bit-flip must flip one bit");
         }
-        assert_eq!(hw.stats().faults_injected, 100);
+        assert_eq!(hw.fault_counters().total_injections(), 100);
     }
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
         }
         // Still accounted as approximate operations (for the energy model).
         assert_eq!(hw.stats().int_approx_ops, 100);
-        assert_eq!(hw.stats().faults_injected, 0);
+        assert_eq!(hw.fault_counters().total_injections(), 0);
     }
 
     #[test]
@@ -192,7 +192,7 @@ mod tests {
         for i in 0..n {
             let _ = hw.approx_int_result(i, 64);
         }
-        let observed = hw.stats().faults_injected as f64;
+        let observed = hw.fault_counters().total_injections() as f64;
         let expected = n as f64 * 0.05;
         let sigma = (n as f64 * 0.05 * 0.95).sqrt();
         assert!((observed - expected).abs() < 5.0 * sigma);

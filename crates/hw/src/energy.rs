@@ -221,7 +221,23 @@ impl QuantaMeter {
 /// instructions by the per-strategy savings in basis points; storage energy
 /// scales each pool's approximate quanta likewise. Every multiply is an
 /// expanded integer multiply — no intermediate floats — so the result is a
-/// deterministic function of the counters alone.
+/// deterministic function of the counters alone. The paper's normalized
+/// figures are its projection, [`EnergyQuantaBreakdown::normalized`].
+///
+/// # Examples
+///
+/// ```
+/// use enerj_hw::config::ApproxParams;
+/// use enerj_hw::energy::energy_quanta;
+/// use enerj_hw::stats::{OpKind, Stats};
+///
+/// let mut stats = Stats::new();
+/// for _ in 0..100 {
+///     stats.record_op(OpKind::Fp, true); // everything approximate
+/// }
+/// let e = energy_quanta(&stats, &ApproxParams::MEDIUM).normalized();
+/// assert!(e.total < 1.0, "approximate execution must save energy");
+/// ```
 pub fn energy_quanta(stats: &Stats, params: &ApproxParams) -> EnergyQuantaBreakdown {
     let alu_bp = savings_basis_points(params.alu_energy_saved);
     let fp_bp = savings_basis_points(params.fp_energy_saved);
@@ -272,44 +288,6 @@ fn scaled_storage_quanta(
     (scaled, baseline)
 }
 
-/// Computes the normalized energy of a run described by `stats` when executed
-/// on hardware with parameters `params`, using the server-like system split.
-///
-/// # Examples
-///
-/// ```
-/// use enerj_hw::config::ApproxParams;
-/// use enerj_hw::energy::normalized_energy;
-/// use enerj_hw::stats::{OpKind, Stats};
-///
-/// let mut stats = Stats::new();
-/// for _ in 0..100 {
-///     stats.record_op(OpKind::Fp, true); // everything approximate
-/// }
-/// let e = normalized_energy(&stats, &ApproxParams::MEDIUM);
-/// assert!(e.total < 1.0, "approximate execution must save energy");
-/// ```
-pub fn normalized_energy(stats: &Stats, params: &ApproxParams) -> EnergyBreakdown {
-    normalized_energy_with_split(stats, params, DRAM_SYSTEM_FRACTION)
-}
-
-/// Like [`normalized_energy`] but with an explicit DRAM share of system
-/// power, e.g. [`DRAM_MOBILE_FRACTION`] for the smartphone setting.
-///
-/// This is a thin wrapper: the exact quanta are computed first and the
-/// normalized figures are projected from them at the end.
-///
-/// # Panics
-///
-/// Panics if `dram_fraction` is not in `[0, 1]`.
-pub fn normalized_energy_with_split(
-    stats: &Stats,
-    params: &ApproxParams,
-    dram_fraction: f64,
-) -> EnergyBreakdown {
-    energy_quanta(stats, params).normalized_with_split(dram_fraction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,7 +318,7 @@ mod tests {
 
     #[test]
     fn precise_run_has_unit_energy() {
-        let e = normalized_energy(&fully_precise_stats(), &ApproxParams::AGGRESSIVE);
+        let e = energy_quanta(&fully_precise_stats(), &ApproxParams::AGGRESSIVE).normalized();
         assert!((e.total - 1.0).abs() < 1e-12);
         assert_eq!(e.savings(), 0.0);
     }
@@ -356,7 +334,7 @@ mod tests {
 
     #[test]
     fn empty_run_has_unit_energy() {
-        let e = normalized_energy(&Stats::new(), &ApproxParams::MEDIUM);
+        let e = energy_quanta(&Stats::new(), &ApproxParams::MEDIUM).normalized();
         assert!((e.total - 1.0).abs() < 1e-12);
         assert_eq!(
             energy_quanta(&Stats::new(), &ApproxParams::MEDIUM),
@@ -367,9 +345,9 @@ mod tests {
     #[test]
     fn savings_grow_with_aggressiveness() {
         let s = fully_approx_stats();
-        let mild = normalized_energy(&s, &Level::Mild.params()).total;
-        let medium = normalized_energy(&s, &Level::Medium.params()).total;
-        let aggressive = normalized_energy(&s, &Level::Aggressive.params()).total;
+        let mild = energy_quanta(&s, &Level::Mild.params()).normalized().total;
+        let medium = energy_quanta(&s, &Level::Medium.params()).normalized().total;
+        let aggressive = energy_quanta(&s, &Level::Aggressive.params()).normalized().total;
         assert!(mild > medium && medium > aggressive);
         assert!(mild < 1.0);
     }
@@ -380,7 +358,7 @@ mod tests {
         // approximate workload should land at the upper end of that band.
         let s = fully_approx_stats();
         for level in Level::ALL {
-            let savings = normalized_energy(&s, &level.params()).savings();
+            let savings = energy_quanta(&s, &level.params()).normalized().savings();
             assert!(
                 savings > 0.09 && savings < 0.55,
                 "{level}: savings {savings} outside the plausible band"
@@ -398,7 +376,7 @@ mod tests {
         }
         let mut params = ApproxParams::AGGRESSIVE;
         params.alu_energy_saved = 1.0;
-        let e = normalized_energy(&s, &params);
+        let e = energy_quanta(&s, &params).normalized();
         assert!((e.instructions - 22.0 / 37.0).abs() < 1e-12);
         let q = energy_quanta(&s, &params);
         assert_eq!(q.instructions, EnergyQuanta::new(100 * 22 * SAVINGS_SCALE));
@@ -417,7 +395,10 @@ mod tests {
             int.record_op(OpKind::Int, true);
         }
         let p = ApproxParams::MEDIUM;
-        assert!(normalized_energy(&fp, &p).instructions < normalized_energy(&int, &p).instructions);
+        assert!(
+            energy_quanta(&fp, &p).normalized().instructions
+                < energy_quanta(&int, &p).normalized().instructions
+        );
     }
 
     #[test]
@@ -429,8 +410,8 @@ mod tests {
             s.record_op(OpKind::Int, false);
         }
         let p = ApproxParams::MEDIUM;
-        let server = normalized_energy_with_split(&s, &p, DRAM_SYSTEM_FRACTION);
-        let mobile = normalized_energy_with_split(&s, &p, DRAM_MOBILE_FRACTION);
+        let server = energy_quanta(&s, &p).normalized_with_split(DRAM_SYSTEM_FRACTION);
+        let mobile = energy_quanta(&s, &p).normalized_with_split(DRAM_MOBILE_FRACTION);
         assert!(mobile.total > server.total, "DRAM-only savings shrink on mobile");
     }
 
@@ -458,7 +439,7 @@ mod tests {
         // Exact zero guard: an untouched pool is baseline (1.0), not NaN.
         let mut s = Stats::new();
         s.record_op(OpKind::Int, true);
-        let e = normalized_energy(&s, &ApproxParams::AGGRESSIVE);
+        let e = energy_quanta(&s, &ApproxParams::AGGRESSIVE).normalized();
         assert_eq!(e.sram, 1.0);
         assert_eq!(e.dram, 1.0);
         assert!(e.instructions < 1.0);
@@ -467,7 +448,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dram_fraction")]
     fn bad_split_rejected() {
-        let _ = normalized_energy_with_split(&Stats::new(), &ApproxParams::MILD, 1.5);
+        let _ = EnergyQuantaBreakdown::ZERO.normalized_with_split(1.5);
     }
 
     #[test]

@@ -190,7 +190,7 @@ mod tests {
         // should differ from the raw result.
         let outputs: Vec<f32> = (0..100).map(|_| hw.approx_f32_result(1.0)).collect();
         assert!(outputs.iter().any(|&y| y != 1.0));
-        assert_eq!(hw.stats().faults_injected, 100);
+        assert_eq!(hw.fault_counters().total_injections(), 100);
     }
 
     #[test]

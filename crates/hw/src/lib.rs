@@ -241,14 +241,13 @@ impl Hardware {
         }
     }
 
-    /// Records one injected fault in the statistics, the always-on
-    /// counters, and — when enabled — the structured event log.
+    /// Records one injected fault in the always-on counters and — when
+    /// enabled — the structured event log.
     ///
     /// Never touches the fault PRNG, so recording cannot perturb the
     /// simulated outcome.
     #[cold]
     pub(crate) fn note_fault(&mut self, kind: FaultKind, width: u32, bits_flipped: u32) {
-        self.stats.record_fault();
         self.counters.record(kind, bits_flipped);
         if let Some(log) = &mut self.event_log {
             // `Hardware::now`, read field by field beside the log borrow.
@@ -399,7 +398,7 @@ mod tests {
         }
         let c = hw.fault_counters();
         assert_eq!(c.count(trace::FaultKind::IntTiming).injections, 50);
-        assert_eq!(c.total_injections(), hw.stats().faults_injected);
+        assert_eq!(c.total_injections(), 50);
         assert_eq!(hw.event_log(), None, "event log is opt-in");
     }
 

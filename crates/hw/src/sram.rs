@@ -107,7 +107,7 @@ mod tests {
             assert_eq!(hw.sram_read(i, 64, false), i);
             assert_eq!(hw.sram_write(i, 64, false), i);
         }
-        assert_eq!(hw.stats().faults_injected, 0);
+        assert_eq!(hw.fault_counters().total_injections(), 0);
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub struct Stats {
     pub dram_approx_quanta: EnergyQuanta,
     /// Storage quanta (bit·op-ticks) of precise DRAM residency.
     pub dram_precise_quanta: EnergyQuanta,
-    /// Count of faults actually injected, by any strategy.
-    pub faults_injected: u64,
 }
 
 impl Stats {
@@ -98,11 +96,6 @@ impl Stats {
         }
     }
 
-    /// Records one injected fault.
-    pub fn record_fault(&mut self) {
-        self.faults_injected += 1;
-    }
-
     /// Total dynamic operations of a kind.
     pub fn total_ops(&self, kind: OpKind) -> u64 {
         match kind {
@@ -122,14 +115,6 @@ impl Stats {
             0.0
         } else {
             a as f64 / total as f64
-        }
-    }
-
-    /// Total storage quanta (approximate + precise) in `kind` memory.
-    pub fn storage_quanta(&self, kind: MemKind) -> EnergyQuanta {
-        match kind {
-            MemKind::Sram => self.sram_approx_quanta + self.sram_precise_quanta,
-            MemKind::Dram => self.dram_approx_quanta + self.dram_precise_quanta,
         }
     }
 
@@ -174,7 +159,6 @@ impl Stats {
         self.sram_precise_quanta += other.sram_precise_quanta;
         self.dram_approx_quanta += other.dram_approx_quanta;
         self.dram_precise_quanta += other.dram_precise_quanta;
-        self.faults_injected += other.faults_injected;
     }
 }
 
@@ -182,12 +166,8 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "ops: int {}+{}a, fp {}+{}a; faults {}",
-            self.int_precise_ops,
-            self.int_approx_ops,
-            self.fp_precise_ops,
-            self.fp_approx_ops,
-            self.faults_injected
+            "ops: int {}+{}a, fp {}+{}a",
+            self.int_precise_ops, self.int_approx_ops, self.fp_precise_ops, self.fp_approx_ops
         )?;
         write!(
             f,
@@ -237,7 +217,7 @@ mod tests {
         s.record_storage_quanta(MemKind::Dram, true, EnergyQuanta::new(1));
         assert_eq!(s.approx_storage_fraction(MemKind::Sram), 0.0);
         assert_eq!(s.approx_storage_fraction(MemKind::Dram), 1.0);
-        assert_eq!(s.storage_quanta(MemKind::Sram), EnergyQuanta::ZERO);
+        assert_eq!(s.sram_approx_quanta + s.sram_precise_quanta, EnergyQuanta::ZERO);
     }
 
     #[test]
@@ -265,13 +245,11 @@ mod tests {
     fn merge_sums_everything() {
         let mut a = Stats::new();
         a.record_op(OpKind::Int, true);
-        a.record_fault();
         let mut b = Stats::new();
         b.record_op(OpKind::Int, true);
         b.record_storage_quanta(MemKind::Sram, false, EnergyQuanta::new(32));
         a.merge(&b);
         assert_eq!(a.int_approx_ops, 2);
-        assert_eq!(a.faults_injected, 1);
         assert_eq!(a.sram_precise_quanta, EnergyQuanta::new(32));
     }
 

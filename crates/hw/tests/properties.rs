@@ -1,7 +1,7 @@
 //! In-crate property tests for the hardware substrate.
 
 use enerj_hw::config::{ApproxParams, ErrorMode, HwConfig, Level, StrategyMask};
-use enerj_hw::energy::normalized_energy_with_split;
+use enerj_hw::energy::energy_quanta;
 use enerj_hw::layout::{layout_array, layout_object, FieldSpec};
 use enerj_hw::stats::{MemKind, OpKind, Stats};
 use enerj_hw::{fault, DramArray, EnergyQuanta, Hardware};
@@ -151,7 +151,7 @@ proptest! {
         for i in 0..len.min(arr.first_approx_elem()) {
             prop_assert_eq!(arr.read(&mut hw, i), mask, "precise-line element {} decayed", i);
         }
-        prop_assert_eq!(hw.stats().faults_injected, 0);
+        prop_assert_eq!(hw.fault_counters().total_injections(), 0);
         prop_assert!(hw.fault_counters().is_empty());
     }
 
@@ -171,7 +171,7 @@ proptest! {
         for (i, &x) in data.iter().enumerate() {
             prop_assert_eq!(arr.read(&mut hw, i), x & fault::low_mask(width));
         }
-        prop_assert_eq!(hw.stats().faults_injected, 0);
+        prop_assert_eq!(hw.fault_counters().total_injections(), 0);
     }
 
     /// The energy model is monotone in the approximate fraction of work:
@@ -190,8 +190,8 @@ proptest! {
             s.record_storage_quanta(MemKind::Sram, true, EnergyQuanta::new(8_000_000));
             s
         };
-        let e_lo = normalized_energy_with_split(&mk(lo), &ApproxParams::MEDIUM, 0.45).total;
-        let e_hi = normalized_energy_with_split(&mk(hi), &ApproxParams::MEDIUM, 0.45).total;
+        let e_lo = energy_quanta(&mk(lo), &ApproxParams::MEDIUM).normalized_with_split(0.45).total;
+        let e_hi = energy_quanta(&mk(hi), &ApproxParams::MEDIUM).normalized_with_split(0.45).total;
         prop_assert!(e_hi <= e_lo + 1e-12, "more approx work must not cost more");
     }
 

@@ -90,10 +90,11 @@ fn main() {
     let program = compile(accumulate).expect("well-typed");
     let out = run(&program, ExecMode::Faulty(Rc::clone(&hw))).expect("runs");
     println!("  exact answer 100, approximate answer {}", out.value.describe());
-    let stats = hw.borrow().stats();
+    let hw = hw.borrow();
     println!(
         "  {} approximate FP ops, {} faults injected",
-        stats.fp_approx_ops, stats.faults_injected
+        hw.stats().fp_approx_ops,
+        hw.fault_counters().total_injections()
     );
 
     banner("6. Non-interference (section 3.3), checked adversarially");
