@@ -73,9 +73,9 @@ use crate::qos::{output_error, Output};
 use crate::recovery;
 use crate::scheduler::SchedLevel;
 use crate::App;
-use enerj_hw::config::{HwConfig, Level};
-use enerj_hw::energy::EnergyQuantaBreakdown;
-use enerj_hw::quanta::EnergyQuanta;
+use enerj_hw::config::{ApproxParams, HwConfig, Level};
+use enerj_hw::energy::{energy_quanta, EnergyQuantaBreakdown};
+use enerj_hw::quanta::{EnergyQuanta, SAVINGS_SCALE};
 use enerj_hw::stats::Stats;
 use enerj_hw::telemetry::KindCount;
 use enerj_hw::trace::{FaultEvent, FaultKind};
@@ -876,42 +876,48 @@ fn read_stats(f: &Field<'_>) -> Result<Stats, ReadError> {
     })
 }
 
-/// Inverts [`push_energy_quanta`]; scaled energy never exceeds its
-/// baseline, and each total is the exact sum of its three components.
-fn read_energy_quanta(f: &Field<'_>) -> Result<EnergyQuantaBreakdown, ReadError> {
-    let pair = |scaled: &str| {
-        let (field, baseline) = (f.get(scaled)?, format!("baseline_{scaled}"));
-        let (q, base) = (field.quanta()?, f.get(&baseline)?.quanta()?);
-        field.ensure(q <= base, || format!("{q} exceeds {baseline} {base}"))?;
-        Ok((q, base))
+/// Whether [`energy_quanta`] evaluates `s` without overflow: each unit's op
+/// counts sum within u64 and the baselines within u128. No writer renders
+/// statistics that fail this.
+fn baselines_fit(s: &Stats) -> bool {
+    let ops = Stats {
+        int_approx_ops: s.int_approx_ops,
+        int_precise_ops: s.int_precise_ops,
+        fp_approx_ops: s.fp_approx_ops,
+        fp_precise_ops: s.fp_precise_ops,
+        ..Stats::new()
     };
-    let (instructions, baseline_instructions) = pair("instructions")?;
-    let (sram, baseline_sram) = pair("sram")?;
-    let (dram, baseline_dram) = pair("dram")?;
-    let (total, baseline_total) = pair("total")?;
-    let summed = |key: &str, total: EnergyQuanta, parts: [EnergyQuanta; 3]| {
-        let sum = parts.into_iter().try_fold(EnergyQuanta::ZERO, EnergyQuanta::checked_add);
-        f.get(key)?.ensure(sum == Some(total), || match sum {
-            Some(sum) => format!("{total} is not the sum of its components, {sum}"),
-            None => format!("{total}: its components overflow u128"),
-        })
+    let pool =
+        |a: EnergyQuanta, b: EnergyQuanta| a.checked_add(b)?.get().checked_mul(SAVINGS_SCALE);
+    let total = || {
+        s.int_approx_ops.checked_add(s.int_precise_ops)?;
+        s.fp_approx_ops.checked_add(s.fp_precise_ops)?;
+        let ops = energy_quanta(&ops, &ApproxParams::PRECISE).baseline_total.get();
+        let sram = pool(s.sram_approx_quanta, s.sram_precise_quanta)?;
+        sram.checked_add(pool(s.dram_approx_quanta, s.dram_precise_quanta)?)?.checked_add(ops)
     };
-    summed("total", total, [instructions, sram, dram])?;
-    summed(
-        "baseline_total",
-        baseline_total,
-        [baseline_instructions, baseline_sram, baseline_dram],
-    )?;
-    Ok(EnergyQuantaBreakdown {
-        instructions,
-        baseline_instructions,
-        sram,
-        baseline_sram,
-        dram,
-        baseline_dram,
-        total,
-        baseline_total,
-    })
+    total().is_some()
+}
+
+/// Inverts [`push_energy_quanta`] for a trial with statistics `stats`. The
+/// baselines are functions of the statistics alone and each total is the
+/// sum of its components, so only the three scaled components are read,
+/// each at most its baseline; the re-rendering rejects any stored baseline
+/// or total that disagrees.
+fn read_energy_quanta(f: &Field<'_>, stats: &Stats) -> Result<EnergyQuantaBreakdown, ReadError> {
+    f.ensure(baselines_fit(stats), || "the statistics' baselines overflow".to_owned())?;
+    let base = energy_quanta(stats, &ApproxParams::PRECISE);
+    let scaled = |key: &str, baseline: EnergyQuanta| {
+        let (field, q) = (f.get(key)?, f.get(key)?.quanta()?);
+        field.ensure(q <= baseline, || format!("{q} exceeds baseline_{key} {baseline}"))?;
+        Ok(q)
+    };
+    let instructions = scaled("instructions", base.baseline_instructions)?;
+    let sram = scaled("sram", base.baseline_sram)?;
+    let dram = scaled("dram", base.baseline_dram)?;
+    // At most `baseline_total` by the checks above, so the sum cannot overflow.
+    let total = instructions + sram + dram;
+    Ok(EnergyQuantaBreakdown { instructions, sram, dram, total, ..base })
 }
 
 /// Inverts [`push_counters`]: one entry per [`FaultKind::ALL`] name (the
@@ -958,7 +964,8 @@ fn read_trial(f: &Field<'_>) -> Result<TrialResult, ReadError> {
         let known = SchedLevel::from_name(level).is_some();
         f.get("scheduled_level")?.ensure(known, || format!("unknown level `{level}`"))?;
     }
-    let energy_quanta = read_energy_quanta(&f.get("energy_quanta")?)?;
+    let stats = read_stats(&f.get("stats")?)?;
+    let energy_quanta = read_energy_quanta(&f.get("energy_quanta")?, &stats)?;
     let overhead_field = f.get("recovery_energy_overhead_quanta")?;
     let overhead = overhead_field.quanta()?;
     overhead_field.ensure(overhead <= energy_quanta.total, || {
@@ -971,7 +978,7 @@ fn read_trial(f: &Field<'_>) -> Result<TrialResult, ReadError> {
         seed: f.get("seed")?.int()?,
         error,
         output: None,
-        stats: read_stats(&f.get("stats")?)?,
+        stats,
         energy_quanta,
         wall: read_wall(&f.get("wall_seconds")?)?,
         panic: opt_string("panic")?,
@@ -2205,13 +2212,13 @@ mod tests {
         let report = aggressive_campaign();
         let text = report.to_json();
         // Quanta are non-negative integer counts, scaled never above baseline.
-        let (total, overhead) = ("\"baseline_total\":", "\"recovery_energy_overhead_quanta\":");
+        let overhead = "\"recovery_energy_overhead_quanta\":";
         let quanta = "trials[2].energy_quanta.";
         rejects(
             &text,
-            total,
-            "\"baseline_total\":0.5,\"x\":",
-            &format!("{quanta}baseline_total: not an exact u128"),
+            "\"instructions\":",
+            "\"instructions\":0.5,\"x\":",
+            &format!("{quanta}instructions: not an exact u128"),
         );
         rejects(
             &text,
@@ -2219,16 +2226,15 @@ mod tests {
             &format!("{overhead}-1,\"x\":"),
             "trials[2].recovery_energy_overhead_quanta: not an exact",
         );
-        let baseline = "\"baseline_instructions\":";
-        rejects(
-            &text,
-            baseline,
-            "\"baseline_instructions\":0,\"x\":",
-            &format!("{quanta}instructions: "),
-        );
-        // A total is the exact sum of its components.
-        let sum = format!("{quanta}total: 0 is not the sum of its components");
-        rejects(&text, "\"total\":", "\"total\":0,\"x\":", &sum);
+        let huge = "\"instructions\":99999999999999999999,\"x\":";
+        let exceeds = format!("{quanta}instructions: 99999999999999999999 exceeds baseline_");
+        rejects(&text, "\"instructions\":", huge, &exceeds);
+        // Baselines follow from the statistics and totals from the
+        // components: a stored one that disagrees is not the writer's.
+        let rerendered = "not the writer's rendering";
+        rejects(&text, "\"baseline_instructions\":", "\"baseline_instructions\":1", rerendered);
+        rejects(&text, "\"baseline_total\":", "\"baseline_total\":1", rerendered);
+        rejects(&text, "\"total\":", "\"total\":1", rerendered);
         // Exactly the FaultKind::ALL names.
         rejects(
             &text,
@@ -2239,13 +2245,9 @@ mod tests {
         // Quanta past 2^53 read exactly: 2^53 and 2^53 + 1 stay distinct.
         let mut trials = report.trials;
         let overhead = EnergyQuanta::new((1 << 53) + 1);
-        trials[0].energy_quanta.merge(&EnergyQuantaBreakdown {
-            dram: overhead,
-            baseline_dram: overhead,
-            total: overhead,
-            baseline_total: overhead,
-            ..EnergyQuantaBreakdown::ZERO
-        });
+        let precise_dram = Stats { dram_precise_quanta: overhead, ..Stats::new() };
+        trials[0].stats.merge(&precise_dram);
+        trials[0].energy_quanta.merge(&energy_quanta(&precise_dram, &ApproxParams::PRECISE));
         trials[0].recovery_energy_overhead_quanta = overhead;
         let big = CampaignReport::from_trials(trials, Duration::ZERO, 1).to_json();
         let read = CampaignReport::from_json(&big).unwrap();
@@ -2357,7 +2359,7 @@ mod tests {
     fn populated_trial() -> TrialResult {
         let q = EnergyQuanta::new;
         let past = u128::from(u64::MAX) + 1;
-        TrialResult {
+        let mut t = TrialResult {
             index: 1_000_003,
             app: "FFT",
             label: "Aggr \u{e9}".to_owned(),
@@ -2371,20 +2373,12 @@ mod tests {
                 fp_precise_ops: 100,
                 sram_approx_quanta: q(past),
                 sram_precise_quanta: q(99),
-                dram_approx_quanta: q(u128::from(u64::MAX)),
+                // Baseline DRAM energy past `i128::MAX`, the top of the
+                // parser's signed integers.
+                dram_approx_quanta: q((u128::MAX >> 1) / SAVINGS_SCALE + 1),
                 dram_precise_quanta: q(10),
             },
-            energy_quanta: EnergyQuantaBreakdown {
-                instructions: q(past + 5),
-                baseline_instructions: q(3 * past),
-                sram: q(1),
-                baseline_sram: q(100),
-                dram: q(1000 * past),
-                // `i128::MAX`, the top of the parser's signed integers.
-                baseline_dram: q(u128::MAX >> 1),
-                total: q(1001 * past + 6),
-                baseline_total: q(3 * past + 100 + (u128::MAX >> 1)),
-            },
+            energy_quanta: EnergyQuantaBreakdown::ZERO,
             wall: Duration::from_micros(2_500_001),
             panic: Some("index out of bounds: the \"len\" is 3\nbut the index is 7".to_owned()),
             fault_counts: FaultCounters::from_counts(std::array::from_fn(|i| KindCount {
@@ -2397,7 +2391,9 @@ mod tests {
             failure_causes: vec!["qos: error 0.5 > 0.1".to_owned(), "panic: overflow".to_owned()],
             recovery_energy_overhead_quanta: q(past + 2),
             scheduled_level: Some("Medium".to_owned()),
-        }
+        };
+        t.energy_quanta = energy_quanta(&t.stats, &ApproxParams::MEDIUM);
+        t
     }
 
     #[test]
@@ -2408,24 +2404,28 @@ mod tests {
     }
 
     /// [`populated_trial`]'s line, pinned byte for byte.
-    const PINNED_TRIAL_LINE: &str = r#"{"index":1000003,"app":"FFT","label":"Aggr é","seed":18446744073709551609,"error":0.03125,"wall_seconds":2.500001,"panic":"index out of bounds: the \"len\" is 3\nbut the index is 7","attempts":3,"recovered_at_level":"Precise","scheduled_level":"Medium","failure_causes":["qos: error 0.5 > 0.1","panic: overflow"],"recovery_energy_overhead_quanta":18446744073709551618,"stats":{"int_approx_ops":1234567890123,"int_precise_ops":42,"fp_approx_ops":9,"fp_precise_ops":100,"sram_approx_quanta":18446744073709551616,"sram_precise_quanta":99,"dram_approx_quanta":18446744073709551615,"dram_precise_quanta":10},"energy_quanta":{"instructions":18446744073709551621,"baseline_instructions":55340232221128654848,"sram":1,"baseline_sram":100,"dram":18446744073709551616000,"baseline_dram":170141183460469231731687303715884105727,"total":18465190817783261167622,"baseline_total":170141183460469231787027535937012760675},"fault_counts":{"sram-read-upset":{"injections":1,"bits_flipped":3},"sram-write-failure":{"injections":11,"bits_flipped":1003},"dram-decay":{"injections":21,"bits_flipped":2003},"int-timing":{"injections":31,"bits_flipped":3003},"fp-timing":{"injections":41,"bits_flipped":4003}}}"#;
+    const PINNED_TRIAL_LINE: &str = r#"{"index":1000003,"app":"FFT","label":"Aggr é","seed":18446744073709551609,"error":0.03125,"wall_seconds":2.500001,"panic":"index out of bounds: the \"len\" is 3\nbut the index is 7","attempts":3,"recovered_at_level":"Precise","scheduled_level":"Medium","failure_causes":["qos: error 0.5 > 0.1","panic: overflow"],"recovery_energy_overhead_quanta":18446744073709551618,"stats":{"int_approx_ops":1234567890123,"int_precise_ops":42,"fp_approx_ops":9,"fp_precise_ops":100,"sram_approx_quanta":18446744073709551616,"sram_precise_quanta":99,"dram_approx_quanta":17014118346046923173168730371588411,"dram_precise_quanta":10},"energy_quanta":{"instructions":416049379029327400,"baseline_instructions":456790119404650000,"sram":36893488147419104222000,"baseline_sram":184467440737095517150000,"dram":132710123099166000750716096898389705800,"baseline_dram":170141183460469231731687303715884210000,"total":132710123099166037644620293696523255200,"baseline_total":170141183460469416199584830930806010000},"fault_counts":{"sram-read-upset":{"injections":1,"bits_flipped":3},"sram-write-failure":{"injections":11,"bits_flipped":1003},"dram-decay":{"injections":21,"bits_flipped":2003},"int-timing":{"injections":31,"bits_flipped":3003},"fp-timing":{"injections":41,"bits_flipped":4003}}}"#;
 
     #[test]
     fn u128_max_quanta_read_back() {
+        // The largest baseline a trial can hold: a multiple of the savings
+        // scale, 1455 below `u128::MAX`.
         let mut t = populated_trial();
-        let scaled = t.energy_quanta.total;
-        let max = EnergyQuanta::new(u128::MAX);
-        t.energy_quanta = EnergyQuantaBreakdown {
-            dram: scaled,
-            baseline_dram: max,
-            total: scaled,
-            baseline_total: max,
-            ..EnergyQuantaBreakdown::ZERO
+        t.stats = Stats {
+            dram_approx_quanta: EnergyQuanta::new(u128::MAX / SAVINGS_SCALE),
+            ..Stats::new()
         };
+        t.energy_quanta = energy_quanta(&t.stats, &ApproxParams::PRECISE);
         let line = trial_json(&t);
-        assert!(line.contains(&format!("\"baseline_dram\":{}", u128::MAX)), "{line}");
+        let top = u128::MAX - 1455;
+        assert!(line.contains(&format!("\"baseline_dram\":{top}")), "{line}");
         let read = read_exact(&line, read_trial, trial_json).expect("the line reads back");
         assert_eq!(read.energy_quanta, t.energy_quanta);
+        // One more quantum of storage and the baselines overflow: an error,
+        // not a panic.
+        t.stats.dram_precise_quanta = EnergyQuanta::new(1);
+        let err = read_exact(&trial_json(&t), read_trial, trial_json).unwrap_err();
+        assert_eq!(err.to_string(), "energy_quanta: the statistics' baselines overflow");
     }
 
     /// `{:.6}` of `d.as_secs_f64()`: the rendering [`push_wall`] reproduces.

@@ -95,13 +95,14 @@ fn synthetic_report() -> CampaignReport {
         recovery_energy_overhead_quanta: EnergyQuanta::new(1_234_500),
         energy_quanta: EnergyQuantaBreakdown {
             instructions: EnergyQuanta::new(8_000_000),
-            baseline_instructions: EnergyQuanta::new(10_000_000),
+            // (30 int ops · 37 + 7 FP ops · 40) · 10^4, as the stats give.
+            baseline_instructions: EnergyQuanta::new(13_900_000),
             sram: EnergyQuanta::new(126_000_000_000),
             baseline_sram: EnergyQuanta::new(140_000_000_000),
             dram: EnergyQuanta::ZERO,
             baseline_dram: EnergyQuanta::ZERO,
             total: EnergyQuanta::new(126_008_000_000),
-            baseline_total: EnergyQuanta::new(140_010_000_000),
+            baseline_total: EnergyQuanta::new(140_013_900_000),
         },
     };
     let crashed = TrialResult {

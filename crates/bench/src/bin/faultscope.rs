@@ -233,14 +233,16 @@ fn print_causes(report: &CampaignReport, label: Option<&str>) {
 mod tests {
     use super::{causes_rows, looks_like_report, read_report, CampaignReport};
     use enerj_apps::trials::{CampaignOptions, TrialResult, TrialSpec};
-    use enerj_hw::energy::EnergyQuantaBreakdown;
+    use enerj_hw::config::ApproxParams;
     use enerj_hw::quanta::EnergyQuanta;
+    use enerj_hw::stats::Stats;
     use std::time::Duration;
 
     /// A writer-rendered report of MonteCarlo reference trials, each
     /// given the recovery fields in `ledgers`: `(attempts,
     /// recovered_at_level, failure_causes, overhead quanta)`. The overhead
-    /// is added to the trial's energy, which includes it.
+    /// is charged as precise DRAM storage, so the trial's statistics and
+    /// energy include it.
     fn report(ledgers: &[(u32, Option<&str>, &[&str], u128)]) -> String {
         let app = enerj_apps::app("MonteCarlo").expect("registered");
         let base = CampaignReport::collect(
@@ -252,14 +254,12 @@ mod tests {
             .enumerate()
             .map(|(index, &(attempts, rung, causes, overhead))| {
                 let overhead = EnergyQuanta::new(overhead);
+                let extra = Stats { dram_precise_quanta: overhead, ..Stats::new() };
+                let mut stats = base.trials[0].stats;
+                stats.merge(&extra);
                 let mut energy_quanta = base.trials[0].energy_quanta;
-                energy_quanta.merge(&EnergyQuantaBreakdown {
-                    dram: overhead,
-                    baseline_dram: overhead,
-                    total: overhead,
-                    baseline_total: overhead,
-                    ..EnergyQuantaBreakdown::ZERO
-                });
+                energy_quanta
+                    .merge(&enerj_hw::energy::energy_quanta(&extra, &ApproxParams::PRECISE));
                 TrialResult {
                     index,
                     label: "Mild".to_owned(),
@@ -267,6 +267,7 @@ mod tests {
                     recovered_at_level: rung.map(str::to_owned),
                     failure_causes: causes.iter().map(|c| c.to_string()).collect(),
                     recovery_energy_overhead_quanta: overhead,
+                    stats,
                     energy_quanta,
                     ..base.trials[0].clone()
                 }

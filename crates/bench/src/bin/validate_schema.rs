@@ -104,13 +104,15 @@ fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::{compare_quanta, CampaignReport};
     use enerj_apps::trials::{CampaignOptions, TrialSpec};
-    use enerj_hw::energy::EnergyQuantaBreakdown;
+    use enerj_hw::config::ApproxParams;
+    use enerj_hw::energy::{energy_quanta, EnergyQuantaBreakdown};
     use enerj_hw::quanta::EnergyQuanta;
+    use enerj_hw::stats::Stats;
     use std::time::Duration;
 
     /// A writer-rendered one-trial report whose trial spent `total` scaled
-    /// instruction quanta (of `2^53 + 1` baseline) and `overhead` retry
-    /// quanta of them.
+    /// instruction quanta (of a baseline past `2^53 + 1`: `2^35` precise
+    /// integer ops) and `overhead` retry quanta of them.
     fn report(total: u128, overhead: u128) -> String {
         let app = enerj_apps::app("MonteCarlo").expect("registered");
         let mut trial = CampaignReport::collect(
@@ -119,13 +121,12 @@ mod tests {
         )
         .trials
         .remove(0);
-        let (total, baseline) = (EnergyQuanta::new(total), EnergyQuanta::new((1 << 53) + 1));
+        trial.stats = Stats { int_precise_ops: 1 << 35, ..Stats::new() };
+        let total = EnergyQuanta::new(total);
         trial.energy_quanta = EnergyQuantaBreakdown {
             instructions: total,
-            baseline_instructions: baseline,
             total,
-            baseline_total: baseline,
-            ..EnergyQuantaBreakdown::ZERO
+            ..energy_quanta(&trial.stats, &ApproxParams::PRECISE)
         };
         trial.recovery_energy_overhead_quanta = EnergyQuanta::new(overhead);
         CampaignReport::from_trials(vec![trial], Duration::ZERO, 1).to_json()
@@ -150,9 +151,11 @@ mod tests {
             let err = CampaignReport::from_json(&text.replace(from, to)).unwrap_err().to_string();
             assert!(err.contains(expect), "{err}");
         };
-        rejects("\"total\":9007199254740992", "\"total\":1.5", "total: not an exact u128");
+        let instructions = "\"instructions\":9007199254740992";
+        rejects(instructions, "\"instructions\":1.5", "instructions: not an exact u128");
         // Differing field sets in the breakdown are drift, too.
-        rejects("\"baseline_total\":", "\"grand_total\":", "baseline_total: missing");
+        rejects("\"sram\":", "\"grand_sram\":", "sram: missing");
+        rejects("\"baseline_total\":", "\"grand_total\":", "not the writer's rendering");
         rejects("\"baseline_total\":", "\"x\":0,\"baseline_total\":", "not the writer's rendering");
     }
 }

@@ -5,6 +5,7 @@
 //! through the simulated hardware: its bit pattern, its width, and which
 //! functional unit executes operations on it.
 
+use enerj_hw::fpu;
 use enerj_hw::stats::OpKind;
 use enerj_hw::Hardware;
 
@@ -243,38 +244,18 @@ macro_rules! impl_int_bits {
 
 impl_int_bits!(i8, i16, i32, i64, u8, u16, u32, u64);
 
-/// `r`, or, when `r` is a NaN and an operand is one, the first NaN
-/// operand's payload, quieted: what one x86-64 or AArch64 instruction with
-/// the operands in source order produces. Spelling the rule out keeps every
-/// bit fixed when the compiler commutes an addition or multiplication.
-macro_rules! first_nan {
-    ($t:ty, $a:expr, $b:expr, $r:expr) => {{
-        let (a, b, r): ($t, $t, $t) = ($a, $b, $r);
-        let quiet = 1 << (<$t>::MANTISSA_DIGITS - 2);
-        if !r.is_nan() {
-            r
-        } else if a.is_nan() {
-            <$t>::from_bits(a.to_bits() | quiet)
-        } else if b.is_nan() {
-            <$t>::from_bits(b.to_bits() | quiet)
-        } else {
-            r
-        }
-    }};
-}
-
 macro_rules! impl_fp_arith {
-    ($($t:ty),* $(,)?) => {$(
+    ($($t:ty => $first_nan:path),* $(,)?) => {$(
         impl ApproxArith for $t {
             #[inline]
-            fn approx_add(a: Self, b: Self) -> Self { first_nan!($t, a, b, a + b) }
+            fn approx_add(a: Self, b: Self) -> Self { $first_nan(a, b, a + b) }
             #[inline]
-            fn approx_sub(a: Self, b: Self) -> Self { first_nan!($t, a, b, a - b) }
+            fn approx_sub(a: Self, b: Self) -> Self { $first_nan(a, b, a - b) }
             #[inline]
-            fn approx_mul(a: Self, b: Self) -> Self { first_nan!($t, a, b, a * b) }
+            fn approx_mul(a: Self, b: Self) -> Self { $first_nan(a, b, a * b) }
             #[inline]
             fn approx_div(a: Self, b: Self) -> Self {
-                first_nan!($t, a, b, if b == 0.0 { <$t>::NAN } else { a / b })
+                $first_nan(a, b, if b == 0.0 { <$t>::NAN } else { a / b })
             }
             #[inline]
             fn approx_rem(a: Self, b: Self) -> Self {
@@ -286,7 +267,7 @@ macro_rules! impl_fp_arith {
     )*};
 }
 
-impl_fp_arith!(f32, f64);
+impl_fp_arith!(f32 => fpu::first_nan_f32, f64 => fpu::first_nan_f64);
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use enerj_hw::{Hardware, HwConfig, Level, StrategyMask};
-use enerj_lang::interp::{run, ExecMode, HeapEntry, RunOutcome};
+use enerj_lang::interp::{run, ExecMode};
 use enerj_lang::noninterference::check_non_interference;
 use enerj_lang::parser::parse;
 use enerj_lang::pretty::program_to_string;
@@ -228,7 +228,7 @@ pub fn determinism_divergence(tp: &TypedProgram, seed: u64) -> Option<String> {
         Ok(o) => o,
         Err(e) => return Some(format!("second reliable run trapped: {e}")),
     };
-    if let Some(d) = outcome_divergence(&r1, &r2) {
+    if let Some(d) = r1.divergence(&r2, tp, false) {
         return Some(format!("reliable execution is nondeterministic: {d}"));
     }
 
@@ -240,7 +240,7 @@ pub fn determinism_divergence(tp: &TypedProgram, seed: u64) -> Option<String> {
         Ok(o) => o,
         Err(e) => return Some(format!("second chaos run trapped: {e}")),
     };
-    if let Some(d) = outcome_divergence(&c1, &c2) {
+    if let Some(d) = c1.divergence(&c2, tp, false) {
         return Some(format!("same-seed chaos execution is nondeterministic: {d}"));
     }
 
@@ -253,60 +253,8 @@ pub fn determinism_divergence(tp: &TypedProgram, seed: u64) -> Option<String> {
         Ok(o) => o,
         Err(e) => return Some(format!("zero-fault hardware run trapped: {e}")),
     };
-    if let Some(d) = outcome_divergence(&r1, &f) {
+    if let Some(d) = r1.divergence(&f, tp, false) {
         return Some(format!("zero-fault hardware diverged from reliable semantics: {d}"));
-    }
-    None
-}
-
-/// Structural, bit-exact comparison of two run outcomes (floats compare by
-/// bit pattern, so NaNs and signed zeros must match exactly too).
-fn outcome_divergence(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
-    if !a.value.bit_eq(&b.value) {
-        return Some(format!("main value {} != {}", a.value.describe(), b.value.describe()));
-    }
-    if a.heap.len() != b.heap.len() {
-        return Some(format!("heap size {} != {}", a.heap.len(), b.heap.len()));
-    }
-    for (i, (ea, eb)) in a.heap.iter().zip(&b.heap).enumerate() {
-        match (ea, eb) {
-            (HeapEntry::Object(oa), HeapEntry::Object(ob)) => {
-                if oa.class != ob.class || oa.qual != ob.qual {
-                    return Some(format!("heap[{i}] object identity differs"));
-                }
-                if oa.fields.len() != ob.fields.len() {
-                    return Some(format!("heap[{i}] field count differs"));
-                }
-                for (name, va) in &oa.fields {
-                    match ob.fields.get(name) {
-                        Some(vb) if va.bit_eq(vb) => {}
-                        Some(vb) => {
-                            return Some(format!(
-                                "heap[{i}].{name}: {} != {}",
-                                va.describe(),
-                                vb.describe()
-                            ));
-                        }
-                        None => return Some(format!("heap[{i}] missing field {name}")),
-                    }
-                }
-            }
-            (HeapEntry::Array(aa), HeapEntry::Array(ab)) => {
-                if aa.elem_approx != ab.elem_approx || aa.values.len() != ab.values.len() {
-                    return Some(format!("heap[{i}] array shape differs"));
-                }
-                for (j, (va, vb)) in aa.values.iter().zip(&ab.values).enumerate() {
-                    if !va.bit_eq(vb) {
-                        return Some(format!(
-                            "heap[{i}][{j}]: {} != {}",
-                            va.describe(),
-                            vb.describe()
-                        ));
-                    }
-                }
-            }
-            _ => return Some(format!("heap[{i}] entry kind differs")),
-        }
     }
     None
 }

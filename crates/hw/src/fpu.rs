@@ -57,6 +57,39 @@ pub fn truncate_f64(x: f64, keep: u32) -> f64 {
     f64::from_bits(x.to_bits() & trunc_mask_f64(keep))
 }
 
+/// `r`, or, when `r` is a NaN and an operand is one, the first NaN
+/// operand's payload, quieted: what one x86-64 or AArch64 instruction with
+/// the operands in source order produces. Spelling the rule out keeps every
+/// bit fixed when the compiler commutes an addition or multiplication.
+#[inline]
+pub fn first_nan_f64(a: f64, b: f64, r: f64) -> f64 {
+    const QUIET: u64 = 1 << (F64_MANTISSA_BITS - 1);
+    if !r.is_nan() {
+        r
+    } else if a.is_nan() {
+        f64::from_bits(a.to_bits() | QUIET)
+    } else if b.is_nan() {
+        f64::from_bits(b.to_bits() | QUIET)
+    } else {
+        r
+    }
+}
+
+/// [`first_nan_f64`] for `f32`.
+#[inline]
+pub fn first_nan_f32(a: f32, b: f32, r: f32) -> f32 {
+    const QUIET: u32 = 1 << (F32_MANTISSA_BITS - 1);
+    if !r.is_nan() {
+        r
+    } else if a.is_nan() {
+        f32::from_bits(a.to_bits() | QUIET)
+    } else if b.is_nan() {
+        f32::from_bits(b.to_bits() | QUIET)
+    } else {
+        r
+    }
+}
+
 impl Hardware {
     /// Applies mantissa width reduction to an `f32` operand, if the FP-width
     /// strategy is enabled. (When masked off, the hoisted truncation mask is

@@ -19,9 +19,19 @@
 //!   value. If the program is endorsement-free, its precise results must be
 //!   unaffected (theorem, section 3.3).
 //!
+//! The three share one evaluator. They differ only in a private machine,
+//! built once per run, that the evaluator consults at four points: an
+//! approximate storage access, an approximate operation's operands (FP
+//! mantissa conditioning) and result, and a precise operation (which the
+//! hardware counts). Every primitive operation computes its exact result
+//! once, by FEnerJ's rules, before the machine sees it.
+//!
 //! Division: a *precise* integer division by zero is a runtime error, as in
 //! Java; *approximate* divisions never trap — integer division by zero
 //! yields 0 and floating-point division by zero yields NaN (section 5.2).
+//! A float `+`, `-`, `*` or `/` whose result is a NaN carries its first NaN
+//! operand's payload, quieted ([`first_nan_f64`]), so no output bit depends
+//! on how the compiler orders a commutative operation's operands.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,6 +44,7 @@ use crate::ast::{BinOp, Expr, ExprKind};
 use crate::error::EvalError;
 use crate::typecheck::TypedProgram;
 use crate::types::{BaseType, Qual, Type};
+use enerj_hw::fpu::first_nan_f64;
 use enerj_hw::stats::OpKind;
 use enerj_hw::Hardware;
 
@@ -67,6 +78,33 @@ impl Value {
             Value::Int(v) => v.to_string(),
             Value::Float(v) => v.to_string(),
             Value::Ref(a) => format!("<object@{a}>"),
+        }
+    }
+
+    /// A primitive's 64 bits; `None` for a reference or null.
+    fn bits(self) -> Option<u64> {
+        match self {
+            Value::Int(v) => Some(v as u64),
+            Value::Float(v) => Some(v.to_bits()),
+            _ => None,
+        }
+    }
+
+    /// A primitive of this value's type holding `bits`.
+    fn with_bits(self, bits: u64) -> Value {
+        match self {
+            Value::Int(_) => Value::Int(bits as i64),
+            Value::Float(_) => Value::Float(f64::from_bits(bits)),
+            other => other,
+        }
+    }
+
+    /// A numeric operand widened to float (binary numeric promotion).
+    fn widen(self) -> Option<f64> {
+        match self {
+            Value::Int(v) => Some(v as f64),
+            Value::Float(v) => Some(v),
+            _ => None,
         }
     }
 }
@@ -130,13 +168,76 @@ pub const DEFAULT_FUEL: u64 = 10_000_000;
 pub const MAX_CALL_DEPTH: u32 = 128;
 
 /// The interpreter state.
-pub struct Interp<'p> {
+struct Interp<'p> {
     program: &'p TypedProgram,
-    mode: ExecMode,
-    chaos_rng: Option<StdRng>,
+    machine: Machine,
     heap: Vec<HeapEntry>,
     fuel: u64,
     depth: u32,
+}
+
+/// What an [`ExecMode`] changes: where approximate storage and approximate
+/// operations go, and whether precise operations are counted.
+enum Machine {
+    /// The reference semantics: every hook is the identity.
+    Exact,
+    /// The simulated hardware.
+    Hw(Rc<RefCell<Hardware>>),
+    /// The adversary and its random choices.
+    Chaos(StdRng),
+}
+
+impl Machine {
+    /// A primitive passing through approximate storage: an SRAM access, or
+    /// the adversary's replacement.
+    fn storage(&mut self, value: Value, write: bool) -> Value {
+        let Some(bits) = value.bits() else { return value };
+        value.with_bits(match self {
+            Machine::Exact => bits,
+            Machine::Hw(hw) if write => hw.borrow_mut().sram_write(bits, 64, true),
+            Machine::Hw(hw) => hw.borrow_mut().sram_read(bits, 64, true),
+            Machine::Chaos(rng) => rng.gen(),
+        })
+    }
+
+    /// The result phase of an approximate operation whose exact result is
+    /// `raw` (0 or 1 for a `comparison`). The adversary draws one bit for
+    /// an FP comparison and a whole word otherwise.
+    fn result(&mut self, raw: Value, kind: OpKind, comparison: bool) -> Value {
+        match self {
+            Machine::Exact => raw,
+            Machine::Hw(hw) => {
+                let mut hw = hw.borrow_mut();
+                match raw {
+                    _ if comparison => {
+                        Value::Int(i64::from(hw.approx_cmp_result(raw != Value::Int(0), kind)))
+                    }
+                    Value::Int(v) => Value::Int(hw.approx_int_result(v as u64, 64) as i64),
+                    Value::Float(v) => Value::Float(hw.approx_f64_result(v)),
+                    other => other,
+                }
+            }
+            Machine::Chaos(rng) if comparison && kind == OpKind::Fp => {
+                Value::Int(i64::from(rng.gen_bool(0.5)))
+            }
+            Machine::Chaos(rng) => raw.with_bits(rng.gen()),
+        }
+    }
+
+    /// Conditions an approximate FP operand (mantissa width reduction).
+    fn operand(&self, x: f64) -> f64 {
+        match self {
+            Machine::Hw(hw) => hw.borrow().approx_f64_operand(x),
+            _ => x,
+        }
+    }
+
+    /// Records one precise operation.
+    fn precise(&mut self, kind: OpKind) {
+        if let Machine::Hw(hw) = self {
+            hw.borrow_mut().precise_op(kind);
+        }
+    }
 }
 
 /// The result of running a program: the main expression's value plus the
@@ -170,11 +271,12 @@ pub fn run_with_fuel(
     mode: ExecMode,
     fuel: u64,
 ) -> Result<RunOutcome, EvalError> {
-    let chaos_rng = match &mode {
-        ExecMode::Chaos { seed } => Some(StdRng::seed_from_u64(*seed)),
-        _ => None,
+    let machine = match mode {
+        ExecMode::Reliable => Machine::Exact,
+        ExecMode::Faulty(hw) => Machine::Hw(hw),
+        ExecMode::Chaos { seed } => Machine::Chaos(StdRng::seed_from_u64(seed)),
     };
-    let mut interp = Interp { program, mode, chaos_rng, heap: Vec::new(), fuel, depth: 0 };
+    let mut interp = Interp { program, machine, heap: Vec::new(), fuel, depth: 0 };
     let mut env = Env { vars: Vec::new(), this: None };
     let value = interp.eval(&program.program.main, &mut env)?;
     Ok(RunOutcome { value, heap: interp.heap })
@@ -251,46 +353,6 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Perturbs a primitive value that passed through approximate storage.
-    fn storage_fault(&mut self, value: Value, write: bool) -> Value {
-        match &self.mode {
-            ExecMode::Reliable => value,
-            ExecMode::Faulty(hw) => {
-                let mut hw = hw.borrow_mut();
-                match value {
-                    Value::Int(v) => {
-                        let bits = if write {
-                            hw.sram_write(v as u64, 64, true)
-                        } else {
-                            hw.sram_read(v as u64, 64, true)
-                        };
-                        Value::Int(bits as i64)
-                    }
-                    Value::Float(v) => {
-                        let bits = if write {
-                            hw.sram_write(v.to_bits(), 64, true)
-                        } else {
-                            hw.sram_read(v.to_bits(), 64, true)
-                        };
-                        Value::Float(f64::from_bits(bits))
-                    }
-                    other => other,
-                }
-            }
-            ExecMode::Chaos { .. } => self.chaos(value),
-        }
-    }
-
-    /// The chaos adversary: any approximate primitive becomes random.
-    fn chaos(&mut self, value: Value) -> Value {
-        let rng = self.chaos_rng.as_mut().expect("chaos mode has an RNG");
-        match value {
-            Value::Int(_) => Value::Int(rng.gen()),
-            Value::Float(_) => Value::Float(f64::from_bits(rng.gen())),
-            other => other,
-        }
-    }
-
     fn eval(&mut self, e: &Expr, env: &mut Env) -> Result<Value, EvalError> {
         self.charge()?;
         match &e.kind {
@@ -342,7 +404,7 @@ impl<'p> Interp<'p> {
                 let HeapEntry::Array(a) = &self.heap[addr] else { unreachable!() };
                 let value = a.values[i];
                 if a.elem_approx {
-                    Ok(self.storage_fault(value, false))
+                    Ok(self.machine.storage(value, false))
                 } else {
                     Ok(value)
                 }
@@ -352,7 +414,7 @@ impl<'p> Interp<'p> {
                 let mut v = self.eval(value, env)?;
                 let HeapEntry::Array(a) = &self.heap[addr] else { unreachable!() };
                 if a.elem_approx {
-                    v = self.storage_fault(v, true);
+                    v = self.machine.storage(v, true);
                 }
                 let HeapEntry::Array(a) = &mut self.heap[addr] else { unreachable!() };
                 a.values[i] = v;
@@ -378,7 +440,7 @@ impl<'p> Interp<'p> {
                     .ok_or_else(|| EvalError::Internal(format!("missing field `{field}`")))?;
                 let fq = self.program.field_qual.get(&e.id).copied().unwrap_or(Qual::Precise);
                 if self.resolve_qual(fq, Some(addr)) == RtQual::Approx {
-                    Ok(self.storage_fault(value, false))
+                    Ok(self.machine.storage(value, false))
                 } else {
                     Ok(value)
                 }
@@ -389,7 +451,7 @@ impl<'p> Interp<'p> {
                 let mut v = self.eval(value, env)?;
                 let fq = self.program.field_qual.get(&e.id).copied().unwrap_or(Qual::Precise);
                 if self.resolve_qual(fq, Some(addr)) == RtQual::Approx {
-                    v = self.storage_fault(v, true);
+                    v = self.machine.storage(v, true);
                 }
                 self.obj_mut(addr).fields.insert(field.clone(), v);
                 Ok(v)
@@ -532,146 +594,70 @@ impl<'p> Interp<'p> {
         approx: bool,
         span: crate::error::Span,
     ) -> Result<Value, EvalError> {
-        match (lv, rv) {
-            (Value::Int(a), Value::Int(b)) => self.int_op(op, a, b, approx, span),
-            (Value::Float(a), Value::Float(b)) => Ok(self.float_op(op, a, b, approx)),
-            // Binary numeric promotion: int operands widen to float.
-            (Value::Int(a), Value::Float(b)) => Ok(self.float_op(op, a as f64, b, approx)),
-            (Value::Float(a), Value::Int(b)) => Ok(self.float_op(op, a, b as f64, approx)),
-            _ => Err(EvalError::Internal("operand type confusion".into())),
+        let (raw, kind) = match (lv, rv) {
+            (Value::Int(a), Value::Int(b)) => (int_arith(op, a, b, approx, span)?, OpKind::Int),
+            _ => {
+                let (Some(a), Some(b)) = (lv.widen(), rv.widen()) else {
+                    return Err(EvalError::Internal("operand type confusion".into()));
+                };
+                let [a, b] = [a, b].map(|x| if approx { self.machine.operand(x) } else { x });
+                (float_arith(op, a, b, approx), OpKind::Fp)
+            }
+        };
+        if approx {
+            Ok(self.machine.result(raw, kind, op.is_comparison()))
+        } else {
+            self.machine.precise(kind);
+            Ok(raw)
         }
     }
+}
 
-    fn int_op(
-        &mut self,
-        op: BinOp,
-        a: i64,
-        b: i64,
-        approx: bool,
-        span: crate::error::Span,
-    ) -> Result<Value, EvalError> {
-        if !approx && matches!(op, BinOp::Div | BinOp::Rem) && b == 0 {
-            return Err(EvalError::DivisionByZero(span));
-        }
-        let raw = match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Div => {
-                if b == 0 {
-                    0
-                } else {
-                    a.wrapping_div(b)
-                }
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    0
-                } else {
-                    a.wrapping_rem(b)
-                }
-            }
-            BinOp::Eq => i64::from(a == b),
-            BinOp::Ne => i64::from(a != b),
-            BinOp::Lt => i64::from(a < b),
-            BinOp::Le => i64::from(a <= b),
-            BinOp::Gt => i64::from(a > b),
-            BinOp::Ge => i64::from(a >= b),
-        };
-        let out = match (&self.mode, approx) {
-            (_, false) => {
-                if let ExecMode::Faulty(hw) = &self.mode {
-                    hw.borrow_mut().precise_op(OpKind::Int);
-                }
-                raw
-            }
-            (ExecMode::Reliable, true) => raw,
-            (ExecMode::Faulty(hw), true) => {
-                let hw = Rc::clone(hw);
-                if op.is_comparison() {
-                    i64::from(hw.borrow_mut().approx_cmp_result(raw != 0, OpKind::Int))
-                } else {
-                    hw.borrow_mut().approx_int_result(raw as u64, 64) as i64
-                }
-            }
-            (ExecMode::Chaos { .. }, true) => match self.chaos(Value::Int(raw)) {
-                Value::Int(v) => v,
-                _ => unreachable!(),
-            },
-        };
-        Ok(Value::Int(out))
+/// FEnerJ integer arithmetic: wrapping, comparisons yield 0 or 1, and a
+/// division by zero is an error when precise and 0 when approximate.
+fn int_arith(
+    op: BinOp,
+    a: i64,
+    b: i64,
+    approx: bool,
+    span: crate::error::Span,
+) -> Result<Value, EvalError> {
+    if b == 0 && matches!(op, BinOp::Div | BinOp::Rem) {
+        return if approx { Ok(Value::Int(0)) } else { Err(EvalError::DivisionByZero(span)) };
     }
+    Ok(Value::Int(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div => a.wrapping_div(b),
+        BinOp::Rem => a.wrapping_rem(b),
+        BinOp::Eq => i64::from(a == b),
+        BinOp::Ne => i64::from(a != b),
+        BinOp::Lt => i64::from(a < b),
+        BinOp::Le => i64::from(a <= b),
+        BinOp::Gt => i64::from(a > b),
+        BinOp::Ge => i64::from(a >= b),
+    }))
+}
 
-    fn float_op(&mut self, op: BinOp, a: f64, b: f64, approx: bool) -> Value {
-        let (a, b) = match (&self.mode, approx) {
-            (ExecMode::Faulty(hw), true) => {
-                let hw = hw.borrow();
-                (hw.approx_f64_operand(a), hw.approx_f64_operand(b))
-            }
-            _ => (a, b),
-        };
-        let raw = match op {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a * b,
-            BinOp::Div => {
-                if approx && b == 0.0 {
-                    f64::NAN
-                } else {
-                    a / b
-                }
-            }
-            BinOp::Rem => {
-                if approx && b == 0.0 {
-                    f64::NAN
-                } else {
-                    a % b
-                }
-            }
-            // Comparisons on floats still produce ints.
-            BinOp::Eq => return self.float_cmp(a == b, approx),
-            BinOp::Ne => return self.float_cmp(a != b, approx),
-            BinOp::Lt => return self.float_cmp(a < b, approx),
-            BinOp::Le => return self.float_cmp(a <= b, approx),
-            BinOp::Gt => return self.float_cmp(a > b, approx),
-            BinOp::Ge => return self.float_cmp(a >= b, approx),
-        };
-        match (&self.mode, approx) {
-            (_, false) => {
-                if let ExecMode::Faulty(hw) = &self.mode {
-                    hw.borrow_mut().precise_op(OpKind::Fp);
-                }
-                Value::Float(raw)
-            }
-            (ExecMode::Reliable, true) => Value::Float(raw),
-            (ExecMode::Faulty(hw), true) => {
-                let hw = Rc::clone(hw);
-                let out = hw.borrow_mut().approx_f64_result(raw);
-                Value::Float(out)
-            }
-            (ExecMode::Chaos { .. }, true) => self.chaos(Value::Float(raw)),
-        }
-    }
-
-    fn float_cmp(&mut self, raw: bool, approx: bool) -> Value {
-        match (&self.mode, approx) {
-            (_, false) => {
-                if let ExecMode::Faulty(hw) = &self.mode {
-                    hw.borrow_mut().precise_op(OpKind::Fp);
-                }
-                Value::Int(i64::from(raw))
-            }
-            (ExecMode::Reliable, true) => Value::Int(i64::from(raw)),
-            (ExecMode::Faulty(hw), true) => {
-                let hw = Rc::clone(hw);
-                let out = hw.borrow_mut().approx_cmp_result(raw, OpKind::Fp);
-                Value::Int(i64::from(out))
-            }
-            (ExecMode::Chaos { .. }, true) => {
-                let r = self.chaos_rng.as_mut().expect("chaos rng").gen_bool(0.5);
-                Value::Int(i64::from(r))
-            }
-        }
+/// FEnerJ float arithmetic: IEEE operations under the first-NaN-operand
+/// rule, comparisons yield the integers 0 or 1, and an approximate division
+/// or remainder by zero yields NaN.
+fn float_arith(op: BinOp, a: f64, b: f64, approx: bool) -> Value {
+    let by_zero = approx && b == 0.0;
+    let float = |r: f64| Value::Float(first_nan_f64(a, b, r));
+    match op {
+        BinOp::Add => float(a + b),
+        BinOp::Sub => float(a - b),
+        BinOp::Mul => float(a * b),
+        BinOp::Div => float(if by_zero { f64::NAN } else { a / b }),
+        BinOp::Rem => Value::Float(if by_zero { f64::NAN } else { a % b }),
+        BinOp::Eq => Value::Int(i64::from(a == b)),
+        BinOp::Ne => Value::Int(i64::from(a != b)),
+        BinOp::Lt => Value::Int(i64::from(a < b)),
+        BinOp::Le => Value::Int(i64::from(a <= b)),
+        BinOp::Gt => Value::Int(i64::from(a > b)),
+        BinOp::Ge => Value::Int(i64::from(a >= b)),
     }
 }
 

@@ -10,12 +10,15 @@
 //! precisely-typed observable agrees.
 //!
 //! The observables compared are the main expression's value (when its
-//! static type is precise) and every precisely-typed primitive field of
-//! every heap object, positionally matched (chaos does not change
-//! allocation order because allocation is driven by precise control flow).
+//! static type is precise), every precisely-typed primitive field of every
+//! heap object and every element of every precise array, positionally
+//! matched (chaos does not change allocation order because allocation is
+//! driven by precise control flow). [`RunOutcome::divergence`] is that
+//! comparison, and, without its `precise_only` restriction, the bit-exact
+//! comparison of two whole runs.
 
 use crate::error::EvalError;
-use crate::interp::{ExecMode, RunOutcome};
+use crate::interp::{ExecMode, HeapEntry, RtQual, RunOutcome, Value};
 use crate::typecheck::TypedProgram;
 use crate::types::Qual;
 
@@ -82,20 +85,11 @@ pub fn check_non_interference_with_fuel(
         return Err(NonInterferenceError::UsesEndorse);
     }
     let reference = eval(program, ExecMode::Reliable, fuel)?;
-    let main_is_precise = program.main_type().qual == Qual::Precise;
     for seed in seeds {
         let chaotic = eval(program, ExecMode::Chaos { seed }, fuel)?;
-        if main_is_precise && !reference.value.bit_eq(&chaotic.value) {
-            return Err(NonInterferenceError::Violation {
-                seed,
-                detail: format!(
-                    "main result changed: {} vs {}",
-                    reference.value.describe(),
-                    chaotic.value.describe()
-                ),
-            });
+        if let Some(detail) = reference.divergence(&chaotic, program, true) {
+            return Err(NonInterferenceError::Violation { seed, detail });
         }
-        compare_heaps(program, &reference, &chaotic, seed)?;
     }
     Ok(())
 }
@@ -109,89 +103,73 @@ fn eval(
         .map_err(|e: EvalError| NonInterferenceError::Eval(e.to_string()))
 }
 
-/// Compares the precise primitive fields of positionally-matched objects.
-fn compare_heaps(
-    program: &TypedProgram,
-    reference: &RunOutcome,
-    chaotic: &RunOutcome,
-    seed: u64,
-) -> Result<(), NonInterferenceError> {
-    if reference.heap.len() != chaotic.heap.len() {
-        return Err(NonInterferenceError::Violation {
-            seed,
-            detail: format!(
-                "heap sizes differ: {} vs {}",
-                reference.heap.len(),
-                chaotic.heap.len()
-            ),
-        });
-    }
-    for (addr, entry) in reference.heap.iter().zip(&chaotic.heap).enumerate() {
-        match entry {
-            (crate::interp::HeapEntry::Object(r), crate::interp::HeapEntry::Object(c)) => {
-                if r.class != c.class || r.qual != c.qual {
-                    return Err(NonInterferenceError::Violation {
-                        seed,
-                        detail: format!("object {addr} identity differs"),
-                    });
+impl RunOutcome {
+    /// The first observable in which `self` and `other`, two runs of
+    /// `program`, differ, described; `None` if they agree bit for bit.
+    ///
+    /// With `precise_only`, only what the non-interference theorem promises
+    /// is compared: the main value if its static type is precise, the
+    /// primitive fields that are precise in their instance (`context`
+    /// adapts to the instance qualifier) and the elements of precise arrays.
+    /// Without it, everything is. The heaps' shapes (allocation order,
+    /// classes, instance qualifiers, array lengths) must always agree.
+    pub fn divergence(
+        &self,
+        other: &RunOutcome,
+        program: &TypedProgram,
+        precise_only: bool,
+    ) -> Option<String> {
+        let differs = |x: &Value, y: &Value| {
+            (!x.bit_eq(y)).then(|| format!("{} != {}", x.describe(), y.describe()))
+        };
+        let main_promised = !precise_only || program.main_type().qual == Qual::Precise;
+        if let Some(d) = differs(&self.value, &other.value).filter(|_| main_promised) {
+            return Some(format!("main value {d}"));
+        }
+        if self.heap.len() != other.heap.len() {
+            return Some(format!("heap size {} != {}", self.heap.len(), other.heap.len()));
+        }
+        for (i, entry) in self.heap.iter().zip(&other.heap).enumerate() {
+            match entry {
+                (HeapEntry::Object(a), HeapEntry::Object(b)) => {
+                    if a.class != b.class || a.qual != b.qual {
+                        return Some(format!("heap[{i}] object identity differs"));
+                    }
+                    for (field, declared) in program.table.all_fields(&a.class) {
+                        let approx = match declared.qual {
+                            Qual::Context => a.qual == RtQual::Approx,
+                            q => q != Qual::Precise,
+                        };
+                        if precise_only && (approx || !declared.is_prim()) {
+                            continue;
+                        }
+                        let (Some(x), Some(y)) = (a.fields.get(&field), b.fields.get(&field))
+                        else {
+                            return Some(format!("heap[{i}] {}.{field} is missing", a.class));
+                        };
+                        if let Some(d) = differs(x, y) {
+                            return Some(format!("heap[{i}] {}.{field}: {d}", a.class));
+                        }
+                    }
                 }
-                for (field, declared) in program.table.all_fields(&r.class) {
-                    // A field's precision in this instance: context adapts
-                    // to the instance qualifier.
-                    let effective = match declared.qual {
-                        Qual::Context => match r.qual {
-                            crate::interp::RtQual::Approx => Qual::Approx,
-                            crate::interp::RtQual::Precise => Qual::Precise,
-                        },
-                        q => q,
-                    };
-                    if effective != Qual::Precise || !declared.is_prim() {
+                (HeapEntry::Array(a), HeapEntry::Array(b)) => {
+                    if a.elem_approx != b.elem_approx || a.values.len() != b.values.len() {
+                        return Some(format!("heap[{i}] array shape differs"));
+                    }
+                    if precise_only && a.elem_approx {
                         continue;
                     }
-                    let same = match (r.fields.get(&field), c.fields.get(&field)) {
-                        (Some(a), Some(b)) => a.bit_eq(b),
-                        (None, None) => true,
-                        _ => false,
-                    };
-                    if !same {
-                        return Err(NonInterferenceError::Violation {
-                            seed,
-                            detail: format!(
-                                "precise field {}.{field} of object {addr} differs",
-                                r.class
-                            ),
-                        });
+                    for (j, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
+                        if let Some(d) = differs(x, y) {
+                            return Some(format!("heap[{i}][{j}]: {d}"));
+                        }
                     }
                 }
-            }
-            (crate::interp::HeapEntry::Array(r), crate::interp::HeapEntry::Array(c)) => {
-                if r.values.len() != c.values.len() || r.elem_approx != c.elem_approx {
-                    return Err(NonInterferenceError::Violation {
-                        seed,
-                        detail: format!("array {addr} shape differs"),
-                    });
-                }
-                if r.elem_approx {
-                    continue; // approximate elements make no promises
-                }
-                for (i, (a, b)) in r.values.iter().zip(&c.values).enumerate() {
-                    if !a.bit_eq(b) {
-                        return Err(NonInterferenceError::Violation {
-                            seed,
-                            detail: format!("precise array element {addr}[{i}] differs"),
-                        });
-                    }
-                }
-            }
-            _ => {
-                return Err(NonInterferenceError::Violation {
-                    seed,
-                    detail: format!("heap entry {addr} kind differs"),
-                });
+                _ => return Some(format!("heap[{i}] entry kind differs")),
             }
         }
+        None
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -276,6 +254,75 @@ mod tests {
         ";
         let tp = checked(src);
         check_non_interference(&tp, 0..10).unwrap();
+    }
+
+    /// One object of each precision, one array of each precision.
+    const OBSERVABLES: &str = "
+        class S extends Object { int p; approx int a; context int c; }
+        main {
+            let s = new S() in
+            let t = new approx S() in
+            let xs = new int[2] in
+            let ys = new approx int[2] in
+            s.p := 7; s.a := 3; s.c := 4; t.c := 6; xs[1] := 5; ys[1] := 6;
+            MAIN
+        }
+    ";
+
+    fn outcome(main: &str) -> (TypedProgram, RunOutcome) {
+        let tp = checked(&OBSERVABLES.replace("MAIN", main));
+        let out = crate::interp::run(&tp, ExecMode::Reliable).unwrap();
+        (tp, out)
+    }
+
+    /// A copy of `out` with `edit` applied.
+    fn twin(out: &RunOutcome, edit: impl FnOnce(&mut RunOutcome)) -> RunOutcome {
+        let mut t = RunOutcome { value: out.value, heap: out.heap.clone() };
+        edit(&mut t);
+        t
+    }
+
+    fn set_field(out: &mut RunOutcome, addr: usize, field: &str, v: i64) {
+        let HeapEntry::Object(o) = &mut out.heap[addr] else { panic!("an object") };
+        o.fields.insert(field.to_owned(), Value::Int(v));
+    }
+
+    fn set_elem(out: &mut RunOutcome, addr: usize, i: usize, v: i64) {
+        let HeapEntry::Array(a) = &mut out.heap[addr] else { panic!("an array") };
+        a.values[i] = Value::Int(v);
+    }
+
+    #[test]
+    fn divergence_reports_every_differing_precise_observable() {
+        let (tp, out) = outcome("1 + 2");
+        for precise_only in [true, false] {
+            let check = |t: RunOutcome| out.divergence(&t, &tp, precise_only);
+            assert_eq!(check(twin(&out, |_| {})), None);
+            let field = twin(&out, |t| set_field(t, 0, "p", 8));
+            assert_eq!(check(field).as_deref(), Some("heap[0] S.p: 7 != 8"));
+            let context = twin(&out, |t| set_field(t, 0, "c", 9));
+            assert_eq!(check(context).as_deref(), Some("heap[0] S.c: 4 != 9"));
+            let elem = twin(&out, |t| set_elem(t, 2, 1, 9));
+            assert_eq!(check(elem).as_deref(), Some("heap[2][1]: 5 != 9"));
+            let main = twin(&out, |t| t.value = Value::Int(4));
+            assert_eq!(check(main).as_deref(), Some("main value 3 != 4"));
+        }
+    }
+
+    #[test]
+    fn divergence_compares_approximate_observables_only_in_full() {
+        let (tp, out) = outcome("s.a + 1");
+        assert_eq!(tp.main_type().qual, Qual::Approx);
+        let cases = [
+            (twin(&out, |t| set_field(t, 0, "a", 8)), "heap[0] S.a: 3 != 8"),
+            (twin(&out, |t| set_field(t, 1, "c", 8)), "heap[1] S.c: 6 != 8"),
+            (twin(&out, |t| set_elem(t, 3, 1, 8)), "heap[3][1]: 6 != 8"),
+            (twin(&out, |t| t.value = Value::Int(8)), "main value 4 != 8"),
+        ];
+        for (t, detail) in &cases {
+            assert_eq!(out.divergence(t, &tp, true), None, "{detail}");
+            assert_eq!(out.divergence(t, &tp, false).as_deref(), Some(*detail));
+        }
     }
 
     #[test]
