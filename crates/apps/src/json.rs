@@ -330,8 +330,8 @@ mod tests {
     #[test]
     fn integers_beyond_f64_precision_stay_exact() {
         // 2^53 and 2^53 + 1 collapse to the same f64; the parser must
-        // keep them distinct, or `--quanta-compare` could pass on reports
-        // whose quanta actually differ.
+        // keep them distinct, or a reader could accept reports whose
+        // quanta actually differ.
         let a = Json::parse("9007199254740992").unwrap();
         let b = Json::parse("9007199254740993").unwrap();
         assert_ne!(a, b);

@@ -131,26 +131,11 @@ fn synthetic_report() -> CampaignReport {
     }
 }
 
+/// A writer golden under `tests/golden/`. A change to one is a schema
+/// change: bump the schema tag and document it in DESIGN.md before
+/// re-blessing.
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
-}
-
-/// Compares `actual` to the committed golden file; set `BLESS_GOLDEN=1` to
-/// rewrite the golden after an intentional schema change.
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e}; run with BLESS_GOLDEN=1 to create", path.display()));
-    assert_eq!(
-        actual, expected,
-        "{name} drifted from the committed golden; if the schema change is \
-         intentional, bump the schema tag, document it in DESIGN.md and \
-         re-bless with BLESS_GOLDEN=1"
-    );
 }
 
 #[test]
@@ -161,12 +146,12 @@ fn campaign_report_json_matches_the_v6_golden() {
     assert!(json.contains("\"budget_met\":true"));
     assert!(json.contains("\"scheduled_level\":\"Mild\""));
     assert!(json.contains("\"scheduled_level\":null"));
-    check_golden("campaign_v6.json", &(json + "\n"));
+    enerj_pins::check(golden_path("campaign_v6.json"), &(json + "\n"));
 }
 
 #[test]
 fn fault_log_ndjson_matches_the_v2_golden() {
-    check_golden("fault_log_v2.ndjson", &synthetic_report().fault_log_ndjson());
+    enerj_pins::check(golden_path("fault_log_v2.ndjson"), &synthetic_report().fault_log_ndjson());
 }
 
 /// The goldens pin the writer, not a readable report: the crashed trial

@@ -221,7 +221,8 @@ fn main() -> ExitCode {
     }
 
     let path = bench_report_path("sched");
-    match std::fs::write(&path, json + "\n") {
+    let dir = path.parent().expect("a file path");
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json + "\n")) {
         Ok(()) => eprintln!("sched report -> {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }

@@ -4,7 +4,6 @@
 //! ```text
 //! validate_schema [--report <BENCH_*.json>]... [--fault-log <log.ndjson>]...
 //!                 [--sched <BENCH_sched.json>]...
-//!                 [--quanta-compare <a.json> <b.json>]...
 //! ```
 //!
 //! Each artifact goes through the one reader beside its writer, which
@@ -13,12 +12,8 @@
 //! `--report` through `CampaignReport::from_json` (`enerj-campaign/6`),
 //! `--fault-log` through `read_fault_log`, and `--sched` through
 //! `SchedReport::from_json` (`enerj-sched/1`, including the scheduler's own
-//! bit-identity verdict and the exact integer budget arithmetic).
-//! `--quanta-compare` reads two campaign reports and requires their
-//! campaign energy quanta and recovery overhead quanta to be equal as
-//! exact 128-bit integers — the CI smoke script runs the same campaign at
-//! two thread counts and requires exactly that. Exit code 0 when everything
-//! conforms, 1 on the first violation.
+//! bit-identity verdict and the exact integer budget arithmetic). Exit
+//! code 0 when everything conforms, 1 on the first violation.
 
 use std::process::ExitCode;
 
@@ -42,16 +37,6 @@ fn read_file<T>(path: &str, read: impl FnOnce(&str) -> Result<T, ReadError>) -> 
     read(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Requires two campaign reports to carry identical integer energy totals.
-fn compare_quanta(a: &CampaignReport, b: &CampaignReport) -> Result<(), String> {
-    let totals =
-        |r: &CampaignReport| (r.summary.energy_quanta, r.summary.recovery_energy_overhead_quanta);
-    if totals(a) != totals(b) {
-        return Err(format!("energy quanta differ: {:?} vs {:?}", totals(a), totals(b)));
-    }
-    Ok(())
-}
-
 fn run(args: &[String]) -> Result<(), String> {
     let mut checked = 0usize;
     let mut it = args.iter();
@@ -72,37 +57,25 @@ fn run(args: &[String]) -> Result<(), String> {
                 let report = read_file(path, SchedReport::from_json)?;
                 println!("{path}: OK (enerj-sched/1, {} baseline rows)", report.baselines.len());
             }
-            "--quanta-compare" => {
-                let a = it.next().ok_or("--quanta-compare needs two paths")?;
-                let b = it.next().ok_or("--quanta-compare needs two paths")?;
-                let (ra, rb) = (
-                    read_file(a, CampaignReport::from_json)?,
-                    read_file(b, CampaignReport::from_json)?,
-                );
-                compare_quanta(&ra, &rb).map_err(|e| format!("{a} vs {b}: {e}"))?;
-                println!("{a} == {b}: OK (energy quanta exactly equal)");
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}`\nusage: validate_schema \
                      [--report <path>]... [--fault-log <path>]... \
-                     [--sched <path>]... [--quanta-compare <a> <b>]..."
+                     [--sched <path>]..."
                 ))
             }
         }
         checked += 1;
     }
     if checked == 0 {
-        return Err("nothing to validate; pass --report, --fault-log, \
-                    --sched and/or --quanta-compare"
-            .to_owned());
+        return Err("nothing to validate; pass --report, --fault-log and/or --sched".to_owned());
     }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{compare_quanta, CampaignReport};
+    use super::CampaignReport;
     use enerj_apps::trials::{CampaignOptions, TrialSpec};
     use enerj_hw::config::ApproxParams;
     use enerj_hw::energy::{energy_quanta, EnergyQuantaBreakdown};
@@ -112,8 +85,8 @@ mod tests {
 
     /// A writer-rendered one-trial report whose trial spent `total` scaled
     /// instruction quanta (of a baseline past `2^53 + 1`: `2^35` precise
-    /// integer ops) and `overhead` retry quanta of them.
-    fn report(total: u128, overhead: u128) -> String {
+    /// integer ops).
+    fn report(total: u128) -> String {
         let app = enerj_apps::app("MonteCarlo").expect("registered");
         let mut trial = CampaignReport::collect(
             &[TrialSpec::reference(&app)][..],
@@ -128,25 +101,12 @@ mod tests {
             total,
             ..energy_quanta(&trial.stats, &ApproxParams::PRECISE)
         };
-        trial.recovery_energy_overhead_quanta = EnergyQuanta::new(overhead);
         CampaignReport::from_trials(vec![trial], Duration::ZERO, 1).to_json()
     }
 
     #[test]
-    fn quanta_comparison_is_exact_beyond_f64_precision() {
-        // 2^53 and 2^53 + 1 are the classic f64 collision: a reader that
-        // rounds through f64 would call these reports identical.
-        let read = |text: &str| CampaignReport::from_json(text).unwrap();
-        let a = read(&report(1 << 53, 0));
-        let err = compare_quanta(&a, &read(&report((1 << 53) + 1, 0))).unwrap_err();
-        assert!(err.contains("9007199254740992") && err.contains("9007199254740993"), "{err}");
-        assert!(compare_quanta(&a, &a).is_ok());
-        assert!(compare_quanta(&a, &read(&report(1 << 53, 1 << 53))).is_err());
-    }
-
-    #[test]
     fn non_integer_quanta_are_an_error_not_a_fallback() {
-        let text = report(1 << 53, 0);
+        let text = report(1 << 53);
         let rejects = |from: &str, to: &str, expect: &str| {
             let err = CampaignReport::from_json(&text.replace(from, to)).unwrap_err().to_string();
             assert!(err.contains(expect), "{err}");

@@ -43,15 +43,11 @@ use enerj_apps::trials::CampaignReport;
 
 pub use cli::Options;
 
-/// The repository's `results/` directory (resolved relative to this crate,
-/// so it lands at the workspace root from any working directory).
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Where a binary's campaign report lands: `results/BENCH_<name>.json`.
+/// Where a binary's campaign report lands: `results/BENCH_<name>.json`,
+/// relative to the working directory (run from the repository root, that
+/// is the committed capture).
 pub fn bench_report_path(name: &str) -> PathBuf {
-    results_dir().join(format!("BENCH_{name}.json"))
+    PathBuf::from(format!("results/BENCH_{name}.json"))
 }
 
 /// Writes a campaign report to [`bench_report_path`] and prints where it

@@ -24,7 +24,7 @@ fn drop_bits_flipped(text: &str, after: &str) -> String {
 #[test]
 fn a_missing_count_is_refused_and_named() {
     // The committed Fig. 5 report, as the writer rendered it.
-    let report = std::fs::read_to_string(enerj_bench::bench_report_path("fig5")).expect("capture");
+    let report = std::fs::read_to_string(enerj_pins::capture("BENCH_fig5.json")).expect("capture");
     assert_eq!(faultscope("report.json", &report), (true, String::new()));
     let (ok, stderr) = faultscope("no_bits.json", &drop_bits_flipped(&report, "\"trials\":["));
     assert!(!ok, "a report with a missing count must be refused");

@@ -56,29 +56,11 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-/// Compares `actual` to the committed golden file; set `BLESS_GOLDEN=1` to
-/// rewrite the golden after an intentional schema change.
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e}; run with BLESS_GOLDEN=1 to create", path.display()));
-    assert_eq!(
-        actual, expected,
-        "{name} drifted from the committed golden; if the schema change is \
-         intentional, bump the schema tag, document it in DESIGN.md and \
-         re-bless with BLESS_GOLDEN=1"
-    );
-}
-
 #[test]
 fn sched_report_json_matches_the_v1_golden() {
     let json = synthetic_report().to_json();
     assert!(json.starts_with("{\"schema\":\"enerj-sched/1\""));
-    check_golden("sched_v1.json", &(json + "\n"));
+    enerj_pins::check(golden_path("sched_v1.json"), &(json + "\n"));
 }
 
 #[test]

@@ -3,16 +3,15 @@
 //! unit's result phase and the DRAM-resident heap objects.
 //!
 //! Each family runs under all three functional-unit error modes at fault
-//! rates high enough that every fault stream it touches fires. The test
-//! compares a digest of the endorsed result bits, the operation counts, the
-//! per-kind fault injections and a digest of the exact storage, fault and
-//! energy accounts with constants recorded before the scalar op paths were
-//! folded into one (the `Ctx` families: before each mixed-operand and
-//! context op became a single machine dispatch). A moved RNG draw, fault
-//! countdown, op count or storage charge changes at least one of them. On
-//! a mismatch the panic message prints the whole table as measured.
+//! rates high enough that every fault stream it touches fires. One row per
+//! (family, mode) holds a digest of the endorsed result bits, the operation
+//! counts, the per-kind fault injections and a digest of the exact
+//! storage, fault and energy accounts; the table is pinned in
+//! `tests/golden/op_protocol.txt`. A moved RNG draw, fault countdown, op
+//! count or storage charge changes at least one of them.
 
 use std::fmt;
+use std::hash::Hasher;
 
 use enerj_core::batch::{self, ApproxBuf, BatchOp};
 use enerj_core::context::{endorse_ctx, ApproxMode, Ctx, PreciseMode};
@@ -22,32 +21,11 @@ use enerj_core::{
 };
 use enerj_hw::config::{ErrorMode, HwConfig, Level};
 use enerj_hw::trace::FaultKind;
+use enerj_pins::Digest;
 
 /// Loop trips per family: enough for every touched stream to fire at the
 /// rates of [`runtime`].
 const ITERS: u32 = 48;
-
-/// FNV-1a over 64-bit little-endian words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn wide(&mut self, w: u128) {
-        self.word(w as u64);
-        self.word((w >> 64) as u64);
-    }
-}
 
 /// Collects the endorsed bits of every result a family produces.
 struct Probe(Digest);
@@ -58,12 +36,11 @@ impl Probe {
     }
 
     fn bits<T: ApproxPrim>(&mut self, x: T) {
-        self.0.word(x.to_bits64());
+        self.0.write_u64(x.to_bits64());
     }
 }
 
 /// What one family leaves behind on the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pin {
     /// Digest of every endorsed result, in program order.
     results: u64,
@@ -76,18 +53,9 @@ struct Pin {
     accounts: u64,
 }
 
-/// A table row: `results`, `ops`, `faults`, `accounts`.
-const fn pin(results: u64, ops: [u64; 4], faults: [u64; 5], accounts: u64) -> Pin {
-    Pin { results, ops, faults, accounts }
-}
-
 impl fmt::Display for Pin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "pin({:#018x}, {:?}, {:?}, {:#018x})",
-            self.results, self.ops, self.faults, self.accounts
-        )
+        write!(f, "{:#018x} {:?} {:?} {:#018x}", self.results, self.ops, self.faults, self.accounts)
     }
 }
 
@@ -106,20 +74,20 @@ type Family = fn(&mut Probe);
 
 fn measure(family: Family, mode: ErrorMode) -> Pin {
     let rt = runtime(mode);
-    let mut probe = Probe(Digest::new());
+    let mut probe = Probe(Digest::default());
     rt.run(|| family(&mut probe));
     let s = rt.stats();
     let counters = rt.fault_counters();
     let q = rt.energy_quanta();
-    let mut accounts = Digest::new();
+    let mut accounts = Digest::default();
     let storage =
         [s.sram_approx_quanta, s.sram_precise_quanta, s.dram_approx_quanta, s.dram_precise_quanta];
     for quanta in storage {
-        accounts.wide(quanta.get());
+        accounts.write_u128(quanta.get());
     }
-    accounts.word(counters.total_injections());
+    accounts.write_u64(counters.total_injections());
     for kind in FaultKind::ALL {
-        accounts.word(counters.count(kind).bits_flipped);
+        accounts.write_u64(counters.count(kind).bits_flipped);
     }
     let energy = [
         q.instructions,
@@ -132,14 +100,14 @@ fn measure(family: Family, mode: ErrorMode) -> Pin {
         q.baseline_total,
     ];
     for quanta in energy {
-        accounts.wide(quanta.get());
+        accounts.write_u128(quanta.get());
     }
-    pin(
-        probe.0 .0,
-        [s.int_approx_ops, s.int_precise_ops, s.fp_approx_ops, s.fp_precise_ops],
-        FaultKind::ALL.map(|k| counters.count(k).injections),
-        accounts.0,
-    )
+    Pin {
+        results: probe.0.finish(),
+        ops: [s.int_approx_ops, s.int_precise_ops, s.fp_approx_ops, s.fp_precise_ops],
+        faults: FaultKind::ALL.map(|k| counters.count(k).injections),
+        accounts: accounts.finish(),
+    }
 }
 
 fn int32(i: u32) -> i32 {
@@ -451,92 +419,15 @@ const FAMILIES: [(&str, Family); 11] = [
 const MODES: [ErrorMode; 3] =
     [ErrorMode::SingleBitFlip, ErrorMode::LastValue, ErrorMode::RandomValue];
 
-/// Recorded per family, in `MODES` order.
-const PINS: [[Pin; 3]; 11] = [
-    // arith
-    [
-        pin(0x9043619d54ed0c9a, [1440, 0, 1440, 0], [688, 151, 0, 66, 81], 0x61e8812e63af9570),
-        pin(0x8f30f7c69f7db8fb, [1440, 0, 1440, 0], [688, 142, 0, 57, 73], 0x20da1e9d152d2076),
-        pin(0xffc5bb6ced398fe8, [1440, 0, 1440, 0], [688, 151, 0, 66, 81], 0x23cecbc80cd9e021),
-    ],
-    // bit
-    [
-        pin(0xcdf977425392ae4f, [864, 0, 0, 0], [184, 32, 0, 41, 0], 0xeabfc46daa97aa51),
-        pin(0x0332453099bf9ad9, [864, 0, 0, 0], [188, 25, 0, 47, 0], 0x779924372180d39c),
-        pin(0xc08a38094df04e5f, [864, 0, 0, 0], [184, 32, 0, 41, 0], 0x7e892e490646eff8),
-    ],
-    // compare
-    [
-        pin(0x2aefca16a968cea4, [576, 0, 576, 0], [217, 80, 0, 18, 26], 0xc07ad5d60c48c9f4),
-        pin(0x6d8097d488959d05, [576, 0, 576, 0], [217, 80, 0, 18, 26], 0x2b22d32d1256ac99),
-        pin(0xb0a8bd647b57a005, [576, 0, 576, 0], [219, 76, 0, 19, 30], 0xfbab22b678f7149c),
-    ],
-    // math
-    [
-        pin(0xff624d79245c49e6, [0, 0, 576, 0], [122, 24, 0, 0, 21], 0xdbc96e9cb4d9b7f9),
-        pin(0x331f03419aeeb819, [0, 0, 576, 0], [107, 26, 0, 0, 19], 0xce13d5b0287fbdc6),
-        pin(0xae2c1a2e090bb526, [0, 0, 576, 0], [122, 24, 0, 0, 21], 0xd410252650c74de7),
-    ],
-    // bool
-    [
-        pin(0x9798509c93071085, [336, 0, 48, 0], [18, 18, 0, 16, 0], 0xca45376a9ad3286a),
-        pin(0x877e1426bda72f04, [336, 0, 48, 0], [13, 17, 0, 19, 0], 0xdf575dbf82b137bb),
-        pin(0x27d0f44514870d24, [336, 0, 48, 0], [14, 16, 0, 20, 0], 0xa5c79baf348644d4),
-    ],
-    // endorse
-    [
-        pin(0x02a9198b1dbeeea6, [0, 0, 0, 0], [30, 28, 0, 0, 0], 0xc412538f775763cd),
-        pin(0x02a9198b1dbeeea6, [0, 0, 0, 0], [30, 28, 0, 0, 0], 0xc412538f775763cd),
-        pin(0x02a9198b1dbeeea6, [0, 0, 0, 0], [30, 28, 0, 0, 0], 0xc412538f775763cd),
-    ],
-    // precise_ctx
-    [
-        pin(0x4928c24c107f4b0c, [0, 418, 240, 144], [112, 80, 0, 0, 5], 0x9fe2ef95ae3751ad),
-        pin(0xe33be755eb6a92ea, [0, 418, 240, 144], [106, 78, 0, 0, 11], 0xb93b3d25438e965c),
-        pin(0xa0632560bef7435f, [0, 418, 240, 144], [112, 80, 0, 0, 5], 0x2612499aaacd9834),
-    ],
-    // heap
-    [
-        pin(0x04a2b8cf9e5b5d74, [48, 0, 96, 0], [53, 23, 165, 1, 1], 0xd5f740e6fe81eb96),
-        pin(0x522774ff2caae0bf, [48, 0, 96, 0], [60, 24, 164, 1, 1], 0x1944f186a7b364f8),
-        pin(0x8a60ff10fb12e616, [48, 0, 96, 0], [53, 23, 165, 1, 1], 0x57e50eb83ce5c34c),
-    ],
-    // batch
-    [
-        pin(0x17346d62b0732ecc, [960, 0, 2064, 0], [750, 106, 345, 51, 101], 0x937bad45b2adcb16),
-        pin(0x4fb553245165d8af, [960, 0, 2064, 0], [729, 106, 342, 57, 91], 0xf30d975d12980599),
-        pin(0xb6ca6137ed6426f2, [960, 0, 2064, 0], [750, 106, 345, 51, 101], 0x31ba12a8f00cadee),
-    ],
-    // ctx_f32
-    [
-        pin(0x6bf129e65b69a167, [0, 0, 1248, 0], [289, 207, 0, 0, 63], 0xe35927b7dc9d34bb),
-        pin(0x98435a598278062e, [0, 0, 1248, 0], [295, 221, 0, 0, 45], 0x6bfc49b98e57fc24),
-        pin(0xdacec082aed0146f, [0, 0, 1248, 0], [289, 207, 0, 0, 63], 0x10ee94090d8b4f38),
-    ],
-    // ctx_i32
-    [
-        pin(0xa12c5bc96088640f, [672, 0, 0, 0], [167, 131, 0, 27, 0], 0xab7dbac5d2ccedda),
-        pin(0xfecf8a46371112b6, [672, 0, 0, 0], [167, 135, 0, 26, 0], 0x9a9018352841368b),
-        pin(0x100d21ca504c0b76, [672, 0, 0, 0], [167, 131, 0, 27, 0], 0x31270722a199fd5e),
-    ],
-];
-
 #[test]
 fn every_family_is_pinned_under_every_error_mode() {
-    let mut measured = String::new();
-    let mut mismatches = Vec::new();
-    for ((name, family), pins) in FAMILIES.iter().zip(&PINS) {
-        measured.push_str(&format!("    // {name}\n    [\n"));
-        for (mode, pin) in MODES.iter().zip(pins) {
-            let got = measure(*family, *mode);
-            measured.push_str(&format!("        {got},\n"));
-            if got != *pin {
-                mismatches.push(format!("{name} under {mode:?}"));
-            }
+    let mut table = String::new();
+    for (name, family) in FAMILIES {
+        for mode in MODES {
+            table.push_str(&format!("{name} {mode:?} {}\n", measure(family, mode)));
         }
-        measured.push_str("    ],\n");
     }
-    assert!(mismatches.is_empty(), "changed: {mismatches:?}\nmeasured:\n{measured}");
+    enerj_pins::check(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/op_protocol.txt"), &table);
 }
 
 #[test]
