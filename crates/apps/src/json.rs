@@ -392,7 +392,7 @@ mod tests {
             &CampaignOptions::with_threads(1),
         );
         let v = Json::parse(&report.to_json()).expect("emitter output parses");
-        assert_eq!(v.get("schema").and_then(Json::as_str), Some("enerj-campaign/6"));
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("enerj-campaign/7"));
         let trials = v.get("trials").and_then(Json::as_array).unwrap();
         assert_eq!(trials.len(), 1);
         assert_eq!(trials[0].get("app").and_then(Json::as_str), Some("MonteCarlo"));

@@ -52,9 +52,9 @@
 //! [`Stats`], exact [`EnergyQuantaBreakdown`]s,
 //! fault telemetry — [`FaultCounters`] plus opt-in structured
 //! [`FaultEvent`] logs — and wall-clock times) next to the drain's
-//! [`CampaignSummary`]. It serializes to JSON (`schema: "enerj-campaign/6"`)
+//! [`CampaignSummary`]. It serializes to JSON (`schema: "enerj-campaign/7"`)
 //! for the bench binaries' `results/BENCH_*.json` reports, and its fault log
-//! exports as NDJSON via [`CampaignReport::write_fault_log`]. Campaigns can
+//! exports as NDJSON via [`CampaignReport::fault_log_ndjson`]. Campaigns can
 //! also report live progress (trials done, panics, ETA) on stderr; progress
 //! updates are batched per chunk so the meter never contends in the trial
 //! hot path.
@@ -340,10 +340,10 @@ impl CampaignReport {
         self.trials.iter().filter(move |t| t.app == app && t.label == label)
     }
 
-    /// Serializes the report as a JSON object (`schema: "enerj-campaign/6"`,
-    /// which keeps the quanta and fault counters as the only energy and
-    /// fault record, dropping `/5`'s f64 copies; the `/1`–`/5` schemas are
-    /// superseded — see DESIGN.md).
+    /// Serializes the report as a JSON object (`schema: "enerj-campaign/7"`,
+    /// whose trials store only what cannot be derived or defaulted
+    /// ([`write_trial_json`]); the campaign totals stay whole. The `/1`–`/6`
+    /// schemas are superseded — see DESIGN.md).
     ///
     /// All `*_quanta` values are raw integers (no exponent notation), so a
     /// byte-level comparison of those fields across reports is an exact
@@ -351,7 +351,7 @@ impl CampaignReport {
     pub fn to_json(&self) -> String {
         let sum = &self.summary;
         let mut out = String::with_capacity(256 + 1024 * self.trials.len());
-        push_u64(&mut out, "{\"schema\":\"enerj-campaign/6\",\"threads\":", sum.threads as u64);
+        push_u64(&mut out, "{\"schema\":\"enerj-campaign/7\",\"threads\":", sum.threads as u64);
         push_wall(&mut out, ",\"wall_seconds\":", sum.wall);
         push_json_f64(&mut out, ",\"mean_error\":", sum.mean_error);
         push_u64(&mut out, ",\"panics\":", sum.panics as u64);
@@ -384,15 +384,6 @@ impl CampaignReport {
         out
     }
 
-    /// Writes [`to_json`](Self::to_json) (plus a trailing newline) to `path`,
-    /// creating parent directories as needed.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json() + "\n")
-    }
-
     /// Serializes the collected fault events as NDJSON: one object per
     /// injected fault, in trial-index then injection order. Empty unless
     /// the campaign ran with [`CampaignOptions::log_events`].
@@ -406,15 +397,6 @@ impl CampaignReport {
         }
         out
     }
-
-    /// Writes [`fault_log_ndjson`](Self::fault_log_ndjson) to `path`,
-    /// creating parent directories as needed.
-    pub fn write_fault_log(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.fault_log_ndjson())
-    }
 }
 
 /// One trial as a JSON object — the element type of the report's `trials`
@@ -427,6 +409,13 @@ pub fn trial_json(t: &TrialResult) -> String {
 }
 
 /// Appends [`trial_json`]'s bytes to `out`, allocating nothing but `out`'s growth.
+///
+/// The record holds only what cannot be derived or defaulted: the energy
+/// baselines and `total` follow from `stats` and the three scaled
+/// components, and `panic`, `recovered_at_level`, `scheduled_level` (default
+/// `null`), `failure_causes` (empty), `recovery_energy_overhead_quanta` (0)
+/// and each `fault_counts` kind (both counts 0) appear only when they differ
+/// from their default.
 pub fn write_trial_json(out: &mut String, t: &TrialResult) {
     push_u64(out, "{\"index\":", t.index as u64);
     push_json_string(out, ",\"app\":", t.app);
@@ -434,24 +423,40 @@ pub fn write_trial_json(out: &mut String, t: &TrialResult) {
     push_u64(out, ",\"seed\":", t.seed);
     push_json_f64(out, ",\"error\":", t.error);
     push_wall(out, ",\"wall_seconds\":", t.wall);
-    push_json_opt_string(out, ",\"panic\":", t.panic.as_deref());
-    push_u64(out, ",\"attempts\":", u64::from(t.attempts));
-    push_json_opt_string(out, ",\"recovered_at_level\":", t.recovered_at_level.as_deref());
-    push_json_opt_string(out, ",\"scheduled_level\":", t.scheduled_level.as_deref());
-    out.push_str(",\"failure_causes\":[");
-    for (i, cause) in t.failure_causes.iter().enumerate() {
-        push_json_string(out, if i == 0 { "" } else { "," }, cause);
+    if let Some(panic) = &t.panic {
+        push_json_string(out, ",\"panic\":", panic);
     }
-    out.push(']');
-    push_u128(
-        out,
-        ",\"recovery_energy_overhead_quanta\":",
-        t.recovery_energy_overhead_quanta.get(),
-    );
+    push_u64(out, ",\"attempts\":", u64::from(t.attempts));
+    if let Some(level) = &t.recovered_at_level {
+        push_json_string(out, ",\"recovered_at_level\":", level);
+    }
+    if let Some(level) = &t.scheduled_level {
+        push_json_string(out, ",\"scheduled_level\":", level);
+    }
+    if !t.failure_causes.is_empty() {
+        out.push_str(",\"failure_causes\":[");
+        for (i, cause) in t.failure_causes.iter().enumerate() {
+            push_json_string(out, if i == 0 { "" } else { "," }, cause);
+        }
+        out.push(']');
+    }
+    let overhead = t.recovery_energy_overhead_quanta;
+    if !overhead.is_zero() {
+        push_u128(out, ",\"recovery_energy_overhead_quanta\":", overhead.get());
+    }
     push_stats(out, ",\"stats\":", &t.stats);
-    push_energy_quanta(out, ",\"energy_quanta\":", &t.energy_quanta);
-    push_counters(out, ",\"fault_counts\":", &t.fault_counts);
+    let q = &t.energy_quanta;
+    push_u128(out, ",\"energy_quanta\":{\"instructions\":", q.instructions.get());
+    push_u128(out, ",\"sram\":", q.sram.get());
+    push_u128(out, ",\"dram\":", q.dram.get());
     out.push('}');
+    out.push_str(",\"fault_counts\":{");
+    let mut sep = "\"";
+    for (kind, kc) in t.fault_counts.per_kind().filter(|(_, kc)| *kc != KindCount::default()) {
+        push_kind_count(out, sep, kind, kc);
+        sep = ",\"";
+    }
+    out.push_str("}}");
 }
 
 /// `s` as a JSON string literal, quotes included: `"`, `\` and control
@@ -558,13 +563,6 @@ fn push_escaped(out: &mut String, s: &str) {
     }
 }
 
-fn push_json_opt_string(out: &mut String, key: &str, s: Option<&str>) {
-    match s {
-        Some(s) => push_json_string(out, key, s),
-        None => out.extend([key, "null"]),
-    }
-}
-
 /// Appends `key` and `x` as `{}` renders it, NaN and ±∞ clamped first.
 fn push_json_f64(out: &mut String, key: &str, x: f64) {
     let x = if x.is_nan() {
@@ -662,12 +660,17 @@ fn push_counters(out: &mut String, key: &str, c: &FaultCounters) {
     out.push_str(key);
     out.push('{');
     for (i, (kind, kc)) in c.per_kind().enumerate() {
-        // Fault kind names are plain ASCII words: nothing to escape.
-        out.extend([if i == 0 { "\"" } else { ",\"" }, kind.name()]);
-        push_u64(out, "\":{\"injections\":", kc.injections);
-        push_u64(out, ",\"bits_flipped\":", kc.bits_flipped);
-        out.push('}');
+        push_kind_count(out, if i == 0 { "\"" } else { ",\"" }, kind, kc);
     }
+    out.push('}');
+}
+
+/// Appends `sep`, then one `fault_counts` member: `kind`'s name and counts.
+fn push_kind_count(out: &mut String, sep: &str, kind: FaultKind, kc: KindCount) {
+    // Fault kind names are plain ASCII words: nothing to escape.
+    out.extend([sep, kind.name()]);
+    push_u64(out, "\":{\"injections\":", kc.injections);
+    push_u64(out, ",\"bits_flipped\":", kc.bits_flipped);
     out.push('}');
 }
 
@@ -753,11 +756,26 @@ impl<'a> Field<'a> {
 
     /// Member `key` of this object; a missing member is an error.
     pub fn get(&self, key: &str) -> Result<Field<'a>, ReadError> {
-        let path =
-            if self.path.is_empty() { key.to_owned() } else { format!("{}.{key}", self.path) };
-        match self.json.get(key) {
-            Some(json) => Ok(Field { json, path }),
-            None => Err(ReadError { path, kind: ReadErrorKind::Invalid("missing".to_owned()) }),
+        let missing = || ReadError {
+            path: self.member_path(key),
+            kind: ReadErrorKind::Invalid("missing".to_owned()),
+        };
+        self.member(key).ok_or_else(missing)
+    }
+
+    /// Member `key` of this object, `None` when it is absent: a member the
+    /// writer omits at its default.
+    fn member(&self, key: &str) -> Option<Field<'a>> {
+        let json = self.json.get(key)?;
+        Some(Field { json, path: self.member_path(key) })
+    }
+
+    /// The path of member `key`.
+    fn member_path(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_owned()
+        } else {
+            format!("{}.{key}", self.path)
         }
     }
 
@@ -899,11 +917,11 @@ fn baselines_fit(s: &Stats) -> bool {
     total().is_some()
 }
 
-/// Inverts [`push_energy_quanta`] for a trial with statistics `stats`. The
-/// baselines are functions of the statistics alone and each total is the
-/// sum of its components, so only the three scaled components are read,
-/// each at most its baseline; the re-rendering rejects any stored baseline
-/// or total that disagrees.
+/// Reads a trial's `energy_quanta` for a trial with statistics `stats`.
+/// The baselines are functions of the statistics alone and each total is
+/// the sum of its components, so the record holds only the three scaled
+/// components, each at most its baseline; the re-rendering rejects any
+/// stored baseline or total.
 fn read_energy_quanta(f: &Field<'_>, stats: &Stats) -> Result<EnergyQuantaBreakdown, ReadError> {
     f.ensure(baselines_fit(stats), || "the statistics' baselines overflow".to_owned())?;
     let base = energy_quanta(stats, &ApproxParams::PRECISE);
@@ -920,27 +938,30 @@ fn read_energy_quanta(f: &Field<'_>, stats: &Stats) -> Result<EnergyQuantaBreakd
     Ok(EnergyQuantaBreakdown { instructions, sram, dram, total, ..base })
 }
 
-/// Inverts [`push_counters`]: one entry per [`FaultKind::ALL`] name (the
-/// re-rendering rejects any other).
+/// Reads a trial's `fault_counts`: an absent [`FaultKind::ALL`] name is a
+/// kind with both counts 0 (the re-rendering rejects any other name and an
+/// explicit zero kind).
 fn read_counters(f: &Field<'_>) -> Result<FaultCounters, ReadError> {
     let mut counts = [KindCount::default(); FaultKind::ALL.len()];
     for (count, kind) in counts.iter_mut().zip(FaultKind::ALL) {
-        let entry = f.get(kind.name())?;
-        count.injections = entry.get("injections")?.int()?;
-        count.bits_flipped = entry.get("bits_flipped")?.int()?;
+        if let Some(entry) = f.member(kind.name()) {
+            count.injections = entry.get("injections")?.int()?;
+            count.bits_flipped = entry.get("bits_flipped")?.int()?;
+        }
     }
     Ok(FaultCounters::from_counts(counts))
 }
 
-/// Inverts [`write_trial_json`]. `output` reads as `None` and `events` as
-/// empty: the record carries neither.
+/// Inverts [`write_trial_json`], reading each absent optional member as
+/// its default. `output` reads as `None` and `events` as empty: the record
+/// carries neither.
 fn read_trial(f: &Field<'_>) -> Result<TrialResult, ReadError> {
     let opt_string = |key: &str| -> Result<Option<String>, ReadError> {
-        f.get(key)?.nullable().map(|v| v.str().map(str::to_owned)).transpose()
+        f.member(key).map(|v| v.str().map(str::to_owned)).transpose()
     };
     let (error_field, error) = (f.get("error")?, f.get("error")?.f64()?);
     error_field.ensure((0.0..=1.0).contains(&error), || format!("{error} outside [0, 1]"))?;
-    let causes = f.get("failure_causes")?.items()?;
+    let causes = f.member("failure_causes").map(|c| c.items()).transpose()?.unwrap_or_default();
     let failure_causes: Vec<String> =
         causes.iter().map(|c| c.str().map(str::to_owned)).collect::<Result<_, _>>()?;
     let recovered_at_level = opt_string("recovered_at_level")?;
@@ -966,11 +987,13 @@ fn read_trial(f: &Field<'_>) -> Result<TrialResult, ReadError> {
     }
     let stats = read_stats(&f.get("stats")?)?;
     let energy_quanta = read_energy_quanta(&f.get("energy_quanta")?, &stats)?;
-    let overhead_field = f.get("recovery_energy_overhead_quanta")?;
-    let overhead = overhead_field.quanta()?;
-    overhead_field.ensure(overhead <= energy_quanta.total, || {
-        format!("{overhead} exceeds energy_quanta.total {}", energy_quanta.total)
-    })?;
+    let mut overhead = EnergyQuanta::ZERO;
+    if let Some(field) = f.member("recovery_energy_overhead_quanta") {
+        overhead = field.quanta()?;
+        field.ensure(overhead <= energy_quanta.total, || {
+            format!("{overhead} exceeds energy_quanta.total {}", energy_quanta.total)
+        })?;
+    }
     Ok(TrialResult {
         index: f.get("index")?.int()?,
         app: read_app(&f.get("app")?)?,
@@ -1008,7 +1031,7 @@ impl CampaignReport {
 }
 
 fn read_report(f: &Field<'_>) -> Result<CampaignReport, ReadError> {
-    f.schema("enerj-campaign/6")?;
+    f.schema("enerj-campaign/7")?;
     let budget_quanta = f.get("budget_quanta")?.nullable().map(Field::quanta).transpose()?;
     let budget_met = f.get("budget_met")?.nullable().map(Field::bool).transpose()?;
     f.get("budget_met")?.ensure(budget_quanta.is_some() == budget_met.is_some(), || {
@@ -1976,7 +1999,7 @@ mod tests {
     fn json_report_has_schema_and_trials() {
         let report = run(&[TrialSpec::reference(&app("MonteCarlo"))], 1);
         let json = report.to_json();
-        assert!(json.starts_with("{\"schema\":\"enerj-campaign/6\""));
+        assert!(json.starts_with("{\"schema\":\"enerj-campaign/7\""));
         // Every field reads back as the writer's typed value; quanta read
         // only as exact integers (no sign, exponent or dot).
         let read = CampaignReport::from_json(&json).expect("the report reads back");
@@ -2159,8 +2182,8 @@ mod tests {
     #[test]
     fn rejects_wrong_schema_and_missing_keys() {
         let good = aggressive_campaign().to_json();
-        for old in (1..=5).map(|v| format!("enerj-campaign/{v}")) {
-            rejects(&good, "enerj-campaign/6", &old, &format!("schema: `{old}`, expected"));
+        for old in (1..=6).map(|v| format!("enerj-campaign/{v}")) {
+            rejects(&good, "enerj-campaign/7", &old, &format!("schema: `{old}`, expected"));
         }
         rejects(&good, ",\"label\":\"Aggr\"", "", "trials[2].label: missing");
         rejects(&good, "{", "", "expected `,` or `}` at byte");
@@ -2174,31 +2197,31 @@ mod tests {
         let good = aggressive_campaign().to_json();
         // Unscheduled campaigns carry null budget fields; a verdict without
         // a budget is drift, and budgets are integer quanta.
-        let (met, budget, level) =
-            ("\"budget_met\":null", "\"budget_quanta\":null", "\"scheduled_level\":null");
+        let (met, budget) = ("\"budget_met\":null", "\"budget_quanta\":null");
         rejects(&good, met, "\"budget_met\":true", "budget_met: must be null exactly when");
         rejects(&good, budget, "\"budget_quanta\":0.5", "budget_quanta: not an exact u128");
         // The per-trial rung vocabulary is closed.
-        rejects(&good, level, "\"scheduled_level\":\"X\"", "trials[2].scheduled_level: unknown");
+        let level = "\"attempts\":1,\"scheduled_level\":\"X\"";
+        rejects(&good, "\"attempts\":1", level, "trials[2].scheduled_level: unknown");
     }
 
     #[test]
     fn rejects_malformed_recovery_fields() {
         let text = aggressive_campaign().to_json();
-        let (attempts, causes) = ("\"attempts\":1", "\"failure_causes\":[]");
+        let attempts = "\"attempts\":1";
         let ledger = "trials[2].attempts: ";
         rejects(&text, attempts, "\"attempts\":0", &format!("{ledger}0 attempts are inconsistent"));
-        let two = "\"failure_causes\":[\"qos: a\",\"qos: b\"]";
-        rejects(&text, causes, two, &format!("{ledger}1 attempts are inconsistent with 2"));
-        rejects(&text, causes, "\"failure_causes\":[7]", "trials[2].failure_causes[0]: not a");
+        let two = "\"attempts\":1,\"failure_causes\":[\"qos: a\",\"qos: b\"]";
+        rejects(&text, attempts, two, &format!("{ledger}1 attempts are inconsistent with 2"));
+        let seven = "\"attempts\":1,\"failure_causes\":[7]";
+        rejects(&text, attempts, seven, "trials[2].failure_causes[0]: not a");
         // Rejected attempts' energy is part of the trial's total.
-        let overhead = "\"recovery_energy_overhead_quanta\":0,";
-        let beyond = format!("\"recovery_energy_overhead_quanta\":{},", u128::MAX);
+        let beyond = format!(",\"recovery_energy_overhead_quanta\":{},\"stats\":", u128::MAX);
         let exceeds = format!(
             "trials[2].recovery_energy_overhead_quanta: {} exceeds energy_quanta",
             u128::MAX
         );
-        rejects(&text, overhead, &beyond, &exceeds);
+        rejects(&text, ",\"stats\":", &beyond, &exceeds);
         rejects(&text, "\"error\":", "\"error\":1.5,\"x\":", "trials[2].error: 1.5 outside [0, 1]");
         let err = CampaignReport::from_json(&text.replacen("MonteCarlo", "Nope", 1)).unwrap_err();
         assert_eq!(
@@ -2212,7 +2235,6 @@ mod tests {
         let report = aggressive_campaign();
         let text = report.to_json();
         // Quanta are non-negative integer counts, scaled never above baseline.
-        let overhead = "\"recovery_energy_overhead_quanta\":";
         let quanta = "trials[2].energy_quanta.";
         rejects(
             &text,
@@ -2222,26 +2244,17 @@ mod tests {
         );
         rejects(
             &text,
-            overhead,
-            &format!("{overhead}-1,\"x\":"),
+            ",\"stats\":",
+            ",\"recovery_energy_overhead_quanta\":-1,\"stats\":",
             "trials[2].recovery_energy_overhead_quanta: not an exact",
         );
         let huge = "\"instructions\":99999999999999999999,\"x\":";
         let exceeds = format!("{quanta}instructions: 99999999999999999999 exceeds baseline_");
         rejects(&text, "\"instructions\":", huge, &exceeds);
-        // Baselines follow from the statistics and totals from the
-        // components: a stored one that disagrees is not the writer's.
-        let rerendered = "not the writer's rendering";
-        rejects(&text, "\"baseline_instructions\":", "\"baseline_instructions\":1", rerendered);
-        rejects(&text, "\"baseline_total\":", "\"baseline_total\":1", rerendered);
-        rejects(&text, "\"total\":", "\"total\":1", rerendered);
-        // Exactly the FaultKind::ALL names.
-        rejects(
-            &text,
-            "\"dram-decay\":",
-            "\"dram-rot\":",
-            "trials[2].fault_counts.dram-decay: missing",
-        );
+        // A kind present in the record carries both counts.
+        let kind = "\"fault_counts\":{\"dram-decay\":{\"injections\":1},";
+        let missing = "trials[2].fault_counts.dram-decay.bits_flipped: missing";
+        rejects(&text, "\"fault_counts\":{", kind, missing);
         // Quanta past 2^53 read exactly: 2^53 and 2^53 + 1 stay distinct.
         let mut trials = report.trials;
         let overhead = EnergyQuanta::new((1 << 53) + 1);
@@ -2404,7 +2417,181 @@ mod tests {
     }
 
     /// [`populated_trial`]'s line, pinned byte for byte.
-    const PINNED_TRIAL_LINE: &str = r#"{"index":1000003,"app":"FFT","label":"Aggr é","seed":18446744073709551609,"error":0.03125,"wall_seconds":2.500001,"panic":"index out of bounds: the \"len\" is 3\nbut the index is 7","attempts":3,"recovered_at_level":"Precise","scheduled_level":"Medium","failure_causes":["qos: error 0.5 > 0.1","panic: overflow"],"recovery_energy_overhead_quanta":18446744073709551618,"stats":{"int_approx_ops":1234567890123,"int_precise_ops":42,"fp_approx_ops":9,"fp_precise_ops":100,"sram_approx_quanta":18446744073709551616,"sram_precise_quanta":99,"dram_approx_quanta":17014118346046923173168730371588411,"dram_precise_quanta":10},"energy_quanta":{"instructions":416049379029327400,"baseline_instructions":456790119404650000,"sram":36893488147419104222000,"baseline_sram":184467440737095517150000,"dram":132710123099166000750716096898389705800,"baseline_dram":170141183460469231731687303715884210000,"total":132710123099166037644620293696523255200,"baseline_total":170141183460469416199584830930806010000},"fault_counts":{"sram-read-upset":{"injections":1,"bits_flipped":3},"sram-write-failure":{"injections":11,"bits_flipped":1003},"dram-decay":{"injections":21,"bits_flipped":2003},"int-timing":{"injections":31,"bits_flipped":3003},"fp-timing":{"injections":41,"bits_flipped":4003}}}"#;
+    const PINNED_TRIAL_LINE: &str = r#"{"index":1000003,"app":"FFT","label":"Aggr é","seed":18446744073709551609,"error":0.03125,"wall_seconds":2.500001,"panic":"index out of bounds: the \"len\" is 3\nbut the index is 7","attempts":3,"recovered_at_level":"Precise","scheduled_level":"Medium","failure_causes":["qos: error 0.5 > 0.1","panic: overflow"],"recovery_energy_overhead_quanta":18446744073709551618,"stats":{"int_approx_ops":1234567890123,"int_precise_ops":42,"fp_approx_ops":9,"fp_precise_ops":100,"sram_approx_quanta":18446744073709551616,"sram_precise_quanta":99,"dram_approx_quanta":17014118346046923173168730371588411,"dram_precise_quanta":10},"energy_quanta":{"instructions":416049379029327400,"sram":36893488147419104222000,"dram":132710123099166000750716096898389705800},"fault_counts":{"sram-read-upset":{"injections":1,"bits_flipped":3},"sram-write-failure":{"injections":11,"bits_flipped":1003},"dram-decay":{"injections":21,"bits_flipped":2003},"int-timing":{"injections":31,"bits_flipped":3003},"fp-timing":{"injections":41,"bits_flipped":4003}}}"#;
+
+    /// A trial with every optional member at its default, shaped like an
+    /// `ndjson` benchmark line: one fault-free Medium attempt of 16
+    /// approximate FP ops over a 512-point input.
+    fn default_trial() -> TrialResult {
+        let q = EnergyQuanta::new;
+        let stats = Stats {
+            int_approx_ops: 0,
+            int_precise_ops: 1_541,
+            fp_approx_ops: 16,
+            fp_precise_ops: 2_048,
+            sram_approx_quanta: q(1_024),
+            sram_precise_quanta: q(65_536),
+            dram_approx_quanta: q(0),
+            dram_precise_quanta: q(1_048_576),
+        };
+        TrialResult {
+            label: "Medium".to_owned(),
+            seed: FAULT_SEED_BASE ^ (1 << 32 | 85_000),
+            error: 0.000_123,
+            stats,
+            energy_quanta: energy_quanta(&stats, &ApproxParams::MEDIUM),
+            wall: Duration::from_nanos(1_700),
+            attempts: 1,
+            ..TrialResult::new(85_000, &TrialSpec::reference(&app("FFT")))
+        }
+    }
+
+    #[test]
+    fn default_trial_line_is_pinned() {
+        let line = trial_json(&default_trial());
+        assert_eq!(line, PINNED_DEFAULT_LINE);
+        read_exact(&line, read_trial, trial_json).expect("the line reads back");
+    }
+
+    /// [`default_trial`]'s line, pinned byte for byte: no optional member,
+    /// the three scaled energy components and an empty `fault_counts`.
+    const PINNED_DEFAULT_LINE: &str = r#"{"index":85000,"app":"FFT","label":"Medium","seed":5806386201,"error":0.000123,"wall_seconds":0.000002,"attempts":1,"stats":{"int_approx_ops":0,"int_precise_ops":1541,"fp_approx_ops":16,"fp_precise_ops":2048,"sram_approx_quanta":1024,"sram_precise_quanta":65536,"dram_approx_quanta":0,"dram_precise_quanta":1048576},"energy_quanta":{"instructions":1393523600,"sram":657408000,"dram":10485760000},"fault_counts":{}}"#;
+
+    /// A report of [`default_trial`], with `from` (in the trial) replaced
+    /// by `to`, fails to read with an error starting `expect`.
+    #[test]
+    fn rejects_explicit_defaults_and_derived_energy() {
+        let t = default_trial();
+        let text = CampaignReport::from_trials(vec![t.clone()], Duration::ZERO, 1).to_json();
+        let rerendered = "not the writer's rendering";
+        // An explicit default is not the writer's rendering: a `null` is no
+        // string, and every other default is omitted on re-rendering.
+        for key in ["panic", "recovered_at_level", "scheduled_level"] {
+            let null = format!("\"attempts\":1,\"{key}\":null");
+            rejects(&text, "\"attempts\":1", &null, &format!("trials[0].{key}: not a string"));
+        }
+        let causes = "\"attempts\":1,\"failure_causes\":[]";
+        rejects(&text, "\"attempts\":1", causes, rerendered);
+        let overhead = ",\"recovery_energy_overhead_quanta\":0,\"stats\":";
+        rejects(&text, ",\"stats\":", overhead, rerendered);
+        let counts = "\"fault_counts\":{";
+        for kind in FaultKind::ALL.iter().map(|k| k.name()).chain(["dram-rot"]) {
+            let zero = format!("{counts}\"{kind}\":{{\"injections\":0,\"bits_flipped\":0}}");
+            rejects(&text, counts, &zero, rerendered);
+        }
+        // The five derived energy fields are rejected even at their
+        // derived values.
+        let q = &t.energy_quanta;
+        for (key, value) in [
+            ("baseline_instructions", q.baseline_instructions),
+            ("baseline_sram", q.baseline_sram),
+            ("baseline_dram", q.baseline_dram),
+            ("total", q.total),
+            ("baseline_total", q.baseline_total),
+        ] {
+            let energy = "\"energy_quanta\":{\"instructions\":";
+            let stored = format!("\"energy_quanta\":{{\"{key}\":{value},\"instructions\":");
+            rejects(&text, energy, &stored, rerendered);
+        }
+        assert!(CampaignReport::from_json(&text).is_ok(), "the unedited report reads back");
+    }
+
+    /// A seeded trial whose optional members are each drawn at their
+    /// default or not: a clean, recovered, degraded or panicked attempt
+    /// ledger, zero and nonzero fault kinds, and energy within the
+    /// baselines its statistics give.
+    fn random_trial(rng: &mut rand::rngs::StdRng, index: usize) -> TrialResult {
+        let mut draw = |n: u64| rng.next_u64() % n;
+        let apps = ["FFT", "SOR", "MonteCarlo", "SparseMatMult", "LU"];
+        let labels = ["Mild", "Aggressive", "reference", "a \"quoted\"\nlabel", ""];
+        let params = [ApproxParams::PRECISE, ApproxParams::MILD, ApproxParams::AGGRESSIVE];
+        let q = |x: u64| EnergyQuanta::new(u128::from(x));
+        let mut spec = TrialSpec::reference(&app(apps[draw(5) as usize]));
+        spec.label = labels[draw(5) as usize].to_owned();
+        spec.seed = draw(u64::MAX);
+        if draw(2) == 0 {
+            spec.scheduled_level = Some(SchedLevel::ALL[draw(4) as usize].name().to_owned());
+        }
+        let wall = Duration::from_micros(draw(10_000_000));
+        // 0 clean, 1 recovered, 2 degraded, 3 panicked.
+        let outcome = draw(4);
+        if outcome == 3 {
+            let msg = format!("index out of bounds: the len is {}", draw(100));
+            return TrialResult::crashed(index, &spec, wall, msg);
+        }
+        let error = [0.0, 1.0, 0.25, 1.0 / 3.0][draw(4) as usize];
+        let mut t = TrialResult { error, wall, ..TrialResult::new(index, &spec) };
+        t.stats = Stats {
+            int_approx_ops: draw(1 << 20),
+            int_precise_ops: draw(1 << 20),
+            fp_approx_ops: draw(1 << 20),
+            fp_precise_ops: draw(1 << 20),
+            sram_approx_quanta: q(draw(1 << 40)),
+            sram_precise_quanta: q(draw(1 << 40)),
+            dram_approx_quanta: q(draw(1 << 40)),
+            dram_precise_quanta: q(draw(1 << 40)),
+        };
+        t.energy_quanta = energy_quanta(&t.stats, &params[draw(3) as usize]);
+        t.fault_counts = FaultCounters::from_counts(std::array::from_fn(|_| match draw(3) {
+            0 => KindCount::default(),
+            1 => KindCount { injections: draw(1000) + 1, bits_flipped: draw(64_000) },
+            _ => KindCount { injections: draw(1000) + 1, bits_flipped: 0 },
+        }));
+        let causes = if outcome == 0 { 0 } else { 1 + draw(3) };
+        t.failure_causes = (0..causes).map(|i| format!("qos: attempt {i}")).collect();
+        t.attempts = t.failure_causes.len() as u32 + u32::from(outcome != 2);
+        if outcome == 1 {
+            t.recovered_at_level = Some(["Precise", "Mild"][draw(2) as usize].to_owned());
+        }
+        if draw(2) == 0 {
+            t.recovery_energy_overhead_quanta =
+                EnergyQuanta::new(t.energy_quanta.total.get() / (1 + u128::from(draw(4))));
+        }
+        t
+    }
+
+    /// `read(write(t))` is `t`, field by field, and re-renders to the same
+    /// bytes, for every default and non-default member.
+    #[test]
+    fn seeded_trials_round_trip_field_by_field() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut omitted = [0usize; 6];
+        for index in 0..2_000 {
+            let t = random_trial(&mut rng, index);
+            let line = trial_json(&t);
+            let r =
+                read_exact(&line, read_trial, trial_json).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(trial_json(&r), line);
+            assert_eq!((r.index, r.app, &r.label, r.seed), (t.index, t.app, &t.label, t.seed));
+            assert_eq!(
+                (r.error.to_bits(), r.wall, &r.panic),
+                (t.error.to_bits(), t.wall, &t.panic)
+            );
+            assert_eq!(
+                (r.stats, r.energy_quanta, r.fault_counts),
+                (t.stats, t.energy_quanta, t.fault_counts)
+            );
+            assert_eq!((r.attempts, &r.recovered_at_level), (t.attempts, &t.recovered_at_level));
+            assert_eq!(
+                (&r.failure_causes, &r.scheduled_level),
+                (&t.failure_causes, &t.scheduled_level)
+            );
+            assert_eq!(r.recovery_energy_overhead_quanta, t.recovery_energy_overhead_quanta);
+            let keys = [
+                "\"panic\"",
+                "\"recovered_at_level\"",
+                "\"scheduled_level\"",
+                "\"failure_causes\"",
+                "\"recovery_energy_overhead_quanta\"",
+                "\"dram-decay\"",
+            ];
+            for (n, key) in omitted.iter_mut().zip(keys) {
+                *n += usize::from(!line.contains(key));
+            }
+        }
+        // Every member was drawn both at its default and away from it.
+        assert!(omitted.iter().all(|&n| n > 100 && n < 1_900), "{omitted:?}");
+    }
 
     #[test]
     fn u128_max_quanta_read_back() {
@@ -2417,8 +2604,9 @@ mod tests {
         };
         t.energy_quanta = energy_quanta(&t.stats, &ApproxParams::PRECISE);
         let line = trial_json(&t);
+        // Precise DRAM storage spends exactly its baseline.
         let top = u128::MAX - 1455;
-        assert!(line.contains(&format!("\"baseline_dram\":{top}")), "{line}");
+        assert!(line.contains(&format!("\"dram\":{top}")), "{line}");
         let read = read_exact(&line, read_trial, trial_json).expect("the line reads back");
         assert_eq!(read.energy_quanta, t.energy_quanta);
         // One more quantum of storage and the baselines overflow: an error,

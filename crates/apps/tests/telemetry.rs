@@ -1,5 +1,5 @@
 //! Integration tests for the fault-telemetry layer: telemetry must never
-//! change campaign outcomes, the `enerj-campaign/6` serialization must stay
+//! change campaign outcomes, the `enerj-campaign/7` serialization must stay
 //! byte-stable (golden files), and the evaluation, tuner and recovery-retry
 //! seed spaces must be provably pairwise disjoint.
 
@@ -139,14 +139,15 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn campaign_report_json_matches_the_v6_golden() {
+fn campaign_report_json_matches_the_v7_golden() {
     let json = synthetic_report().to_json();
-    assert!(json.starts_with("{\"schema\":\"enerj-campaign/6\""));
+    assert!(json.starts_with("{\"schema\":\"enerj-campaign/7\""));
     assert!(json.contains("\"budget_quanta\":130000000000"));
     assert!(json.contains("\"budget_met\":true"));
+    // The crashed trial's unset level is omitted, not `null`.
+    assert_eq!(json.matches("\"scheduled_level\":").count(), 1);
     assert!(json.contains("\"scheduled_level\":\"Mild\""));
-    assert!(json.contains("\"scheduled_level\":null"));
-    enerj_pins::check(golden_path("campaign_v6.json"), &(json + "\n"));
+    enerj_pins::check(golden_path("campaign_v7.json"), &(json + "\n"));
 }
 
 #[test]
@@ -158,8 +159,8 @@ fn fault_log_ndjson_matches_the_v2_golden() {
 /// runs `Panicker`, a test-only app the registry does not know. Under a
 /// registered name, every other byte of the golden reads back.
 #[test]
-fn the_v6_golden_names_an_unregistered_app() {
-    let golden = std::fs::read_to_string(golden_path("campaign_v6.json")).expect("golden present");
+fn the_v7_golden_names_an_unregistered_app() {
+    let golden = std::fs::read_to_string(golden_path("campaign_v7.json")).expect("golden present");
     let err = CampaignReport::from_json(&golden).unwrap_err();
     assert_eq!(
         (err.path.as_str(), err.kind),
@@ -261,16 +262,17 @@ fn trial_record_renders_edge_values_literally() {
     let t = TrialResult {
         panic: Some("\u{1}".to_owned()),
         error: f64::NAN,
-        energy_quanta: EnergyQuantaBreakdown { baseline_total: big, ..EnergyQuantaBreakdown::ZERO },
+        energy_quanta: EnergyQuantaBreakdown { dram: big, ..EnergyQuantaBreakdown::ZERO },
         failure_causes: Vec::new(),
         ..crashed
     };
     let line = trial_json(&t);
-    // NaN clamps to 1.0, rendered as `{}` renders it.
+    // NaN clamps to 1.0, rendered as `{}` renders it; members at their
+    // default are omitted, and a trial with no fault has no kind.
     for fragment in [
         "\"seed\":43,\"error\":1,\"wall_seconds\":0.001000,\"panic\":\"\\u0001\",",
-        "\"scheduled_level\":null,\"failure_causes\":[],\"recovery_energy_overhead_quanta\":0,",
-        "\"total\":0,\"baseline_total\":18446744073709551616},\"fault_counts\":{",
+        "\"panic\":\"\\u0001\",\"attempts\":1,\"stats\":{",
+        "\"dram\":18446744073709551616},\"fault_counts\":{}}",
     ] {
         assert!(line.contains(fragment), "{fragment} missing from {line}");
     }

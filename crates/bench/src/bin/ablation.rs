@@ -15,6 +15,8 @@
 //! (labels `"{level}/{strategy}"` / `"{mode}"`); reports land in
 //! `results/BENCH_ablation.json` / `results/BENCH_ablation_error_modes.json`.
 
+use std::process::ExitCode;
+
 use enerj_apps::all_apps;
 use enerj_apps::harness::FAULT_SEED_BASE;
 use enerj_apps::trials::{CampaignReport, Grid, TrialSpec};
@@ -22,16 +24,16 @@ use enerj_bench::cli::Options;
 use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::{ErrorMode, HwConfig, Level, StrategyMask};
 
-fn main() {
+fn main() -> ExitCode {
     let opts = Options::from_env(5, &["--error-modes"]);
     if opts.has_flag("--error-modes") {
-        error_modes(&opts);
+        error_modes(&opts)
     } else {
-        strategy_isolation(&opts);
+        strategy_isolation(&opts)
     }
 }
 
-fn strategy_isolation(opts: &Options) {
+fn strategy_isolation(opts: &Options) -> ExitCode {
     let singles = StrategyMask::singletons();
     let apps = all_apps();
 
@@ -81,10 +83,10 @@ fn strategy_isolation(opts: &Options) {
     println!("Paper's shape: DRAM nearly negligible; FP-width at most modest (<=12%,");
     println!("Aggressive); SRAM writes worse than reads (visible at Medium, where the");
     println!("probabilities are asymmetric); FU voltage scaling (timing) worst.");
-    finish_campaign("ablation", &report, opts);
+    finish_campaign("ablation", &report, opts)
 }
 
-fn error_modes(opts: &Options) {
+fn error_modes(opts: &Options) -> ExitCode {
     let apps = all_apps();
     let arms = ErrorMode::ALL
         .iter()
@@ -122,5 +124,5 @@ fn error_modes(opts: &Options) {
     );
     println!("Paper: random-value degrades QoS most (~40% vs ~25%); it is also the");
     println!("most realistic model and is the default everywhere else.");
-    finish_campaign("ablation_error_modes", &report, opts);
+    finish_campaign("ablation_error_modes", &report, opts)
 }

@@ -5,8 +5,9 @@
 //! faultscope <results/BENCH_*.json | faults.ndjson> [--label L] [--bits] [--causes]
 //! ```
 //!
-//! Reads either a campaign report (`enerj-campaign/6` JSON, aggregating
-//! each trial's `fault_counts`) or an NDJSON fault log
+//! Reads either a campaign report (`enerj-campaign/7` JSON, aggregating
+//! each trial's `fault_counts`, where a kind the record omits counted zero)
+//! or an NDJSON fault log
 //! (counting events), auto-detected, and prints one row per application
 //! with a column per fault kind. Cells are injection counts with each
 //! unit's share of the app's total; `--bits` switches to flipped-bit
@@ -231,11 +232,13 @@ fn print_causes(report: &CampaignReport, label: Option<&str>) {
 
 #[cfg(test)]
 mod tests {
-    use super::{causes_rows, looks_like_report, read_report, CampaignReport};
+    use super::{causes_rows, from_report, looks_like_report, read_report, CampaignReport};
     use enerj_apps::trials::{CampaignOptions, TrialResult, TrialSpec};
     use enerj_hw::config::ApproxParams;
     use enerj_hw::quanta::EnergyQuanta;
     use enerj_hw::stats::Stats;
+    use enerj_hw::telemetry::KindCount;
+    use enerj_hw::trace::FaultKind;
     use std::time::Duration;
 
     /// A writer-rendered report of MonteCarlo reference trials, each
@@ -281,12 +284,12 @@ mod tests {
         let text = report(&[(1, None, &[], 0)]);
         assert!(looks_like_report(&text));
         assert!(read_report(&text).is_ok());
-        for old in ["enerj-campaign/1", "enerj-campaign/5", "enerj-campaign/7", "other"] {
-            let text = text.replacen("enerj-campaign/6", old, 1);
+        for old in ["enerj-campaign/1", "enerj-campaign/6", "enerj-campaign/8", "other"] {
+            let text = text.replacen("enerj-campaign/7", old, 1);
             assert!(looks_like_report(&text));
             let err = read_report(&text).unwrap_err();
             assert!(
-                err.contains(&format!("schema: `{old}`, expected `enerj-campaign/6`")),
+                err.contains(&format!("schema: `{old}`, expected `enerj-campaign/7`")),
                 "{err}"
             );
         }
@@ -341,5 +344,26 @@ mod tests {
             err.starts_with("report: trials[0].") && err.contains("not an exact u128"),
             "{err}"
         );
+    }
+
+    /// A trial's record omits each kind with both counts 0; the breakdown
+    /// counts it as zero.
+    #[test]
+    fn absent_fault_kinds_count_as_zero() {
+        let clean = read_report(&report(&[(1, None, &[], 0)])).unwrap().trials.remove(0);
+        let mut faulty = TrialResult { index: 1, ..clean.clone() };
+        faulty.fault_counts.record(FaultKind::FpTiming, 3);
+        let text = CampaignReport::from_trials(vec![clean, faulty], Duration::ZERO, 1).to_json();
+        assert!(text.contains("\"fault_counts\":{}},"), "the clean trial has no kind");
+        let one = "\"fault_counts\":{\"fp-timing\":{\"injections\":1,\"bits_flipped\":3}}}";
+        assert!(text.contains(one), "the faulty trial has only its one kind");
+        let breakdown = from_report(&read_report(&text).unwrap(), None);
+        for (kind, count) in breakdown["MonteCarlo"].per_kind() {
+            let expected = match kind {
+                FaultKind::FpTiming => KindCount { injections: 1, bits_flipped: 3 },
+                _ => KindCount::default(),
+            };
+            assert_eq!(count, expected, "{kind}");
+        }
     }
 }

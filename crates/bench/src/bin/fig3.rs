@@ -8,13 +8,15 @@
 //! application suffices — the nine reference runs go through one parallel
 //! campaign whose report lands in `results/BENCH_fig3.json`.
 
+use std::process::ExitCode;
+
 use enerj_apps::all_apps;
 use enerj_apps::trials::{CampaignReport, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, pct, render_table};
 use enerj_hw::{MemKind, OpKind};
 
-fn main() {
+fn main() -> ExitCode {
     let opts = Options::from_env(1, &[]);
     let apps = all_apps();
     let specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
@@ -48,5 +50,5 @@ fn main() {
     );
     println!("Fractions are approximate byte-seconds (storage) and approximate");
     println!("dynamic operations (functional units), as in the paper.");
-    finish_campaign("fig3", &report, &opts);
+    finish_campaign("fig3", &report, &opts)
 }

@@ -7,13 +7,15 @@
 //! `apps x levels` runs go through one parallel campaign whose report
 //! lands in `results/BENCH_fig4.json`.
 
+use std::process::ExitCode;
+
 use enerj_apps::all_apps;
 use enerj_apps::trials::{CampaignReport, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, render_table};
 use enerj_hw::config::{HwConfig, Level};
 
-fn main() {
+fn main() -> ExitCode {
     let opts = Options::from_env(1, &[]);
     let apps = all_apps();
     let specs: Vec<TrialSpec> = apps
@@ -63,5 +65,5 @@ fn main() {
         100.0 * savings_sum[1] / n,
         100.0 * savings_sum[2] / n
     );
-    finish_campaign("fig4", &report, &opts);
+    finish_campaign("fig4", &report, &opts)
 }

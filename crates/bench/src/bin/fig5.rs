@@ -6,13 +6,15 @@
 //! crash-isolated campaign ([`enerj_apps::trials`]); the full per-trial
 //! record is written to `results/BENCH_fig5.json`.
 
+use std::process::ExitCode;
+
 use enerj_apps::all_apps;
 use enerj_apps::trials::run_level_campaign;
 use enerj_bench::cli::Options;
 use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::Level;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = Options::from_env(20, &[]);
     let apps = all_apps();
     let report = run_level_campaign(&apps, &Level::ALL, opts.runs, &opts.campaign_options());
@@ -39,5 +41,5 @@ fn main() {
             report.summary.panics
         );
     }
-    finish_campaign("fig5", &report, &opts);
+    finish_campaign("fig5", &report, &opts)
 }

@@ -8,7 +8,7 @@
 //! [`Policy::standard()`](enerj_apps::recovery::Policy::standard) —
 //! watchdog, reference-free output check, QoS threshold 0.1, and the
 //! Mild → Precise escalation ladder. Both halves land in one
-//! `enerj-campaign/6` report (`results/BENCH_recovery.json`, labels
+//! `enerj-campaign/7` report (`results/BENCH_recovery.json`, labels
 //! `unguarded` / `guarded`), so `faultscope --causes` can break the
 //! retries down afterwards.
 //!
@@ -19,6 +19,8 @@
 //! *charged* to the guarded trials' energy, never hidden: the share of the
 //! guarded trials' scaled energy quanta spent on rejected attempts. `--amplify X`
 //! scales the chaos fault rates (default 40x Aggressive).
+
+use std::process::ExitCode;
 
 use enerj_apps::all_apps;
 use enerj_apps::harness::FAULT_SEED_BASE;
@@ -32,7 +34,7 @@ use enerj_hw::quanta::{ratio, EnergyQuanta};
 /// standard policy's QoS threshold enforces.
 const ACCEPTABLE_ERROR: f64 = 0.1;
 
-fn main() {
+fn main() -> ExitCode {
     let (opts, amplify) = Options::from_env_with(10, &["--amplify X"], cli::amplify);
     let chaos = chaos_config(amplify);
     let apps = all_apps();
@@ -109,5 +111,5 @@ fn main() {
         "{rescued_total}/{failing_total} failing trials brought under the \
          {ACCEPTABLE_ERROR} line by the ladder ({rate:.0}%)."
     );
-    finish_campaign("recovery", &report, &opts);
+    finish_campaign("recovery", &report, &opts)
 }

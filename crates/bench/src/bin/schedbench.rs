@@ -16,8 +16,9 @@
 //! 1. profiles the workload on the tuner seed stream (significance seeds),
 //! 2. runs the four static single-level baselines,
 //! 3. runs the scheduled campaign,
-//! 4. re-runs it at one and two worker threads and verifies the three
-//!    campaigns are bit-identical (exit code 1 on any divergence — the
+//! 4. re-runs it at two more worker-thread counts, each different from the
+//!    main run's (1 and N + 1 after a run on N > 1 threads; 2 and 3 after
+//!    a one-thread run), and verifies the three campaigns are bit-identical (exit code 1 on any divergence — the
 //!    controller's determinism claim is a hard gate, not a report field),
 //! 5. writes the `enerj-sched/1` report to `results/BENCH_sched.json`.
 //!
@@ -35,7 +36,7 @@ use enerj_apps::scheduler::{
 };
 use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialResult};
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
-use enerj_bench::{bench_report_path, cli, render_table, Options};
+use enerj_bench::{bench_report_path, cli, exit_status, render_table, write_output, Options};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// Two scheduled runs must agree on every bit that matters; returns a
@@ -112,15 +113,19 @@ fn main() -> ExitCode {
     let precise_cost = baselines[0].1;
     let budget = EnergyQuanta::new(precise_cost.get() * u128::from(budget_pct) / 100);
 
-    // The scheduled campaign, plus the determinism gate: one- and
-    // two-thread re-runs must be bit-identical to the main run.
+    // The scheduled campaign, plus the determinism gate: re-runs at two
+    // other thread counts must be bit-identical to the main run.
     let cfg = SchedulerConfig { budget, meter, epoch: 0, recovery: None };
     let (report_main, outcome) = run_scheduled(&workload, &profiles, &cfg, &campaign_opts);
+    let main_threads = report_main.summary.threads;
+    let mut ran = vec![main_threads];
     let mut identical = true;
     let mut reference: Option<(Vec<TrialResult>, SchedOutcome)> = None;
-    for threads in [1usize, 2] {
+    let others = if main_threads == 1 { [2, 3] } else { [1, main_threads + 1] };
+    for threads in others {
         let verify_opts = CampaignOptions { threads, ..campaign_opts.clone() };
         let (r, o) = run_scheduled(&workload, &profiles, &cfg, &verify_opts);
+        ran.push(r.summary.threads);
         if let Some(diff) = first_divergence(&report_main.trials, &outcome, &r.trials, &o) {
             eprintln!("schedbench: DIVERGENCE at {threads} thread(s): {diff}");
             identical = false;
@@ -210,7 +215,9 @@ fn main() -> ExitCode {
         ),
         _ => println!("No in-budget comparison available."),
     }
-    println!("Bit-identity across 1/2/{} thread(s): {}", report_main.summary.threads, identical);
+    ran.sort_unstable();
+    let ran: Vec<String> = ran.iter().map(usize::to_string).collect();
+    println!("Bit-identity across {} thread(s): {identical}", ran.join("/"));
     if opts.trace {
         for (a, counts) in outcome.level_counts.iter().enumerate() {
             eprintln!(
@@ -221,14 +228,13 @@ fn main() -> ExitCode {
     }
 
     let path = bench_report_path("sched");
-    let dir = path.parent().expect("a file path");
-    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json + "\n")) {
-        Ok(()) => eprintln!("sched report -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    let written = write_output(&path, &(json + "\n"));
+    if written.is_ok() {
+        eprintln!("sched report -> {}", path.display());
     }
-
+    let status = exit_status(written);
     if identical {
-        ExitCode::SUCCESS
+        status
     } else {
         ExitCode::FAILURE
     }

@@ -8,12 +8,14 @@
 //! reference runs go through one parallel campaign whose report lands in
 //! `results/BENCH_table3.json`.
 
+use std::process::ExitCode;
+
 use enerj_apps::all_apps;
 use enerj_apps::trials::{CampaignReport, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, pct, render_table};
 
-fn main() {
+fn main() -> ExitCode {
     let opts = Options::from_env(1, &[]);
     let apps = all_apps();
     let specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
@@ -52,5 +54,5 @@ fn main() {
         )
     );
     println!("LoC / declaration counts describe the Rust ports in crates/apps.");
-    finish_campaign("table3", &report, &opts);
+    finish_campaign("table3", &report, &opts)
 }

@@ -6,12 +6,15 @@
 //! application". Profiling runs go through the parallel campaign runner
 //! (`--threads N` to bound workers).
 
+use std::path::Path;
+use std::process::ExitCode;
+
 use enerj_apps::all_apps;
 use enerj_apps::tuner::tune_campaign;
 use enerj_bench::cli::Options;
-use enerj_bench::render_table;
+use enerj_bench::{exit_status, render_table, write_output};
 
-fn main() {
+fn main() -> ExitCode {
     let opts = Options::from_env(5, &[]);
     let apps = all_apps();
     // One profile per app; every budget is tuned against the same one.
@@ -32,13 +35,12 @@ fn main() {
     if opts.trace {
         eprintln!("fault totals (profiling campaign): {}", report.summary.fault_totals);
     }
-    if let Some(path) = &opts.fault_log {
+    let written = opts.fault_log.as_deref().map_or(Ok(()), |path| {
         let fault_log = report.fault_log_ndjson();
-        match std::fs::write(path, &fault_log) {
-            Ok(()) => eprintln!("fault log: {} line(s) -> {path}", fault_log.lines().count()),
-            Err(e) => eprintln!("warning: could not write {path}: {e}"),
-        }
-    }
+        write_output(Path::new(path), &fault_log)?;
+        eprintln!("fault log: {} line(s) -> {path}", fault_log.lines().count());
+        Ok(())
+    });
     println!("Offline QoS tuning (section 6.2 extension): most aggressive level within budget");
     println!("(cell = chosen level, energy saved); {} profiling runs per level", opts.runs);
     println!();
@@ -46,4 +48,5 @@ fn main() {
     println!("Robust apps (MonteCarlo, ImageJ) earn Medium/Aggressive even at tight");
     println!("budgets; fragile apps (FFT, SOR) are pinned to Mild — the per-app");
     println!("variation the paper calls out.");
+    exit_status(written)
 }

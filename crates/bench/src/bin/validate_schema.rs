@@ -9,7 +9,7 @@
 //! Each artifact goes through the one reader beside its writer, which
 //! rebuilds the writer's typed value, checks its invariants and requires
 //! the writer to render that value back to the file's bytes:
-//! `--report` through `CampaignReport::from_json` (`enerj-campaign/6`),
+//! `--report` through `CampaignReport::from_json` (`enerj-campaign/7`),
 //! `--fault-log` through `read_fault_log`, and `--sched` through
 //! `SchedReport::from_json` (`enerj-sched/1`, including the scheduler's own
 //! bit-identity verdict and the exact integer budget arithmetic). Exit
@@ -45,7 +45,7 @@ fn run(args: &[String]) -> Result<(), String> {
             "--report" => {
                 let path = it.next().ok_or("--report needs a path")?;
                 let report = read_file(path, CampaignReport::from_json)?;
-                println!("{path}: OK (enerj-campaign/6, {} trials)", report.trials.len());
+                println!("{path}: OK (enerj-campaign/7, {} trials)", report.trials.len());
             }
             "--fault-log" => {
                 let path = it.next().ok_or("--fault-log needs a path")?;
@@ -75,12 +75,13 @@ fn run(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::CampaignReport;
+    use super::{run, CampaignReport};
     use enerj_apps::trials::{CampaignOptions, TrialSpec};
     use enerj_hw::config::ApproxParams;
     use enerj_hw::energy::{energy_quanta, EnergyQuantaBreakdown};
     use enerj_hw::quanta::EnergyQuanta;
     use enerj_hw::stats::Stats;
+    use enerj_hw::trace::FaultKind;
     use std::time::Duration;
 
     /// A writer-rendered one-trial report whose trial spent `total` scaled
@@ -117,5 +118,26 @@ mod tests {
         rejects("\"sram\":", "\"grand_sram\":", "sram: missing");
         rejects("\"baseline_total\":", "\"grand_total\":", "not the writer's rendering");
         rejects("\"baseline_total\":", "\"x\":0,\"baseline_total\":", "not the writer's rendering");
+    }
+
+    /// A `/7` trial omits each fault kind with both counts 0: such a
+    /// report validates, and an explicit zero kind does not.
+    #[test]
+    fn reports_omitting_zero_fault_kinds_validate() {
+        let mut trials = CampaignReport::from_json(&report(1 << 53)).expect("reads back").trials;
+        trials[0].fault_counts.record(FaultKind::SramReadUpset, 2);
+        let text = CampaignReport::from_trials(trials, Duration::ZERO, 1).to_json();
+        let kinds = "\"fault_counts\":{\"sram-read-upset\":{\"injections\":1,\"bits_flipped\":2}}";
+        assert!(text.contains(kinds), "{text}");
+        let path =
+            std::env::temp_dir().join(format!("validate-schema-{}.json", std::process::id()));
+        std::fs::write(&path, &text).expect("scratch file");
+        let path = path.to_str().expect("UTF-8 path").to_owned();
+        assert_eq!(run(&["--report".to_owned(), path.clone()]), Ok(()));
+        let zero = "\"fault_counts\":{\"dram-decay\":{\"injections\":0,\"bits_flipped\":0},";
+        std::fs::write(&path, text.replace("\"fault_counts\":{", zero)).expect("scratch file");
+        let err = run(&["--report".to_owned(), path.clone()]).unwrap_err();
+        assert!(err.contains("not the writer's rendering"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,7 +18,7 @@
 //! fixed-width text tables; pass `--threads N` to bound the trial
 //! campaign's worker count (default: all available cores). Campaign-backed
 //! binaries also drop a machine-readable `results/BENCH_<name>.json`
-//! campaign report (schema `enerj-campaign/6`, the only machine-readable
+//! campaign report (schema `enerj-campaign/7`, the only machine-readable
 //! output: every number goes through its one writer) on every run, and
 //! accept the telemetry flags
 //! `--trace` (live progress + per-unit fault totals on stderr) and
@@ -37,7 +37,9 @@ pub mod cli;
 pub mod sched;
 
 use std::fmt::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use enerj_apps::trials::CampaignReport;
 
@@ -50,43 +52,71 @@ pub fn bench_report_path(name: &str) -> PathBuf {
     PathBuf::from(format!("results/BENCH_{name}.json"))
 }
 
-/// Writes a campaign report to [`bench_report_path`] and prints where it
-/// went (on stderr, so stdout carries only the text tables).
-pub fn write_bench_report(name: &str, report: &CampaignReport) {
-    let path = bench_report_path(name);
-    match report.write_json(&path) {
-        Ok(()) => eprintln!(
-            "campaign report: {} trials, {} panics, {:.2}s on {} threads -> {}",
-            report.trials.len(),
-            report.summary.panics,
-            report.summary.wall.as_secs_f64(),
-            report.summary.threads,
-            path.display()
-        ),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+/// Writes `text` to `path`, creating parent directories as needed.
+///
+/// # Errors
+///
+/// The failed step's error, its message naming the file:
+/// `could not write <path>: <cause>`.
+pub fn write_output(path: &Path, text: &str) -> io::Result<()> {
+    let write = || {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, text)
+    };
+    write()
+        .map_err(|e| io::Error::new(e.kind(), format!("could not write {}: {e}", path.display())))
+}
+
+/// The exit status of a binary whose last step was `written`: success, or
+/// failure after `warning: could not write <path>: <cause>` on stderr.
+pub fn exit_status(written: io::Result<()>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("warning: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// Standard campaign epilogue: write the `results/BENCH_<name>.json`
-/// report, then honour the telemetry flags — `--trace` prints the per-unit
-/// fault totals on stderr, `--fault-log` writes the NDJSON event stream.
-pub fn finish_campaign(name: &str, report: &CampaignReport, opts: &Options) {
-    write_bench_report(name, report);
+/// Writes a campaign report to [`bench_report_path`] and prints where it
+/// went (on stderr, so stdout carries only the text tables).
+fn write_bench_report(name: &str, report: &CampaignReport) -> io::Result<()> {
+    let path = bench_report_path(name);
+    write_output(&path, &(report.to_json() + "\n"))?;
+    eprintln!(
+        "campaign report: {} trials, {} panics, {:.2}s on {} threads -> {}",
+        report.trials.len(),
+        report.summary.panics,
+        report.summary.wall.as_secs_f64(),
+        report.summary.threads,
+        path.display()
+    );
+    Ok(())
+}
+
+/// Standard campaign epilogue: `--trace` prints the per-unit fault totals
+/// on stderr, then the `results/BENCH_<name>.json` report is written and
+/// `--fault-log` writes the NDJSON event stream. A write that fails ends
+/// the epilogue with a failing exit status ([`exit_status`]).
+pub fn finish_campaign(name: &str, report: &CampaignReport, opts: &Options) -> ExitCode {
     if opts.trace {
         eprintln!("fault totals: {}", report.summary.fault_totals);
     }
-    if let Some(path) = &opts.fault_log {
-        write_fault_log_to(path, report);
-    }
+    exit_status(write_bench_report(name, report).and_then(|()| match &opts.fault_log {
+        Some(path) => write_fault_log_to(path, report),
+        None => Ok(()),
+    }))
 }
 
 /// Writes a report's NDJSON fault log to `path`, reporting on stderr.
-pub fn write_fault_log_to(path: &str, report: &CampaignReport) {
+fn write_fault_log_to(path: &str, report: &CampaignReport) -> io::Result<()> {
     let events: usize = report.trials.iter().map(|t| t.events.len()).sum();
-    match report.write_fault_log(Path::new(path)) {
-        Ok(()) => eprintln!("fault log: {events} event(s) -> {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    write_output(Path::new(path), &report.fault_log_ndjson())?;
+    eprintln!("fault log: {events} event(s) -> {path}");
+    Ok(())
 }
 
 /// Renders a fixed-width text table: a header row plus data rows.

@@ -6,7 +6,7 @@
 //! spend/QoS/level census, every static single-level baseline on the same
 //! workload and seeds, and the binary's own threads-1-vs-2 bit-identity
 //! verification verdict. The serialization is byte-stable (golden-file
-//! locked) so schema drift is caught the same way `enerj-campaign/6` drift
+//! locked) so schema drift is caught the same way `enerj-campaign/7` drift
 //! is.
 
 use std::fmt::Write as _;

@@ -15,7 +15,7 @@ use std::process::Command;
 use enerj_apps::trials::CampaignReport;
 use enerj_bench::sched::SchedReport;
 
-/// The `enerj-campaign/6` reports the bench binaries write.
+/// The `enerj-campaign/7` reports the bench binaries write.
 const CAMPAIGN_REPORTS: [&str; 7] =
     ["fig3", "fig4", "fig5", "table3", "ablation", "ablation_error_modes", "recovery"];
 
@@ -124,6 +124,25 @@ fn schedbench_regenerates_its_report() {
         None,
         Some("BENCH_sched.json"),
     );
+}
+
+/// A report that cannot be written fails the run: `results` is a plain
+/// file, so `results/BENCH_fig5.json` has no directory to land in.
+#[test]
+fn an_unwritable_report_fails_the_run() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("captures").join("unwritable");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a scratch dir");
+    std::fs::write(dir.join("results"), "not a directory").expect("a plain file");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
+        .args(["--runs", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("fig5 runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "fig5 exited 0 without its report: {stderr}");
+    assert!(stderr.contains("warning: could not write results/BENCH_fig5.json: "), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

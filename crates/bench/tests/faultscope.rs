@@ -1,5 +1,6 @@
 //! `faultscope` refuses a report or fault log with a missing count instead
-//! of tabulating it as zero.
+//! of tabulating it as zero. (A report's trial omits a fault kind whose
+//! counts are both zero; a kind it does record carries both counts.)
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -28,7 +29,8 @@ fn a_missing_count_is_refused_and_named() {
     assert_eq!(faultscope("report.json", &report), (true, String::new()));
     let (ok, stderr) = faultscope("no_bits.json", &drop_bits_flipped(&report, "\"trials\":["));
     assert!(!ok, "a report with a missing count must be refused");
-    let field = "trials[0].fault_counts.sram-read-upset.bits_flipped: missing";
+    // Trial 0's first recorded kind: kinds with both counts 0 are omitted.
+    let field = "trials[0].fault_counts.sram-write-failure.bits_flipped: missing";
     assert!(stderr.contains(field), "{stderr}");
 
     let line = r#"{"trial":0,"app":"FFT","label":"L","seed":1,"time":0.5,"unit":"int-timing","width":8,"bits_flipped":1}"#;

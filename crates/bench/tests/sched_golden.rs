@@ -1,6 +1,6 @@
 //! Golden-file lock on the `enerj-sched/1` serialization: the budget
 //! experiment report `schedbench` writes must stay byte-stable, the same
-//! way the `enerj-campaign/6` report is locked in
+//! way the `enerj-campaign/7` report is locked in
 //! `crates/apps/tests/telemetry.rs`.
 
 use std::path::PathBuf;

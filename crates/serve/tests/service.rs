@@ -11,7 +11,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use enerj_apps::trials::{
+    run_campaign_streamed, CampaignOptions, NdjsonSink, SpecFn, TrialResult, TrialSink,
+};
 use enerj_serve::client::{Client, Response, Submitted};
+use enerj_serve::spec::JobSpec;
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -208,6 +212,49 @@ fn kill_resume_stream_is_byte_identical() {
     resumed.shutdown();
 }
 
+/// Forwards each trial to an [`NdjsonSink`] with its wall time zeroed, as
+/// `campaignd` streams it.
+struct ZeroWall(NdjsonSink<Vec<u8>>);
+
+impl TrialSink for ZeroWall {
+    fn accept(&mut self, trial: TrialResult) -> std::io::Result<()> {
+        self.0.accept(TrialResult { wall: Duration::ZERO, ..trial })
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// A job's streamed bytes are `run_campaign_streamed` of the same spec
+/// into an `NdjsonSink`, walls zeroed and indices job-global: the service's
+/// chunk renderer and the campaign-scale sink write the same trial line,
+/// recovery records and fault kinds included.
+#[test]
+fn streamed_job_equals_the_in_process_ndjson_render() {
+    let job_spec = "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t1\",\
+                    \"apps\":[\"MonteCarlo\",\"FFT\"],\"levels\":[\"Medium\",\"Aggressive\"],\
+                    \"runs\":3,\"chunk\":2,\"recovery\":true}";
+    let mut daemon = Daemon::start(&tempdir("render"), &["--workers", "2"]);
+    let client = daemon.client();
+    let job = submit_ok(&client, job_spec);
+    assert_eq!(client.wait(&job, WAIT).expect("job"), "complete");
+    let streamed = collect(&client, &job, 0);
+    daemon.shutdown();
+
+    let spec = JobSpec::parse(job_spec).expect("a valid spec");
+    let source = SpecFn::new(spec.total_trials(), |i| spec.trial_spec(i, 0));
+    let mut sink = ZeroWall(NdjsonSink::new(Vec::new()));
+    run_campaign_streamed(&source, &CampaignOptions::with_threads(2), &mut sink)
+        .expect("the in-memory sink cannot fail");
+    let rendered = String::from_utf8(sink.0.into_inner()).expect("UTF-8");
+    assert_eq!(rendered.lines().count(), spec.total_trials());
+    for member in ["\"failure_causes\":", "\"recovered_at_level\":", "\"injections\":"] {
+        assert!(rendered.contains(member), "no line carries {member}");
+    }
+    assert_eq!(String::from_utf8(streamed).expect("UTF-8"), rendered);
+}
+
 /// Quotas (stop policy): a tenant crossing its quota gets
 /// an `over_quota` verdict with partial results at a chunk boundary, and
 /// further submissions are rejected 403 non-retriable while an unrelated
@@ -262,7 +309,8 @@ fn degrade_policy_walks_the_ladder_then_stops() {
     let text = String::from_utf8(collect(&client, &job, 0)).expect("utf8");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 4);
-    assert!(lines[0].contains("\"scheduled_level\":null"), "first trial ran as requested");
+    // A trial that ran at its requested rung records no `scheduled_level`.
+    assert!(!lines[0].contains("\"scheduled_level\":"), "first trial ran as requested");
     for (line, rung) in lines[1..].iter().zip(["Mild", "Medium", "Aggressive"]) {
         assert!(
             line.contains(&format!("\"scheduled_level\":\"{rung}\"")),
