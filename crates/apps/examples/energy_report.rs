@@ -7,7 +7,7 @@
 //! Run with `cargo run --release -p enerj-apps --example energy_report`.
 
 use enerj_apps::{all_apps, harness};
-use enerj_hw::config::Level;
+use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{DRAM_MOBILE_FRACTION, DRAM_SYSTEM_FRACTION};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     );
     println!("{}", "-".repeat(60));
     for app in all_apps() {
-        let m = harness::approximate(&app, Level::Medium, 1);
+        let m = harness::measure_with_telemetry(&app, HwConfig::for_level(Level::Medium), 1, false);
         let server = m.energy_quanta.normalized_with_split(DRAM_SYSTEM_FRACTION);
         let mobile = m.energy_quanta.normalized_with_split(DRAM_MOBILE_FRACTION);
         println!(

@@ -29,19 +29,19 @@ use std::collections::VecDeque;
 
 /// Scale factor that makes the MAD a consistent estimator of the standard
 /// deviation for normally distributed data.
-pub const MAD_TO_SIGMA: f64 = 1.4826;
+const MAD_TO_SIGMA: f64 = 1.4826;
 
 /// A windowed median-absolute-deviation plausibility estimator for scalar
 /// outputs.
 ///
 /// Push each *accepted* scalar with [`push`](Self::push); ask whether a new
 /// value is plausible with [`is_plausible`](Self::is_plausible) (or get the
-/// robust z-score from [`score`](Self::score)). Until
-/// [`min_samples`](Self::min_samples) values have been pushed the estimator
+/// robust z-score from [`score`](Self::score)). Until `min_samples` values
+/// (see [`with`](Self::with)) have been pushed the estimator
 /// abstains: every finite value is plausible, `score` returns `None`.
 /// Non-finite values are never plausible, regardless of state.
 #[derive(Debug, Clone)]
-pub struct RunningMad {
+pub(crate) struct RunningMad {
     window: VecDeque<f64>,
     capacity: usize,
     min_samples: usize,
@@ -60,7 +60,7 @@ impl RunningMad {
     ///
     /// Panics if `capacity` is zero or `floor` is not a positive finite
     /// value.
-    pub fn new(capacity: usize, floor: f64) -> Self {
+    pub(crate) fn new(capacity: usize, floor: f64) -> Self {
         Self::with(capacity, 8, 8.0, floor)
     }
 
@@ -70,7 +70,7 @@ impl RunningMad {
     ///
     /// Panics if `capacity` is zero, `min_samples` is zero, or `threshold`
     /// or `floor` is not a positive finite value.
-    pub fn with(capacity: usize, min_samples: usize, threshold: f64, floor: f64) -> Self {
+    fn with(capacity: usize, min_samples: usize, threshold: f64, floor: f64) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         assert!(min_samples > 0, "min_samples must be positive");
         assert!(threshold.is_finite() && threshold > 0.0, "threshold must be positive");
@@ -84,25 +84,10 @@ impl RunningMad {
         }
     }
 
-    /// Number of samples currently in the window.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// The number of samples required before the estimator issues verdicts.
-    pub fn min_samples(&self) -> usize {
-        self.min_samples
-    }
-
     /// Adds an accepted scalar to the window, evicting the oldest when
     /// full. Non-finite values are ignored — they are corruption, not
     /// evidence of where outputs cluster.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         if !x.is_finite() {
             return;
         }
@@ -114,9 +99,9 @@ impl RunningMad {
 
     /// The robust z-score of `x` against the window: `|x − median| /
     /// max(1.4826 · MAD, floor)`. `None` while the window holds fewer than
-    /// [`min_samples`](Self::min_samples) values, or when `x` is not
+    /// `min_samples` values, or when `x` is not
     /// finite (callers should treat non-finite as implausible outright).
-    pub fn score(&self, x: f64) -> Option<f64> {
+    fn score(&self, x: f64) -> Option<f64> {
         if !x.is_finite() || self.window.len() < self.min_samples {
             return None;
         }
@@ -130,7 +115,7 @@ impl RunningMad {
     /// Whether `x` is a plausible next output: finite, and — once the
     /// window is warm — within [`threshold`](Self::with) robust standard
     /// deviations of the recent median.
-    pub fn is_plausible(&self, x: f64) -> bool {
+    pub(crate) fn is_plausible(&self, x: f64) -> bool {
         if !x.is_finite() {
             return false;
         }
@@ -211,7 +196,7 @@ mod tests {
             assert!(!est.is_plausible(f64::NAN), "non-finite never passes");
         }
         est.push(3.1485);
-        assert_eq!(est.len(), 8);
+        assert_eq!(est.window.len(), 8);
         assert!(!est.is_plausible(100.0), "warm estimator flags the outlier");
     }
 
@@ -234,10 +219,10 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
             est.push(x);
         }
-        assert_eq!(est.len(), 4, "capacity bounds the window");
+        assert_eq!(est.window.len(), 4, "capacity bounds the window");
         est.push(f64::NAN);
         est.push(f64::INFINITY);
-        assert_eq!(est.len(), 4, "non-finite values never enter the window");
+        assert_eq!(est.window.len(), 4, "non-finite values never enter the window");
     }
 
     #[test]

@@ -16,17 +16,17 @@ use crate::workload;
 use enerj_core::{endorse, Approx, ApproxVec};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("imagej.rs");
+const SOURCE: &str = include_str!("imagej.rs");
 
 /// Image side length.
-pub const SIDE: usize = 64;
+const SIDE: usize = 64;
 /// Fill tolerance around the seed tone.
-pub const TOLERANCE: i32 = 32;
+const TOLERANCE: i32 = 32;
 /// The tone written into filled pixels.
-pub const FILL: i32 = 255;
+const FILL: i32 = 255;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "ImageJ",
         description: "raster flood fill (64x64, approximate coordinates)",
@@ -36,7 +36,7 @@ pub fn meta() -> AppMeta {
 }
 
 /// Runs the benchmark under the ambient runtime; returns the filled image.
-pub fn run() -> Output {
+pub(crate) fn run() -> Output {
     let input = workload::segmented_image(SIDE, SIDE);
     let mut image: ApproxVec<i32> = ApproxVec::from_slice(&input);
     flood_fill(&mut image, SIDE / 2, SIDE / 2);
@@ -46,7 +46,7 @@ pub fn run() -> Output {
 /// Recovery sanity check (see [`App::check`](crate::App)): pixels are 8-bit
 /// intensities, so a value outside `[0, 255]` is a corrupted word that the
 /// coordinate-clamping endorsements did not catch.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     crate::qos::check_values(output, &enerj_core::in_range(0.0, 255.0))
 }
 

@@ -19,13 +19,13 @@ use enerj_core::context::ApproxMode;
 use enerj_core::Precise;
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("jmonkey.rs");
+const SOURCE: &str = include_str!("jmonkey.rs");
 
 /// Number of ray–triangle test cases.
-pub const CASES: usize = 400;
+const CASES: usize = 400;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "jMonkeyEngine",
         description: "ray-triangle intersection batch (Moller-Trumbore, 400 cases)",
@@ -36,7 +36,7 @@ pub fn meta() -> AppMeta {
 
 /// Runs the benchmark under the ambient runtime; returns the hit/miss
 /// decision for each case.
-pub fn run() -> Output {
+pub(crate) fn run() -> Output {
     let cases = workload::triangle_cases(CASES);
     let mut processed = Precise::new(0i64);
     let decisions = cases
@@ -57,13 +57,13 @@ pub fn run() -> Output {
 /// batch deciding almost everything one way is the signature of a
 /// corrupted early-out comparison stuck on one branch — a failure the
 /// length check alone can never see.
-pub const HIT_FRACTION_BAND: (f64, f64) = (0.05, 0.95);
+const HIT_FRACTION_BAND: (f64, f64) = (0.05, 0.95);
 
 /// Recovery sanity check (see [`App::check`](crate::App)): the batch size
 /// is precise, so anything but exactly [`CASES`] decisions means the run
 /// corrupted its own control flow; and the hit fraction must land in the
 /// [`HIT_FRACTION_BAND`] plausibility band.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     match output {
         Output::Decisions(d) if d.len() != CASES => {
             Err(format!("expected {CASES} decisions, got {}", d.len()))

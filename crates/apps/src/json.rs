@@ -97,17 +97,9 @@ impl Json {
     }
 
     /// The elements, when this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
+    pub(crate) fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The fields, when this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -371,7 +363,7 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a[1].as_f64(), Some(2.0));
         assert_eq!(a[2].get("b"), Some(&Json::Null));
-        assert_eq!(v.get("d").and_then(Json::as_object), Some(&[][..]));
+        assert_eq!(v.get("d"), Some(&Json::Obj(Vec::new())));
     }
 
     #[test]

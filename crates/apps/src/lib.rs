@@ -5,12 +5,12 @@
 //! section 6 / Table 3:
 //!
 //! * the five SciMark2 kernels — [`scimark::fft`], [`scimark::sor`],
-//!   [`scimark::montecarlo`], [`scimark::sparse`], [`scimark::lu`];
+//!   `scimark::montecarlo`, `scimark::sparse`, [`scimark::lu`];
 //! * [`zxing`] — a QR-style 2-D barcode decoder (substitute for the ZXing
 //!   library);
-//! * [`jmonkey`] — batched ray–triangle intersection (substitute for the
+//! * `jmonkey` — batched ray–triangle intersection (substitute for the
 //!   jMonkeyEngine collision workload);
-//! * [`imagej`] — raster flood fill with approximate pixel coordinates;
+//! * `imagej` — raster flood fill with approximate pixel coordinates;
 //! * [`raytracer`] — a small ray-plane/sphere renderer.
 //!
 //! Every port is written once, in the EnerJ programming model
@@ -25,9 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod approximable;
-pub mod estimator;
-pub mod imagej;
-pub mod jmonkey;
+mod estimator;
+mod imagej;
+mod jmonkey;
 pub mod json;
 pub mod meta;
 pub mod qos;
@@ -114,8 +114,6 @@ pub mod harness {
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex, OnceLock};
 
-    pub use crate::trials;
-
     /// Base seed for *evaluation* fault-injection runs (XORed with the run
     /// index). Bit 63 is clear.
     pub const FAULT_SEED_BASE: u64 = 0x5A17_2011;
@@ -159,20 +157,11 @@ pub mod harness {
     /// reference execution (and the source of the Figure 3 fractions,
     /// which depend only on the annotation, not on injected faults).
     pub fn reference(app: &App) -> Measurement {
-        measure_with(app, reference_config(), 0)
+        measure_with_telemetry(app, reference_config(), 0, false)
     }
 
-    /// Runs the app under full fault injection at `level` with `seed`.
-    pub fn approximate(app: &App, level: Level, seed: u64) -> Measurement {
-        measure_with(app, HwConfig::for_level(level), seed)
-    }
-
-    /// Runs the app under an arbitrary hardware configuration.
-    pub fn measure_with(app: &App, cfg: HwConfig, seed: u64) -> Measurement {
-        measure_with_telemetry(app, cfg, seed, false)
-    }
-
-    /// [`measure_with`], optionally collecting the structured fault log.
+    /// Runs the app under the hardware configuration `cfg` with `seed`,
+    /// optionally collecting the structured fault log.
     ///
     /// Neither the always-on counters nor the log touch the fault PRNG, so
     /// output, statistics and energy are bit-identical either way. The app's
@@ -213,7 +202,7 @@ pub mod harness {
 
     /// The fault-free reference output of `app`, computed once per process
     /// and keyed by its registered name: the one reference source of every
-    /// trial grid ([`trials::Grid`]), the scheduler's workloads and
+    /// trial grid ([`crate::trials::Grid`]), the scheduler's workloads and
     /// `campaignd`. A reference is a pure function of the app, so sharing it
     /// cannot perturb a trial. An app that reuses a registered name with a
     /// different body must not come through here.
@@ -221,7 +210,7 @@ pub mod harness {
     /// # Panics
     ///
     /// Panics if the reference run panics; the next call runs it again.
-    pub fn reference_output(app: &App) -> Arc<Output> {
+    pub(crate) fn reference_output(app: &App) -> Arc<Output> {
         type Memo = BTreeMap<&'static str, Arc<OnceLock<Arc<Output>>>>;
         static MEMO: Mutex<Memo> = Mutex::new(BTreeMap::new());
         // The map lock covers the lookup only, so apps warm up in parallel
@@ -239,7 +228,7 @@ pub mod harness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enerj_hw::config::Level;
+    use enerj_hw::config::{HwConfig, Level};
     use std::sync::Arc;
 
     #[test]
@@ -299,7 +288,8 @@ mod tests {
     fn mild_runs_have_tiny_output_error() {
         for app in all_apps() {
             let reference = harness::reference(&app).output;
-            let m = harness::approximate(&app, Level::Mild, 1);
+            let m =
+                harness::measure_with_telemetry(&app, HwConfig::for_level(Level::Mild), 1, false);
             let err = qos::output_error(app.meta.metric, &reference, &m.output);
             assert!(err < 0.2, "{}: mild error {err} unexpectedly high", app.meta.name);
         }

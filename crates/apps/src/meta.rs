@@ -56,7 +56,7 @@ impl AppMeta {
 }
 
 /// Counts lines, declarations, annotations and endorsements in Rust source.
-pub fn measure(source: &str) -> AnnotationStats {
+fn measure(source: &str) -> AnnotationStats {
     let mut loc = 0;
     let mut total_decls = 0;
     let mut annotated_decls = 0;

@@ -183,7 +183,10 @@ fn normalized_diff(a: f64, b: f64) -> f64 {
 /// hooks (see [`App::check`](crate::App)). Non-`Values` outputs are
 /// rejected (the caller's app produces `Values`, so a different variant
 /// means the run corrupted its own control flow).
-pub fn check_values(output: &Output, guard: &impl enerj_core::Guard<f64>) -> Result<(), String> {
+pub(crate) fn check_values(
+    output: &Output,
+    guard: &impl enerj_core::Guard<f64>,
+) -> Result<(), String> {
     match output {
         Output::Values(v) => {
             for (i, x) in v.iter().enumerate() {

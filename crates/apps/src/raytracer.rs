@@ -14,7 +14,7 @@ use crate::qos::{Output, QosMetric};
 use enerj_core::{endorse, Approx, ApproxVec, Precise};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("raytracer.rs");
+const SOURCE: &str = include_str!("raytracer.rs");
 
 /// Image side length in pixels.
 pub const SIDE: usize = 32;
@@ -47,7 +47,7 @@ pub fn run() -> Output {
 /// normalized intensities; anything non-finite or far outside `[0, 1]` is
 /// fault damage. The range is padded because approximate shading arithmetic
 /// may legitimately wander slightly past the nominal scale.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     use enerj_core::Guard;
     crate::qos::check_values(output, &enerj_core::finite().and(enerj_core::in_range(-1.0, 2.0)))
 }

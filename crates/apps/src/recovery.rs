@@ -76,7 +76,7 @@ pub enum Rung {
 
 impl Rung {
     /// The hardware configuration this rung runs under.
-    pub fn config(self) -> HwConfig {
+    pub(crate) fn config(self) -> HwConfig {
         match self {
             Rung::Level(level) => HwConfig::for_level(level),
             Rung::Precise => harness::reference_config(),
@@ -97,7 +97,7 @@ impl fmt::Display for Rung {
 /// [`TrialResult::failure_causes`](crate::trials::TrialResult) so crash
 /// triage and `faultscope` breakdowns need no re-run.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FailureCause {
+enum FailureCause {
     /// The attempt panicked (message truncated by
     /// [`enerj_core::panic_message`]).
     Panic(String),
@@ -117,19 +117,6 @@ pub enum FailureCause {
         /// The policy's threshold.
         threshold: f64,
     },
-}
-
-impl FailureCause {
-    /// The stable cause category (`panic`, `op-budget`, `check`, `qos`) —
-    /// the vocabulary `faultscope --causes` aggregates over.
-    pub fn category(&self) -> &'static str {
-        match self {
-            FailureCause::Panic(_) => "panic",
-            FailureCause::OpBudgetExceeded { .. } => "op-budget",
-            FailureCause::CheckFailed(_) => "check",
-            FailureCause::QosExceeded { .. } => "qos",
-        }
-    }
 }
 
 impl fmt::Display for FailureCause {
@@ -353,7 +340,8 @@ mod tests {
     fn precise_rung_reproduces_the_reference() {
         for a in all_apps().iter().take(3) {
             let reference = harness::reference(a).output;
-            let m = harness::measure_with(a, Rung::Precise.config(), retry_seed(3, 2));
+            let m =
+                harness::measure_with_telemetry(a, Rung::Precise.config(), retry_seed(3, 2), false);
             assert_eq!(m.output, reference, "{}", a.meta.name);
         }
     }
@@ -371,7 +359,7 @@ mod tests {
         assert!(out.error <= 0.1);
         // Identical accounting to an unrecovered measurement, exact on the
         // integer quanta.
-        let m = harness::measure_with(&mc, mild, FAULT_SEED_BASE);
+        let m = harness::measure_with_telemetry(&mc, mild, FAULT_SEED_BASE, false);
         assert_eq!(out.stats, m.stats);
         assert_eq!(out.energy_quanta, m.energy_quanta);
         assert_eq!(out.output, Some(m.output));
@@ -393,7 +381,7 @@ mod tests {
         assert!(out.attempts >= 2);
         assert_eq!(out.failure_causes.len() as u32, out.attempts - 1);
         assert!(out.recovery_energy_overhead_quanta > EnergyQuanta::ZERO, "failed attempts cost");
-        let m = harness::measure_with(&mc, chaos, FAULT_SEED_BASE);
+        let m = harness::measure_with_telemetry(&mc, chaos, FAULT_SEED_BASE, false);
         assert!(out.energy_quanta.total > m.energy_quanta.total, "retry energy is added");
     }
 
@@ -466,8 +454,5 @@ mod tests {
         assert_eq!(rendered[1], "op-budget: 10 ticks, budget 5");
         assert_eq!(rendered[2], "check: entry 0 = NaN");
         assert_eq!(rendered[3], "qos: error 0.5000 > threshold 0.1");
-        for (c, want) in causes.iter().zip(["panic", "op-budget", "check", "qos"]) {
-            assert_eq!(c.category(), want);
-        }
     }
 }

@@ -25,7 +25,7 @@
 //! size — the guarantee every prior engine change has carried. Concretely:
 //!
 //! * The campaign is partitioned into fixed *epochs* of
-//!   [`epoch_len`](Controller::epoch_len) trials; the epoch length depends
+//!   [`epoch_len`](SchedOutcome::epoch_len) trials; the epoch length depends
 //!   only on campaign length (never on threads or chunk size).
 //! * The level table for epoch `e` is computed from a controller snapshot
 //!   **frozen at exactly the first `(e − 1) · E` drained trials** — not
@@ -52,7 +52,7 @@
 //! Scheduled trials may carry the PR 5 escalation ladder
 //! ([`SchedulerConfig::recovery`]) to rescue individual QoS failures. For
 //! the scalar-output apps (MonteCarlo, jMonkeyEngine) the controller
-//! additionally keeps a reference-free [`RunningMad`] plausibility
+//! additionally keeps a reference-free `RunningMad` plausibility
 //! estimator over recent accepted outputs: a drained output the estimator
 //! flags is treated as worst-case (error 1.0) in the significance table,
 //! so visibly corrupted scalars push their app towards higher precision
@@ -158,7 +158,7 @@ pub struct Workload {
 
 impl Workload {
     /// Builds the workload around each app's memoized fault-free reference
-    /// ([`harness::reference_output`]).
+    /// (`harness::reference_output`).
     ///
     /// # Panics
     ///
@@ -180,17 +180,17 @@ impl Workload {
     }
 
     /// The app index of trial `index` (round-robin).
-    pub fn app_index(&self, index: usize) -> usize {
+    fn app_index(&self, index: usize) -> usize {
         index % self.apps.len()
     }
 
     /// The per-app run number of trial `index`.
-    pub fn run_index(&self, index: usize) -> u64 {
+    fn run_index(&self, index: usize) -> u64 {
         (index / self.apps.len()) as u64
     }
 
     /// The evaluation seed of trial `index`.
-    pub fn seed(&self, index: usize) -> u64 {
+    fn seed(&self, index: usize) -> u64 {
         FAULT_SEED_BASE ^ self.run_index(index)
     }
 
@@ -400,20 +400,15 @@ impl Controller {
         ctrl
     }
 
-    /// Trials per epoch (after auto-resolution).
-    pub fn epoch_len(&self) -> usize {
-        self.epoch
-    }
-
     /// Number of epochs in the campaign.
-    pub fn epochs(&self) -> usize {
+    fn epochs(&self) -> usize {
         self.len.div_ceil(self.epoch)
     }
 
     /// The rung assigned to trial `index`, blocking until its epoch's
     /// table is published (i.e. until the first `(e − 1) · E` trials have
     /// drained — always indices strictly below `index`).
-    pub fn level_for(&self, index: usize) -> SchedLevel {
+    fn level_for(&self, index: usize) -> SchedLevel {
         debug_assert!(index < self.len);
         let e = index / self.epoch;
         let mut st = self.state.lock().expect("unpoisoned controller");
@@ -432,7 +427,7 @@ impl Controller {
     /// Folds one drained trial into the controller — called by the
     /// [`SchedulerSink`] in strict index order — and publishes any epoch
     /// tables whose observation prefix just completed.
-    pub fn observe(&self, t: &TrialResult) {
+    fn observe(&self, t: &TrialResult) {
         let mut st = self.state.lock().expect("unpoisoned controller");
         debug_assert_eq!(t.index, st.drained, "observations arrive in index order");
         let a = self
@@ -820,7 +815,8 @@ mod tests {
     fn precise_rung_reproduces_reference_at_baseline_cost() {
         let mc = crate::app("MonteCarlo").unwrap();
         let reference = harness::reference(&mc);
-        let precise = harness::measure_with(&mc, SchedLevel::Precise.config(), 1234);
+        let precise =
+            harness::measure_with_telemetry(&mc, SchedLevel::Precise.config(), 1234, false);
         assert_eq!(precise.output, reference.output, "precise rung is bit-exact");
         let q = precise.energy_quanta;
         assert_eq!(q.total, q.baseline_total, "precise rung charges the full baseline");

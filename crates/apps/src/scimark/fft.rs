@@ -13,13 +13,13 @@ use enerj_core::batch::{zip, BatchOp};
 use enerj_core::{Approx, ApproxBuf, ApproxVec, Precise};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("fft.rs");
+const SOURCE: &str = include_str!("fft.rs");
 
 /// Transform length.
 pub const N: usize = 256;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "FFT",
         description: "SciMark2 fast Fourier transform (radix-2, n=256)",
@@ -43,7 +43,7 @@ pub fn run() -> Output {
 /// Recovery sanity check (see [`App::check`](crate::App)): a fault that
 /// reaches a high-order exponent bit turns the whole spectrum into
 /// infinities; every entry must stay finite.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     crate::qos::check_values(output, &enerj_core::finite())
 }
 

@@ -13,13 +13,13 @@ use enerj_core::batch::{scalar, zip, BatchOp};
 use enerj_core::{endorse, Approx, ApproxBuf, ApproxVec, Precise};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("lu.rs");
+const SOURCE: &str = include_str!("lu.rs");
 
 /// Matrix dimension.
 pub const N: usize = 32;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "LU",
         description: "SciMark2 LU factorization with partial pivoting (32x32)",
@@ -40,7 +40,7 @@ pub fn run() -> Output {
 /// Recovery sanity check (see [`App::check`](crate::App)): every entry of
 /// the factored matrix must be finite (a corrupted pivot division is the
 /// classic way this kernel explodes).
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     crate::qos::check_values(output, &enerj_core::finite())
 }
 

@@ -5,6 +5,6 @@
 
 pub mod fft;
 pub mod lu;
-pub mod montecarlo;
+pub(crate) mod montecarlo;
 pub mod sor;
-pub mod sparse;
+pub(crate) mod sparse;

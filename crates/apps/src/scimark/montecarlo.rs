@@ -13,13 +13,13 @@ use crate::qos::{Output, QosMetric};
 use enerj_core::{endorse, Approx, Precise};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("montecarlo.rs");
+const SOURCE: &str = include_str!("montecarlo.rs");
 
 /// Number of samples.
-pub const SAMPLES: usize = 8_192;
+const SAMPLES: usize = 8_192;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "MonteCarlo",
         description: "SciMark2 Monte Carlo pi estimation (8192 samples)",
@@ -29,7 +29,7 @@ pub fn meta() -> AppMeta {
 }
 
 /// Runs the benchmark under the ambient runtime; returns the π estimate.
-pub fn run() -> Output {
+pub(crate) fn run() -> Output {
     // A 31-bit LCG (glibc constants), kept precise.
     let mut seed = Precise::new(113_355i64);
     let a = 1_103_515_245i64;
@@ -59,11 +59,11 @@ pub fn run() -> Output {
 /// so tightening the band from the structural `[0, 4]` cannot reject a
 /// correct run — it only catches corrupted-but-formerly-plausible
 /// scalars, the gap EXPERIMENTS.md documents for this app.
-pub const PI_BAND: (f64, f64) = (2.6, 3.7);
+const PI_BAND: (f64, f64) = (2.6, 3.7);
 
 /// Recovery sanity check (see [`App::check`](crate::App)): the estimate
 /// must be finite and inside the [`PI_BAND`] plausibility band.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     use enerj_core::Guard;
     crate::qos::check_values(
         output,

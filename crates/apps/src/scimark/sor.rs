@@ -11,17 +11,17 @@ use enerj_core::batch::{zip, BatchOp};
 use enerj_core::{Approx, ApproxBuf, ApproxVec};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("sor.rs");
+const SOURCE: &str = include_str!("sor.rs");
 
 /// Grid side length.
 pub const N: usize = 32;
 /// Relaxation sweeps.
-pub const ITERATIONS: usize = 10;
+const ITERATIONS: usize = 10;
 /// Over-relaxation factor.
-pub const OMEGA: f64 = 1.25;
+const OMEGA: f64 = 1.25;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "SOR",
         description: "SciMark2 successive over-relaxation (32x32, 10 sweeps)",
@@ -40,7 +40,7 @@ pub fn run() -> Output {
 
 /// Recovery sanity check (see [`App::check`](crate::App)): relaxation is a
 /// contraction, so a non-finite grid entry can only come from a fault.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     crate::qos::check_values(output, &enerj_core::finite())
 }
 

@@ -12,17 +12,17 @@ use crate::workload;
 use enerj_core::{Approx, ApproxVec, Precise, PreciseVec};
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("sparse.rs");
+const SOURCE: &str = include_str!("sparse.rs");
 
 /// Matrix dimension.
-pub const N: usize = 500;
+const N: usize = 500;
 /// Target nonzeros per row.
-pub const NZ_PER_ROW: usize = 5;
+const NZ_PER_ROW: usize = 5;
 /// Repeated products.
-pub const REPS: usize = 1;
+const REPS: usize = 1;
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "SparseMatMult",
         description: "SciMark2 sparse matrix-vector multiply (CSR, n=500)",
@@ -33,7 +33,7 @@ pub fn meta() -> AppMeta {
 
 /// Runs the benchmark under the ambient runtime; returns `y = A^REPS · x`
 /// normalized per product step.
-pub fn run() -> Output {
+pub(crate) fn run() -> Output {
     let sys = workload::sparse_system(N, NZ_PER_ROW);
     let (row_ptr, col_idx, vals, x0) = (&sys.0, &sys.1, &sys.2, &sys.3);
     // Index structure in precise DRAM.
@@ -67,7 +67,7 @@ pub fn run() -> Output {
 
 /// Recovery sanity check (see [`App::check`](crate::App)): every entry of
 /// the product vector must be finite.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     crate::qos::check_values(output, &enerj_core::finite())
 }
 

@@ -198,7 +198,7 @@ pub struct TrialResult {
     /// and succeeded (`None` for unrecovered or never-failed trials).
     pub recovered_at_level: Option<String>,
     /// Why each failed attempt was rejected, in attempt order (rendered
-    /// [`recovery::FailureCause`]s; for plain trials, the panic cause when
+    /// `recovery::FailureCause`s; for plain trials, the panic cause when
     /// the trial crashed).
     pub failure_causes: Vec<String>,
     /// Scaled energy charged to attempts whose output was *not* accepted —
@@ -787,7 +787,7 @@ impl<'a> Field<'a> {
     }
 
     /// `None` when this field is `null`.
-    pub fn nullable(&self) -> Option<&Self> {
+    fn nullable(&self) -> Option<&Self> {
         (*self.json != Json::Null).then_some(self)
     }
 
@@ -1096,14 +1096,14 @@ fn read_fault_event(f: &Field<'_>) -> Result<FaultLogLine, ReadError> {
 }
 
 /// The default worker count: the machine's available parallelism.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// How to run a campaign: worker count, chunking, telemetry switches.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
-    /// Worker threads (`0` means [`default_threads`]).
+    /// Worker threads (`0` means the machine's available parallelism).
     pub threads: usize,
     /// Collect the structured fault log on every trial (the per-kind
     /// counters are always collected). Never changes trial outcomes.
@@ -1272,7 +1272,7 @@ impl<F: Fn(usize) -> TrialSpec + Sync> SpecSource for SpecFn<F> {
 /// The one trial grid of every §6 experiment: each app runs under each arm
 /// (a labelled hardware configuration) for `runs` fault seeds
 /// `seed_base ^ run`, and every trial is scored against the app's memoized
-/// reference output ([`harness::reference_output`]). Trials are enumerated
+/// reference output (`harness::reference_output`). Trials are enumerated
 /// app-major, then arm, then run; [`coordinates`](Self::coordinates) is the
 /// one place that splits an index. Fig. 5 is levels × runs, the ablations
 /// are strategy masks or error modes × runs, the tuner and the scheduler
@@ -2106,7 +2106,7 @@ mod tests {
                     (rung.config(), retry_seed(t.seed, t.attempts - 1))
                 }
             };
-            let replay = harness::measure_with(&mc, cfg, seed);
+            let replay = harness::measure_with_telemetry(&mc, cfg, seed, false);
             assert_eq!(
                 replay.energy_quanta.total, accepted,
                 "trial {}: accepted-attempt energy must replay exactly",
@@ -2712,7 +2712,12 @@ mod tests {
         let reference = harness::reference(&apps[0]).output;
         let mut total = 0.0;
         for run in 0..3 {
-            let m = harness::approximate(&apps[0], Level::Mild, FAULT_SEED_BASE ^ run);
+            let m = harness::measure_with_telemetry(
+                &apps[0],
+                HwConfig::for_level(Level::Mild),
+                FAULT_SEED_BASE ^ run,
+                false,
+            );
             total += output_error(apps[0].meta.metric, &reference, &m.output);
         }
         let parallel = report.mean_error_for("MonteCarlo", "Mild");

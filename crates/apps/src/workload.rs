@@ -23,16 +23,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The fixed input seed shared by all benchmarks.
-pub const INPUT_SEED: u64 = 0xE7E2_2011;
+const INPUT_SEED: u64 = 0xE7E2_2011;
 
 /// A CSR sparse system: `(row_ptr, col_idx, values, x)`.
-pub type SparseSystem = (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>);
+type SparseSystem = (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>);
 
 /// A complex signal as parallel `(re, im)` vectors.
-pub type ComplexSignal = (Vec<f64>, Vec<f64>);
+type ComplexSignal = (Vec<f64>, Vec<f64>);
 
 /// A seeded RNG for input generation.
-pub fn input_rng(salt: u64) -> StdRng {
+pub(crate) fn input_rng(salt: u64) -> StdRng {
     StdRng::seed_from_u64(INPUT_SEED ^ salt)
 }
 
@@ -110,7 +110,7 @@ pub fn sor_grid(n: usize) -> Arc<Vec<f64>> {
 
 /// A sparse matrix in CSR form with `n` rows and roughly `nz_per_row`
 /// nonzeros per row, values in `[-1, 1]`, plus a dense vector.
-pub fn sparse_system(n: usize, nz_per_row: usize) -> Arc<SparseSystem> {
+pub(crate) fn sparse_system(n: usize, nz_per_row: usize) -> Arc<SparseSystem> {
     cached(
         (n, nz_per_row),
         |s| &mut s.sparse,
@@ -158,7 +158,7 @@ pub fn lu_matrix(n: usize) -> Arc<Vec<f64>> {
 
 /// Random ray–triangle test cases: each is (origin, direction, v0, v1, v2),
 /// flattened to 15 floats. Roughly half the rays hit their triangle.
-pub fn triangle_cases(count: usize) -> Arc<Vec<[f32; 15]>> {
+pub(crate) fn triangle_cases(count: usize) -> Arc<Vec<[f32; 15]>> {
     cached(
         count,
         |s| &mut s.triangles,
@@ -194,7 +194,7 @@ pub fn triangle_cases(count: usize) -> Arc<Vec<[f32; 15]>> {
 
 /// A grayscale image with a few flat regions for flood filling, values in
 /// `0..=255`.
-pub fn segmented_image(w: usize, h: usize) -> Arc<Vec<i32>> {
+pub(crate) fn segmented_image(w: usize, h: usize) -> Arc<Vec<i32>> {
     cached(
         (w, h),
         |s| &mut s.images,

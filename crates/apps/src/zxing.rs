@@ -20,20 +20,20 @@ use enerj_core::{endorse, Approx, ApproxVec, Precise};
 use rand::Rng;
 
 /// This module's own source text, measured for Table 3.
-pub const SOURCE: &str = include_str!("zxing.rs");
+const SOURCE: &str = include_str!("zxing.rs");
 
 /// Modules per side (QR version 1).
-pub const MODULES: usize = 21;
+const MODULES: usize = 21;
 /// Pixels per module.
-pub const SCALE: usize = 4;
+const SCALE: usize = 4;
 /// Image side in pixels.
-pub const IMG: usize = MODULES * SCALE;
+const IMG: usize = MODULES * SCALE;
 
 /// The payload carried by the generated barcode.
 pub const MESSAGE: &str = "ENERJ-PLDI11";
 
 /// Table 3 metadata.
-pub fn meta() -> AppMeta {
+pub(crate) fn meta() -> AppMeta {
     AppMeta {
         name: "ZXing",
         description: "QR-style 2-D barcode decoder (21x21 modules)",
@@ -53,7 +53,7 @@ pub fn run() -> Output {
 /// produce *some* non-empty payload. This is exactly the check a real
 /// barcode pipeline gets for free — a failed decode is observable without a
 /// reference.
-pub fn check(output: &Output) -> Result<(), String> {
+pub(crate) fn check(output: &Output) -> Result<(), String> {
     match output {
         Output::Text(Some(s)) if !s.is_empty() => Ok(()),
         Output::Text(Some(_)) => Err("decoded payload is empty".to_owned()),

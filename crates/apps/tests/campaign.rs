@@ -33,7 +33,7 @@ fn serial_baseline(specs: &[TrialSpec]) -> (Vec<f64>, Vec<Stats>, Stats) {
     let mut stats = Vec::new();
     let mut merged = Stats::new();
     for spec in specs {
-        let m = harness::measure_with(&spec.app, spec.cfg, spec.seed);
+        let m = harness::measure_with_telemetry(&spec.app, spec.cfg, spec.seed, false);
         let err = match &spec.reference {
             Some(r) => output_error(spec.app.meta.metric, r, &m.output),
             None => 0.0,
@@ -126,7 +126,12 @@ fn level_campaign_matches_per_level_serial_means() {
             // The pre-campaign serial protocol, summed in run order.
             let mut total = 0.0;
             for i in 0..2u64 {
-                let m = harness::approximate(a, level, FAULT_SEED_BASE ^ i);
+                let m = harness::measure_with_telemetry(
+                    a,
+                    HwConfig::for_level(level),
+                    FAULT_SEED_BASE ^ i,
+                    false,
+                );
                 total += output_error(a.meta.metric, &reference, &m.output);
             }
             let serial = total / 2.0;

@@ -15,7 +15,7 @@ fn energy_savings_fall_in_the_papers_band() {
     for app in all_apps() {
         let mut previous = 0.0;
         for level in Level::ALL {
-            let m = harness::approximate(&app, level, 1);
+            let m = harness::measure_with_telemetry(&app, HwConfig::for_level(level), 1, false);
             let savings = m.energy_quanta.normalized().savings();
             assert!(
                 savings > 0.05 && savings < 0.55,
@@ -51,9 +51,10 @@ fn output_error_grows_with_aggressiveness() {
 #[test]
 fn fault_injection_is_deterministic_per_seed() {
     use enerj_apps::qos::Output;
+    let cfg = HwConfig::for_level(Level::Aggressive);
     for app in all_apps().into_iter().take(4) {
-        let a = harness::approximate(&app, Level::Aggressive, 99).output;
-        let b = harness::approximate(&app, Level::Aggressive, 99).output;
+        let a = harness::measure_with_telemetry(&app, cfg, 99, false).output;
+        let b = harness::measure_with_telemetry(&app, cfg, 99, false).output;
         match (&a, &b) {
             (Output::Values(x), Output::Values(y)) => {
                 assert_eq!(x.len(), y.len(), "{}", app.meta.name);
@@ -78,7 +79,7 @@ fn masked_runs_are_exact_at_every_level() {
         let reference = harness::reference(&app).output;
         for level in Level::ALL {
             let cfg = HwConfig::for_level(level).with_mask(StrategyMask::NONE);
-            let m = harness::measure_with(&app, cfg, 5);
+            let m = harness::measure_with_telemetry(&app, cfg, 5, false);
             let err = output_error(app.meta.metric, &reference, &m.output);
             assert_eq!(err, 0.0, "{} at {level} masked run differs", app.meta.name);
         }
@@ -133,8 +134,9 @@ fn dram_accounting_matches_layout() {
 #[test]
 fn figure3_fractions_are_seed_independent() {
     let app = &all_apps()[0]; // FFT
-    let a = harness::approximate(app, Level::Medium, 1).stats;
-    let b = harness::approximate(app, Level::Medium, 2).stats;
+    let medium = HwConfig::for_level(Level::Medium);
+    let a = harness::measure_with_telemetry(app, medium, 1, false).stats;
+    let b = harness::measure_with_telemetry(app, medium, 2, false).stats;
     assert_eq!(a.total_ops(OpKind::Fp), b.total_ops(OpKind::Fp));
     assert_eq!(a.total_ops(OpKind::Int), b.total_ops(OpKind::Int));
     assert!((a.approx_op_fraction(OpKind::Fp) - b.approx_op_fraction(OpKind::Fp)).abs() < 1e-12);

@@ -128,7 +128,12 @@ fn no_app_ever_crashes_under_fault_injection() {
         let reference = harness::reference(&app).output;
         for level in Level::ALL {
             for seed in 0..8 {
-                let m = harness::approximate(&app, level, 1000 + seed);
+                let m = harness::measure_with_telemetry(
+                    &app,
+                    HwConfig::for_level(level),
+                    1000 + seed,
+                    false,
+                );
                 match (&reference, &m.output) {
                     (Output::Values(r), Output::Values(o)) => {
                         assert_eq!(r.len(), o.len(), "{} at {level}", app.meta.name)
@@ -144,6 +149,12 @@ fn no_app_ever_crashes_under_fault_injection() {
     }
 }
 
+/// The normalized energy of one Medium run of `app` with fault seed `seed`.
+fn medium_energy(app: &enerj_apps::App, seed: u64) -> f64 {
+    let cfg = HwConfig::for_level(Level::Medium);
+    harness::measure_with_telemetry(app, cfg, seed, false).energy_quanta.normalized().total
+}
+
 /// Energy accounting is identical across seeds for apps whose control
 /// flow never consults approximate data (fixed work), and nearly so for
 /// the rest (endorsed conditions can reroute a few operations).
@@ -151,8 +162,7 @@ fn no_app_ever_crashes_under_fault_injection() {
 fn energy_is_seed_stable() {
     for name in ["FFT", "SOR", "SparseMatMult"] {
         let app = &enerj_apps::app(name).expect("registered");
-        let a = harness::approximate(app, Level::Medium, 1).energy_quanta.normalized().total;
-        let b = harness::approximate(app, Level::Medium, 2).energy_quanta.normalized().total;
+        let (a, b) = (medium_energy(app, 1), medium_energy(app, 2));
         assert!(
             (a - b).abs() < 1e-9,
             "{name}: fixed-work energy varies with the fault seed: {a} vs {b}"
@@ -160,8 +170,7 @@ fn energy_is_seed_stable() {
     }
     for name in ["Raytracer", "MonteCarlo", "LU", "jMonkeyEngine"] {
         let app = &enerj_apps::app(name).expect("registered");
-        let a = harness::approximate(app, Level::Medium, 1).energy_quanta.normalized().total;
-        let b = harness::approximate(app, Level::Medium, 2).energy_quanta.normalized().total;
+        let (a, b) = (medium_energy(app, 1), medium_energy(app, 2));
         assert!(
             (a - b).abs() < 0.01,
             "{name}: energy drifted more than endorsed branching explains: {a} vs {b}"

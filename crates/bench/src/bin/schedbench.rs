@@ -35,8 +35,9 @@ use enerj_apps::scheduler::{
     Workload,
 };
 use enerj_apps::trials::{CampaignOptions, CampaignReport, TrialResult};
+use enerj_bench::cli::{self, Options};
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
-use enerj_bench::{bench_report_path, cli, exit_status, render_table, write_output, Options};
+use enerj_bench::{bench_report_path, exit_status, render_table, write_output};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// Two scheduled runs must agree on every bit that matters; returns a

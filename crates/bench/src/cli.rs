@@ -29,14 +29,14 @@ pub struct Options {
 impl Options {
     /// Parses this process's arguments; on a usage error prints the error
     /// and the usage line on stderr and exits with status 2. `modes` is as
-    /// for [`Options::parse`].
+    /// for `Options::parse`.
     pub fn from_env(default_runs: u64, modes: &[&str]) -> Options {
         Options::from_env_with(default_runs, modes, |_| Ok(())).0
     }
 
     /// [`from_env`](Self::from_env), then `read_modes` turns the mode flag
     /// values into what the binary runs with; its error is a usage error
-    /// too. See [`Options::parse`].
+    /// too. See `Options::parse`.
     pub fn from_env_with<T>(
         default_runs: u64,
         modes: &[&str],
@@ -58,7 +58,7 @@ impl Options {
     /// An unknown flag, a missing or malformed value, `--runs 0` or
     /// `read_modes`' error, as a message that ends with the binary's usage
     /// line.
-    pub fn parse<T>(
+    fn parse<T>(
         mut args: impl Iterator<Item = String>,
         default_runs: u64,
         modes: &[&str],
@@ -126,7 +126,7 @@ impl Options {
     }
 
     /// The value of a value-taking mode flag, the last one if repeated.
-    pub fn value(&self, flag: &str) -> Option<&str> {
+    fn value(&self, flag: &str) -> Option<&str> {
         self.flags.iter().rev().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
     }
 
@@ -137,7 +137,7 @@ impl Options {
     ///
     /// When `read` refuses the value: a message naming the flag, what it
     /// `needs` and the value it got.
-    pub fn mode_value<T>(
+    fn mode_value<T>(
         &self,
         flag: &str,
         default: T,

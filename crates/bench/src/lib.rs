@@ -43,7 +43,7 @@ use std::process::ExitCode;
 
 use enerj_apps::trials::CampaignReport;
 
-pub use cli::Options;
+use cli::Options;
 
 /// Where a binary's campaign report lands: `results/BENCH_<name>.json`,
 /// relative to the working directory (run from the repository root, that

@@ -8,7 +8,7 @@
 //! time. This module regroups the tour *stream-wise*: an [`ApproxBuf`]
 //! stages a run of elements in the register file, and [`zip`] / [`scalar`]
 //! run each hardware phase over the whole slice using the batched entry
-//! points of [`enerj_hw::batch`].
+//! points of [`enerj_hw::Hardware`].
 //!
 //! ## Equivalence to the scalar loop
 //!
@@ -24,7 +24,7 @@
 //! ## Buffers
 //!
 //! An [`ApproxBuf`] holds raw `u64` bit patterns, the form every entry
-//! point of [`enerj_hw::batch`] takes, in a buffer from a small per-thread
+//! point of [`enerj_hw::Hardware`] takes, in a buffer from a small per-thread
 //! pool, so a kernel in steady state neither allocates nor converts.
 //! [`zip`] and [`scalar`] stage both operands in their result buffer and
 //! read them as one SRAM stream, all of `a` and then all of `b`; the
@@ -152,13 +152,8 @@ impl<T: ApproxPrim> ApproxBuf<T> {
     }
 
     /// Number of staged elements.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.bits.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
     }
 
     /// The element at `i`, as a register move.

@@ -123,16 +123,6 @@ pub fn finite() -> Finite {
     Finite
 }
 
-/// Admits floats that are not NaN (see [`not_nan`]).
-#[derive(Debug, Clone, Copy)]
-pub struct NotNan;
-
-/// A guard rejecting NaN but admitting ±infinity, for algorithms whose
-/// intermediate results legitimately saturate.
-pub fn not_nan() -> NotNan {
-    NotNan
-}
-
 macro_rules! impl_float_guards {
     ($($t:ty),*) => {$(
         impl Guard<$t> for Finite {
@@ -143,41 +133,10 @@ macro_rules! impl_float_guards {
                 value.is_finite()
             }
         }
-        impl Guard<$t> for NotNan {
-            fn describe(&self) -> String {
-                "not NaN".to_string()
-            }
-            fn admit(&self, value: &$t) -> bool {
-                !value.is_nan()
-            }
-        }
     )*};
 }
 
 impl_float_guards!(f32, f64);
-
-/// An arbitrary named predicate (see [`predicate`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Predicate<F> {
-    name: &'static str,
-    check: F,
-}
-
-/// A guard from an arbitrary predicate. `name` is the diagnostic
-/// description; keep it short and declarative ("decoded payload non-empty").
-pub fn predicate<T, F: Fn(&T) -> bool>(name: &'static str, check: F) -> Predicate<F> {
-    Predicate { name, check }
-}
-
-impl<T, F: Fn(&T) -> bool> Guard<T> for Predicate<F> {
-    fn describe(&self) -> String {
-        self.name.to_string()
-    }
-
-    fn admit(&self, value: &T) -> bool {
-        (self.check)(value)
-    }
-}
 
 /// Endorses an approximate value, then applies `guard` to the result.
 ///
@@ -219,7 +178,6 @@ mod tests {
             let x = Approx::new(0.5f64);
             assert_eq!(endorse_checked(x, in_range(0.0, 1.0)).unwrap(), 0.5);
             assert_eq!(endorse_checked(x, finite()).unwrap(), 0.5);
-            assert_eq!(endorse_checked(x, not_nan()).unwrap(), 0.5);
         });
     }
 
@@ -245,13 +203,25 @@ mod tests {
         // NaN compares false against both bounds; a range guard must not
         // admit it by vacuous truth.
         assert!(!in_range(0.0f64, 1.0).admit(&f64::NAN));
-        assert!(not_nan().admit(&f64::INFINITY));
         assert!(!finite().admit(&f64::INFINITY));
+    }
+
+    /// An application's own guard: admits whole numbers.
+    struct Integral;
+
+    impl Guard<f64> for Integral {
+        fn describe(&self) -> String {
+            "integral".to_string()
+        }
+
+        fn admit(&self, value: &f64) -> bool {
+            value.fract() == 0.0
+        }
     }
 
     #[test]
     fn guards_compose_with_and() {
-        let g = in_range(0.0f64, 10.0).and(predicate("integral", |v: &f64| v.fract() == 0.0));
+        let g = in_range(0.0f64, 10.0).and(Integral);
         assert!(g.admit(&3.0));
         assert!(!g.admit(&3.5));
         assert!(!g.admit(&11.0));

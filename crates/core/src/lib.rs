@@ -60,7 +60,7 @@
 
 mod approx;
 pub mod batch;
-pub mod check;
+mod check;
 pub mod context;
 mod math;
 mod precise;
@@ -70,13 +70,13 @@ mod runtime;
 mod vecs;
 
 pub use approx::{endorse, Approx, ApproxOperand};
-pub use batch::{ApproxBuf, BatchOp};
-pub use check::{endorse_checked, finite, in_range, not_nan, predicate, EndorseError, Guard};
+pub use batch::ApproxBuf;
+pub use check::{endorse_checked, finite, in_range, EndorseError, Guard};
 pub use context::{endorse_ctx, ApproxMode, Ctx, Mode, PreciseMode};
 pub use precise::Precise;
 pub use prim::{ApproxArith, ApproxBits, ApproxPrim};
 pub use record::{ApproxRecord, RecordSchema, RecordSchemaBuilder};
-pub use runtime::{panic_message, Degraded, Runtime, PANIC_MESSAGE_LIMIT};
+pub use runtime::{panic_message, Degraded, Runtime};
 pub use vecs::{ApproxVec, PreciseVec};
 
 #[cfg(test)]

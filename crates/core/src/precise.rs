@@ -63,7 +63,7 @@ impl<T: ApproxPrim> Precise<T> {
     }
 
     /// Upcasts to the approximate type (primitive subtyping, section 2.1).
-    pub fn to_approx(self) -> Approx<T> {
+    fn to_approx(self) -> Approx<T> {
         Approx::new(self.0)
     }
 }

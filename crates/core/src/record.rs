@@ -77,16 +77,6 @@ impl RecordSchema {
         RecordSchemaBuilder { name, fields: Vec::new() }
     }
 
-    /// The record type's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of declared fields.
-    pub fn field_count(&self) -> usize {
-        self.fields.len()
-    }
-
     fn index_of(&self, field: &str) -> usize {
         self.fields
             .iter()

@@ -200,21 +200,11 @@ impl<T: ApproxPrim> PreciseVec<T> {
         v
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.dram.len()
-    }
-
-    /// Whether the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.dram.is_empty()
-    }
-
     /// Reads element `i` reliably.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
+    /// Panics if `i` is not below the length the array was allocated with.
     pub fn get(&mut self, i: usize) -> T {
         T::from_bits64(self.home.with(|hw| self.dram.read(hw, i)))
     }
@@ -228,7 +218,7 @@ impl<T: ApproxPrim> PreciseVec<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
+    /// Panics if `i` is not below the length the array was allocated with.
     pub fn set(&mut self, i: usize, value: T) {
         self.home.with(|hw| self.dram.write(hw, i, value.to_bits64()));
     }

@@ -14,7 +14,7 @@
 //!   (precise integer division by zero traps; approximate doesn't — but a
 //!   *statically precise* operand pair runs precisely even when the target
 //!   qualifier is `approx`, so the literal guard is unconditional);
-//! * arrays are allocated with literal length [`ARRAY_LEN`] and indexed
+//! * arrays are allocated with literal length `ARRAY_LEN` and indexed
 //!   with literals below it;
 //! * loops count a frozen local down from a literal, so they terminate;
 //! * method calls follow a DAG (a body only calls methods created before
@@ -37,7 +37,7 @@ use rand::{Rng, SeedableRng};
 
 /// Every generated array has this literal length; indices are literals in
 /// `0..ARRAY_LEN`, so bounds traps are impossible by construction.
-pub const ARRAY_LEN: i64 = 4;
+const ARRAY_LEN: i64 = 4;
 
 /// Tuning knobs for the generator.
 #[derive(Debug, Clone)]

@@ -49,7 +49,7 @@ pub struct Mutant {
 
 impl Mutant {
     /// Whether a reported diagnostic is one this mutant allows.
-    pub fn explains(&self, kind: TypeErrorKind, span: Span) -> bool {
+    pub(crate) fn explains(&self, kind: TypeErrorKind, span: Span) -> bool {
         self.kinds.contains(&kind) && self.spans.iter().any(|s| intersects(*s, span))
     }
 }

@@ -1,9 +1,11 @@
-//! Virtual time.
+//! Virtual time and the watchdog that bounds it.
 //!
 //! DRAM decay and byte-second storage accounting both need a notion of
 //! elapsed time. Wall-clock time would make simulations nondeterministic, so
-//! the simulator advances a virtual clock by a fixed amount per simulated
-//! event (see [`HwConfig::seconds_per_op`](crate::config::HwConfig)).
+//! the simulator counts one op-tick per simulated operation
+//! ([`Hardware::op_ticks`](crate::Hardware::op_ticks); seconds are op-ticks
+//! times [`HwConfig::seconds_per_op`](crate::config::HwConfig)). An armed
+//! watchdog trips at an op-tick deadline.
 
 use std::fmt;
 use std::panic::PanicHookInfo;
@@ -68,62 +70,4 @@ pub fn silence_watchdog_panics() {
             }
         }));
     });
-}
-
-/// A deterministic virtual clock counting simulated seconds.
-///
-/// # Examples
-///
-/// ```
-/// use enerj_hw::clock::SimClock;
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(1e-6);
-/// clock.advance(2e-6);
-/// assert!((clock.now() - 3e-6).abs() < 1e-18);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
-    now: f64,
-}
-
-impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// Current simulated time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advances the clock by `dt` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `dt` is negative or not finite.
-    pub fn advance(&mut self, dt: f64) {
-        debug_assert!(dt.is_finite() && dt >= 0.0, "bad clock increment {dt}");
-        self.now += dt;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn starts_at_zero() {
-        assert_eq!(SimClock::new().now(), 0.0);
-    }
-
-    #[test]
-    fn accumulates_increments() {
-        let mut c = SimClock::new();
-        for _ in 0..1000 {
-            c.advance(1e-6);
-        }
-        assert!((c.now() - 1e-3).abs() < 1e-12);
-    }
 }

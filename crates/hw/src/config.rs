@@ -187,15 +187,15 @@ impl ApproxParams {
 ///
 /// The section 6.2 ablation study runs the benchmark suite "with each
 /// optimization enabled in isolation"; this mask is how the harness expresses
-/// those configurations. [`StrategyMask::ALL`] is the full-suite default.
+/// those configurations. `StrategyMask::ALL` is the full-suite default.
 ///
 /// # Examples
 ///
 /// ```
 /// use enerj_hw::config::StrategyMask;
 ///
-/// let only_dram = StrategyMask::NONE.with_dram(true);
-/// assert!(only_dram.dram && !only_dram.fu_timing);
+/// let only_fp_width = StrategyMask::NONE.with_fp_width(true);
+/// assert!(only_fp_width.fp_width && !only_fp_width.dram);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StrategyMask {
@@ -213,7 +213,7 @@ pub struct StrategyMask {
 
 impl StrategyMask {
     /// Every strategy enabled (the configuration of Figures 4 and 5).
-    pub const ALL: StrategyMask = StrategyMask {
+    const ALL: StrategyMask = StrategyMask {
         dram: true,
         sram_read: true,
         sram_write: true,
@@ -233,19 +233,19 @@ impl StrategyMask {
     };
 
     /// Returns a copy with the DRAM strategy set to `on`.
-    pub fn with_dram(mut self, on: bool) -> Self {
+    fn with_dram(mut self, on: bool) -> Self {
         self.dram = on;
         self
     }
 
     /// Returns a copy with the SRAM read-upset strategy set to `on`.
-    pub fn with_sram_read(mut self, on: bool) -> Self {
+    fn with_sram_read(mut self, on: bool) -> Self {
         self.sram_read = on;
         self
     }
 
     /// Returns a copy with the SRAM write-failure strategy set to `on`.
-    pub fn with_sram_write(mut self, on: bool) -> Self {
+    pub(crate) fn with_sram_write(mut self, on: bool) -> Self {
         self.sram_write = on;
         self
     }
@@ -299,7 +299,7 @@ pub struct HwConfig {
 
 impl HwConfig {
     /// Default time scale: 1 µs of simulated time per operation.
-    pub const DEFAULT_SECONDS_PER_OP: f64 = 1e-6;
+    const DEFAULT_SECONDS_PER_OP: f64 = 1e-6;
 
     /// Configuration for a Table 2 level with all strategies enabled and the
     /// random-value error model (the paper's headline setup).

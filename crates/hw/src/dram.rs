@@ -184,16 +184,6 @@ impl DramArray {
         self.cells.words.is_empty()
     }
 
-    /// Element width in bits.
-    pub fn elem_width(&self) -> u32 {
-        self.elem_width
-    }
-
-    /// The cache-line layout computed at allocation.
-    pub fn layout(&self) -> Layout {
-        self.cells.layout
-    }
-
     /// Index of the first element whose storage is approximate. Elements
     /// below this index share precise cache lines with the header (§4.1)
     /// and never decay; for precise arrays this is `len()`.
@@ -474,11 +464,6 @@ impl DramRecord {
         }
     }
 
-    /// Number of fields.
-    pub fn field_count(&self) -> usize {
-        self.cells.words.len()
-    }
-
     /// Whether field `i`'s storage ended up approximate after layout.
     ///
     /// # Panics
@@ -486,11 +471,6 @@ impl DramRecord {
     /// Panics if `i` is out of range.
     pub fn field_storage_approx(&self, i: usize) -> bool {
         self.effective_approx[i]
-    }
-
-    /// The computed cache-line layout.
-    pub fn layout(&self) -> Layout {
-        self.cells.layout
     }
 
     /// Reads field `i`, applying refresh decay if its storage is
@@ -543,7 +523,7 @@ mod record_tests {
         assert!(!rec.field_storage_approx(0));
         assert!(!rec.field_storage_approx(1));
         assert!(!rec.field_storage_approx(2));
-        assert_eq!(rec.layout().approx_bytes_on_approx_lines, 0);
+        assert_eq!(rec.cells.layout.approx_bytes_on_approx_lines, 0);
     }
 
     #[test]
@@ -556,7 +536,7 @@ mod record_tests {
             fields.push(FieldSpec::new("a", 8, true));
         }
         let rec = DramRecord::new(&mut hw, &fields);
-        let approx_count = (0..rec.field_count()).filter(|&i| rec.field_storage_approx(i)).count();
+        let approx_count = (0..fields.len()).filter(|&i| rec.field_storage_approx(i)).count();
         assert_eq!(approx_count, 4, "10 approx fields, 6 absorbed by the precise line");
     }
 

@@ -100,11 +100,6 @@ impl GeomCountdown {
         GeomCountdown { p, denom, remaining }
     }
 
-    /// The per-trial probability this countdown was built with.
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-
     /// Fast path: consumes `trials` Bernoulli trials. Returns `true` when
     /// none of them flips (the overwhelmingly common case); `false` when the
     /// countdown runs out inside this batch and the caller must take the
@@ -186,7 +181,7 @@ impl GeomCountdown {
     /// Panics if `width` is zero or greater than 64 (a zero-width access
     /// consumes no trials, so the loop below could never terminate).
     #[inline]
-    pub fn pass_accesses(&mut self, accesses: u64, width: u32) -> Option<u64> {
+    pub(crate) fn pass_accesses(&mut self, accesses: u64, width: u32) -> Option<u64> {
         assert!((1..=64).contains(&width), "bit width {width} out of range");
         let w = u64::from(width);
         // `accesses * width` can exceed u64 only when `remaining` already
@@ -210,7 +205,7 @@ impl GeomCountdown {
     /// at that index and calls this again with the operations left after it.
     /// The RNG draw sequence matches a scalar `fire` loop exactly.
     #[inline]
-    pub fn next_fire<R: Rng + ?Sized>(&mut self, trials: u64, rng: &mut R) -> Option<u64> {
+    pub(crate) fn next_fire<R: Rng + ?Sized>(&mut self, trials: u64, rng: &mut R) -> Option<u64> {
         if self.remaining >= trials {
             self.remaining -= trials;
             return None;
@@ -327,7 +322,7 @@ pub fn flip_one_bit<R: Rng + ?Sized>(bits: u64, width: u32, rng: &mut R) -> u64 
 /// A uniformly random pattern over the low `width` bits.
 ///
 /// This is the `random-value` functional-unit error model.
-pub fn random_bits<R: Rng + ?Sized>(width: u32, rng: &mut R) -> u64 {
+pub(crate) fn random_bits<R: Rng + ?Sized>(width: u32, rng: &mut R) -> u64 {
     rng.gen::<u64>() & low_mask(width)
 }
 

@@ -13,13 +13,13 @@ use crate::stats::OpKind;
 use crate::Hardware;
 
 /// Number of mantissa bits in an IEEE 754 `f32`.
-pub const F32_MANTISSA_BITS: u32 = 23;
+const F32_MANTISSA_BITS: u32 = 23;
 /// Number of mantissa bits in an IEEE 754 `f64`.
-pub const F64_MANTISSA_BITS: u32 = 52;
+const F64_MANTISSA_BITS: u32 = 52;
 
 /// Bit mask that truncates an `f32` mantissa to its `keep` most
 /// significant bits (all ones — the identity — for `keep >= 23`).
-pub fn trunc_mask_f32(keep: u32) -> u32 {
+pub(crate) fn trunc_mask_f32(keep: u32) -> u32 {
     if keep >= F32_MANTISSA_BITS {
         u32::MAX
     } else {
@@ -29,32 +29,12 @@ pub fn trunc_mask_f32(keep: u32) -> u32 {
 
 /// Bit mask that truncates an `f64` mantissa to its `keep` most
 /// significant bits (all ones for `keep >= 52`).
-pub fn trunc_mask_f64(keep: u32) -> u64 {
+pub(crate) fn trunc_mask_f64(keep: u32) -> u64 {
     if keep >= F64_MANTISSA_BITS {
         u64::MAX
     } else {
         !((1u64 << (F64_MANTISSA_BITS - keep)) - 1)
     }
-}
-
-/// Truncates an `f32` mantissa to its `keep` most significant bits.
-///
-/// NaN and infinities pass through unchanged. `keep >= 23` is the identity.
-pub fn truncate_f32(x: f32, keep: u32) -> f32 {
-    if !x.is_finite() {
-        return x;
-    }
-    f32::from_bits(x.to_bits() & trunc_mask_f32(keep))
-}
-
-/// Truncates an `f64` mantissa to its `keep` most significant bits.
-///
-/// NaN and infinities pass through unchanged. `keep >= 52` is the identity.
-pub fn truncate_f64(x: f64, keep: u32) -> f64 {
-    if !x.is_finite() {
-        return x;
-    }
-    f64::from_bits(x.to_bits() & trunc_mask_f64(keep))
 }
 
 /// `r`, or, when `r` is a NaN and an operand is one, the first NaN
@@ -148,12 +128,22 @@ mod tests {
     use crate::config::{ErrorMode, HwConfig, Level, StrategyMask};
     use crate::Hardware;
 
+    fn masked_f32(x: f32, keep: u32) -> f32 {
+        f32::from_bits(x.to_bits() & trunc_mask_f32(keep))
+    }
+
+    fn masked_f64(x: f64, keep: u32) -> f64 {
+        f64::from_bits(x.to_bits() & trunc_mask_f64(keep))
+    }
+
     #[test]
     fn truncation_identity_at_full_width() {
+        assert_eq!(trunc_mask_f32(23), u32::MAX);
+        assert_eq!(trunc_mask_f64(52), u64::MAX);
         let x = 0.123_456_79_f32;
-        assert_eq!(truncate_f32(x, 23), x);
+        assert_eq!(masked_f32(x, 23), x);
         let y = 0.123_456_789_012_345_f64;
-        assert_eq!(truncate_f64(y, 52), y);
+        assert_eq!(masked_f64(y, 52), y);
     }
 
     #[test]
@@ -161,14 +151,14 @@ mod tests {
         // Relative error after keeping k mantissa bits is below 2^-k.
         for &k in &[4u32, 8, 16] {
             let x = 1.7182818f32;
-            let t = truncate_f32(x, k);
+            let t = masked_f32(x, k);
             let rel = ((x - t) / x).abs();
             assert!(rel < 2f32.powi(-(k as i32)), "k={k}: rel err {rel}");
             assert!(t <= x, "truncation rounds toward zero for positive values");
         }
         for &k in &[8u32, 16, 32] {
             let x = std::f64::consts::PI;
-            let t = truncate_f64(x, k);
+            let t = masked_f64(x, k);
             let rel = ((x - t) / x).abs();
             assert!(rel < 2f64.powi(-(k as i32)));
         }
@@ -176,17 +166,19 @@ mod tests {
 
     #[test]
     fn truncation_preserves_specials() {
-        assert!(truncate_f32(f32::NAN, 4).is_nan());
-        assert_eq!(truncate_f32(f32::INFINITY, 4), f32::INFINITY);
-        assert_eq!(truncate_f64(f64::NEG_INFINITY, 8), f64::NEG_INFINITY);
-        assert_eq!(truncate_f64(0.0, 8), 0.0);
-        assert_eq!(truncate_f32(-0.0, 8), -0.0);
+        // Aggressive keeps 4 bits of an f32 mantissa and 8 of an f64's.
+        let hw = Hardware::new(HwConfig::for_level(Level::Aggressive), 0);
+        assert!(hw.approx_f32_operand(f32::NAN).is_nan());
+        assert_eq!(hw.approx_f32_operand(f32::INFINITY), f32::INFINITY);
+        assert_eq!(hw.approx_f64_operand(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        assert_eq!(hw.approx_f64_operand(0.0), 0.0);
+        assert_eq!(hw.approx_f32_operand(-0.0), -0.0);
     }
 
     #[test]
     fn truncation_preserves_sign_and_exponent() {
         let x = -123.456e10f64;
-        let t = truncate_f64(x, 8);
+        let t = masked_f64(x, 8);
         assert!(t < 0.0);
         // Exponent intact: truncation moves the value by less than 1 part in
         // 2^8 of its magnitude.
@@ -241,8 +233,8 @@ mod tests {
     fn aggressive_truncation_flattens_nearby_values() {
         // With only 4 mantissa bits, values closer than 2^-5 relative
         // difference collapse together — the mechanism behind FP QoS loss.
-        let a = truncate_f32(1.001, 4);
-        let b = truncate_f32(1.002, 4);
+        let a = masked_f32(1.001, 4);
+        let b = masked_f32(1.002, 4);
         assert_eq!(a, b);
     }
 }

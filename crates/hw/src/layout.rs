@@ -64,7 +64,7 @@ impl Layout {
 }
 
 /// Default object header size: one vtable pointer, as in the paper's scheme.
-pub const OBJECT_HEADER_BYTES: usize = 8;
+pub(crate) const OBJECT_HEADER_BYTES: usize = 8;
 
 /// Default array header size: length plus type information.
 pub const ARRAY_HEADER_BYTES: usize = 16;
@@ -88,14 +88,15 @@ pub const DEFAULT_LINE_SIZE: usize = 64;
 /// # Examples
 ///
 /// ```
-/// use enerj_hw::layout::{layout_object, FieldSpec, OBJECT_HEADER_BYTES};
+/// use enerj_hw::layout::{layout_object, FieldSpec};
 ///
 /// // An object with one precise word and a large approximate payload.
 /// let fields = [
 ///     FieldSpec::new("id", 8, false),
 ///     FieldSpec::new("pixels", 256, true),
 /// ];
-/// let l = layout_object(&fields, 64, OBJECT_HEADER_BYTES);
+/// // An 8-byte header: one vtable pointer.
+/// let l = layout_object(&fields, 64, 8);
 /// // Header + id occupy the first (precise) line; 48 approximate bytes share
 /// // it, and the remaining 208 land on approximate lines.
 /// assert_eq!(l.approx_bytes_on_approx_lines, 208);

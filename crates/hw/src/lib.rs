@@ -16,12 +16,12 @@
 //! * [`config`] — Table 2 parameter bundles (Mild/Medium/Aggressive),
 //!   strategy masks for ablations, and functional-unit error modes.
 //! * [`fault`] — bit-level fault injection primitives.
-//! * [`clock`] — the deterministic virtual clock.
+//! * `clock` — the op-tick watchdog ([`Watchdog`], [`WatchdogTrip`]).
 //! * [`stats`] — operation and byte-second accounting (Figure 3).
 //! * [`layout`] — cache-line-granularity layout of approximate data (§4.1).
-//! * [`alu`], [`fpu`] — imprecise functional units (§4.2).
-//! * [`sram`], [`dram`] — approximate storage (§4.2, §5.3).
-//! * [`batch`] — whole-slice entry points on the units above.
+//! * `alu`, [`fpu`] — imprecise functional units (§4.2).
+//! * `sram`, [`dram`] — approximate storage (§4.2, §5.3).
+//! * `batch` — whole-slice entry points on the units above.
 //! * [`energy`] — the CPU/memory-system energy model (§5.4, Figure 4).
 //!
 //! # Examples
@@ -42,9 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alu;
-pub mod batch;
-pub mod clock;
+mod alu;
+mod batch;
+mod clock;
 pub mod config;
 pub mod dram;
 pub mod energy;
@@ -52,12 +52,12 @@ pub mod fault;
 pub mod fpu;
 pub mod layout;
 pub mod quanta;
-pub mod sram;
+mod sram;
 pub mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use config::{ApproxParams, ErrorMode, HwConfig, Level, StrategyMask};
+pub use config::{ErrorMode, HwConfig, Level, StrategyMask};
 pub use dram::DramArray;
 pub use quanta::EnergyQuanta;
 pub use stats::{MemKind, OpKind, Stats};
@@ -162,8 +162,8 @@ impl FaultScheduler {
 /// `Hardware` owns the random-number generator (seeded, so runs are
 /// reproducible), the virtual clock, the statistics counters and the
 /// per-unit state of the last-value error model. All fault injection and
-/// accounting flows through methods on this type; the [`alu`], [`fpu`],
-/// [`sram`] and [`dram`] modules contribute `impl Hardware` blocks.
+/// accounting flows through methods on this type; the `alu`, [`fpu`],
+/// `sram`, [`dram`] and `batch` modules contribute `impl Hardware` blocks.
 ///
 /// Fault injection is *amortized*: each fault stream keeps a countdown to
 /// its next fault, so the steady-state cost of an access is a counter
@@ -227,11 +227,6 @@ impl Hardware {
         self.event_log = Some(Vec::new());
     }
 
-    /// The collected fault events, if the event log is enabled.
-    pub fn event_log(&self) -> Option<&[FaultEvent]> {
-        self.event_log.as_deref()
-    }
-
     /// Takes the collected fault events, leaving the log enabled and empty.
     /// Returns an empty vector if the log was never enabled.
     pub fn take_event_log(&mut self) -> Vec<FaultEvent> {
@@ -250,7 +245,7 @@ impl Hardware {
     pub(crate) fn note_fault(&mut self, kind: FaultKind, width: u32, bits_flipped: u32) {
         self.counters.record(kind, bits_flipped);
         if let Some(log) = &mut self.event_log {
-            // `Hardware::now`, read field by field beside the log borrow.
+            // Simulated seconds: op-ticks times the op time.
             let time = self.op_ticks as f64 * self.hot.seconds_per_op;
             log.push(FaultEvent { kind, time, width, bits_flipped });
         }
@@ -274,10 +269,10 @@ impl Hardware {
         s
     }
 
-    /// Mutable access to the statistics (used by higher layers to account
-    /// storage they manage themselves). Flushes pending SRAM bit-quanta
+    /// Mutable access to the statistics (the DRAM model accounts the
+    /// storage it manages itself through it). Flushes pending SRAM bit-quanta
     /// first so the returned reference sees fully-folded values.
-    pub fn stats_mut(&mut self) -> &mut Stats {
+    fn stats_mut(&mut self) -> &mut Stats {
         self.flush_pending_storage();
         &mut self.stats
     }
@@ -289,15 +284,8 @@ impl Hardware {
         self.pending_sram_bits = [0; 2];
     }
 
-    /// Current simulated time in seconds.
-    #[inline]
-    pub fn now(&self) -> f64 {
-        self.op_ticks as f64 * self.hot.seconds_per_op
-    }
-
     /// Completed simulated operations — the virtual clock in op-tick units.
-    /// Multiply by [`HwConfig::seconds_per_op`] (or read [`Hardware::now`])
-    /// for seconds.
+    /// Multiply by [`HwConfig::seconds_per_op`] for seconds.
     pub fn op_ticks(&self) -> u64 {
         self.op_ticks
     }
@@ -333,11 +321,6 @@ impl Hardware {
     /// Disarms the watchdog; subsequent op-ticks never trip.
     pub fn disarm_watchdog(&mut self) {
         self.watchdog = Watchdog::DISARMED;
-    }
-
-    /// Whether a watchdog deadline is currently armed.
-    pub fn watchdog_armed(&self) -> bool {
-        self.watchdog.deadline != u64::MAX
     }
 
     /// Unwinds out of the approximate region with a [`WatchdogTrip`]
@@ -381,11 +364,10 @@ mod tests {
     #[test]
     fn clock_advances_per_op() {
         let mut hw = Hardware::new(HwConfig::default(), 0);
-        assert_eq!(hw.now(), 0.0);
+        assert_eq!(hw.op_ticks(), 0);
         hw.precise_op(OpKind::Int);
         hw.precise_op(OpKind::Fp);
-        let expected = 2.0 * hw.config().seconds_per_op;
-        assert!((hw.now() - expected).abs() < 1e-18);
+        assert_eq!(hw.op_ticks(), 2);
     }
 
     #[test]
@@ -399,7 +381,7 @@ mod tests {
         let c = hw.fault_counters();
         assert_eq!(c.count(trace::FaultKind::IntTiming).injections, 50);
         assert_eq!(c.total_injections(), 50);
-        assert_eq!(hw.event_log(), None, "event log is opt-in");
+        assert!(hw.take_event_log().is_empty(), "event log is opt-in");
     }
 
     #[test]
@@ -418,9 +400,9 @@ mod tests {
             assert_eq!(e.width, 32);
         }
         // Taking leaves the log enabled and empty.
-        assert_eq!(hw.event_log(), Some(&[][..]));
+        assert!(hw.take_event_log().is_empty());
         let _ = hw.approx_int_result(1, 32);
-        assert_eq!(hw.event_log().unwrap().len(), 1);
+        assert_eq!(hw.take_event_log().len(), 1);
     }
 
     #[test]
@@ -448,9 +430,8 @@ mod tests {
     fn disarmed_watchdog_never_trips() {
         let mut hw = Hardware::new(HwConfig::default(), 0);
         hw.arm_watchdog(5);
-        assert!(hw.watchdog_armed());
         hw.disarm_watchdog();
-        assert!(!hw.watchdog_armed());
+        // Armed, the fifth op-tick would trip.
         for i in 0..1000u64 {
             let _ = hw.approx_int_result(i, 64);
         }

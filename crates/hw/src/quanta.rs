@@ -13,14 +13,14 @@
 //! * **Storage** quanta are *bit·op-ticks*: bits resident multiplied by the
 //!   op-ticks they were held. One SRAM access of width `w` charges `w`
 //!   quanta; a DRAM allocation of `b` bytes retired after `t` ticks charges
-//!   `8·b·t` via [`EnergyQuanta::from_bits_quanta`] — an expanded integer
+//!   `8·b·t` via `EnergyQuanta::from_bits_quanta` — an expanded integer
 //!   multiply with no intermediate floats. Byte-seconds are recovered, when
 //!   a human-facing number is wanted, as
 //!   `quanta × seconds_per_op / 8`.
 //! * **Instruction** quanta are *basis-point energy units*: abstract paper
 //!   units (37 per integer op, 40 per FP op) scaled by
 //!   [`SAVINGS_SCALE`] = 10 000. All of Table 2's savings fractions are
-//!   exact two-decimal values, so [`savings_basis_points`] converts them
+//!   exact two-decimal values, so `savings_basis_points` converts them
 //!   without rounding error and the scaled instruction energy of a run is
 //!   an exact integer.
 //!
@@ -28,7 +28,7 @@
 //! one f64 division per component, performed once at the very end on exact
 //! integer numerators and denominators. This module therefore denies raw
 //! float arithmetic; the only two functions allowed to touch floats are the
-//! projection [`ratio`] and the constructor [`savings_basis_points`].
+//! projection [`ratio`] and the constructor `savings_basis_points`.
 
 #![deny(clippy::float_arithmetic)]
 
@@ -72,7 +72,7 @@ impl EnergyQuanta {
     /// Exact storage quanta for `bits` bits held for `op_ticks` op-ticks:
     /// a widening `u64×u64→u128` multiply, which cannot overflow and
     /// involves no intermediate floats.
-    pub const fn from_bits_quanta(bits: u64, op_ticks: u64) -> Self {
+    pub(crate) const fn from_bits_quanta(bits: u64, op_ticks: u64) -> Self {
         EnergyQuanta((bits as u128) * (op_ticks as u128))
     }
 
@@ -85,7 +85,7 @@ impl EnergyQuanta {
     }
 
     /// Checked subtraction; `None` on underflow.
-    pub const fn checked_sub(self, rhs: Self) -> Option<Self> {
+    const fn checked_sub(self, rhs: Self) -> Option<Self> {
         match self.0.checked_sub(rhs.0) {
             Some(q) => Some(EnergyQuanta(q)),
             None => None,
@@ -161,7 +161,7 @@ impl fmt::Display for EnergyQuanta {
 ///
 /// Panics if `fraction` is not a finite value in `[0, 1]`.
 #[allow(clippy::float_arithmetic)]
-pub fn savings_basis_points(fraction: f64) -> u128 {
+pub(crate) fn savings_basis_points(fraction: f64) -> u128 {
     assert!((0.0..=1.0).contains(&fraction), "savings fraction {fraction} outside [0, 1]");
     // In-range by the assert above: the product is in [0, 10_000].
     (fraction * SAVINGS_SCALE as f64).round() as u128

@@ -68,13 +68,13 @@ impl Stats {
     }
 
     /// Records one executed operation.
-    pub fn record_op(&mut self, kind: OpKind, approx: bool) {
+    pub(crate) fn record_op(&mut self, kind: OpKind, approx: bool) {
         self.record_ops(kind, approx, 1);
     }
 
     /// Records `n` executed operations at once (the batched entry points
     /// account a whole slice with one addition).
-    pub fn record_ops(&mut self, kind: OpKind, approx: bool, n: u64) {
+    pub(crate) fn record_ops(&mut self, kind: OpKind, approx: bool, n: u64) {
         match (kind, approx) {
             (OpKind::Int, true) => self.int_approx_ops += n,
             (OpKind::Int, false) => self.int_precise_ops += n,

@@ -46,7 +46,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Whether this operator is a comparison (result type `int`).
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
     }
 }

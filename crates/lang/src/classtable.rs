@@ -169,12 +169,12 @@ impl ClassTable {
     }
 
     /// Whether `name` denotes a known class (including `Object`).
-    pub fn is_class(&self, name: &str) -> bool {
+    pub(crate) fn is_class(&self, name: &str) -> bool {
         name == "Object" || self.classes.contains_key(name)
     }
 
     /// The declared superclass of `name` (`None` for `Object`).
-    pub fn superclass(&self, name: &str) -> Option<&str> {
+    fn superclass(&self, name: &str) -> Option<&str> {
         self.classes.get(name).map(|c| c.superclass.as_deref().unwrap_or("Object"))
     }
 
@@ -194,7 +194,7 @@ impl ClassTable {
     }
 
     /// The nearest common superclass of two classes.
-    pub fn join_classes(&self, a: &str, b: &str) -> String {
+    pub(crate) fn join_classes(&self, a: &str, b: &str) -> String {
         let mut cur = a.to_owned();
         loop {
             if self.is_subclass(b, &cur) {
@@ -247,7 +247,7 @@ impl ClassTable {
     /// Finds the method body `(declaring class, decl)` that a call to
     /// `name` with receiver-precision `qual` dispatches to, walking up the
     /// hierarchy. Does **not** fall back between precisions; see
-    /// [`ClassTable::select_method`].
+    /// `ClassTable::select_method`.
     pub fn method_decl(
         &self,
         class: &str,
@@ -270,7 +270,7 @@ impl ClassTable {
     /// approximate receivers prefer the `approx` overload and fall back to
     /// the precise body (best effort); all other receivers use the precise
     /// body.
-    pub fn select_method(
+    pub(crate) fn select_method(
         &self,
         recv_qual: Qual,
         class: &str,

@@ -18,7 +18,7 @@ impl Span {
     }
 
     /// The smallest span covering both `self` and `other`.
-    pub fn merge(self, other: Span) -> Span {
+    pub(crate) fn merge(self, other: Span) -> Span {
         Span { start: self.start.min(other.start), end: self.end.max(other.end) }
     }
 
@@ -52,7 +52,7 @@ pub struct ParseError {
 
 impl ParseError {
     /// Creates a parse error at `span`.
-    pub fn new(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn new(span: Span, message: impl Into<String>) -> Self {
         ParseError { span, message: message.into() }
     }
 }
@@ -164,7 +164,7 @@ pub struct TypeError {
 
 impl TypeError {
     /// Creates a type error of `kind` at `span`.
-    pub fn new(kind: TypeErrorKind, span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: TypeErrorKind, span: Span, message: impl Into<String>) -> Self {
         TypeError { span, kind, message: message.into() }
     }
 }

@@ -64,7 +64,7 @@ pub enum Value {
 impl Value {
     /// Bit-exact equality: floats compare by their bits (so a `NaN` equals
     /// itself and `0.0` differs from `-0.0`), everything else by `==`.
-    pub fn bit_eq(&self, other: &Value) -> bool {
+    pub(crate) fn bit_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
             _ => self == other,
@@ -165,7 +165,7 @@ pub enum ExecMode {
 pub const DEFAULT_FUEL: u64 = 10_000_000;
 
 /// Maximum FEnerJ method-call depth (bounds the native stack).
-pub const MAX_CALL_DEPTH: u32 = 128;
+const MAX_CALL_DEPTH: u32 = 128;
 
 /// The interpreter state.
 struct Interp<'p> {

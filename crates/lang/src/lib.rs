@@ -6,7 +6,7 @@
 //! with precision qualifiers. It provides the full pipeline the paper's
 //! pluggable checker provides for Java:
 //!
-//! * a [lexer](token) and a [`parser`] for the Figure 1 syntax
+//! * a lexer (`token`) and a [`parser`] for the Figure 1 syntax
 //!   (extended with `let` and `;` so realistic programs are writable);
 //! * the [qualifier system](types): `precise`, `approx`, `top`, `context`
 //!   and the internal `lost`, with the paper's subtyping and context
@@ -65,7 +65,7 @@ pub mod interp;
 pub mod noninterference;
 pub mod parser;
 pub mod pretty;
-pub mod token;
+mod token;
 pub mod typecheck;
 pub mod types;
 

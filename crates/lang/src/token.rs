@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A lexical token of FEnerJ.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     // Literals and identifiers.
     /// Integer literal.
     IntLit(i64),
@@ -154,7 +154,7 @@ impl fmt::Display for Token {
 
 /// A token together with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub token: Token,
     /// Where it came from.
@@ -169,7 +169,7 @@ pub struct Spanned {
 ///
 /// Returns a [`ParseError`] on unrecognized characters or malformed
 /// numeric literals.
-pub fn lex(source: &str) -> Result<Vec<Spanned>, ParseError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Spanned>, ParseError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

@@ -36,7 +36,7 @@ impl Qual {
     /// Context adaptation `q ⊳ q'` (section 3.1): replaces `context` in a
     /// member's qualifier by the receiver's qualifier, degrading to `lost`
     /// when the receiver's qualifier is `top` or `lost`.
-    pub fn adapt(self, member: Qual) -> Qual {
+    fn adapt(self, member: Qual) -> Qual {
         if member == Qual::Context {
             match self {
                 Qual::Precise | Qual::Approx | Qual::Context => self,
@@ -49,7 +49,7 @@ impl Qual {
 
     /// Least upper bound in the qualifier ordering, used for joining the
     /// branches of a conditional on class types.
-    pub fn lub(self, other: Qual) -> Qual {
+    pub(crate) fn lub(self, other: Qual) -> Qual {
         if self == other {
             self
         } else if self.is_sub(other) {
@@ -64,7 +64,7 @@ impl Qual {
 
     /// Least upper bound in the *primitive* ordering, where additionally
     /// `precise <: approx` (section 2.1). Used for operand joining.
-    pub fn lub_prim(self, other: Qual) -> Qual {
+    pub(crate) fn lub_prim(self, other: Qual) -> Qual {
         if self == other {
             return self;
         }
@@ -147,12 +147,12 @@ impl Type {
     }
 
     /// `precise float`.
-    pub fn precise_float() -> Self {
+    pub(crate) fn precise_float() -> Self {
         Type::new(Qual::Precise, BaseType::Float)
     }
 
     /// The type of `null`.
-    pub fn null() -> Self {
+    pub(crate) fn null() -> Self {
         Type::new(Qual::Precise, BaseType::Null)
     }
 

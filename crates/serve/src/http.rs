@@ -15,10 +15,10 @@ use std::net::TcpStream;
 use enerj_apps::trials::json_string;
 
 /// Upper bound on a message head (start line + headers), on either side.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Upper bound on a message body (campaign specs are small JSON objects).
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One message head: the request or status line, then the headers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +37,7 @@ impl Head {
     ///
     /// `InvalidData` for a malformed length or one over
     /// [`MAX_BODY_BYTES`].
-    pub fn content_length(&self) -> io::Result<Option<usize>> {
+    pub(crate) fn content_length(&self) -> io::Result<Option<usize>> {
         let Some((_, value)) = self.headers.iter().find(|(name, _)| name == "content-length")
         else {
             return Ok(None);
@@ -91,22 +91,20 @@ pub(crate) fn read_head(r: &mut impl BufRead) -> io::Result<Option<Head>> {
 
 /// One parsed request.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// `GET`, `POST`, …
     pub method: String,
     /// Path with the query string stripped (e.g. `/jobs/j000001/stream`).
     pub path: String,
     /// Decoded query pairs, in source order (`?from_line=3`).
     pub query: Vec<(String, String)>,
-    /// Header name/value pairs; names lower-cased.
-    pub headers: Vec<(String, String)>,
     /// The body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
 }
 
 impl Request {
     /// The first query value under `key`, when present.
-    pub fn query(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query(&self, key: &str) -> Option<&str> {
         self.query.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 }
@@ -118,7 +116,7 @@ impl Request {
 ///
 /// As `read_head`, plus `InvalidData` for a malformed request line or
 /// body length and `UnexpectedEof` for a body cut short.
-pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
+pub(crate) fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
     let Some(head) = read_head(r)? else {
         return Ok(None);
     };
@@ -132,7 +130,7 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
     };
     let mut body = vec![0u8; head.content_length()?.unwrap_or(0)];
     r.read_exact(&mut body)?;
-    Ok(Some(Request { method, path, query, headers: head.headers, body }))
+    Ok(Some(Request { method, path, query, body }))
 }
 
 fn parse_query(q: &str) -> Vec<(String, String)> {
@@ -146,7 +144,7 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
 }
 
 /// The reason phrase for the handful of status codes the service uses.
-pub fn reason(status: u16) -> &'static str {
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -162,7 +160,7 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete response with a `Content-Length` body.
-pub fn write_response(
+fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -179,14 +177,14 @@ pub fn write_response(
 }
 
 /// Writes a JSON response body.
-pub fn write_json(stream: &mut TcpStream, status: u16, json: &str) -> io::Result<()> {
+pub(crate) fn write_json(stream: &mut TcpStream, status: u16, json: &str) -> io::Result<()> {
     write_response(stream, status, "application/json", json.as_bytes())
 }
 
 /// Starts an unbounded NDJSON stream: no `Content-Length`, the end of the
 /// stream is the end of the connection (`Connection: close`). The caller
 /// then writes raw NDJSON bytes directly to the stream.
-pub fn write_stream_head(stream: &mut TcpStream) -> io::Result<()> {
+pub(crate) fn write_stream_head(stream: &mut TcpStream) -> io::Result<()> {
     stream.write_all(
         b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
     )?;
@@ -197,7 +195,12 @@ pub fn write_stream_head(stream: &mut TcpStream) -> io::Result<()> {
 /// `{"error": ..., "retriable": ..., "backoff_ms": ...}`. Every rejected
 /// request carries one, so clients can distinguish "try again later"
 /// (queue full, draining) from "never" (over quota, malformed spec).
-pub fn error_body(error: &str, detail: &str, retriable: bool, backoff_ms: Option<u64>) -> String {
+pub(crate) fn error_body(
+    error: &str,
+    detail: &str,
+    retriable: bool,
+    backoff_ms: Option<u64>,
+) -> String {
     format!(
         "{{\"error\":{},\"detail\":{},\"retriable\":{},\"backoff_ms\":{}}}",
         json_string(error),
@@ -231,7 +234,6 @@ mod tests {
         .expect("not EOF");
         assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/jobs"));
         assert_eq!(req.query("from_line"), Some("3"));
-        assert_eq!(req.headers[1], ("content-length".to_owned(), "4".to_owned()));
         assert_eq!(req.body, b"body");
         let mut rest: &[u8] = b"HTTP/1.1 200 OK\r\n\r\nline\n";
         let head = read_head(&mut rest).expect("well-formed").expect("not EOF");

@@ -17,7 +17,7 @@
 //!    error sum, degrade rung) to `journal.ndjson`, `fsync`.
 //!
 //! A run of consecutive chunks commits as one group
-//! ([`Journal::append_group`]): every payload, one output `fsync`, then
+//! (`Journal::append_group`): every payload, one output `fsync`, then
 //! every record (and the verdict, when the run ends the job), one journal
 //! `fsync`. Output still reaches the disk before any record that blesses it.
 //!
@@ -33,7 +33,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use enerj_apps::json::Json;
 use enerj_apps::trials::json_string;
@@ -127,7 +127,7 @@ fn int_of<T: TryFrom<u128>>(doc: &Json, key: &str) -> Option<T> {
 
 /// The terminal verdict record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerdictRecord {
+pub(crate) struct VerdictRecord {
     /// `complete`, `over_quota`, `deadline_exceeded` or `failed`.
     pub verdict: String,
     /// Trials whose output is committed (always a prefix `0..trials_done`).
@@ -146,7 +146,7 @@ impl VerdictRecord {
 
 /// A job's durable state as read back from disk.
 #[derive(Debug)]
-pub struct Recovered {
+pub(crate) struct Recovered {
     /// The canonical spec text from `spec.json`.
     pub spec_text: String,
     /// The verified committed chunk records, in order.
@@ -161,7 +161,6 @@ pub struct Recovered {
 /// An open job ledger with the two append handles.
 #[derive(Debug)]
 pub struct Journal {
-    dir: PathBuf,
     output: File,
     journal: File,
 }
@@ -187,17 +186,12 @@ impl Journal {
     }
 
     /// Opens an existing job directory for appending.
-    pub fn open(dir: &Path) -> io::Result<Journal> {
+    pub(crate) fn open(dir: &Path) -> io::Result<Journal> {
         let output =
             OpenOptions::new().create(true).append(true).open(dir.join("output.ndjson"))?;
         let journal =
             OpenOptions::new().create(true).append(true).open(dir.join("journal.ndjson"))?;
-        Ok(Journal { dir: dir.to_path_buf(), output, journal })
-    }
-
-    /// The job directory this ledger lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(Journal { output, journal })
     }
 
     /// Commits one chunk: output bytes first (fsync), then the record
@@ -213,7 +207,7 @@ impl Journal {
     /// single-chunk commits leaves — records whose output is durable, then
     /// torn or missing lines — so [`recover`] keeps the verified prefix.
     /// Each payload must hash to its record's `hash` and be `bytes` long.
-    pub fn append_group<P: AsRef<[u8]>>(
+    pub(crate) fn append_group<P: AsRef<[u8]>>(
         &mut self,
         chunks: &[(P, ChunkRecord)],
         verdict: Option<&VerdictRecord>,
@@ -253,7 +247,7 @@ fn sync_dir(dir: &Path) {
 /// I/O errors only; a torn or hash-mismatched tail is repaired, not an
 /// error. A missing or unreadable `spec.json` *is* an error — without the
 /// spec the output bytes are unattributable.
-pub fn recover(dir: &Path) -> io::Result<Recovered> {
+pub(crate) fn recover(dir: &Path) -> io::Result<Recovered> {
     let spec_text = fs::read_to_string(dir.join("spec.json"))?.trim_end().to_owned();
     let output_path = dir.join("output.ndjson");
     let journal_path = dir.join("journal.ndjson");
@@ -332,7 +326,7 @@ fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
 /// Reads `len` committed bytes starting at `offset` from a job's output
 /// file (the streaming threads' read path — they never touch the append
 /// handle and only ever read bytes a journal record has blessed).
-pub fn read_output(dir: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+pub(crate) fn read_output(dir: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
     let mut f = File::open(dir.join("output.ndjson"))?;
     f.seek(SeekFrom::Start(offset))?;
     let mut buf = vec![0u8; len];
@@ -359,7 +353,7 @@ mod tests {
         }
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
+    fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("enerj-journal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("tempdir");

@@ -22,7 +22,7 @@
 //!   over-budget policy — hard-stop with an `over_quota` partial-results
 //!   verdict, or degrade down the scheduler ladder one rung per
 //!   over-budget commit.
-//! * **Isolation** ([`server`], [`http`]): per-connection read/write
+//! * **Isolation** ([`server`], `http`): per-connection read/write
 //!   timeouts and file-backed streaming mean a slow or dead reader
 //!   backpressures only its own socket; admission control rejects
 //!   overload with typed, retriable errors and backoff hints.
@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod http;
+mod http;
 pub mod journal;
 pub mod server;
 pub mod spec;

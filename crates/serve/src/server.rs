@@ -20,7 +20,7 @@
 //! Workers never touch the disk. One committer thread takes a job's
 //! in-order run of parked chunks, makes each chunk's budget decision in
 //! order under the state lock, then releases the lock and appends the whole
-//! run as one group ([`Journal::append_group`]: one output and one journal
+//! run as one group (`Journal::append_group`: one output and one journal
 //! `fsync`). It re-locks only to fold the now-durable records into the
 //! ledgers, so everything a client can read — committed bytes, ledgers,
 //! verdicts — changes only after its `fsync`. Every journal write, verdicts

@@ -43,15 +43,15 @@ use enerj_apps::trials::{json_string, Grid, SpecSource, TrialSpec};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// The schema tag every spec must carry.
-pub const SCHEMA: &str = "enerj-serve/1";
+const SCHEMA: &str = "enerj-serve/1";
 
 /// Default trials per journal chunk when the spec does not say.
-pub const DEFAULT_CHUNK: usize = 8;
+const DEFAULT_CHUNK: usize = 8;
 
 /// Most trials one job may enumerate. Admission allocates a chunk state per
 /// chunk under the server's lock, so this bounds what one `POST /jobs` can
 /// make the server hold; a larger campaign is several jobs.
-pub const MAX_TRIALS: u64 = 1 << 16;
+const MAX_TRIALS: u64 = 1 << 16;
 
 /// What to do when a job or tenant exhausts its quota mid-campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ pub enum OverBudget {
 
 impl OverBudget {
     /// The schema string for this policy.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             OverBudget::Stop => "stop",
             OverBudget::Degrade => "degrade",
@@ -74,7 +74,7 @@ impl OverBudget {
     }
 
     /// Parses the schema string.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
             "stop" => Ok(OverBudget::Stop),
             "degrade" => Ok(OverBudget::Degrade),
@@ -106,18 +106,18 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Total trials this spec enumerates ([`parse`](Self::parse) caps it at
-    /// [`MAX_TRIALS`]).
+    /// `MAX_TRIALS`).
     pub fn total_trials(&self) -> usize {
         self.grid.len()
     }
 
     /// Number of chunks (`ceil(total / chunk)`).
-    pub fn total_chunks(&self) -> usize {
+    pub(crate) fn total_chunks(&self) -> usize {
         self.total_trials().div_ceil(self.chunk)
     }
 
     /// The trial index range of chunk `c`.
-    pub fn chunk_range(&self, c: usize) -> (usize, usize) {
+    pub(crate) fn chunk_range(&self, c: usize) -> (usize, usize) {
         let lo = c * self.chunk;
         let hi = ((c + 1) * self.chunk).min(self.total_trials());
         (lo, hi)
@@ -238,7 +238,7 @@ impl JobSpec {
 
     /// Re-serializes the spec canonically (the durable `spec.json` body,
     /// so a restarted server reconstructs the exact same job).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let apps: Vec<String> = self.grid.apps().iter().map(|a| json_string(a.meta.name)).collect();
         let levels: Vec<String> = self.grid.arms().iter().map(|(l, _)| json_string(l)).collect();
         format!(

@@ -23,7 +23,7 @@ pub struct TenantConfig {
 
 impl TenantConfig {
     /// An unlimited tenant (the default for names never configured).
-    pub fn unlimited(name: &str) -> TenantConfig {
+    pub(crate) fn unlimited(name: &str) -> TenantConfig {
         TenantConfig { name: name.to_owned(), quota: None, over_budget: OverBudget::Stop }
     }
 
@@ -53,7 +53,7 @@ impl TenantConfig {
 
 /// A tenant's live accounting state.
 #[derive(Debug, Clone)]
-pub struct TenantState {
+pub(crate) struct TenantState {
     /// Configuration (quota + policy).
     pub config: TenantConfig,
     /// Exact energy committed so far across all of this tenant's jobs.
@@ -62,24 +62,19 @@ pub struct TenantState {
 
 impl TenantState {
     /// Fresh state for `config` with nothing spent.
-    pub fn new(config: TenantConfig) -> TenantState {
+    pub(crate) fn new(config: TenantConfig) -> TenantState {
         TenantState { config, spent: EnergyQuanta::ZERO }
-    }
-
-    /// Whether the ledger has crossed the quota.
-    pub fn over_quota(&self) -> bool {
-        matches!(self.config.quota, Some(q) if self.spent > q)
     }
 
     /// Whether admitting new work is pointless because the quota is
     /// already spent (admission-time check; enforcement during a run is
     /// chunk-granular and lives in the commit path).
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         matches!(self.config.quota, Some(q) if self.spent >= q)
     }
 
     /// Quanta still available under the quota (`None` = unlimited).
-    pub fn remaining(&self) -> Option<EnergyQuanta> {
+    pub(crate) fn remaining(&self) -> Option<EnergyQuanta> {
         self.config.quota.map(|q| q.saturating_sub(self.spent))
     }
 }
@@ -110,10 +105,10 @@ mod tests {
         assert!(!s.exhausted());
         s.spent += EnergyQuanta::new(100);
         assert!(s.exhausted(), "spent == quota leaves nothing to admit");
-        assert!(!s.over_quota(), "spent == quota is not yet *over*");
         assert_eq!(s.remaining(), Some(EnergyQuanta::ZERO));
         s.spent += EnergyQuanta::new(1);
-        assert!(s.over_quota());
+        assert!(s.exhausted(), "a commit may overshoot the quota");
+        assert_eq!(s.remaining(), Some(EnergyQuanta::ZERO));
         let unlimited = TenantState::new(TenantConfig::unlimited("u"));
         assert!(!unlimited.exhausted());
         assert_eq!(unlimited.remaining(), None);
